@@ -1,0 +1,19 @@
+//! Records the compiler version for the result records (`rustc` field).
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .unwrap_or_default();
+    let version = version.trim();
+    let version = if version.is_empty() {
+        "unknown"
+    } else {
+        version
+    };
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
