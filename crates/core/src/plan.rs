@@ -112,6 +112,27 @@ pub fn plan_compiles() -> usize {
 /// sparse still wins.
 pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.05;
 
+/// Returns early through the compile-time-width body
+/// `$self.$fixed::<K>(args)` when the panel width `k` is in `2..=8`;
+/// any other width falls through to the generic code that follows.
+/// Every coalesced batch width the serve layer runs (its default cap is
+/// 8) thereby takes a fixed-size lane loop; per-lane arithmetic order is
+/// the generic path's, so the choice never changes a bit.
+macro_rules! return_if_fixed_width {
+    ($k:expr, $self:ident.$fixed:ident($($arg:expr),*)) => {
+        match $k {
+            2 => return $self.$fixed::<2>($($arg),*),
+            3 => return $self.$fixed::<3>($($arg),*),
+            4 => return $self.$fixed::<4>($($arg),*),
+            5 => return $self.$fixed::<5>($($arg),*),
+            6 => return $self.$fixed::<6>($($arg),*),
+            7 => return $self.$fixed::<7>($($arg),*),
+            8 => return $self.$fixed::<8>($($arg),*),
+            _ => {}
+        }
+    };
+}
+
 /// Which execution arm a sparse-input multiply takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SparseStrategy {
@@ -416,9 +437,7 @@ impl<T: Scalar> PlanBody<T> {
     /// per block instead of per rule (the `k` lanes are the SIMD axis).
     fn eval_rules_panel(&self, k: usize, buf: &mut [T]) {
         assert!(buf.len() >= self.width() * k);
-        if k == 8 {
-            return self.eval_rules_panel_fixed::<8>(buf);
-        }
+        return_if_fixed_width!(k, self.eval_rules_panel_fixed(buf));
         for w in self.block_ptr.windows(2) {
             let (lo, hi) = (w[0] as usize, w[1] as usize);
             let (src, rest) = buf.split_at_mut((self.cols + lo) * k);
@@ -527,9 +546,7 @@ impl<T: Scalar> PlanBody<T> {
             }
             return;
         }
-        if k == 8 {
-            return self.accumulate_rows_fixed::<8>(rows, buf, y_chunk);
-        }
+        return_if_fixed_width!(k, self.accumulate_rows_fixed(rows, buf, y_chunk));
         for (ri, r) in rows.enumerate() {
             let dst = &mut y_chunk[ri * k..(ri + 1) * k];
             let lo = self.row_ptr[r] as usize;
@@ -598,9 +615,7 @@ impl<T: Scalar> PlanBody<T> {
             self.left_single(y_panel, x_panel, &mut buf[..n]);
             return;
         }
-        if k == 8 {
-            return self.left_panel_fixed::<8>(y_panel, x_panel, buf);
-        }
+        return_if_fixed_width!(k, self.left_panel_fixed(y_panel, x_panel, buf));
         let (panel, flags) = buf.split_at_mut(n * k);
         let panel = &mut panel[..n * k];
         let flags = &mut flags[..n];

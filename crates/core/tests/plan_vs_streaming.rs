@@ -66,7 +66,9 @@ fn check_matrix(rows: usize, cols: usize, density: u64, seed: u64) -> Result<(),
         prop_assert_eq!(plan.rows(), rows);
         prop_assert_eq!(plan.cols(), cols);
         let q = cm.num_rules();
-        for k in [1usize, 3, 8] {
+        // Every width the serve layer coalesces (1..=8) plus one past
+        // the fixed-width bodies, which takes the generic lane loop.
+        for k in (1usize..=8).chain([11]) {
             let mut buf = vec![0.0; plan.scratch_len(k)];
 
             // Right: streaming batch kernel vs planned batch kernel.
@@ -113,7 +115,7 @@ fn check_matrix(rows: usize, cols: usize, density: u64, seed: u64) -> Result<(),
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random shapes and densities, all encodings, k ∈ {1, 3, 8},
+    /// Random shapes and densities, all encodings, k ∈ 1..=8 and 11,
     /// both directions: planned and streaming kernels agree bit-exactly.
     #[test]
     fn planned_equals_streaming(

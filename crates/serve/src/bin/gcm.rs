@@ -68,9 +68,11 @@
 //! rooted at a model-store directory: every stored model is loaded and
 //! prewarmed at startup, concurrent single-vector requests coalesce
 //! into k-wide panel kernel calls, and admission control fast-fails
-//! past `--max-inflight`. `stats` fetches the live per-model
-//! request/batch-width/latency counters from a running server. The
-//! matching load generator lives in `gcm-bench` (`loadgen`).
+//! past `--max-inflight`. A request on an idle lane runs at once;
+//! `--deadline-us` bounds only the fill wait after a lane has seen
+//! concurrent arrivals. `stats` fetches the live per-model
+//! request/batch-width/latency/queue-wait counters from a running
+//! server. The matching load generator lives in `gcm-bench` (`loadgen`).
 
 use std::fs;
 use std::io::BufReader;
@@ -119,7 +121,9 @@ fn usage() -> ExitCode {
          [--deadline-us D] [--max-inflight N] [--plan] [--plan-f32]\n  \
          gcm stats <host:port> [--model NAME]\n  \
          gcm selftest [--rows R] [--cols C] [--shards N]\n\n\
-         datasets: susy higgs airline78 covtype census optical mnist2m",
+         datasets: susy higgs airline78 covtype census optical mnist2m\n\
+         serve: a request on an idle lane runs at once; --deadline-us (default 200)\n\
+         bounds only the fill wait after a lane has seen concurrent arrivals",
         encoding_names()
     );
     ExitCode::FAILURE

@@ -1,5 +1,5 @@
-//! Serving observability: per-model request / batch-width / latency
-//! histograms with a zero-allocation hot path.
+//! Serving observability: per-model request / batch-width / latency /
+//! queue-wait histograms with a zero-allocation hot path.
 //!
 //! The recording side is a handful of relaxed atomic increments into
 //! fixed log2-bucket arrays — no locks, no allocation — so it sits
@@ -137,6 +137,9 @@ pub struct ModelMetrics {
     pub batch_width: Histogram,
     /// Request latency in microseconds (decode → response encoded).
     pub latency_us: Histogram,
+    /// Per coalesced request: microseconds from entering its batching
+    /// lane to the start of its batch's kernel.
+    pub queue_wait_us: Histogram,
 }
 
 impl ModelMetrics {
@@ -236,6 +239,12 @@ impl Metrics {
                     m.latency_us.sum() as f64 / m.latency_us.count() as f64
                 },
             );
+            let _ = writeln!(
+                out,
+                "model={name} queue_wait_us p50={} p99={}",
+                m.queue_wait_us.quantile(0.50),
+                m.queue_wait_us.quantile(0.99),
+            );
             for (hi, c) in m.batch_width.nonzero_buckets() {
                 let _ = writeln!(out, "model={name} width_le={hi} count={c}");
             }
@@ -293,6 +302,8 @@ mod tests {
         m.batch_width.record(4);
         m.batch_width.record(5);
         m.latency_us.record(120);
+        m.queue_wait_us.record(3);
+        m.queue_wait_us.record(300);
         let text = metrics.render("");
         assert!(
             text.contains("model=demo requests=10 ok=9 overloaded=1"),
@@ -300,6 +311,11 @@ mod tests {
         );
         assert!(text.contains("mean_width=4.50"), "{text}");
         assert!(text.contains("latency_us p50="), "{text}");
+        // Log2 upper bounds: 3 sits in the ≤ 3 bucket, 300 in ≤ 511.
+        assert!(
+            text.contains("model=demo queue_wait_us p50=3 p99=511\n"),
+            "{text}"
+        );
         // Filtering by an unknown model renders no model lines.
         assert!(!metrics.render("other").contains("model=demo"));
         assert_eq!(metrics.get("missing").map(|_| ()), None);

@@ -152,7 +152,9 @@ pub(crate) struct Shard {
     /// (`None` inside = backend has nothing to plan). Read-only after
     /// initialisation, so the serving hot path pays one atomic load.
     plan: OnceLock<Option<ModelPlan>>,
-    ws: Mutex<Workspace>,
+    /// Every kernel on this shard runs under this lock (the server's
+    /// tests hold it to stall a kernel deterministically).
+    pub(crate) ws: Mutex<Workspace>,
     partial: Mutex<Vec<f64>>,
 }
 

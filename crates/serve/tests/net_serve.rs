@@ -2,12 +2,12 @@
 //! the wire must be **bit-exact** with direct `right/left_multiply_panel`
 //! calls on the same container (the batched kernels accumulate each
 //! column independently and in k=1 order, so coalescing must never
-//! change a single bit), and admission control must fast-fail instead
-//! of queueing.
+//! change a single bit). Admission control's fast-fail over TCP is
+//! tested inside the crate (`server.rs`), where a test can stall a
+//! kernel deterministically.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 use gcm_matrix::DenseMatrix;
 use gcm_serve::protocol::{status, Client, Direction};
@@ -70,8 +70,9 @@ fn coalesced_wire_responses_are_bit_exact_with_direct_panel_call() {
     );
     let (rows, cols) = (reference.rows(), reference.cols());
 
-    // k concurrent single-vector requests released together: with the
-    // long deadline they coalesce into panel kernel calls server-side.
+    // k concurrent single-vector requests released together: the ones
+    // that arrive while an earlier batch runs coalesce into panel
+    // kernel calls server-side.
     let addr = handle.addr();
     let barrier = Arc::new(Barrier::new(k));
     let joins: Vec<_> = (0..k)
@@ -116,8 +117,7 @@ fn coalesced_wire_responses_are_bit_exact_with_direct_panel_call() {
         }
     }
 
-    // The server must have actually batched: fewer kernel calls than
-    // vectors (all k released together under a generous deadline).
+    // Every request was served.
     let mut client = Client::connect(addr).unwrap();
     let stats = client.stats("m").unwrap();
     let line = stats
@@ -423,65 +423,6 @@ fn row_subset_wire_responses_are_bit_exact_with_direct_call() {
             );
         }
     }
-    drop(client);
-    handle.stop();
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn overload_fast_fails_instead_of_queueing() {
-    // max_inflight 1 + a long flush deadline: the first request parks as
-    // batch leader holding the only in-flight slot, so the second is
-    // deterministically shed — and quickly, not after queueing behind
-    // the first.
-    let (mut handle, _reference, dir) = serve_sample(
-        "overload",
-        ServerConfig {
-            batch_width: 8,
-            batch_deadline_us: 500_000,
-            max_inflight: 1,
-        },
-    );
-    let addr = handle.addr();
-    let cols = 7usize;
-    let x = vec![1.0; cols];
-
-    let first = {
-        let x = x.clone();
-        std::thread::spawn(move || {
-            let mut client = Client::connect(addr).unwrap();
-            client
-                .multiply_status("m", Direction::Right, 1, &x)
-                .unwrap()
-        })
-    };
-    // Give the first request time to occupy the slot (it then waits
-    // 500ms for batch company).
-    std::thread::sleep(Duration::from_millis(100));
-    let mut client = Client::connect(addr).unwrap();
-    let t = std::time::Instant::now();
-    let second = client
-        .multiply_status("m", Direction::Right, 1, &x)
-        .unwrap();
-    let shed_latency = t.elapsed();
-    let first = first.join().unwrap();
-
-    // Exactly one request is served, the other shed — and the shed
-    // response returns fast, well inside the leader's deadline window.
-    let mut statuses = [first, second];
-    statuses.sort_unstable();
-    assert_eq!(
-        statuses,
-        [status::OK, status::OVERLOADED],
-        "one OK + one fast-fail shed expected"
-    );
-    assert!(
-        shed_latency < Duration::from_millis(400),
-        "shed response took {shed_latency:?} — it queued instead of fast-failing"
-    );
-
-    let stats = client.stats("m").unwrap();
-    assert!(stats.contains("overloaded=1"), "{stats}");
     drop(client);
     handle.stop();
     std::fs::remove_dir_all(&dir).unwrap();

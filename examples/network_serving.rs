@@ -43,8 +43,10 @@ fn main() {
     );
 
     // Start the server on an ephemeral port: coalesce up to 8 concurrent
-    // single-vector requests per kernel call, waiting at most 500µs for
-    // company, and shed past 256 in-flight requests.
+    // single-vector requests per kernel call and shed past 256 in-flight
+    // requests. A request on an idle lane runs at once; the 500µs
+    // deadline bounds only the fill wait once a lane has seen
+    // concurrent arrivals.
     let config = ServerConfig {
         batch_width: 8,
         batch_deadline_us: 500,
