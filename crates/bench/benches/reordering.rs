@@ -21,6 +21,17 @@ fn bench_csm(c: &mut Criterion) {
             },
         );
     }
+    // The pipeline reorders shards with the exact CSM: a 30k-row
+    // Covtype slice is one shard of the 120k-row, 4-shard build.
+    let dense = Dataset::Covtype.generate(30_000, 5);
+    let csrv = CsrvMatrix::from_dense(&dense).expect("csrv");
+    group.bench_with_input(
+        BenchmarkId::from_parameter("covtype-30k-exact"),
+        &csrv,
+        |b, csrv| {
+            b.iter(|| Csm::compute(csrv, CsmConfig::exact()));
+        },
+    );
     group.finish();
 }
 

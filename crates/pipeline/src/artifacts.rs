@@ -136,10 +136,18 @@ pub struct ShardStats {
     pub reorder: Option<ReorderAlgorithm>,
     /// Time spent computing/applying the column reorder.
     pub reorder_time: Duration,
-    /// Time spent in RePair grammar construction.
+    /// CPU time spent in grammar construction, summed over the shard's
+    /// grammar candidates (both stages under [`GrammarChoice::Auto`],
+    /// which may run concurrently).
+    ///
+    /// [`GrammarChoice::Auto`]: crate::GrammarChoice::Auto
     pub grammar_time: Duration,
-    /// Time spent building (and, under `Auto`, measuring) encodings.
+    /// CPU time spent building (and, under `Auto`, measuring)
+    /// encodings, summed over the shard's grammar candidates.
     pub encode_time: Duration,
+    /// Grammars constructed for this shard: one per row block per
+    /// grammar candidate (0 for the uncompressed backends).
+    pub grammar_builds: usize,
 }
 
 /// Whole-build statistics: planning time, end-to-end wall time of the

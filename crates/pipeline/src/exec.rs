@@ -1,11 +1,28 @@
-//! Stage execution: runs a [`Plan`]'s shards — reorder → RePair →
-//! encode, fused per shard — on the persistent thread pool.
+//! Stage execution: runs a [`Plan`] on the persistent thread pool in
+//! three flat phases, each one [`par_map`] (never nested):
+//!
+//! 1. **Reorder**: one task per shard computes or applies its column
+//!    order, fingerprints its input rows, and either finishes an
+//!    uncompressed backend's artifact or lays out the grammar input.
+//! 2. **Grammar + encode**: one task per (shard, grammar candidate).
+//!    [`GrammarChoice::Auto`] contributes a RePair and an MR-RePair
+//!    candidate; every other policy contributes one. Each task builds
+//!    its grammars and encodes them under the shard's
+//!    [`EncodingChoice`], so a one-shard `Auto` build keeps two workers
+//!    busy.
+//! 3. **Select**: per shard, the candidate with the smaller measured
+//!    stored size wins (ties go to RePair).
+//!
+//! Every task is deterministic and independent of which worker or
+//! scratch runs it, so the pool-parallel build is bit-identical to
+//! [`Pipeline::build_sequential`], which runs the same phases inline.
 
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding};
 use gcm_matrix::{CsrvMatrix, ParallelCsrv, RowBlocks, SEPARATOR};
+use gcm_reorder::ReorderAlgorithm;
 use gcm_repair::{MrSlp, RePair, RePairScratch, Slp};
 
 use crate::artifacts::{
@@ -68,7 +85,7 @@ impl Pipeline {
         self.execute_with(plan, plan_time, true)
     }
 
-    /// As [`build`](Self::build) with every shard executed sequentially
+    /// As [`build`](Self::build) with every phase executed sequentially
     /// on the calling thread — the reference path the parallel build is
     /// pinned bit-identical against (and the bench baseline).
     pub fn build_sequential(&self, csrv: &CsrvMatrix, config: &BuildConfig) -> BuildArtifacts {
@@ -80,30 +97,35 @@ impl Pipeline {
 
     /// Executes an already-made plan concurrently.
     pub fn execute(&self, plan: Plan) -> BuildArtifacts {
-        self.execute_with(plan, std::time::Duration::ZERO, true)
+        self.execute_with(plan, Duration::ZERO, true)
     }
 
-    fn execute_with(
-        &self,
-        plan: Plan,
-        plan_time: std::time::Duration,
-        parallel: bool,
-    ) -> BuildArtifacts {
+    fn execute_with(&self, plan: Plan, plan_time: Duration, parallel: bool) -> BuildArtifacts {
         let t0 = Instant::now();
-        let built: Vec<(BuiltShard, ShardStats)> = if parallel {
-            par_map(plan.shards.len(), |i| {
-                self.build_shard(&plan, &plan.shards[i])
+        let prepared = run_phase(parallel, plan.shards.len(), |i| {
+            prepare(&plan, &plan.shards[i])
+        });
+        let tasks: Vec<(usize, GrammarStage)> = plan
+            .shards
+            .iter()
+            .enumerate()
+            .flat_map(|(i, sp)| {
+                grammar_candidates(plan.backend, sp.grammar)
+                    .iter()
+                    .map(move |&stage| (i, stage))
             })
-        } else {
-            plan.shards
-                .iter()
-                .map(|sp| self.build_shard(&plan, sp))
-                .collect()
-        };
-        let wall_time = t0.elapsed();
-        let mut shards = Vec::with_capacity(built.len());
-        let mut stats = Vec::with_capacity(built.len());
-        for (shard, stat) in built {
+            .collect();
+        let candidates = run_phase(parallel, tasks.len(), |t| {
+            let (i, stage) = tasks[t];
+            let sp = &plan.shards[i];
+            self.build_candidate(prepared[i].parts(sp), stage, sp.encoding)
+        });
+        let mut candidates = candidates.into_iter();
+        let mut shards = Vec::with_capacity(plan.shards.len());
+        let mut stats = Vec::with_capacity(plan.shards.len());
+        for (sp, prep) in plan.shards.iter().zip(prepared) {
+            let count = grammar_candidates(plan.backend, sp.grammar).len();
+            let (shard, stat) = select(&plan, sp, prep, candidates.by_ref().take(count).collect());
             shards.push(shard);
             stats.push(stat);
         }
@@ -113,145 +135,34 @@ impl Pipeline {
             shards,
             stats: BuildStats {
                 plan_time,
-                wall_time,
+                wall_time: t0.elapsed(),
                 shards: stats,
             },
         }
     }
 
-    /// One shard's fused stage chain: reorder → grammar → encode.
-    fn build_shard(&self, plan: &Plan, sp: &ShardPlan) -> (BuiltShard, ShardStats) {
-        let rows = sp.csrv.rows();
-        let nnz = sp.csrv.nnz();
-
-        // Stage: reorder. `None` keeps a borrow of the plan's shard so
-        // unreordered builds never copy the symbol stream (except the
-        // `csrv` backend below, whose artifact must own it).
+    /// Phase 2 for one (shard, grammar candidate) task: build the
+    /// candidate's grammar for every block, then encode the blocks
+    /// under the shard's encoding policy.
+    fn build_candidate(
+        &self,
+        parts: &[CsrvMatrix],
+        stage: GrammarStage,
+        encoding: EncodingChoice,
+    ) -> Candidate {
         let t0 = Instant::now();
-        let (reordered, col_order, algo) = match &sp.reorder {
-            ShardReorder::None => (None, None, None),
-            ShardReorder::Apply(order, algo) => (
-                Some(sp.csrv.with_column_order(order)),
-                Some(order.iter().map(|&c| c as u32).collect::<Vec<u32>>()),
-                Some(*algo),
-            ),
-            ShardReorder::Compute(algo) => {
-                let (reordered, order) =
-                    gcm_reorder::BlockReorderConfig::new(*algo).apply(&sp.csrv);
-                (
-                    Some(reordered),
-                    Some(order.iter().map(|&c| c as u32).collect::<Vec<u32>>()),
-                    Some(*algo),
-                )
-            }
+        let grammars = match stage {
+            GrammarStage::RePair => ShardGrammars::RePair(self.repair_grammars(parts)),
+            GrammarStage::MrRePair => ShardGrammars::MrRePair(self.mr_grammars(parts)),
         };
-        let csrv: &CsrvMatrix = reordered.as_ref().unwrap_or(&sp.csrv);
-        let reorder_time = t0.elapsed();
-
-        // Stages: grammar + encode (compressed backends only).
-        let mut grammar_time = std::time::Duration::ZERO;
-        let mut encode_time = std::time::Duration::ZERO;
-        let mut grammar_rules = 0usize;
-        let mut encoding = None;
-        let mut grammar = None;
-        let artifact = match plan.backend {
-            Backend::Csrv => ShardArtifact::Csrv(reordered.unwrap_or_else(|| sp.csrv.clone())),
-            Backend::ParCsrv => ShardArtifact::ParCsrv(ParallelCsrv::split(csrv, plan.blocks)),
-            Backend::Compressed | Backend::Blocked => {
-                let blocked_parts;
-                let parts: &[CsrvMatrix] = if plan.backend == Backend::Compressed {
-                    std::slice::from_ref(csrv)
-                } else {
-                    blocked_parts = RowBlocks::split(csrv, plan.blocks).into_blocks();
-                    &blocked_parts
-                };
-                let (blocks, stage) = match sp.grammar {
-                    // Legacy path and the pinned-RePair policy share the
-                    // exact same construction; only the recorded
-                    // metadata differs.
-                    None | Some(GrammarChoice::RePair) => {
-                        let t1 = Instant::now();
-                        let grammars = ShardGrammars::RePair(self.repair_grammars(parts));
-                        grammar_time = t1.elapsed();
-                        let t2 = Instant::now();
-                        let blocks = encode_blocks(parts, &grammars, sp.encoding);
-                        encode_time = t2.elapsed();
-                        (blocks, sp.grammar.map(|_| GrammarStage::RePair))
-                    }
-                    Some(GrammarChoice::MrRePair) => {
-                        let t1 = Instant::now();
-                        let grammars = ShardGrammars::MrRePair(self.mr_grammars(parts));
-                        grammar_time = t1.elapsed();
-                        let t2 = Instant::now();
-                        let blocks = encode_blocks(parts, &grammars, sp.encoding);
-                        encode_time = t2.elapsed();
-                        (blocks, Some(GrammarStage::MrRePair))
-                    }
-                    // Both stages run for real and the smaller
-                    // **measured** encoded output wins (ties break to
-                    // RePair, so auto is never larger than pure RePair).
-                    Some(GrammarChoice::Auto) => {
-                        let t1 = Instant::now();
-                        let re = ShardGrammars::RePair(self.repair_grammars(parts));
-                        let mr = ShardGrammars::MrRePair(self.mr_grammars(parts));
-                        grammar_time = t1.elapsed();
-                        let t2 = Instant::now();
-                        let re_blocks = encode_blocks(parts, &re, sp.encoding);
-                        let mr_blocks = encode_blocks(parts, &mr, sp.encoding);
-                        encode_time = t2.elapsed();
-                        let bytes = |b: &[CompressedMatrix]| -> usize {
-                            b.iter().map(CompressedMatrix::stored_bytes).sum()
-                        };
-                        if bytes(&mr_blocks) < bytes(&re_blocks) {
-                            (mr_blocks, Some(GrammarStage::MrRePair))
-                        } else {
-                            (re_blocks, Some(GrammarStage::RePair))
-                        }
-                    }
-                };
-                grammar_rules = blocks.iter().map(CompressedMatrix::num_rules).sum();
-                encoding = blocks.first().map(CompressedMatrix::encoding);
-                grammar = stage;
-                if plan.backend == Backend::Compressed {
-                    let block = blocks.into_iter().next().expect("one block per shard");
-                    ShardArtifact::Compressed(block)
-                } else {
-                    ShardArtifact::Blocked(BlockedMatrix::from_blocks(blocks, plan.cols))
-                }
-            }
-        };
-
-        // Fingerprint the *input* rows (pre-reorder) whenever a
-        // grammar-stage policy is active — the handle incremental
-        // rebuilds match shards by.
-        let fingerprint = match (sp.grammar, plan.backend) {
-            (Some(_), Backend::Compressed | Backend::Blocked) => Some(shard_fingerprint(&sp.csrv)),
-            _ => None,
-        };
-
-        let stats = ShardStats {
-            index: sp.index,
-            rows,
-            nnz,
-            grammar_rules,
-            encoded_bytes: artifact.stored_bytes(),
-            encoding,
-            grammar,
-            reorder: algo,
-            reorder_time,
-            grammar_time,
-            encode_time,
-        };
-        (
-            BuiltShard {
-                artifact,
-                col_order,
-                reorder: algo,
-                grammar,
-                fingerprint,
-            },
-            stats,
-        )
+        let t1 = Instant::now();
+        let blocks = encode_blocks(parts, &grammars, encoding);
+        Candidate {
+            stage,
+            blocks,
+            grammar_time: t1 - t0,
+            encode_time: t1.elapsed(),
+        }
     }
 
     /// One RePair grammar per block, on pooled scratch.
@@ -293,6 +204,183 @@ impl Pipeline {
 enum ShardGrammars {
     RePair(Vec<Slp>),
     MrRePair(Vec<MrSlp>),
+}
+
+/// Runs `f(i)` for every `i in 0..n`, on the pool or inline, in index
+/// order either way.
+fn run_phase<T: Send>(parallel: bool, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if parallel {
+        par_map(n, f)
+    } else {
+        (0..n).map(f).collect()
+    }
+}
+
+/// The grammar stages a shard builds in phase 2, in tie-break order:
+/// none for the uncompressed backends, both for `Auto`, else one.
+fn grammar_candidates(backend: Backend, grammar: Option<GrammarChoice>) -> &'static [GrammarStage] {
+    match (backend, grammar) {
+        (Backend::Csrv | Backend::ParCsrv, _) => &[],
+        (_, None | Some(GrammarChoice::RePair)) => &[GrammarStage::RePair],
+        (_, Some(GrammarChoice::MrRePair)) => &[GrammarStage::MrRePair],
+        (_, Some(GrammarChoice::Auto)) => &[GrammarStage::RePair, GrammarStage::MrRePair],
+    }
+}
+
+/// A shard after phase 1.
+struct Prepared {
+    /// The uncompressed backends' finished artifact.
+    artifact: Option<ShardArtifact>,
+    /// The compressed backends' grammar input: the reordered shard, or
+    /// its row blocks (`blocked`). `None` compresses the plan's shard
+    /// as it is, without copying it.
+    blocks: Option<Vec<CsrvMatrix>>,
+    col_order: Option<Vec<u32>>,
+    reorder: Option<ReorderAlgorithm>,
+    reorder_time: Duration,
+    fingerprint: Option<u64>,
+}
+
+impl Prepared {
+    /// The blocks every grammar candidate of `sp` compresses.
+    fn parts<'a>(&'a self, sp: &'a ShardPlan) -> &'a [CsrvMatrix] {
+        self.blocks
+            .as_deref()
+            .unwrap_or(std::slice::from_ref(&sp.csrv))
+    }
+}
+
+/// One grammar candidate of one shard, built and encoded.
+struct Candidate {
+    stage: GrammarStage,
+    blocks: Vec<CompressedMatrix>,
+    grammar_time: Duration,
+    encode_time: Duration,
+}
+
+/// Phase 1 for one shard: reorder its columns, then either finish an
+/// uncompressed backend's artifact or lay out the grammar input.
+fn prepare(plan: &Plan, sp: &ShardPlan) -> Prepared {
+    let t0 = Instant::now();
+    let (reordered, col_order, reorder) = match &sp.reorder {
+        ShardReorder::None => (None, None, None),
+        ShardReorder::Apply(order, algo) => (
+            Some(sp.csrv.with_column_order(order)),
+            Some(order.iter().map(|&c| c as u32).collect::<Vec<u32>>()),
+            Some(*algo),
+        ),
+        ShardReorder::Compute(algo) => {
+            let (reordered, order) = gcm_reorder::BlockReorderConfig::new(*algo).apply(&sp.csrv);
+            (
+                Some(reordered),
+                Some(order.iter().map(|&c| c as u32).collect::<Vec<u32>>()),
+                Some(*algo),
+            )
+        }
+    };
+    let reorder_time = t0.elapsed();
+    let csrv = reordered.as_ref().unwrap_or(&sp.csrv);
+    let (artifact, blocks) = match plan.backend {
+        Backend::ParCsrv => (
+            Some(ShardArtifact::ParCsrv(ParallelCsrv::split(
+                csrv,
+                plan.blocks,
+            ))),
+            None,
+        ),
+        Backend::Blocked => (
+            None,
+            Some(RowBlocks::split(csrv, plan.blocks).into_blocks()),
+        ),
+        Backend::Csrv => (
+            Some(ShardArtifact::Csrv(
+                reordered.unwrap_or_else(|| sp.csrv.clone()),
+            )),
+            None,
+        ),
+        Backend::Compressed => (None, reordered.map(|m| vec![m])),
+    };
+    // Fingerprint the *input* rows (pre-reorder) whenever a
+    // grammar-stage policy is active — the handle incremental rebuilds
+    // match shards by.
+    let fingerprint = match (sp.grammar, plan.backend) {
+        (Some(_), Backend::Compressed | Backend::Blocked) => Some(shard_fingerprint(&sp.csrv)),
+        _ => None,
+    };
+    Prepared {
+        artifact,
+        blocks,
+        col_order,
+        reorder,
+        reorder_time,
+        fingerprint,
+    }
+}
+
+/// Phase 3 for one shard: keep the candidate with the smallest
+/// **measured** stored size (ties go to the earlier candidate, so auto
+/// is never larger than pure RePair) and record the shard's statistics.
+fn select(
+    plan: &Plan,
+    sp: &ShardPlan,
+    prep: Prepared,
+    candidates: Vec<Candidate>,
+) -> (BuiltShard, ShardStats) {
+    let grammar_time = candidates.iter().map(|c| c.grammar_time).sum();
+    let encode_time = candidates.iter().map(|c| c.encode_time).sum();
+    let grammar_builds = candidates.iter().map(|c| c.blocks.len()).sum();
+    let (artifact, grammar, grammar_rules, encoding) = match prep.artifact {
+        Some(artifact) => (artifact, None, 0, None),
+        None => {
+            let winner = candidates
+                .into_iter()
+                .min_by_key(|c| {
+                    c.blocks
+                        .iter()
+                        .map(CompressedMatrix::stored_bytes)
+                        .sum::<usize>()
+                })
+                .expect("a compressed backend builds at least one candidate");
+            let rules = winner.blocks.iter().map(CompressedMatrix::num_rules).sum();
+            let encoding = winner.blocks.first().map(CompressedMatrix::encoding);
+            let artifact = if plan.backend == Backend::Compressed {
+                let block = winner
+                    .blocks
+                    .into_iter()
+                    .next()
+                    .expect("one block per shard");
+                ShardArtifact::Compressed(block)
+            } else {
+                ShardArtifact::Blocked(BlockedMatrix::from_blocks(winner.blocks, plan.cols))
+            };
+            // The legacy path records no stage metadata.
+            (artifact, sp.grammar.map(|_| winner.stage), rules, encoding)
+        }
+    };
+    let stats = ShardStats {
+        index: sp.index,
+        rows: sp.csrv.rows(),
+        nnz: sp.csrv.nnz(),
+        grammar_rules,
+        encoded_bytes: artifact.stored_bytes(),
+        encoding,
+        grammar,
+        reorder: prep.reorder,
+        reorder_time: prep.reorder_time,
+        grammar_time,
+        encode_time,
+        grammar_builds,
+    };
+    (
+        BuiltShard {
+            artifact,
+            col_order: prep.col_order,
+            reorder: prep.reorder,
+            grammar,
+            fingerprint: prep.fingerprint,
+        },
+        stats,
+    )
 }
 
 /// Encodes a shard's blocks, selecting the encoding per `choice`: under
@@ -416,6 +504,45 @@ mod tests {
                         backend.name(),
                         reorder
                     );
+                }
+                artifact_products_match_dense(&par, &csrv);
+            }
+        }
+    }
+
+    /// A shard's serialized grammar-compressed blocks.
+    fn shard_bytes(shard: &BuiltShard) -> Vec<u8> {
+        match &shard.artifact {
+            ShardArtifact::Compressed(m) => gcm_core::serial::to_bytes(m),
+            ShardArtifact::Blocked(m) => gcm_core::serial::bundle_to_bytes(m.blocks(), None),
+            other => panic!("not grammar-compressed: {:?}", other.backend()),
+        }
+    }
+
+    #[test]
+    fn auto_grammar_build_is_bit_identical_to_sequential() {
+        let csrv = sample(96, 9);
+        let pipeline = Pipeline::new();
+        for backend in [Backend::Compressed, Backend::Blocked] {
+            for shards in [1, 4] {
+                let config = BuildConfig {
+                    backend,
+                    encoding: EncodingChoice::Auto,
+                    grammar: Some(GrammarChoice::Auto),
+                    shards,
+                    blocks: 2,
+                    reorder: Some(ReorderMode::PerShard(ReorderAlgorithm::PathCover)),
+                };
+                let par = pipeline.build(&csrv, &config);
+                let seq = pipeline.build_sequential(&csrv, &config);
+                assert_eq!(par.shards.len(), shards);
+                let blocks = if backend == Backend::Blocked { 2 } else { 1 };
+                for ((a, b), stat) in par.shards.iter().zip(&seq.shards).zip(&par.stats.shards) {
+                    assert_eq!(shard_bytes(a), shard_bytes(b), "{}", backend.name());
+                    assert_eq!(a.col_order, b.col_order);
+                    assert_eq!(a.grammar, b.grammar);
+                    assert_eq!(a.fingerprint, b.fingerprint);
+                    assert_eq!(stat.grammar_builds, 2 * blocks, "both candidates per block");
                 }
                 artifact_products_match_dense(&par, &csrv);
             }

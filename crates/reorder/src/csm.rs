@@ -8,9 +8,18 @@
 //! `RPNZ₁₃` walk-through is internally inconsistent, see DESIGN.md). Then
 //! `CSM[i][j] = RPNZ_ij / n`.
 //!
-//! Computation is the paper's sorting approach: per column pair, collect
-//! the combined 64-bit keys, sort, count duplicates. Cost is `O(m²·n log n)`
-//! worst case; a row-sampling knob caps `n` for wide matrices (Mnist2m).
+//! Computation counts instead of sorting. The paper sorts the combined
+//! keys of each column pair, `O(m²·n log n)`. Here every column is first
+//! relabelled to dense per-column value ids; then, for each column `i`,
+//! one counting sort groups its rows by value id, and each partner
+//! `j > i` is scanned in that group order. Within a group every pair
+//! shares `M[r][i]`, so a repeated pair is a non-zero `M[r][j]` the group
+//! has already seen, which a per-id stamp array detects in `O(1)`. The
+//! cost is `O(m²·n + d)` time and `O(m·n + d)` space for `d` distinct
+//! values. Ids seen only once in column `i` form singleton groups, which
+//! cannot repeat and are skipped. The integer counts, and so the
+//! `f64` scores, equal the sorting method's exactly. A row-sampling knob
+//! caps `n` for wide matrices (Mnist2m).
 
 use gcm_matrix::CsrvMatrix;
 
@@ -59,55 +68,87 @@ impl Csm {
     /// Computes the CSM of `matrix` under `config`.
     pub fn compute(matrix: &CsrvMatrix, config: CsmConfig) -> Self {
         let m = matrix.cols();
-        let n = matrix.rows();
-        // Column-major value-id table: 0 = zero cell, else value-id + 1.
-        // Sampling keeps every stride-th row (deterministic, seed-free).
-        let codec = matrix.codec();
-        let (sampled_rows, stride) = match config.sample_rows {
-            Some(cap) if cap > 0 && n > cap => {
-                let stride = n.div_ceil(cap);
-                (n.div_ceil(stride), stride)
+        let table = ColumnTable::new(matrix, config);
+        let n = table.rows;
+        let denominator = n.max(1) as f64;
+        let mut scores = vec![0.0f64; m * m];
+        // Scratch shared by every column: per-id counts, then per-id
+        // placement offsets; the column's repeated-id rows in id order;
+        // the end offset of each of those groups; and the per-id stamps
+        // of the partner column, tagged with a token that is fresh for
+        // every (group, partner) visit so they never need clearing.
+        let max_ids = table.distinct.iter().copied().max().unwrap_or(0) as usize + 1;
+        let mut counts = vec![0u32; max_ids];
+        let mut grouped: Vec<u32> = Vec::with_capacity(n);
+        let mut group_ends: Vec<usize> = Vec::new();
+        let mut stamps = vec![0u32; max_ids];
+        let mut token = 0u32;
+        for i in 0..m {
+            let col_i = table.column(i);
+            let ids = table.distinct[i] as usize + 1;
+            // Counting sort of the column's rows by value id. An id seen
+            // once forms a singleton group, and a singleton group can
+            // hold no repeated pair, so only ids seen twice or more are
+            // placed.
+            counts[..ids].fill(0);
+            for &a in col_i {
+                counts[a as usize] += 1;
             }
-            _ => (n, 1),
-        };
-        let mut table = vec![0u32; sampled_rows * m];
-        for (r, row) in matrix.row_slices().enumerate() {
-            if r % stride != 0 {
+            group_ends.clear();
+            let mut placed = 0u32;
+            for count in &mut counts[1..ids] {
+                if *count >= 2 {
+                    let start = placed;
+                    placed += *count;
+                    group_ends.push(placed as usize);
+                    *count = start;
+                } else {
+                    *count = u32::MAX;
+                }
+            }
+            grouped.clear();
+            grouped.resize(placed as usize, 0);
+            for (r, &a) in col_i.iter().enumerate() {
+                if a != 0 {
+                    let slot = &mut counts[a as usize];
+                    if *slot != u32::MAX {
+                        grouped[*slot as usize] = r as u32;
+                        *slot += 1;
+                    }
+                }
+            }
+            if grouped.is_empty() {
                 continue;
             }
-            let sr = r / stride;
-            for &s in row {
-                let (l, j) = codec.decode(s);
-                table[sr * m + j as usize] = l + 1;
-            }
-        }
-        let denominator = sampled_rows.max(1) as f64;
-        let mut scores = vec![0.0f64; m * m];
-        let mut scratch: Vec<u64> = Vec::with_capacity(sampled_rows);
-        for i in 0..m {
             for j in (i + 1)..m {
-                scratch.clear();
-                for r in 0..sampled_rows {
-                    let a = table[r * m + i];
-                    let b = table[r * m + j];
-                    if a != 0 && b != 0 {
-                        scratch.push(((a as u64) << 32) | b as u64);
+                let col_j = table.column(j);
+                // Within one group every row pairs the same `a`, so a
+                // repeat is a non-zero `b` this group has already seen.
+                let mut rpnz = 0usize;
+                let mut start = 0usize;
+                for &end in &group_ends {
+                    if token == u32::MAX {
+                        stamps.fill(0);
+                        token = 0;
                     }
-                }
-                if scratch.len() < 2 {
-                    continue;
-                }
-                scratch.sort_unstable();
-                let mut distinct = 1usize;
-                for w in scratch.windows(2) {
-                    if w[0] != w[1] {
-                        distinct += 1;
+                    token += 1;
+                    for &r in &grouped[start..end] {
+                        let b = col_j[r as usize] as usize;
+                        if b != 0 {
+                            if stamps[b] == token {
+                                rpnz += 1;
+                            } else {
+                                stamps[b] = token;
+                            }
+                        }
                     }
+                    start = end;
                 }
-                let rpnz = (scratch.len() - distinct) as f64;
-                let score = rpnz / denominator;
-                scores[i * m + j] = score;
-                scores[j * m + i] = score;
+                if rpnz > 0 {
+                    let score = rpnz as f64 / denominator;
+                    scores[i * m + j] = score;
+                    scores[j * m + i] = score;
+                }
             }
         }
         Self { m, scores }
@@ -210,10 +251,238 @@ impl SimilarityGraph {
     }
 }
 
+/// The (sampled) matrix as one value-id column per matrix column.
+///
+/// Ids are dense per column, `1..=distinct[j]` in order of first
+/// appearance, with 0 for a zero cell. Any injective relabelling of one
+/// column's values keeps every pair count, so scores computed on these
+/// ids equal scores computed on the matrix values.
+struct ColumnTable {
+    /// Sampled rows (the length of every column).
+    rows: usize,
+    /// Column-major ids: column `j` is `ids[j * rows..(j + 1) * rows]`.
+    ids: Vec<u32>,
+    /// Distinct non-zero values per column.
+    distinct: Vec<u32>,
+}
+
+impl ColumnTable {
+    fn new(matrix: &CsrvMatrix, config: CsmConfig) -> Self {
+        let m = matrix.cols();
+        let n = matrix.rows();
+        // Sampling keeps every stride-th row (deterministic, seed-free).
+        let (rows, stride) = match config.sample_rows {
+            Some(cap) if cap > 0 && n > cap => {
+                let stride = n.div_ceil(cap);
+                (n.div_ceil(stride), stride)
+            }
+            _ => (n, 1),
+        };
+        // First pass: shared-dictionary value id + 1.
+        let codec = matrix.codec();
+        let mut ids = vec![0u32; rows * m];
+        for (r, row) in matrix.row_slices().enumerate() {
+            if r % stride != 0 {
+                continue;
+            }
+            let sr = r / stride;
+            for &s in row {
+                let (l, j) = codec.decode(s);
+                ids[j as usize * rows + sr] = l + 1;
+            }
+        }
+        // Second pass: relabel each column densely, so the per-column
+        // scratch in `Csm::compute` is bounded by the row count rather
+        // than the (shared, possibly much larger) dictionary.
+        let mut label = vec![0u32; matrix.values().len() + 1];
+        let mut seen: Vec<u32> = Vec::new();
+        let mut distinct = Vec::with_capacity(m);
+        for column in ids.chunks_exact_mut(rows.max(1)).take(m) {
+            for id in column.iter_mut().filter(|id| **id != 0) {
+                let slot = &mut label[*id as usize];
+                if *slot == 0 {
+                    seen.push(*id);
+                    *slot = seen.len() as u32;
+                }
+                *id = *slot;
+            }
+            distinct.push(seen.len() as u32);
+            for &id in &seen {
+                label[id as usize] = 0;
+            }
+            seen.clear();
+        }
+        distinct.resize(m, 0);
+        Self {
+            rows,
+            ids,
+            distinct,
+        }
+    }
+
+    #[inline]
+    fn column(&self, j: usize) -> &[u32] {
+        &self.ids[j * self.rows..(j + 1) * self.rows]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcm_matrix::DenseMatrix;
+    use crate::driver::{order_from_csm, reorder_columns, ReorderAlgorithm};
+    use gcm_matrix::{DenseMatrix, RowBlocks};
+    use proptest::collection;
+    use proptest::prelude::*;
+
+    /// The paper's sorting method, kept as the oracle the counting
+    /// method must match bit for bit: per column pair, collect the
+    /// combined keys of the rows where both cells are non-zero, sort,
+    /// and count the duplicates.
+    fn sorted_csm(matrix: &CsrvMatrix, config: CsmConfig) -> Csm {
+        let m = matrix.cols();
+        let n = matrix.rows();
+        let codec = matrix.codec();
+        let (sampled_rows, stride) = match config.sample_rows {
+            Some(cap) if cap > 0 && n > cap => {
+                let stride = n.div_ceil(cap);
+                (n.div_ceil(stride), stride)
+            }
+            _ => (n, 1),
+        };
+        let mut table = vec![0u32; sampled_rows * m];
+        for (r, row) in matrix.row_slices().enumerate() {
+            if r % stride != 0 {
+                continue;
+            }
+            let sr = r / stride;
+            for &s in row {
+                let (l, j) = codec.decode(s);
+                table[sr * m + j as usize] = l + 1;
+            }
+        }
+        let denominator = sampled_rows.max(1) as f64;
+        let mut scores = vec![0.0f64; m * m];
+        let mut scratch: Vec<u64> = Vec::with_capacity(sampled_rows);
+        for i in 0..m {
+            for j in (i + 1)..m {
+                scratch.clear();
+                for r in 0..sampled_rows {
+                    let a = table[r * m + i];
+                    let b = table[r * m + j];
+                    if a != 0 && b != 0 {
+                        scratch.push(((a as u64) << 32) | b as u64);
+                    }
+                }
+                if scratch.len() < 2 {
+                    continue;
+                }
+                scratch.sort_unstable();
+                let mut distinct = 1usize;
+                for w in scratch.windows(2) {
+                    if w[0] != w[1] {
+                        distinct += 1;
+                    }
+                }
+                let rpnz = (scratch.len() - distinct) as f64;
+                let score = rpnz / denominator;
+                scores[i * m + j] = score;
+                scores[j * m + i] = score;
+            }
+        }
+        Csm { m, scores }
+    }
+
+    /// Random matrices for the differential test. Shapes run from 0 to
+    /// a few hundred rows; value domains from one id to several
+    /// thousand; the zero density varies; and a column (row) is forced
+    /// all-zero (empty) with probability 1/8.
+    fn matrix_strategy() -> impl Strategy<Value = DenseMatrix> {
+        let rows = prop_oneof![0usize..3, 3usize..40, 40usize..400];
+        let domain = prop_oneof![Just(1u32), 2u32..8, 8u32..64, 1000u32..5000];
+        (rows, 1usize..10, domain, 0u32..4).prop_flat_map(|(rows, cols, domain, zeros)| {
+            (
+                collection::vec(0u32..domain, rows * cols),
+                collection::vec(0u32..4, rows * cols),
+                collection::vec(0u32..8, cols),
+                collection::vec(0u32..8, rows),
+            )
+                .prop_map(move |(vals, zero_draw, col_draw, row_draw)| {
+                    let mut m = DenseMatrix::zeros(rows, cols);
+                    for (r, &row_kept) in row_draw.iter().enumerate() {
+                        for (c, &col_kept) in col_draw.iter().enumerate() {
+                            let k = r * cols + c;
+                            if row_kept != 0 && col_kept != 0 && zero_draw[k] >= zeros {
+                                m.set(r, c, f64::from(vals[k] + 1) * 0.5);
+                            }
+                        }
+                    }
+                    m
+                })
+        })
+    }
+
+    fn sampling_strategy() -> impl Strategy<Value = CsmConfig> {
+        prop_oneof![
+            Just(None),
+            Just(Some(0)),
+            Just(Some(1)),
+            Just(Some(2)),
+            (3usize..40).prop_map(Some),
+            (40usize..500).prop_map(Some),
+        ]
+        .prop_map(|sample_rows| CsmConfig { sample_rows })
+    }
+
+    fn assert_bit_identical(csrv: &CsrvMatrix, config: CsmConfig) -> Result<(), TestCaseError> {
+        let counted = Csm::compute(csrv, config);
+        let sorted = sorted_csm(csrv, config);
+        let m = csrv.cols();
+        prop_assert_eq!(counted.cols(), m);
+        for i in 0..m {
+            for j in 0..m {
+                let (a, b) = (counted.get(i, j), sorted.get(i, j));
+                prop_assert!(
+                    a.to_bits() == b.to_bits(),
+                    "CSM[{i}][{j}] under {config:?}: counted {a}, sorted {b}"
+                );
+            }
+        }
+        for algo in [
+            ReorderAlgorithm::Lkh,
+            ReorderAlgorithm::PathCover,
+            ReorderAlgorithm::PathCoverPlus,
+            ReorderAlgorithm::Mwm,
+        ] {
+            let counted_order = reorder_columns(csrv, algo, config, 4);
+            let sorted_order = order_from_csm(&sorted, algo, 4);
+            prop_assert!(
+                counted_order == sorted_order,
+                "{} order under {config:?}: {counted_order:?} vs {sorted_order:?}",
+                algo.name()
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        #[test]
+        fn counting_matches_the_sorting_oracle_bit_for_bit(
+            dense in matrix_strategy(),
+            config in sampling_strategy(),
+        ) {
+            let csrv = CsrvMatrix::from_dense(&dense).unwrap();
+            assert_bit_identical(&csrv, config)?;
+            // A row block shares the whole matrix's dictionary, which
+            // may hold values the block never uses.
+            if csrv.rows() >= 2 {
+                for block in RowBlocks::split(&csrv, 2).blocks() {
+                    assert_bit_identical(block, config)?;
+                }
+            }
+        }
+    }
 
     /// The matrix of Figure 1.
     fn fig1() -> CsrvMatrix {

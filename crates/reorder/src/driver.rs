@@ -55,7 +55,12 @@ pub fn reorder_columns(
     csm_config: CsmConfig,
     k: usize,
 ) -> Vec<usize> {
-    let csm = Csm::compute(matrix, csm_config);
+    order_from_csm(&Csm::compute(matrix, csm_config), algo, k)
+}
+
+/// The column order `algo` derives from `csm` pruned to `k` partners per
+/// column: [`reorder_columns`] after its CSM computation.
+pub(crate) fn order_from_csm(csm: &Csm, algo: ReorderAlgorithm, k: usize) -> Vec<usize> {
     let graph = csm.locally_pruned(k);
     match algo {
         ReorderAlgorithm::Lkh => tsp_order(&graph, TspConfig::default()),

@@ -9,14 +9,15 @@
 //!   any persisted `GCMPLAN1` blobs are copied straight out of the base
 //!   container through its [`ShardTable`] byte ranges, with no grammar
 //!   decode, no re-encode, and no plan recompilation;
-//! * **rebuilds** every changed shard through the ordinary per-shard
-//!   stage chain (reorder → grammar → encode, plus plan compilation
-//!   when the base persists plans).
+//! * **rebuilds** every changed shard through the ordinary stage
+//!   phases (reorder → grammar → encode, plus plan compilation when the
+//!   base persists plans). The changed shards' plans run as one
+//!   pipeline execution, so several edited shards share the pool.
 //!
 //! Because the per-shard stages are deterministic and independent, the
 //! spliced container is **byte-identical** to a from-scratch rebuild of
 //! the same input under the same configuration — the tests pin this
-//! down, and `gcm_repair::grammar_builds()` proves that exactly the
+//! down, and [`RebuildReport::grammar_builds`] proves that exactly the
 //! changed shards paid for grammar construction.
 //!
 //! The splice path needs a base that actually carries fingerprints and
@@ -78,6 +79,10 @@ pub struct RebuildReport {
     /// when splicing ran). The fallback is never silent: callers
     /// surface this to the user.
     pub full_reason: Option<String>,
+    /// Grammars this rebuild constructed, summed over the rebuilt
+    /// shards' [`ShardStats::grammar_builds`](gcm_pipeline::ShardStats)
+    /// (0 when every shard was spliced).
+    pub grammar_builds: usize,
 }
 
 impl RebuildReport {
@@ -134,24 +139,39 @@ pub fn compress_incremental(
         return Ok(full_rebuild(csrv, config, planned, Some(reason)));
     }
     let plan = Plan::new(csrv, config);
-    let mut segments = Vec::with_capacity(plan.shards.len());
     let mut provenance = Vec::with_capacity(plan.shards.len());
-    for (i, sp) in plan.shards.iter().enumerate() {
-        let fp = shard_fingerprint(&sp.csrv);
-        if table.fingerprints[i] == Some(fp) {
-            segments.push(splice_segment(&table, base, i));
+    let mut changed = Vec::new();
+    for (i, sp) in plan.shards.into_iter().enumerate() {
+        if table.fingerprints[i] == Some(shard_fingerprint(&sp.csrv)) {
             provenance.push(ShardProvenance::Spliced);
         } else {
-            segments.push(rebuild_segment(&sp.csrv, config, planned));
             provenance.push(ShardProvenance::Rebuilt);
+            changed.push(sp);
         }
     }
+    let (rebuilt, grammar_builds) = rebuild_segments(
+        Plan {
+            shards: changed,
+            ..plan
+        },
+        planned,
+    );
+    let mut rebuilt = rebuilt.into_iter();
+    let segments: Vec<Segment> = provenance
+        .iter()
+        .enumerate()
+        .map(|(i, p)| match p {
+            ShardProvenance::Spliced => splice_segment(&table, base, i),
+            ShardProvenance::Rebuilt => rebuilt.next().expect("one segment per rebuilt shard"),
+        })
+        .collect();
     let bytes = assemble(config.backend, csrv.rows(), csrv.cols(), &segments);
     Ok((
         bytes,
         RebuildReport {
             shards: provenance,
             full_reason: None,
+            grammar_builds,
         },
     ))
 }
@@ -238,32 +258,38 @@ fn splice_segment(table: &ShardTable, base: &[u8], i: usize) -> Segment {
     }
 }
 
-/// Re-runs the per-shard stage chain on one shard's input rows. The
+/// Runs the changed shards' plans through one pipeline execution and
+/// returns their segments in plan order, with the grammars built. The
 /// stages are deterministic and see exactly what they would see in a
-/// full rebuild (the shard's own rows, the same per-shard
-/// configuration), so the segment bytes match the full rebuild's.
-fn rebuild_segment(
-    shard_csrv: &CsrvMatrix,
-    config: &BuildConfig,
-    planned: Option<ServeOptions>,
-) -> Segment {
-    let config_one = BuildConfig {
-        shards: 1,
-        ..*config
-    };
-    let artifacts = gcm_pipeline::global().build(shard_csrv, &config_one);
+/// full rebuild (the full build's own shard plans), so the segment
+/// bytes match the full rebuild's.
+fn rebuild_segments(plan: Plan, planned: Option<ServeOptions>) -> (Vec<Segment>, usize) {
+    if plan.shards.is_empty() {
+        return (Vec::new(), 0);
+    }
+    let artifacts = gcm_pipeline::global().execute(plan);
+    let grammar_builds = artifacts
+        .stats
+        .shards
+        .iter()
+        .map(|s| s.grammar_builds)
+        .sum();
     let model = ShardedModel::from_artifacts(artifacts);
     if let Some(opts) = planned {
         model.prewarm_with(1, &opts);
     }
-    let shard = &model.shard_slice()[0];
-    Segment {
-        reorder: shard.reorder,
-        grammar: shard.grammar,
-        fingerprint: shard.fingerprint,
-        payload: shard_payload(&shard.model, shard.col_order.as_deref()),
-        plan: shard.plan().map(plan_blobs),
-    }
+    let segments = model
+        .shard_slice()
+        .iter()
+        .map(|shard| Segment {
+            reorder: shard.reorder,
+            grammar: shard.grammar,
+            fingerprint: shard.fingerprint,
+            payload: shard_payload(&shard.model, shard.col_order.as_deref()),
+            plan: shard.plan().map(plan_blobs),
+        })
+        .collect();
+    (segments, grammar_builds)
 }
 
 /// Writes the version-5 container from per-shard segments — the same
@@ -315,6 +341,12 @@ fn full_rebuild(
 ) -> (Vec<u8>, RebuildReport) {
     let artifacts = gcm_pipeline::global().build(csrv, config);
     let n = artifacts.shards.len();
+    let grammar_builds = artifacts
+        .stats
+        .shards
+        .iter()
+        .map(|s| s.grammar_builds)
+        .sum();
     let model = ShardedModel::from_artifacts(artifacts);
     let bytes = if let Some(opts) = planned {
         model.prewarm_with(1, &opts);
@@ -327,6 +359,7 @@ fn full_rebuild(
         RebuildReport {
             shards: vec![ShardProvenance::Rebuilt; n],
             full_reason: reason,
+            grammar_builds,
         },
     )
 }
@@ -384,11 +417,9 @@ mod tests {
         let config = grammar_config(4);
         for plans in [false, true] {
             let base = build_full(&csrv, &config, plans);
-            let before = gcm_repair::grammar_builds();
             let (bytes, report) = compress_incremental(&csrv, &config, &base).unwrap();
             assert_eq!(
-                gcm_repair::grammar_builds() - before,
-                0,
+                report.grammar_builds, 0,
                 "no grammar stage may run when nothing changed (plans={plans})"
             );
             assert_eq!(report.full_reason, None);
@@ -413,13 +444,11 @@ mod tests {
             let mut changed = sample(48, 9, 0);
             changed.set(30, 4, 7.25);
             let changed_csrv = CsrvMatrix::from_dense(&changed).unwrap();
-            let before = gcm_repair::grammar_builds();
             let (bytes, report) = compress_incremental(&changed_csrv, &config, &base).unwrap();
             // Compressed backend, fixed MR stage: one grammar build per
-            // rebuilt shard, so the counter pins "exactly k re-ran".
+            // rebuilt shard, so the count pins "exactly k re-ran".
             assert_eq!(
-                gcm_repair::grammar_builds() - before,
-                1,
+                report.grammar_builds, 1,
                 "exactly the one changed shard re-runs its grammar stage (plans={plans})"
             );
             assert_eq!(report.full_reason, None);
@@ -444,6 +473,47 @@ mod tests {
             for (a, b) in y.iter().zip(&y_ref) {
                 assert!((a - b).abs() < 1e-9);
             }
+        }
+    }
+
+    #[test]
+    fn several_changed_shards_rebuild_in_one_run_and_match_full_rebuild() {
+        let dense = sample(48, 9, 0);
+        let csrv = CsrvMatrix::from_dense(&dense).unwrap();
+        let config = BuildConfig {
+            grammar: Some(GrammarChoice::Auto),
+            reorder: Some(ReorderMode::PerShard(
+                gcm_reorder::ReorderAlgorithm::PathCover,
+            )),
+            ..grammar_config(4)
+        };
+        // Edits in shards 1 and 3 (rows 12..24 and 36..48), reusing
+        // values the dictionary already holds.
+        let mut changed = sample(48, 9, 0);
+        changed.set(13, 4, 7.25);
+        changed.set(40, 0, 2.5);
+        let changed_csrv = CsrvMatrix::from_dense(&changed).unwrap();
+        for plans in [false, true] {
+            let base = build_full(&csrv, &config, plans);
+            let (bytes, report) = compress_incremental(&changed_csrv, &config, &base).unwrap();
+            assert_eq!(report.full_reason, None);
+            assert_eq!(report.rebuilt(), 2);
+            assert_eq!(
+                report.shards,
+                [
+                    ShardProvenance::Spliced,
+                    ShardProvenance::Rebuilt,
+                    ShardProvenance::Spliced,
+                    ShardProvenance::Rebuilt,
+                ]
+            );
+            // Auto builds both grammar stages for each rebuilt shard.
+            assert_eq!(report.grammar_builds, 4);
+            assert_eq!(
+                bytes,
+                build_full(&changed_csrv, &config, plans),
+                "incremental output must be byte-identical to a full rebuild (plans={plans})"
+            );
         }
     }
 

@@ -11,7 +11,7 @@
 //! verifies the three claims the feature stands on:
 //!
 //! 1. only the shards whose input fingerprint moved re-ran their
-//!    grammar stage (pinned with `gcm_repair::grammar_builds()`);
+//!    grammar stage (pinned with `RebuildReport::grammar_builds`);
 //! 2. the spliced container is **byte-identical** to a from-scratch
 //!    build of the edited matrix — incrementality is invisible
 //!    downstream;
@@ -76,10 +76,8 @@ fn main() {
     let edited_csrv = CsrvMatrix::from_dense(&edited).expect("csrv");
 
     // Claim 1: exactly the changed shards pay for grammar construction.
-    let before = mm_repair::repair::grammar_builds();
     let (incremental, report) =
         compress_incremental(&edited_csrv, &config, &base).expect("incremental rebuild");
-    let grammar_runs = mm_repair::repair::grammar_builds() - before;
     assert_eq!(report.full_reason, None, "splice path must engage");
     assert_eq!(report.spliced(), 3);
     assert_eq!(report.rebuilt(), 1);
@@ -88,7 +86,7 @@ fn main() {
         "rebuild: {} spliced, {} rebuilt ({} grammar builds — 2 per rebuilt shard under auto), provenance: {}",
         report.spliced(),
         report.rebuilt(),
-        grammar_runs,
+        report.grammar_builds,
         report
             .shards
             .iter()
@@ -97,7 +95,7 @@ fn main() {
             .join(" ")
     );
     // GrammarChoice::Auto builds both grammars for each rebuilt shard.
-    assert_eq!(grammar_runs, 2 * report.rebuilt());
+    assert_eq!(report.grammar_builds, 2 * report.rebuilt());
 
     // Claim 2: byte-identity with a from-scratch build of the edit.
     let fresh = ShardedModel::from_artifacts(Pipeline::new().build(&edited_csrv, &config));
