@@ -25,7 +25,7 @@ use gcm_repair::RePairConfig;
 
 use crate::compressed::CompressedMatrix;
 use crate::encoding::Encoding;
-use crate::plan::{KernelPlan, KernelPlanF32};
+use crate::plan::KernelPlan;
 
 /// A grammar-compressed matrix partitioned into row blocks.
 #[derive(Debug, Clone)]
@@ -140,22 +140,22 @@ impl BlockedMatrix {
     /// Compiles every block into a [`KernelPlan`] (the plan layer
     /// composed with §4.1's row-block split). The plans index-match
     /// [`blocks`](Self::blocks) and are consumed by the
-    /// `*_planned_into` kernels.
+    /// `*_planned_into` kernels, which take plans of either precision.
     pub fn plan(&self) -> Vec<KernelPlan> {
         self.blocks.iter().map(CompressedMatrix::plan).collect()
     }
 
-    /// Compiles every block into a single-precision [`KernelPlanF32`]
-    /// (see [`plan`](Self::plan); same index-matching contract, consumed
-    /// by the `*_planned_f32_into` kernels).
-    pub fn plan_f32(&self) -> Vec<KernelPlanF32> {
+    /// Compiles every block into a single-precision [`KernelPlan`]
+    /// (see [`plan`](Self::plan); same index-matching contract).
+    pub fn plan_f32(&self) -> Vec<KernelPlan> {
         self.blocks.iter().map(CompressedMatrix::plan_f32).collect()
     }
 
     /// Batched right product through per-block compiled plans: same
     /// partitioning as [`right_multiply_panel_into`](Self::right_multiply_panel_into)
     /// (parallel across blocks when built with more than one), but each
-    /// block runs its branchless planned kernel.
+    /// block runs its branchless planned kernel, in the precision its
+    /// plan was compiled at.
     ///
     /// # Errors
     /// Fails if either panel length is inconsistent with `k`.
@@ -202,80 +202,6 @@ impl BlockedMatrix {
     pub fn left_multiply_panel_planned_into(
         &self,
         plans: &[KernelPlan],
-        k: usize,
-        y_panel: &[f64],
-        x_panel: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        assert_eq!(plans.len(), self.blocks.len(), "plan/block mismatch");
-        check_panels(self.rows, self.cols, k, x_panel.len(), y_panel.len())?;
-        if k == 0 {
-            return Ok(());
-        }
-        self.left_panel_dispatch(
-            k,
-            y_panel,
-            x_panel,
-            ws,
-            |i| plans[i].scratch_len(k),
-            |i, y, part, buf| {
-                plans[i]
-                    .left_multiply_panel(k, y, part, buf)
-                    .expect("block dimensions are consistent by construction");
-            },
-        );
-        Ok(())
-    }
-
-    /// Single-precision variant of
-    /// [`right_multiply_panel_planned_into`](Self::right_multiply_panel_planned_into):
-    /// the panels stay `f64` at the interface but every block evaluates its
-    /// descriptor program in `f32`.
-    ///
-    /// # Errors
-    /// Fails if either panel length is inconsistent with `k`.
-    ///
-    /// # Panics
-    /// Panics if `plans` does not index-match the blocks.
-    pub fn right_multiply_panel_planned_f32_into(
-        &self,
-        plans: &[KernelPlanF32],
-        k: usize,
-        x_panel: &[f64],
-        y_panel: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        assert_eq!(plans.len(), self.blocks.len(), "plan/block mismatch");
-        check_panels(self.rows, self.cols, k, x_panel.len(), y_panel.len())?;
-        if k == 0 {
-            return Ok(());
-        }
-        self.right_panel_dispatch(
-            k,
-            x_panel,
-            y_panel,
-            ws,
-            |i| plans[i].scratch_len(k),
-            |i, x, y, buf| {
-                plans[i]
-                    .right_multiply_panel(k, x, y, buf)
-                    .expect("block dimensions are consistent by construction");
-            },
-        );
-        Ok(())
-    }
-
-    /// Single-precision variant of
-    /// [`left_multiply_panel_planned_into`](Self::left_multiply_panel_planned_into).
-    ///
-    /// # Errors
-    /// Fails if either panel length is inconsistent with `k`.
-    ///
-    /// # Panics
-    /// Panics if `plans` does not index-match the blocks.
-    pub fn left_multiply_panel_planned_f32_into(
-        &self,
-        plans: &[KernelPlanF32],
         k: usize,
         y_panel: &[f64],
         x_panel: &mut [f64],

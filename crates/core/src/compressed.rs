@@ -10,7 +10,7 @@ use gcm_repair::{MrSlp, RePair, RePairConfig, Slp};
 
 use crate::encoding::{Encoding, ExtSyms, RuleExt, RuleStore, SeqStore};
 use crate::mvm;
-use crate::plan::{KernelPlan, KernelPlanF32};
+use crate::plan::KernelPlan;
 
 /// A matrix compressed as `(C, R, V)` (§3), in one of the three physical
 /// encodings of §4.
@@ -406,12 +406,13 @@ impl CompressedMatrix {
         KernelPlan::compile(self)
     }
 
-    /// Compiles this matrix into a single-precision [`KernelPlanF32`]:
-    /// the same descriptor program as [`plan`](Self::plan) with `f32`
-    /// multipliers and `f32` arithmetic — half the multiplier heap,
-    /// double the SIMD width, `f32` rounding on the results.
-    pub fn plan_f32(&self) -> KernelPlanF32 {
-        KernelPlanF32::compile(self)
+    /// Compiles this matrix into a single-precision [`KernelPlan`]
+    /// ([`KernelPlan::to_f32`] of [`plan`](Self::plan)): the same
+    /// descriptor program with `f32` multipliers and `f32` arithmetic —
+    /// half the multiplier heap, double the SIMD width, `f32` rounding
+    /// on the results.
+    pub fn plan_f32(&self) -> KernelPlan {
+        self.plan().to_f32()
     }
 
     /// Right multiplication with caller-provided scratch (`w` must have

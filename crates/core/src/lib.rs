@@ -59,6 +59,5 @@ pub use iteration::{
     IterationStats, SolveStats, SolverWorkspace,
 };
 pub use plan::{
-    plan_compiles, validate_sparse_x, KernelPlan, KernelPlanF32, SparseStrategy,
-    SPARSE_DENSITY_THRESHOLD,
+    plan_compiles, validate_sparse_x, KernelPlan, SparseStrategy, SPARSE_DENSITY_THRESHOLD,
 };

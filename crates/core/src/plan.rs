@@ -60,16 +60,19 @@
 //!
 //! # Single-precision plans
 //!
-//! [`KernelPlanF32`] is the same descriptor program with `f32`
-//! multipliers and `f32` arithmetic: half the multiplier heap, twice the
-//! lanes per SIMD register. Its public panels stay `f64` (the serve
-//! protocol is `f64` end to end) — inputs are demoted on the copy into
-//! scratch, outputs promoted on the way out — and its scratch reuses the
-//! serve layer's `f64` [`gcm_matrix::Workspace`] buffers by viewing them
-//! as twice as many `f32` slots. Results are **not** bit-identical to
-//! the `f64` plans; they are bit-identical to an `f32` evaluation of the
-//! same descriptor program in the same order, which
-//! `tests/plan_f32_props.rs` pins against an independent oracle.
+//! Precision is a run-time property of one [`KernelPlan`] type:
+//! [`KernelPlan::to_f32`] (or [`CompressedMatrix::plan_f32`]) yields the
+//! same descriptor program with `f32` multipliers and `f32` arithmetic —
+//! half the multiplier heap, twice the lanes per SIMD register — and
+//! [`KernelPlan::is_f32`] reports which one a plan holds. Its public
+//! panels stay `f64` (the serve protocol is `f64` end to end) — inputs
+//! are demoted on the copy into scratch, outputs promoted on the way
+//! out — and its scratch reuses the serve layer's `f64`
+//! [`gcm_matrix::Workspace`] buffers by viewing them as twice as many
+//! `f32` slots. Results are **not** bit-identical to the `f64` plans;
+//! they are bit-identical to an `f32` evaluation of the same descriptor
+//! program in the same order, which `tests/plan_f32_props.rs` pins
+//! against an independent oracle.
 //!
 //! A plan costs `O(|C| + |R|)` words — roughly `12` bytes per `C`
 //! descriptor and `24` per rule (`8`/`16` for `f32` plans), i.e. *more*
@@ -96,7 +99,8 @@ static PLAN_COMPILES: AtomicUsize = AtomicUsize::new(0);
 /// start. Plan persistence relies on it: loading a container whose
 /// plans were persisted at build time must leave this counter untouched
 /// — the blobs deserialise as a validated cast, never a recompile — and
-/// the serve-layer tests pin exactly that.
+/// the `plan_blob_no_recompile` (core) and `plan_section_no_recompile`
+/// (serve) integration tests pin exactly that.
 pub fn plan_compiles() -> usize {
     PLAN_COMPILES.load(Ordering::Relaxed)
 }
@@ -188,7 +192,7 @@ pub fn validate_sparse_x(cols: usize, x_nnz: &[(u32, f64)]) -> Result<(), Matrix
 
 /// Arithmetic element of a plan's scratch buffer: `f64` for the exact
 /// plans, `f32` for the SIMD-width-doubling ones. Private — the public
-/// surface is the two concrete plan types.
+/// surface is [`KernelPlan`], which picks one at run time.
 trait Scalar:
     Copy + PartialEq + std::ops::Add<Output = Self> + std::ops::Mul<Output = Self> + Send + Sync
 {
@@ -333,9 +337,10 @@ impl HeapSize for SparseIndex {
     }
 }
 
-/// The compiled descriptor program, shared by [`KernelPlan`] (`T = f64`)
-/// and [`KernelPlanF32`] (`T = f32`). All kernels are written once here;
-/// the wrappers fix the scalar type and the scratch-buffer convention.
+/// The compiled descriptor program behind both precisions of a
+/// [`KernelPlan`] (`T = f64` or `T = f32`). All kernels are written once
+/// here; the plan picks the scalar type and the scratch-buffer
+/// convention.
 #[derive(Debug, Clone)]
 struct PlanBody<T> {
     rows: usize,
@@ -1387,6 +1392,25 @@ impl<T: Scalar> PlanBody<T> {
     }
 }
 
+/// A plan's descriptor program at its run-time precision; the `f32`
+/// arm also carries the [`RowGroups`] table of its row-grouped walk.
+#[derive(Debug, Clone)]
+enum Body {
+    F64(PlanBody<f64>),
+    F32(PlanBody<f32>, RowGroups),
+}
+
+/// Evaluates `$e` with `$b` bound to the plan's [`PlanBody`] of either
+/// precision — for the code that is precision-independent.
+macro_rules! on_body {
+    ($plan:expr, $b:ident => $e:expr) => {
+        match &$plan.body {
+            Body::F64($b) => $e,
+            Body::F32($b, _) => $e,
+        }
+    };
+}
+
 /// A [`CompressedMatrix`] compiled into branchless, division-free
 /// operand descriptors (see the [module docs](self) for the layout).
 ///
@@ -1394,9 +1418,17 @@ impl<T: Scalar> PlanBody<T> {
 /// [`KernelPlan::compile`], which resolve and bounds-validate every
 /// descriptor once; the kernels then run without per-symbol bounds
 /// checks, branches, divisions, or decode work.
+///
+/// The arithmetic precision is chosen at run time:
+/// [`compile`](Self::compile) builds an `f64` plan,
+/// [`to_f32`](Self::to_f32) demotes it to single precision, and
+/// [`from_bytes`](Self::from_bytes) restores whichever precision the
+/// blob records; [`is_f32`](Self::is_f32) reports it. Panels and
+/// scratch buffers are `f64` at either precision, so callers never
+/// branch on it.
 #[derive(Debug, Clone)]
 pub struct KernelPlan {
-    body: PlanBody<f64>,
+    body: Body,
 }
 
 impl KernelPlan {
@@ -1518,7 +1550,7 @@ impl KernelPlan {
         );
         debug_assert_eq!(row_ptr.len(), rows + 1, "separator count mismatch");
         Self {
-            body: PlanBody {
+            body: Body::F64(PlanBody {
                 rows,
                 cols,
                 num_rules: q_slots,
@@ -1529,65 +1561,85 @@ impl KernelPlan {
                 row_ptr,
                 block_ptr,
                 sparse: std::sync::OnceLock::new(),
-            },
+            }),
         }
     }
 
-    /// Demotes this plan to a single-precision [`KernelPlanF32`]: same
-    /// descriptor program, `f32` multipliers and arithmetic.
-    pub fn to_f32(&self) -> KernelPlanF32 {
-        let b = &self.body;
-        KernelPlanF32 {
-            groups: RowGroups::build(&b.row_ptr),
-            body: PlanBody {
-                rows: b.rows,
-                cols: b.cols,
-                num_rules: b.num_rules,
-                rule_mult: b.rule_mult.iter().map(|&v| v as f32).collect(),
-                rule_idx: b.rule_idx.clone(),
-                seq_mult: b.seq_mult.iter().map(|&v| v as f32).collect(),
-                seq_idx: b.seq_idx.clone(),
-                row_ptr: b.row_ptr.clone(),
-                block_ptr: b.block_ptr.clone(),
-                sparse: std::sync::OnceLock::new(),
-            },
+    /// This plan in single precision: the same descriptor program with
+    /// `f32` multipliers and arithmetic (a plain copy when the plan
+    /// already is `f32`).
+    pub fn to_f32(&self) -> KernelPlan {
+        let b = match &self.body {
+            Body::F64(b) => b,
+            Body::F32(..) => return self.clone(),
+        };
+        KernelPlan {
+            body: Body::F32(
+                PlanBody {
+                    rows: b.rows,
+                    cols: b.cols,
+                    num_rules: b.num_rules,
+                    rule_mult: b.rule_mult.iter().map(|&v| v as f32).collect(),
+                    rule_idx: b.rule_idx.clone(),
+                    seq_mult: b.seq_mult.iter().map(|&v| v as f32).collect(),
+                    seq_idx: b.seq_idx.clone(),
+                    row_ptr: b.row_ptr.clone(),
+                    block_ptr: b.block_ptr.clone(),
+                    sparse: std::sync::OnceLock::new(),
+                },
+                RowGroups::build(&b.row_ptr),
+            ),
         }
+    }
+
+    /// Whether this plan evaluates in single precision.
+    pub fn is_f32(&self) -> bool {
+        matches!(self.body, Body::F32(..))
     }
 
     /// Number of rows.
     pub fn rows(&self) -> usize {
-        self.body.rows
+        on_body!(self, b => b.rows)
     }
 
     /// Number of columns.
     pub fn cols(&self) -> usize {
-        self.body.cols
+        on_body!(self, b => b.cols)
     }
 
     /// Number of grammar rules `|R|`.
     pub fn num_rules(&self) -> usize {
-        self.body.num_rules
+        on_body!(self, b => b.num_rules)
     }
 
     /// Number of non-separator descriptors compiled from `C`.
     pub fn seq_descriptors(&self) -> usize {
-        self.body.seq_idx.len()
+        on_body!(self, b => b.seq_idx.len())
     }
 
     /// Number of dependency-free rule blocks the compile pass
     /// discovered (1 block = the whole rule pass is order-independent;
     /// `num_rules` blocks = a fully serial chain).
     pub fn rule_blocks(&self) -> usize {
-        self.body.block_ptr.len().saturating_sub(1)
+        on_body!(self, b => b.block_ptr.len().saturating_sub(1))
     }
 
-    /// Required scratch length for batch width `k` (`k = 1` for the
-    /// single-vector kernels): the `(cols + |R|) × k` panel plus the
-    /// `cols + |R|` nonzero-flag row the batched left kernel uses.
-    /// Serving loops draw one buffer of this length from a
-    /// [`gcm_matrix::Workspace`] and reuse it across calls.
+    /// Required scratch length **in `f64` units** for batch width `k`
+    /// (`k = 1` for the single-vector kernels): the `(cols + |R|) × k`
+    /// panel plus the `cols + |R|` nonzero-flag row the batched left
+    /// kernel uses. An `f32` plan packs two slots per `f64` word, so
+    /// its length is about half, and the same
+    /// [`gcm_matrix::Workspace`] buffers back both precisions. Serving
+    /// loops draw one buffer of this length and reuse it across calls.
     pub fn scratch_len(&self, k: usize) -> usize {
-        self.body.scratch_slots(k)
+        match &self.body {
+            Body::F64(b) => b.scratch_slots(k),
+            Body::F32(b, _) => b.scratch_slots(k).div_ceil(2),
+        }
+    }
+
+    fn check_panels(&self, x_len: usize, y_len: usize, k: usize) -> Result<(), MatrixError> {
+        on_body!(self, b => b.check_panels(x_len, y_len, k))
     }
 
     fn check_scratch(&self, len: usize, k: usize) -> Result<(), MatrixError> {
@@ -1643,11 +1695,11 @@ impl KernelPlan {
         buf: &mut [f64],
     ) -> Result<(), MatrixError> {
         if k == 0 {
-            return self.body.check_panels(x_panel.len(), y_panel.len(), 0);
+            return self.check_panels(x_panel.len(), y_panel.len(), 0);
         }
-        self.body.check_panels(x_panel.len(), y_panel.len(), k)?;
+        self.check_panels(x_panel.len(), y_panel.len(), k)?;
         self.begin_right_panel(k, x_panel, buf)?;
-        self.accumulate_rows_panel(0..self.body.rows, k, buf, y_panel);
+        self.accumulate_rows_panel(0..self.rows(), k, buf, y_panel);
         Ok(())
     }
 
@@ -1667,7 +1719,10 @@ impl KernelPlan {
     ) -> Result<(), MatrixError> {
         let k = k.max(1);
         self.check_scratch(buf.len(), k)?;
-        self.body.begin_right(k, x_panel, buf)
+        match &self.body {
+            Body::F64(b) => b.begin_right(k, x_panel, buf),
+            Body::F32(b, _) => b.begin_right_f32(k, x_panel, scratch32(b, k, buf)),
+        }
     }
 
     /// Accumulates the output rows `rows` into `y_chunk` (length
@@ -1687,7 +1742,14 @@ impl KernelPlan {
         buf: &[f64],
         y_chunk: &mut [f64],
     ) {
-        self.body.accumulate_rows(rows, k, buf, y_chunk);
+        match &self.body {
+            Body::F64(b) => b.accumulate_rows(rows, k, buf, y_chunk),
+            Body::F32(b, groups) if k == 8 && simd8() => {
+                // SAFETY: `simd8` just confirmed AVX2.
+                unsafe { b.accumulate_rows8_grouped_avx2(groups, rows, as_f32(buf), y_chunk) };
+            }
+            Body::F32(b, _) => b.accumulate_rows(rows, k, as_f32(buf), y_chunk),
+        }
     }
 
     /// Batched left multiplication over row-major panels: one forward
@@ -1707,11 +1769,14 @@ impl KernelPlan {
         buf: &mut [f64],
     ) -> Result<(), MatrixError> {
         if k == 0 {
-            return self.body.check_panels(x_panel.len(), y_panel.len(), 0);
+            return self.check_panels(x_panel.len(), y_panel.len(), 0);
         }
-        self.body.check_panels(x_panel.len(), y_panel.len(), k)?;
+        self.check_panels(x_panel.len(), y_panel.len(), k)?;
         self.check_scratch(buf.len(), k)?;
-        self.body.left_panel(k, y_panel, x_panel, buf);
+        match &self.body {
+            Body::F64(b) => b.left_panel(k, y_panel, x_panel, buf),
+            Body::F32(b, _) => b.left_panel_f32(k, y_panel, x_panel, scratch32(b, k, buf)),
+        }
         Ok(())
     }
 
@@ -1754,46 +1819,68 @@ impl KernelPlan {
         buf: &mut [f64],
         strategy: SparseStrategy,
     ) -> Result<(), MatrixError> {
-        if y.len() != self.body.rows {
+        if y.len() != self.rows() {
             return Err(MatrixError::DimensionMismatch {
-                expected: self.body.rows,
+                expected: self.rows(),
                 actual: y.len(),
                 what: "y length",
             });
         }
         self.check_scratch(buf.len(), 1)?;
-        validate_sparse_x(self.body.cols, x_nnz)?;
-        self.body.right_single_sparse_with(x_nnz, y, buf, strategy);
+        validate_sparse_x(self.cols(), x_nnz)?;
+        match &self.body {
+            Body::F64(b) => b.right_single_sparse_with(x_nnz, y, buf, strategy),
+            Body::F32(b, _) => b.right_single_sparse_with(x_nnz, y, scratch32(b, 1, buf), strategy),
+        }
         Ok(())
     }
 
-    /// Serialises the compiled plan as a [`PLAN_MAGIC`] blob: fixed
-    /// little-endian copies of the six descriptor arrays behind a
-    /// varint dimension header. The form is what makes plan
-    /// persistence pay — [`from_bytes`](Self::from_bytes) restores it
-    /// with straight array copies, no RePair decode and no recompile.
+    /// Serialises the compiled plan as a [`PLAN_MAGIC`] blob: a
+    /// precision byte, then fixed little-endian copies of the six
+    /// descriptor arrays behind a varint dimension header. The form is
+    /// what makes plan persistence pay —
+    /// [`from_bytes`](Self::from_bytes) restores it with straight array
+    /// copies, no RePair decode and no recompile. An `f32` plan's
+    /// row-group walk order is derived metadata and is not persisted.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.body.write_bytes(&mut out, PLAN_PRECISION_F64);
+        match &self.body {
+            Body::F64(b) => b.write_bytes(&mut out, PLAN_PRECISION_F64),
+            Body::F32(b, _) => b.write_bytes(&mut out, PLAN_PRECISION_F32),
+        }
         out
     }
 
-    /// Deserialises a blob written by [`to_bytes`](Self::to_bytes) —
-    /// a validated cast into freshly sized buffers that re-checks every
-    /// structural invariant [`compile`](Self::compile) asserts (the
-    /// kernels' `get_unchecked` loops depend on them), and performs
-    /// **zero** grammar decode and **zero** plan compilation
-    /// ([`plan_compiles`] stays flat). `None` on any violation.
+    /// Deserialises a blob written by [`to_bytes`](Self::to_bytes) at
+    /// the precision its tag byte records — a validated cast into
+    /// freshly sized buffers that re-checks every structural invariant
+    /// [`compile`](Self::compile) asserts (the kernels'
+    /// `get_unchecked` loops depend on them), and performs **zero**
+    /// grammar decode and **zero** plan compilation ([`plan_compiles`]
+    /// stays flat). An `f32` plan's row groups are rebuilt from the
+    /// validated `row_ptr` (an `O(rows log rows)` sort, independent of
+    /// grammar size). `None` on any violation, including an unknown
+    /// precision tag.
     pub fn from_bytes(data: &[u8]) -> Option<KernelPlan> {
-        Some(KernelPlan {
-            body: PlanBody::read_bytes(data, PLAN_PRECISION_F64)?,
-        })
+        let body = match *data.get(PLAN_MAGIC.len())? {
+            PLAN_PRECISION_F64 => Body::F64(PlanBody::read_bytes(data, PLAN_PRECISION_F64)?),
+            PLAN_PRECISION_F32 => {
+                let b = PlanBody::read_bytes(data, PLAN_PRECISION_F32)?;
+                let groups = RowGroups::build(&b.row_ptr);
+                Body::F32(b, groups)
+            }
+            _ => return None,
+        };
+        Some(KernelPlan { body })
     }
 }
 
 impl HeapSize for KernelPlan {
     fn heap_bytes(&self) -> usize {
-        self.body.heap_bytes()
+        match &self.body {
+            Body::F64(b) => b.heap_bytes(),
+            Body::F32(b, groups) => b.heap_bytes() + groups.heap_bytes(),
+        }
     }
 }
 
@@ -1816,266 +1903,10 @@ fn as_f32(buf: &[f64]) -> &[f32] {
     unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<f32>(), buf.len() * 2) }
 }
 
-/// The single-precision variant of [`KernelPlan`]: the identical
-/// descriptor program with `f32` multipliers, `f32` scratch, and `f32`
-/// accumulation — half the multiplier heap, double the SIMD lanes.
-///
-/// Panels stay `f64` (inputs demoted on the scratch copy, outputs
-/// promoted on the store), and scratch is the serve layer's `f64`
-/// workspace buffers viewed as `f32` pairs, so the type slots into
-/// every existing serving path. Results match an `f32` evaluation of
-/// the descriptor program exactly (pinned by `tests/plan_f32_props.rs`)
-/// but differ from the `f64` plans by `f32` rounding.
-#[derive(Debug, Clone)]
-pub struct KernelPlanF32 {
-    body: PlanBody<f32>,
-    /// Rows bucketed by descriptor count for the branch-uniform,
-    /// pair-interleaved accumulation walk (see [`RowGroups`]).
-    groups: RowGroups,
-}
-
-impl KernelPlanF32 {
-    /// Compiles `m` straight to a single-precision plan
-    /// ([`KernelPlan::compile`] followed by [`KernelPlan::to_f32`]).
-    ///
-    /// # Panics
-    /// As [`KernelPlan::compile`].
-    pub fn compile(m: &CompressedMatrix) -> Self {
-        KernelPlan::compile(m).to_f32()
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.body.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.body.cols
-    }
-
-    /// Number of grammar rules `|R|`.
-    pub fn num_rules(&self) -> usize {
-        self.body.num_rules
-    }
-
-    /// Number of non-separator descriptors compiled from `C`.
-    pub fn seq_descriptors(&self) -> usize {
-        self.body.seq_idx.len()
-    }
-
-    /// Number of dependency-free rule blocks (see
-    /// [`KernelPlan::rule_blocks`]).
-    pub fn rule_blocks(&self) -> usize {
-        self.body.block_ptr.len().saturating_sub(1)
-    }
-
-    /// Required scratch length **in `f64` units** for batch width `k`:
-    /// the `f32` panel-plus-flags region packed two slots per `f64`
-    /// word, so the same [`gcm_matrix::Workspace`] buffers back both
-    /// plan precisions. Roughly half a [`KernelPlan::scratch_len`].
-    pub fn scratch_len(&self, k: usize) -> usize {
-        self.body.scratch_slots(k).div_ceil(2)
-    }
-
-    fn check_scratch(&self, len: usize, k: usize) -> Result<(), MatrixError> {
-        if len != self.scratch_len(k) {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.scratch_len(k),
-                actual: len,
-                what: "plan scratch length",
-            });
-        }
-        Ok(())
-    }
-
-    /// The `f32` view of a checked `f64` scratch buffer, trimmed to the
-    /// exact slot count the kernels expect.
-    fn scratch32<'b>(&self, k: usize, buf: &'b mut [f64]) -> &'b mut [f32] {
-        &mut as_f32_mut(buf)[..self.body.scratch_slots(k)]
-    }
-
-    /// Right multiplication `y = M·x` in `f32`. `buf` must have length
-    /// [`scratch_len(1)`](Self::scratch_len) (in `f64` units).
-    ///
-    /// # Errors
-    /// Fails on dimension mismatches (including `buf`).
-    pub fn right_multiply(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        self.right_multiply_panel(1, x, y, buf)
-    }
-
-    /// Left multiplication `xᵗ = yᵗ·M` in `f32`. `buf` must have length
-    /// [`scratch_len(1)`](Self::scratch_len) (in `f64` units).
-    ///
-    /// # Errors
-    /// Fails on dimension mismatches (including `buf`).
-    pub fn left_multiply(
-        &self,
-        y: &[f64],
-        x: &mut [f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        self.left_multiply_panel(1, y, x, buf)
-    }
-
-    /// Batched right multiplication over row-major `k`-wide `f64`
-    /// panels, evaluated in `f32`.
-    ///
-    /// # Errors
-    /// Fails on dimension mismatches (including `buf`).
-    pub fn right_multiply_panel(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        y_panel: &mut [f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        if k == 0 {
-            return self.body.check_panels(x_panel.len(), y_panel.len(), 0);
-        }
-        self.body.check_panels(x_panel.len(), y_panel.len(), k)?;
-        self.begin_right_panel(k, x_panel, buf)?;
-        self.accumulate_rows_panel(0..self.body.rows, k, buf, y_panel);
-        Ok(())
-    }
-
-    /// Sequential head of a right multiplication (see
-    /// [`KernelPlan::begin_right_panel`]); fills the `f32` view of
-    /// `buf`, after which disjoint row ranges accumulate concurrently.
-    ///
-    /// # Errors
-    /// Fails on dimension mismatches (including `buf`).
-    pub fn begin_right_panel(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        let k = k.max(1);
-        self.check_scratch(buf.len(), k)?;
-        self.body
-            .begin_right_f32(k, x_panel, self.scratch32(k, buf))
-    }
-
-    /// Row-range accumulation out of a scratch buffer prepared by
-    /// [`begin_right_panel`](Self::begin_right_panel); read-only on
-    /// `buf`, safe over disjoint ranges concurrently.
-    ///
-    /// # Panics
-    /// As [`KernelPlan::accumulate_rows_panel`].
-    pub fn accumulate_rows_panel(
-        &self,
-        rows: Range<usize>,
-        k: usize,
-        buf: &[f64],
-        y_chunk: &mut [f64],
-    ) {
-        if k == 8 && simd8() {
-            // SAFETY: `simd8` just confirmed AVX2.
-            unsafe {
-                self.body
-                    .accumulate_rows8_grouped_avx2(&self.groups, rows, as_f32(buf), y_chunk)
-            };
-            return;
-        }
-        self.body.accumulate_rows(rows, k, as_f32(buf), y_chunk);
-    }
-
-    /// Batched left multiplication over row-major `f64` panels,
-    /// evaluated in `f32` (see [`KernelPlan::left_multiply_panel`]).
-    ///
-    /// # Errors
-    /// Fails on dimension mismatches (including `buf`).
-    pub fn left_multiply_panel(
-        &self,
-        k: usize,
-        y_panel: &[f64],
-        x_panel: &mut [f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        if k == 0 {
-            return self.body.check_panels(x_panel.len(), y_panel.len(), 0);
-        }
-        self.body.check_panels(x_panel.len(), y_panel.len(), k)?;
-        self.check_scratch(buf.len(), k)?;
-        self.body
-            .left_panel_f32(k, y_panel, x_panel, self.scratch32(k, buf));
-        Ok(())
-    }
-
-    /// Sparse-input right multiplication in `f32` (see
-    /// [`KernelPlan::right_multiply_sparse`]); `buf` is in `f64` units
-    /// as everywhere on this type.
-    ///
-    /// # Errors
-    /// As [`KernelPlan::right_multiply_sparse`].
-    pub fn right_multiply_sparse(
-        &self,
-        x_nnz: &[(u32, f64)],
-        y: &mut [f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        self.right_multiply_sparse_with(x_nnz, y, buf, SparseStrategy::Auto)
-    }
-
-    /// [`right_multiply_sparse`](Self::right_multiply_sparse) with the
-    /// execution arm pinned (see
-    /// [`KernelPlan::right_multiply_sparse_with`]).
-    ///
-    /// # Errors
-    /// As [`KernelPlan::right_multiply_sparse`].
-    pub fn right_multiply_sparse_with(
-        &self,
-        x_nnz: &[(u32, f64)],
-        y: &mut [f64],
-        buf: &mut [f64],
-        strategy: SparseStrategy,
-    ) -> Result<(), MatrixError> {
-        if y.len() != self.body.rows {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.body.rows,
-                actual: y.len(),
-                what: "y length",
-            });
-        }
-        self.check_scratch(buf.len(), 1)?;
-        validate_sparse_x(self.body.cols, x_nnz)?;
-        self.body
-            .right_single_sparse_with(x_nnz, y, self.scratch32(1, buf), strategy);
-        Ok(())
-    }
-
-    /// Serialises the single-precision plan as a [`PLAN_MAGIC`] blob
-    /// (see [`KernelPlan::to_bytes`]); the row-group walk order is
-    /// derived metadata, rebuilt from `row_ptr` on load rather than
-    /// persisted.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.body.write_bytes(&mut out, PLAN_PRECISION_F32);
-        out
-    }
-
-    /// Deserialises a blob written by [`to_bytes`](Self::to_bytes) with
-    /// the same validated-cast contract as [`KernelPlan::from_bytes`];
-    /// the `RowGroups` side table is rebuilt from the validated
-    /// `row_ptr` (an `O(rows log rows)` sort — independent of grammar
-    /// size, and correct by construction). `None` on any violation.
-    pub fn from_bytes(data: &[u8]) -> Option<KernelPlanF32> {
-        let body = PlanBody::read_bytes(data, PLAN_PRECISION_F32)?;
-        let groups = RowGroups::build(&body.row_ptr);
-        Some(KernelPlanF32 { body, groups })
-    }
-}
-
-impl HeapSize for KernelPlanF32 {
-    fn heap_bytes(&self) -> usize {
-        self.body.heap_bytes() + self.groups.heap_bytes()
-    }
+/// The `f32` view of a checked `f64` scratch buffer, trimmed to the
+/// exact slot count `body`'s kernels expect at batch width `k`.
+fn scratch32<'b>(body: &PlanBody<f32>, k: usize, buf: &'b mut [f64]) -> &'b mut [f32] {
+    &mut as_f32_mut(buf)[..body.scratch_slots(k)]
 }
 
 #[cfg(test)]
@@ -2083,6 +1914,14 @@ mod tests {
     use super::*;
     use crate::encoding::Encoding;
     use gcm_matrix::{CsrvMatrix, DenseMatrix};
+
+    /// The `f64` descriptor program of a freshly compiled plan.
+    fn f64_body(plan: &KernelPlan) -> &PlanBody<f64> {
+        match &plan.body {
+            Body::F64(b) => b,
+            Body::F32(..) => panic!("compiled plans are f64"),
+        }
+    }
 
     fn repetitive(rows: usize, cols: usize) -> DenseMatrix {
         let mut m = DenseMatrix::zeros(rows, cols);
@@ -2139,6 +1978,8 @@ mod tests {
         let cm = CompressedMatrix::compress(&csrv, Encoding::ReFse);
         let plan = cm.plan();
         let plan32 = plan.to_f32();
+        assert!(!plan.is_f32() && plan32.is_f32());
+        assert!(plan32.to_f32().is_f32(), "demotion is idempotent");
         assert_eq!(plan32.rows(), 48);
         assert_eq!(plan32.cols(), 9);
         assert_eq!(plan32.num_rules(), plan.num_rules());
@@ -2195,7 +2036,7 @@ mod tests {
         let csrv = CsrvMatrix::from_dense(&dense).unwrap();
         let cm = CompressedMatrix::compress(&csrv, Encoding::Re32);
         let plan = cm.plan();
-        let b = &plan.body;
+        let b = f64_body(&plan);
         assert_eq!(b.block_ptr.first(), Some(&0));
         assert_eq!(*b.block_ptr.last().unwrap() as usize, b.num_rules);
         for w in b.block_ptr.windows(2) {
@@ -2257,7 +2098,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_blobs_roundtrip_bit_exact_without_recompiling() {
+    fn plan_blobs_roundtrip_bit_exact() {
         let dense = repetitive(48, 9);
         let csrv = CsrvMatrix::from_dense(&dense).unwrap();
         let x: Vec<f64> = (0..9).map(|i| i as f64 * 0.5 - 2.0).collect();
@@ -2266,9 +2107,8 @@ mod tests {
             let cm = CompressedMatrix::compress(&csrv, enc);
             let plan = cm.plan();
             let bytes = plan.to_bytes();
-            let before = plan_compiles();
             let back = KernelPlan::from_bytes(&bytes).expect("valid blob");
-            assert_eq!(plan_compiles(), before, "load must not compile");
+            assert!(!back.is_f32(), "the blob's tag picks the precision");
             assert_eq!(back.rows(), plan.rows());
             assert_eq!(back.cols(), plan.cols());
             assert_eq!(back.num_rules(), plan.num_rules());
@@ -2290,9 +2130,9 @@ mod tests {
             // row groups included in the heap accounting.
             let plan32 = plan.to_f32();
             let bytes32 = plan32.to_bytes();
-            assert!(KernelPlan::from_bytes(&bytes32).is_none(), "tag mismatch");
-            assert!(KernelPlanF32::from_bytes(&bytes).is_none(), "tag mismatch");
-            let back32 = KernelPlanF32::from_bytes(&bytes32).expect("valid f32 blob");
+            assert_ne!(bytes32[PLAN_MAGIC.len()], bytes[PLAN_MAGIC.len()]);
+            let back32 = KernelPlan::from_bytes(&bytes32).expect("valid f32 blob");
+            assert!(back32.is_f32(), "the blob's tag picks the precision");
             assert_eq!(back32.heap_bytes(), plan32.heap_bytes());
             let k = 8usize;
             let x_panel: Vec<f64> = (0..9 * k).map(|i| (i % 7) as f64 * 0.5 - 1.0).collect();
@@ -2314,41 +2154,53 @@ mod tests {
         let dense = repetitive(24, 6);
         let csrv = CsrvMatrix::from_dense(&dense).unwrap();
         let plan = CompressedMatrix::compress(&csrv, Encoding::Re32).plan();
-        let bytes = plan.to_bytes();
-        // Truncation at every prefix length short of the full blob.
-        for end in (0..bytes.len()).step_by(13) {
-            assert!(KernelPlan::from_bytes(&bytes[..end]).is_none(), "len {end}");
-        }
-        // Trailing garbage breaks the exact-length contract.
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(KernelPlan::from_bytes(&long).is_none());
-        // An out-of-range descriptor index (scratch slot past
-        // `cols + |R|`) must be caught by the re-validation pass even
-        // though the blob is otherwise well-formed. seq_idx entries sit
-        // in the fourth array; corrupt the final u32 of it by locating
-        // it from the layout: the last 4 bytes before row_ptr/block_ptr
-        // — easier: flip every 4-byte window and require that *no*
-        // corruption yields a plan with an invariant violation that
-        // `from_bytes` accepts while a kernel would fault. Cheap proxy:
-        // every accepted mutation must still multiply without panicking.
-        let x = [1.0; 6];
-        for i in (PLAN_MAGIC.len() + 1..bytes.len()).step_by(5) {
+        // `from_bytes` branches on the precision tag, so both arms get
+        // the same forgeries.
+        for (bytes, other_tag) in [
+            (plan.to_bytes(), PLAN_PRECISION_F32),
+            (plan.to_f32().to_bytes(), PLAN_PRECISION_F64),
+        ] {
+            let tag = bytes[PLAN_MAGIC.len()];
+            // Truncation at every prefix length short of the full blob.
+            for end in (0..bytes.len()).step_by(13) {
+                assert!(
+                    KernelPlan::from_bytes(&bytes[..end]).is_none(),
+                    "tag {tag} len {end}"
+                );
+            }
+            // Trailing garbage breaks the exact-length contract.
+            let mut long = bytes.clone();
+            long.push(0);
+            assert!(KernelPlan::from_bytes(&long).is_none(), "tag {tag}");
+            // An out-of-range descriptor index (scratch slot past
+            // `cols + |R|`) must be caught by the re-validation pass
+            // even though the blob is otherwise well-formed. Cheap
+            // proxy: flip bytes throughout the body and require every
+            // accepted mutation to still multiply without panicking.
+            let x = [1.0; 6];
+            for i in (PLAN_MAGIC.len() + 1..bytes.len()).step_by(5) {
+                let mut bad = bytes.clone();
+                bad[i] = bad[i].wrapping_add(0x40);
+                if let Some(p) = KernelPlan::from_bytes(&bad) {
+                    let mut buf = vec![0.0; p.scratch_len(1)];
+                    let mut y = vec![0.0; p.rows()];
+                    let _ = p.right_multiply(&x[..p.cols().min(6)], &mut y, &mut buf);
+                }
+            }
+            // Bad magic; unknown precision tag; the other precision's
+            // tag (its scalar width breaks the exact-length check).
             let mut bad = bytes.clone();
-            bad[i] = bad[i].wrapping_add(0x40);
-            if let Some(p) = KernelPlan::from_bytes(&bad) {
-                let mut buf = vec![0.0; p.scratch_len(1)];
-                let mut y = vec![0.0; p.rows()];
-                let _ = p.right_multiply(&x[..p.cols().min(6)], &mut y, &mut buf);
+            bad[0] ^= 0xff;
+            assert!(KernelPlan::from_bytes(&bad).is_none(), "tag {tag}");
+            for forged in [9, 0, other_tag] {
+                let mut bad = bytes.clone();
+                bad[PLAN_MAGIC.len()] = forged;
+                assert!(
+                    KernelPlan::from_bytes(&bad).is_none(),
+                    "tag {tag} forged as {forged}"
+                );
             }
         }
-        // Bad magic / bad precision tag.
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xff;
-        assert!(KernelPlan::from_bytes(&bad).is_none());
-        let mut bad = bytes;
-        bad[PLAN_MAGIC.len()] = 9;
-        assert!(KernelPlan::from_bytes(&bad).is_none());
     }
 
     #[test]
@@ -2549,9 +2401,7 @@ mod tests {
         // Lowering means MR plans serialise as ordinary GCMPLAN1 blobs
         // — no new container format, no new validation surface.
         assert_eq!(&bytes[..PLAN_MAGIC.len()], PLAN_MAGIC);
-        let before = plan_compiles();
         let back = KernelPlan::from_bytes(&bytes).expect("valid blob");
-        assert_eq!(plan_compiles(), before, "load must not compile");
         assert_eq!(back.num_rules(), cm.lowered_rules());
         let x: Vec<f64> = (0..9).map(|i| i as f64 * 0.5 - 2.0).collect();
         let mut buf = vec![0.0; plan.scratch_len(1)];
@@ -2573,7 +2423,7 @@ mod tests {
         let cm = mr_compress(&csrv, Encoding::Re32);
         assert!(cm.rule_ext().is_some());
         let plan = cm.plan();
-        let b = &plan.body;
+        let b = f64_body(&plan);
         assert_eq!(b.block_ptr.first(), Some(&0));
         assert_eq!(*b.block_ptr.last().unwrap() as usize, b.num_rules);
         for w in b.block_ptr.windows(2) {

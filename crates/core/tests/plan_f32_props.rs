@@ -1,7 +1,7 @@
 //! Property-based differential tests of the single-precision plans.
 //!
-//! [`KernelPlanF32`] promises results **bit-identical to an `f32`
-//! evaluation of the compiled descriptor program in the same order**
+//! A single-precision [`KernelPlan`] promises results **bit-identical
+//! to an `f32` evaluation of the compiled descriptor program in the same order**
 //! (`crates/core/src/plan.rs` module docs). These tests hold it to that:
 //! an independent oracle rebuilds the descriptor program from the public
 //! grammar accessors (`rule_store` / `seq_store` / `values`) and

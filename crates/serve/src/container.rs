@@ -25,9 +25,10 @@
 //! post-paper encoding (`re_fse`), so readers that predate the encoding
 //! reject the file at the header instead of deep inside a payload.
 //! **Version 4** appends an optional **plan section**: the compiled
-//! [`gcm_core::KernelPlan`] / [`gcm_core::KernelPlanF32`] descriptor
-//! arrays of every planned shard, persisted in the fixed
-//! little-endian `GCMPLAN1` blob form (one blob per row block), so a
+//! [`gcm_core::KernelPlan`] descriptor arrays of every planned shard,
+//! persisted in the fixed little-endian `GCMPLAN1` blob form (one blob
+//! per row block; the shard's kind byte names the plan precision, and
+//! every blob's own precision tag must agree with it), so a
 //! loader restores them with a validated cast — no RePair decode, no
 //! recompilation ([`gcm_core::plan_compiles`] stays flat), load time
 //! independent of grammar size. **Version 5** adds per-shard **grammar
@@ -69,7 +70,7 @@ use std::fmt;
 use std::path::Path;
 
 use gcm_core::serial;
-use gcm_core::{BlockedMatrix, KernelPlan, KernelPlanF32};
+use gcm_core::{BlockedMatrix, KernelPlan};
 use gcm_encodings::varint;
 use gcm_matrix::{io as mio, MatrixError, ParallelCsrv};
 use gcm_pipeline::GrammarStage;
@@ -350,12 +351,9 @@ pub fn to_bytes_with_plans(model: &ShardedModel) -> Vec<u8> {
 /// One plan's on-disk form: the kind byte (1 = `f64`, 2 = `f32`) and
 /// one `GCMPLAN1` blob per row block.
 pub(crate) fn plan_blobs(plan: &ModelPlan) -> (u8, Vec<Vec<u8>>) {
-    match plan {
-        ModelPlan::Compressed(p) => (1, vec![p.to_bytes()]),
-        ModelPlan::Blocked(ps) => (1, ps.iter().map(KernelPlan::to_bytes).collect()),
-        ModelPlan::CompressedF32(p) => (2, vec![p.to_bytes()]),
-        ModelPlan::BlockedF32(ps) => (2, ps.iter().map(KernelPlanF32::to_bytes).collect()),
-    }
+    let kind = if plan.is_f32() { 2 } else { 1 };
+    let blobs = plan.plans().iter().map(KernelPlan::to_bytes).collect();
+    (kind, blobs)
 }
 
 fn encode(model: &ShardedModel, with_plans: bool) -> Vec<u8> {
@@ -661,8 +659,8 @@ impl ShardTable {
 /// Deserialises shard `i`'s persisted plan blobs and checks them
 /// against the decoded shard `model` (one blob per row block, matching
 /// rows/cols/rule counts — a mismatched plan would compute the wrong
-/// product). Pure cast-and-validate: no grammar decode, no
-/// compilation.
+/// product — and every blob at the precision the shard's kind byte
+/// names). Pure cast-and-validate: no grammar decode, no compilation.
 fn decode_shard_plan(
     table: &ShardTable,
     data: &[u8],
@@ -688,34 +686,23 @@ fn decode_shard_plan(
             "shard {i} plan count mismatches its row blocks"
         )));
     }
-    let f32 = table.plan_f32[i];
-    let mut plans64 = Vec::with_capacity(if f32 { 0 } else { ranges.len() });
-    let mut plans32 = Vec::with_capacity(if f32 { ranges.len() } else { 0 });
+    let mut plans = Vec::with_capacity(ranges.len());
     for (j, (range, &(rows, cols, rules))) in ranges.iter().zip(&dims).enumerate() {
-        let blob = &data[range.clone()];
-        let got = if f32 {
-            let p = KernelPlanF32::from_bytes(blob)
-                .ok_or_else(|| corrupt(format!("invalid shard {i} plan blob {j}")))?;
-            let got = (p.rows(), p.cols(), p.num_rules());
-            plans32.push(p);
-            got
-        } else {
-            let p = KernelPlan::from_bytes(blob)
-                .ok_or_else(|| corrupt(format!("invalid shard {i} plan blob {j}")))?;
-            let got = (p.rows(), p.cols(), p.num_rules());
-            plans64.push(p);
-            got
-        };
-        if got != (rows, cols, rules) {
+        let p = KernelPlan::from_bytes(&data[range.clone()])
+            .ok_or_else(|| corrupt(format!("invalid shard {i} plan blob {j}")))?;
+        if p.is_f32() != table.plan_f32[i] {
+            return Err(corrupt(format!(
+                "shard {i} plan blob {j} precision disagrees with its plan kind"
+            )));
+        }
+        if (p.rows(), p.cols(), p.num_rules()) != (rows, cols, rules) {
             return Err(corrupt(format!("shard {i} plan {j} mismatches its matrix")));
         }
+        plans.push(p);
     }
-    Ok(match (model, f32) {
-        (Model::Compressed(_), false) => ModelPlan::Compressed(plans64.pop().expect("one blob")),
-        (Model::Compressed(_), true) => ModelPlan::CompressedF32(plans32.pop().expect("one blob")),
-        (Model::Blocked(_), false) => ModelPlan::Blocked(plans64),
-        (_, true) => ModelPlan::BlockedF32(plans32),
-        _ => unreachable!("unplannable backends rejected above"),
+    Ok(match model {
+        Model::Compressed(_) => ModelPlan::Compressed(Box::new(plans.pop().expect("one blob"))),
+        _ => ModelPlan::Blocked(plans),
     })
 }
 
@@ -1233,7 +1220,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_section_roundtrips_without_recompiling() {
+    fn plan_section_roundtrips_bit_exact() {
         use crate::sharded::ServeOptions;
         let dense = sample();
         let x: Vec<f64> = (0..8).map(|i| i as f64 - 3.5).collect();
@@ -1260,15 +1247,10 @@ mod tests {
                     assert!(table.plan_bytes() > 0, "{} s={shards}", backend.name());
                     assert_eq!(table.plan_f32, vec![f32_plans; shards]);
 
-                    // Loading must cast the plans back in, not compile.
-                    let before = gcm_core::plan_compiles();
+                    // That loading casts the plans back in rather than
+                    // compiling them is pinned by the single-test
+                    // `tests/plan_section_no_recompile.rs`.
                     let back = ShardedModel::from_bytes(&bytes).expect("v4 roundtrip");
-                    assert_eq!(
-                        gcm_core::plan_compiles(),
-                        before,
-                        "{} s={shards}: load must not compile",
-                        backend.name()
-                    );
                     assert!(back.is_planned(), "{} s={shards}", backend.name());
                     assert_eq!(back.is_planned_f32(), f32_plans);
                     // Deserialized plans are exact-capacity; compiled
@@ -1282,18 +1264,12 @@ mod tests {
                     model.right_multiply_panel(1, &x, &mut y_a).unwrap();
                     back.right_multiply_panel(1, &x, &mut y_b).unwrap();
                     assert_eq!(y_a, y_b, "{} s={shards}", backend.name());
-
-                    // A plan-enabled prewarm on the loaded model is a
-                    // validation pass: it must reuse the installed
-                    // plans, not rebuild them.
-                    let before = gcm_core::plan_compiles();
-                    back.prewarm_with(2, &serve);
-                    assert_eq!(
-                        gcm_core::plan_compiles(),
-                        before,
-                        "{} s={shards}: prewarm after v4 load must not compile",
-                        backend.name()
-                    );
+                    let mut x_a = vec![0.0; 8];
+                    let mut x_b = vec![0.0; 8];
+                    let yv: Vec<f64> = (0..37).map(|i| (i % 5) as f64 - 2.0).collect();
+                    model.left_multiply_panel(1, &yv, &mut x_a).unwrap();
+                    back.left_multiply_panel(1, &yv, &mut x_b).unwrap();
+                    assert_eq!(x_a, x_b, "{} s={shards} left", backend.name());
                 }
             }
         }
@@ -1342,14 +1318,12 @@ mod tests {
             bytes[body..].copy_from_slice(&sum.to_le_bytes());
         }
         let dense = sample();
-        let model = ShardedModel::from_dense(
-            &dense,
-            &BuildOptions {
-                shards: 1,
-                ..BuildOptions::default()
-            },
-        )
-        .unwrap();
+        let opts = BuildOptions {
+            shards: 1,
+            ..BuildOptions::default()
+        };
+        let model = ShardedModel::from_dense(&dense, &opts).unwrap();
+        let model32 = ShardedModel::from_dense(&dense, &opts).unwrap();
         model.prewarm_with(2, &ServeOptions::planned());
         let bytes = model.to_bytes_with_plans();
         let table = ShardTable::parse(&bytes).unwrap();
@@ -1364,11 +1338,22 @@ mod tests {
         let err = ShardedModel::from_bytes(&bad).expect_err("kind 3 is corrupt");
         assert!(err.to_string().contains("plan kind"), "{err}");
 
-        // Claiming `f32` for an `f64` blob trips the precision tag.
+        // Claiming `f32` for an `f64` blob trips the precision check.
         let mut bad = bytes.clone();
         bad[kind_pos] = 2;
         refresh_checksum(&mut bad);
-        assert!(ShardedModel::from_bytes(&bad).is_err());
+        let err = ShardedModel::from_bytes(&bad).expect_err("kind 2 over an f64 blob");
+        assert!(err.to_string().contains("precision"), "{err}");
+
+        // And the reverse: claiming `f64` for an `f32` blob.
+        model32.prewarm_with(2, &ServeOptions::planned_f32());
+        let mut bad = model32.to_bytes_with_plans();
+        let kind_pos32 = ShardTable::parse(&bad).unwrap().shard_ranges[0].end;
+        assert_eq!(bad[kind_pos32], 2, "f32 plan kind");
+        bad[kind_pos32] = 1;
+        refresh_checksum(&mut bad);
+        let err = ShardedModel::from_bytes(&bad).expect_err("kind 1 over an f32 blob");
+        assert!(err.to_string().contains("precision"), "{err}");
 
         // A corrupted blob magic is caught even with a valid container
         // checksum.

@@ -5,8 +5,12 @@
 //! grammar-compressed `(C, R, V)` matrix, and its row-block parallel
 //! variant — behind one enum, so the container format, the sharded
 //! engine, and the differential test harness treat them uniformly.
+//! A grammar backend's compiled plans ride along as a two-variant
+//! [`ModelPlan`] (one [`KernelPlan`] per matrix or row block); the
+//! plan precision is a run-time property of the [`KernelPlan`]s, so no
+//! kernel entry point here branches on it.
 
-use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding, KernelPlan, KernelPlanF32};
+use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding, KernelPlan};
 use gcm_encodings::HeapSize;
 use gcm_matrix::matvec::{check_left_batch, check_right_batch};
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, ParallelCsrv, Workspace};
@@ -23,54 +27,51 @@ pub use gcm_pipeline::Backend;
 /// per-(block-)matrix [`KernelPlan`]s, uncompressed backends have no
 /// plan (their kernels are already branchless array walks).
 ///
+/// The precision (`f64` or `f32`) lives in the [`KernelPlan`]s
+/// themselves; every plan of one model shares it.
+///
 /// Plans are a speed-for-memory trade ([`HeapSize`] reports the cost),
 /// built once at prewarm and consumed by the `*_planned` kernels below.
 #[derive(Debug, Clone)]
 pub enum ModelPlan {
-    /// One plan for a grammar-compressed model.
-    Compressed(KernelPlan),
+    /// One plan for a grammar-compressed model (boxed: a plan header is
+    /// several hundred bytes, the blocked variant one `Vec`).
+    Compressed(Box<KernelPlan>),
     /// One plan per row block of a blocked model.
     Blocked(Vec<KernelPlan>),
-    /// Single-precision plan for a grammar-compressed model: half the
-    /// plan heap, twice the SIMD lanes, `f32` accumulation.
-    CompressedF32(KernelPlanF32),
-    /// Single-precision plans, one per row block of a blocked model.
-    BlockedF32(Vec<KernelPlanF32>),
 }
 
 impl ModelPlan {
-    /// Compiles a plan for `model`; `None` for the uncompressed
-    /// backends, which gain nothing from planning.
-    pub fn compile(model: &Model) -> Option<Self> {
-        Self::compile_with(model, false)
-    }
-
     /// Compiles a plan for `model`, in single precision when `f32` is
-    /// set; `None` for the uncompressed backends.
+    /// set; `None` for the uncompressed backends, which gain nothing
+    /// from planning.
     pub fn compile_with(model: &Model, f32_plan: bool) -> Option<Self> {
         match (model, f32_plan) {
             (Model::Csrv(_) | Model::ParCsrv(_), _) => None,
-            (Model::Compressed(m), false) => Some(ModelPlan::Compressed(m.plan())),
+            (Model::Compressed(m), false) => Some(ModelPlan::Compressed(Box::new(m.plan()))),
             (Model::Blocked(m), false) => Some(ModelPlan::Blocked(m.plan())),
-            (Model::Compressed(m), true) => Some(ModelPlan::CompressedF32(m.plan_f32())),
-            (Model::Blocked(m), true) => Some(ModelPlan::BlockedF32(m.plan_f32())),
+            (Model::Compressed(m), true) => Some(ModelPlan::Compressed(Box::new(m.plan_f32()))),
+            (Model::Blocked(m), true) => Some(ModelPlan::Blocked(m.plan_f32())),
+        }
+    }
+
+    /// The per-(block-)matrix plans, in row order.
+    pub(crate) fn plans(&self) -> &[KernelPlan] {
+        match self {
+            ModelPlan::Compressed(p) => std::slice::from_ref(&**p),
+            ModelPlan::Blocked(ps) => ps,
         }
     }
 
     /// Whether this plan evaluates in single precision.
     pub fn is_f32(&self) -> bool {
-        matches!(self, ModelPlan::CompressedF32(_) | ModelPlan::BlockedF32(_))
+        self.plans().iter().any(KernelPlan::is_f32)
     }
 }
 
 impl HeapSize for ModelPlan {
     fn heap_bytes(&self) -> usize {
-        match self {
-            ModelPlan::Compressed(p) => p.heap_bytes(),
-            ModelPlan::Blocked(ps) => ps.iter().map(HeapSize::heap_bytes).sum(),
-            ModelPlan::CompressedF32(p) => p.heap_bytes(),
-            ModelPlan::BlockedF32(ps) => ps.iter().map(HeapSize::heap_bytes).sum(),
-        }
+        self.plans().iter().map(HeapSize::heap_bytes).sum()
     }
 }
 
@@ -197,11 +198,6 @@ impl Model {
                 let max_buf = ps.iter().map(|p| p.scratch_len(k)).max().unwrap_or(0);
                 (2 * ps.len(), max_buf.max(self.cols() * k))
             }
-            ModelPlan::CompressedF32(p) => (1, p.scratch_len(k)),
-            ModelPlan::BlockedF32(ps) => {
-                let max_buf = ps.iter().map(|p| p.scratch_len(k)).max().unwrap_or(0);
-                (2 * ps.len(), max_buf.max(self.cols() * k))
-            }
         }
     }
 
@@ -262,7 +258,7 @@ impl Model {
 
     /// Batched right product through a compiled `plan` (which must have
     /// been compiled from this model). Scratch comes from `ws`; after
-    /// [`ModelPlan::compile`] + a warmed workspace this performs no
+    /// [`ModelPlan::compile_with`] + a warmed workspace this performs no
     /// heap allocation.
     ///
     /// # Errors
@@ -284,15 +280,6 @@ impl Model {
             }
             (Model::Blocked(m), ModelPlan::Blocked(ps)) => {
                 m.right_multiply_panel_planned_into(ps, k, x_panel, y_panel, ws)
-            }
-            (Model::Compressed(_), ModelPlan::CompressedF32(p)) => {
-                let mut buf = ws.take(p.scratch_len(k));
-                let result = p.right_multiply_panel(k, x_panel, y_panel, &mut buf);
-                ws.put(buf);
-                result
-            }
-            (Model::Blocked(m), ModelPlan::BlockedF32(ps)) => {
-                m.right_multiply_panel_planned_f32_into(ps, k, x_panel, y_panel, ws)
             }
             // A mismatched plan cannot arise through the serve layer
             // (plans are compiled from the very model they serve);
@@ -352,33 +339,10 @@ impl Model {
             });
         }
         match (self, plan) {
-            (Model::Compressed(_), ModelPlan::Compressed(p)) => {
-                let mut buf = ws.take(p.scratch_len(1));
-                let result = p.right_multiply_sparse(x_nnz, y, &mut buf);
-                ws.put(buf);
-                result
-            }
-            (Model::Compressed(_), ModelPlan::CompressedF32(p)) => {
-                let mut buf = ws.take(p.scratch_len(1));
-                let result = p.right_multiply_sparse(x_nnz, y, &mut buf);
-                ws.put(buf);
-                result
-            }
-            (Model::Blocked(_), ModelPlan::Blocked(ps)) => {
+            (Model::Compressed(_), ModelPlan::Compressed(_))
+            | (Model::Blocked(_), ModelPlan::Blocked(_)) => {
                 let mut off = 0usize;
-                for p in ps {
-                    let mut buf = ws.take(p.scratch_len(1));
-                    let result =
-                        p.right_multiply_sparse(x_nnz, &mut y[off..off + p.rows()], &mut buf);
-                    ws.put(buf);
-                    result?;
-                    off += p.rows();
-                }
-                Ok(())
-            }
-            (Model::Blocked(_), ModelPlan::BlockedF32(ps)) => {
-                let mut off = 0usize;
-                for p in ps {
+                for p in plan.plans() {
                     let mut buf = ws.take(p.scratch_len(1));
                     let result =
                         p.right_multiply_sparse(x_nnz, &mut y[off..off + p.rows()], &mut buf);
@@ -414,15 +378,6 @@ impl Model {
             }
             (Model::Blocked(m), ModelPlan::Blocked(ps)) => {
                 m.left_multiply_panel_planned_into(ps, k, y_panel, x_panel, ws)
-            }
-            (Model::Compressed(_), ModelPlan::CompressedF32(p)) => {
-                let mut buf = ws.take(p.scratch_len(k));
-                let result = p.left_multiply_panel(k, y_panel, x_panel, &mut buf);
-                ws.put(buf);
-                result
-            }
-            (Model::Blocked(m), ModelPlan::BlockedF32(ps)) => {
-                m.left_multiply_panel_planned_f32_into(ps, k, y_panel, x_panel, ws)
             }
             _ => self.left_multiply_panel_into(k, y_panel, x_panel, ws),
         }

@@ -21,7 +21,7 @@
 
 use std::sync::{Mutex, OnceLock};
 
-use gcm_core::Encoding;
+use gcm_core::{Encoding, KernelPlan};
 use gcm_encodings::HeapSize;
 use gcm_matrix::matvec::{check_left_batch, check_panels, check_right_batch};
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, Workspace};
@@ -103,7 +103,7 @@ pub struct ServeOptions {
     /// compiled concurrently on the persistent pool.
     pub plans: bool,
     /// Compile the plans in **single precision**
-    /// ([`gcm_core::KernelPlanF32`]): half the plan heap, twice the
+    /// ([`gcm_core::KernelPlan::to_f32`]): half the plan heap, twice the
     /// SIMD lanes per vector register, `f32` accumulation (outputs
     /// round-trip through `f64` panels at the interface). Only
     /// meaningful together with [`plans`](Self::plans).
@@ -190,84 +190,14 @@ struct SendPtr(*mut f64);
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
-/// The split begin/accumulate protocol both plan precisions expose
-/// (see [`gcm_core::plan`]), so the single-shard row-parallel right
-/// path below is written once.
-trait RowSplitPlan: Sync {
-    fn scratch_len(&self, k: usize) -> usize;
-    fn begin_right_panel(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError>;
-    fn accumulate_rows_panel(
-        &self,
-        rows: std::ops::Range<usize>,
-        k: usize,
-        buf: &[f64],
-        y_chunk: &mut [f64],
-    );
-}
-
-impl RowSplitPlan for gcm_core::KernelPlan {
-    fn scratch_len(&self, k: usize) -> usize {
-        gcm_core::KernelPlan::scratch_len(self, k)
-    }
-
-    fn begin_right_panel(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        gcm_core::KernelPlan::begin_right_panel(self, k, x_panel, buf)
-    }
-
-    fn accumulate_rows_panel(
-        &self,
-        rows: std::ops::Range<usize>,
-        k: usize,
-        buf: &[f64],
-        y_chunk: &mut [f64],
-    ) {
-        gcm_core::KernelPlan::accumulate_rows_panel(self, rows, k, buf, y_chunk);
-    }
-}
-
-impl RowSplitPlan for gcm_core::KernelPlanF32 {
-    fn scratch_len(&self, k: usize) -> usize {
-        gcm_core::KernelPlanF32::scratch_len(self, k)
-    }
-
-    fn begin_right_panel(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        buf: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        gcm_core::KernelPlanF32::begin_right_panel(self, k, x_panel, buf)
-    }
-
-    fn accumulate_rows_panel(
-        &self,
-        rows: std::ops::Range<usize>,
-        k: usize,
-        buf: &[f64],
-        y_chunk: &mut [f64],
-    ) {
-        gcm_core::KernelPlanF32::accumulate_rows_panel(self, rows, k, buf, y_chunk);
-    }
-}
-
 /// Planned right product restricted to one shard-local row range: the
 /// rule pass fills the scratch buffer once, then only the descriptors
 /// of the requested rows accumulate (the plan's CSR `row_ptr` makes the
 /// slice O(descriptors-touched)). Allocation-free once the workspace
 /// holds a `scratch_len(k)` buffer — a planned prewarm warms exactly
 /// that.
-fn subset_right<P: RowSplitPlan>(
-    plan: &P,
+fn subset_right(
+    plan: &KernelPlan,
     rows: std::ops::Range<usize>,
     k: usize,
     x_panel: &[f64],
@@ -288,8 +218,8 @@ fn subset_right<P: RowSplitPlan>(
 /// chunks of `C` accumulate concurrently via `broadcast_indexed` (the
 /// same primitive the multi-shard path uses one level up, so sharding
 /// and row ranges compose rather than compete).
-fn row_parallel_right<P: RowSplitPlan>(
-    plan: &P,
+fn row_parallel_right(
+    plan: &KernelPlan,
     rows: usize,
     chunks: usize,
     k: usize,
@@ -654,18 +584,10 @@ impl ShardedModel {
             // precision; see `row_parallel_right`).
             let threads = rayon::current_num_threads();
             if threads > 1 && self.rows >= 2 * threads {
-                match shard.plan() {
-                    Some(ModelPlan::Compressed(plan)) => {
-                        return row_parallel_right(
-                            plan, self.rows, threads, k, x_panel, y_panel, &mut ws,
-                        );
-                    }
-                    Some(ModelPlan::CompressedF32(plan)) => {
-                        return row_parallel_right(
-                            plan, self.rows, threads, k, x_panel, y_panel, &mut ws,
-                        );
-                    }
-                    _ => {}
+                if let Some(ModelPlan::Compressed(plan)) = shard.plan() {
+                    return row_parallel_right(
+                        plan, self.rows, threads, k, x_panel, y_panel, &mut ws,
+                    );
                 }
             }
             if let Some(plan) = shard.plan() {
@@ -810,9 +732,6 @@ impl ShardedModel {
             let mut ws = shard.ws.lock().expect("shard workspace poisoned");
             match shard.plan() {
                 Some(ModelPlan::Compressed(plan)) => {
-                    subset_right(plan, local, k, x_panel, out, &mut ws)?;
-                }
-                Some(ModelPlan::CompressedF32(plan)) => {
                     subset_right(plan, local, k, x_panel, out, &mut ws)?;
                 }
                 plan => {
