@@ -8,15 +8,19 @@
 //!   a `jump` array, so neighbour lookup is O(1);
 //! * every *counted* occurrence of a pair is threaded into a doubly-linked
 //!   list (`onext`/`oprev` indexed by the position of the pair's left
-//!   symbol), with the list head and an exact count in a hash map;
-//! * pair priorities live in a lazy-deletion max-heap: entries are pushed
-//!   on every count increase and validated against the map when popped;
+//!   symbol), with the list head and an exact count in the pair's record;
+//! * pair records live in a slab behind a hash map, and the pairs that
+//!   meet `min_count` sit in an addressable max-heap of slab ids ordered
+//!   by `(count, packed key)`: every count change sifts its pair in place
+//!   and each round takes the root — the same pair a lazy-deletion heap
+//!   would pop, without its per-increment entries and stale requeues;
 //! * self-overlapping runs (`AAAA`) are counted left-to-right without
 //!   overlap, and every replacement re-validates the underlying symbols, so
 //!   stale occurrences are skipped rather than corrupting the output. In
 //!   rare self-overlap corner cases a rule may end up used once — harmless
 //!   for correctness, negligible for compression.
 
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gcm_encodings::fxhash::FxHashMap;
@@ -66,13 +70,15 @@ pub struct RePair {
 
 /// Reusable working storage for [`RePair::compress_with_scratch`].
 ///
-/// One compression allocates five length-`n` arrays plus a pair map and a
-/// priority heap; a build pipeline compressing many shards back to back
-/// (or many blocks inside one shard) would pay that allocation churn per
-/// block and thrash the allocator from every pool worker at once. A
-/// scratch arena keeps the buffers alive between compressions: the first
-/// call grows them, later calls reuse the capacity. A `Default`-fresh
-/// scratch is always valid, so the arena is purely an optimisation.
+/// One compression allocates five length-`n` arrays, the pair queue (a
+/// slab of pair records, its id map and free list, and a heap of slab
+/// ids) and an occurrence buffer; a build pipeline compressing many
+/// shards back to back (or many blocks inside one shard) would pay that
+/// allocation churn per block and thrash the allocator from every pool
+/// worker at once. A scratch arena keeps the buffers alive between
+/// compressions: the first call grows them, later calls reuse the
+/// capacity. A `Default`-fresh scratch is always valid, so the arena is
+/// purely an optimisation.
 #[derive(Debug, Default)]
 pub struct RePairScratch {
     sym: Vec<u32>,
@@ -80,8 +86,8 @@ pub struct RePairScratch {
     onext: Vec<u32>,
     oprev: Vec<u32>,
     in_list: Vec<bool>,
-    pairs: FxHashMap<u64, PairRec>,
-    heap: std::collections::BinaryHeap<(u32, u64)>,
+    queue: PairQueue,
+    occ: Vec<u32>,
 }
 
 impl RePairScratch {
@@ -98,23 +104,239 @@ impl RePairScratch {
             + self.onext.capacity() * 4
             + self.oprev.capacity() * 4
             + self.in_list.capacity()
-            + self.pairs.capacity() * (8 + std::mem::size_of::<PairRec>())
-            + self.heap.capacity() * std::mem::size_of::<(u32, u64)>()
+            + self.queue.retained_bytes()
+            + self.occ.capacity() * 4
     }
 }
 
+/// One pair's record in the [`PairQueue`] slab.
 #[derive(Debug, Clone, Copy)]
 struct PairRec {
+    key: u64,
     count: u32,
+    /// First position of the occurrence list (`NONE` when empty; 0 is a
+    /// valid position).
     head: u32,
+    /// Index in the heap, `NONE` while `count < min_count`.
+    hpos: u32,
 }
 
-impl Default for PairRec {
-    fn default() -> Self {
-        // An empty occurrence list: `NONE`, not 0 (0 is a valid position).
-        Self {
-            count: 0,
-            head: NONE,
+/// The pair table and its priority queue.
+///
+/// Records live in a slab addressed through `ids`, and freed slots are
+/// reused through `free`. `heap` is an addressable binary max-heap of
+/// slab ids ordered by `(count, key)` that holds exactly the live pairs
+/// with `count >= min_count`; every count change sifts its pair in
+/// place, so the root is always the largest live `(count, key)`.
+#[derive(Debug, Default)]
+struct PairQueue {
+    slab: Vec<PairRec>,
+    ids: FxHashMap<u64, u32>,
+    free: Vec<u32>,
+    heap: Vec<u32>,
+    min_count: u32,
+}
+
+impl PairQueue {
+    /// Empties the queue, keeping its capacity, for a compression that
+    /// only replaces pairs occurring at least `min_count` (≥ 2) times.
+    fn reset(&mut self, min_count: u32) {
+        debug_assert!(min_count >= 2);
+        self.slab.clear();
+        self.ids.clear();
+        self.free.clear();
+        self.heap.clear();
+        self.min_count = min_count;
+    }
+
+    fn retained_bytes(&self) -> usize {
+        self.slab.capacity() * std::mem::size_of::<PairRec>()
+            + self.ids.capacity() * std::mem::size_of::<(u64, u32)>()
+            + self.free.capacity() * 4
+            + self.heap.capacity() * 4
+    }
+
+    /// Slab id of pair `key`, if it is live.
+    #[inline]
+    fn get(&self, key: u64) -> Option<u32> {
+        self.ids.get(&key).copied()
+    }
+
+    /// Slab id of pair `key`, creating an empty record if it is not live.
+    #[inline]
+    fn get_or_insert(&mut self, key: u64) -> u32 {
+        match self.ids.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let rec = PairRec {
+                    key,
+                    count: 0,
+                    head: NONE,
+                    hpos: NONE,
+                };
+                let id = match self.free.pop() {
+                    Some(id) => {
+                        self.slab[id as usize] = rec;
+                        id
+                    }
+                    None => {
+                        self.slab.push(rec);
+                        (self.slab.len() - 1) as u32
+                    }
+                };
+                *e.insert(id)
+            }
+        }
+    }
+
+    /// Counts one more occurrence of pair `id`.
+    #[inline]
+    fn increment(&mut self, id: u32) {
+        let rec = &mut self.slab[id as usize];
+        rec.count += 1;
+        if rec.count == self.min_count {
+            rec.hpos = self.heap.len() as u32;
+            self.heap.push(id);
+        }
+        if rec.count >= self.min_count {
+            self.sift_up(id);
+        }
+    }
+
+    /// Counts one fewer occurrence of pair `id`, dropping the record once
+    /// no occurrence is left.
+    #[inline]
+    fn decrement(&mut self, id: u32) {
+        let rec = &mut self.slab[id as usize];
+        debug_assert!(rec.count > 0);
+        rec.count -= 1;
+        let count = rec.count;
+        if count == 0 {
+            let key = rec.key;
+            self.ids.remove(&key);
+            self.free.push(id);
+        } else if count + 1 == self.min_count {
+            self.heap_remove(id);
+        } else if count >= self.min_count {
+            self.sift_down(id);
+        }
+    }
+
+    /// Removes pair `key` from the table and the heap, returning its
+    /// record (`None` if it is not live).
+    fn detach(&mut self, key: u64) -> Option<PairRec> {
+        let id = self.ids.remove(&key)?;
+        let rec = self.slab[id as usize];
+        if rec.hpos != NONE {
+            self.heap_remove(id);
+        }
+        self.free.push(id);
+        Some(rec)
+    }
+
+    /// Key of the largest live `(count, key)` with `count >= min_count`.
+    #[inline]
+    fn best(&self) -> Option<u64> {
+        self.heap.first().map(|&id| self.slab[id as usize].key)
+    }
+
+    #[inline]
+    fn prio(&self, id: u32) -> (u32, u64) {
+        let rec = &self.slab[id as usize];
+        (rec.count, rec.key)
+    }
+
+    #[inline]
+    fn place(&mut self, pos: usize, id: u32) {
+        self.heap[pos] = id;
+        self.slab[id as usize].hpos = pos as u32;
+    }
+
+    fn heap_remove(&mut self, id: u32) {
+        let pos = self.slab[id as usize].hpos as usize;
+        self.slab[id as usize].hpos = NONE;
+        let last = self.heap.pop().expect("pair is queued");
+        if last != id {
+            // The former last leaf may belong above or below `pos`.
+            self.place(pos, last);
+            self.sift_up(last);
+            self.sift_down(last);
+        }
+    }
+
+    /// Moves queued pair `id` up while it outranks its parent.
+    fn sift_up(&mut self, id: u32) {
+        let prio = self.prio(id);
+        let mut pos = self.slab[id as usize].hpos as usize;
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let pid = self.heap[parent];
+            if self.prio(pid) > prio {
+                break;
+            }
+            self.place(pos, pid);
+            pos = parent;
+        }
+        self.place(pos, id);
+    }
+
+    /// Moves queued pair `id` down while a child outranks it.
+    fn sift_down(&mut self, id: u32) {
+        let prio = self.prio(id);
+        let mut pos = self.slab[id as usize].hpos as usize;
+        let n = self.heap.len();
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= n {
+                break;
+            }
+            let mut cprio = self.prio(self.heap[child]);
+            if child + 1 < n {
+                let rprio = self.prio(self.heap[child + 1]);
+                if rprio > cprio {
+                    child += 1;
+                    cprio = rprio;
+                }
+            }
+            if cprio < prio {
+                break;
+            }
+            self.place(pos, self.heap[child]);
+            pos = child;
+        }
+        self.place(pos, id);
+    }
+
+    /// Asserts the queue's invariants: every record is filed under its
+    /// own key, every live pair with `count >= min_count` sits in the heap
+    /// exactly once at its `hpos` and no other pair does, the heap
+    /// property holds, and no slab slot is leaked.
+    #[cfg(test)]
+    fn assert_invariants(&self) {
+        let mut queued = 0;
+        for (&key, &id) in &self.ids {
+            let rec = &self.slab[id as usize];
+            assert_eq!(rec.key, key, "record filed under a foreign key");
+            assert!(rec.count > 0, "live pair without occurrences");
+            if rec.count >= self.min_count {
+                queued += 1;
+                assert_eq!(self.heap.get(rec.hpos as usize), Some(&id), "bad hpos");
+            } else {
+                assert_eq!(rec.hpos, NONE, "pair below min_count is queued");
+            }
+        }
+        assert_eq!(self.heap.len(), queued, "heap holds a pair twice");
+        assert_eq!(
+            self.ids.len() + self.free.len(),
+            self.slab.len(),
+            "slot leaked"
+        );
+        for (pos, &id) in self.heap.iter().enumerate().skip(1) {
+            let parent = self.heap[(pos - 1) / 2];
+            assert!(
+                self.prio(parent) > self.prio(id),
+                "heap order broken at {pos}"
+            );
         }
     }
 }
@@ -131,9 +353,15 @@ struct State {
     onext: Vec<u32>,
     oprev: Vec<u32>,
     in_list: Vec<bool>,
-    pairs: FxHashMap<u64, PairRec>,
-    heap: std::collections::BinaryHeap<(u32, u64)>,
+    pairs: PairQueue,
+    /// Occurrence snapshot of the pair being replaced.
+    occ: Vec<u32>,
     protected: Option<u32>,
+    /// Oracle for the queue: the classic lazy-deletion max-heap, fed an
+    /// entry on every count increase. Each round asserts that its pick
+    /// equals the queue's.
+    #[cfg(test)]
+    shadow: std::collections::BinaryHeap<(u32, u64)>,
 }
 
 impl State {
@@ -141,7 +369,12 @@ impl State {
     /// of the arena; [`State::finish`] hands them back). Buffer *contents*
     /// are fully reinitialised here, so reuse never leaks state between
     /// compressions.
-    fn new_in(input: &[u32], protected: Option<u32>, scratch: &mut RePairScratch) -> Self {
+    fn new_in(
+        input: &[u32],
+        protected: Option<u32>,
+        min_count: u32,
+        scratch: &mut RePairScratch,
+    ) -> Self {
         let n = input.len();
         let mut sym = std::mem::take(&mut scratch.sym);
         sym.clear();
@@ -158,10 +391,8 @@ impl State {
         let mut in_list = std::mem::take(&mut scratch.in_list);
         in_list.clear();
         in_list.resize(n, false);
-        let mut pairs = std::mem::take(&mut scratch.pairs);
-        pairs.clear();
-        let mut heap = std::mem::take(&mut scratch.heap);
-        heap.clear();
+        let mut pairs = std::mem::take(&mut scratch.queue);
+        pairs.reset(min_count);
         Self {
             sym,
             jump,
@@ -169,14 +400,24 @@ impl State {
             oprev,
             in_list,
             pairs,
-            heap,
+            occ: std::mem::take(&mut scratch.occ),
             protected,
+            #[cfg(test)]
+            shadow: Default::default(),
         }
     }
 
     #[inline]
     fn is_protected(&self, s: u32) -> bool {
         Some(s) == self.protected
+    }
+
+    /// Occurrence count of pair `key` (0 if it is not live).
+    #[inline]
+    fn pair_count(&self, key: u64) -> u32 {
+        self.pairs
+            .get(key)
+            .map_or(0, |id| self.pairs.slab[id as usize].count)
     }
 
     /// Next filled position after `i`, exploiting gap boundary pointers.
@@ -231,27 +472,31 @@ impl State {
     fn add_occurrence(&mut self, pos: usize, a: u32, b: u32) {
         debug_assert!(!self.is_protected(a) && !self.is_protected(b));
         let key = pack(a, b);
-        let rec = self.pairs.entry(key).or_default();
+        let id = self.pairs.get_or_insert(key);
+        let rec = &mut self.pairs.slab[id as usize];
         self.onext[pos] = rec.head;
         self.oprev[pos] = NONE;
         if rec.head != NONE {
             self.oprev[rec.head as usize] = pos as u32;
         }
         rec.head = pos as u32;
-        rec.count += 1;
         self.in_list[pos] = true;
-        if rec.count >= 2 {
-            self.heap.push((rec.count, key));
+        self.pairs.increment(id);
+        #[cfg(test)]
+        {
+            let count = self.pairs.slab[id as usize].count;
+            if count >= 2 {
+                self.shadow.push((count, key));
+            }
         }
     }
 
     /// Unlinks the counted occurrence at `pos`, filed under pair `(a, b)`.
     ///
-    /// Tolerates the pair record having been detached (its map entry
-    /// removed) — then only the list links are fixed.
+    /// Tolerates the pair record having been detached — then only the
+    /// list links are fixed.
     fn remove_occurrence(&mut self, pos: usize, a: u32, b: u32) {
         debug_assert!(self.in_list[pos]);
-        let key = pack(a, b);
         let prev = self.oprev[pos];
         let next = self.onext[pos];
         if prev != NONE {
@@ -260,14 +505,12 @@ impl State {
         if next != NONE {
             self.oprev[next as usize] = prev;
         }
-        if let Some(rec) = self.pairs.get_mut(&key) {
+        if let Some(id) = self.pairs.get(pack(a, b)) {
+            let rec = &mut self.pairs.slab[id as usize];
             if rec.head == pos as u32 {
                 rec.head = next;
             }
-            rec.count = rec.count.saturating_sub(1);
-            if rec.count == 0 {
-                self.pairs.remove(&key);
-            }
+            self.pairs.decrement(id);
         }
         self.in_list[pos] = false;
         self.onext[pos] = NONE;
@@ -311,21 +554,22 @@ impl State {
         n_sym: u32,
         mut record: Option<&mut Vec<usize>>,
     ) -> usize {
-        let key = pack(a, b);
-        let Some(rec) = self.pairs.remove(&key) else {
+        let Some(rec) = self.pairs.detach(pack(a, b)) else {
             return 0;
         };
         // Snapshot the occurrence list before any mutation: replacements
         // rewrite the link arrays (neighbour removals, re-additions), so a
         // live walk could be cut short or diverted into another pair's list.
-        let mut occurrences = Vec::with_capacity(rec.count as usize);
+        let mut occ = std::mem::take(&mut self.occ);
+        occ.clear();
         let mut pos = rec.head;
         while pos != NONE {
-            occurrences.push(pos as usize);
+            occ.push(pos);
             pos = self.onext[pos as usize];
         }
         let mut replaced = 0usize;
-        for i in occurrences {
+        for &i in &occ {
+            let i = i as usize;
             // Re-validate against the live sequence: earlier replacements in
             // this very walk may have consumed this occurrence.
             if self.sym[i] != a {
@@ -340,7 +584,7 @@ impl State {
             if self.in_list[i] {
                 // Unlink from whatever list the position currently sits in
                 // (normally the remnants of the detached one;
-                // `remove_occurrence` tolerates the missing map entry).
+                // `remove_occurrence` tolerates the missing record).
                 self.remove_occurrence(i, a, b);
             }
 
@@ -383,21 +627,35 @@ impl State {
                 }
             }
         }
+        self.occ = occ;
         replaced
     }
 
-    /// Pops the most frequent pair still meeting `min_count`.
-    fn pop_best(&mut self, min_count: u32) -> Option<(u32, u32)> {
-        while let Some((count, key)) = self.heap.pop() {
-            match self.pairs.get(&key) {
-                Some(rec) if rec.count == count && count >= min_count => {
-                    return Some(((key >> 32) as u32, key as u32));
-                }
-                Some(rec) if rec.count >= min_count && rec.count < count => {
-                    // Stale (higher) entry: requeue with the true count.
-                    self.heap.push((rec.count, key));
-                }
-                _ => {}
+    /// The most frequent pair still meeting `min_count`, ties broken
+    /// towards the larger packed key. The pair stays queued until
+    /// [`replace_all`](Self::replace_all) detaches it.
+    fn best(&mut self) -> Option<(u32, u32)> {
+        let key = self.pairs.best();
+        #[cfg(test)]
+        {
+            self.pairs.assert_invariants();
+            assert_eq!(key, self.shadow_pop(), "queue and lazy heap disagree");
+        }
+        key.map(|key| ((key >> 32) as u32, key as u32))
+    }
+
+    /// The lazy heap's pick: pop entries, validate them against the live
+    /// counts, and requeue stale (higher) ones at their true count.
+    #[cfg(test)]
+    fn shadow_pop(&mut self) -> Option<u64> {
+        let min_count = self.pairs.min_count;
+        while let Some((count, key)) = self.shadow.pop() {
+            let live = self.pair_count(key);
+            if live == count && count >= min_count {
+                return Some(key);
+            }
+            if live >= min_count && live < count {
+                self.shadow.push((live, key));
             }
         }
         None
@@ -412,8 +670,8 @@ impl State {
         scratch.onext = std::mem::take(&mut self.onext);
         scratch.oprev = std::mem::take(&mut self.oprev);
         scratch.in_list = std::mem::take(&mut self.in_list);
-        scratch.pairs = std::mem::take(&mut self.pairs);
-        scratch.heap = std::mem::take(&mut self.heap);
+        scratch.queue = std::mem::take(&mut self.pairs);
+        scratch.occ = std::mem::take(&mut self.occ);
         seq
     }
 }
@@ -470,11 +728,11 @@ impl RePair {
             .min((u32::MAX - first_nt) as usize);
 
         GRAMMAR_BUILDS.fetch_add(1, Ordering::Relaxed);
-        let mut st = State::new_in(input, protected, scratch);
+        let mut st = State::new_in(input, protected, min_count, scratch);
         st.count_initial_pairs();
         let mut rules: Vec<(u32, u32)> = Vec::new();
         while rules.len() < max_rules {
-            let Some((a, b)) = st.pop_best(min_count) else {
+            let Some((a, b)) = st.best() else {
                 break;
             };
             let n_sym = first_nt + rules.len() as u32;
@@ -538,14 +796,14 @@ impl RePair {
             .min((u32::MAX - first_nt) as usize);
 
         GRAMMAR_BUILDS.fetch_add(1, Ordering::Relaxed);
-        let mut st = State::new_in(input, protected, scratch);
+        let mut st = State::new_in(input, protected, min_count, scratch);
         st.count_initial_pairs();
         let mut rule_ptr: Vec<u32> = vec![0];
         let mut rule_syms: Vec<u32> = Vec::new();
         let mut positions: Vec<usize> = Vec::new();
         let mut next_positions: Vec<usize> = Vec::new();
         while rule_ptr.len() - 1 < max_rules {
-            let Some((a, b)) = st.pop_best(min_count) else {
+            let Some((a, b)) = st.best() else {
                 break;
             };
             let n_sym = first_nt + (rule_ptr.len() - 1) as u32;
@@ -572,10 +830,7 @@ impl RePair {
                     let right = st.next_filled(p).map(|r| st.sym[r]).filter(|&c| {
                         c != n_sym
                             && !st.is_protected(c)
-                            && st
-                                .pairs
-                                .get(&pack(n_sym, c))
-                                .is_some_and(|rec| rec.count as usize == replaced)
+                            && st.pair_count(pack(n_sym, c)) as usize == replaced
                     });
                     if let Some(c) = right {
                         next_positions.clear();
@@ -588,10 +843,7 @@ impl RePair {
                     let left = st.prev_filled(p).map(|l| st.sym[l]).filter(|&c| {
                         c != n_sym
                             && !st.is_protected(c)
-                            && st
-                                .pairs
-                                .get(&pack(c, n_sym))
-                                .is_some_and(|rec| rec.count as usize == replaced)
+                            && st.pair_count(pack(c, n_sym)) as usize == replaced
                     });
                     if let Some(c) = left {
                         next_positions.clear();
@@ -614,6 +866,7 @@ impl RePair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(input: &[u32], first_nt: u32, protected: Option<u32>) -> Slp {
         let slp = RePair::new().compress(input, first_nt, protected);
@@ -978,6 +1231,46 @@ mod tests {
         let _ = RePair::new().compress(&[1, 2, 1, 2], 10, None);
         let _ = RePair::new().compress_mr(&[1, 2, 1, 2], 10, None);
         assert!(grammar_builds() >= before + 2);
+    }
+
+    /// Inputs that stress the queue's tie-breaking and count changes:
+    /// small alphabets, long self-overlapping runs (`AAAA…`) and
+    /// separators.
+    fn queue_stress_input() -> impl Strategy<Value = Vec<u32>> {
+        proptest::collection::vec(
+            prop_oneof![
+                1 => Just(vec![0u32]),
+                4 => (1u32..4).prop_map(|s| vec![s]),
+                1 => (1u32..4, 2usize..14).prop_map(|(s, len)| vec![s; len]),
+            ],
+            0..120,
+        )
+        .prop_map(|chunks| chunks.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// In test builds every round of `compress` and `compress_mr`
+        /// checks the queue's invariants and asserts that its pick equals
+        /// the lazy-heap oracle's (see `State::best`).
+        #[test]
+        fn indexed_queue_picks_what_the_lazy_heap_picks(
+            input in queue_stress_input(),
+            min_count in 2u32..6,
+            cap in 0usize..24,
+            separator in any::<bool>(),
+        ) {
+            let config = RePairConfig {
+                max_rules: (cap > 0).then_some(cap),
+                min_count,
+            };
+            let protected = separator.then_some(0);
+            let slp = RePair::with_config(config).compress(&input, 100, protected);
+            prop_assert_eq!(slp.expand(), input.clone());
+            let mr = RePair::with_config(config).compress_mr(&input, 100, protected);
+            prop_assert_eq!(mr.expand(), input);
+        }
     }
 
     #[test]
