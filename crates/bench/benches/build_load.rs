@@ -10,9 +10,9 @@
 //!   container bytes.
 //!
 //! * `plan-load`: cold start to a *planned* serving state — a
-//!   version-3 container (load, then compile every kernel plan at
-//!   prewarm) vs. the version-4 container with a persisted plan
-//!   section (load casts the plans; prewarm only validates).
+//!   container without a plan section (load, then compile every kernel
+//!   plan at prewarm) vs. the same model with a persisted plan section
+//!   (load casts the plans; prewarm only validates).
 //!
 //! * `grammar-build`: the grammar-stage policies at 4 shards — classic
 //!   RePair vs. MR-RePair vs. `auto` (both grammars per shard, keep the

@@ -286,6 +286,13 @@ impl CompressedMatrix {
         &self.values
     }
 
+    /// The `Arc` behind [`values`](Self::values): matrices built from one
+    /// CSRV matrix's row blocks, or loaded from one container
+    /// dictionary, share it (compare with `Arc::ptr_eq`).
+    pub fn values_arc(&self) -> &Arc<Vec<f64>> {
+        &self.values
+    }
+
     /// Number of grammar rules `|R|`.
     pub fn num_rules(&self) -> usize {
         self.rules.num_rules()

@@ -23,6 +23,12 @@
 //! per block: varint rows | R bytes | C bytes
 //! ```
 //!
+//! A bundle may also be written **dictionary-free**
+//! ([`bundle_to_bytes_shared`]): the same layout with `|V| = 0` and no
+//! doubles, for containers that store one `V` for many bundles. Such a
+//! bundle is read back only against the dictionary it was written for
+//! ([`bundle_from_bytes_shared`]).
+//!
 //! Deserialisation is validating: truncated or corrupt input yields
 //! `None`, never a panic or an out-of-bounds grammar.
 
@@ -85,10 +91,7 @@ pub fn to_bytes(m: &CompressedMatrix) -> Vec<u8> {
     varint::write_u64(&mut out, m.rows() as u64);
     varint::write_u64(&mut out, m.cols() as u64);
     varint::write_u32(&mut out, m.first_nonterminal());
-    varint::write_u64(&mut out, m.values().len() as u64);
-    for &v in m.values() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    write_values(&mut out, m.values());
     write_stores(&mut out, m);
     if let Some(ext) = m.rule_ext() {
         write_ext(&mut out, ext);
@@ -118,14 +121,8 @@ pub fn from_bytes(data: &[u8]) -> Option<CompressedMatrix> {
     }
     let (rows, cols) = (rows as usize, cols as usize);
     let first_nt = varint::read_u32(data, &mut pos)?;
-    let n_values = varint::read_u64(data, &mut pos)? as usize;
-    let need = n_values.checked_mul(8)?;
-    let end = pos.checked_add(need).filter(|&e| e <= data.len())?;
-    let values: Vec<f64> = data[pos..end]
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    pos = end;
+    let values = read_values(data, &mut pos)?;
+    let n_values = values.len();
     // Sanity: the terminal alphabet must match the header.
     if cols == 0 && n_values > 0 {
         return None;
@@ -267,6 +264,25 @@ fn read_stores(data: &[u8], pos: &mut usize, encoding: Encoding) -> Option<(Rule
 /// column count, or value dictionary, or if `col_order` is not a
 /// permutation of the columns.
 pub fn bundle_to_bytes(blocks: &[CompressedMatrix], col_order: Option<&[u32]>) -> Vec<u8> {
+    write_bundle(blocks, col_order, true)
+}
+
+/// As [`bundle_to_bytes`], but **dictionary-free**: the `V` section is
+/// written as `|V| = 0`, for a container that stores the blocks'
+/// dictionary once for many bundles. Read it back with
+/// [`bundle_from_bytes_shared`] and that same dictionary.
+///
+/// # Panics
+/// As [`bundle_to_bytes`].
+pub fn bundle_to_bytes_shared(blocks: &[CompressedMatrix], col_order: Option<&[u32]>) -> Vec<u8> {
+    write_bundle(blocks, col_order, false)
+}
+
+fn write_bundle(
+    blocks: &[CompressedMatrix],
+    col_order: Option<&[u32]>,
+    with_values: bool,
+) -> Vec<u8> {
     let first = blocks.first().expect("bundle needs at least one block");
     let encoding = first.encoding();
     let cols = first.cols();
@@ -292,10 +308,7 @@ pub fn bundle_to_bytes(blocks: &[CompressedMatrix], col_order: Option<&[u32]>) -
     for &c in order {
         out.extend_from_slice(&c.to_le_bytes());
     }
-    varint::write_u64(&mut out, first.values().len() as u64);
-    for &v in first.values() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    write_values(&mut out, if with_values { first.values() } else { &[] });
     varint::write_u64(&mut out, blocks.len() as u64);
     for b in blocks {
         varint::write_u64(&mut out, b.rows() as u64);
@@ -312,6 +325,31 @@ pub fn bundle_to_bytes(blocks: &[CompressedMatrix], col_order: Option<&[u32]>) -
     out
 }
 
+/// Appends a value dictionary: `varint |V|` then `V` as little-endian
+/// f64. The one dictionary layout of every format here, the serve
+/// layer's shared container section included.
+pub fn write_values(out: &mut Vec<u8>, values: &[f64]) {
+    varint::write_u64(out, values.len() as u64);
+    for &v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Inverse of [`write_values`], advancing `pos`. The declared length is
+/// checked against the bytes present **before** anything is allocated,
+/// so a forged length cannot size a reservation.
+fn read_values(data: &[u8], pos: &mut usize) -> Option<Vec<f64>> {
+    let n = varint::read_u64(data, pos)?;
+    let need = usize::try_from(n).ok()?.checked_mul(8)?;
+    let end = pos.checked_add(need).filter(|&e| e <= data.len())?;
+    let values = data[*pos..end]
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    *pos = end;
+    Some(values)
+}
+
 /// Deserialises a v2 bundle into its row blocks (sharing one `Arc`'d
 /// dictionary, like [`crate::BlockedMatrix`] builds them) and the
 /// column-reorder metadata. Returns `None` on malformed input; every
@@ -319,6 +357,52 @@ pub fn bundle_to_bytes(blocks: &[CompressedMatrix], col_order: Option<&[u32]>) -
 /// [`CompressedMatrix::from_raw_parts`].
 #[allow(clippy::type_complexity)]
 pub fn bundle_from_bytes(data: &[u8]) -> Option<(Vec<CompressedMatrix>, Option<Vec<u32>>)> {
+    read_bundle(data, None)
+}
+
+/// Deserialises a dictionary-free bundle ([`bundle_to_bytes_shared`])
+/// against the dictionary `values` it was written for: every block
+/// shares that one `Arc`, and still passes the full structural
+/// validation of [`CompressedMatrix::from_raw_parts`] against it — a
+/// block whose terminals index past `values` is rejected, never served.
+/// Returns `None` on malformed input, including a bundle that embeds a
+/// dictionary of its own.
+#[allow(clippy::type_complexity)]
+pub fn bundle_from_bytes_shared(
+    data: &[u8],
+    values: &Arc<Vec<f64>>,
+) -> Option<(Vec<CompressedMatrix>, Option<Vec<u32>>)> {
+    read_bundle(data, Some(values))
+}
+
+/// Splits a bundle with an embedded dictionary into that dictionary and
+/// the equivalent dictionary-free bundle bytes — a byte-level transcode
+/// with no grammar decode. Returns `None` if `data` is not a bundle
+/// with a well-formed header; the stores behind the dictionary are
+/// copied as they are and validated only when the result is decoded.
+pub fn split_bundle_dictionary(data: &[u8]) -> Option<(Vec<f64>, Vec<u8>)> {
+    if data.len() < 9 || !matches!(&data[..8], m if m == MAGIC_V2 || m == MAGIC_V4) {
+        return None;
+    }
+    let mut pos = 9usize;
+    varint::read_u64(data, &mut pos)?; // cols
+    let order_len = varint::read_u64(data, &mut pos)?;
+    let order_bytes = usize::try_from(order_len).ok()?.checked_mul(4)?;
+    pos = pos.checked_add(order_bytes).filter(|&e| e <= data.len())?;
+    let start = pos;
+    let values = read_values(data, &mut pos)?;
+    let mut out = Vec::with_capacity(data.len() - (pos - start) + 1);
+    out.extend_from_slice(&data[..start]);
+    write_values(&mut out, &[]);
+    out.extend_from_slice(&data[pos..]);
+    Some((values, out))
+}
+
+#[allow(clippy::type_complexity)]
+fn read_bundle(
+    data: &[u8],
+    shared: Option<&Arc<Vec<f64>>>,
+) -> Option<(Vec<CompressedMatrix>, Option<Vec<u32>>)> {
     if data.len() < 9 {
         return None;
     }
@@ -348,14 +432,14 @@ pub fn bundle_from_bytes(data: &[u8]) -> Option<(Vec<CompressedMatrix>, Option<V
         }
         Some(order)
     };
-    let n_values = varint::read_u64(data, &mut pos)? as usize;
-    let need = n_values.checked_mul(8)?;
-    let end = pos.checked_add(need).filter(|&e| e <= data.len())?;
-    let values: Vec<f64> = data[pos..end]
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    pos = end;
+    let embedded = read_values(data, &mut pos)?;
+    let values = match shared {
+        None => Arc::new(embedded),
+        // A dictionary-free bundle declares an empty `V`.
+        Some(_) if !embedded.is_empty() => return None,
+        Some(shared) => Arc::clone(shared),
+    };
+    let n_values = values.len();
     // The terminal alphabet is derived from the header, as in v1.
     if cols == 0 && n_values > 0 {
         return None;
@@ -369,7 +453,6 @@ pub fn bundle_from_bytes(data: &[u8]) -> Option<(Vec<CompressedMatrix>, Option<V
     if num_blocks == 0 || num_blocks > data.len().saturating_sub(pos) / 3 + 1 {
         return None;
     }
-    let values = Arc::new(values);
     let mut blocks = Vec::with_capacity(num_blocks);
     for _ in 0..num_blocks {
         let rows = varint::read_u64(data, &mut pos)? as usize;
@@ -561,6 +644,48 @@ mod tests {
                 pair[0].values().as_ptr(),
                 pair[1].values().as_ptr()
             ));
+        }
+    }
+
+    #[test]
+    fn shared_bundles_roundtrip_against_one_dictionary() {
+        use crate::blocked::BlockedMatrix;
+        let csrv = sample();
+        let order: Vec<u32> = (0..7).rev().collect();
+        for enc in Encoding::ALL {
+            let bm = BlockedMatrix::compress(&csrv, enc, 3);
+            let full = bundle_to_bytes(bm.blocks(), Some(&order));
+            let shared = bundle_to_bytes_shared(bm.blocks(), Some(&order));
+            assert_eq!(full.len() - shared.len(), csrv.values().len() * 8);
+            // The byte-level transcode matches the dictionary-free writer.
+            let (values, stripped) = split_bundle_dictionary(&full).unwrap();
+            assert_eq!(values, csrv.values());
+            assert_eq!(stripped, shared, "{}", enc.name());
+            let dict = Arc::new(values);
+            let (blocks, back_order) = bundle_from_bytes_shared(&shared, &dict).unwrap();
+            assert_eq!(back_order.as_deref(), Some(&order[..]));
+            for (b, orig) in blocks.iter().zip(bm.blocks()) {
+                assert!(Arc::ptr_eq(b.values_arc(), &dict));
+                assert_eq!(b.decompress_symbols(), orig.decompress_symbols());
+            }
+            // A bundle that embeds its own dictionary is not dictionary-free.
+            assert!(bundle_from_bytes_shared(&full, &dict).is_none());
+        }
+    }
+
+    #[test]
+    fn shared_bundle_rejects_a_shrunken_dictionary() {
+        let csrv = sample();
+        let cm = CompressedMatrix::compress(&csrv, Encoding::Re32);
+        let shared = bundle_to_bytes_shared(std::slice::from_ref(&cm), None);
+        // One value short: the terminal alphabet shrinks under the
+        // grammar, whose symbols now index past it.
+        let short = Arc::new(csrv.values()[1..].to_vec());
+        assert!(bundle_from_bytes_shared(&shared, &short).is_none());
+        assert!(bundle_from_bytes_shared(&shared, &Arc::new(Vec::new())).is_none());
+        for cut in [8, 12, shared.len() / 2, shared.len() - 1] {
+            let dict = cm.values_arc();
+            assert!(bundle_from_bytes_shared(&shared[..cut], dict).is_none());
         }
     }
 

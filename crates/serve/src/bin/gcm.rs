@@ -40,12 +40,15 @@
 //! old container (persisted plans included, never re-decoded) and only
 //! changed shards rebuild; provenance goes to stdout and a
 //! `<out>.gcms.rebuild` sidecar, never into the container itself.
+//! A grammar model of two or more shards is written as a version-6
+//! container, which stores the shards' one value dictionary once.
 //! `bench-build` sweeps the grammar-stage × encoding grid over one
 //! input and reports rules, bytes, build time, and planned-MVM ns/row
 //! per cell (set `GCM_BENCH_JSON=path.json` to also write the grid as
 //! JSON). `inspect` prints the same per-shard
 //! breakdown from a container (grammar stage included) and reports
-//! whether plans are persisted and any rebuild-provenance sidecar.
+//! the value dictionary and how many shards share it, whether plans
+//! are persisted, and any rebuild-provenance sidecar.
 //! `multiply` defaults to the all-ones input; with `--batch K` the
 //! input is a `cols × K` (or `rows × K` for `--left`) dense text panel
 //! read from `--vector`, or all-ones when omitted; `--rows A..B`
@@ -78,6 +81,7 @@ use std::fs;
 use std::io::BufReader;
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 use gcm_core::Encoding;
@@ -637,6 +641,30 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
         }
     );
     say!("  shards     : {}", model.num_shards());
+    if let Some(dict) = model.shard_model(0).dictionary() {
+        // A v6 load shares one `Arc` across every shard; older
+        // multi-shard containers embed, and load, one copy per shard.
+        let n = model.num_shards();
+        let mut copies: Vec<&Arc<Vec<f64>>> = Vec::new();
+        for i in 0..n {
+            if let Some(d) = model.shard_model(i).dictionary() {
+                if !copies.iter().any(|c| Arc::ptr_eq(c, d)) {
+                    copies.push(d);
+                }
+            }
+        }
+        let plural = if n == 1 { "" } else { "s" };
+        say!(
+            "  dictionary : {} values ({} bytes, {})",
+            dict.len(),
+            dict.len() * 8,
+            if copies.len() == 1 {
+                format!("shared by {n} shard{plural}")
+            } else {
+                format!("{} copies across {n} shards", copies.len())
+            },
+        );
+    }
     let payload_bytes: Vec<usize> = match ShardTable::parse(&bytes) {
         Ok(table) => {
             say!("  version    : {}", table.version);

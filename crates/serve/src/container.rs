@@ -5,11 +5,13 @@
 //! ```text
 //! magic "GCMSERV1" | u8 container version | u8 backend tag
 //! rows | cols | num_shards
+//! [|V| + V as f64 LE                     -- version 6: one dictionary
+//!                                           for every shard]
 //! per shard: [u8 reorder algorithm tag   -- versions 2 and up]
-//!            [u8 grammar stage tag,      -- version 5
+//!            [u8 grammar stage tag,      -- versions 5 and 6
 //!             u64 LE fingerprint if tag != 0]
 //!            payload_len | payload bytes
-//! [plan section                          -- versions 4 and 5
+//! [plan section                          -- versions 4 to 6
 //!  per shard: u8 plan kind (0 none, 1 f64, 2 f32)
 //!             if kind != 0: blob_count | blob_count × (len | blob)]
 //! u64 LE FNV-1a checksum of every preceding byte
@@ -35,12 +37,19 @@
 //! provenance**: a stage tag naming the grammar construction (RePair or
 //! MR-RePair) plus the FNV-64 fingerprint of the shard's build-time
 //! input rows — the handle `gcm compress --base` matches unchanged
-//! shards by (see [`compress_incremental`](crate::incremental)). The
-//! writer emits the lowest version that can represent the model (plain
-//! containers stay byte-identical with pre-v2 writers; the plan section
-//! is opt-in via [`to_bytes_with_plans`]; grammar metadata appears only
-//! under an explicit grammar-stage policy); the reader accepts all
-//! five.
+//! shards by (see [`compress_incremental`](crate::incremental)).
+//! **Version 6** is the version-5 layout with the row shards' shared
+//! value dictionary `V` stored **once**, after the header: its grammar
+//! shard payloads are dictionary-free bundles
+//! ([`gcm_core::serial::bundle_to_bytes_shared`]) that a full load
+//! decodes against one shared `Arc`. Before it, every shard payload
+//! carried its own copy of `V`. The writer emits the lowest version
+//! that can represent the model: version 6 for every grammar model of
+//! two or more shards on one dictionary, and below that, plain
+//! containers stay byte-identical with pre-v2 writers, the plan section
+//! is opt-in via [`to_bytes_with_plans`], and grammar metadata appears
+//! only under an explicit grammar-stage policy. The reader accepts all
+//! six.
 //!
 //! Shard payloads by backend:
 //!
@@ -51,9 +60,9 @@
 //!   then a `GCMCSRV1` section of the reassembled whole shard;
 //! * `compressed` — a single-block `GCMMAT2` bundle
 //!   ([`gcm_core::serial::bundle_to_bytes`]), which also carries the
-//!   column-reorder permutation;
+//!   column-reorder permutation (dictionary-free in version 6);
 //! * `blocked` — a multi-block `GCMMAT2` bundle (block structure +
-//!   permutation).
+//!   permutation; dictionary-free in version 6).
 //!
 //! The shard table makes the container *mmap-style*: a reader can locate
 //! and decode one shard's byte range without touching the others
@@ -66,8 +75,10 @@
 //! kernel. Bare `GCMMAT1` / `GCMMAT2` files (the `mmr` CLI's output) are
 //! accepted as single-shard compressed containers for compatibility.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 use gcm_core::serial;
 use gcm_core::{BlockedMatrix, KernelPlan};
@@ -77,7 +88,7 @@ use gcm_pipeline::GrammarStage;
 use gcm_reorder::ReorderAlgorithm;
 
 use crate::model::{Backend, Model, ModelPlan};
-use crate::sharded::ShardedModel;
+use crate::sharded::{Shard, ShardedModel};
 
 /// Container magic.
 pub const MAGIC: &[u8; 8] = b"GCMSERV1";
@@ -107,6 +118,14 @@ pub const VERSION_PLANS: u8 = 4;
 /// explicit grammar-stage policy — legacy builds keep emitting v1–v4
 /// byte-identically.
 pub const VERSION_GRAMMAR: u8 = 5;
+/// Container version with one **shared value dictionary**: the
+/// version-5 layout plus a `V` section after the header, with every
+/// shard payload a dictionary-free grammar bundle decoded against it.
+/// Emitted for grammar models (`compressed` / `blocked`) of two or more
+/// shards on one dictionary — the row shards of one build always share
+/// theirs, so it is the multi-shard layout. Single-shard containers
+/// keep their version 1–5 bytes.
+pub const VERSION_SHARED_DICT: u8 = 6;
 
 /// Stable on-disk tag of a reorder algorithm (version 2 provenance
 /// byte); `0` = no reorder recorded.
@@ -248,7 +267,15 @@ fn read_col_order(
     Ok(Some(order))
 }
 
-pub(crate) fn shard_payload(model: &Model, col_order: Option<&[u32]>) -> Vec<u8> {
+/// Serialises one shard's model. With `shared_dict` the grammar
+/// backends write dictionary-free bundles (version 6), whose `V` the
+/// container stores once.
+fn shard_payload(model: &Model, col_order: Option<&[u32]>, shared_dict: bool) -> Vec<u8> {
+    let bundle = if shared_dict {
+        serial::bundle_to_bytes_shared
+    } else {
+        serial::bundle_to_bytes
+    };
     let mut out = Vec::new();
     match model {
         Model::Csrv(m) => {
@@ -260,21 +287,27 @@ pub(crate) fn shard_payload(model: &Model, col_order: Option<&[u32]>) -> Vec<u8>
             varint::write_u64(&mut out, m.num_blocks() as u64);
             mio::write_csrv_bytes(&m.to_csrv(), &mut out);
         }
-        Model::Compressed(m) => {
-            out = serial::bundle_to_bytes(std::slice::from_ref(m), col_order);
-        }
-        Model::Blocked(m) => {
-            out = serial::bundle_to_bytes(m.blocks(), col_order);
-        }
+        Model::Compressed(m) => out = bundle(std::slice::from_ref(m), col_order),
+        Model::Blocked(m) => out = bundle(m.blocks(), col_order),
     }
     out
 }
 
+/// Decodes one shard payload; `dict` is the container's shared
+/// dictionary (version 6), against which grammar payloads are read.
 fn decode_shard(
     backend: Backend,
     cols: usize,
     payload: &[u8],
+    dict: Option<&Arc<Vec<f64>>>,
 ) -> Result<(Model, Option<Vec<u32>>), ServeError> {
+    let bundle = |what: &str| {
+        match dict {
+            Some(values) => serial::bundle_from_bytes_shared(payload, values),
+            None => serial::bundle_from_bytes(payload),
+        }
+        .ok_or_else(|| corrupt(format!("invalid {what} shard bundle")))
+    };
     match backend {
         Backend::Csrv => {
             let mut pos = 0usize;
@@ -301,8 +334,7 @@ fn decode_shard(
             Ok((Model::ParCsrv(ParallelCsrv::split(&m, blocks)), order))
         }
         Backend::Compressed => {
-            let (mut blocks, order) = serial::bundle_from_bytes(payload)
-                .ok_or_else(|| corrupt("invalid compressed shard bundle"))?;
+            let (mut blocks, order) = bundle("compressed")?;
             if blocks.len() != 1 {
                 return Err(corrupt("compressed shard must hold exactly one block"));
             }
@@ -313,8 +345,7 @@ fn decode_shard(
             Ok((Model::Compressed(m), order))
         }
         Backend::Blocked => {
-            let (blocks, order) = serial::bundle_from_bytes(payload)
-                .ok_or_else(|| corrupt("invalid blocked shard bundle"))?;
+            let (blocks, order) = bundle("blocked")?;
             if blocks.iter().any(|b| b.cols() != cols) {
                 return Err(corrupt("shard column count mismatches header"));
             }
@@ -327,11 +358,12 @@ fn decode_shard(
 }
 
 /// Serialises a sharded model as a `GCMSERV1` container, at the lowest
-/// version that can represent it: the baseline when no shard carries
-/// reorder metadata (those bytes are identical to the pre-v2 writer's),
-/// version 2 for per-shard permutations plus algorithm provenance, and
-/// version 3 when any shard uses a post-paper encoding (`re_fse`).
-/// Compiled plans are **not** persisted here (see
+/// version that can represent it: version 6 for a grammar model of two
+/// or more shards on one dictionary; otherwise the baseline when no
+/// shard carries reorder metadata (those bytes are identical to the
+/// pre-v2 writer's), version 2 for per-shard permutations plus
+/// algorithm provenance, and version 3 when any shard uses a post-paper
+/// encoding (`re_fse`). Compiled plans are **not** persisted here (see
 /// [`to_bytes_with_plans`]), so existing outputs stay byte-identical.
 pub fn to_bytes(model: &ShardedModel) -> Vec<u8> {
     encode(model, false)
@@ -348,29 +380,42 @@ pub fn to_bytes_with_plans(model: &ShardedModel) -> Vec<u8> {
     encode(model, true)
 }
 
-/// One plan's on-disk form: the kind byte (1 = `f64`, 2 = `f32`) and
-/// one `GCMPLAN1` blob per row block.
-pub(crate) fn plan_blobs(plan: &ModelPlan) -> (u8, Vec<Vec<u8>>) {
-    let kind = if plan.is_f32() { 2 } else { 1 };
-    let blobs = plan.plans().iter().map(KernelPlan::to_bytes).collect();
-    (kind, blobs)
+/// The value dictionary a version-6 container stores once for `model`:
+/// `Some` when it has two or more grammar shards and all of them hold
+/// the same `V` (one shared `Arc` after a build or a v6 load; equal
+/// copies after a load of an older multi-shard container).
+fn shared_dictionary(model: &ShardedModel) -> Option<&[f64]> {
+    let shards = model.shard_slice();
+    if shards.len() < 2 {
+        return None;
+    }
+    let first = shards[0].model.dictionary()?;
+    shards[1..]
+        .iter()
+        .all(|s| {
+            s.model
+                .dictionary()
+                .is_some_and(|d| Arc::ptr_eq(d, first) || d == first)
+        })
+        .then_some(first.as_slice())
 }
 
 fn encode(model: &ShardedModel, with_plans: bool) -> Vec<u8> {
-    let with_plans = with_plans && model.shard_slice().iter().any(|s| s.plan().is_some());
-    let with_grammar = model
-        .shard_slice()
+    let shards = model.shard_slice();
+    let with_plans = with_plans && shards.iter().any(|s| s.plan().is_some());
+    let dictionary = shared_dictionary(model);
+    let with_grammar = shards
         .iter()
         .any(|s| s.grammar.is_some() || s.fingerprint.is_some());
-    let new_encoding = model
-        .shard_slice()
+    let new_encoding = shards
         .iter()
         .any(|s| s.model.encoding() == Some(gcm_core::Encoding::ReFse));
-    let per_shard = model
-        .shard_slice()
+    let per_shard = shards
         .iter()
         .any(|s| s.col_order.is_some() || s.reorder.is_some());
-    let version = if with_grammar {
+    let version = if dictionary.is_some() {
+        VERSION_SHARED_DICT
+    } else if with_grammar {
         VERSION_GRAMMAR
     } else if with_plans {
         VERSION_PLANS
@@ -381,42 +426,152 @@ fn encode(model: &ShardedModel, with_plans: bool) -> Vec<u8> {
     } else {
         VERSION
     };
-    let mut out = Vec::with_capacity(model.stored_bytes() + 128);
+    let segments: Vec<Segment> = shards
+        .iter()
+        .map(|s| Segment::live(s, with_plans))
+        .collect();
+    write_container(
+        Header {
+            version,
+            backend: model.backend(),
+            rows: model.rows(),
+            cols: model.cols(),
+            dictionary,
+        },
+        &segments,
+    )
+}
+
+/// The container header fields of [`write_container`].
+pub(crate) struct Header<'a> {
+    /// Container version; decides which optional fields are written.
+    pub(crate) version: u8,
+    pub(crate) backend: Backend,
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    /// The shared dictionary: `Some` exactly for [`VERSION_SHARED_DICT`].
+    pub(crate) dictionary: Option<&'a [f64]>,
+}
+
+/// One shard's on-disk pieces, as [`write_container`] writes them.
+pub(crate) struct Segment<'a> {
+    pub(crate) reorder: Option<ReorderAlgorithm>,
+    pub(crate) grammar: Option<GrammarStage>,
+    pub(crate) fingerprint: Option<u64>,
+    pub(crate) body: SegmentBody<'a>,
+}
+
+/// Where a segment's payload and plan blobs come from.
+pub(crate) enum SegmentBody<'a> {
+    /// A live shard, serialised while the container is written (one
+    /// payload or plan blob at a time, never all at once).
+    Live {
+        model: &'a Model,
+        col_order: Option<&'a [u32]>,
+        plan: Option<&'a ModelPlan>,
+    },
+    /// Bytes taken from a base container without decoding them.
+    Spliced {
+        payload: Cow<'a, [u8]>,
+        /// `(kind, blobs)` of the plan section; `None` writes kind `0`.
+        plan: Option<(u8, Vec<&'a [u8]>)>,
+    },
+}
+
+impl<'a> Segment<'a> {
+    /// The segment of a live shard, persisting its compiled plan when
+    /// `with_plans` is set.
+    pub(crate) fn live(shard: &'a Shard, with_plans: bool) -> Self {
+        Segment {
+            reorder: shard.reorder,
+            grammar: shard.grammar,
+            fingerprint: shard.fingerprint,
+            body: SegmentBody::Live {
+                model: &shard.model,
+                col_order: shard.col_order.as_deref(),
+                plan: shard.plan().filter(|_| with_plans),
+            },
+        }
+    }
+}
+
+/// Plan kind byte: 1 = `f64`, 2 = `f32`.
+pub(crate) fn plan_kind(f32_plan: bool) -> u8 {
+    if f32_plan {
+        2
+    } else {
+        1
+    }
+}
+
+fn write_blob(out: &mut Vec<u8>, blob: &[u8]) {
+    varint::write_u64(out, blob.len() as u64);
+    out.extend_from_slice(blob);
+}
+
+/// Writes a `GCMSERV1` container of `segments` at `header.version`: the
+/// one writer behind both [`to_bytes`] and the incremental splice.
+pub(crate) fn write_container(header: Header<'_>, segments: &[Segment<'_>]) -> Vec<u8> {
+    let version = header.version;
+    assert_eq!(
+        header.dictionary.is_some(),
+        version >= VERSION_SHARED_DICT,
+        "a shared dictionary is written exactly by version 6"
+    );
+    let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.push(version);
-    out.push(model.backend().tag());
-    varint::write_u64(&mut out, model.rows() as u64);
-    varint::write_u64(&mut out, model.cols() as u64);
-    varint::write_u64(&mut out, model.num_shards() as u64);
-    for shard in model.shard_slice() {
+    out.push(header.backend.tag());
+    varint::write_u64(&mut out, header.rows as u64);
+    varint::write_u64(&mut out, header.cols as u64);
+    varint::write_u64(&mut out, segments.len() as u64);
+    if let Some(values) = header.dictionary {
+        serial::write_values(&mut out, values);
+    }
+    for seg in segments {
         if version >= VERSION_PER_SHARD {
-            out.push(reorder_tag(shard.reorder));
+            out.push(reorder_tag(seg.reorder));
         }
         if version >= VERSION_GRAMMAR {
-            let tag = grammar_tag(shard.grammar);
+            let tag = grammar_tag(seg.grammar);
             out.push(tag);
             if tag != 0 {
-                out.extend_from_slice(&shard.fingerprint.unwrap_or(0).to_le_bytes());
+                out.extend_from_slice(&seg.fingerprint.unwrap_or(0).to_le_bytes());
             }
         }
-        let payload = shard_payload(&shard.model, shard.col_order.as_deref());
-        varint::write_u64(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
+        match &seg.body {
+            SegmentBody::Live {
+                model, col_order, ..
+            } => write_blob(
+                &mut out,
+                &shard_payload(model, *col_order, header.dictionary.is_some()),
+            ),
+            SegmentBody::Spliced { payload, .. } => write_blob(&mut out, payload),
+        }
     }
     if version >= VERSION_PLANS {
-        for shard in model.shard_slice() {
-            // A grammar-bearing container is v5 regardless of the plan
-            // policy, so gate the blobs on the caller's request rather
-            // than the version.
-            match shard.plan().filter(|_| with_plans) {
-                None => out.push(0),
-                Some(plan) => {
-                    let (kind, blobs) = plan_blobs(plan);
-                    out.push(kind);
+        for seg in segments {
+            match &seg.body {
+                SegmentBody::Live { plan: None, .. } | SegmentBody::Spliced { plan: None, .. } => {
+                    out.push(0)
+                }
+                SegmentBody::Live {
+                    plan: Some(plan), ..
+                } => {
+                    out.push(plan_kind(plan.is_f32()));
+                    varint::write_u64(&mut out, plan.plans().len() as u64);
+                    for p in plan.plans() {
+                        write_blob(&mut out, &p.to_bytes());
+                    }
+                }
+                SegmentBody::Spliced {
+                    plan: Some((kind, blobs)),
+                    ..
+                } => {
+                    out.push(*kind);
                     varint::write_u64(&mut out, blobs.len() as u64);
-                    for blob in &blobs {
-                        varint::write_u64(&mut out, blob.len() as u64);
-                        out.extend_from_slice(blob);
+                    for blob in blobs {
+                        write_blob(&mut out, blob);
                     }
                 }
             }
@@ -432,7 +587,7 @@ fn encode(model: &ShardedModel, with_plans: bool) -> Vec<u8> {
 /// path) or to inspect a model without materialising it.
 #[derive(Debug, Clone)]
 pub struct ShardTable {
-    /// Container version ([`VERSION`] through [`VERSION_GRAMMAR`]).
+    /// Container version ([`VERSION`] through [`VERSION_SHARED_DICT`]).
     pub version: u8,
     /// Backend of every shard.
     pub backend: Backend,
@@ -440,6 +595,10 @@ pub struct ShardTable {
     pub rows: usize,
     /// Columns.
     pub cols: usize,
+    /// Byte range of the shared value dictionary's doubles (`8·|V|`
+    /// bytes) — `Some` exactly for [`VERSION_SHARED_DICT`], whose grammar
+    /// payloads are decoded against it.
+    pub dictionary: Option<std::ops::Range<usize>>,
     /// Byte range of each shard payload within the container.
     pub shard_ranges: Vec<std::ops::Range<usize>>,
     /// Per-shard reorder algorithm provenance (all `None` for version 1,
@@ -483,7 +642,7 @@ impl ShardTable {
             )));
         }
         let version = data[8];
-        if !(VERSION..=VERSION_GRAMMAR).contains(&version) {
+        if !(VERSION..=VERSION_SHARED_DICT).contains(&version) {
             return Err(corrupt(format!("unsupported container version {version}")));
         }
         let backend = Backend::from_tag(data[9]).ok_or_else(|| corrupt("unknown backend tag"))?;
@@ -508,6 +667,32 @@ impl ShardTable {
             return Err(corrupt("implausible shard count"));
         }
         let num_shards = num_shards as usize;
+        let dictionary = if version >= VERSION_SHARED_DICT {
+            if !matches!(backend, Backend::Compressed | Backend::Blocked) {
+                return Err(corrupt(format!(
+                    "version {version} shares a dictionary, which a {} backend cannot",
+                    backend.name()
+                )));
+            }
+            if num_shards < 2 {
+                return Err(corrupt(format!(
+                    "version {version} container needs at least two shards"
+                )));
+            }
+            let n =
+                varint::read_u64(data, &mut pos).ok_or_else(|| corrupt("bad dictionary length"))?;
+            // Bounded by the bytes present (on the raw u64) before the
+            // length sizes anything.
+            if n > (body_len.saturating_sub(pos) / 8) as u64 {
+                return Err(corrupt("dictionary overruns container"));
+            }
+            let end = pos + n as usize * 8;
+            let range = pos..end;
+            pos = end;
+            Some(range)
+        } else {
+            None
+        };
         let mut shard_ranges = Vec::with_capacity(num_shards);
         let mut reorder_algos = Vec::with_capacity(num_shards);
         let mut grammar_stages = Vec::with_capacity(num_shards);
@@ -608,6 +793,7 @@ impl ShardTable {
             backend,
             rows,
             cols,
+            dictionary,
             shard_ranges,
             reorder_algos,
             plan_ranges,
@@ -641,7 +827,20 @@ impl ShardTable {
             .get(i)
             .ok_or_else(|| corrupt(format!("shard {i} out of range")))?
             .clone();
-        decode_shard(self.backend, self.cols, &data[range])
+        let dict = self.decode_dictionary(data);
+        decode_shard(self.backend, self.cols, &data[range], dict.as_ref())
+    }
+
+    /// Decodes the shared value dictionary from the container bytes the
+    /// table was parsed from (`None` below [`VERSION_SHARED_DICT`]).
+    pub(crate) fn decode_dictionary(&self, data: &[u8]) -> Option<Arc<Vec<f64>>> {
+        let range = self.dictionary.clone()?;
+        Some(Arc::new(
+            data[range]
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+                .collect(),
+        ))
     }
 
     /// Total bytes of the persisted plan section (0 when the container
@@ -755,13 +954,21 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
     }
     let table = ShardTable::parse(data)?;
     let n = table.shard_ranges.len();
+    // Version 6: one dictionary, decoded once, shared by every shard.
+    let dict = table.decode_dictionary(data);
+    let decode_one = |i: usize| {
+        decode_shard(
+            table.backend,
+            table.cols,
+            &data[table.shard_ranges[i].clone()],
+            dict.as_ref(),
+        )
+    };
     type Decoded = Result<(Model, Option<Vec<u32>>), ServeError>;
     let decoded: Vec<Decoded> = if parallel {
-        gcm_pipeline::par_map(n, |i| table.decode_shard_with_order(data, i))
+        gcm_pipeline::par_map(n, decode_one)
     } else {
-        (0..n)
-            .map(|i| table.decode_shard_with_order(data, i))
-            .collect()
+        (0..n).map(decode_one).collect()
     };
     let mut parts = Vec::with_capacity(n);
     let mut first_order: Option<Option<Vec<u32>>> = None;
@@ -883,6 +1090,25 @@ mod tests {
     use gcm_core::Encoding;
     use gcm_matrix::{DenseMatrix, MatVec};
 
+    /// Every shard's payload with its own copy of the dictionary — the
+    /// layout of versions 1 to 5, for synthesising legacy containers.
+    fn embedded_payloads(model: &ShardedModel) -> Vec<Vec<u8>> {
+        model
+            .shard_slice()
+            .iter()
+            .map(|s| shard_payload(&s.model, s.col_order.as_deref(), false))
+            .collect()
+    }
+
+    /// The version a multi-shard container of `backend` is written at
+    /// when the older layouts would pick `legacy`.
+    fn multi_shard_version(backend: Backend, legacy: u8) -> u8 {
+        match backend {
+            Backend::Compressed | Backend::Blocked => VERSION_SHARED_DICT,
+            Backend::Csrv | Backend::ParCsrv => legacy,
+        }
+    }
+
     fn sample() -> DenseMatrix {
         let mut m = DenseMatrix::zeros(37, 8);
         for r in 0..37 {
@@ -939,7 +1165,11 @@ mod tests {
             let model = ShardedModel::from_dense(&dense, &opts).unwrap();
             let order = model.col_order().unwrap().to_vec();
             let bytes = model.to_bytes();
-            assert_eq!(bytes[8], VERSION_PER_SHARD, "reorder metadata => v2");
+            assert_eq!(
+                bytes[8],
+                multi_shard_version(backend, VERSION_PER_SHARD),
+                "reorder metadata => v2, or v6 for a shared dictionary"
+            );
             let back = ShardedModel::from_bytes(&bytes).unwrap();
             assert_eq!(back.col_order(), Some(&order[..]), "{}", backend.name());
             for i in 0..back.num_shards() {
@@ -981,7 +1211,7 @@ mod tests {
             };
             let model = ShardedModel::from_dense(&dense, &opts).unwrap();
             let bytes = model.to_bytes();
-            assert_eq!(bytes[8], VERSION_PER_SHARD);
+            assert_eq!(bytes[8], multi_shard_version(backend, VERSION_PER_SHARD));
             let back = ShardedModel::from_bytes(&bytes).expect("per-shard orders must load");
             for i in 0..2 {
                 assert_eq!(
@@ -1022,8 +1252,6 @@ mod tests {
             },
         )
         .unwrap();
-        let v2 = model.to_bytes();
-        let table = ShardTable::parse(&v2).unwrap();
         let mut v1 = Vec::new();
         v1.extend_from_slice(MAGIC);
         v1.push(VERSION);
@@ -1031,9 +1259,9 @@ mod tests {
         varint::write_u64(&mut v1, model.rows() as u64);
         varint::write_u64(&mut v1, model.cols() as u64);
         varint::write_u64(&mut v1, model.num_shards() as u64);
-        for range in &table.shard_ranges {
-            varint::write_u64(&mut v1, range.len() as u64);
-            v1.extend_from_slice(&v2[range.clone()]);
+        for payload in embedded_payloads(&model) {
+            varint::write_u64(&mut v1, payload.len() as u64);
+            v1.extend_from_slice(&payload);
         }
         let sum = fnv1a64(&v1);
         v1.extend_from_slice(&sum.to_le_bytes());
@@ -1081,8 +1309,6 @@ mod tests {
             per_shard.shard_col_order(1),
             "test needs genuinely distinct orders"
         );
-        let v2 = per_shard.to_bytes();
-        let table = ShardTable::parse(&v2).unwrap();
         let mut forged_v1 = Vec::new();
         forged_v1.extend_from_slice(MAGIC);
         forged_v1.push(VERSION);
@@ -1090,9 +1316,9 @@ mod tests {
         varint::write_u64(&mut forged_v1, per_shard.rows() as u64);
         varint::write_u64(&mut forged_v1, per_shard.cols() as u64);
         varint::write_u64(&mut forged_v1, per_shard.num_shards() as u64);
-        for range in &table.shard_ranges {
-            varint::write_u64(&mut forged_v1, range.len() as u64);
-            forged_v1.extend_from_slice(&v2[range.clone()]);
+        for payload in embedded_payloads(&per_shard) {
+            varint::write_u64(&mut forged_v1, payload.len() as u64);
+            forged_v1.extend_from_slice(&payload);
         }
         let sum = fnv1a64(&forged_v1);
         forged_v1.extend_from_slice(&sum.to_le_bytes());
@@ -1242,7 +1468,12 @@ mod tests {
                     };
                     model.prewarm_with(2, &serve);
                     let bytes = model.to_bytes_with_plans();
-                    assert_eq!(bytes[8], VERSION_PLANS, "{} s={shards}", backend.name());
+                    let version = if shards > 1 {
+                        VERSION_SHARED_DICT
+                    } else {
+                        VERSION_PLANS
+                    };
+                    assert_eq!(bytes[8], version, "{} s={shards}", backend.name());
                     let table = ShardTable::parse(&bytes).unwrap();
                     assert!(table.plan_bytes() > 0, "{} s={shards}", backend.name());
                     assert_eq!(table.plan_f32, vec![f32_plans; shards]);
@@ -1430,11 +1661,15 @@ mod tests {
     }
 
     #[test]
-    fn grammar_metadata_roundtrips_in_version5_containers() {
+    fn grammar_metadata_roundtrips_in_version5_and_6_containers() {
         use crate::sharded::ServeOptions;
         use gcm_pipeline::GrammarChoice;
         let dense = sample();
-        for backend in [Backend::Compressed, Backend::Blocked] {
+        for (backend, shards) in [
+            (Backend::Compressed, 1),
+            (Backend::Compressed, 2),
+            (Backend::Blocked, 2),
+        ] {
             for grammar in [
                 GrammarChoice::RePair,
                 GrammarChoice::MrRePair,
@@ -1445,7 +1680,7 @@ mod tests {
                         &dense,
                         &BuildOptions {
                             backend,
-                            shards: 2,
+                            shards,
                             blocks: 2,
                             grammar: Some(grammar),
                             ..BuildOptions::default()
@@ -1458,16 +1693,22 @@ mod tests {
                     } else {
                         model.to_bytes()
                     };
-                    let tag = format!("{} {grammar:?} plans={plans}", backend.name());
-                    assert_eq!(bytes[8], VERSION_GRAMMAR, "{tag}: grammar metadata => v5");
+                    let tag = format!("{} s={shards} {grammar:?} plans={plans}", backend.name());
+                    let version = if shards > 1 {
+                        VERSION_SHARED_DICT
+                    } else {
+                        VERSION_GRAMMAR
+                    };
+                    assert_eq!(bytes[8], version, "{tag}: grammar metadata => v5 or v6");
                     let table = ShardTable::parse(&bytes).unwrap();
                     assert_eq!(table.plan_bytes() > 0, plans, "{tag}");
-                    for i in 0..2 {
+                    assert_eq!(table.dictionary.is_some(), shards > 1, "{tag}");
+                    for i in 0..shards {
                         assert!(table.grammar_stages[i].is_some(), "{tag} shard {i}");
                         assert!(table.fingerprints[i].is_some(), "{tag} shard {i}");
                     }
-                    let back = ShardedModel::from_bytes(&bytes).expect("v5 roundtrip");
-                    for i in 0..2 {
+                    let back = ShardedModel::from_bytes(&bytes).expect("v5/v6 roundtrip");
+                    for i in 0..shards {
                         assert_eq!(back.shard_grammar(i), model.shard_grammar(i), "{tag}");
                         assert_eq!(
                             back.shard_fingerprint(i),
@@ -1477,7 +1718,7 @@ mod tests {
                     }
                     // Re-serialising the loaded model reproduces the
                     // container byte-for-byte: nothing is lost in the
-                    // v5 round-trip.
+                    // round-trip.
                     let again = if plans {
                         back.to_bytes_with_plans()
                     } else {
@@ -1496,33 +1737,41 @@ mod tests {
     }
 
     #[test]
-    fn legacy_builds_keep_emitting_pre_v5_bytes() {
+    fn legacy_builds_record_no_grammar_metadata() {
         // `grammar: None` is the compatibility path: no per-shard
-        // metadata, and the writer picks the same pre-grammar version.
+        // metadata. One shard keeps the same pre-grammar version; two
+        // shards share a dictionary and so are written as version 6,
+        // with every stage tag 0.
         let dense = sample();
-        let model = ShardedModel::from_dense(
-            &dense,
-            &BuildOptions {
-                shards: 2,
-                ..BuildOptions::default()
-            },
-        )
-        .unwrap();
-        let bytes = model.to_bytes();
-        assert!(bytes[8] < VERSION_GRAMMAR);
-        let table = ShardTable::parse(&bytes).unwrap();
-        assert_eq!(table.grammar_stages, vec![None, None]);
-        assert_eq!(table.fingerprints, vec![None, None]);
-        let back = ShardedModel::from_bytes(&bytes).unwrap();
-        assert_eq!(back.shard_grammar(0), None);
-        assert_eq!(back.shard_fingerprint(0), None);
+        for shards in [1usize, 2] {
+            let model = ShardedModel::from_dense(
+                &dense,
+                &BuildOptions {
+                    shards,
+                    ..BuildOptions::default()
+                },
+            )
+            .unwrap();
+            let bytes = model.to_bytes();
+            if shards == 1 {
+                assert!(bytes[8] < VERSION_GRAMMAR);
+            } else {
+                assert_eq!(bytes[8], VERSION_SHARED_DICT);
+            }
+            let table = ShardTable::parse(&bytes).unwrap();
+            assert_eq!(table.grammar_stages, vec![None; shards]);
+            assert_eq!(table.fingerprints, vec![None; shards]);
+            let back = ShardedModel::from_bytes(&bytes).unwrap();
+            assert_eq!(back.shard_grammar(0), None);
+            assert_eq!(back.shard_fingerprint(0), None);
+        }
     }
 
     #[test]
     fn version5_accepts_metadata_free_shards() {
         // A v5 container may carry stage tag 0 for shards spliced from
-        // legacy builds: synthesise one from a plain v1 container (its
-        // dims are small enough that every header varint is one byte).
+        // legacy builds: synthesise one from the shards' self-contained
+        // payloads.
         let dense = sample();
         let model = ShardedModel::from_dense(
             &dense,
@@ -1532,8 +1781,6 @@ mod tests {
             },
         )
         .unwrap();
-        let plain = model.to_bytes();
-        let table = ShardTable::parse(&plain).unwrap();
         let mut v5 = Vec::new();
         v5.extend_from_slice(MAGIC);
         v5.push(VERSION_GRAMMAR);
@@ -1541,11 +1788,11 @@ mod tests {
         varint::write_u64(&mut v5, model.rows() as u64);
         varint::write_u64(&mut v5, model.cols() as u64);
         varint::write_u64(&mut v5, model.num_shards() as u64);
-        for range in &table.shard_ranges {
+        for payload in embedded_payloads(&model) {
             v5.push(0); // no reorder
             v5.push(0); // no grammar stage, so no fingerprint either
-            varint::write_u64(&mut v5, range.len() as u64);
-            v5.extend_from_slice(&plain[range.clone()]);
+            varint::write_u64(&mut v5, payload.len() as u64);
+            v5.extend_from_slice(&payload);
         }
         v5.extend_from_slice(&[0, 0]); // plan kinds: v5 always has them
         let sum = fnv1a64(&v5);
@@ -1581,21 +1828,22 @@ mod tests {
         )
         .unwrap();
         let bytes = model.to_bytes();
-        // Header varints (37 rows, 8 cols, 2 shards) are one byte each,
-        // so shard 0's reorder tag is at 13 and its grammar tag at 14.
-        assert_eq!(bytes[13], 0, "no reorder recorded");
-        assert_eq!(bytes[14], 2, "mr-repair stage tag");
+        // Shard 0's reorder tag directly follows the shared dictionary,
+        // then its grammar tag and fingerprint.
+        let at = ShardTable::parse(&bytes).unwrap().dictionary.unwrap().end;
+        assert_eq!(bytes[at], 0, "no reorder recorded");
+        assert_eq!(bytes[at + 1], 2, "mr-repair stage tag");
 
         // Unknown stage tag.
         let mut bad = bytes.clone();
-        bad[14] = 9;
+        bad[at + 1] = 9;
         refresh_checksum(&mut bad);
         let err = ShardedModel::from_bytes(&bad).expect_err("tag 9 is corrupt");
         assert!(err.to_string().contains("grammar tag"), "{err}");
 
         // A container truncated inside the fingerprint is rejected at
         // the bounds check, before anything is sized from it.
-        let mut truncated = bytes[..18].to_vec(); // tag + 3 of 8 fp bytes
+        let mut truncated = bytes[..at + 5].to_vec(); // tag + 3 of 8 fp bytes
         truncated.extend_from_slice(&[0u8; 8]);
         refresh_checksum(&mut truncated);
         let err = ShardedModel::from_bytes(&truncated).expect_err("truncated fp is corrupt");
@@ -1608,7 +1856,7 @@ mod tests {
         // provenance, not a structural field) but changes the recorded
         // value — and the checksum catches the flip without the refresh.
         let mut flipped = bytes.clone();
-        flipped[15] ^= 0xFF;
+        flipped[at + 2] ^= 0xFF;
         assert!(ShardedModel::from_bytes(&flipped).is_err(), "checksum");
         refresh_checksum(&mut flipped);
         let back = ShardedModel::from_bytes(&flipped).expect("fp is not structural");

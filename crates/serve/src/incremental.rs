@@ -1,6 +1,6 @@
 //! Incremental container rebuilds: `gcm compress --base OLD.gcms`.
 //!
-//! A version-5 container records, per shard, the FNV-64 fingerprint of
+//! A version-5 or -6 container records, per shard, the FNV-64 fingerprint of
 //! the shard's build-time input rows ([`shard_fingerprint`]). An
 //! incremental rebuild replays only the *planning* split on the new
 //! matrix, fingerprints each shard's input slice, and then:
@@ -29,22 +29,27 @@
 //!
 //! One cross-shard coupling is inherent to the format and handled by
 //! the fingerprint itself: row shards share the whole-matrix **value
-//! dictionary**, and every serialized shard payload embeds it. An edit
-//! that only moves existing values around invalidates just the shards
-//! whose rows changed; an edit that changes the dictionary (a new
-//! distinct value, or a removed/reordered one) changes what *every*
-//! payload embeds, and the fingerprint — which covers the shard's
-//! symbol stream *and* the shared dictionary — correctly invalidates
-//! them all.
+//! dictionary**, which a multi-shard (version 6) container stores once,
+//! ahead of the dictionary-free shard payloads. Every shard's terminal
+//! symbols index into it. An edit that only moves existing values
+//! around invalidates just the shards whose rows changed; an edit that
+//! changes the dictionary (a new distinct value, or a removed/reordered
+//! one) renumbers the terminals of *every* shard, and the fingerprint —
+//! which covers the shard's symbol stream *and* the shared dictionary —
+//! correctly invalidates them all. A matching fingerprint therefore
+//! also vouches for the dictionary, which is what lets a version-5 base
+//! (one copy of `V` per payload) splice into a version-6 output: the
+//! embedded copy is cut out of the payload bytes, with no decode.
 
-use gcm_encodings::varint;
+use std::borrow::Cow;
+
+use gcm_core::serial;
 use gcm_matrix::CsrvMatrix;
-use gcm_pipeline::{shard_fingerprint, BuildConfig, GrammarStage, Plan, ReorderMode};
-use gcm_reorder::ReorderAlgorithm;
+use gcm_pipeline::{shard_fingerprint, BuildConfig, Plan, ReorderMode};
 
 use crate::container::{
-    self, fnv1a64, grammar_tag, plan_blobs, reorder_tag, shard_payload, ServeError, ShardTable,
-    MAGIC, VERSION_GRAMMAR,
+    self, plan_kind, write_container, Header, Segment, SegmentBody, ServeError, ShardTable,
+    VERSION_GRAMMAR, VERSION_SHARED_DICT,
 };
 use crate::model::Backend;
 use crate::sharded::{ServeOptions, ShardedModel};
@@ -103,17 +108,6 @@ impl RebuildReport {
     }
 }
 
-/// The serialized pieces of one output shard, either spliced out of the
-/// base container or freshly built.
-struct Segment {
-    reorder: Option<ReorderAlgorithm>,
-    grammar: Option<GrammarStage>,
-    fingerprint: Option<u64>,
-    payload: Vec<u8>,
-    /// `(kind, blobs)` for the plan section; `None` writes kind `0`.
-    plan: Option<(u8, Vec<Vec<u8>>)>,
-}
-
 /// Rebuilds `csrv` against the base container bytes, splicing every
 /// shard whose input fingerprint is unchanged and re-running the stage
 /// chain only for the rest. Whether the output carries a plan section
@@ -122,8 +116,9 @@ struct Segment {
 /// corresponding full rebuild.
 ///
 /// Falls back to a full rebuild — with the reason in the report — when
-/// the base or the configuration cannot support splicing: a pre-v5
-/// base, a backend that records no fingerprints, no grammar-stage
+/// the base or the configuration cannot support splicing: a base
+/// without fingerprints (pre-v5, or built without a grammar-stage
+/// policy), a backend that records no fingerprints, no grammar-stage
 /// policy, a global reorder, or a changed shard count.
 ///
 /// # Errors
@@ -149,23 +144,41 @@ pub fn compress_incremental(
             changed.push(sp);
         }
     }
-    let (rebuilt, grammar_builds) = rebuild_segments(
+    let (rebuilt, grammar_builds) = rebuild(
         Plan {
             shards: changed,
             ..plan
         },
         planned,
     );
-    let mut rebuilt = rebuilt.into_iter();
-    let segments: Vec<Segment> = provenance
+    // The full build's writer stores the row shards' one dictionary once
+    // whenever there are two or more of them (`container::to_bytes`
+    // picks version 6 for exactly these grammar models).
+    let dictionary = (provenance.len() >= 2).then(|| csrv.values());
+    let mut rebuilt = rebuilt.iter().flat_map(ShardedModel::shard_slice);
+    let segments = provenance
         .iter()
         .enumerate()
         .map(|(i, p)| match p {
-            ShardProvenance::Spliced => splice_segment(&table, base, i),
-            ShardProvenance::Rebuilt => rebuilt.next().expect("one segment per rebuilt shard"),
+            ShardProvenance::Spliced => splice_segment(&table, base, i, dictionary),
+            ShardProvenance::Rebuilt => Ok(Segment::live(
+                rebuilt.next().expect("one rebuilt shard per changed input"),
+                true,
+            )),
         })
-        .collect();
-    let bytes = assemble(config.backend, csrv.rows(), csrv.cols(), &segments);
+        .collect::<Result<Vec<_>, _>>()?;
+    let header = Header {
+        version: if dictionary.is_some() {
+            VERSION_SHARED_DICT
+        } else {
+            VERSION_GRAMMAR
+        },
+        backend: config.backend,
+        rows: csrv.rows(),
+        cols: csrv.cols(),
+        dictionary,
+    };
+    let bytes = write_container(header, &segments);
     Ok((
         bytes,
         RebuildReport {
@@ -205,9 +218,9 @@ fn splice_blocker(csrv: &CsrvMatrix, config: &BuildConfig, table: &ShardTable) -
     if matches!(config.reorder, Some(ReorderMode::Global(_))) {
         return Some("global reorder couples every shard to the whole-matrix permutation".into());
     }
-    if table.version < VERSION_GRAMMAR {
+    if table.fingerprints.iter().all(Option::is_none) {
         return Some(format!(
-            "base container is version {} and records no fingerprints",
+            "base container (version {}) records no fingerprints",
             table.version
         ));
     }
@@ -236,36 +249,51 @@ fn splice_blocker(csrv: &CsrvMatrix, config: &BuildConfig, table: &ShardTable) -
     None
 }
 
-/// Copies shard `i`'s on-disk pieces out of the base container without
-/// decoding them.
-fn splice_segment(table: &ShardTable, base: &[u8], i: usize) -> Segment {
-    let plan = if table.plan_ranges[i].is_empty() {
-        None
-    } else {
-        let kind = if table.plan_f32[i] { 2 } else { 1 };
+/// Takes shard `i`'s on-disk pieces out of the base container without
+/// decoding them. With a shared `dictionary` (a version-6 output) the
+/// payload must be dictionary-free: a version-6 base's already is, and a
+/// version-5 base's embedded copy is cut out — after checking it is the
+/// very dictionary the matching fingerprint vouches for.
+fn splice_segment<'a>(
+    table: &ShardTable,
+    base: &'a [u8],
+    i: usize,
+    dictionary: Option<&[f64]>,
+) -> Result<Segment<'a>, ServeError> {
+    let mut payload = Cow::Borrowed(&base[table.shard_ranges[i].clone()]);
+    if let (Some(dictionary), None) = (dictionary, &table.dictionary) {
+        let (embedded, stripped) = serial::split_bundle_dictionary(&payload)
+            .ok_or_else(|| ServeError::Corrupt(format!("base shard {i}: invalid bundle")))?;
+        if embedded != dictionary {
+            return Err(ServeError::Corrupt(format!(
+                "base shard {i}: dictionary disagrees with its fingerprint"
+            )));
+        }
+        payload = Cow::Owned(stripped);
+    }
+    let plan = (!table.plan_ranges[i].is_empty()).then(|| {
         let blobs = table.plan_ranges[i]
             .iter()
-            .map(|r| base[r.clone()].to_vec())
+            .map(|r| &base[r.clone()])
             .collect();
-        Some((kind, blobs))
-    };
-    Segment {
+        (plan_kind(table.plan_f32[i]), blobs)
+    });
+    Ok(Segment {
         reorder: table.reorder_algos[i],
         grammar: table.grammar_stages[i],
         fingerprint: table.fingerprints[i],
-        payload: base[table.shard_ranges[i].clone()].to_vec(),
-        plan,
-    }
+        body: SegmentBody::Spliced { payload, plan },
+    })
 }
 
 /// Runs the changed shards' plans through one pipeline execution and
-/// returns their segments in plan order, with the grammars built. The
-/// stages are deterministic and see exactly what they would see in a
-/// full rebuild (the full build's own shard plans), so the segment
-/// bytes match the full rebuild's.
-fn rebuild_segments(plan: Plan, planned: Option<ServeOptions>) -> (Vec<Segment>, usize) {
+/// returns the built model (`None` when nothing changed) with the
+/// number of grammars built. The stages are deterministic and see
+/// exactly what they would see in a full rebuild (the full build's own
+/// shard plans), so the shards serialise to the full rebuild's bytes.
+fn rebuild(plan: Plan, planned: Option<ServeOptions>) -> (Option<ShardedModel>, usize) {
     if plan.shards.is_empty() {
-        return (Vec::new(), 0);
+        return (None, 0);
     }
     let artifacts = gcm_pipeline::global().execute(plan);
     let grammar_builds = artifacts
@@ -278,57 +306,7 @@ fn rebuild_segments(plan: Plan, planned: Option<ServeOptions>) -> (Vec<Segment>,
     if let Some(opts) = planned {
         model.prewarm_with(1, &opts);
     }
-    let segments = model
-        .shard_slice()
-        .iter()
-        .map(|shard| Segment {
-            reorder: shard.reorder,
-            grammar: shard.grammar,
-            fingerprint: shard.fingerprint,
-            payload: shard_payload(&shard.model, shard.col_order.as_deref()),
-            plan: shard.plan().map(plan_blobs),
-        })
-        .collect();
-    (segments, grammar_builds)
-}
-
-/// Writes the version-5 container from per-shard segments — the same
-/// byte layout `container::to_bytes` produces for a grammar-stage
-/// build, pinned against it by the byte-identity tests.
-fn assemble(backend: Backend, rows: usize, cols: usize, segments: &[Segment]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION_GRAMMAR);
-    out.push(backend.tag());
-    varint::write_u64(&mut out, rows as u64);
-    varint::write_u64(&mut out, cols as u64);
-    varint::write_u64(&mut out, segments.len() as u64);
-    for seg in segments {
-        out.push(reorder_tag(seg.reorder));
-        let tag = grammar_tag(seg.grammar);
-        out.push(tag);
-        if tag != 0 {
-            out.extend_from_slice(&seg.fingerprint.unwrap_or(0).to_le_bytes());
-        }
-        varint::write_u64(&mut out, seg.payload.len() as u64);
-        out.extend_from_slice(&seg.payload);
-    }
-    for seg in segments {
-        match &seg.plan {
-            None => out.push(0),
-            Some((kind, blobs)) => {
-                out.push(*kind);
-                varint::write_u64(&mut out, blobs.len() as u64);
-                for blob in blobs {
-                    varint::write_u64(&mut out, blob.len() as u64);
-                    out.extend_from_slice(blob);
-                }
-            }
-        }
-    }
-    let sum = fnv1a64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+    (Some(model), grammar_builds)
 }
 
 /// The non-splicing path: build everything, with the base's plan

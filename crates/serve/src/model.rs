@@ -10,6 +10,8 @@
 //! plan precision is a run-time property of the [`KernelPlan`]s, so no
 //! kernel entry point here branches on it.
 
+use std::sync::Arc;
+
 use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding, KernelPlan};
 use gcm_encodings::HeapSize;
 use gcm_matrix::matvec::{check_left_batch, check_right_batch};
@@ -136,6 +138,17 @@ impl Model {
             Model::ParCsrv(m) => m.stored_bytes(),
             Model::Compressed(m) => m.stored_bytes(),
             Model::Blocked(m) => m.stored_bytes(),
+        }
+    }
+
+    /// The grammar backends' value dictionary `V` (one `Arc` shared by
+    /// every row block); `None` for the uncompressed backends, whose
+    /// payloads always embed their own.
+    pub fn dictionary(&self) -> Option<&Arc<Vec<f64>>> {
+        match self {
+            Model::Csrv(_) | Model::ParCsrv(_) => None,
+            Model::Compressed(m) => Some(m.values_arc()),
+            Model::Blocked(m) => m.blocks().first().map(CompressedMatrix::values_arc),
         }
     }
 

@@ -19,7 +19,7 @@
 //! `parcsrv` with more than one block — still allocate small per-task
 //! control structures when they fan out internally.)
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use gcm_core::{Encoding, KernelPlan};
 use gcm_encodings::HeapSize;
@@ -447,9 +447,24 @@ impl ShardedModel {
     }
 
     /// Total representation size across shards (container framing
-    /// excluded).
+    /// excluded). A value dictionary that several grammar shards share
+    /// (one `Arc`, as in a fresh build or a `GCMSERV1` v6 load) is
+    /// counted once, as the container stores it once; shards loaded
+    /// from older containers each hold, and count, their own copy.
     pub fn stored_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.model.stored_bytes()).sum()
+        let mut seen: Vec<&Arc<Vec<f64>>> = Vec::new();
+        let mut total = 0;
+        for shard in &self.shards {
+            total += shard.model.stored_bytes();
+            if let Some(dict) = shard.model.dictionary() {
+                if seen.iter().any(|d| Arc::ptr_eq(d, dict)) {
+                    total -= dict.len() * 8;
+                } else {
+                    seen.push(dict);
+                }
+            }
+        }
+        total
     }
 
     /// Installs a deserialized plan on shard `i` (the `GCMSERV1` v4

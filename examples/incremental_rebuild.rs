@@ -5,7 +5,8 @@
 //! cargo run --release --example incremental_rebuild
 //! ```
 //!
-//! Builds a version-5 base container with a measured per-shard grammar
+//! Builds a base container (version 6: per-shard grammar provenance,
+//! one shared value dictionary) with a measured per-shard grammar
 //! stage (`GrammarChoice::Auto`) and persisted plans, edits a handful
 //! of rows, rebuilds with `compress_incremental` against the base, and
 //! verifies the three claims the feature stands on:

@@ -73,7 +73,7 @@ fn main() {
     );
 
     // Round-trip: the ShardTable-parallel loader restores every shard's
-    // own permutation (GCMSERV1 version 2), and products match dense.
+    // own permutation (GCMSERV1 version 2 and up), and products match dense.
     let loaded = ShardedModel::from_bytes(&bytes).expect("load");
     for i in 0..loaded.num_shards() {
         assert_eq!(loaded.shard_col_order(i), model.shard_col_order(i));
