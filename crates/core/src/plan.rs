@@ -40,6 +40,26 @@
 //! accumulated concurrently ([`KernelPlan::accumulate_rows_panel`]; the
 //! serve layer dispatches ranges on the persistent pool).
 //!
+//! # Row walks
+//!
+//! Rows hold only a few descriptors on typical inputs (about four on
+//! average on Covtype), so a CSR walk — one variable-length inner loop
+//! per row — pays a branch mispredict per row that costs more than the
+//! row's arithmetic. Two tables derived from `row_ptr` at compile and
+//! load time (never persisted) remove it:
+//!
+//! * every right-product row walk, at both precisions and every panel
+//!   width, visits rows **grouped by descriptor count**, so the inner
+//!   trip count is constant within a group and same-length row pairs
+//!   run as two interleaved accumulation chains;
+//! * the width-1 left product seeds its scratch row in one **flat**
+//!   pass over the descriptors, reading each one's row from a
+//!   descriptor-to-row table.
+//!
+//! Each row still sums its own descriptors in program order, and each
+//! scratch slot still receives its left-product updates in program
+//! order, so both walks are bit-identical to the CSR walk they replace.
+//!
 //! # Interleaved rule streams
 //!
 //! The naive forward rule pass is one long dependency chain: rule `r`
@@ -63,7 +83,9 @@
 //! Precision is a run-time property of one [`KernelPlan`] type:
 //! [`KernelPlan::to_f32`] (or [`CompressedMatrix::plan_f32`]) yields the
 //! same descriptor program with `f32` multipliers and `f32` arithmetic —
-//! half the multiplier heap, twice the lanes per SIMD register — and
+//! half the multiplier heap, twice the lanes per SIMD register (on
+//! x86-64 hosts with AVX2 its 8-lane kernels run recompiled at 256-bit
+//! width, with no FMA, so lane arithmetic is unchanged) — and
 //! [`KernelPlan::is_f32`] reports which one a plan holds. Its public
 //! panels stay `f64` (the serve protocol is `f64` end to end) — inputs
 //! are demoted on the copy into scratch, outputs promoted on the way
@@ -74,12 +96,12 @@
 //! program in the same order, which `tests/plan_f32_props.rs` pins
 //! against an independent oracle.
 //!
-//! A plan costs `O(|C| + |R|)` words — roughly `12` bytes per `C`
-//! descriptor and `24` per rule (`8`/`16` for `f32` plans), i.e. *more*
-//! than the encoded matrix it was compiled from. It is a
-//! speed-for-memory trade the serve layer makes explicit: plans are
-//! opt-in (`ServeOptions`), built at prewarm, and reported via
-//! [`HeapSize`].
+//! A plan costs `O(|C| + |R|)` words — roughly `16` bytes per `C`
+//! descriptor (the row tables included) and `24` per rule (`12`/`16`
+//! for `f32` plans), i.e. *more* than the encoded matrix it was
+//! compiled from. It is a speed-for-memory trade the serve layer makes
+//! explicit: plans are opt-in (`ServeOptions`), built at prewarm, and
+//! reported via [`HeapSize`].
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -249,12 +271,13 @@ impl Scalar for f32 {
 }
 
 /// Inverted descriptor index behind the sparse-input kernel: for each
-/// scratch slot, the positions in the descriptor program that read it,
-/// plus the owning row of every position. The sparse walk seeds
-/// activity from the non-zeroes, sweeps the rule DAG, and then
-/// scatter-accumulates **only** the descriptors this index reaches from
-/// active slots — every other descriptor's contribution is an exact
-/// zero and every untouched row keeps its zero without being visited.
+/// scratch slot, the positions in the descriptor program that read it
+/// (each position's owning row is [`PlanBody::desc_row`]). The sparse
+/// walk seeds activity from the non-zeroes, sweeps the rule DAG, and
+/// then scatter-accumulates **only** the descriptors this index reaches
+/// from active slots — every other descriptor's contribution is an
+/// exact zero and every untouched row keeps its zero without being
+/// visited.
 ///
 /// Built lazily ([`PlanBody::sparse_index`]) on the first sparse
 /// multiply (serve-layer prewarm runs one throwaway sparse pass, so
@@ -268,9 +291,6 @@ struct SparseIndex {
     /// Descriptor positions per slot (indices into `seq_*`); length
     /// `|C|`.
     slot_desc: Vec<u32>,
-    /// Owning row of each descriptor position (the CSR `row_ptr` run
-    /// it falls in); length `|C|`.
-    desc_row: Vec<u32>,
     /// CSC bucket bounds of the rule dependency graph: slot `s` is an
     /// operand of rules `dep_rule[dep_ptr[s]..dep_ptr[s+1]]`; length
     /// `width + 1`.
@@ -284,7 +304,7 @@ struct SparseIndex {
 impl SparseIndex {
     /// Two counting-sort passes: one over the CSR descriptor program,
     /// one over the rule operand table.
-    fn build(width: usize, row_ptr: &[u32], seq_idx: &[u32], rule_idx: &[u32]) -> Self {
+    fn build(width: usize, seq_idx: &[u32], rule_idx: &[u32]) -> Self {
         let mut slot_ptr = vec![0u32; width + 1];
         for &s in seq_idx {
             slot_ptr[s as usize + 1] += 1;
@@ -298,10 +318,6 @@ impl SparseIndex {
             let at = &mut fill[s as usize];
             slot_desc[*at as usize] = d as u32;
             *at += 1;
-        }
-        let mut desc_row = vec![0u32; seq_idx.len()];
-        for (r, w) in row_ptr.windows(2).enumerate() {
-            desc_row[w[0] as usize..w[1] as usize].fill(r as u32);
         }
         let mut dep_ptr = vec![0u32; width + 1];
         for &s in rule_idx {
@@ -320,7 +336,6 @@ impl SparseIndex {
         SparseIndex {
             slot_ptr,
             slot_desc,
-            desc_row,
             dep_ptr,
             dep_rule,
         }
@@ -331,7 +346,6 @@ impl HeapSize for SparseIndex {
     fn heap_bytes(&self) -> usize {
         self.slot_ptr.heap_bytes()
             + self.slot_desc.heap_bytes()
-            + self.desc_row.heap_bytes()
             + self.dep_ptr.heap_bytes()
             + self.dep_rule.heap_bytes()
     }
@@ -363,6 +377,15 @@ struct PlanBody<T> {
     /// `< cols + block_ptr[b]`, so they are mutually independent.
     /// Always starts at `0` and ends at `num_rules`.
     block_ptr: Vec<u32>,
+    /// Owning row of each descriptor position (the `row_ptr` run it
+    /// falls in); length `|C|`. Derived from `row_ptr`, never
+    /// persisted. The flat `k = 1` left seed pass and the sparse
+    /// walk's scatter read it.
+    desc_row: Vec<u32>,
+    /// The rows grouped by descriptor count: the visiting order of
+    /// every right-product row walk. Derived from `row_ptr`, never
+    /// persisted.
+    groups: RowGroups,
     /// Lazily-built inverted row index of the sparse-input kernel.
     sparse: std::sync::OnceLock<SparseIndex>,
 }
@@ -529,55 +552,58 @@ impl<T: Scalar> PlanBody<T> {
         Ok(())
     }
 
+    /// The bounds every row walk's unchecked loads rely on, asserted
+    /// once per call.
+    fn check_rows(&self, rows: &Range<usize>, k: usize, buf_len: usize, y_len: usize) {
+        assert!(rows.end <= self.rows);
+        assert_eq!(y_len, rows.len() * k);
+        assert!(buf_len >= self.width() * k);
+    }
+
     /// Row-range accumulation out of a prepared scratch panel; sums run
-    /// entirely in `T` (an 8-lane tile at a time for `k > 1`) and are
-    /// promoted on the final store.
+    /// entirely in `T` (an 8-lane tile at a time for `k > 8`) and are
+    /// promoted on the final store. Rows are visited group by group
+    /// ([`RowGroups`]); every row adds its own descriptors in program
+    /// order, so each sum is the CSR walk's bit for bit.
     fn accumulate_rows(&self, rows: Range<usize>, k: usize, buf: &[T], y_chunk: &mut [f64]) {
         let k = k.max(1);
-        assert!(rows.end <= self.rows);
-        assert_eq!(y_chunk.len(), rows.len() * k);
-        assert!(buf.len() >= self.width() * k);
         if k == 1 {
-            for (out, r) in y_chunk.iter_mut().zip(rows) {
-                let lo = self.row_ptr[r] as usize;
-                let hi = self.row_ptr[r + 1] as usize;
-                let mut acc = T::ZERO;
-                for (m, i) in self.seq_mult[lo..hi].iter().zip(&self.seq_idx[lo..hi]) {
-                    // SAFETY: `compile` guarantees every sequence index
-                    // is `< width() <= buf.len()` (asserted above).
-                    acc = acc + *m * unsafe { *buf.get_unchecked(*i as usize) };
-                }
-                *out = acc.to_f64();
-            }
-            return;
+            return self.accumulate_rows_fixed::<1>(rows, buf, y_chunk);
         }
         return_if_fixed_width!(k, self.accumulate_rows_fixed(rows, buf, y_chunk));
-        for (ri, r) in rows.enumerate() {
-            let dst = &mut y_chunk[ri * k..(ri + 1) * k];
-            let lo = self.row_ptr[r] as usize;
-            let hi = self.row_ptr[r + 1] as usize;
-            let mut j0 = 0usize;
-            while j0 < k {
-                let kt = (k - j0).min(8);
-                let mut acc = [T::ZERO; 8];
-                for (m, i) in self.seq_mult[lo..hi].iter().zip(&self.seq_idx[lo..hi]) {
-                    let src = &buf[*i as usize * k + j0..][..kt];
-                    for (a, &s) in acc[..kt].iter_mut().zip(src) {
-                        *a = *a + *m * s;
+        self.check_rows(&rows, k, buf.len(), y_chunk.len());
+        for (_, span) in self.groups.spans(&rows) {
+            for &r in span {
+                let r = r as usize;
+                let dst = &mut y_chunk[(r - rows.start) * k..][..k];
+                let lo = self.row_ptr[r] as usize;
+                let hi = self.row_ptr[r + 1] as usize;
+                let mut j0 = 0usize;
+                while j0 < k {
+                    let kt = (k - j0).min(8);
+                    let mut acc = [T::ZERO; 8];
+                    for (m, i) in self.seq_mult[lo..hi].iter().zip(&self.seq_idx[lo..hi]) {
+                        let src = &buf[*i as usize * k + j0..][..kt];
+                        for (a, &s) in acc[..kt].iter_mut().zip(src) {
+                            *a = *a + *m * s;
+                        }
                     }
+                    for (d, a) in dst[j0..j0 + kt].iter_mut().zip(&acc[..kt]) {
+                        *d = a.to_f64();
+                    }
+                    j0 += kt;
                 }
-                for (d, a) in dst[j0..j0 + kt].iter_mut().zip(&acc[..kt]) {
-                    *d = a.to_f64();
-                }
-                j0 += kt;
             }
         }
     }
 
     /// [`accumulate_rows`](Self::accumulate_rows) for panels of
-    /// compile-time width `K <= 8`: exactly one accumulator tile per
-    /// row, with the lane loop a fixed-size array op. Accumulation
-    /// order per lane matches the generic tile path bit for bit.
+    /// compile-time width `K <= 8`: one accumulator tile per row, the
+    /// lane loop a fixed-size array op. Within a group every row has
+    /// the same trip count, so the loop exit predicts perfectly, and
+    /// same-length row **pairs** run as two interleaved independent
+    /// accumulation chains (at `K = 1`, two scalar chains). Per-lane
+    /// accumulation order matches the generic tile path bit for bit.
     ///
     /// `inline(always)` so the `f32` AVX2 wrappers recompile this body
     /// with 256-bit vectors (see [`simd8`]).
@@ -588,24 +614,40 @@ impl<T: Scalar> PlanBody<T> {
         buf: &[T],
         y_chunk: &mut [f64],
     ) {
-        for (ri, r) in rows.enumerate() {
-            let lo = self.row_ptr[r] as usize;
-            let hi = self.row_ptr[r + 1] as usize;
-            let mut acc = [T::ZERO; K];
-            // SAFETY: `compile` guarantees every sequence index is
-            // `< width()`, and the caller asserted
-            // `buf.len() >= width() * K`.
-            unsafe {
-                for (m, i) in self.seq_mult[lo..hi].iter().zip(&self.seq_idx[lo..hi]) {
-                    let off = *i as usize * K;
-                    let src = buf.get_unchecked(off..off + K);
-                    for (l, a) in acc.iter_mut().enumerate() {
-                        *a = *a + *m * *src.get_unchecked(l);
+        self.check_rows(&rows, K, buf.len(), y_chunk.len());
+        for (len, span) in self.groups.spans(&rows) {
+            // An odd group's last row pairs with itself: computed twice,
+            // stored twice, the same value both times.
+            for pair in span.chunks(2) {
+                let (r0, r1) = (pair[0] as usize, pair[pair.len() - 1] as usize);
+                let d0 = self.row_ptr[r0] as usize;
+                let d1 = self.row_ptr[r1] as usize;
+                let mut acc0 = [T::ZERO; K];
+                let mut acc1 = [T::ZERO; K];
+                // SAFETY: `compile`/`read_bytes` guarantee every sequence
+                // index is `< width()`, and a row of group length `len`
+                // owns descriptors `row_ptr[r]..row_ptr[r] + len` inside
+                // `seq_*`; `check_rows` asserted `buf.len() >= width() * K`.
+                unsafe {
+                    for j in 0..len {
+                        let m0 = *self.seq_mult.get_unchecked(d0 + j);
+                        let i0 = *self.seq_idx.get_unchecked(d0 + j) as usize * K;
+                        let s0 = buf.get_unchecked(i0..i0 + K);
+                        let m1 = *self.seq_mult.get_unchecked(d1 + j);
+                        let i1 = *self.seq_idx.get_unchecked(d1 + j) as usize * K;
+                        let s1 = buf.get_unchecked(i1..i1 + K);
+                        for l in 0..K {
+                            acc0[l] = acc0[l] + m0 * *s0.get_unchecked(l);
+                            acc1[l] = acc1[l] + m1 * *s1.get_unchecked(l);
+                        }
                     }
                 }
-            }
-            for (d, a) in y_chunk[ri * K..(ri + 1) * K].iter_mut().zip(&acc) {
-                *d = a.to_f64();
+                for (r, acc) in [(r0, acc0), (r1, acc1)] {
+                    let dst = &mut y_chunk[(r - rows.start) * K..][..K];
+                    for (d, a) in dst.iter_mut().zip(acc) {
+                        *d = a.to_f64();
+                    }
+                }
             }
         }
     }
@@ -732,21 +774,34 @@ impl<T: Scalar> PlanBody<T> {
     /// Width-1 left multiplication body; `buf` is exactly the
     /// `cols + |R|` panel (the per-rule value doubles as its own
     /// nonzero flag at width 1).
+    ///
+    /// The seed pass is one flat walk over the descriptors in program
+    /// order, each reading its row's weight through `desc_row`: every
+    /// slot receives the same updates in the same order as a row-by-row
+    /// walk, without a variable-length inner loop per row. A descriptor
+    /// of a row with `y[r] == 0.0` leaves its slot unchanged (written as
+    /// a select, so zero rows need not cost a mispredict each), exactly
+    /// as if the row were skipped: no `m · ±0.0` term — NaN when `m` is
+    /// infinite — ever reaches a slot.
     fn left_single(&self, y: &[f64], x: &mut [f64], buf: &mut [T]) {
+        assert_eq!(y.len(), self.rows);
         buf.fill(T::ZERO);
-        for (r, &yr) in y.iter().enumerate() {
-            if yr == 0.0 {
-                continue;
-            }
-            let yr = T::from_f64(yr);
-            let lo = self.row_ptr[r] as usize;
-            let hi = self.row_ptr[r + 1] as usize;
-            for (m, i) in self.seq_mult[lo..hi].iter().zip(&self.seq_idx[lo..hi]) {
-                // SAFETY: sequence indices are `< width() == buf.len()`.
-                unsafe {
-                    let d = buf.get_unchecked_mut(*i as usize);
-                    *d = *d + *m * yr;
-                }
+        // The descriptors the rows own (`C` ends with a separator, so
+        // this is all of them).
+        let n = *self.row_ptr.last().expect("row_ptr holds rows + 1 entries") as usize;
+        let descs = self.seq_mult[..n]
+            .iter()
+            .zip(&self.seq_idx[..n])
+            .zip(&self.desc_row[..n]);
+        for ((m, i), r) in descs {
+            // SAFETY: `desc_row` entries are row ids `< rows == y.len()`
+            // (asserted above) and sequence indices are
+            // `< width() == buf.len()`.
+            unsafe {
+                let yr = *y.get_unchecked(*r as usize);
+                let d = buf.get_unchecked_mut(*i as usize);
+                let sum = *d + *m * T::from_f64(yr);
+                *d = if yr == 0.0 { *d } else { sum };
             }
         }
         for r in (0..self.num_rules).rev() {
@@ -776,9 +831,8 @@ impl<T: Scalar> PlanBody<T> {
     /// counting-sort pass over the descriptor program; the serve
     /// layer's prewarm triggers it so live requests never allocate).
     fn sparse_index(&self) -> &SparseIndex {
-        self.sparse.get_or_init(|| {
-            SparseIndex::build(self.width(), &self.row_ptr, &self.seq_idx, &self.rule_idx)
-        })
+        self.sparse
+            .get_or_init(|| SparseIndex::build(self.width(), &self.seq_idx, &self.rule_idx))
     }
 
     /// Whether the spare scratch row can host the sparse walk's
@@ -920,7 +974,7 @@ impl<T: Scalar> PlanBody<T> {
                 while bits != 0 {
                     let d = (byte << 3) | bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let row = *index.desc_row.get_unchecked(d) as usize;
+                    let row = *self.desc_row.get_unchecked(d) as usize;
                     if row != cur_row {
                         if cur_row != usize::MAX {
                             *y.get_unchecked_mut(cur_row) = acc.to_f64();
@@ -999,17 +1053,15 @@ fn simd8() -> bool {
     false
 }
 
-/// Rows of the descriptor program bucketed by descriptor count, the
-/// side table behind the `f32` plan's **row-grouped** accumulation
-/// walk.
+/// Rows of the descriptor program bucketed by descriptor count: the
+/// order in which every right-product row walk visits rows, at both
+/// precisions and every panel width.
 ///
-/// The CSR walk of [`PlanBody::accumulate_rows`] runs one
-/// variable-trip inner loop per row; on matrices with short rows (a
-/// handful of descriptors each) the walk is bound not by lane
-/// arithmetic but by one branch mispredict per row — the flush kills
-/// the out-of-order overlap between adjacent rows' accumulation
-/// chains, and it costs the `f32` and `f64` plans the same, burying
-/// the `f32` lanes' advantage. Grouping rows by length makes the trip
+/// A CSR walk over `row_ptr` runs one variable-trip inner loop per
+/// row; on matrices with short rows (a handful of descriptors each)
+/// it is bound not by lane arithmetic but by one branch mispredict per
+/// row — the flush kills the out-of-order overlap between adjacent
+/// rows' accumulation chains. Grouping rows by length makes the trip
 /// count constant within each group (the exit branch predicts
 /// perfectly after the first row) and lets same-length row **pairs**
 /// run as two interleaved independent descriptor streams.
@@ -1017,6 +1069,8 @@ fn simd8() -> bool {
 /// Each row still accumulates its own descriptors in the original
 /// order, so per-row sums are bit-identical to the CSR walk; only the
 /// order rows are *visited* changes, and row outputs are disjoint.
+/// Derived from `row_ptr` by one counting sort, `O(rows + longest
+/// row)`, and never persisted.
 #[derive(Debug, Clone)]
 struct RowGroups {
     /// Row ids, sorted by (descriptor count, row id).
@@ -1029,27 +1083,54 @@ struct RowGroups {
 }
 
 impl RowGroups {
+    /// One stable counting sort of the row ids by descriptor count.
     fn build(row_ptr: &[u32]) -> Self {
+        let len_of = |r: usize| (row_ptr[r + 1] - row_ptr[r]) as usize;
         let n = row_ptr.len().saturating_sub(1);
-        let mut rows: Vec<u32> = (0..n as u32).collect();
-        let len_of = |r: u32| row_ptr[r as usize + 1] - row_ptr[r as usize];
-        rows.sort_by_key(|&r| (len_of(r), r));
+        let max_len = (0..n).map(len_of).max().unwrap_or(0);
+        // Rows per length, turned in place into each length's first
+        // output slot.
+        let mut next = vec![0u32; max_len + 1];
+        for r in 0..n {
+            next[len_of(r)] += 1;
+        }
         let mut group_ptr = vec![0u32];
         let mut lens = Vec::new();
-        for (i, &r) in rows.iter().enumerate() {
-            if lens.last() != Some(&len_of(r)) {
-                lens.push(len_of(r));
-                if i > 0 {
-                    group_ptr.push(i as u32);
-                }
+        let mut at = 0u32;
+        for (len, slot) in next.iter_mut().enumerate() {
+            if *slot > 0 {
+                lens.push(len as u32);
+                let count = std::mem::replace(slot, at);
+                at += count;
+                group_ptr.push(at);
             }
         }
-        group_ptr.push(n as u32);
+        let mut rows = vec![0u32; n];
+        for r in 0..n {
+            let slot = &mut next[len_of(r)];
+            rows[*slot as usize] = r as u32;
+            *slot += 1;
+        }
         Self {
             rows,
             group_ptr,
             lens,
         }
+    }
+
+    /// Every group's descriptor count with its rows inside `range`
+    /// (ascending row ids; an inverted range selects none).
+    fn spans<'a>(&'a self, range: &Range<usize>) -> impl Iterator<Item = (usize, &'a [u32])> {
+        let (start, end) = (range.start, range.end);
+        self.lens
+            .iter()
+            .zip(self.group_ptr.windows(2))
+            .map(move |(&len, w)| {
+                let span = &self.rows[w[0] as usize..w[1] as usize];
+                let lo = span.partition_point(|&r| (r as usize) < start);
+                let hi = span.partition_point(|&r| (r as usize) < end).max(lo);
+                (len as usize, &span[lo..hi])
+            })
     }
 }
 
@@ -1057,6 +1138,29 @@ impl HeapSize for RowGroups {
     fn heap_bytes(&self) -> usize {
         self.rows.heap_bytes() + self.group_ptr.heap_bytes() + self.lens.heap_bytes()
     }
+}
+
+/// Owning row of each of the `descs` descriptor positions under the
+/// CSR index `row_ptr` (positions past the last row stay row `0` and
+/// are never read). Marks every row start after the first and takes a
+/// prefix sum — no loop per row, whose variable trip count would cost
+/// the mispredict the row walks avoid.
+fn desc_rows(row_ptr: &[u32], descs: usize) -> Vec<u32> {
+    let mut desc_row = vec![0u32; descs];
+    let end = row_ptr.last().map_or(0, |&e| e as usize);
+    for w in row_ptr.windows(2).skip(1) {
+        // An empty row's start repeats the next row's; a start at `end`
+        // owns no descriptor.
+        if (w[0] as usize) < end {
+            desc_row[w[0] as usize] += 1;
+        }
+    }
+    let mut row = 0;
+    for d in &mut desc_row[..end] {
+        row += *d;
+        *d = row;
+    }
+    desc_row
 }
 
 /// AVX2 recompilations of the fixed-width `f32` panel kernels (see
@@ -1075,14 +1179,8 @@ impl PlanBody<f32> {
     /// # Safety
     /// The CPU must support AVX2 (guard every call with [`simd8`]).
     #[target_feature(enable = "avx,avx2")]
-    unsafe fn accumulate_rows8_grouped_avx2(
-        &self,
-        groups: &RowGroups,
-        rows: Range<usize>,
-        buf: &[f32],
-        y_chunk: &mut [f64],
-    ) {
-        self.accumulate_rows8_grouped(groups, rows, buf, y_chunk);
+    unsafe fn accumulate_rows8_avx2(&self, rows: Range<usize>, buf: &[f32], y_chunk: &mut [f64]) {
+        self.accumulate_rows_fixed::<8>(rows, buf, y_chunk);
     }
 
     /// # Safety
@@ -1102,14 +1200,8 @@ impl PlanBody<f32> {
         self.eval_rules_panel_fixed::<8>(buf);
     }
 
-    unsafe fn accumulate_rows8_grouped_avx2(
-        &self,
-        groups: &RowGroups,
-        rows: Range<usize>,
-        buf: &[f32],
-        y_chunk: &mut [f64],
-    ) {
-        self.accumulate_rows8_grouped(groups, rows, buf, y_chunk);
+    unsafe fn accumulate_rows8_avx2(&self, rows: Range<usize>, buf: &[f32], y_chunk: &mut [f64]) {
+        self.accumulate_rows_fixed::<8>(rows, buf, y_chunk);
     }
 
     unsafe fn left_panel8_avx2(&self, y_panel: &[f64], x_panel: &mut [f64], buf: &mut [f32]) {
@@ -1137,85 +1229,15 @@ impl PlanBody<f32> {
         self.begin_right(k, x_panel, buf)
     }
 
-    /// [`accumulate_rows`](Self::accumulate_rows) over the row-grouped
-    /// walk of [`RowGroups`]: rows are visited group by group (uniform
-    /// inner trip count) and same-length pairs run as two interleaved
-    /// independent descriptor streams. Per-row accumulation order — and
-    /// hence every `f32` sum — is identical to the CSR walk.
-    ///
-    /// `inline(always)` so the AVX2 wrapper recompiles this body with
-    /// 256-bit vectors (see [`simd8`]).
-    #[inline(always)]
-    fn accumulate_rows8_grouped(
-        &self,
-        groups: &RowGroups,
-        rows: Range<usize>,
-        buf: &[f32],
-        y_chunk: &mut [f64],
-    ) {
-        assert!(rows.end <= self.rows);
-        assert_eq!(y_chunk.len(), rows.len() * 8);
-        assert!(buf.len() >= self.width() * 8);
-        // One row's accumulation, exactly as `accumulate_rows_fixed`.
-        // SAFETY (both closures): `compile` guarantees every sequence
-        // index is `< width()` and `row_ptr` brackets stay inside
-        // `seq_*`; `buf.len() >= width() * 8` was asserted above.
-        let row_acc = |d: usize, len: usize| {
-            let mut acc = [0f32; 8];
-            unsafe {
-                for j in 0..len {
-                    let m = *self.seq_mult.get_unchecked(d + j);
-                    let i = *self.seq_idx.get_unchecked(d + j) as usize * 8;
-                    let src = buf.get_unchecked(i..i + 8);
-                    for (a, s) in acc.iter_mut().zip(src) {
-                        *a += m * *s;
-                    }
-                }
-            }
-            acc
-        };
-        for (g, &len) in groups.lens.iter().enumerate() {
-            let len = len as usize;
-            let span = &groups.rows[groups.group_ptr[g] as usize..groups.group_ptr[g + 1] as usize];
-            let lo = span.partition_point(|&r| (r as usize) < rows.start);
-            let hi = span.partition_point(|&r| (r as usize) < rows.end);
-            let mut pairs = span[lo..hi].chunks_exact(2);
-            for pair in pairs.by_ref() {
-                let (r0, r1) = (pair[0] as usize, pair[1] as usize);
-                let d0 = self.row_ptr[r0] as usize;
-                let d1 = self.row_ptr[r1] as usize;
-                let mut acc0 = [0f32; 8];
-                let mut acc1 = [0f32; 8];
-                unsafe {
-                    for j in 0..len {
-                        let m0 = *self.seq_mult.get_unchecked(d0 + j);
-                        let i0 = *self.seq_idx.get_unchecked(d0 + j) as usize * 8;
-                        let s0 = buf.get_unchecked(i0..i0 + 8);
-                        let m1 = *self.seq_mult.get_unchecked(d1 + j);
-                        let i1 = *self.seq_idx.get_unchecked(d1 + j) as usize * 8;
-                        let s1 = buf.get_unchecked(i1..i1 + 8);
-                        for l in 0..8 {
-                            acc0[l] += m0 * *s0.get_unchecked(l);
-                            acc1[l] += m1 * *s1.get_unchecked(l);
-                        }
-                    }
-                }
-                for (r, acc) in [(r0, &acc0), (r1, &acc1)] {
-                    let dst = &mut y_chunk[(r - rows.start) * 8..(r - rows.start) * 8 + 8];
-                    for (d, a) in dst.iter_mut().zip(acc) {
-                        *d = f64::from(*a);
-                    }
-                }
-            }
-            for &r in pairs.remainder() {
-                let r = r as usize;
-                let acc = row_acc(self.row_ptr[r] as usize, len);
-                let dst = &mut y_chunk[(r - rows.start) * 8..(r - rows.start) * 8 + 8];
-                for (d, a) in dst.iter_mut().zip(&acc) {
-                    *d = f64::from(*a);
-                }
-            }
+    /// [`accumulate_rows`](Self::accumulate_rows) with the `f32` SIMD
+    /// dispatch.
+    fn accumulate_rows_f32(&self, rows: Range<usize>, k: usize, buf: &[f32], y_chunk: &mut [f64]) {
+        if k == 8 && simd8() {
+            // SAFETY: `simd8` just confirmed AVX2.
+            unsafe { self.accumulate_rows8_avx2(rows, buf, y_chunk) };
+            return;
         }
+        self.accumulate_rows(rows, k, buf, y_chunk);
     }
 
     /// [`left_panel`](Self::left_panel) with the `f32` SIMD dispatch.
@@ -1237,6 +1259,8 @@ impl<T: Copy> HeapSize for PlanBody<T> {
             + self.seq_idx.heap_bytes()
             + self.row_ptr.heap_bytes()
             + self.block_ptr.heap_bytes()
+            + self.desc_row.heap_bytes()
+            + self.groups.heap_bytes()
             + self.sparse.get().map_or(0, HeapSize::heap_bytes)
     }
 }
@@ -1384,6 +1408,8 @@ impl<T: Scalar> PlanBody<T> {
             rule_mult,
             rule_idx,
             seq_mult,
+            desc_row: desc_rows(&row_ptr, seq_count),
+            groups: RowGroups::build(&row_ptr),
             seq_idx,
             row_ptr,
             block_ptr,
@@ -1392,12 +1418,11 @@ impl<T: Scalar> PlanBody<T> {
     }
 }
 
-/// A plan's descriptor program at its run-time precision; the `f32`
-/// arm also carries the [`RowGroups`] table of its row-grouped walk.
+/// A plan's descriptor program at its run-time precision.
 #[derive(Debug, Clone)]
 enum Body {
     F64(PlanBody<f64>),
-    F32(PlanBody<f32>, RowGroups),
+    F32(PlanBody<f32>),
 }
 
 /// Evaluates `$e` with `$b` bound to the plan's [`PlanBody`] of either
@@ -1406,7 +1431,7 @@ macro_rules! on_body {
     ($plan:expr, $b:ident => $e:expr) => {
         match &$plan.body {
             Body::F64($b) => $e,
-            Body::F32($b, _) => $e,
+            Body::F32($b) => $e,
         }
     };
 }
@@ -1557,6 +1582,8 @@ impl KernelPlan {
                 rule_mult,
                 rule_idx,
                 seq_mult,
+                desc_row: desc_rows(&row_ptr, seq_idx.len()),
+                groups: RowGroups::build(&row_ptr),
                 seq_idx,
                 row_ptr,
                 block_ptr,
@@ -1571,24 +1598,23 @@ impl KernelPlan {
     pub fn to_f32(&self) -> KernelPlan {
         let b = match &self.body {
             Body::F64(b) => b,
-            Body::F32(..) => return self.clone(),
+            Body::F32(_) => return self.clone(),
         };
         KernelPlan {
-            body: Body::F32(
-                PlanBody {
-                    rows: b.rows,
-                    cols: b.cols,
-                    num_rules: b.num_rules,
-                    rule_mult: b.rule_mult.iter().map(|&v| v as f32).collect(),
-                    rule_idx: b.rule_idx.clone(),
-                    seq_mult: b.seq_mult.iter().map(|&v| v as f32).collect(),
-                    seq_idx: b.seq_idx.clone(),
-                    row_ptr: b.row_ptr.clone(),
-                    block_ptr: b.block_ptr.clone(),
-                    sparse: std::sync::OnceLock::new(),
-                },
-                RowGroups::build(&b.row_ptr),
-            ),
+            body: Body::F32(PlanBody {
+                rows: b.rows,
+                cols: b.cols,
+                num_rules: b.num_rules,
+                rule_mult: b.rule_mult.iter().map(|&v| v as f32).collect(),
+                rule_idx: b.rule_idx.clone(),
+                seq_mult: b.seq_mult.iter().map(|&v| v as f32).collect(),
+                seq_idx: b.seq_idx.clone(),
+                row_ptr: b.row_ptr.clone(),
+                block_ptr: b.block_ptr.clone(),
+                desc_row: desc_rows(&b.row_ptr, b.seq_idx.len()),
+                groups: RowGroups::build(&b.row_ptr),
+                sparse: std::sync::OnceLock::new(),
+            }),
         }
     }
 
@@ -1634,7 +1660,7 @@ impl KernelPlan {
     pub fn scratch_len(&self, k: usize) -> usize {
         match &self.body {
             Body::F64(b) => b.scratch_slots(k),
-            Body::F32(b, _) => b.scratch_slots(k).div_ceil(2),
+            Body::F32(b) => b.scratch_slots(k).div_ceil(2),
         }
     }
 
@@ -1721,7 +1747,7 @@ impl KernelPlan {
         self.check_scratch(buf.len(), k)?;
         match &self.body {
             Body::F64(b) => b.begin_right(k, x_panel, buf),
-            Body::F32(b, _) => b.begin_right_f32(k, x_panel, scratch32(b, k, buf)),
+            Body::F32(b) => b.begin_right_f32(k, x_panel, scratch32(b, k, buf)),
         }
     }
 
@@ -1744,11 +1770,7 @@ impl KernelPlan {
     ) {
         match &self.body {
             Body::F64(b) => b.accumulate_rows(rows, k, buf, y_chunk),
-            Body::F32(b, groups) if k == 8 && simd8() => {
-                // SAFETY: `simd8` just confirmed AVX2.
-                unsafe { b.accumulate_rows8_grouped_avx2(groups, rows, as_f32(buf), y_chunk) };
-            }
-            Body::F32(b, _) => b.accumulate_rows(rows, k, as_f32(buf), y_chunk),
+            Body::F32(b) => b.accumulate_rows_f32(rows, k, as_f32(buf), y_chunk),
         }
     }
 
@@ -1775,7 +1797,7 @@ impl KernelPlan {
         self.check_scratch(buf.len(), k)?;
         match &self.body {
             Body::F64(b) => b.left_panel(k, y_panel, x_panel, buf),
-            Body::F32(b, _) => b.left_panel_f32(k, y_panel, x_panel, scratch32(b, k, buf)),
+            Body::F32(b) => b.left_panel_f32(k, y_panel, x_panel, scratch32(b, k, buf)),
         }
         Ok(())
     }
@@ -1830,7 +1852,7 @@ impl KernelPlan {
         validate_sparse_x(self.cols(), x_nnz)?;
         match &self.body {
             Body::F64(b) => b.right_single_sparse_with(x_nnz, y, buf, strategy),
-            Body::F32(b, _) => b.right_single_sparse_with(x_nnz, y, scratch32(b, 1, buf), strategy),
+            Body::F32(b) => b.right_single_sparse_with(x_nnz, y, scratch32(b, 1, buf), strategy),
         }
         Ok(())
     }
@@ -1840,13 +1862,14 @@ impl KernelPlan {
     /// descriptor arrays behind a varint dimension header. The form is
     /// what makes plan persistence pay —
     /// [`from_bytes`](Self::from_bytes) restores it with straight array
-    /// copies, no RePair decode and no recompile. An `f32` plan's
-    /// row-group walk order is derived metadata and is not persisted.
+    /// copies, no RePair decode and no recompile. The row tables
+    /// derived from `row_ptr` (row groups, descriptor rows) are not
+    /// persisted.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match &self.body {
             Body::F64(b) => b.write_bytes(&mut out, PLAN_PRECISION_F64),
-            Body::F32(b, _) => b.write_bytes(&mut out, PLAN_PRECISION_F32),
+            Body::F32(b) => b.write_bytes(&mut out, PLAN_PRECISION_F32),
         }
         out
     }
@@ -1857,18 +1880,13 @@ impl KernelPlan {
     /// [`compile`](Self::compile) asserts (the kernels'
     /// `get_unchecked` loops depend on them), and performs **zero**
     /// grammar decode and **zero** plan compilation ([`plan_compiles`]
-    /// stays flat). An `f32` plan's row groups are rebuilt from the
-    /// validated `row_ptr` (an `O(rows log rows)` sort, independent of
-    /// grammar size). `None` on any violation, including an unknown
-    /// precision tag.
+    /// stays flat). The row tables are rebuilt from the validated
+    /// `row_ptr` in `O(rows + |C|)`, independent of grammar size.
+    /// `None` on any violation, including an unknown precision tag.
     pub fn from_bytes(data: &[u8]) -> Option<KernelPlan> {
         let body = match *data.get(PLAN_MAGIC.len())? {
             PLAN_PRECISION_F64 => Body::F64(PlanBody::read_bytes(data, PLAN_PRECISION_F64)?),
-            PLAN_PRECISION_F32 => {
-                let b = PlanBody::read_bytes(data, PLAN_PRECISION_F32)?;
-                let groups = RowGroups::build(&b.row_ptr);
-                Body::F32(b, groups)
-            }
+            PLAN_PRECISION_F32 => Body::F32(PlanBody::read_bytes(data, PLAN_PRECISION_F32)?),
             _ => return None,
         };
         Some(KernelPlan { body })
@@ -1877,10 +1895,7 @@ impl KernelPlan {
 
 impl HeapSize for KernelPlan {
     fn heap_bytes(&self) -> usize {
-        match &self.body {
-            Body::F64(b) => b.heap_bytes(),
-            Body::F32(b, groups) => b.heap_bytes() + groups.heap_bytes(),
-        }
+        on_body!(self, b => b.heap_bytes())
     }
 }
 
@@ -1919,7 +1934,7 @@ mod tests {
     fn f64_body(plan: &KernelPlan) -> &PlanBody<f64> {
         match &plan.body {
             Body::F64(b) => b,
-            Body::F32(..) => panic!("compiled plans are f64"),
+            Body::F32(_) => panic!("compiled plans are f64"),
         }
     }
 

@@ -13,13 +13,17 @@
 //! * [`CONTAINER_GOLDEN`] is the container's own checksum. It pins the
 //!   `GCMSERV1` bytes as well; it moves with a layout change, and is
 //!   re-recorded only together with an unchanged [`GRAMMAR_GOLDEN`].
+//! * [`PLAN_GOLDEN`] hashes `to_bytes_with_plans` of the same container
+//!   reloaded twice, once after an `f64` and once after an `f32` planned
+//!   prewarm. It pins the persisted `GCMPLAN1` blobs, so a kernel
+//!   change that keeps its plan layout must leave it alone.
 
 use mm_repair::datagen::Dataset;
 use mm_repair::matrix::CsrvMatrix;
 use mm_repair::reorder::ReorderAlgorithm;
 use mm_repair::serve::{
     container, BuildConfig, EncodingChoice, GrammarChoice, Model, Pipeline, ReorderMode,
-    ShardedModel,
+    ServeOptions, ShardedModel,
 };
 
 /// `(dataset, rows)`: all generated with `gcm-datagen` seed 7.
@@ -100,14 +104,55 @@ const CONTAINER_GOLDEN: [[u64; 6]; 3] = [
     ],
 ];
 
-/// Builds all 18 models once, returning `(grammar hash, container hash)`
-/// tables in `CORPORA` × `GRAMMARS` × `REORDERS` order.
-fn fingerprints() -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+/// `fnv1a64` of the `f64`-planned then the `f32`-planned
+/// `to_bytes_with_plans`, per corpus, in `GRAMMARS` × `REORDERS` order.
+const PLAN_GOLDEN: [[u64; 6]; 3] = [
+    [
+        0x214a511982d18aad,
+        0xe63430f076950f3a,
+        0x9f9c7fdae71ad1be,
+        0xaedf44cf914bfffe,
+        0x214a511982d18aad,
+        0xe63430f076950f3a,
+    ],
+    [
+        0x37ef1077bf5857c7,
+        0xca5d024e89c92851,
+        0x6e90a9e7d0729b35,
+        0x14ab857efd215135,
+        0x6e90a9e7d0729b35,
+        0x14ab857efd215135,
+    ],
+    [
+        0x97432ad8543cf988,
+        0xbe70fb500a453dd3,
+        0x7efbadca246fcf0a,
+        0xbf1e5022f6793c77,
+        0x7efbadca246fcf0a,
+        0xbe70fb500a453dd3,
+    ],
+];
+
+/// The container `bytes` reloaded, prewarmed with plans at both
+/// precisions in turn, and written back with its plan sections.
+fn planned_bytes(bytes: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for opts in [ServeOptions::planned(), ServeOptions::planned_f32()] {
+        let model = container::from_bytes(bytes).unwrap();
+        model.prewarm_with(1, &opts);
+        out.extend_from_slice(&container::to_bytes_with_plans(&model));
+    }
+    out
+}
+
+/// Builds all 18 models once, returning `(grammar hash, container hash,
+/// plan hash)` tables in `CORPORA` × `GRAMMARS` × `REORDERS` order.
+fn fingerprints() -> [Vec<Vec<u64>>; 3] {
     let pipeline = Pipeline::new();
-    let (mut grammars, mut containers) = (Vec::new(), Vec::new());
+    let (mut grammars, mut containers, mut plans) = (Vec::new(), Vec::new(), Vec::new());
     for (ds, rows) in CORPORA {
         let csrv = CsrvMatrix::from_dense(&ds.generate(rows, 7)).unwrap();
-        let (mut g_row, mut c_row) = (Vec::new(), Vec::new());
+        let (mut g_row, mut c_row, mut p_row) = (Vec::new(), Vec::new(), Vec::new());
         for grammar in GRAMMARS {
             for reorder in REORDERS {
                 let config = BuildConfig {
@@ -126,18 +171,21 @@ fn fingerprints() -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
                     shards.extend_from_slice(&mm_repair::core::serial::to_bytes(m));
                 }
                 g_row.push(container::fnv1a64(&shards));
-                c_row.push(container::fnv1a64(&container::to_bytes(&model)));
+                let bytes = container::to_bytes(&model);
+                c_row.push(container::fnv1a64(&bytes));
+                p_row.push(container::fnv1a64(&planned_bytes(&bytes)));
             }
         }
         grammars.push(g_row);
         containers.push(c_row);
+        plans.push(p_row);
     }
-    (grammars, containers)
+    [grammars, containers, plans]
 }
 
 #[test]
 fn grammar_containers_are_byte_identical_to_the_recorded_builds() {
-    let (grammars, containers) = fingerprints();
+    let [grammars, containers, plans] = fingerprints();
     let want: Vec<Vec<u64>> = GRAMMAR_GOLDEN.iter().map(|r| r.to_vec()).collect();
     assert_eq!(
         grammars, want,
@@ -148,4 +196,6 @@ fn grammar_containers_are_byte_identical_to_the_recorded_builds() {
         containers, want,
         "container fingerprints changed:\n{containers:#x?}"
     );
+    let want: Vec<Vec<u64>> = PLAN_GOLDEN.iter().map(|r| r.to_vec()).collect();
+    assert_eq!(plans, want, "plan fingerprints changed:\n{plans:#x?}");
 }
