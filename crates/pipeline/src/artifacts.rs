@@ -134,20 +134,35 @@ pub struct ShardStats {
     pub grammar: Option<GrammarStage>,
     /// Reorder algorithm applied to this shard, if any.
     pub reorder: Option<ReorderAlgorithm>,
-    /// Time spent computing/applying the column reorder.
+    /// Elapsed time of the shard's reorder step (computing or applying
+    /// the column order), measured inside its task.
+    ///
+    /// This and the other stage times are per-task *elapsed* times, not
+    /// CPU times: they include time a task spends descheduled. Tasks
+    /// overlap, so their sum exceeds [`BuildStats::wall_time`]; and since
+    /// [`par_map`](crate::par_map)'s calling thread runs tasks next to
+    /// the pool's workers, up to one more task than there are workers
+    /// shares the cores, so the sum can exceed `wall_time × workers`
+    /// too.
     pub reorder_time: Duration,
-    /// CPU time spent in grammar construction, summed over the shard's
-    /// grammar candidates (both stages under [`GrammarChoice::Auto`],
-    /// which may run concurrently).
+    /// Elapsed time of grammar construction for the shard's candidates,
+    /// summed: under [`GrammarChoice::Auto`], the shared rounds once plus
+    /// both continuations (which may overlap on two workers).
     ///
     /// [`GrammarChoice::Auto`]: crate::GrammarChoice::Auto
     pub grammar_time: Duration,
-    /// CPU time spent building (and, under `Auto`, measuring)
+    /// Elapsed time of building (and, under `Auto`, measuring)
     /// encodings, summed over the shard's grammar candidates.
     pub encode_time: Duration,
     /// Grammars constructed for this shard: one per row block per
     /// grammar candidate (0 for the uncompressed backends).
     pub grammar_builds: usize,
+    /// Rules built once for both [`GrammarChoice::Auto`] candidates —
+    /// those before MR-RePair's first extension — summed over the
+    /// shard's blocks (0 for every other policy).
+    ///
+    /// [`GrammarChoice::Auto`]: crate::GrammarChoice::Auto
+    pub shared_rules: usize,
 }
 
 /// Whole-build statistics: planning time, end-to-end wall time of the
@@ -163,10 +178,11 @@ pub struct BuildStats {
 }
 
 impl BuildStats {
-    /// Summed per-stage CPU time across shards:
-    /// `(reorder, grammar, encode)`. Under parallel execution the sum
-    /// exceeds [`wall_time`](Self::wall_time) — that gap *is* the
-    /// pipeline's speed-up.
+    /// Per-stage task times summed across shards:
+    /// `(reorder, grammar, encode)` (elapsed time inside tasks; see
+    /// [`ShardStats::reorder_time`]). Under parallel execution the sum
+    /// exceeds [`wall_time`](Self::wall_time) — that gap is the
+    /// pipeline's overlap, not a CPU-time measurement.
     pub fn stage_cpu_totals(&self) -> (Duration, Duration, Duration) {
         let mut reorder = Duration::ZERO;
         let mut grammar = Duration::ZERO;

@@ -1,20 +1,29 @@
 //! Stage execution: runs a [`Plan`] on the persistent thread pool in
-//! three flat phases, each one [`par_map`] (never nested):
+//! three phases, each one [`par_map`]:
 //!
 //! 1. **Reorder**: one task per shard computes or applies its column
 //!    order, fingerprints its input rows, and either finishes an
 //!    uncompressed backend's artifact or lays out the grammar input.
-//! 2. **Grammar + encode**: one task per (shard, grammar candidate).
-//!    [`GrammarChoice::Auto`] contributes a RePair and an MR-RePair
-//!    candidate; every other policy contributes one. Each task builds
-//!    its grammars and encodes them under the shard's
-//!    [`EncodingChoice`], so a one-shard `Auto` build keeps two workers
-//!    busy.
+//! 2. **Grammar + encode**: one task per shard builds the shard's
+//!    grammar candidates and encodes each under the shard's
+//!    [`EncodingChoice`]. [`GrammarChoice::Auto`] has two candidates,
+//!    RePair and MR-RePair, built from **one** construction per block
+//!    ([`RePair::compress_auto_with_scratch`]): MR-RePair is RePair plus
+//!    a maximal-repeat extension step, so until that step first succeeds
+//!    the two perform the same rounds on the same state. The task runs
+//!    those shared rounds once, then RePair's continuation (on a clone of
+//!    the state, dropped after use) and MR-RePair's, one block at a
+//!    time, and then encodes both candidates. Each pair of
+//!    continuations, and the pair of encodings, runs side by side
+//!    through a `join` nested in the phase's `par_map`, so a one-shard
+//!    build (the incremental rebuild) keeps two workers busy. Every
+//!    other policy builds one candidate.
 //! 3. **Select**: per shard, the candidate with the smaller measured
 //!    stored size wins (ties go to RePair).
 //!
 //! Every task is deterministic and independent of which worker or
-//! scratch runs it, so the pool-parallel build is bit-identical to
+//! scratch runs it, and each continuation yields exactly its standalone
+//! compressor's grammar, so the pool-parallel build is bit-identical to
 //! [`Pipeline::build_sequential`], which runs the same phases inline.
 
 use std::sync::{Mutex, OnceLock};
@@ -31,7 +40,7 @@ use crate::artifacts::{
 use crate::backend::Backend;
 use crate::config::{BuildConfig, EncodingChoice, GrammarChoice, GrammarStage};
 use crate::plan::{Plan, ShardPlan, ShardReorder};
-use crate::stage::par_map;
+use crate::stage::{join, par_map};
 
 /// The pipeline executor: stage machinery plus a scratch arena of
 /// [`RePairScratch`] buffers, one per pool worker (plus the caller), so
@@ -105,27 +114,14 @@ impl Pipeline {
         let prepared = run_phase(parallel, plan.shards.len(), |i| {
             prepare(&plan, &plan.shards[i])
         });
-        let tasks: Vec<(usize, GrammarStage)> = plan
-            .shards
-            .iter()
-            .enumerate()
-            .flat_map(|(i, sp)| {
-                grammar_candidates(plan.backend, sp.grammar)
-                    .iter()
-                    .map(move |&stage| (i, stage))
-            })
-            .collect();
-        let candidates = run_phase(parallel, tasks.len(), |t| {
-            let (i, stage) = tasks[t];
+        let built = run_phase(parallel, plan.shards.len(), |i| {
             let sp = &plan.shards[i];
-            self.build_candidate(prepared[i].parts(sp), stage, sp.encoding)
+            self.build_shard(plan.backend, sp, prepared[i].parts(sp), parallel)
         });
-        let mut candidates = candidates.into_iter();
         let mut shards = Vec::with_capacity(plan.shards.len());
         let mut stats = Vec::with_capacity(plan.shards.len());
-        for (sp, prep) in plan.shards.iter().zip(prepared) {
-            let count = grammar_candidates(plan.backend, sp.grammar).len();
-            let (shard, stat) = select(&plan, sp, prep, candidates.by_ref().take(count).collect());
+        for ((sp, prep), built) in plan.shards.iter().zip(prepared).zip(built) {
+            let (shard, stat) = select(&plan, sp, prep, built);
             shards.push(shard);
             stats.push(stat);
         }
@@ -141,62 +137,96 @@ impl Pipeline {
         }
     }
 
-    /// Phase 2 for one (shard, grammar candidate) task: build the
-    /// candidate's grammar for every block, then encode the blocks
-    /// under the shard's encoding policy.
-    fn build_candidate(
+    /// Phase 2 for one shard: build its grammar candidates (none for the
+    /// uncompressed backends, both stages for `Auto`, else one) and
+    /// encode each under the shard's encoding policy.
+    fn build_shard(
         &self,
+        backend: Backend,
+        sp: &ShardPlan,
         parts: &[CsrvMatrix],
-        stage: GrammarStage,
-        encoding: EncodingChoice,
-    ) -> Candidate {
-        let t0 = Instant::now();
-        let grammars = match stage {
-            GrammarStage::RePair => ShardGrammars::RePair(self.repair_grammars(parts)),
-            GrammarStage::MrRePair => ShardGrammars::MrRePair(self.mr_grammars(parts)),
+        parallel: bool,
+    ) -> Built {
+        let single = |(grammars, grammar_time)| Built {
+            candidates: vec![candidate(parts, grammars, grammar_time, sp.encoding)],
+            ..Built::default()
         };
-        let t1 = Instant::now();
-        let blocks = encode_blocks(parts, &grammars, encoding);
-        Candidate {
-            stage,
-            blocks,
-            grammar_time: t1 - t0,
-            encode_time: t1.elapsed(),
+        match (backend, sp.grammar) {
+            (Backend::Csrv | Backend::ParCsrv, _) => Built::default(),
+            (_, None | Some(GrammarChoice::RePair)) => single(timed(|| {
+                ShardGrammars::RePair(self.per_block(parts, RePair::compress_with_scratch))
+            })),
+            (_, Some(GrammarChoice::MrRePair)) => single(timed(|| {
+                ShardGrammars::MrRePair(self.per_block(parts, RePair::compress_mr_with_scratch))
+            })),
+            (_, Some(GrammarChoice::Auto)) => self.build_auto(parts, sp.encoding, parallel),
         }
     }
 
-    /// One RePair grammar per block, on pooled scratch.
-    fn repair_grammars(&self, parts: &[CsrvMatrix]) -> Vec<Slp> {
+    /// `Auto`, one block at a time: the shared construction (see
+    /// [`RePair::compress_auto_with_scratch`]), then RePair's and
+    /// MR-RePair's continuations, side by side on the pool when
+    /// `parallel`, else inline. Both finish before the next block
+    /// starts, so by then the clone RePair continued on is freed and
+    /// MR-RePair's buffers are back in the arena. Each candidate is
+    /// encoded (the two side by side, likewise) once all its blocks are
+    /// built.
+    fn build_auto(&self, parts: &[CsrvMatrix], encoding: EncodingChoice, parallel: bool) -> Built {
+        let mut built = Built::default();
+        let mut slps = Vec::with_capacity(parts.len());
+        let mut mrs = Vec::with_capacity(parts.len());
+        let (mut repair_time, mut mr_time) = (Duration::ZERO, Duration::ZERO);
+        for block in parts {
+            let (auto, shared_time) =
+                timed(|| self.compress_block(block, RePair::compress_auto_with_scratch));
+            built.shared_time += shared_time;
+            built.shared_rules += auto.shared_rules;
+            let ((slp, t_repair), (mr, t_mr)) = both(
+                parallel,
+                || timed(|| auto.repair.finish()),
+                || timed(|| self.with_scratch(|scratch| auto.mr.finish(scratch))),
+            );
+            slps.push(slp);
+            mrs.push(mr);
+            repair_time += t_repair;
+            mr_time += t_mr;
+        }
+        let (repair, mr) = both(
+            parallel,
+            || candidate(parts, ShardGrammars::RePair(slps), repair_time, encoding),
+            || candidate(parts, ShardGrammars::MrRePair(mrs), mr_time, encoding),
+        );
+        built.candidates = vec![repair, mr];
+        built
+    }
+
+    /// One `compress` result per block, each on pooled scratch.
+    fn per_block<G>(
+        &self,
+        parts: &[CsrvMatrix],
+        compress: fn(&RePair, &[u32], u32, Option<u32>, &mut RePairScratch) -> G,
+    ) -> Vec<G> {
         parts
             .iter()
-            .map(|block| {
-                self.with_scratch(|scratch| {
-                    RePair::new().compress_with_scratch(
-                        block.symbols(),
-                        block.terminal_limit(),
-                        Some(SEPARATOR),
-                        scratch,
-                    )
-                })
-            })
+            .map(|block| self.compress_block(block, compress))
             .collect()
     }
 
-    /// One MR-RePair grammar per block, on the same pooled scratch.
-    fn mr_grammars(&self, parts: &[CsrvMatrix]) -> Vec<MrSlp> {
-        parts
-            .iter()
-            .map(|block| {
-                self.with_scratch(|scratch| {
-                    RePair::new().compress_mr_with_scratch(
-                        block.symbols(),
-                        block.terminal_limit(),
-                        Some(SEPARATOR),
-                        scratch,
-                    )
-                })
-            })
-            .collect()
+    /// `compress` of one block's symbols, on pooled scratch.
+    fn compress_block<G>(
+        &self,
+        block: &CsrvMatrix,
+        compress: fn(&RePair, &[u32], u32, Option<u32>, &mut RePairScratch) -> G,
+    ) -> G {
+        self.with_scratch(|scratch| {
+            compress(
+                &RePair::new(),
+                block.symbols(),
+                block.terminal_limit(),
+                Some(SEPARATOR),
+                scratch,
+            )
+        })
     }
 }
 
@@ -206,6 +236,48 @@ enum ShardGrammars {
     MrRePair(Vec<MrSlp>),
 }
 
+/// Encodes a candidate's grammars (built in `grammar_time`), timing the
+/// encoding.
+fn candidate(
+    parts: &[CsrvMatrix],
+    grammars: ShardGrammars,
+    grammar_time: Duration,
+    encoding: EncodingChoice,
+) -> Candidate {
+    let (blocks, encode_time) = timed(|| encode_blocks(parts, &grammars, encoding));
+    let stage = match grammars {
+        ShardGrammars::RePair(_) => GrammarStage::RePair,
+        ShardGrammars::MrRePair(_) => GrammarStage::MrRePair,
+    };
+    Candidate {
+        stage,
+        blocks,
+        grammar_time,
+        encode_time,
+    }
+}
+
+/// `f()` and how long it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed())
+}
+
+/// Runs `a` and `b` side by side on the pool when `parallel`, else
+/// inline, in order.
+fn both<A: Send, B: Send>(
+    parallel: bool,
+    a: impl FnOnce() -> A + Send,
+    b: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    if parallel {
+        join(a, b)
+    } else {
+        (a(), b())
+    }
+}
+
 /// Runs `f(i)` for every `i in 0..n`, on the pool or inline, in index
 /// order either way.
 fn run_phase<T: Send>(parallel: bool, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
@@ -213,17 +285,6 @@ fn run_phase<T: Send>(parallel: bool, n: usize, f: impl Fn(usize) -> T + Sync) -
         par_map(n, f)
     } else {
         (0..n).map(f).collect()
-    }
-}
-
-/// The grammar stages a shard builds in phase 2, in tie-break order:
-/// none for the uncompressed backends, both for `Auto`, else one.
-fn grammar_candidates(backend: Backend, grammar: Option<GrammarChoice>) -> &'static [GrammarStage] {
-    match (backend, grammar) {
-        (Backend::Csrv | Backend::ParCsrv, _) => &[],
-        (_, None | Some(GrammarChoice::RePair)) => &[GrammarStage::RePair],
-        (_, Some(GrammarChoice::MrRePair)) => &[GrammarStage::MrRePair],
-        (_, Some(GrammarChoice::Auto)) => &[GrammarStage::RePair, GrammarStage::MrRePair],
     }
 }
 
@@ -248,6 +309,17 @@ impl Prepared {
             .as_deref()
             .unwrap_or(std::slice::from_ref(&sp.csrv))
     }
+}
+
+/// Phase 2's output for one shard: its candidates in tie-break order
+/// (RePair first), plus the shared construction `Auto` ran before them.
+#[derive(Default)]
+struct Built {
+    candidates: Vec<Candidate>,
+    /// Time of the rounds both `Auto` candidates share.
+    shared_time: Duration,
+    /// Rules built once for both `Auto` candidates.
+    shared_rules: usize,
 }
 
 /// One grammar candidate of one shard, built and encoded.
@@ -320,13 +392,9 @@ fn prepare(plan: &Plan, sp: &ShardPlan) -> Prepared {
 /// Phase 3 for one shard: keep the candidate with the smallest
 /// **measured** stored size (ties go to the earlier candidate, so auto
 /// is never larger than pure RePair) and record the shard's statistics.
-fn select(
-    plan: &Plan,
-    sp: &ShardPlan,
-    prep: Prepared,
-    candidates: Vec<Candidate>,
-) -> (BuiltShard, ShardStats) {
-    let grammar_time = candidates.iter().map(|c| c.grammar_time).sum();
+fn select(plan: &Plan, sp: &ShardPlan, prep: Prepared, built: Built) -> (BuiltShard, ShardStats) {
+    let candidates = built.candidates;
+    let grammar_time = built.shared_time + candidates.iter().map(|c| c.grammar_time).sum();
     let encode_time = candidates.iter().map(|c| c.encode_time).sum();
     let grammar_builds = candidates.iter().map(|c| c.blocks.len()).sum();
     let (artifact, grammar, grammar_rules, encoding) = match prep.artifact {
@@ -370,6 +438,7 @@ fn select(
         grammar_time,
         encode_time,
         grammar_builds,
+        shared_rules: built.shared_rules,
     };
     (
         BuiltShard {

@@ -12,13 +12,14 @@
 //!    defers a per-shard computation to execution), and record the
 //!    encoding policy ([`EncodingChoice::Auto`] picks per shard by
 //!    *measured* compressed size);
-//! 2. **Stage execution** — three flat phases on the **persistent
-//!    thread pool** ([`par_map`] distributes tasks across pool workers
-//!    without spawning threads): reorder per shard, then grammar +
-//!    encode per (shard, grammar candidate), then per-shard selection
-//!    (see [`exec`]). Grammar construction draws its working storage
-//!    from a per-worker scratch arena ([`gcm_repair::RePairScratch`]) so
-//!    parallel builds don't thrash the allocator;
+//! 2. **Stage execution** — three phases on the **persistent thread
+//!    pool** ([`par_map`] distributes tasks across pool workers without
+//!    spawning threads): reorder per shard, then grammar + encode per
+//!    shard (under `auto`, both grammar candidates from one shared
+//!    construction), then per-shard selection (see [`exec`]). Grammar
+//!    construction draws its working storage from a per-worker scratch
+//!    arena ([`gcm_repair::RePairScratch`]) so parallel builds don't
+//!    thrash the allocator;
 //! 3. **[`BuildArtifacts`]** — per-shard artifacts (any [`Backend`]
 //!    representation), their first-class per-shard column permutations,
 //!    and per-stage timing/size statistics, ready for the serve layer to

@@ -8,6 +8,8 @@
 //! lets the serve layer assert "no per-build thread spawns" with
 //! [`rayon::threads_ever_spawned`].
 
+use std::sync::Mutex;
+
 /// Shared raw base pointer for disjoint per-index result slots.
 struct SendPtr<T>(*mut T);
 // SAFETY: only used to derive disjoint per-index writes; see `par_map`.
@@ -51,6 +53,35 @@ where
         .collect()
 }
 
+/// Runs `a` and `b` concurrently on the persistent pool — a
+/// [`par_map`] of two — and returns both results. Like `par_map`, it may
+/// be called from inside another `par_map` task (the pool's publisher
+/// helps drain the occupied broadcast slot instead of blocking).
+pub(crate) fn join<A, B>(a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B + Send) -> (A, B)
+where
+    A: Send,
+    B: Send,
+{
+    let a = Mutex::new(Some(a));
+    let b = Mutex::new(Some(b));
+    let mut out = par_map(2, |i| {
+        if i == 0 {
+            let f = a.lock().expect("join cell poisoned").take();
+            (f.map(|f| f()), None)
+        } else {
+            let f = b.lock().expect("join cell poisoned").take();
+            (None, f.map(|f| f()))
+        }
+    })
+    .into_iter();
+    let ra = out.next().and_then(|r| r.0);
+    let rb = out.next().and_then(|r| r.1);
+    (
+        ra.expect("par_map ran index 0"),
+        rb.expect("par_map ran index 1"),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,6 +116,15 @@ mod tests {
             spawned,
             "par_map must reuse pool workers"
         );
+    }
+
+    #[test]
+    fn join_runs_both_sides_even_nested() {
+        assert_eq!(join(|| 3, || "b"), (3, "b"));
+        let out = par_map(3, |i| join(|| i, move || vec![i; i]));
+        for (i, (a, b)) in out.into_iter().enumerate() {
+            assert_eq!((a, b), (i, vec![i; i]));
+        }
     }
 
     #[test]

@@ -19,6 +19,31 @@
 //!   stale occurrences are skipped rather than corrupting the output. In
 //!   rare self-overlap corner cases a rule may end up used once — harmless
 //!   for correctness, negligible for compression.
+//!
+//! # One round loop, three constructions
+//!
+//! RePair, MR-RePair and the shared construction behind
+//! [`RePair::compress_auto_with_scratch`] all drive the same round loop
+//! (`Run::rounds`): take the best pair, replace every occurrence with a
+//! fresh nonterminal, record the rule. MR-RePair adds one step per
+//! round — while every occurrence of the fresh nonterminal is followed
+//! (then: preceded) by one same symbol, absorb that symbol into the rule.
+//!
+//! Until that step first succeeds, MR-RePair *is* RePair: every rule so
+//! far is a pair, so both number the next nonterminal alike, the queue
+//! (fed the same counts) picks the same pair, and recording the
+//! substitution positions leaves the state as plain replacement does.
+//! So when the extension test (`count(X, c) == replaced`, right side
+//! first, then left) first passes for rule `X`, the state just after
+//! replacing `X`'s pair is exactly RePair's state after that round. The
+//! shared construction runs RePair's rounds up to that point, clones the
+//! state there, closes `X` as a pair on the clone (RePair's
+//! continuation) and extends `X` on the original (MR-RePair's
+//! continuation). Each continuation then finishes on its own and yields
+//! the grammar its standalone compressor would. If the test never
+//! passes, the shared rounds ran until no pair repeats often enough or
+//! the rule cap binds; the state is cloned all the same, and both
+//! continuations stop at once with the same rules.
 
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,7 +52,8 @@ use gcm_encodings::fxhash::FxHashMap;
 
 use crate::slp::{MrSlp, Slp};
 
-/// Process-wide count of grammar constructions (RePair or MR-RePair).
+/// Process-wide count of grammar constructions (RePair or MR-RePair; the
+/// shared construction of both counts two).
 ///
 /// The incremental-rebuild path promises to re-run exactly the changed
 /// shards' grammar stages; like `gcm_core::plan_compiles()`, this counter
@@ -128,7 +154,7 @@ struct PairRec {
 /// slab ids ordered by `(count, key)` that holds exactly the live pairs
 /// with `count >= min_count`; every count change sifts its pair in
 /// place, so the root is always the largest live `(count, key)`.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct PairQueue {
     slab: Vec<PairRec>,
     ids: FxHashMap<u64, u32>,
@@ -346,6 +372,10 @@ fn pack(a: u32, b: u32) -> u64 {
     ((a as u64) << 32) | b as u64
 }
 
+/// The working sequence and pair table of one construction. Cloning it
+/// (the shared construction's fork) copies every buffer, the test-only
+/// lazy-heap oracle included.
+#[derive(Debug, Clone)]
 struct State {
     sym: Vec<u32>,
     /// Boundary pointers of hole runs (valid only at run boundaries).
@@ -536,17 +566,13 @@ impl State {
         }
     }
 
-    /// Replaces every valid occurrence of `(a, b)` with `n_sym`.
+    /// Replaces every valid occurrence of `(a, b)` with `n_sym`,
+    /// optionally recording the position of every substitution (where
+    /// `n_sym` now sits) — the MR-RePair extension step needs those to
+    /// probe the symbols neighbouring the fresh nonterminal. Recording
+    /// never changes the state.
     ///
     /// Returns the number of replacements performed.
-    fn replace_all(&mut self, a: u32, b: u32, n_sym: u32) -> usize {
-        self.replace_all_rec(a, b, n_sym, None)
-    }
-
-    /// As [`replace_all`](Self::replace_all), optionally recording the
-    /// position of every substitution (where `n_sym` now sits) — the
-    /// MR-RePair extension loop needs those to probe the symbols
-    /// neighbouring the fresh nonterminal.
     fn replace_all_rec(
         &mut self,
         a: u32,
@@ -633,7 +659,7 @@ impl State {
 
     /// The most frequent pair still meeting `min_count`, ties broken
     /// towards the larger packed key. The pair stays queued until
-    /// [`replace_all`](Self::replace_all) detaches it.
+    /// [`replace_all_rec`](Self::replace_all_rec) detaches it.
     fn best(&mut self) -> Option<(u32, u32)> {
         let key = self.pairs.best();
         #[cfg(test)]
@@ -662,9 +688,13 @@ impl State {
     }
 
     /// Compacts the working sequence (dropping holes) and returns every
-    /// buffer to `scratch` for the next compression.
-    fn finish(mut self, scratch: &mut RePairScratch) -> Vec<u32> {
+    /// buffer to `scratch` for the next compression, or frees them with
+    /// `None` (a fork's clone never enters an arena).
+    fn finish(mut self, scratch: Option<&mut RePairScratch>) -> Vec<u32> {
         let seq: Vec<u32> = self.sym.iter().copied().filter(|&s| s != EMPTY).collect();
+        let Some(scratch) = scratch else {
+            return seq;
+        };
         scratch.sym = std::mem::take(&mut self.sym);
         scratch.jump = std::mem::take(&mut self.jump);
         scratch.onext = std::mem::take(&mut self.onext);
@@ -673,6 +703,230 @@ impl State {
         scratch.queue = std::mem::take(&mut self.pairs);
         scratch.occ = std::mem::take(&mut self.occ);
         seq
+    }
+}
+
+/// Which construction [`Run::rounds`] performs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// RePair: every rule is the replaced pair.
+    Pair,
+    /// MR-RePair: every rule extends its pair to the maximal repeat.
+    Mr,
+    /// RePair and MR-RePair at once: RePair's rounds, stopping at the
+    /// first rule MR-RePair would extend.
+    Shared,
+}
+
+/// A symbol MR-RePair absorbs into the rule of a fresh nonterminal.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    /// It follows every occurrence of the nonterminal.
+    Right(u32),
+    /// It precedes every occurrence of the nonterminal.
+    Left(u32),
+}
+
+/// One construction in progress: the working state and the rules built
+/// so far, in MR-RePair's layout (a RePair rule is a two-symbol right
+/// side).
+#[derive(Debug, Clone)]
+struct Run {
+    st: State,
+    first_nt: u32,
+    max_rules: usize,
+    rule_ptr: Vec<u32>,
+    rule_syms: Vec<u32>,
+    /// Where the current rule's nonterminal sits.
+    positions: Vec<usize>,
+    next_positions: Vec<usize>,
+}
+
+impl Run {
+    /// Validates `input`, lays out the working state in `scratch`'s
+    /// buffers and counts the initial pairs.
+    fn new(
+        config: &RePairConfig,
+        input: &[u32],
+        first_nt: u32,
+        protected: Option<u32>,
+        scratch: &mut RePairScratch,
+    ) -> Self {
+        assert!(input.len() < u32::MAX as usize, "input too long");
+        if let Some(&max) = input.iter().max() {
+            assert!(max < first_nt, "input symbol {max} >= first_nt {first_nt}");
+            assert!(max != EMPTY, "u32::MAX is reserved");
+        }
+        let min_count = config.min_count.max(2);
+        let max_rules = config
+            .max_rules
+            .unwrap_or(usize::MAX)
+            .min((u32::MAX - first_nt) as usize);
+        let mut st = State::new_in(input, protected, min_count, scratch);
+        st.count_initial_pairs();
+        Self {
+            st,
+            first_nt,
+            max_rules,
+            rule_ptr: vec![0],
+            rule_syms: Vec::new(),
+            positions: Vec::new(),
+            next_positions: Vec::new(),
+        }
+    }
+
+    fn num_rules(&self) -> usize {
+        self.rule_ptr.len() - 1
+    }
+
+    /// Closes the rule whose right side was pushed last.
+    fn close_rule(&mut self) {
+        self.rule_ptr.push(self.rule_syms.len() as u32);
+    }
+
+    /// The round loop, run until no pair repeats often enough or the
+    /// rule cap binds. Under [`Mode::Shared`] it stops early at the first
+    /// rule MR-RePair would extend and returns that rule's `(nonterminal,
+    /// occurrence count)`, with the founding pair pushed but the rule
+    /// still open; the other modes always return `None`.
+    fn rounds(&mut self, mode: Mode) -> Option<(u32, usize)> {
+        while self.num_rules() < self.max_rules {
+            let Some((a, b)) = self.st.best() else {
+                break;
+            };
+            let n_sym = self.first_nt + self.num_rules() as u32;
+            self.positions.clear();
+            let record = (mode != Mode::Pair).then_some(&mut self.positions);
+            let replaced = self.st.replace_all_rec(a, b, n_sym, record);
+            if replaced == 0 {
+                // All occurrences turned out stale; no symbol references
+                // n_sym, so simply do not record the rule.
+                continue;
+            }
+            self.rule_syms.extend([a, b]);
+            if mode != Mode::Pair && replaced >= 2 {
+                if mode == Mode::Mr {
+                    self.extend(n_sym, replaced);
+                } else if self.extension(n_sym, replaced).is_some() {
+                    return Some((n_sym, replaced));
+                }
+            }
+            self.close_rule();
+        }
+        None
+    }
+
+    /// MR-RePair's next absorption for the rule of `n_sym`, which occurs
+    /// `replaced` times: a symbol `c` that follows (checked first) or
+    /// precedes every occurrence. Detected exactly via the pair table
+    /// (`count(X, c) == replaced`); `c == n_sym` (runs of the
+    /// nonterminal itself) is skipped, since those pairs self-overlap
+    /// and are better left to a later ordinary rule.
+    fn extension(&self, n_sym: u32, replaced: usize) -> Option<Side> {
+        let st = &self.st;
+        let p = self.positions[0];
+        let absorbs = |c: u32, key: u64| {
+            c != n_sym && !st.is_protected(c) && st.pair_count(key) as usize == replaced
+        };
+        let right = st.next_filled(p).map(|r| st.sym[r]);
+        if let Some(c) = right.filter(|&c| absorbs(c, pack(n_sym, c))) {
+            return Some(Side::Right(c));
+        }
+        let left = st.prev_filled(p).map(|l| st.sym[l]);
+        left.filter(|&c| absorbs(c, pack(c, n_sym))).map(Side::Left)
+    }
+
+    /// Greedy maximal-repeat extension of the open rule of `n_sym`. Safe
+    /// only because each step consumes *every* occurrence of the fresh
+    /// nonterminal — otherwise occurrences would expand to different
+    /// strings — so `replaced` stays the occurrence count throughout, and
+    /// `X c → X` keeps the occurrence positions and counts consistent.
+    fn extend(&mut self, n_sym: u32, replaced: usize) {
+        let rhs_start = self.rule_ptr[self.num_rules()] as usize;
+        while let Some(side) = self.extension(n_sym, replaced) {
+            let (a, b) = match side {
+                Side::Right(c) => (n_sym, c),
+                Side::Left(c) => (c, n_sym),
+            };
+            self.next_positions.clear();
+            let k = self
+                .st
+                .replace_all_rec(a, b, n_sym, Some(&mut self.next_positions));
+            assert_eq!(k, replaced, "an extension must consume every occurrence");
+            std::mem::swap(&mut self.positions, &mut self.next_positions);
+            match side {
+                Side::Right(c) => self.rule_syms.push(c),
+                Side::Left(c) => self.rule_syms.insert(rhs_start, c),
+            }
+        }
+    }
+
+    /// The RePair grammar; buffers go back to `scratch` (see
+    /// [`State::finish`]).
+    fn into_slp(self, scratch: Option<&mut RePairScratch>) -> Slp {
+        debug_assert_eq!(
+            self.rule_syms.len(),
+            2 * self.num_rules(),
+            "pair rules only"
+        );
+        let rules = self
+            .rule_syms
+            .chunks_exact(2)
+            .map(|p| (p[0], p[1]))
+            .collect();
+        Slp::new(self.first_nt, rules, self.st.finish(scratch))
+    }
+
+    /// The MR-RePair grammar; buffers go back to `scratch`.
+    fn into_mr(self, scratch: &mut RePairScratch) -> MrSlp {
+        let seq = self.st.finish(Some(scratch));
+        MrSlp::new(self.first_nt, self.rule_ptr, self.rule_syms, seq)
+    }
+}
+
+/// Both `auto` grammar candidates of one input, from the one shared
+/// construction of [`RePair::compress_auto_with_scratch`]: one
+/// continuation per grammar. The continuations own their state, so they
+/// may finish on different threads.
+#[derive(Debug)]
+pub struct AutoGrammars {
+    /// Rules built once for both grammars: every rule before the fork,
+    /// or all of them when MR-RePair never extended a rule.
+    pub shared_rules: usize,
+    /// RePair's remaining rounds.
+    pub repair: RePairContinuation,
+    /// MR-RePair's remaining rounds.
+    pub mr: MrRePairContinuation,
+}
+
+/// RePair's rounds after the fork, on a clone of the shared state.
+#[derive(Debug)]
+pub struct RePairContinuation(Box<Run>);
+
+impl RePairContinuation {
+    /// Runs the remaining rounds; the result equals
+    /// [`RePair::compress_with_scratch`] of the same input. The clone's
+    /// buffers are freed, never kept in a scratch arena.
+    pub fn finish(self) -> Slp {
+        let mut run = self.0;
+        run.rounds(Mode::Pair);
+        run.into_slp(None)
+    }
+}
+
+/// MR-RePair's rounds after the fork, on the shared state's original
+/// buffers (taken from the scratch the construction started with).
+#[derive(Debug)]
+pub struct MrRePairContinuation(Box<Run>);
+
+impl MrRePairContinuation {
+    /// Runs the remaining rounds, returning the working buffers to
+    /// `scratch`; the result equals [`RePair::compress_mr_with_scratch`]
+    /// of the same input.
+    pub fn finish(self, scratch: &mut RePairScratch) -> MrSlp {
+        let mut run = self.0;
+        run.rounds(Mode::Mr);
+        run.into_mr(scratch)
     }
 }
 
@@ -715,37 +969,10 @@ impl RePair {
         protected: Option<u32>,
         scratch: &mut RePairScratch,
     ) -> Slp {
-        assert!(input.len() < u32::MAX as usize, "input too long");
-        if let Some(&max) = input.iter().max() {
-            assert!(max < first_nt, "input symbol {max} >= first_nt {first_nt}");
-            assert!(max != EMPTY, "u32::MAX is reserved");
-        }
-        let min_count = self.config.min_count.max(2);
-        let max_rules = self
-            .config
-            .max_rules
-            .unwrap_or(usize::MAX)
-            .min((u32::MAX - first_nt) as usize);
-
+        let mut run = Run::new(&self.config, input, first_nt, protected, scratch);
         GRAMMAR_BUILDS.fetch_add(1, Ordering::Relaxed);
-        let mut st = State::new_in(input, protected, min_count, scratch);
-        st.count_initial_pairs();
-        let mut rules: Vec<(u32, u32)> = Vec::new();
-        while rules.len() < max_rules {
-            let Some((a, b)) = st.best() else {
-                break;
-            };
-            let n_sym = first_nt + rules.len() as u32;
-            let replaced = st.replace_all(a, b, n_sym);
-            if replaced == 0 {
-                // All occurrences turned out stale; no symbol references
-                // n_sym, so simply do not record the rule.
-                continue;
-            }
-            rules.push((a, b));
-        }
-        let seq = st.finish(scratch);
-        Slp::new(first_nt, rules, seq)
+        run.rounds(Mode::Pair);
+        run.into_slp(Some(scratch))
     }
 
     /// MR-RePair compression (Furuya et al.): like
@@ -765,14 +992,11 @@ impl RePair {
     /// [`compress_with_scratch`](Self::compress_with_scratch) uses, so a
     /// pipeline can interleave both stages over one set of buffers.
     ///
-    /// The inner loop is the pair-replacement machinery unchanged; after
-    /// a pair `(a, b)` is replaced by `X`, the rule is extended while
-    /// *every* occurrence of `X` is followed (or preceded) by one same
-    /// symbol `c` — detected exactly via the pair table
-    /// (`count(X, c) == |occurrences of X|`) and applied with the same
-    /// `replace_all` bookkeeping (`X c → X` keeps the occurrence count
-    /// and positions consistent). That is precisely the maximal-repeat
-    /// run of the founding pair.
+    /// The rounds are RePair's; after a pair `(a, b)` is replaced by `X`,
+    /// the rule is extended while *every* occurrence of `X` is followed
+    /// (or preceded) by one same symbol `c`, each step applied with the
+    /// same replacement bookkeeping. That is precisely the
+    /// maximal-repeat run of the founding pair.
     ///
     /// # Panics
     /// As [`compress`](Self::compress).
@@ -783,83 +1007,48 @@ impl RePair {
         protected: Option<u32>,
         scratch: &mut RePairScratch,
     ) -> MrSlp {
-        assert!(input.len() < u32::MAX as usize, "input too long");
-        if let Some(&max) = input.iter().max() {
-            assert!(max < first_nt, "input symbol {max} >= first_nt {first_nt}");
-            assert!(max != EMPTY, "u32::MAX is reserved");
-        }
-        let min_count = self.config.min_count.max(2);
-        let max_rules = self
-            .config
-            .max_rules
-            .unwrap_or(usize::MAX)
-            .min((u32::MAX - first_nt) as usize);
-
+        let mut run = Run::new(&self.config, input, first_nt, protected, scratch);
         GRAMMAR_BUILDS.fetch_add(1, Ordering::Relaxed);
-        let mut st = State::new_in(input, protected, min_count, scratch);
-        st.count_initial_pairs();
-        let mut rule_ptr: Vec<u32> = vec![0];
-        let mut rule_syms: Vec<u32> = Vec::new();
-        let mut positions: Vec<usize> = Vec::new();
-        let mut next_positions: Vec<usize> = Vec::new();
-        while rule_ptr.len() - 1 < max_rules {
-            let Some((a, b)) = st.best() else {
-                break;
-            };
-            let n_sym = first_nt + (rule_ptr.len() - 1) as u32;
-            positions.clear();
-            let replaced = st.replace_all_rec(a, b, n_sym, Some(&mut positions));
-            if replaced == 0 {
-                continue;
-            }
-            let rhs_start = rule_syms.len();
-            rule_syms.push(a);
-            rule_syms.push(b);
-            // Greedy maximal-repeat extension. Safe only when the
-            // extension consumes *every* occurrence of the fresh
-            // nonterminal — otherwise occurrences would expand to
-            // different strings — so each step requires the exact pair
-            // count to equal the occurrence count (`replaced` is the
-            // invariant occurrence count: every extension step consumes
-            // all occurrences, so it never changes). `c == n_sym` (runs
-            // of the nonterminal itself) is skipped: those pairs self-
-            // overlap and are better left to a later ordinary rule.
-            if replaced >= 2 {
-                loop {
-                    let p = positions[0];
-                    let right = st.next_filled(p).map(|r| st.sym[r]).filter(|&c| {
-                        c != n_sym
-                            && !st.is_protected(c)
-                            && st.pair_count(pack(n_sym, c)) as usize == replaced
-                    });
-                    if let Some(c) = right {
-                        next_positions.clear();
-                        let k = st.replace_all_rec(n_sym, c, n_sym, Some(&mut next_positions));
-                        assert_eq!(k, replaced, "right extension must consume every occurrence");
-                        std::mem::swap(&mut positions, &mut next_positions);
-                        rule_syms.push(c);
-                        continue;
-                    }
-                    let left = st.prev_filled(p).map(|l| st.sym[l]).filter(|&c| {
-                        c != n_sym
-                            && !st.is_protected(c)
-                            && st.pair_count(pack(c, n_sym)) as usize == replaced
-                    });
-                    if let Some(c) = left {
-                        next_positions.clear();
-                        let k = st.replace_all_rec(c, n_sym, n_sym, Some(&mut next_positions));
-                        assert_eq!(k, replaced, "left extension must consume every occurrence");
-                        std::mem::swap(&mut positions, &mut next_positions);
-                        rule_syms.insert(rhs_start, c);
-                        continue;
-                    }
-                    break;
-                }
-            }
-            rule_ptr.push(rule_syms.len() as u32);
+        run.rounds(Mode::Mr);
+        run.into_mr(scratch)
+    }
+
+    /// Both grammars of `input` — RePair's and MR-RePair's — from one
+    /// construction: the rounds the two share (every round before
+    /// MR-RePair's first extension; see the module docs) run once, then
+    /// the state is cloned and each construction continues on its own
+    /// copy. The finished grammars equal
+    /// [`compress_with_scratch`](Self::compress_with_scratch) and
+    /// [`compress_mr_with_scratch`](Self::compress_mr_with_scratch) of
+    /// the same input; [`grammar_builds`] counts two constructions.
+    ///
+    /// # Panics
+    /// As [`compress`](Self::compress).
+    pub fn compress_auto_with_scratch(
+        &self,
+        input: &[u32],
+        first_nt: u32,
+        protected: Option<u32>,
+        scratch: &mut RePairScratch,
+    ) -> AutoGrammars {
+        let mut run = Run::new(&self.config, input, first_nt, protected, scratch);
+        GRAMMAR_BUILDS.fetch_add(2, Ordering::Relaxed);
+        let fork = run.rounds(Mode::Shared);
+        let shared_rules = run.num_rules();
+        let mut repair = run.clone();
+        // Without a fork the rounds stopped for good (no pair repeats
+        // often enough, or the rule cap binds), so both continuations
+        // stop at once too.
+        if let Some((n_sym, replaced)) = fork {
+            repair.close_rule();
+            run.extend(n_sym, replaced);
+            run.close_rule();
         }
-        let seq = st.finish(scratch);
-        MrSlp::new(first_nt, rule_ptr, rule_syms, seq)
+        AutoGrammars {
+            shared_rules,
+            repair: RePairContinuation(Box::new(repair)),
+            mr: MrRePairContinuation(Box::new(run)),
+        }
     }
 }
 
@@ -1270,6 +1459,142 @@ mod tests {
             prop_assert_eq!(slp.expand(), input.clone());
             let mr = RePair::with_config(config).compress_mr(&input, 100, protected);
             prop_assert_eq!(mr.expand(), input);
+        }
+    }
+
+    /// Both grammars of the shared construction on `scratch`, plus its
+    /// shared rule count and whether it forked (RePair went on past the
+    /// shared rules).
+    fn auto_grammars(
+        config: RePairConfig,
+        input: &[u32],
+        protected: Option<u32>,
+        scratch: &mut RePairScratch,
+    ) -> (Slp, MrSlp, usize, bool) {
+        let auto =
+            RePair::with_config(config).compress_auto_with_scratch(input, 100, protected, scratch);
+        let slp = auto.repair.finish();
+        let forked = slp.num_rules() > auto.shared_rules;
+        (slp, auto.mr.finish(scratch), auto.shared_rules, forked)
+    }
+
+    /// Asserts that the shared construction's grammars equal fresh
+    /// standalone compressions (rules, `rule_ptr` / `rule_syms` and
+    /// sequence) and that exactly the first `shared` rules coincide.
+    /// Returns the fork's rule index, if it forked.
+    fn check_auto(
+        config: RePairConfig,
+        input: &[u32],
+        protected: Option<u32>,
+        scratch: &mut RePairScratch,
+    ) -> Result<Option<usize>, TestCaseError> {
+        let (slp, mr, shared, forked) = auto_grammars(config, input, protected, scratch);
+        let fresh = RePair::with_config(config);
+        prop_assert_eq!(&slp, &fresh.compress(input, 100, protected));
+        prop_assert_eq!(&mr, &fresh.compress_mr(input, 100, protected));
+        for (k, &(a, b)) in slp.rules()[..shared].iter().enumerate() {
+            prop_assert!(mr.rule(k) == [a, b], "shared rule {} differs", k);
+        }
+        if forked {
+            let (a, b) = slp.rules()[shared];
+            prop_assert!(mr.rule(shared).len() > 2, "the fork rule is extended");
+            prop_assert!(mr.rule(shared).windows(2).any(|w| w == [a, b]));
+        } else {
+            prop_assert_eq!(mr.num_rules(), shared);
+            prop_assert_eq!(mr.rule_syms().len(), 2 * shared);
+        }
+        Ok(forked.then_some(shared))
+    }
+
+    /// Repeated phrases over a small alphabet, between separators and
+    /// noise symbols: maximal repeats longer than a pair, so MR-RePair
+    /// extends (right and left) at varying depths.
+    fn phrase_input() -> impl Strategy<Value = Vec<u32>> {
+        let phrases = proptest::collection::vec(proptest::collection::vec(1u32..6, 2..7), 1..4);
+        (phrases, proptest::collection::vec(0usize..6, 0..60)).prop_map(|(phrases, picks)| {
+            let mut out = Vec::new();
+            for p in picks {
+                match phrases.get(p) {
+                    Some(phrase) => out.extend_from_slice(phrase),
+                    None if p == 5 => out.push(0),
+                    None => out.push(p as u32 + 1),
+                }
+            }
+            out
+        })
+    }
+
+    #[test]
+    fn shared_construction_forks_right_left_or_never() {
+        let mut scratch = RePairScratch::new();
+        let config = RePairConfig::default();
+        // (4,3) founds the rule; 2 then 1 follow every occurrence.
+        let right = [4u32, 3, 2, 1, 4, 3, 2, 1];
+        // (3,4) founds the rule; 2 then 1 precede every occurrence.
+        let left = [1u32, 2, 3, 4, 1, 2, 3, 4];
+        for (input, rule) in [(right, [4, 3, 2, 1]), (left, [1, 2, 3, 4])] {
+            let fork = check_auto(config, &input, None, &mut scratch).unwrap();
+            assert_eq!(fork, Some(0));
+            let (_, mr, _, _) = auto_grammars(config, &input, None, &mut scratch);
+            assert_eq!(mr.rule(0), &rule);
+        }
+        // Runs of the fresh nonterminal itself never extend.
+        for input in [vec![1u32, 2, 1, 2], vec![7; 16], vec![]] {
+            assert_eq!(
+                check_auto(config, &input, None, &mut scratch).unwrap(),
+                None
+            );
+        }
+        // Separators stop an extension: (1,2) never absorbs the `0`.
+        let rows = [1u32, 2, 0, 1, 2, 0, 3];
+        assert_eq!(
+            check_auto(config, &rows, Some(0), &mut scratch).unwrap(),
+            None
+        );
+        assert!(check_auto(config, &rows, None, &mut scratch)
+            .unwrap()
+            .is_some());
+    }
+
+    #[test]
+    fn shared_construction_counts_both_candidates() {
+        let before = grammar_builds();
+        let _ = auto_grammars(
+            RePairConfig::default(),
+            &[1, 2, 1, 2],
+            None,
+            &mut RePairScratch::new(),
+        );
+        assert!(grammar_builds() >= before + 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The shared construction's two grammars equal fresh standalone
+        /// RePair and MR-RePair output, uncapped and under rule caps that
+        /// bind before, at and after the fork rule, all through one
+        /// reused scratch. (In test builds every round also checks the
+        /// queue against the lazy-heap oracle, on both sides of the
+        /// fork.)
+        #[test]
+        fn shared_construction_equals_standalone_compressions(
+            input in prop_oneof![queue_stress_input(), phrase_input()],
+            min_count in 2u32..4,
+            separator in any::<bool>(),
+        ) {
+            let protected = separator.then_some(0);
+            let mut scratch = RePairScratch::new();
+            let uncapped = RePairConfig { max_rules: None, min_count };
+            let k = match check_auto(uncapped, &input, protected, &mut scratch)? {
+                Some(fork) => fork,
+                None => RePair::with_config(uncapped).compress(&input, 100, protected).num_rules(),
+            };
+            for cap in [k.saturating_sub(1), k, k + 1, k + 2] {
+                let config = RePairConfig { max_rules: Some(cap), min_count };
+                let fork = check_auto(config, &input, protected, &mut scratch)?;
+                prop_assert!(fork.is_none() || cap > k, "cap {} forked at {:?}", cap, fork);
+            }
         }
     }
 

@@ -21,5 +21,8 @@ pub mod compressor;
 pub mod slp;
 pub mod stats;
 
-pub use compressor::{grammar_builds, RePair, RePairConfig, RePairScratch};
+pub use compressor::{
+    grammar_builds, AutoGrammars, MrRePairContinuation, RePair, RePairConfig, RePairContinuation,
+    RePairScratch,
+};
 pub use slp::{MrSlp, Slp};

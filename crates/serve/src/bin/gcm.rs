@@ -34,8 +34,10 @@
 //! single-precision plans). `--grammar` picks the grammar stage per
 //! shard — classic `repair`, `mr` (MR-RePair), or `auto` (build both,
 //! keep the smaller measured encoding) — and records the stage plus an
-//! input fingerprint per shard in a version-5 container. `--base
-//! OLD.gcms` turns the build incremental: shards whose input rows
+//! input fingerprint per shard in a version-5 container. Under `auto`
+//! the shard table's `shared` column counts the rules built once for
+//! both grammars (the rounds before MR-RePair first extends a rule).
+//! `--base OLD.gcms` turns the build incremental: shards whose input rows
 //! fingerprint-match the base are **spliced** byte-for-byte from the
 //! old container (persisted plans included, never re-decoded) and only
 //! changed shards rebuild; provenance goes to stdout and a
@@ -335,14 +337,15 @@ fn report_build_stats(stats: &BuildStats) {
         secs(stats.wall_time),
     );
     say!("  shard table:");
-    say!("    shard     rows      nnz    rules    bytes  encoding  reorder");
+    say!("    shard     rows      nnz    rules   shared    bytes  encoding  reorder");
     for s in &stats.shards {
         say!(
-            "    {:>5} {:>8} {:>8} {:>8} {:>8}  {:<8}  {}",
+            "    {:>5} {:>8} {:>8} {:>8} {:>8} {:>8}  {:<8}  {}",
             s.index,
             s.rows,
             s.nnz,
             s.grammar_rules,
+            s.shared_rules,
             s.encoded_bytes,
             s.encoding.map_or("-", |e| e.name()),
             s.reorder.map_or("none", |a| a.name()),

@@ -6,10 +6,15 @@
 //! * the parallel pipeline produces **bit-identical containers** and
 //!   dense-oracle-identical products vs. the sequential reference path,
 //!   for every backend × reorder mode (including per-shard orders and
-//!   auto encoding).
+//!   auto encoding);
+//! * an `auto`-grammar build is bit-identical to the sequential one at
+//!   every shard count, though the parallel build runs each shard's two
+//!   grammar continuations through a `join` nested in the phase's
+//!   `par_map` and the sequential one runs them inline.
 
+use gcm_datagen::Dataset;
 use gcm_matrix::{CsrvMatrix, DenseMatrix};
-use gcm_pipeline::{BuildConfig, EncodingChoice, Pipeline, ReorderMode};
+use gcm_pipeline::{BuildConfig, EncodingChoice, GrammarChoice, Pipeline, ReorderMode};
 use gcm_reorder::ReorderAlgorithm;
 use gcm_serve::{container, Backend, BuildOptions, ShardedModel};
 
@@ -71,6 +76,39 @@ fn parallel_and_sequential_builds_yield_bit_identical_containers() {
                 );
             }
         }
+    }
+}
+
+/// Each `Auto` shard nests a two-task `join` inside phase 2's
+/// `par_map`. With fewer shards than pool threads the nested tasks find
+/// idle workers; with more, the publisher helps drain the occupied
+/// broadcast slot. Neither may change the bytes.
+#[test]
+fn auto_grammar_builds_match_sequential_at_every_shard_count() {
+    let csrv = CsrvMatrix::from_dense(&Dataset::Covtype.generate(1_200, 7)).unwrap();
+    let pipeline = Pipeline::new();
+    for shards in 1..=4 {
+        let config = BuildConfig {
+            shards,
+            encoding: EncodingChoice::Auto,
+            grammar: Some(GrammarChoice::Auto),
+            reorder: Some(ReorderMode::PerShard(ReorderAlgorithm::PathCover)),
+            ..BuildConfig::default()
+        };
+        let par = pipeline.build(&csrv, &config);
+        let seq = pipeline.build_sequential(&csrv, &config);
+        for (p, s) in par.stats.shards.iter().zip(&seq.stats.shards) {
+            assert_eq!(p.grammar_builds, 2, "one build per candidate");
+            assert_eq!(p.shared_rules, s.shared_rules);
+            assert!(p.shared_rules > 0, "covtype shards share a prefix");
+        }
+        let par = ShardedModel::from_artifacts(par);
+        let seq = ShardedModel::from_artifacts(seq);
+        assert_eq!(
+            par.to_bytes(),
+            seq.to_bytes(),
+            "{shards} shard(s): containers must be bit-identical"
+        );
     }
 }
 

@@ -1,7 +1,8 @@
 //! Byte-identity pins for grammar construction and the container layout.
 //!
 //! Every model below is built through the staged pipeline (4 shards,
-//! automatic encoding) and fingerprinted twice with FNV-1a 64:
+//! automatic encoding, plus one single-shard `Auto` build per corpus)
+//! and fingerprinted three times with FNV-1a 64:
 //!
 //! * [`GRAMMAR_GOLDEN`] hashes the concatenated standalone
 //!   `serial::to_bytes` of every shard. It depends only on the grammars
@@ -45,8 +46,8 @@ const REORDERS: [ReorderMode; 2] = [
 ];
 
 /// FNV-1a 64 of the shards' concatenated `serial::to_bytes`, per corpus,
-/// in `GRAMMARS` × `REORDERS` order.
-const GRAMMAR_GOLDEN: [[u64; 6]; 3] = [
+/// in `GRAMMARS` × `REORDERS` order, then the [`ONE_SHARD_AUTO`] build.
+const GRAMMAR_GOLDEN: [[u64; 7]; 3] = [
     [
         0x103bf05b9170da07,
         0x34e0e27f422dfdd7,
@@ -54,6 +55,7 @@ const GRAMMAR_GOLDEN: [[u64; 6]; 3] = [
         0x33e8ed750328f0d8,
         0x103bf05b9170da07,
         0x34e0e27f422dfdd7,
+        0x7f5c37f438718a89,
     ],
     [
         0x0b0554d28658c90c,
@@ -62,6 +64,7 @@ const GRAMMAR_GOLDEN: [[u64; 6]; 3] = [
         0x63f697b9a476b4da,
         0x05c5fc0eabd65dce,
         0x63f697b9a476b4da,
+        0xee16ddc2d2de9e74,
     ],
     [
         0xea8a2efdfee5b409,
@@ -70,14 +73,15 @@ const GRAMMAR_GOLDEN: [[u64; 6]; 3] = [
         0xa877a4abdc94f224,
         0x47455c1cc57ab9c4,
         0xe6d78e8270bdbf04,
+        0xdbc240ad4556e8a5,
     ],
 ];
 
-/// `fnv1a64(to_bytes(..))` per corpus, in `GRAMMARS` × `REORDERS` order.
-/// Recorded for the version-6 layout (one shared value dictionary per
+/// `fnv1a64(to_bytes(..))` per corpus, in `GRAMMARS` × `REORDERS` order,
+/// then the [`ONE_SHARD_AUTO`] build (a version-5 container). Recorded for the version-6 layout (one shared value dictionary per
 /// container); the grammars behind it are the ones [`GRAMMAR_GOLDEN`]
 /// pins.
-const CONTAINER_GOLDEN: [[u64; 6]; 3] = [
+const CONTAINER_GOLDEN: [[u64; 7]; 3] = [
     [
         0xb1c1db8852227bca,
         0x8ddd6cf9fba44fe9,
@@ -85,6 +89,7 @@ const CONTAINER_GOLDEN: [[u64; 6]; 3] = [
         0xb8dfa2b9e97d078c,
         0xb1c1db8852227bca,
         0x8ddd6cf9fba44fe9,
+        0xd29a313c0d7d5a6d,
     ],
     [
         0x939971834def82a7,
@@ -93,6 +98,7 @@ const CONTAINER_GOLDEN: [[u64; 6]; 3] = [
         0xff23d052b2ce55d9,
         0xc646c557321ef188,
         0xff23d052b2ce55d9,
+        0x4dd9f4d333e84255,
     ],
     [
         0xcc7a0adf0acde280,
@@ -101,12 +107,14 @@ const CONTAINER_GOLDEN: [[u64; 6]; 3] = [
         0xf1c2ab2f071b6608,
         0x3af56915e613dd97,
         0x0ee3da4a1547cb3d,
+        0x38ec452633733496,
     ],
 ];
 
 /// `fnv1a64` of the `f64`-planned then the `f32`-planned
-/// `to_bytes_with_plans`, per corpus, in `GRAMMARS` × `REORDERS` order.
-const PLAN_GOLDEN: [[u64; 6]; 3] = [
+/// `to_bytes_with_plans`, per corpus, in `GRAMMARS` × `REORDERS` order,
+/// then the [`ONE_SHARD_AUTO`] build.
+const PLAN_GOLDEN: [[u64; 7]; 3] = [
     [
         0x214a511982d18aad,
         0xe63430f076950f3a,
@@ -114,6 +122,7 @@ const PLAN_GOLDEN: [[u64; 6]; 3] = [
         0xaedf44cf914bfffe,
         0x214a511982d18aad,
         0xe63430f076950f3a,
+        0xccf8d35c0bc95d79,
     ],
     [
         0x37ef1077bf5857c7,
@@ -122,6 +131,7 @@ const PLAN_GOLDEN: [[u64; 6]; 3] = [
         0x14ab857efd215135,
         0x6e90a9e7d0729b35,
         0x14ab857efd215135,
+        0x58537d50c31ecaa1,
     ],
     [
         0x97432ad8543cf988,
@@ -130,8 +140,17 @@ const PLAN_GOLDEN: [[u64; 6]; 3] = [
         0xbf1e5022f6793c77,
         0x7efbadca246fcf0a,
         0xbe70fb500a453dd3,
+        0x2bbbec710e9c447f,
     ],
 ];
+
+/// The extra build per corpus: `Auto` grammar on a single shard, which
+/// runs both candidates' construction as the build's only phase-2 task.
+const ONE_SHARD_AUTO: (usize, GrammarChoice, ReorderMode) = (
+    1,
+    GrammarChoice::Auto,
+    ReorderMode::PerShard(ReorderAlgorithm::PathCover),
+);
 
 /// The container `bytes` reloaded, prewarmed with plans at both
 /// precisions in turn, and written back with its plan sections.
@@ -145,36 +164,39 @@ fn planned_bytes(bytes: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Builds all 18 models once, returning `(grammar hash, container hash,
-/// plan hash)` tables in `CORPORA` × `GRAMMARS` × `REORDERS` order.
+/// Builds all 21 models once, returning `(grammar hash, container hash,
+/// plan hash)` tables in `CORPORA` × (`GRAMMARS` × `REORDERS`, then
+/// [`ONE_SHARD_AUTO`]) order.
 fn fingerprints() -> [Vec<Vec<u64>>; 3] {
     let pipeline = Pipeline::new();
     let (mut grammars, mut containers, mut plans) = (Vec::new(), Vec::new(), Vec::new());
     for (ds, rows) in CORPORA {
         let csrv = CsrvMatrix::from_dense(&ds.generate(rows, 7)).unwrap();
         let (mut g_row, mut c_row, mut p_row) = (Vec::new(), Vec::new(), Vec::new());
-        for grammar in GRAMMARS {
-            for reorder in REORDERS {
-                let config = BuildConfig {
-                    shards: 4,
-                    encoding: EncodingChoice::Auto,
-                    grammar: Some(grammar),
-                    reorder: Some(reorder),
-                    ..BuildConfig::default()
+        let builds = GRAMMARS
+            .iter()
+            .flat_map(|&grammar| REORDERS.iter().map(move |&reorder| (4, grammar, reorder)))
+            .chain([ONE_SHARD_AUTO]);
+        for (shards, grammar, reorder) in builds {
+            let config = BuildConfig {
+                shards,
+                encoding: EncodingChoice::Auto,
+                grammar: Some(grammar),
+                reorder: Some(reorder),
+                ..BuildConfig::default()
+            };
+            let model = ShardedModel::from_artifacts(pipeline.build(&csrv, &config));
+            let mut shards = Vec::new();
+            for i in 0..model.num_shards() {
+                let Model::Compressed(m) = model.shard_model(i) else {
+                    panic!("the default backend is compressed");
                 };
-                let model = ShardedModel::from_artifacts(pipeline.build(&csrv, &config));
-                let mut shards = Vec::new();
-                for i in 0..model.num_shards() {
-                    let Model::Compressed(m) = model.shard_model(i) else {
-                        panic!("the default backend is compressed");
-                    };
-                    shards.extend_from_slice(&mm_repair::core::serial::to_bytes(m));
-                }
-                g_row.push(container::fnv1a64(&shards));
-                let bytes = container::to_bytes(&model);
-                c_row.push(container::fnv1a64(&bytes));
-                p_row.push(container::fnv1a64(&planned_bytes(&bytes)));
+                shards.extend_from_slice(&mm_repair::core::serial::to_bytes(m));
             }
+            g_row.push(container::fnv1a64(&shards));
+            let bytes = container::to_bytes(&model);
+            c_row.push(container::fnv1a64(&bytes));
+            p_row.push(container::fnv1a64(&planned_bytes(&bytes)));
         }
         grammars.push(g_row);
         containers.push(c_row);
