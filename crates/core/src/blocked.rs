@@ -19,13 +19,12 @@
 //! the output panel.
 
 use gcm_encodings::HeapSize;
-use gcm_matrix::matvec::{check_left_batch, check_panels, check_right_batch};
+use gcm_matrix::matvec::{check_left_batch, check_right_batch};
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, RowBlocks, Workspace};
 use gcm_repair::RePairConfig;
 
 use crate::compressed::CompressedMatrix;
 use crate::encoding::Encoding;
-use crate::plan::KernelPlan;
 
 /// A grammar-compressed matrix partitioned into row blocks.
 #[derive(Debug, Clone)]
@@ -135,96 +134,6 @@ impl BlockedMatrix {
     /// partial `x` vector per block for the left multiplication).
     pub fn working_bytes(&self) -> usize {
         self.working_bytes_for_batch(1)
-    }
-
-    /// Compiles every block into a [`KernelPlan`] (the plan layer
-    /// composed with §4.1's row-block split). The plans index-match
-    /// [`blocks`](Self::blocks) and are consumed by the
-    /// `*_planned_into` kernels, which take plans of either precision.
-    pub fn plan(&self) -> Vec<KernelPlan> {
-        self.blocks.iter().map(CompressedMatrix::plan).collect()
-    }
-
-    /// Compiles every block into a single-precision [`KernelPlan`]
-    /// (see [`plan`](Self::plan); same index-matching contract).
-    pub fn plan_f32(&self) -> Vec<KernelPlan> {
-        self.blocks.iter().map(CompressedMatrix::plan_f32).collect()
-    }
-
-    /// Batched right product through per-block compiled plans: same
-    /// partitioning as [`right_multiply_panel_into`](Self::right_multiply_panel_into)
-    /// (parallel across blocks when built with more than one), but each
-    /// block runs its branchless planned kernel, in the precision its
-    /// plan was compiled at.
-    ///
-    /// # Errors
-    /// Fails if either panel length is inconsistent with `k`.
-    ///
-    /// # Panics
-    /// Panics if `plans` does not index-match the blocks.
-    pub fn right_multiply_panel_planned_into(
-        &self,
-        plans: &[KernelPlan],
-        k: usize,
-        x_panel: &[f64],
-        y_panel: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        assert_eq!(plans.len(), self.blocks.len(), "plan/block mismatch");
-        check_panels(self.rows, self.cols, k, x_panel.len(), y_panel.len())?;
-        if k == 0 {
-            return Ok(());
-        }
-        self.right_panel_dispatch(
-            k,
-            x_panel,
-            y_panel,
-            ws,
-            |i| plans[i].scratch_len(k),
-            |i, x, y, buf| {
-                plans[i]
-                    .right_multiply_panel(k, x, y, buf)
-                    .expect("block dimensions are consistent by construction");
-            },
-        );
-        Ok(())
-    }
-
-    /// Batched left product through per-block compiled plans: blocks
-    /// fill partial `cols × k` panels (parallel when built with more
-    /// than one block), then the partials are reduced (§4.1).
-    ///
-    /// # Errors
-    /// Fails if either panel length is inconsistent with `k`.
-    ///
-    /// # Panics
-    /// Panics if `plans` does not index-match the blocks.
-    pub fn left_multiply_panel_planned_into(
-        &self,
-        plans: &[KernelPlan],
-        k: usize,
-        y_panel: &[f64],
-        x_panel: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        assert_eq!(plans.len(), self.blocks.len(), "plan/block mismatch");
-        check_panels(self.rows, self.cols, k, x_panel.len(), y_panel.len())?;
-        if k == 0 {
-            return Ok(());
-        }
-        self.left_panel_dispatch(
-            k,
-            y_panel,
-            x_panel,
-            ws,
-            |i| plans[i].scratch_len(k),
-            |i, y, part, buf| {
-                plans[i]
-                    .left_multiply_panel(k, y, part, buf)
-                    .expect("block dimensions are consistent by construction");
-            },
-        );
-        Ok(())
     }
 
     /// Sequential right multiplication (single thread over all blocks).
@@ -338,90 +247,46 @@ impl BlockedMatrix {
         Ok(())
     }
 
-    /// Batched right product over explicit row-major `k`-wide panel
-    /// slices (`x_panel` is `cols × k`, `y_panel` is `rows × k`): the
-    /// serve-layer entry point, which hands shards raw sub-panels of a
-    /// larger output without wrapping them in a `DenseMatrix`. Runs
-    /// parallel across blocks when the matrix was built with more than
-    /// one.
-    ///
-    /// # Errors
-    /// Fails if either panel length is inconsistent with `k`.
-    pub fn right_multiply_panel_into(
+    /// Batched right product over row-major panels: hands block `i` its
+    /// contiguous `rows_i × k` chunk of `y_panel` plus its `W` panel, so
+    /// batching and row-block parallelism compose. Runs one pool task
+    /// per block when the matrix was built with more than one; panel
+    /// shapes are the caller's responsibility (checked by the public
+    /// entry points).
+    fn right_panel_streaming(
         &self,
         k: usize,
         x_panel: &[f64],
         y_panel: &mut [f64],
         ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        check_panels(self.rows, self.cols, k, x_panel.len(), y_panel.len())?;
-        if k == 0 {
-            return Ok(());
-        }
-        self.right_panel_streaming(k, x_panel, y_panel, ws);
-        Ok(())
-    }
-
-    /// Batched left product over explicit row-major panel slices
-    /// (`y_panel` is `rows × k`, `x_panel` is `cols × k`); see
-    /// [`right_multiply_panel_into`](Self::right_multiply_panel_into).
-    ///
-    /// # Errors
-    /// Fails if either panel length is inconsistent with `k`.
-    pub fn left_multiply_panel_into(
-        &self,
-        k: usize,
-        y_panel: &[f64],
-        x_panel: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        check_panels(self.rows, self.cols, k, x_panel.len(), y_panel.len())?;
-        if k == 0 {
-            return Ok(());
-        }
-        self.left_panel_streaming(k, y_panel, x_panel, ws);
-        Ok(())
-    }
-
-    /// Batched right product over row-major panels, generic over the
-    /// per-block kernel (streaming or planned): hands block `i` its
-    /// contiguous `rows_i × k` chunk of `y_panel` plus one scratch
-    /// buffer of `scratch_len(i)` doubles, so batching and row-block
-    /// parallelism compose. Runs one pool task per block when the
-    /// matrix was built with more than one; panel shapes are the
-    /// caller's responsibility (checked by the public entry points).
-    fn right_panel_dispatch<S, F>(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        y_panel: &mut [f64],
-        ws: &mut Workspace,
-        scratch_len: S,
-        kernel: F,
-    ) where
-        S: Fn(usize) -> usize,
-        F: Fn(usize, &[f64], &mut [f64], &mut [f64]) + Sync,
-    {
-        let mut bufs: Vec<Vec<f64>> = (0..self.blocks.len())
-            .map(|i| ws.take(scratch_len(i)))
+    ) {
+        let kernel = |block: &CompressedMatrix, y: &mut [f64], w: &mut [f64]| {
+            block
+                .right_multiply_panel_with(k, x_panel, y, w)
+                .expect("block dimensions are consistent by construction");
+        };
+        let mut bufs: Vec<Vec<f64>> = self
+            .blocks
+            .iter()
+            .map(|b| ws.take(b.num_rules() * k))
             .collect();
-        let mut tasks: Vec<(usize, &mut [f64])> = Vec::with_capacity(self.blocks.len());
+        let mut tasks: Vec<(&CompressedMatrix, &mut [f64])> = Vec::with_capacity(self.blocks.len());
         let mut rest = y_panel;
-        for (i, block) in self.blocks.iter().enumerate() {
+        for block in &self.blocks {
             let (head, tail) = rest.split_at_mut(block.rows() * k);
-            tasks.push((i, head));
+            tasks.push((block, head));
             rest = tail;
         }
         if self.threads > 1 {
             let kernel = &kernel;
             rayon::scope(|scope| {
-                for ((i, slice), buf) in tasks.into_iter().zip(bufs.iter_mut()) {
-                    scope.spawn(move |_| kernel(i, x_panel, slice, buf));
+                for ((block, slice), buf) in tasks.into_iter().zip(bufs.iter_mut()) {
+                    scope.spawn(move |_| kernel(block, slice, buf));
                 }
             });
         } else {
-            for ((i, slice), buf) in tasks.into_iter().zip(bufs.iter_mut()) {
-                kernel(i, x_panel, slice, buf);
+            for ((block, slice), buf) in tasks.into_iter().zip(bufs.iter_mut()) {
+                kernel(block, slice, buf);
             }
         }
         for buf in bufs {
@@ -429,41 +294,42 @@ impl BlockedMatrix {
         }
     }
 
-    /// Batched left product over row-major panels, generic over the
-    /// per-block kernel: each block fills a partial `cols × k` panel
-    /// (one pool task per block when built with more than one), then
-    /// the partials are reduced into `x_panel` (§4.1).
-    fn left_panel_dispatch<S, F>(
+    /// Batched left product over row-major panels: each block fills a
+    /// partial `cols × k` panel (one pool task per block when built with
+    /// more than one), then the partials are reduced into `x_panel`
+    /// (§4.1). A block's scratch buffer is its `W` panel with the
+    /// nonzero-flag row appended.
+    fn left_panel_streaming(
         &self,
         k: usize,
         y_panel: &[f64],
         x_panel: &mut [f64],
         ws: &mut Workspace,
-        scratch_len: S,
-        kernel: F,
-    ) where
-        S: Fn(usize) -> usize,
-        F: Fn(usize, &[f64], &mut [f64], &mut [f64]) + Sync,
-    {
-        let mut scratch: Vec<(Vec<f64>, Vec<f64>)> = (0..self.blocks.len())
-            .map(|i| (ws.take(self.cols * k), ws.take(scratch_len(i))))
+    ) {
+        let kernel = |i: usize, part: &mut [f64], scratch: &mut [f64]| {
+            let block = &self.blocks[i];
+            let off = self.row_offsets[i] * k;
+            let y = &y_panel[off..off + block.rows() * k];
+            let (w, flags) = scratch.split_at_mut(block.num_rules() * k);
+            block
+                .left_multiply_panel_with(k, y, part, w, flags)
+                .expect("block dimensions are consistent by construction");
+        };
+        let mut scratch: Vec<(Vec<f64>, Vec<f64>)> = self
+            .blocks
+            .iter()
+            .map(|b| (ws.take(self.cols * k), ws.take(b.num_rules() * (k + 1))))
             .collect();
         if self.threads > 1 {
             let kernel = &kernel;
             rayon::scope(|scope| {
-                for ((i, block), (part, buf)) in
-                    self.blocks.iter().enumerate().zip(scratch.iter_mut())
-                {
-                    let off = self.row_offsets[i] * k;
-                    let y_slice = &y_panel[off..off + block.rows() * k];
-                    scope.spawn(move |_| kernel(i, y_slice, part, buf));
+                for (i, (part, buf)) in scratch.iter_mut().enumerate() {
+                    scope.spawn(move |_| kernel(i, part, buf));
                 }
             });
         } else {
-            for ((i, block), (part, buf)) in self.blocks.iter().enumerate().zip(scratch.iter_mut())
-            {
-                let off = self.row_offsets[i] * k;
-                kernel(i, &y_panel[off..off + block.rows() * k], part, buf);
+            for (i, (part, buf)) in scratch.iter_mut().enumerate() {
+                kernel(i, part, buf);
             }
         }
         x_panel.fill(0.0);
@@ -474,54 +340,6 @@ impl BlockedMatrix {
             ws.put(part);
             ws.put(buf);
         }
-    }
-
-    /// Streaming-kernel right product through the shared dispatcher.
-    fn right_panel_streaming(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        y_panel: &mut [f64],
-        ws: &mut Workspace,
-    ) {
-        self.right_panel_dispatch(
-            k,
-            x_panel,
-            y_panel,
-            ws,
-            |i| self.blocks[i].num_rules() * k,
-            |i, x, y, w| {
-                self.blocks[i]
-                    .right_multiply_panel_with(k, x, y, w)
-                    .expect("block dimensions are consistent by construction");
-            },
-        );
-    }
-
-    /// Streaming-kernel left product through the shared dispatcher
-    /// (the scratch buffer is the `W` panel with the nonzero-flag row
-    /// appended).
-    fn left_panel_streaming(
-        &self,
-        k: usize,
-        y_panel: &[f64],
-        x_panel: &mut [f64],
-        ws: &mut Workspace,
-    ) {
-        self.left_panel_dispatch(
-            k,
-            y_panel,
-            x_panel,
-            ws,
-            |i| self.blocks[i].num_rules() * (k + 1),
-            |i, y, part, scratch| {
-                let block = &self.blocks[i];
-                let (w, flags) = scratch.split_at_mut(block.num_rules() * k);
-                block
-                    .left_multiply_panel_with(k, y, part, w, flags)
-                    .expect("block dimensions are consistent by construction");
-            },
-        );
     }
 
     fn check_right(&self, x: &[f64], y: &[f64]) -> Result<(), MatrixError> {

@@ -3,8 +3,8 @@
 
 use std::time::Duration;
 
-use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding};
-use gcm_matrix::{CsrvMatrix, ParallelCsrv};
+use gcm_core::{CompressedMatrix, Encoding};
+use gcm_matrix::CsrvMatrix;
 use gcm_reorder::ReorderAlgorithm;
 
 use crate::backend::Backend;
@@ -42,12 +42,8 @@ pub fn shard_fingerprint(csrv: &CsrvMatrix) -> u64 {
 pub enum ShardArtifact {
     /// Uncompressed CSRV.
     Csrv(CsrvMatrix),
-    /// Row-block parallel CSRV.
-    ParCsrv(ParallelCsrv),
     /// Grammar-compressed matrix.
     Compressed(CompressedMatrix),
-    /// Row-block parallel grammar-compressed matrix.
-    Blocked(BlockedMatrix),
 }
 
 impl ShardArtifact {
@@ -55,9 +51,7 @@ impl ShardArtifact {
     pub fn rows(&self) -> usize {
         match self {
             ShardArtifact::Csrv(m) => m.rows(),
-            ShardArtifact::ParCsrv(m) => gcm_matrix::MatVec::rows(m),
             ShardArtifact::Compressed(m) => m.rows(),
-            ShardArtifact::Blocked(m) => gcm_matrix::MatVec::rows(m),
         }
     }
 
@@ -65,9 +59,7 @@ impl ShardArtifact {
     pub fn cols(&self) -> usize {
         match self {
             ShardArtifact::Csrv(m) => m.cols(),
-            ShardArtifact::ParCsrv(m) => gcm_matrix::MatVec::cols(m),
             ShardArtifact::Compressed(m) => m.cols(),
-            ShardArtifact::Blocked(m) => gcm_matrix::MatVec::cols(m),
         }
     }
 
@@ -75,9 +67,7 @@ impl ShardArtifact {
     pub fn backend(&self) -> Backend {
         match self {
             ShardArtifact::Csrv(_) => Backend::Csrv,
-            ShardArtifact::ParCsrv(_) => Backend::ParCsrv,
             ShardArtifact::Compressed(_) => Backend::Compressed,
-            ShardArtifact::Blocked(_) => Backend::Blocked,
         }
     }
 
@@ -85,9 +75,7 @@ impl ShardArtifact {
     pub fn stored_bytes(&self) -> usize {
         match self {
             ShardArtifact::Csrv(m) => m.csrv_bytes(),
-            ShardArtifact::ParCsrv(m) => m.stored_bytes(),
             ShardArtifact::Compressed(m) => m.stored_bytes(),
-            ShardArtifact::Blocked(m) => m.stored_bytes(),
         }
     }
 }
@@ -105,7 +93,7 @@ pub struct BuiltShard {
     /// Algorithm that produced `col_order`, if any.
     pub reorder: Option<ReorderAlgorithm>,
     /// Grammar stage that compressed this shard (`None` on the legacy
-    /// path and the uncompressed backends — no metadata persisted).
+    /// path and the uncompressed backend — no metadata persisted).
     pub grammar: Option<GrammarStage>,
     /// [`shard_fingerprint`] of the shard's input rows, recorded
     /// whenever a grammar-stage policy is active so incremental
@@ -122,15 +110,14 @@ pub struct ShardStats {
     pub rows: usize,
     /// Non-zeroes in the shard.
     pub nnz: usize,
-    /// Total grammar rules across the shard's blocks (0 for the
-    /// uncompressed backends).
+    /// Grammar rules of the shard (0 for the uncompressed backend).
     pub grammar_rules: usize,
     /// Representation bytes of the built artifact.
     pub encoded_bytes: usize,
-    /// Chosen encoding (None for the uncompressed backends).
+    /// Chosen encoding (None for the uncompressed backend).
     pub encoding: Option<Encoding>,
-    /// Chosen grammar stage (None for the uncompressed backends and
-    /// the legacy no-metadata path).
+    /// Chosen grammar stage (None for the uncompressed backend and the
+    /// legacy no-metadata path).
     pub grammar: Option<GrammarStage>,
     /// Reorder algorithm applied to this shard, if any.
     pub reorder: Option<ReorderAlgorithm>,
@@ -154,12 +141,12 @@ pub struct ShardStats {
     /// Elapsed time of building (and, under `Auto`, measuring)
     /// encodings, summed over the shard's grammar candidates.
     pub encode_time: Duration,
-    /// Grammars constructed for this shard: one per row block per
-    /// grammar candidate (0 for the uncompressed backends).
+    /// Grammars constructed for this shard: one per grammar candidate
+    /// (0 for the uncompressed backend).
     pub grammar_builds: usize,
     /// Rules built once for both [`GrammarChoice::Auto`] candidates —
-    /// those before MR-RePair's first extension — summed over the
-    /// shard's blocks (0 for every other policy).
+    /// those before MR-RePair's first extension (0 for every other
+    /// policy).
     ///
     /// [`GrammarChoice::Auto`]: crate::GrammarChoice::Auto
     pub shared_rules: usize,

@@ -1,4 +1,4 @@
-//! The four servable matrix representations a build can target.
+//! The two servable matrix representations a build can target.
 //!
 //! This enum used to live in the serve layer; it moved down into the
 //! pipeline so the build path can be planned and executed without
@@ -6,34 +6,27 @@
 //! `gcm_serve::Backend` keeps working).
 
 /// Which representation a built shard (and its on-disk container) uses.
+/// Row shards are the only row partition: every shard holds exactly one
+/// matrix of its backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// Uncompressed CSRV, single-threaded kernels.
+    /// Uncompressed CSRV.
     Csrv,
-    /// Uncompressed CSRV split into row blocks, pool-parallel kernels.
-    ParCsrv,
-    /// Grammar-compressed `(C, R, V)`, single-threaded kernels.
+    /// Grammar-compressed `(C, R, V)`.
     Compressed,
-    /// Grammar-compressed row blocks, pool-parallel kernels (§4.1).
-    Blocked,
 }
 
 impl Backend {
     /// Every backend, in container-tag order.
-    pub const ALL: [Backend; 4] = [
-        Backend::Csrv,
-        Backend::ParCsrv,
-        Backend::Compressed,
-        Backend::Blocked,
-    ];
+    pub const ALL: [Backend; 2] = [Backend::Csrv, Backend::Compressed];
 
     /// Stable on-disk tag (the `GCMSERV1` container's backend byte).
+    /// Tags 1 and 3 named the retired in-shard row-block backends
+    /// (`parcsrv`, `blocked`); they stay reserved and are never reused.
     pub fn tag(&self) -> u8 {
         match self {
             Backend::Csrv => 0,
-            Backend::ParCsrv => 1,
             Backend::Compressed => 2,
-            Backend::Blocked => 3,
         }
     }
 
@@ -41,9 +34,7 @@ impl Backend {
     pub fn from_tag(t: u8) -> Option<Backend> {
         match t {
             0 => Some(Backend::Csrv),
-            1 => Some(Backend::ParCsrv),
             2 => Some(Backend::Compressed),
-            3 => Some(Backend::Blocked),
             _ => None,
         }
     }
@@ -52,9 +43,7 @@ impl Backend {
     pub fn name(&self) -> &'static str {
         match self {
             Backend::Csrv => "csrv",
-            Backend::ParCsrv => "parcsrv",
             Backend::Compressed => "compressed",
-            Backend::Blocked => "blocked",
         }
     }
 
@@ -66,7 +55,7 @@ impl Backend {
     /// Whether shards of this backend are grammar-compressed (and thus
     /// pass through the RePair + encode stages).
     pub fn is_compressed(&self) -> bool {
-        matches!(self, Backend::Compressed | Backend::Blocked)
+        *self == Backend::Compressed
     }
 }
 
@@ -80,15 +69,17 @@ mod tests {
             assert_eq!(Backend::from_tag(b.tag()), Some(b));
             assert_eq!(Backend::parse(b.name()), Some(b));
         }
+        for retired in [1, 3] {
+            assert_eq!(Backend::from_tag(retired), None);
+        }
         assert_eq!(Backend::from_tag(9), None);
         assert_eq!(Backend::parse("dense"), None);
+        assert_eq!(Backend::parse("blocked"), None);
     }
 
     #[test]
     fn compressed_flag() {
         assert!(!Backend::Csrv.is_compressed());
-        assert!(!Backend::ParCsrv.is_compressed());
         assert!(Backend::Compressed.is_compressed());
-        assert!(Backend::Blocked.is_compressed());
     }
 }

@@ -116,7 +116,11 @@ pub struct BuildConfig {
     pub grammar: Option<GrammarChoice>,
     /// Number of row shards (clamped to `1..=rows`).
     pub shards: usize,
-    /// Row blocks *inside* each shard (`blocked` / `parcsrv` backends).
+    /// Ignored: the pipeline no longer reads it, since row shards are
+    /// the only row partition. Kept only because the repository
+    /// benchmark's workload table (`perfbench/src/workload.rs`) still
+    /// names it in a struct literal; delete it together with that
+    /// literal's `blocks: 1`.
     pub blocks: usize,
     /// Optional column reordering (§5) applied before compression.
     pub reorder: Option<ReorderMode>,
@@ -129,7 +133,7 @@ impl Default for BuildConfig {
             encoding: EncodingChoice::Fixed(Encoding::ReAns),
             grammar: None,
             shards: 1,
-            blocks: 4,
+            blocks: 1,
             reorder: None,
         }
     }

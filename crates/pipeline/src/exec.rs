@@ -2,22 +2,21 @@
 //! three phases, each one [`par_map`]:
 //!
 //! 1. **Reorder**: one task per shard computes or applies its column
-//!    order, fingerprints its input rows, and either finishes an
-//!    uncompressed backend's artifact or lays out the grammar input.
+//!    order, fingerprints its input rows, and either finishes the
+//!    uncompressed backend's artifact or keeps the grammar input.
 //! 2. **Grammar + encode**: one task per shard builds the shard's
 //!    grammar candidates and encodes each under the shard's
 //!    [`EncodingChoice`]. [`GrammarChoice::Auto`] has two candidates,
-//!    RePair and MR-RePair, built from **one** construction per block
+//!    RePair and MR-RePair, built from **one** construction
 //!    ([`RePair::compress_auto_with_scratch`]): MR-RePair is RePair plus
 //!    a maximal-repeat extension step, so until that step first succeeds
 //!    the two perform the same rounds on the same state. The task runs
 //!    those shared rounds once, then RePair's continuation (on a clone of
-//!    the state, dropped after use) and MR-RePair's, one block at a
-//!    time, and then encodes both candidates. Each pair of
-//!    continuations, and the pair of encodings, runs side by side
-//!    through a `join` nested in the phase's `par_map`, so a one-shard
-//!    build (the incremental rebuild) keeps two workers busy. Every
-//!    other policy builds one candidate.
+//!    the state, dropped after use) and MR-RePair's, and then encodes
+//!    both candidates. The pair of continuations, and the pair of
+//!    encodings, each runs side by side through a `join` nested in the
+//!    phase's `par_map`, so a one-shard build (the incremental rebuild)
+//!    keeps two workers busy. Every other policy builds one candidate.
 //! 3. **Select**: per shard, the candidate with the smaller measured
 //!    stored size wins (ties go to RePair).
 //!
@@ -29,8 +28,8 @@
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding};
-use gcm_matrix::{CsrvMatrix, ParallelCsrv, RowBlocks, SEPARATOR};
+use gcm_core::{CompressedMatrix, Encoding};
+use gcm_matrix::{CsrvMatrix, SEPARATOR};
 use gcm_reorder::ReorderAlgorithm;
 use gcm_repair::{MrSlp, RePair, RePairScratch, Slp};
 
@@ -45,7 +44,7 @@ use crate::stage::{join, par_map};
 /// The pipeline executor: stage machinery plus a scratch arena of
 /// [`RePairScratch`] buffers, one per pool worker (plus the caller), so
 /// concurrent grammar constructions reuse working storage across shards
-/// and across builds instead of reallocating it per block.
+/// and across builds instead of reallocating it per shard.
 #[derive(Debug)]
 pub struct Pipeline {
     scratches: Vec<Mutex<RePairScratch>>,
@@ -116,12 +115,12 @@ impl Pipeline {
         });
         let built = run_phase(parallel, plan.shards.len(), |i| {
             let sp = &plan.shards[i];
-            self.build_shard(plan.backend, sp, prepared[i].parts(sp), parallel)
+            self.build_shard(plan.backend, sp, prepared[i].input(sp), parallel)
         });
         let mut shards = Vec::with_capacity(plan.shards.len());
         let mut stats = Vec::with_capacity(plan.shards.len());
         for ((sp, prep), built) in plan.shards.iter().zip(prepared).zip(built) {
-            let (shard, stat) = select(&plan, sp, prep, built);
+            let (shard, stat) = select(sp, prep, built);
             shards.push(shard);
             stats.push(stat);
         }
@@ -138,91 +137,68 @@ impl Pipeline {
     }
 
     /// Phase 2 for one shard: build its grammar candidates (none for the
-    /// uncompressed backends, both stages for `Auto`, else one) and
+    /// uncompressed backend, both stages for `Auto`, else one) and
     /// encode each under the shard's encoding policy.
     fn build_shard(
         &self,
         backend: Backend,
         sp: &ShardPlan,
-        parts: &[CsrvMatrix],
+        input: &CsrvMatrix,
         parallel: bool,
     ) -> Built {
-        let single = |(grammars, grammar_time)| Built {
-            candidates: vec![candidate(parts, grammars, grammar_time, sp.encoding)],
+        let single = |(grammar, grammar_time)| Built {
+            candidates: vec![candidate(input, grammar, grammar_time, sp.encoding)],
             ..Built::default()
         };
         match (backend, sp.grammar) {
-            (Backend::Csrv | Backend::ParCsrv, _) => Built::default(),
+            (Backend::Csrv, _) => Built::default(),
             (_, None | Some(GrammarChoice::RePair)) => single(timed(|| {
-                ShardGrammars::RePair(self.per_block(parts, RePair::compress_with_scratch))
+                Grammar::RePair(self.compress(input, RePair::compress_with_scratch))
             })),
             (_, Some(GrammarChoice::MrRePair)) => single(timed(|| {
-                ShardGrammars::MrRePair(self.per_block(parts, RePair::compress_mr_with_scratch))
+                Grammar::MrRePair(self.compress(input, RePair::compress_mr_with_scratch))
             })),
-            (_, Some(GrammarChoice::Auto)) => self.build_auto(parts, sp.encoding, parallel),
+            (_, Some(GrammarChoice::Auto)) => self.build_auto(input, sp.encoding, parallel),
         }
     }
 
-    /// `Auto`, one block at a time: the shared construction (see
+    /// `Auto`: the shared construction (see
     /// [`RePair::compress_auto_with_scratch`]), then RePair's and
-    /// MR-RePair's continuations, side by side on the pool when
-    /// `parallel`, else inline. Both finish before the next block
-    /// starts, so by then the clone RePair continued on is freed and
-    /// MR-RePair's buffers are back in the arena. Each candidate is
-    /// encoded (the two side by side, likewise) once all its blocks are
-    /// built.
-    fn build_auto(&self, parts: &[CsrvMatrix], encoding: EncodingChoice, parallel: bool) -> Built {
-        let mut built = Built::default();
-        let mut slps = Vec::with_capacity(parts.len());
-        let mut mrs = Vec::with_capacity(parts.len());
-        let (mut repair_time, mut mr_time) = (Duration::ZERO, Duration::ZERO);
-        for block in parts {
-            let (auto, shared_time) =
-                timed(|| self.compress_block(block, RePair::compress_auto_with_scratch));
-            built.shared_time += shared_time;
-            built.shared_rules += auto.shared_rules;
-            let ((slp, t_repair), (mr, t_mr)) = both(
-                parallel,
-                || timed(|| auto.repair.finish()),
-                || timed(|| self.with_scratch(|scratch| auto.mr.finish(scratch))),
-            );
-            slps.push(slp);
-            mrs.push(mr);
-            repair_time += t_repair;
-            mr_time += t_mr;
-        }
+    /// MR-RePair's continuations, then the encoding of each candidate —
+    /// each pair side by side on the pool when `parallel`, else inline.
+    /// The clone RePair continues on is freed once its grammar is built.
+    fn build_auto(&self, input: &CsrvMatrix, encoding: EncodingChoice, parallel: bool) -> Built {
+        let (auto, shared_time) =
+            timed(|| self.compress(input, RePair::compress_auto_with_scratch));
+        let shared_rules = auto.shared_rules;
+        let ((slp, repair_time), (mr, mr_time)) = both(
+            parallel,
+            || timed(|| auto.repair.finish()),
+            || timed(|| self.with_scratch(|scratch| auto.mr.finish(scratch))),
+        );
         let (repair, mr) = both(
             parallel,
-            || candidate(parts, ShardGrammars::RePair(slps), repair_time, encoding),
-            || candidate(parts, ShardGrammars::MrRePair(mrs), mr_time, encoding),
+            || candidate(input, Grammar::RePair(slp), repair_time, encoding),
+            || candidate(input, Grammar::MrRePair(mr), mr_time, encoding),
         );
-        built.candidates = vec![repair, mr];
-        built
+        Built {
+            candidates: vec![repair, mr],
+            shared_time,
+            shared_rules,
+        }
     }
 
-    /// One `compress` result per block, each on pooled scratch.
-    fn per_block<G>(
+    /// `compress` of the shard's symbols, on pooled scratch.
+    fn compress<G>(
         &self,
-        parts: &[CsrvMatrix],
-        compress: fn(&RePair, &[u32], u32, Option<u32>, &mut RePairScratch) -> G,
-    ) -> Vec<G> {
-        parts
-            .iter()
-            .map(|block| self.compress_block(block, compress))
-            .collect()
-    }
-
-    /// `compress` of one block's symbols, on pooled scratch.
-    fn compress_block<G>(
-        &self,
-        block: &CsrvMatrix,
+        input: &CsrvMatrix,
         compress: fn(&RePair, &[u32], u32, Option<u32>, &mut RePairScratch) -> G,
     ) -> G {
         self.with_scratch(|scratch| {
             compress(
                 &RePair::new(),
-                block.symbols(),
-                block.terminal_limit(),
+                input.symbols(),
+                input.terminal_limit(),
                 Some(SEPARATOR),
                 scratch,
             )
@@ -230,28 +206,28 @@ impl Pipeline {
     }
 }
 
-/// A shard's grammars, one per row block, from either stage.
-enum ShardGrammars {
-    RePair(Vec<Slp>),
-    MrRePair(Vec<MrSlp>),
+/// A shard's grammar, from either stage.
+enum Grammar {
+    RePair(Slp),
+    MrRePair(MrSlp),
 }
 
-/// Encodes a candidate's grammars (built in `grammar_time`), timing the
+/// Encodes a candidate's grammar (built in `grammar_time`), timing the
 /// encoding.
 fn candidate(
-    parts: &[CsrvMatrix],
-    grammars: ShardGrammars,
+    input: &CsrvMatrix,
+    grammar: Grammar,
     grammar_time: Duration,
     encoding: EncodingChoice,
 ) -> Candidate {
-    let (blocks, encode_time) = timed(|| encode_blocks(parts, &grammars, encoding));
-    let stage = match grammars {
-        ShardGrammars::RePair(_) => GrammarStage::RePair,
-        ShardGrammars::MrRePair(_) => GrammarStage::MrRePair,
+    let (matrix, encode_time) = timed(|| encode(input, &grammar, encoding));
+    let stage = match grammar {
+        Grammar::RePair(_) => GrammarStage::RePair,
+        Grammar::MrRePair(_) => GrammarStage::MrRePair,
     };
     Candidate {
         stage,
-        blocks,
+        matrix,
         grammar_time,
         encode_time,
     }
@@ -290,12 +266,11 @@ fn run_phase<T: Send>(parallel: bool, n: usize, f: impl Fn(usize) -> T + Sync) -
 
 /// A shard after phase 1.
 struct Prepared {
-    /// The uncompressed backends' finished artifact.
+    /// The uncompressed backend's finished artifact.
     artifact: Option<ShardArtifact>,
-    /// The compressed backends' grammar input: the reordered shard, or
-    /// its row blocks (`blocked`). `None` compresses the plan's shard
-    /// as it is, without copying it.
-    blocks: Option<Vec<CsrvMatrix>>,
+    /// The compressed backend's reordered shard. `None` compresses the
+    /// plan's shard as it is, without copying it.
+    reordered: Option<CsrvMatrix>,
     col_order: Option<Vec<u32>>,
     reorder: Option<ReorderAlgorithm>,
     reorder_time: Duration,
@@ -303,11 +278,9 @@ struct Prepared {
 }
 
 impl Prepared {
-    /// The blocks every grammar candidate of `sp` compresses.
-    fn parts<'a>(&'a self, sp: &'a ShardPlan) -> &'a [CsrvMatrix] {
-        self.blocks
-            .as_deref()
-            .unwrap_or(std::slice::from_ref(&sp.csrv))
+    /// The matrix every grammar candidate of `sp` compresses.
+    fn input<'a>(&'a self, sp: &'a ShardPlan) -> &'a CsrvMatrix {
+        self.reordered.as_ref().unwrap_or(&sp.csrv)
     }
 }
 
@@ -325,13 +298,13 @@ struct Built {
 /// One grammar candidate of one shard, built and encoded.
 struct Candidate {
     stage: GrammarStage,
-    blocks: Vec<CompressedMatrix>,
+    matrix: CompressedMatrix,
     grammar_time: Duration,
     encode_time: Duration,
 }
 
-/// Phase 1 for one shard: reorder its columns, then either finish an
-/// uncompressed backend's artifact or lay out the grammar input.
+/// Phase 1 for one shard: reorder its columns, then either finish the
+/// uncompressed backend's artifact or keep the grammar input.
 fn prepare(plan: &Plan, sp: &ShardPlan) -> Prepared {
     let t0 = Instant::now();
     let (reordered, col_order, reorder) = match &sp.reorder {
@@ -351,37 +324,25 @@ fn prepare(plan: &Plan, sp: &ShardPlan) -> Prepared {
         }
     };
     let reorder_time = t0.elapsed();
-    let csrv = reordered.as_ref().unwrap_or(&sp.csrv);
-    let (artifact, blocks) = match plan.backend {
-        Backend::ParCsrv => (
-            Some(ShardArtifact::ParCsrv(ParallelCsrv::split(
-                csrv,
-                plan.blocks,
-            ))),
-            None,
-        ),
-        Backend::Blocked => (
-            None,
-            Some(RowBlocks::split(csrv, plan.blocks).into_blocks()),
-        ),
+    let (artifact, reordered) = match plan.backend {
         Backend::Csrv => (
             Some(ShardArtifact::Csrv(
                 reordered.unwrap_or_else(|| sp.csrv.clone()),
             )),
             None,
         ),
-        Backend::Compressed => (None, reordered.map(|m| vec![m])),
+        Backend::Compressed => (None, reordered),
     };
     // Fingerprint the *input* rows (pre-reorder) whenever a
     // grammar-stage policy is active — the handle incremental rebuilds
     // match shards by.
     let fingerprint = match (sp.grammar, plan.backend) {
-        (Some(_), Backend::Compressed | Backend::Blocked) => Some(shard_fingerprint(&sp.csrv)),
+        (Some(_), Backend::Compressed) => Some(shard_fingerprint(&sp.csrv)),
         _ => None,
     };
     Prepared {
         artifact,
-        blocks,
+        reordered,
         col_order,
         reorder,
         reorder_time,
@@ -392,37 +353,28 @@ fn prepare(plan: &Plan, sp: &ShardPlan) -> Prepared {
 /// Phase 3 for one shard: keep the candidate with the smallest
 /// **measured** stored size (ties go to the earlier candidate, so auto
 /// is never larger than pure RePair) and record the shard's statistics.
-fn select(plan: &Plan, sp: &ShardPlan, prep: Prepared, built: Built) -> (BuiltShard, ShardStats) {
+fn select(sp: &ShardPlan, prep: Prepared, built: Built) -> (BuiltShard, ShardStats) {
     let candidates = built.candidates;
     let grammar_time = built.shared_time + candidates.iter().map(|c| c.grammar_time).sum();
     let encode_time = candidates.iter().map(|c| c.encode_time).sum();
-    let grammar_builds = candidates.iter().map(|c| c.blocks.len()).sum();
+    let grammar_builds = candidates.len();
     let (artifact, grammar, grammar_rules, encoding) = match prep.artifact {
         Some(artifact) => (artifact, None, 0, None),
         None => {
             let winner = candidates
                 .into_iter()
-                .min_by_key(|c| {
-                    c.blocks
-                        .iter()
-                        .map(CompressedMatrix::stored_bytes)
-                        .sum::<usize>()
-                })
-                .expect("a compressed backend builds at least one candidate");
-            let rules = winner.blocks.iter().map(CompressedMatrix::num_rules).sum();
-            let encoding = winner.blocks.first().map(CompressedMatrix::encoding);
-            let artifact = if plan.backend == Backend::Compressed {
-                let block = winner
-                    .blocks
-                    .into_iter()
-                    .next()
-                    .expect("one block per shard");
-                ShardArtifact::Compressed(block)
-            } else {
-                ShardArtifact::Blocked(BlockedMatrix::from_blocks(winner.blocks, plan.cols))
-            };
+                .min_by_key(|c| c.matrix.stored_bytes())
+                .expect("the compressed backend builds at least one candidate");
+            let rules = winner.matrix.num_rules();
+            let encoding = Some(winner.matrix.encoding());
             // The legacy path records no stage metadata.
-            (artifact, sp.grammar.map(|_| winner.stage), rules, encoding)
+            let grammar = sp.grammar.map(|_| winner.stage);
+            (
+                ShardArtifact::Compressed(winner.matrix),
+                grammar,
+                rules,
+                encoding,
+            )
         }
     };
     let stats = ShardStats {
@@ -452,41 +404,21 @@ fn select(plan: &Plan, sp: &ShardPlan, prep: Prepared, built: Built) -> (BuiltSh
     )
 }
 
-/// Encodes a shard's blocks, selecting the encoding per `choice`: under
-/// [`EncodingChoice::Auto`] every encoding is built from the shared
-/// grammars and the one with the smallest **measured** total stored size
-/// wins (ties break in [`Encoding::ALL`] order — the container needs one
-/// encoding per shard, so the choice is made across the shard's blocks).
-fn encode_blocks(
-    parts: &[CsrvMatrix],
-    grammars: &ShardGrammars,
-    choice: EncodingChoice,
-) -> Vec<CompressedMatrix> {
-    let build = |enc: Encoding| -> Vec<CompressedMatrix> {
-        match grammars {
-            ShardGrammars::RePair(slps) => parts
-                .iter()
-                .zip(slps)
-                .map(|(block, slp)| CompressedMatrix::from_slp(block, slp, enc))
-                .collect(),
-            ShardGrammars::MrRePair(mrs) => parts
-                .iter()
-                .zip(mrs)
-                .map(|(block, mr)| CompressedMatrix::from_mr_slp(block, mr, enc))
-                .collect(),
-        }
+/// Encodes a shard's grammar, selecting the encoding per `choice`: under
+/// [`EncodingChoice::Auto`] every encoding is built from the one grammar
+/// and the one with the smallest **measured** stored size wins (ties
+/// break in [`Encoding::ALL`] order).
+fn encode(input: &CsrvMatrix, grammar: &Grammar, choice: EncodingChoice) -> CompressedMatrix {
+    let build = |enc: Encoding| match grammar {
+        Grammar::RePair(slp) => CompressedMatrix::from_slp(input, slp, enc),
+        Grammar::MrRePair(mr) => CompressedMatrix::from_mr_slp(input, mr, enc),
     };
     match choice {
         EncodingChoice::Fixed(enc) => build(enc),
         EncodingChoice::Auto => Encoding::ALL
             .into_iter()
             .map(build)
-            .min_by_key(|blocks| {
-                blocks
-                    .iter()
-                    .map(CompressedMatrix::stored_bytes)
-                    .sum::<usize>()
-            })
+            .min_by_key(CompressedMatrix::stored_bytes)
             .expect("at least one encoding"),
     }
 }
@@ -504,7 +436,7 @@ pub fn global() -> &'static Pipeline {
 mod tests {
     use super::*;
     use crate::config::ReorderMode;
-    use gcm_matrix::{DenseMatrix, MatVec, Workspace};
+    use gcm_matrix::{DenseMatrix, MatVec};
     use gcm_reorder::ReorderAlgorithm;
 
     fn sample(rows: usize, cols: usize) -> CsrvMatrix {
@@ -524,16 +456,13 @@ mod tests {
         let x: Vec<f64> = (0..dense.cols()).map(|i| i as f64 * 0.5 - 2.0).collect();
         let mut y_ref = vec![0.0; dense.rows()];
         dense.right_multiply(&x, &mut y_ref).unwrap();
-        let mut ws = Workspace::new();
         let mut row = 0usize;
         for shard in &artifacts.shards {
             let rows = shard.artifact.rows();
             let mut y = vec![0.0; rows];
             match &shard.artifact {
                 ShardArtifact::Csrv(m) => m.right_multiply(&x, &mut y).unwrap(),
-                ShardArtifact::ParCsrv(m) => m.right_multiply(&x, &mut y).unwrap(),
                 ShardArtifact::Compressed(m) => m.right_multiply(&x, &mut y).unwrap(),
-                ShardArtifact::Blocked(m) => m.right_multiply_into(&x, &mut y, &mut ws).unwrap(),
             }
             for (i, &yi) in y.iter().enumerate() {
                 assert!((yi - y_ref[row + i]).abs() < 1e-9);
@@ -556,7 +485,6 @@ mod tests {
                 let config = BuildConfig {
                     backend,
                     shards: 4,
-                    blocks: 2,
                     reorder,
                     ..BuildConfig::default()
                 };
@@ -579,11 +507,10 @@ mod tests {
         }
     }
 
-    /// A shard's serialized grammar-compressed blocks.
+    /// A shard's serialized grammar-compressed matrix.
     fn shard_bytes(shard: &BuiltShard) -> Vec<u8> {
         match &shard.artifact {
             ShardArtifact::Compressed(m) => gcm_core::serial::to_bytes(m),
-            ShardArtifact::Blocked(m) => gcm_core::serial::bundle_to_bytes(m.blocks(), None),
             other => panic!("not grammar-compressed: {:?}", other.backend()),
         }
     }
@@ -592,29 +519,25 @@ mod tests {
     fn auto_grammar_build_is_bit_identical_to_sequential() {
         let csrv = sample(96, 9);
         let pipeline = Pipeline::new();
-        for backend in [Backend::Compressed, Backend::Blocked] {
-            for shards in [1, 4] {
-                let config = BuildConfig {
-                    backend,
-                    encoding: EncodingChoice::Auto,
-                    grammar: Some(GrammarChoice::Auto),
-                    shards,
-                    blocks: 2,
-                    reorder: Some(ReorderMode::PerShard(ReorderAlgorithm::PathCover)),
-                };
-                let par = pipeline.build(&csrv, &config);
-                let seq = pipeline.build_sequential(&csrv, &config);
-                assert_eq!(par.shards.len(), shards);
-                let blocks = if backend == Backend::Blocked { 2 } else { 1 };
-                for ((a, b), stat) in par.shards.iter().zip(&seq.shards).zip(&par.stats.shards) {
-                    assert_eq!(shard_bytes(a), shard_bytes(b), "{}", backend.name());
-                    assert_eq!(a.col_order, b.col_order);
-                    assert_eq!(a.grammar, b.grammar);
-                    assert_eq!(a.fingerprint, b.fingerprint);
-                    assert_eq!(stat.grammar_builds, 2 * blocks, "both candidates per block");
-                }
-                artifact_products_match_dense(&par, &csrv);
+        for shards in [1, 4] {
+            let config = BuildConfig {
+                encoding: EncodingChoice::Auto,
+                grammar: Some(GrammarChoice::Auto),
+                shards,
+                reorder: Some(ReorderMode::PerShard(ReorderAlgorithm::PathCover)),
+                ..BuildConfig::default()
+            };
+            let par = pipeline.build(&csrv, &config);
+            let seq = pipeline.build_sequential(&csrv, &config);
+            assert_eq!(par.shards.len(), shards);
+            for ((a, b), stat) in par.shards.iter().zip(&seq.shards).zip(&par.stats.shards) {
+                assert_eq!(shard_bytes(a), shard_bytes(b), "s={shards}");
+                assert_eq!(a.col_order, b.col_order);
+                assert_eq!(a.grammar, b.grammar);
+                assert_eq!(a.fingerprint, b.fingerprint);
+                assert_eq!(stat.grammar_builds, 2, "both candidates");
             }
+            artifact_products_match_dense(&par, &csrv);
         }
     }
 
@@ -684,37 +607,33 @@ mod tests {
             GrammarChoice::MrRePair,
             GrammarChoice::Auto,
         ] {
-            for backend in [Backend::Compressed, Backend::Blocked] {
-                let config = BuildConfig {
-                    backend,
-                    shards: 3,
-                    blocks: 2,
-                    grammar: Some(choice),
-                    ..BuildConfig::default()
-                };
-                let par = pipeline.build(&csrv, &config);
-                let seq = pipeline.build_sequential(&csrv, &config);
-                artifact_products_match_dense(&par, &csrv);
-                for ((shard, stat), s_shard) in
-                    par.shards.iter().zip(&par.stats.shards).zip(&seq.shards)
-                {
-                    let stage = shard.grammar.expect("stage recorded");
-                    assert_eq!(stat.grammar, Some(stage), "{}", choice.name());
-                    match choice {
-                        GrammarChoice::RePair => assert_eq!(stage, GrammarStage::RePair),
-                        GrammarChoice::MrRePair => assert_eq!(stage, GrammarStage::MrRePair),
-                        GrammarChoice::Auto => {}
-                    }
-                    assert!(shard.fingerprint.is_some(), "fingerprint recorded");
-                    // Parallel and sequential agree on everything,
-                    // including the measured auto-selection.
-                    assert_eq!(s_shard.grammar, shard.grammar);
-                    assert_eq!(s_shard.fingerprint, shard.fingerprint);
-                    assert_eq!(
-                        s_shard.artifact.stored_bytes(),
-                        shard.artifact.stored_bytes()
-                    );
+            let config = BuildConfig {
+                shards: 3,
+                grammar: Some(choice),
+                ..BuildConfig::default()
+            };
+            let par = pipeline.build(&csrv, &config);
+            let seq = pipeline.build_sequential(&csrv, &config);
+            artifact_products_match_dense(&par, &csrv);
+            for ((shard, stat), s_shard) in
+                par.shards.iter().zip(&par.stats.shards).zip(&seq.shards)
+            {
+                let stage = shard.grammar.expect("stage recorded");
+                assert_eq!(stat.grammar, Some(stage), "{}", choice.name());
+                match choice {
+                    GrammarChoice::RePair => assert_eq!(stage, GrammarStage::RePair),
+                    GrammarChoice::MrRePair => assert_eq!(stage, GrammarStage::MrRePair),
+                    GrammarChoice::Auto => {}
                 }
+                assert!(shard.fingerprint.is_some(), "fingerprint recorded");
+                // Parallel and sequential agree on everything,
+                // including the measured auto-selection.
+                assert_eq!(s_shard.grammar, shard.grammar);
+                assert_eq!(s_shard.fingerprint, shard.fingerprint);
+                assert_eq!(
+                    s_shard.artifact.stored_bytes(),
+                    shard.artifact.stored_bytes()
+                );
             }
         }
     }
@@ -835,9 +754,7 @@ mod tests {
         let artifacts = global().build(
             &csrv,
             &BuildConfig {
-                backend: Backend::Blocked,
                 shards: 4,
-                blocks: 2,
                 reorder: Some(ReorderMode::PerShard(ReorderAlgorithm::PathCover)),
                 ..BuildConfig::default()
             },

@@ -49,8 +49,6 @@ pub struct ShardPlan {
 pub struct Plan {
     /// Target backend of every shard.
     pub backend: Backend,
-    /// Row blocks inside each shard (`blocked` / `parcsrv`).
-    pub blocks: usize,
     /// Column count.
     pub cols: usize,
     /// The per-shard work list.
@@ -94,7 +92,6 @@ impl Plan {
             .collect();
         Plan {
             backend: config.backend,
-            blocks: config.blocks.max(1),
             cols: csrv.cols(),
             shards,
         }

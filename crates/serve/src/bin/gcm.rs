@@ -4,11 +4,12 @@
 //! ```text
 //! gcm gen <dataset> <rows> <out.txt> [--seed S]
 //! gcm compress <in.txt> <out.gcms> [--backend B] [--encoding E]
-//!              [--grammar repair|mr|auto] [--shards N] [--blocks B]
+//!              [--grammar repair|mr|auto] [--shards N]
 //!              [--reorder ALGO] [--reorder-scope global|shard]
 //!              [--emit-plans] [--plan-f32] [--base OLD.gcms]
-//! gcm bench-build <in.txt> [--shards N] [--blocks B] [--repeat R]
+//! gcm bench-build <in.txt> [--shards N] [--repeat R]
 //! gcm inspect <model.gcms>
+//! gcm decompress <model> <out.txt>
 //! gcm multiply <model.gcms> [--left] [--batch K] [--vector FILE] [--out FILE]
 //!              [--plan] [--plan-f32] [--repeat N] [--rows A..B] [--sparse-x FILE]
 //! gcm solve <model.gcms> --method power|pagerank|cg [--iters N] [--tol T]
@@ -19,7 +20,8 @@
 //! gcm selftest [--rows R] [--cols C] [--shards N]
 //! ```
 //!
-//! Backends: `csrv`, `parcsrv`, `compressed` (default), `blocked`.
+//! Backends: `csrv`, `compressed` (default). Row shards (`--shards`) are
+//! the only row partition.
 //! Encodings: `re_32`, `re_iv`, `re_ans` (default), `re_fse`, or `auto`
 //! (per shard, smallest measured).
 //! Reorder algorithms: `pathcover`, `pathcover+`, `mwm`, `lkh`;
@@ -50,7 +52,9 @@
 //! JSON). `inspect` prints the same per-shard
 //! breakdown from a container (grammar stage included) and reports
 //! the value dictionary and how many shards share it, whether plans
-//! are persisted, and any rebuild-provenance sidecar.
+//! are persisted, and any rebuild-provenance sidecar. `decompress`
+//! writes the dense text matrix of any container or bare `GCMMAT1` /
+//! `GCMMAT2` payload — the exact input `compress` read.
 //! `multiply` defaults to the all-ones input; with `--batch K` the
 //! input is a `cols × K` (or `rows × K` for `--left`) dense text panel
 //! read from `--vector`, or all-ones when omitted; `--rows A..B`
@@ -94,8 +98,8 @@ use gcm_pipeline::{BuildConfig, BuildStats, EncodingChoice};
 use gcm_reorder::ReorderAlgorithm;
 use gcm_serve::protocol::Client;
 use gcm_serve::{
-    compress_incremental, Backend, BuildOptions, Engine, GrammarChoice, ModelStore, Registry,
-    ReorderMode, ServeOptions, Server, ServerConfig, ShardTable, ShardedModel,
+    compress_incremental, Backend, BuildOptions, Engine, GrammarChoice, Model, ModelStore,
+    Registry, ReorderMode, ServeOptions, Server, ServerConfig, ShardTable, ShardedModel,
 };
 
 /// `println!` that tolerates a closed stdout (e.g. piped through
@@ -112,13 +116,13 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
          gcm gen <dataset> <rows> <out.txt> [--seed S]\n  \
-         gcm compress <in.txt> <out.gcms> [--backend csrv|parcsrv|compressed|blocked]\n               \
-         [--encoding {}|auto] [--grammar repair|mr|auto]\n               \
-         [--shards N] [--blocks B]\n               \
+         gcm compress <in.txt> <out.gcms> [--backend csrv|compressed]\n               \
+         [--encoding {}|auto] [--grammar repair|mr|auto] [--shards N]\n               \
          [--reorder pathcover|pathcover+|mwm|lkh] [--reorder-scope global|shard]\n               \
          [--emit-plans [--plan-f32]] [--base OLD.gcms]\n  \
-         gcm bench-build <in.txt> [--shards N] [--blocks B] [--repeat R]\n  \
+         gcm bench-build <in.txt> [--shards N] [--repeat R]\n  \
          gcm inspect <model.gcms>\n  \
+         gcm decompress <model> <out.txt>\n  \
          gcm multiply <model.gcms> [--left] [--batch K] [--vector FILE] [--out FILE]\n               \
          [--plan] [--plan-f32] [--repeat N] [--rows A..B] [--sparse-x FILE]\n  \
          gcm solve <model.gcms> --method power|pagerank|cg [--iters N] [--tol T]\n               \
@@ -288,7 +292,6 @@ fn build_config(args: &Args) -> Result<BuildConfig, String> {
             Some(parse_grammar(g).ok_or_else(|| format!("unknown grammar stage {g}"))?);
     }
     config.shards = args.bounded_flag("shards", 1, 1)?;
-    config.blocks = args.bounded_flag("blocks", 4, 1)?;
     if let Some(r) = args.flag("reorder") {
         let algo = parse_reorder(r).ok_or_else(|| format!("unknown reorder {r}"))?;
         config.reorder = Some(match args.flag("reorder-scope") {
@@ -506,12 +509,11 @@ fn cmd_bench_build(args: &Args) -> Result<(), String> {
         return Err("bench-build needs <in.txt>".into());
     };
     let shards = args.bounded_flag("shards", 4, 1)?;
-    let blocks = args.bounded_flag("blocks", 2, 1)?;
     let repeat = args.bounded_flag("repeat", 9, 1)?;
     let dense = read_dense(input)?;
     let csrv = CsrvMatrix::from_dense(&dense).map_err(|e| e.to_string())?;
     say!(
-        "bench-build {input}: {} x {} ({} non-zeroes), {shards} shard(s), {blocks} block(s), {repeat} timed iteration(s)",
+        "bench-build {input}: {} x {} ({} non-zeroes), {shards} shard(s), {repeat} timed iteration(s)",
         dense.rows(),
         dense.cols(),
         dense.nnz(),
@@ -524,13 +526,11 @@ fn cmd_bench_build(args: &Args) -> Result<(), String> {
         GrammarChoice::Auto,
     ] {
         for &encoding in Encoding::ALL.iter() {
-            let config = gcm_pipeline::BuildConfig {
-                backend: Backend::Compressed,
+            let config = BuildConfig {
                 encoding: EncodingChoice::Fixed(encoding),
                 grammar: Some(grammar),
                 shards,
-                blocks,
-                reorder: None,
+                ..BuildConfig::default()
             };
             let t_build = Instant::now();
             let artifacts = gcm_pipeline::global().build(&csrv, &config);
@@ -591,9 +591,7 @@ fn cmd_bench_build(args: &Args) -> Result<(), String> {
             dense.cols(),
             dense.nnz(),
         ));
-        json.push_str(&format!(
-            "  \"shards\": {shards},\n  \"blocks\": {blocks},\n"
-        ));
+        json.push_str(&format!("  \"shards\": {shards},\n"));
         json.push_str("  \"grid\": [\n");
         for (i, c) in cells.iter().enumerate() {
             json.push_str(&format!(
@@ -731,6 +729,30 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
         "  vs dense   : {:.2}%",
         100.0 * model.stored_bytes() as f64 / (model.rows() * model.cols() * 8).max(1) as f64
     );
+    Ok(())
+}
+
+/// Writes the dense text matrix of a container or bare payload: every
+/// shard decoded and its rows copied into place.
+fn cmd_decompress(args: &Args) -> Result<(), String> {
+    let [input, output] = &args.positional[..] else {
+        return Err("decompress needs <model> <out.txt>".into());
+    };
+    let model = ShardedModel::load(Path::new(input)).map_err(|e| format!("{input}: {e}"))?;
+    let mut dense = DenseMatrix::zeros(model.rows(), model.cols());
+    let mut offset = 0;
+    for i in 0..model.num_shards() {
+        let shard = match model.shard_model(i) {
+            Model::Csrv(m) => m.to_dense(),
+            Model::Compressed(m) => m.to_csrv().to_dense(),
+        };
+        let len = shard.as_slice().len();
+        dense.as_mut_slice()[offset..offset + len].copy_from_slice(shard.as_slice());
+        offset += len;
+    }
+    let file = fs::File::create(output).map_err(|e| format!("{output}: {e}"))?;
+    mio::write_dense_text(&dense, std::io::BufWriter::new(file)).map_err(|e| e.to_string())?;
+    say!("wrote {output}: {}x{}", dense.rows(), dense.cols());
     Ok(())
 }
 
@@ -1033,7 +1055,6 @@ fn selftest_case(
         backend,
         encoding,
         shards,
-        blocks: 2,
         reorder,
         grammar: None,
     };
@@ -1146,8 +1167,8 @@ fn run_selftest(rows: usize, cols: usize, shards: usize, dir: &Path) -> Result<(
     let mut cases = 0usize;
     for backend in Backend::ALL {
         let encodings: &[Encoding] = match backend {
-            Backend::Csrv | Backend::ParCsrv => &[Encoding::ReAns],
-            _ => &Encoding::ALL,
+            Backend::Csrv => &[Encoding::ReAns],
+            Backend::Compressed => &Encoding::ALL,
         };
         for &encoding in encodings {
             for s in [1usize, shards] {
@@ -1246,27 +1267,23 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn run() -> Result<(), String> {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = raw.first().cloned() else {
-        return Err("missing command".into());
-    };
-    let known: &[&str] = match cmd.as_str() {
+/// The flags `cmd` accepts; `None` for an unknown command.
+fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
         "gen" => &["seed"],
         "compress" => &[
             "backend",
             "encoding",
             "grammar",
             "shards",
-            "blocks",
             "reorder",
             "reorder-scope",
             "emit-plans",
             "plan-f32",
             "base",
         ],
-        "bench-build" => &["shards", "blocks", "repeat"],
-        "inspect" => &[],
+        "bench-build" => &["shards", "repeat"],
+        "inspect" | "decompress" => &[],
         "multiply" => &[
             "left", "batch", "vector", "out", "plan", "plan-f32", "repeat", "rows", "sparse-x",
         ],
@@ -1284,14 +1301,23 @@ fn run() -> Result<(), String> {
         ],
         "stats" => &["model"],
         "selftest" => &["rows", "cols", "shards"],
-        other => return Err(format!("unknown command {other}")),
+        _ => return None,
+    })
+}
+
+fn run() -> Result<(), String> {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let Some(cmd) = raw.first().cloned() else {
+        return Err("missing command".into());
     };
+    let known = known_flags(&cmd).ok_or_else(|| format!("unknown command {cmd}"))?;
     let args = Args::parse(&raw[1..], known)?;
     match cmd.as_str() {
         "gen" => cmd_gen(&args),
         "compress" => cmd_compress(&args),
         "bench-build" => cmd_bench_build(&args),
         "inspect" => cmd_inspect(&args),
+        "decompress" => cmd_decompress(&args),
         "multiply" => cmd_multiply(&args),
         "solve" => cmd_solve(&args),
         "serve" => cmd_serve(&args),
@@ -1321,7 +1347,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let known = &["shards", "left", "blocks"][..];
+        let known = &["shards", "left", "repeat"][..];
         let args = Args::parse(&raw, known).unwrap();
         assert_eq!(args.positional, vec!["a.txt", "b.gcms"]);
         assert_eq!(args.flag("shards"), Some("3"));
@@ -1335,7 +1361,7 @@ mod tests {
         assert!(bool_args.has("emit-plans"));
         assert_eq!(bool_args.positional, vec!["in.txt", "out.gcms"]);
         assert_eq!(args.parsed_flag("shards", 1usize).unwrap(), 3);
-        assert_eq!(args.parsed_flag("blocks", 4usize).unwrap(), 4);
+        assert_eq!(args.parsed_flag("repeat", 4usize).unwrap(), 4);
         assert!(Args::parse(&["--shards".to_string()], known).is_err());
         // A typo'd flag is a hard error, never a silent default.
         let err = Args::parse(&["--shard".to_string(), "4".to_string()], known).unwrap_err();
@@ -1349,17 +1375,18 @@ mod tests {
                 .iter()
                 .flat_map(|(n, v)| [format!("--{n}"), v.to_string()])
                 .collect();
-            Args::parse(
-                &raw,
-                &["shards", "blocks", "batch", "repeat", "rows", "cols"],
-            )
-            .unwrap()
+            Args::parse(&raw, &["shards", "batch", "repeat", "rows", "cols"]).unwrap()
         };
-        // `--shards 0` / `--blocks 0` used to clamp to 1; now they fail.
+        // `--shards 0` used to clamp to 1; now it fails.
         let err = build_config(&parse(&[("shards", "0")])).unwrap_err();
         assert!(err.contains("--shards must be at least 1"), "{err}");
-        let err = build_config(&parse(&[("blocks", "0")])).unwrap_err();
-        assert!(err.contains("--blocks must be at least 1"), "{err}");
+        // `--blocks` went with the in-shard row-block backends: it is an
+        // unknown flag now, not a silently ignored one.
+        for cmd in ["compress", "bench-build"] {
+            let raw = ["--blocks".to_string(), "4".to_string()];
+            let err = Args::parse(&raw, known_flags(cmd).unwrap()).unwrap_err();
+            assert!(err.contains("unknown flag --blocks"), "{cmd}: {err}");
+        }
         // In-range values still parse.
         assert_eq!(build_config(&parse(&[("shards", "3")])).unwrap().shards, 3);
         // The helper carries the bound in its message.

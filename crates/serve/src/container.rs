@@ -13,7 +13,7 @@
 //!            payload_len | payload bytes
 //! [plan section                          -- versions 4 to 6
 //!  per shard: u8 plan kind (0 none, 1 f64, 2 f32)
-//!             if kind != 0: blob_count | blob_count × (len | blob)]
+//!             if kind != 0: blob_count (always 1) | len | blob]
 //! u64 LE FNV-1a checksum of every preceding byte
 //! ```
 //!
@@ -29,8 +29,8 @@
 //! **Version 4** appends an optional **plan section**: the compiled
 //! [`gcm_core::KernelPlan`] descriptor arrays of every planned shard,
 //! persisted in the fixed little-endian `GCMPLAN1` blob form (one blob
-//! per row block; the shard's kind byte names the plan precision, and
-//! every blob's own precision tag must agree with it), so a
+//! per shard; the shard's kind byte names the plan precision, and the
+//! blob's own precision tag must agree with it), so a
 //! loader restores them with a validated cast — no RePair decode, no
 //! recompilation ([`gcm_core::plan_compiles`] stays flat), load time
 //! independent of grammar size. **Version 5** adds per-shard **grammar
@@ -51,18 +51,19 @@
 //! only under an explicit grammar-stage policy. The reader accepts all
 //! six.
 //!
-//! Shard payloads by backend:
+//! Shard payloads by backend tag:
 //!
-//! * `csrv` — a column-order prefix (varint len + u32 LE entries, `0` =
-//!   none) then a `GCMCSRV1` section
+//! * `0` `csrv` — a column-order prefix (varint len + u32 LE entries,
+//!   `0` = none) then a `GCMCSRV1` section
 //!   ([`gcm_matrix::io::write_csrv_bytes`]);
-//! * `parcsrv` — the same column-order prefix, a varint block count,
-//!   then a `GCMCSRV1` section of the reassembled whole shard;
-//! * `compressed` — a single-block `GCMMAT2` bundle
+//! * `2` `compressed` — a single-block `GCMMAT2` bundle
 //!   ([`gcm_core::serial::bundle_to_bytes`]), which also carries the
 //!   column-reorder permutation (dictionary-free in version 6);
-//! * `blocked` — a multi-block `GCMMAT2` bundle (block structure +
-//!   permutation; dictionary-free in version 6).
+//! * `1` `parcsrv` and `3` `blocked` — **retired, rejected**: these
+//!   backends cut a shard into row blocks, which row shards replace.
+//!   Loading such a container fails with [`ServeError::RetiredBackend`],
+//!   whose message names the replacement; rebuild it from the source
+//!   matrix with `--backend compressed|csrv --shards N`.
 //!
 //! The shard table makes the container *mmap-style*: a reader can locate
 //! and decode one shard's byte range without touching the others
@@ -72,8 +73,10 @@
 //! Loading is validating end to end: the checksum rejects bit rot and
 //! truncation outright, and every payload then passes the structural
 //! validation of its section format, so a corrupt file can never panic a
-//! kernel. Bare `GCMMAT1` / `GCMMAT2` files (the `mmr` CLI's output) are
-//! accepted as single-shard compressed containers for compatibility.
+//! kernel. Bare `GCMMAT1` / `GCMMAT2` payloads
+//! ([`gcm_core::serial`]'s single-matrix and row-block bundle formats)
+//! are accepted for compatibility, as compressed models with one shard
+//! per block sharing the bundle's column order.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -81,9 +84,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use gcm_core::serial;
-use gcm_core::{BlockedMatrix, KernelPlan};
+use gcm_core::KernelPlan;
 use gcm_encodings::varint;
-use gcm_matrix::{io as mio, MatrixError, ParallelCsrv};
+use gcm_matrix::{io as mio, MatrixError};
 use gcm_pipeline::GrammarStage;
 use gcm_reorder::ReorderAlgorithm;
 
@@ -121,10 +124,10 @@ pub const VERSION_GRAMMAR: u8 = 5;
 /// Container version with one **shared value dictionary**: the
 /// version-5 layout plus a `V` section after the header, with every
 /// shard payload a dictionary-free grammar bundle decoded against it.
-/// Emitted for grammar models (`compressed` / `blocked`) of two or more
-/// shards on one dictionary — the row shards of one build always share
-/// theirs, so it is the multi-shard layout. Single-shard containers
-/// keep their version 1–5 bytes.
+/// Emitted for grammar models of two or more shards on one dictionary
+/// — the row shards of one build always share theirs, so it is the
+/// multi-shard layout. Single-shard containers keep their version 1–5
+/// bytes.
 pub const VERSION_SHARED_DICT: u8 = 6;
 
 /// Stable on-disk tag of a reorder algorithm (version 2 provenance
@@ -182,6 +185,14 @@ pub enum ServeError {
     Matrix(MatrixError),
     /// Invalid model name or unknown model.
     BadName(String),
+    /// A container of a retired backend: its shards hold row blocks,
+    /// which row shards replace. Rebuild it from the source matrix.
+    RetiredBackend {
+        /// The container's backend tag.
+        tag: u8,
+        /// The retired backend's name.
+        name: &'static str,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -191,6 +202,11 @@ impl fmt::Display for ServeError {
             ServeError::Corrupt(msg) => write!(f, "corrupt container: {msg}"),
             ServeError::Matrix(e) => write!(f, "matrix error: {e}"),
             ServeError::BadName(msg) => write!(f, "bad model name: {msg}"),
+            ServeError::RetiredBackend { tag, name } => write!(
+                f,
+                "retired backend {name} (tag {tag}): row shards replace its in-shard row \
+                 blocks; rebuild the container with --backend compressed|csrv --shards N"
+            ),
         }
     }
 }
@@ -223,10 +239,10 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
     h
 }
 
-/// Writes the optional column-reorder permutation prefix of the csrv /
-/// parcsrv payloads (`varint len` + u32 LE entries; `0` = none). The
-/// compressed backends instead carry the order inside their `GCMMAT2`
-/// bundle, so *every* backend round-trips the provenance metadata.
+/// Writes the optional column-reorder permutation prefix of the csrv
+/// payload (`varint len` + u32 LE entries; `0` = none). The compressed
+/// backend instead carries the order inside its `GCMMAT2` bundle, so
+/// *every* backend round-trips the provenance metadata.
 fn write_col_order(out: &mut Vec<u8>, col_order: Option<&[u32]>) {
     let order = col_order.unwrap_or(&[]);
     varint::write_u64(out, order.len() as u64);
@@ -268,29 +284,21 @@ fn read_col_order(
 }
 
 /// Serialises one shard's model. With `shared_dict` the grammar
-/// backends write dictionary-free bundles (version 6), whose `V` the
+/// backend writes a dictionary-free bundle (version 6), whose `V` the
 /// container stores once.
 fn shard_payload(model: &Model, col_order: Option<&[u32]>, shared_dict: bool) -> Vec<u8> {
-    let bundle = if shared_dict {
-        serial::bundle_to_bytes_shared
-    } else {
-        serial::bundle_to_bytes
-    };
-    let mut out = Vec::new();
     match model {
         Model::Csrv(m) => {
+            let mut out = Vec::new();
             write_col_order(&mut out, col_order);
             mio::write_csrv_bytes(m, &mut out);
+            out
         }
-        Model::ParCsrv(m) => {
-            write_col_order(&mut out, col_order);
-            varint::write_u64(&mut out, m.num_blocks() as u64);
-            mio::write_csrv_bytes(&m.to_csrv(), &mut out);
+        Model::Compressed(m) if shared_dict => {
+            serial::bundle_to_bytes_shared(std::slice::from_ref(m), col_order)
         }
-        Model::Compressed(m) => out = bundle(std::slice::from_ref(m), col_order),
-        Model::Blocked(m) => out = bundle(m.blocks(), col_order),
+        Model::Compressed(m) => serial::bundle_to_bytes(std::slice::from_ref(m), col_order),
     }
-    out
 }
 
 /// Decodes one shard payload; `dict` is the container's shared
@@ -301,13 +309,6 @@ fn decode_shard(
     payload: &[u8],
     dict: Option<&Arc<Vec<f64>>>,
 ) -> Result<(Model, Option<Vec<u32>>), ServeError> {
-    let bundle = |what: &str| {
-        match dict {
-            Some(values) => serial::bundle_from_bytes_shared(payload, values),
-            None => serial::bundle_from_bytes(payload),
-        }
-        .ok_or_else(|| corrupt(format!("invalid {what} shard bundle")))
-    };
     match backend {
         Backend::Csrv => {
             let mut pos = 0usize;
@@ -316,25 +317,12 @@ fn decode_shard(
                 .ok_or_else(|| corrupt("invalid csrv shard payload"))?;
             Ok((Model::Csrv(m), order))
         }
-        Backend::ParCsrv => {
-            let mut pos = 0usize;
-            let order = read_col_order(payload, &mut pos, cols)?;
-            let blocks = varint::read_u64(payload, &mut pos)
-                .ok_or_else(|| corrupt("missing parcsrv block count"))?;
-            // Every block needs at least one payload byte behind it, so
-            // the remaining length bounds any plausible count — tighter
-            // than a fixed cap, and checked (on the raw u64, before the
-            // narrowing cast) before the count sizes anything.
-            if blocks == 0 || blocks > payload.len().saturating_sub(pos) as u64 {
-                return Err(corrupt("implausible parcsrv block count"));
-            }
-            let blocks = blocks as usize;
-            let m = mio::read_csrv_bytes(payload, &mut pos)
-                .ok_or_else(|| corrupt("invalid parcsrv shard payload"))?;
-            Ok((Model::ParCsrv(ParallelCsrv::split(&m, blocks)), order))
-        }
         Backend::Compressed => {
-            let (mut blocks, order) = bundle("compressed")?;
+            let (mut blocks, order) = match dict {
+                Some(values) => serial::bundle_from_bytes_shared(payload, values),
+                None => serial::bundle_from_bytes(payload),
+            }
+            .ok_or_else(|| corrupt("invalid compressed shard bundle"))?;
             if blocks.len() != 1 {
                 return Err(corrupt("compressed shard must hold exactly one block"));
             }
@@ -343,16 +331,6 @@ fn decode_shard(
                 return Err(corrupt("shard column count mismatches header"));
             }
             Ok((Model::Compressed(m), order))
-        }
-        Backend::Blocked => {
-            let (blocks, order) = bundle("blocked")?;
-            if blocks.iter().any(|b| b.cols() != cols) {
-                return Err(corrupt("shard column count mismatches header"));
-            }
-            Ok((
-                Model::Blocked(BlockedMatrix::from_blocks(blocks, cols)),
-                order,
-            ))
         }
     }
 }
@@ -473,8 +451,8 @@ pub(crate) enum SegmentBody<'a> {
     /// Bytes taken from a base container without decoding them.
     Spliced {
         payload: Cow<'a, [u8]>,
-        /// `(kind, blobs)` of the plan section; `None` writes kind `0`.
-        plan: Option<(u8, Vec<&'a [u8]>)>,
+        /// `(kind, blob)` of the plan section; `None` writes kind `0`.
+        plan: Option<(u8, &'a [u8])>,
     },
 }
 
@@ -551,30 +529,22 @@ pub(crate) fn write_container(header: Header<'_>, segments: &[Segment<'_>]) -> V
     }
     if version >= VERSION_PLANS {
         for seg in segments {
-            match &seg.body {
+            let (kind, blob) = match &seg.body {
                 SegmentBody::Live { plan: None, .. } | SegmentBody::Spliced { plan: None, .. } => {
-                    out.push(0)
+                    out.push(0);
+                    continue;
                 }
                 SegmentBody::Live {
                     plan: Some(plan), ..
-                } => {
-                    out.push(plan_kind(plan.is_f32()));
-                    varint::write_u64(&mut out, plan.plans().len() as u64);
-                    for p in plan.plans() {
-                        write_blob(&mut out, &p.to_bytes());
-                    }
-                }
+                } => (plan_kind(plan.is_f32()), Cow::Owned(plan.kernel.to_bytes())),
                 SegmentBody::Spliced {
-                    plan: Some((kind, blobs)),
+                    plan: Some((kind, blob)),
                     ..
-                } => {
-                    out.push(*kind);
-                    varint::write_u64(&mut out, blobs.len() as u64);
-                    for blob in blobs {
-                        write_blob(&mut out, blob);
-                    }
-                }
-            }
+                } => (*kind, Cow::Borrowed(*blob)),
+            };
+            out.push(kind);
+            varint::write_u64(&mut out, 1); // blob count
+            write_blob(&mut out, &blob);
         }
     }
     let sum = fnv1a64(&out);
@@ -604,15 +574,14 @@ pub struct ShardTable {
     /// Per-shard reorder algorithm provenance (all `None` for version 1,
     /// which does not record it).
     pub reorder_algos: Vec<Option<ReorderAlgorithm>>,
-    /// Byte ranges of shard `i`'s persisted plan blobs, one per row
-    /// block — empty when the shard carries no persisted plan (always
-    /// empty for versions below [`VERSION_PLANS`]). A non-empty entry
-    /// means this container loads its plans by validated cast instead
-    /// of compiling them.
-    pub plan_ranges: Vec<Vec<std::ops::Range<usize>>>,
-    /// Whether shard `i`'s persisted plans are single-precision
-    /// (`f32`); meaningful only where
-    /// [`plan_ranges`](Self::plan_ranges) is non-empty.
+    /// Byte range of shard `i`'s persisted plan blob — `None` when the
+    /// shard carries no persisted plan (always `None` for versions
+    /// below [`VERSION_PLANS`]). A `Some` entry means this container
+    /// loads the shard's plan by validated cast instead of compiling it.
+    pub plan_ranges: Vec<Option<std::ops::Range<usize>>>,
+    /// Whether shard `i`'s persisted plan is single-precision (`f32`);
+    /// meaningful only where [`plan_ranges`](Self::plan_ranges) is
+    /// `Some`.
     pub plan_f32: Vec<bool>,
     /// Per-shard grammar-stage provenance (all `None` below
     /// [`VERSION_GRAMMAR`], and for shards written without a
@@ -628,7 +597,8 @@ impl ShardTable {
     /// table without decoding any payload.
     ///
     /// # Errors
-    /// Fails on bad magic/version/tag, truncation, or checksum mismatch.
+    /// Fails on bad magic/version/tag, truncation, or checksum mismatch,
+    /// and with [`ServeError::RetiredBackend`] on a retired backend tag.
     pub fn parse(data: &[u8]) -> Result<ShardTable, ServeError> {
         if data.len() < MAGIC.len() + 2 + 8 || &data[..8] != MAGIC {
             return Err(corrupt("bad magic"));
@@ -645,7 +615,16 @@ impl ShardTable {
         if !(VERSION..=VERSION_SHARED_DICT).contains(&version) {
             return Err(corrupt(format!("unsupported container version {version}")));
         }
-        let backend = Backend::from_tag(data[9]).ok_or_else(|| corrupt("unknown backend tag"))?;
+        let tag = data[9];
+        let retired = match tag {
+            1 => Some("parcsrv"),
+            3 => Some("blocked"),
+            _ => None,
+        };
+        if let Some(name) = retired {
+            return Err(ServeError::RetiredBackend { tag, name });
+        }
+        let backend = Backend::from_tag(tag).ok_or_else(|| corrupt("unknown backend tag"))?;
         let mut pos = 10usize;
         let rows = varint::read_u64(data, &mut pos).ok_or_else(|| corrupt("bad rows"))?;
         let cols = varint::read_u64(data, &mut pos).ok_or_else(|| corrupt("bad cols"))?;
@@ -668,7 +647,7 @@ impl ShardTable {
         }
         let num_shards = num_shards as usize;
         let dictionary = if version >= VERSION_SHARED_DICT {
-            if !matches!(backend, Backend::Compressed | Backend::Blocked) {
+            if backend != Backend::Compressed {
                 return Err(corrupt(format!(
                     "version {version} shares a dictionary, which a {} backend cannot",
                     backend.name()
@@ -747,7 +726,7 @@ impl ShardTable {
             shard_ranges.push(pos..end);
             pos = end;
         }
-        let mut plan_ranges = vec![Vec::new(); num_shards];
+        let mut plan_ranges = vec![None; num_shards];
         let mut plan_f32 = vec![false; num_shards];
         if version >= VERSION_PLANS {
             for i in 0..num_shards {
@@ -765,24 +744,19 @@ impl ShardTable {
                 plan_f32[i] = kind == 2;
                 let count = varint::read_u64(data, &mut pos)
                     .ok_or_else(|| corrupt(format!("bad shard {i} plan count")))?;
-                // Every blob needs bytes behind it, so the remaining
-                // body bounds any plausible count — checked on the raw
-                // u64 before the count sizes anything.
-                if count == 0 || count > body_len.saturating_sub(pos) as u64 {
-                    return Err(corrupt(format!("implausible shard {i} plan count")));
+                if count != 1 {
+                    return Err(corrupt(format!(
+                        "shard {i} plan count {count}: a shard holds one plan blob"
+                    )));
                 }
-                let mut ranges = Vec::with_capacity(count as usize);
-                for j in 0..count {
-                    let len = varint::read_u64(data, &mut pos)
-                        .ok_or_else(|| corrupt(format!("bad shard {i} plan {j} length")))?;
-                    if len > body_len.saturating_sub(pos) as u64 {
-                        return Err(corrupt(format!("shard {i} plan {j} overruns container")));
-                    }
-                    let end = pos + len as usize;
-                    ranges.push(pos..end);
-                    pos = end;
+                let len = varint::read_u64(data, &mut pos)
+                    .ok_or_else(|| corrupt(format!("bad shard {i} plan length")))?;
+                if len > body_len.saturating_sub(pos) as u64 {
+                    return Err(corrupt(format!("shard {i} plan overruns container")));
                 }
-                plan_ranges[i] = ranges;
+                let end = pos + len as usize;
+                plan_ranges[i] = Some(pos..end);
+                pos = end;
             }
         }
         if pos != body_len {
@@ -855,54 +829,35 @@ impl ShardTable {
     }
 }
 
-/// Deserialises shard `i`'s persisted plan blobs and checks them
-/// against the decoded shard `model` (one blob per row block, matching
-/// rows/cols/rule counts — a mismatched plan would compute the wrong
-/// product — and every blob at the precision the shard's kind byte
-/// names). Pure cast-and-validate: no grammar decode, no compilation.
+/// Deserialises shard `i`'s persisted plan blob (at `range`) and checks
+/// it against the decoded shard `model`: matching rows/cols/rule counts
+/// — a mismatched plan would compute the wrong product — at the
+/// precision the shard's kind byte names. Pure cast-and-validate: no
+/// grammar decode, no compilation.
 fn decode_shard_plan(
     table: &ShardTable,
     data: &[u8],
     i: usize,
+    range: std::ops::Range<usize>,
     model: &Model,
 ) -> Result<ModelPlan, ServeError> {
-    let ranges = &table.plan_ranges[i];
-    let dims: Vec<(usize, usize, usize)> = match model {
-        Model::Compressed(m) => vec![(m.rows(), m.cols(), m.lowered_rules())],
-        Model::Blocked(m) => m
-            .blocks()
-            .iter()
-            .map(|b| (b.rows(), b.cols(), b.lowered_rules()))
-            .collect(),
-        _ => {
-            return Err(corrupt(format!(
-                "shard {i} persists plans for an unplannable backend"
-            )))
-        }
-    };
-    if ranges.len() != dims.len() {
+    let Model::Compressed(m) = model else {
         return Err(corrupt(format!(
-            "shard {i} plan count mismatches its row blocks"
+            "shard {i} persists a plan for an unplannable backend"
+        )));
+    };
+    let kernel = KernelPlan::from_bytes(&data[range])
+        .ok_or_else(|| corrupt(format!("invalid shard {i} plan blob")))?;
+    if kernel.is_f32() != table.plan_f32[i] {
+        return Err(corrupt(format!(
+            "shard {i} plan blob precision disagrees with its plan kind"
         )));
     }
-    let mut plans = Vec::with_capacity(ranges.len());
-    for (j, (range, &(rows, cols, rules))) in ranges.iter().zip(&dims).enumerate() {
-        let p = KernelPlan::from_bytes(&data[range.clone()])
-            .ok_or_else(|| corrupt(format!("invalid shard {i} plan blob {j}")))?;
-        if p.is_f32() != table.plan_f32[i] {
-            return Err(corrupt(format!(
-                "shard {i} plan blob {j} precision disagrees with its plan kind"
-            )));
-        }
-        if (p.rows(), p.cols(), p.num_rules()) != (rows, cols, rules) {
-            return Err(corrupt(format!("shard {i} plan {j} mismatches its matrix")));
-        }
-        plans.push(p);
+    if (kernel.rows(), kernel.cols(), kernel.num_rules()) != (m.rows(), m.cols(), m.lowered_rules())
+    {
+        return Err(corrupt(format!("shard {i} plan mismatches its matrix")));
     }
-    Ok(match model {
-        Model::Compressed(_) => ModelPlan::Compressed(Box::new(plans.pop().expect("one blob"))),
-        _ => ModelPlan::Blocked(plans),
-    })
+    Ok(ModelPlan { kernel })
 }
 
 /// Deserialises a container into a ready-to-serve [`ShardedModel`],
@@ -912,8 +867,8 @@ fn decode_shard_plan(
 /// same stage machinery the build pipeline uses). Single-shard
 /// containers decode inline.
 ///
-/// Bare `GCMMAT1` / `GCMMAT2` payloads are accepted as single-shard
-/// compressed models.
+/// Bare `GCMMAT1` / `GCMMAT2` payloads are accepted as compressed
+/// models with one shard per block.
 ///
 /// # Errors
 /// Fails on any structural violation; never panics on corrupt input.
@@ -942,15 +897,14 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
         ));
     }
     if data.len() >= 8 && &data[..8] == b"GCMMAT2\0" {
+        // A multi-block bundle (a `BlockedMatrix`) loads as one shard
+        // per block; the bundle guarantees at least one block and one
+        // column count for all of them.
         let (blocks, order) =
             serial::bundle_from_bytes(data).ok_or_else(|| corrupt("invalid GCMMAT2 payload"))?;
         let cols = blocks[0].cols();
-        let model = if blocks.len() == 1 {
-            Model::Compressed(blocks.into_iter().next().expect("one block"))
-        } else {
-            Model::Blocked(BlockedMatrix::from_blocks(blocks, cols))
-        };
-        return Ok(ShardedModel::from_parts(vec![model], cols, order));
+        let models = blocks.into_iter().map(Model::Compressed).collect();
+        return Ok(ShardedModel::from_parts(models, cols, order));
     }
     let table = ShardTable::parse(data)?;
     let n = table.shard_ranges.len();
@@ -1017,12 +971,11 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
     // install it — a validated cast, not a recompilation, so load time
     // stays flat in grammar size and the first prewarm is a cheap
     // budget-warming pass.
-    for (i, ranges) in table.plan_ranges.iter().enumerate() {
-        if ranges.is_empty() {
-            continue;
+    for (i, range) in table.plan_ranges.iter().enumerate() {
+        if let Some(range) = range {
+            let plan = decode_shard_plan(&table, data, i, range.clone(), model.shard_model(i))?;
+            model.install_plan(i, plan);
         }
-        let plan = decode_shard_plan(&table, data, i, model.shard_model(i))?;
-        model.install_plan(i, plan);
     }
     Ok(model)
 }
@@ -1104,8 +1057,8 @@ mod tests {
     /// when the older layouts would pick `legacy`.
     fn multi_shard_version(backend: Backend, legacy: u8) -> u8 {
         match backend {
-            Backend::Compressed | Backend::Blocked => VERSION_SHARED_DICT,
-            Backend::Csrv | Backend::ParCsrv => legacy,
+            Backend::Compressed => VERSION_SHARED_DICT,
+            Backend::Csrv => legacy,
         }
     }
 
@@ -1129,7 +1082,6 @@ mod tests {
                 let opts = BuildOptions {
                     backend,
                     shards,
-                    blocks: 2,
                     encoding: Encoding::ReIv,
                     ..BuildOptions::default()
                 };
@@ -1199,11 +1151,10 @@ mod tests {
                 dense.set(r, 5, v);
             }
         }
-        for backend in [Backend::Compressed, Backend::Blocked, Backend::Csrv] {
+        for backend in Backend::ALL {
             let opts = BuildOptions {
                 backend,
                 shards: 2,
-                blocks: 2,
                 reorder: Some(crate::ReorderMode::PerShard(
                     gcm_reorder::ReorderAlgorithm::PathCover,
                 )),
@@ -1450,58 +1401,54 @@ mod tests {
         use crate::sharded::ServeOptions;
         let dense = sample();
         let x: Vec<f64> = (0..8).map(|i| i as f64 - 3.5).collect();
-        for backend in [Backend::Compressed, Backend::Blocked] {
-            for shards in [1usize, 3] {
-                for f32_plans in [false, true] {
-                    let opts = BuildOptions {
-                        backend,
-                        shards,
-                        blocks: 2,
-                        encoding: Encoding::ReIv,
-                        ..BuildOptions::default()
-                    };
-                    let model = ShardedModel::from_dense(&dense, &opts).unwrap();
-                    let serve = if f32_plans {
-                        ServeOptions::planned_f32()
-                    } else {
-                        ServeOptions::planned()
-                    };
-                    model.prewarm_with(2, &serve);
-                    let bytes = model.to_bytes_with_plans();
-                    let version = if shards > 1 {
-                        VERSION_SHARED_DICT
-                    } else {
-                        VERSION_PLANS
-                    };
-                    assert_eq!(bytes[8], version, "{} s={shards}", backend.name());
-                    let table = ShardTable::parse(&bytes).unwrap();
-                    assert!(table.plan_bytes() > 0, "{} s={shards}", backend.name());
-                    assert_eq!(table.plan_f32, vec![f32_plans; shards]);
+        for shards in [1usize, 3] {
+            for f32_plans in [false, true] {
+                let opts = BuildOptions {
+                    shards,
+                    encoding: Encoding::ReIv,
+                    ..BuildOptions::default()
+                };
+                let model = ShardedModel::from_dense(&dense, &opts).unwrap();
+                let serve = if f32_plans {
+                    ServeOptions::planned_f32()
+                } else {
+                    ServeOptions::planned()
+                };
+                model.prewarm_with(2, &serve);
+                let bytes = model.to_bytes_with_plans();
+                let version = if shards > 1 {
+                    VERSION_SHARED_DICT
+                } else {
+                    VERSION_PLANS
+                };
+                assert_eq!(bytes[8], version, "s={shards}");
+                let table = ShardTable::parse(&bytes).unwrap();
+                assert!(table.plan_bytes() > 0, "s={shards}");
+                assert_eq!(table.plan_f32, vec![f32_plans; shards]);
 
-                    // That loading casts the plans back in rather than
-                    // compiling them is pinned by the single-test
-                    // `tests/plan_section_no_recompile.rs`.
-                    let back = ShardedModel::from_bytes(&bytes).expect("v4 roundtrip");
-                    assert!(back.is_planned(), "{} s={shards}", backend.name());
-                    assert_eq!(back.is_planned_f32(), f32_plans);
-                    // Deserialized plans are exact-capacity; compiled
-                    // ones may carry growth slack, so compare loosely.
-                    let loaded = back.plan_heap_bytes();
-                    assert!(loaded > 0 && loaded <= model.plan_heap_bytes());
+                // That loading casts the plans back in rather than
+                // compiling them is pinned by the single-test
+                // `tests/plan_section_no_recompile.rs`.
+                let back = ShardedModel::from_bytes(&bytes).expect("v4 roundtrip");
+                assert!(back.is_planned(), "s={shards}");
+                assert_eq!(back.is_planned_f32(), f32_plans);
+                // Deserialized plans are exact-capacity; compiled
+                // ones may carry growth slack, so compare loosely.
+                let loaded = back.plan_heap_bytes();
+                assert!(loaded > 0 && loaded <= model.plan_heap_bytes());
 
-                    // The restored plans serve bit-identically.
-                    let mut y_a = vec![0.0; 37];
-                    let mut y_b = vec![0.0; 37];
-                    model.right_multiply_panel(1, &x, &mut y_a).unwrap();
-                    back.right_multiply_panel(1, &x, &mut y_b).unwrap();
-                    assert_eq!(y_a, y_b, "{} s={shards}", backend.name());
-                    let mut x_a = vec![0.0; 8];
-                    let mut x_b = vec![0.0; 8];
-                    let yv: Vec<f64> = (0..37).map(|i| (i % 5) as f64 - 2.0).collect();
-                    model.left_multiply_panel(1, &yv, &mut x_a).unwrap();
-                    back.left_multiply_panel(1, &yv, &mut x_b).unwrap();
-                    assert_eq!(x_a, x_b, "{} s={shards} left", backend.name());
-                }
+                // The restored plans serve bit-identically.
+                let mut y_a = vec![0.0; 37];
+                let mut y_b = vec![0.0; 37];
+                model.right_multiply_panel(1, &x, &mut y_a).unwrap();
+                back.right_multiply_panel(1, &x, &mut y_b).unwrap();
+                assert_eq!(y_a, y_b, "s={shards}");
+                let mut x_a = vec![0.0; 8];
+                let mut x_b = vec![0.0; 8];
+                let yv: Vec<f64> = (0..37).map(|i| (i % 5) as f64 - 2.0).collect();
+                model.left_multiply_panel(1, &yv, &mut x_a).unwrap();
+                back.left_multiply_panel(1, &yv, &mut x_b).unwrap();
+                assert_eq!(x_a, x_b, "s={shards} left");
             }
         }
     }
@@ -1588,7 +1535,8 @@ mod tests {
 
         // A corrupted blob magic is caught even with a valid container
         // checksum.
-        let blob_start = table.plan_ranges[0][0].start;
+        let blob = table.plan_ranges[0].clone().expect("shard 0 plan");
+        let blob_start = blob.start;
         let mut bad = bytes.clone();
         bad[blob_start] ^= 0xFF;
         refresh_checksum(&mut bad);
@@ -1596,7 +1544,7 @@ mod tests {
         assert!(err.to_string().contains("plan blob"), "{err}");
 
         // Truncating the plan section leaves trailing-length garbage.
-        let mut bad = bytes[..table.plan_ranges[0][0].end - 4].to_vec();
+        let mut bad = bytes[..blob.end - 4].to_vec();
         bad.extend_from_slice(&[0u8; 8]);
         refresh_checksum(&mut bad);
         assert!(ShardedModel::from_bytes(&bad).is_err());
@@ -1606,37 +1554,32 @@ mod tests {
     fn row_subset_matches_full_product_after_v4_load() {
         use crate::sharded::ServeOptions;
         let dense = sample();
-        for backend in [Backend::Compressed, Backend::Blocked] {
-            let model = ShardedModel::from_dense(
-                &dense,
-                &BuildOptions {
-                    backend,
-                    shards: 3,
-                    blocks: 2,
-                    ..BuildOptions::default()
-                },
-            )
-            .unwrap();
-            model.prewarm_with(2, &ServeOptions::planned());
-            let back = ShardedModel::from_bytes(&model.to_bytes_with_plans()).unwrap();
-            let k = 2usize;
-            let x: Vec<f64> = (0..8 * k).map(|i| (i % 5) as f64 * 0.5 - 1.0).collect();
-            let mut y_full = vec![0.0; 37 * k];
-            back.right_multiply_panel(k, &x, &mut y_full).unwrap();
-            for range in [0..5usize, 10..25, 36..37, 0..37, 12..12] {
-                let mut y_sub = vec![0.0; range.len() * k];
-                back.right_multiply_rows(range.clone(), k, &x, &mut y_sub)
-                    .unwrap();
-                assert_eq!(
-                    y_sub,
-                    y_full[range.start * k..range.end * k].to_vec(),
-                    "{} rows {range:?}",
-                    backend.name()
-                );
-            }
-            let mut y_sub = vec![0.0; 2 * 2];
-            assert!(back.right_multiply_rows(36..38, 2, &x, &mut y_sub).is_err());
+        let model = ShardedModel::from_dense(
+            &dense,
+            &BuildOptions {
+                shards: 3,
+                ..BuildOptions::default()
+            },
+        )
+        .unwrap();
+        model.prewarm_with(2, &ServeOptions::planned());
+        let back = ShardedModel::from_bytes(&model.to_bytes_with_plans()).unwrap();
+        let k = 2usize;
+        let x: Vec<f64> = (0..8 * k).map(|i| (i % 5) as f64 * 0.5 - 1.0).collect();
+        let mut y_full = vec![0.0; 37 * k];
+        back.right_multiply_panel(k, &x, &mut y_full).unwrap();
+        for range in [0..5usize, 10..25, 36..37, 0..37, 12..12] {
+            let mut y_sub = vec![0.0; range.len() * k];
+            back.right_multiply_rows(range.clone(), k, &x, &mut y_sub)
+                .unwrap();
+            assert_eq!(
+                y_sub,
+                y_full[range.start * k..range.end * k].to_vec(),
+                "rows {range:?}"
+            );
         }
+        let mut y_sub = vec![0.0; 2 * 2];
+        assert!(back.right_multiply_rows(36..38, 2, &x, &mut y_sub).is_err());
     }
 
     #[test]
@@ -1665,11 +1608,7 @@ mod tests {
         use crate::sharded::ServeOptions;
         use gcm_pipeline::GrammarChoice;
         let dense = sample();
-        for (backend, shards) in [
-            (Backend::Compressed, 1),
-            (Backend::Compressed, 2),
-            (Backend::Blocked, 2),
-        ] {
+        for shards in [1, 2] {
             for grammar in [
                 GrammarChoice::RePair,
                 GrammarChoice::MrRePair,
@@ -1679,9 +1618,7 @@ mod tests {
                     let model = ShardedModel::from_dense(
                         &dense,
                         &BuildOptions {
-                            backend,
                             shards,
-                            blocks: 2,
                             grammar: Some(grammar),
                             ..BuildOptions::default()
                         },
@@ -1693,7 +1630,7 @@ mod tests {
                     } else {
                         model.to_bytes()
                     };
-                    let tag = format!("{} s={shards} {grammar:?} plans={plans}", backend.name());
+                    let tag = format!("s={shards} {grammar:?} plans={plans}");
                     let version = if shards > 1 {
                         VERSION_SHARED_DICT
                     } else {

@@ -51,7 +51,6 @@ use crate::container::{
     self, plan_kind, write_container, Header, Segment, SegmentBody, ServeError, ShardTable,
     VERSION_GRAMMAR, VERSION_SHARED_DICT,
 };
-use crate::model::Backend;
 use crate::sharded::{ServeOptions, ShardedModel};
 
 /// How one output shard of an incremental rebuild was produced.
@@ -117,9 +116,9 @@ impl RebuildReport {
 ///
 /// Falls back to a full rebuild — with the reason in the report — when
 /// the base or the configuration cannot support splicing: a base
-/// without fingerprints (pre-v5, or built without a grammar-stage
-/// policy), a backend that records no fingerprints, no grammar-stage
-/// policy, a global reorder, or a changed shard count.
+/// without fingerprints (pre-v5, uncompressed, or built without a
+/// grammar-stage policy), no grammar-stage policy, a changed backend, a
+/// global reorder, or a changed shard count.
 ///
 /// # Errors
 /// Fails if `base` is not a structurally valid container.
@@ -192,7 +191,7 @@ pub fn compress_incremental(
 /// The base container's plan policy: `Some(opts)` when it persists
 /// plans (f32 when any shard's plans are single-precision).
 fn plan_policy(table: &ShardTable) -> Option<ServeOptions> {
-    if table.plan_ranges.iter().all(Vec::is_empty) {
+    if table.plan_ranges.iter().all(Option::is_none) {
         return None;
     }
     Some(if table.plan_f32.iter().any(|&f| f) {
@@ -208,12 +207,6 @@ fn splice_blocker(csrv: &CsrvMatrix, config: &BuildConfig, table: &ShardTable) -
         return Some(
             "no grammar-stage policy (--grammar): fingerprints are only recorded under one".into(),
         );
-    }
-    if !matches!(config.backend, Backend::Compressed | Backend::Blocked) {
-        return Some(format!(
-            "backend {} records no fingerprints",
-            config.backend.name()
-        ));
     }
     if matches!(config.reorder, Some(ReorderMode::Global(_))) {
         return Some("global reorder couples every shard to the whole-matrix permutation".into());
@@ -271,13 +264,9 @@ fn splice_segment<'a>(
         }
         payload = Cow::Owned(stripped);
     }
-    let plan = (!table.plan_ranges[i].is_empty()).then(|| {
-        let blobs = table.plan_ranges[i]
-            .iter()
-            .map(|r| &base[r.clone()])
-            .collect();
-        (plan_kind(table.plan_f32[i]), blobs)
-    });
+    let plan = table.plan_ranges[i]
+        .clone()
+        .map(|r| (plan_kind(table.plan_f32[i]), &base[r]));
     Ok(Segment {
         reorder: table.reorder_algos[i],
         grammar: table.grammar_stages[i],
@@ -346,7 +335,6 @@ fn full_rebuild(
 mod tests {
     use super::*;
     use crate::container;
-    use gcm_core::Encoding;
     use gcm_matrix::DenseMatrix;
     use gcm_pipeline::{EncodingChoice, GrammarChoice};
 
@@ -369,12 +357,9 @@ mod tests {
 
     fn grammar_config(shards: usize) -> BuildConfig {
         BuildConfig {
-            backend: Backend::Compressed,
-            encoding: EncodingChoice::Fixed(Encoding::ReAns),
             grammar: Some(GrammarChoice::MrRePair),
             shards,
-            blocks: 2,
-            reorder: None,
+            ..BuildConfig::default()
         }
     }
 
@@ -500,14 +485,13 @@ mod tests {
         let dense = sample(40, 8, 3);
         let csrv = CsrvMatrix::from_dense(&dense).unwrap();
         let config = BuildConfig {
-            backend: Backend::Blocked,
             encoding: EncodingChoice::Auto,
             grammar: Some(GrammarChoice::Auto),
             shards: 4,
-            blocks: 2,
             reorder: Some(ReorderMode::PerShard(
                 gcm_reorder::ReorderAlgorithm::PathCover,
             )),
+            ..BuildConfig::default()
         };
         let base = build_full(&csrv, &config, false);
         let mut changed = sample(40, 8, 3);

@@ -2,19 +2,19 @@
 //!
 //! The paper motivates grammar-compressed matrices by storage and
 //! server-to-client transmission costs; this crate is the serving side
-//! of that story. It turns any in-memory backend — CSRV, row-block
-//! parallel CSRV, grammar-compressed `(C, R, V)`, or row-block parallel
-//! compressed — into a **persistent, sharded, restart-amortised model**:
+//! of that story. It turns either in-memory backend — CSRV or
+//! grammar-compressed `(C, R, V)` — into a **persistent, sharded,
+//! restart-amortised model**:
 //!
-//! * [`Model`] wraps the four backends behind one enum with uniform
+//! * [`Model`] wraps the two backends behind one enum with uniform
 //!   panel-slice kernels and workspace budgets;
-//! * [`ShardedModel`] splits a matrix row-wise across N shards and
-//!   serves single-vector and batched products across them on the
-//!   persistent thread pool, with per-shard [`gcm_matrix::Workspace`]
-//!   reuse — zero steady-state allocation for single-threaded shard
-//!   backends, from the first post-[`prewarm`](ShardedModel::prewarm)
-//!   request on;
-//! * the `GCMSERV1` [`container`] persists all of it (block structure,
+//! * [`ShardedModel`] splits a matrix row-wise across N shards (the
+//!   only row partition) and serves single-vector and batched products
+//!   across them on the persistent thread pool, with per-shard
+//!   [`gcm_matrix::Workspace`] reuse — zero steady-state allocation for
+//!   either backend, from the first
+//!   post-[`prewarm`](ShardedModel::prewarm) request on;
+//! * the `GCMSERV1` [`container`] persists all of it (shard structure,
 //!   reorder permutations, FNV-64 integrity checksum) with fully
 //!   validating, panic-free loading, plus mmap-style selective shard
 //!   decoding via [`ShardTable`];
@@ -28,7 +28,8 @@
 //! * [`ModelStore`] / [`Registry`] give containers names: a directory
 //!   of `.gcms` files behind a load-once, prewarm, serve-many cache;
 //! * the `gcm` binary (`src/bin/gcm.rs`) drives the whole pipeline from
-//!   the command line: `compress`, `inspect`, `multiply`, `selftest`.
+//!   the command line: `compress`, `inspect`, `decompress`, `multiply`,
+//!   `selftest`.
 //!
 //! Compression is paid once, at `compress`/`publish` time; every later
 //! process start pays only a validated load. That seam — build

@@ -1,21 +1,21 @@
-//! A uniform wrapper over every servable matrix backend.
+//! A uniform wrapper over both servable matrix backends.
 //!
-//! The serve layer persists and multiplies four representations — the
-//! uncompressed CSRV baseline, its row-block parallel variant, the
-//! grammar-compressed `(C, R, V)` matrix, and its row-block parallel
-//! variant — behind one enum, so the container format, the sharded
-//! engine, and the differential test harness treat them uniformly.
-//! A grammar backend's compiled plans ride along as a two-variant
-//! [`ModelPlan`] (one [`KernelPlan`] per matrix or row block); the
-//! plan precision is a run-time property of the [`KernelPlan`]s, so no
-//! kernel entry point here branches on it.
+//! The serve layer persists and multiplies two representations — the
+//! uncompressed CSRV baseline and the grammar-compressed `(C, R, V)`
+//! matrix — behind one enum, so the container format, the sharded
+//! engine, and the differential test harness treat them uniformly. Row
+//! shards are the only row partition: every [`Model`] is one matrix. A
+//! grammar model's compiled plan rides along as a [`ModelPlan`]
+//! wrapping one [`KernelPlan`]; the plan precision is a run-time
+//! property of the [`KernelPlan`], so no kernel entry point here
+//! branches on it.
 
 use std::sync::Arc;
 
-use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding, KernelPlan};
+use gcm_core::{CompressedMatrix, Encoding, KernelPlan};
 use gcm_encodings::HeapSize;
 use gcm_matrix::matvec::{check_left_batch, check_right_batch};
-use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, ParallelCsrv, Workspace};
+use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, Workspace};
 use gcm_pipeline::ShardArtifact;
 
 /// Which representation a [`Model`] (and its on-disk container) uses.
@@ -24,70 +24,50 @@ use gcm_pipeline::ShardArtifact;
 /// working.
 pub use gcm_pipeline::Backend;
 
-/// A compiled execution plan for one [`Model`] — the serve-layer
-/// counterpart of [`gcm_core::plan`]: grammar backends compile to
-/// per-(block-)matrix [`KernelPlan`]s, uncompressed backends have no
-/// plan (their kernels are already branchless array walks).
+/// A compiled execution plan for one grammar-compressed [`Model`] — the
+/// serve-layer counterpart of [`gcm_core::plan`]. Uncompressed models
+/// have no plan (their kernels are already branchless array walks).
 ///
-/// The precision (`f64` or `f32`) lives in the [`KernelPlan`]s
-/// themselves; every plan of one model shares it.
+/// The precision (`f64` or `f32`) lives in the [`KernelPlan`] itself.
 ///
 /// Plans are a speed-for-memory trade ([`HeapSize`] reports the cost),
 /// built once at prewarm and consumed by the `*_planned` kernels below.
 #[derive(Debug, Clone)]
-pub enum ModelPlan {
-    /// One plan for a grammar-compressed model (boxed: a plan header is
-    /// several hundred bytes, the blocked variant one `Vec`).
-    Compressed(Box<KernelPlan>),
-    /// One plan per row block of a blocked model.
-    Blocked(Vec<KernelPlan>),
+pub struct ModelPlan {
+    pub(crate) kernel: KernelPlan,
 }
 
 impl ModelPlan {
     /// Compiles a plan for `model`, in single precision when `f32` is
-    /// set; `None` for the uncompressed backends, which gain nothing
+    /// set; `None` for the uncompressed backend, which gains nothing
     /// from planning.
     pub fn compile_with(model: &Model, f32_plan: bool) -> Option<Self> {
-        match (model, f32_plan) {
-            (Model::Csrv(_) | Model::ParCsrv(_), _) => None,
-            (Model::Compressed(m), false) => Some(ModelPlan::Compressed(Box::new(m.plan()))),
-            (Model::Blocked(m), false) => Some(ModelPlan::Blocked(m.plan())),
-            (Model::Compressed(m), true) => Some(ModelPlan::Compressed(Box::new(m.plan_f32()))),
-            (Model::Blocked(m), true) => Some(ModelPlan::Blocked(m.plan_f32())),
-        }
-    }
-
-    /// The per-(block-)matrix plans, in row order.
-    pub(crate) fn plans(&self) -> &[KernelPlan] {
-        match self {
-            ModelPlan::Compressed(p) => std::slice::from_ref(&**p),
-            ModelPlan::Blocked(ps) => ps,
-        }
+        let Model::Compressed(m) = model else {
+            return None;
+        };
+        let kernel = if f32_plan { m.plan_f32() } else { m.plan() };
+        Some(ModelPlan { kernel })
     }
 
     /// Whether this plan evaluates in single precision.
     pub fn is_f32(&self) -> bool {
-        self.plans().iter().any(KernelPlan::is_f32)
+        self.kernel.is_f32()
     }
 }
 
 impl HeapSize for ModelPlan {
     fn heap_bytes(&self) -> usize {
-        self.plans().iter().map(HeapSize::heap_bytes).sum()
+        self.kernel.heap_bytes()
     }
 }
 
-/// One servable matrix in any backend representation.
+/// One servable matrix in either backend representation.
 #[derive(Debug, Clone)]
 pub enum Model {
     /// Uncompressed CSRV.
     Csrv(CsrvMatrix),
-    /// Row-block parallel CSRV.
-    ParCsrv(ParallelCsrv),
     /// Grammar-compressed matrix.
     Compressed(CompressedMatrix),
-    /// Row-block parallel grammar-compressed matrix.
-    Blocked(BlockedMatrix),
 }
 
 impl Model {
@@ -95,9 +75,7 @@ impl Model {
     pub fn rows(&self) -> usize {
         match self {
             Model::Csrv(m) => m.rows(),
-            Model::ParCsrv(m) => m.rows(),
             Model::Compressed(m) => m.rows(),
-            Model::Blocked(m) => MatVec::rows(m),
         }
     }
 
@@ -105,9 +83,7 @@ impl Model {
     pub fn cols(&self) -> usize {
         match self {
             Model::Csrv(m) => m.cols(),
-            Model::ParCsrv(m) => m.cols(),
             Model::Compressed(m) => m.cols(),
-            Model::Blocked(m) => MatVec::cols(m),
         }
     }
 
@@ -115,18 +91,15 @@ impl Model {
     pub fn backend(&self) -> Backend {
         match self {
             Model::Csrv(_) => Backend::Csrv,
-            Model::ParCsrv(_) => Backend::ParCsrv,
             Model::Compressed(_) => Backend::Compressed,
-            Model::Blocked(_) => Backend::Blocked,
         }
     }
 
-    /// The grammar encoding, for the compressed backends.
+    /// The grammar encoding, for the compressed backend.
     pub fn encoding(&self) -> Option<Encoding> {
         match self {
+            Model::Csrv(_) => None,
             Model::Compressed(m) => Some(m.encoding()),
-            Model::Blocked(m) => m.blocks().first().map(|b| b.encoding()),
-            _ => None,
         }
     }
 
@@ -135,42 +108,35 @@ impl Model {
     pub fn stored_bytes(&self) -> usize {
         match self {
             Model::Csrv(m) => m.csrv_bytes(),
-            Model::ParCsrv(m) => m.stored_bytes(),
             Model::Compressed(m) => m.stored_bytes(),
-            Model::Blocked(m) => m.stored_bytes(),
         }
     }
 
-    /// The grammar backends' value dictionary `V` (one `Arc` shared by
-    /// every row block); `None` for the uncompressed backends, whose
-    /// payloads always embed their own.
+    /// The grammar backend's value dictionary `V` (an `Arc` the row
+    /// shards of one build share); `None` for the uncompressed backend,
+    /// whose payloads always embed their own.
     pub fn dictionary(&self) -> Option<&Arc<Vec<f64>>> {
         match self {
-            Model::Csrv(_) | Model::ParCsrv(_) => None,
+            Model::Csrv(_) => None,
             Model::Compressed(m) => Some(m.values_arc()),
-            Model::Blocked(m) => m.blocks().first().map(CompressedMatrix::values_arc),
         }
     }
 
-    /// Number of stored non-zeroes (compressed backends count through
-    /// the grammar without decompressing; the `inspect` per-shard table
-    /// relies on this).
+    /// Number of stored non-zeroes (the compressed backend counts
+    /// through the grammar without decompressing; the `inspect`
+    /// per-shard table relies on this).
     pub fn nnz(&self) -> usize {
         match self {
             Model::Csrv(m) => m.nnz(),
-            Model::ParCsrv(m) => m.blocks().iter().map(CsrvMatrix::nnz).sum(),
             Model::Compressed(m) => m.nnz(),
-            Model::Blocked(m) => m.blocks().iter().map(CompressedMatrix::nnz).sum(),
         }
     }
 
-    /// Total grammar rules across the model's blocks (0 for the
-    /// uncompressed backends).
+    /// Grammar rules of the model (0 for the uncompressed backend).
     pub fn grammar_rules(&self) -> usize {
         match self {
-            Model::Csrv(_) | Model::ParCsrv(_) => 0,
+            Model::Csrv(_) => 0,
             Model::Compressed(m) => m.num_rules(),
-            Model::Blocked(m) => m.blocks().iter().map(CompressedMatrix::num_rules).sum(),
         }
     }
 
@@ -180,38 +146,20 @@ impl Model {
     /// batched-multiply of width at most `k` without allocating, even on
     /// the first call.
     pub fn workspace_budget(&self, k: usize) -> (usize, usize) {
-        let k = k.max(1);
         match self {
             Model::Csrv(_) => (0, 0),
-            Model::ParCsrv(m) => (m.num_blocks(), m.cols() * k),
             // The batched left kernel draws the W panel plus the
             // per-rule nonzero-flag buffer.
-            Model::Compressed(m) => (2, m.num_rules() * k),
-            Model::Blocked(m) => {
-                let max_rules = m.blocks().iter().map(|b| b.num_rules()).max().unwrap_or(0);
-                // Per block: a partial `cols × k` panel plus one scratch
-                // buffer (the `W` panel with the left pass's flag row).
-                (
-                    2 * m.num_blocks(),
-                    (k * MatVec::cols(m)).max(max_rules * (k + 1)).max(1),
-                )
-            }
+            Model::Compressed(m) => (2, m.num_rules() * k.max(1)),
         }
     }
 
     /// Workspace budget `(buffers, max_len)` of one **planned**
-    /// multiplication with batch width `k` (plans draw one combined
-    /// `[x | w | flags]` scratch buffer per matrix instead of the
-    /// streaming kernels' separate W panels).
+    /// multiplication with batch width `k` (a plan draws one combined
+    /// `[x | w | flags]` scratch buffer instead of the streaming
+    /// kernels' separate W panels).
     pub fn planned_workspace_budget(&self, k: usize, plan: &ModelPlan) -> (usize, usize) {
-        let k = k.max(1);
-        match plan {
-            ModelPlan::Compressed(p) => (1, p.scratch_len(k)),
-            ModelPlan::Blocked(ps) => {
-                let max_buf = ps.iter().map(|p| p.scratch_len(k)).max().unwrap_or(0);
-                (2 * ps.len(), max_buf.max(self.cols() * k))
-            }
-        }
+        (1, plan.kernel.scratch_len(k.max(1)))
     }
 
     /// Batched right product over explicit row-major `k`-wide panel
@@ -230,14 +178,12 @@ impl Model {
     ) -> Result<(), MatrixError> {
         match self {
             Model::Csrv(m) => m.right_multiply_panel(x_panel, y_panel, k),
-            Model::ParCsrv(m) => m.right_multiply_panel_into(k, x_panel, y_panel),
             Model::Compressed(m) => {
                 let mut w = ws.take(m.num_rules() * k);
                 let result = m.right_multiply_panel_with(k, x_panel, y_panel, &mut w);
                 ws.put(w);
                 result
             }
-            Model::Blocked(m) => m.right_multiply_panel_into(k, x_panel, y_panel, ws),
         }
     }
 
@@ -256,7 +202,6 @@ impl Model {
     ) -> Result<(), MatrixError> {
         match self {
             Model::Csrv(m) => m.left_multiply_panel(y_panel, x_panel, k),
-            Model::ParCsrv(m) => m.left_multiply_panel_into(k, y_panel, x_panel, ws),
             Model::Compressed(m) => {
                 let mut w = ws.take(m.num_rules() * k);
                 let mut flags = ws.take(m.num_rules());
@@ -265,7 +210,6 @@ impl Model {
                 ws.put(w);
                 result
             }
-            Model::Blocked(m) => m.left_multiply_panel_into(k, y_panel, x_panel, ws),
         }
     }
 
@@ -284,21 +228,12 @@ impl Model {
         y_panel: &mut [f64],
         ws: &mut Workspace,
     ) -> Result<(), MatrixError> {
-        match (self, plan) {
-            (Model::Compressed(_), ModelPlan::Compressed(p)) => {
-                let mut buf = ws.take(p.scratch_len(k));
-                let result = p.right_multiply_panel(k, x_panel, y_panel, &mut buf);
-                ws.put(buf);
-                result
-            }
-            (Model::Blocked(m), ModelPlan::Blocked(ps)) => {
-                m.right_multiply_panel_planned_into(ps, k, x_panel, y_panel, ws)
-            }
-            // A mismatched plan cannot arise through the serve layer
-            // (plans are compiled from the very model they serve);
-            // fall back to the streaming path rather than guess.
-            _ => self.right_multiply_panel_into(k, x_panel, y_panel, ws),
-        }
+        let mut buf = ws.take(plan.kernel.scratch_len(k));
+        let result = plan
+            .kernel
+            .right_multiply_panel(k, x_panel, y_panel, &mut buf);
+        ws.put(buf);
+        result
     }
 
     /// Sparse-input right product from the non-zeroes of `x` alone,
@@ -328,12 +263,9 @@ impl Model {
     }
 
     /// Sparse-input right product through a compiled `plan` (which must
-    /// have been compiled from this model): grammar backends take the
-    /// activity-propagation walk of
-    /// [`KernelPlan::right_multiply_sparse`] — blocked models run it
-    /// block by block over the shared input — and anything else falls
-    /// back to [`right_multiply_sparse_into`](Self::right_multiply_sparse_into).
-    /// No heap allocation once `ws` is warm.
+    /// have been compiled from this model): the activity-propagation
+    /// walk of [`KernelPlan::right_multiply_sparse`]. No heap
+    /// allocation once `ws` is warm.
     ///
     /// # Errors
     /// Fails on invalid sparse input or a wrong `y` length.
@@ -351,22 +283,10 @@ impl Model {
                 what: "y length",
             });
         }
-        match (self, plan) {
-            (Model::Compressed(_), ModelPlan::Compressed(_))
-            | (Model::Blocked(_), ModelPlan::Blocked(_)) => {
-                let mut off = 0usize;
-                for p in plan.plans() {
-                    let mut buf = ws.take(p.scratch_len(1));
-                    let result =
-                        p.right_multiply_sparse(x_nnz, &mut y[off..off + p.rows()], &mut buf);
-                    ws.put(buf);
-                    result?;
-                    off += p.rows();
-                }
-                Ok(())
-            }
-            _ => self.right_multiply_sparse_into(x_nnz, y, ws),
-        }
+        let mut buf = ws.take(plan.kernel.scratch_len(1));
+        let result = plan.kernel.right_multiply_sparse(x_nnz, y, &mut buf);
+        ws.put(buf);
+        result
     }
 
     /// Batched left product through a compiled `plan`; see
@@ -382,18 +302,12 @@ impl Model {
         x_panel: &mut [f64],
         ws: &mut Workspace,
     ) -> Result<(), MatrixError> {
-        match (self, plan) {
-            (Model::Compressed(_), ModelPlan::Compressed(p)) => {
-                let mut buf = ws.take(p.scratch_len(k));
-                let result = p.left_multiply_panel(k, y_panel, x_panel, &mut buf);
-                ws.put(buf);
-                result
-            }
-            (Model::Blocked(m), ModelPlan::Blocked(ps)) => {
-                m.left_multiply_panel_planned_into(ps, k, y_panel, x_panel, ws)
-            }
-            _ => self.left_multiply_panel_into(k, y_panel, x_panel, ws),
-        }
+        let mut buf = ws.take(plan.kernel.scratch_len(k));
+        let result = plan
+            .kernel
+            .left_multiply_panel(k, y_panel, x_panel, &mut buf);
+        ws.put(buf);
+        result
     }
 }
 
@@ -404,9 +318,7 @@ impl From<ShardArtifact> for Model {
     fn from(artifact: ShardArtifact) -> Self {
         match artifact {
             ShardArtifact::Csrv(m) => Model::Csrv(m),
-            ShardArtifact::ParCsrv(m) => Model::ParCsrv(m),
             ShardArtifact::Compressed(m) => Model::Compressed(m),
-            ShardArtifact::Blocked(m) => Model::Blocked(m),
         }
     }
 }
@@ -487,9 +399,7 @@ mod tests {
         let csrv = CsrvMatrix::from_dense(dense).unwrap();
         vec![
             Model::Csrv(csrv.clone()),
-            Model::ParCsrv(ParallelCsrv::split(&csrv, 3)),
             Model::Compressed(CompressedMatrix::compress(&csrv, Encoding::ReIv)),
-            Model::Blocked(BlockedMatrix::compress(&csrv, Encoding::ReAns, 4)),
         ]
     }
 
@@ -572,7 +482,7 @@ mod tests {
     #[test]
     fn sparse_multiply_rejects_malformed_input() {
         let dense = sample();
-        let model = &all_models(&dense)[2];
+        let model = &all_models(&dense)[1];
         let mut ws = Workspace::new();
         let mut y = vec![0.0; 31];
         // Out-of-range index.

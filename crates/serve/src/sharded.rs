@@ -2,22 +2,19 @@
 //! shards, multiplied on the persistent thread pool with per-shard
 //! workspace reuse.
 //!
-//! Sharding composes with the backend's own structure: each shard is any
-//! [`Model`] — uncompressed, grammar-compressed, or itself row-block
-//! parallel. A batched right product hands every shard its disjoint
-//! `rows_i × k` sub-panel of the output; a batched left product has each
-//! shard fill a persistent partial `cols × k` panel, then reduces them.
+//! Shards are the only row partition: each shard is one [`Model`],
+//! uncompressed or grammar-compressed. A batched right product hands
+//! every shard its disjoint `rows_i × k` sub-panel of the output; a
+//! batched left product has each shard fill a persistent partial
+//! `cols × k` panel, then reduces them.
 //!
 //! Dispatch uses [`rayon::broadcast_indexed`], the pool's allocation-free
 //! parallel for-each, and every shard owns a [`Workspace`] (plus a
 //! persistent partial buffer) behind a mutex. After
-//! [`ShardedModel::prewarm`], a steady-state serving loop over
-//! single-threaded shard backends (`csrv` / `compressed`) performs
-//! **zero heap allocation** — from the *first* request on, the guarantee
-//! `crates/serve/tests/zero_alloc_serve.rs` locks in with the tracking
-//! allocator. (Shards that are themselves pool-parallel — `blocked` /
-//! `parcsrv` with more than one block — still allocate small per-task
-//! control structures when they fan out internally.)
+//! [`ShardedModel::prewarm`], a steady-state serving loop over either
+//! backend performs **zero heap allocation** — from the *first* request
+//! on, the guarantee `crates/serve/tests/zero_alloc_serve.rs` locks in
+//! with the tracking allocator.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -51,8 +48,6 @@ pub struct BuildOptions {
     pub grammar: Option<GrammarChoice>,
     /// Number of row shards (clamped to `1..=rows`).
     pub shards: usize,
-    /// Row blocks *inside* each shard (`blocked` / `parcsrv` backends).
-    pub blocks: usize,
     /// Optional column reordering (§5) applied before compression —
     /// [`ReorderMode::Global`] (one whole-matrix permutation) or
     /// [`ReorderMode::PerShard`] (each shard computes its own, §5.3).
@@ -67,7 +62,6 @@ impl Default for BuildOptions {
             encoding: Encoding::ReAns,
             grammar: None,
             shards: 1,
-            blocks: 4,
             reorder: None,
         }
     }
@@ -81,8 +75,8 @@ impl BuildOptions {
             encoding: EncodingChoice::Fixed(self.encoding),
             grammar: self.grammar,
             shards: self.shards,
-            blocks: self.blocks,
             reorder: self.reorder,
+            ..BuildConfig::default()
         }
     }
 }
@@ -213,11 +207,11 @@ fn subset_right(
     result
 }
 
-/// Row-range parallel planned right product for a single compressed
-/// shard: one rule pass fills the scratch buffer, then disjoint row
-/// chunks of `C` accumulate concurrently via `broadcast_indexed` (the
-/// same primitive the multi-shard path uses one level up, so sharding
-/// and row ranges compose rather than compete).
+/// Row-range parallel planned right product for a single shard: one
+/// rule pass fills the scratch buffer, then disjoint row chunks of `C`
+/// accumulate concurrently via `broadcast_indexed` (the same primitive
+/// the multi-shard path uses one level up, so sharding and row ranges
+/// compose rather than compete).
 fn row_parallel_right(
     plan: &KernelPlan,
     rows: usize,
@@ -592,27 +586,29 @@ impl ShardedModel {
         if self.shards.len() == 1 {
             let shard = &self.shards[0];
             let mut ws = shard.ws.lock().expect("shard workspace poisoned");
-            // A single-shard planned compressed model parallelises
-            // *inside* the shard instead: the plan's CSR row index
-            // makes disjoint row ranges of `C` independent once the
-            // rule pass has filled the scratch buffer (either
-            // precision; see `row_parallel_right`).
+            // A single-shard planned model parallelises *inside* the
+            // shard instead: the plan's CSR row index makes disjoint
+            // row ranges of `C` independent once the rule pass has
+            // filled the scratch buffer (either precision; see
+            // `row_parallel_right`).
             let threads = rayon::current_num_threads();
-            if threads > 1 && self.rows >= 2 * threads {
-                if let Some(ModelPlan::Compressed(plan)) = shard.plan() {
-                    return row_parallel_right(
-                        plan, self.rows, threads, k, x_panel, y_panel, &mut ws,
-                    );
-                }
-            }
-            if let Some(plan) = shard.plan() {
-                return shard
+            return match shard.plan() {
+                Some(plan) if threads > 1 && self.rows >= 2 * threads => row_parallel_right(
+                    &plan.kernel,
+                    self.rows,
+                    threads,
+                    k,
+                    x_panel,
+                    y_panel,
+                    &mut ws,
+                ),
+                Some(plan) => shard
                     .model
-                    .right_multiply_panel_planned(plan, k, x_panel, y_panel, &mut ws);
-            }
-            return shard
-                .model
-                .right_multiply_panel_into(k, x_panel, y_panel, &mut ws);
+                    .right_multiply_panel_planned(plan, k, x_panel, y_panel, &mut ws),
+                None => shard
+                    .model
+                    .right_multiply_panel_into(k, x_panel, y_panel, &mut ws),
+            };
         }
         let base = SendPtr(y_panel.as_mut_ptr());
         let base = &base;
@@ -705,13 +701,13 @@ impl ShardedModel {
     /// Right product restricted to a contiguous row range:
     /// `y_chunk = (M·X)[a..b]` over row-major `k`-wide panels
     /// (`x_panel` is `cols × k`, `y_chunk` is `(b-a) × k`). Only the
-    /// shards intersecting the range run; a planned compressed shard
-    /// serves its slice through the plan's CSR row index — one rule
-    /// pass plus O(descriptors-touched) accumulation, so asking for 10
-    /// rows of a huge model never walks the other rows — and
-    /// allocation-free after a plan-enabled prewarm. Unplanned or
-    /// block-parallel shards fall back to the full shard product into
-    /// workspace memory and copy the requested slice out.
+    /// shards intersecting the range run; a planned shard serves its
+    /// slice through the plan's CSR row index — one rule pass plus
+    /// O(descriptors-touched) accumulation, so asking for 10 rows of a
+    /// huge model never walks the other rows — and allocation-free
+    /// after a plan-enabled prewarm. Unplanned shards fall back to the
+    /// full shard product into workspace memory and copy the requested
+    /// slice out.
     ///
     /// # Errors
     /// Fails if the range exceeds the row count or either panel length
@@ -746,27 +742,15 @@ impl ShardedModel {
             let out = &mut y_chunk[(begin - rows.start) * k..(end - rows.start) * k];
             let mut ws = shard.ws.lock().expect("shard workspace poisoned");
             match shard.plan() {
-                Some(ModelPlan::Compressed(plan)) => {
-                    subset_right(plan, local, k, x_panel, out, &mut ws)?;
-                }
-                plan => {
+                Some(plan) => subset_right(&plan.kernel, local, k, x_panel, out, &mut ws)?,
+                None => {
                     // No row index to slice: produce the whole shard
                     // into workspace memory, copy the range out.
                     let mut y_full = ws.take(shard.model.rows() * k);
-                    let result = match plan {
-                        Some(p) => shard.model.right_multiply_panel_planned(
-                            p,
-                            k,
-                            x_panel,
-                            &mut y_full,
-                            &mut ws,
-                        ),
-                        None => {
-                            shard
-                                .model
-                                .right_multiply_panel_into(k, x_panel, &mut y_full, &mut ws)
-                        }
-                    };
+                    let result =
+                        shard
+                            .model
+                            .right_multiply_panel_into(k, x_panel, &mut y_full, &mut ws);
                     if result.is_ok() {
                         out.copy_from_slice(&y_full[local.start * k..local.end * k]);
                     }
@@ -943,7 +927,6 @@ mod tests {
                 let opts = BuildOptions {
                     backend,
                     shards,
-                    blocks: 2,
                     ..BuildOptions::default()
                 };
                 let model = ShardedModel::from_dense(&dense, &opts).unwrap();
@@ -1092,7 +1075,6 @@ mod tests {
                 let opts = BuildOptions {
                     backend,
                     shards,
-                    blocks: 2,
                     ..BuildOptions::default()
                 };
                 let model = ShardedModel::from_dense(&dense, &opts).unwrap();
@@ -1109,7 +1091,7 @@ mod tests {
                 model.left_multiply_panel(k, &y_in, &mut xp_stream).unwrap();
                 // …then flip the same model to planned dispatch.
                 model.prewarm_with(k, &ServeOptions::planned());
-                let grammar = matches!(backend, Backend::Compressed | Backend::Blocked);
+                let grammar = backend == Backend::Compressed;
                 assert_eq!(model.is_planned(), grammar, "{}", backend.name());
                 assert_eq!(model.plan_heap_bytes() > 0, grammar, "{}", backend.name());
                 let mut y_plan = vec![0.0; 83];
@@ -1142,7 +1124,6 @@ mod tests {
                 let opts = BuildOptions {
                     backend,
                     shards,
-                    blocks: 2,
                     ..BuildOptions::default()
                 };
                 let model = ShardedModel::from_dense(&dense, &opts).unwrap();
@@ -1153,7 +1134,7 @@ mod tests {
                     .unwrap();
                 model.left_multiply_panel(k, &y_in, &mut xp_stream).unwrap();
                 model.prewarm_with(k, &ServeOptions::planned_f32());
-                let grammar = matches!(backend, Backend::Compressed | Backend::Blocked);
+                let grammar = backend == Backend::Compressed;
                 assert_eq!(model.is_planned(), grammar, "{}", backend.name());
                 assert_eq!(model.is_planned_f32(), grammar, "{}", backend.name());
                 let mut yp_plan = vec![0.0; 83 * k];

@@ -9,11 +9,11 @@
 //! `crates/core/tests/serial_fuzz.rs`).
 
 use gcm_bench::{alloc, TrackingAlloc};
-use gcm_core::{CompressedMatrix, Encoding};
+use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding};
 use gcm_encodings::varint;
-use gcm_matrix::{CsrvMatrix, DenseMatrix};
-use gcm_serve::container::fnv1a64;
-use gcm_serve::{Backend, BuildOptions, ServeOptions, ShardTable, ShardedModel};
+use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec};
+use gcm_serve::container::{self, fnv1a64};
+use gcm_serve::{Backend, BuildOptions, ServeError, ServeOptions, ShardTable, ShardedModel};
 
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc::new();
@@ -30,7 +30,6 @@ fn sample_container(backend: Backend) -> Vec<u8> {
     let opts = BuildOptions {
         backend,
         shards: 3,
-        blocks: 2,
         ..BuildOptions::default()
     };
     ShardedModel::from_dense(&dense, &opts).unwrap().to_bytes()
@@ -159,7 +158,7 @@ fn inflated_lengths_with_valid_checksums_are_rejected_before_allocation() {
         &forge(
             4,
             2,
-            Backend::ParCsrv.tag(),
+            1, // the retired `parcsrv` backend's tag
             &[(par_payload.len() as u64, &par_payload)],
         ),
     );
@@ -168,6 +167,82 @@ fn inflated_lengths_with_valid_checksums_are_rejected_before_allocation() {
     // installed (the harness itself is sound).
     let good = sample_container(Backend::Csrv);
     assert!(ShardedModel::from_bytes(&good).is_ok());
+}
+
+/// The 26 × 7 matrix behind the legacy-path tests below.
+fn legacy_sample() -> CsrvMatrix {
+    let mut dense = DenseMatrix::zeros(26, 7);
+    for r in 0..26 {
+        for c in 0..7 {
+            if (r * 2 + c) % 3 != 0 {
+                dense.set(r, c, (((r + c) % 5) + 1) as f64 * 0.5);
+            }
+        }
+    }
+    CsrvMatrix::from_dense(&dense).unwrap()
+}
+
+/// Containers of the retired in-shard row-block backends — tag 1
+/// (`parcsrv`) and tag 3 (`blocked`) — are refused at the tag with a
+/// named error that points at the replacement, behind a valid checksum
+/// and before any payload or inflated length sizes an allocation.
+#[test]
+fn retired_backend_tags_are_rejected_by_name() {
+    // What a `blocked` shard payload looked like: a multi-block bundle.
+    let blocked = BlockedMatrix::compress(&legacy_sample(), Encoding::ReAns, 2);
+    let payload = gcm_core::serial::bundle_to_bytes(blocked.blocks(), None);
+    for (tag, name) in [(1u8, "parcsrv"), (3, "blocked")] {
+        for forged in [
+            forge(26, 7, tag, &[(payload.len() as u64, &payload)]),
+            forge(26, 7, tag, &[(1u64 << 60, b"")]),
+        ] {
+            assert_rejected_without_big_allocation(name, &forged);
+            for err in [
+                ShardedModel::from_bytes(&forged).expect_err(name),
+                ShardTable::parse(&forged).expect_err(name),
+            ] {
+                let msg = err.to_string();
+                assert!(
+                    matches!(err, ServeError::RetiredBackend { tag: t, name: n } if t == tag && n == name),
+                    "{name}: {msg}"
+                );
+                assert!(msg.contains(name), "{msg}");
+                assert!(
+                    msg.contains("--backend compressed|csrv --shards N"),
+                    "{msg}"
+                );
+            }
+        }
+    }
+}
+
+/// A bare multi-block `GCMMAT2` payload (a serialised `BlockedMatrix`
+/// plus its column order) loads as one compressed shard per block, each
+/// carrying the bundle's order, and multiplies bit-identically to the
+/// `BlockedMatrix` streaming kernels.
+#[test]
+fn bare_multi_block_bundles_load_as_one_shard_per_block() {
+    let blocked = BlockedMatrix::compress(&legacy_sample(), Encoding::ReAns, 3);
+    let order: Vec<u32> = (0..7).rev().collect();
+    let bytes = gcm_core::serial::bundle_to_bytes(blocked.blocks(), Some(&order));
+    let model = container::from_bytes(&bytes).expect("bare GCMMAT2 loads");
+    assert_eq!(model.backend(), Backend::Compressed);
+    assert_eq!(model.num_shards(), 3);
+    for (i, block) in blocked.blocks().iter().enumerate() {
+        assert_eq!(model.shard_rows(i), block.rows());
+        assert_eq!(model.shard_col_order(i), Some(&order[..]));
+    }
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let x: Vec<f64> = (0..7).map(|j| j as f64 * 0.75 - 2.0).collect();
+    let (mut y_blocked, mut y_model) = (vec![0.0; 26], vec![0.0; 26]);
+    blocked.right_multiply(&x, &mut y_blocked).unwrap();
+    model.right_multiply_panel(1, &x, &mut y_model).unwrap();
+    assert_eq!(bits(&y_blocked), bits(&y_model), "right");
+    let y: Vec<f64> = (0..26).map(|i| (i % 5) as f64 - 1.5).collect();
+    let (mut x_blocked, mut x_model) = (vec![0.0; 7], vec![0.0; 7]);
+    blocked.left_multiply(&y, &mut x_blocked).unwrap();
+    model.left_multiply_panel(1, &y, &mut x_model).unwrap();
+    assert_eq!(bits(&x_blocked), bits(&x_model), "left");
 }
 
 /// Forged `re_fse` shard payloads behind a **valid checksum**: truncated
@@ -249,7 +324,6 @@ fn forged_plan_sections_are_rejected_within_budget() {
     let opts = BuildOptions {
         backend: Backend::Compressed,
         shards: 3,
-        blocks: 2,
         ..BuildOptions::default()
     };
     let model = ShardedModel::from_dense(&dense, &opts).unwrap();
@@ -337,8 +411,7 @@ fn forged_grammar_tags_and_spliced_plan_sections_stay_within_budget() {
         encoding: EncodingChoice::Fixed(Encoding::ReAns),
         grammar: Some(GrammarChoice::MrRePair),
         shards: 3,
-        blocks: 2,
-        reorder: None,
+        ..BuildConfig::default()
     };
     let csrv = CsrvMatrix::from_dense(&dense).unwrap();
     let base_model =
@@ -405,7 +478,7 @@ fn forged_grammar_tags_and_spliced_plan_sections_stay_within_budget() {
 
 /// A 4-shard grammar model: written as a version-6 container, with one
 /// value dictionary ahead of four dictionary-free shard payloads.
-fn v6_sample(backend: Backend) -> Vec<u8> {
+fn v6_sample() -> Vec<u8> {
     let mut dense = DenseMatrix::zeros(26, 7);
     for r in 0..26 {
         for c in 0..7 {
@@ -415,9 +488,7 @@ fn v6_sample(backend: Backend) -> Vec<u8> {
         }
     }
     let opts = BuildOptions {
-        backend,
         shards: 4,
-        blocks: 2,
         ..BuildOptions::default()
     };
     let bytes = ShardedModel::from_dense(&dense, &opts).unwrap().to_bytes();
@@ -447,58 +518,53 @@ fn forge_dictionary(bytes: &[u8], len: u64, values: &[f64]) -> Vec<u8> {
 
 #[test]
 fn version6_truncation_and_flips_at_every_offset_are_rejected() {
-    for backend in [Backend::Compressed, Backend::Blocked] {
-        let bytes = v6_sample(backend);
-        for cut in 0..bytes.len() {
+    let bytes = v6_sample();
+    for cut in 0..bytes.len() {
+        assert!(
+            ShardedModel::from_bytes(&bytes[..cut]).is_err(),
+            "v6 truncation at {cut}/{} must be rejected",
+            bytes.len()
+        );
+    }
+    for i in 0..bytes.len() {
+        for flip in [0x01u8, 0x80, 0xFF] {
+            let mut mutated = bytes.clone();
+            mutated[i] ^= flip;
             assert!(
-                ShardedModel::from_bytes(&bytes[..cut]).is_err(),
-                "{}: v6 truncation at {cut}/{} must be rejected",
-                backend.name(),
-                bytes.len()
+                ShardedModel::from_bytes(&mutated).is_err(),
+                "v6 flip {flip:#04x} at byte {i} must be rejected"
             );
         }
-        for i in 0..bytes.len() {
-            for flip in [0x01u8, 0x80, 0xFF] {
-                let mut mutated = bytes.clone();
-                mutated[i] ^= flip;
-                assert!(
-                    ShardedModel::from_bytes(&mutated).is_err(),
-                    "{}: v6 flip {flip:#04x} at byte {i} must be rejected",
-                    backend.name()
-                );
-            }
-        }
-        // Behind a refreshed checksum, every corruption is rejected or
-        // loads a model that multiplies safely — never a panic, never an
-        // attacker-sized allocation.
-        for i in 0..bytes.len() - 8 {
-            for flip in [0x01u8, 0xFF] {
-                let mut mutated = bytes.clone();
-                mutated[i] ^= flip;
-                refresh_checksum(&mut mutated);
-                let live = alloc::reset_peak();
-                if let Ok(model) = ShardedModel::from_bytes(&mutated) {
-                    let x = vec![1.0; model.cols()];
-                    let mut y = vec![0.0; model.rows()];
-                    model.right_multiply_panel(1, &x, &mut y).unwrap();
-                    let mut x_out = vec![0.0; model.cols()];
-                    model.left_multiply_panel(1, &y, &mut x_out).unwrap();
-                }
-                let grown = alloc::peak_bytes().saturating_sub(live);
-                assert!(
-                    grown < (1 << 20),
-                    "{}: v6 flip {flip:#04x} at byte {i} allocated {grown} bytes",
-                    backend.name()
-                );
-            }
-        }
-        assert!(ShardedModel::from_bytes(&bytes).is_ok());
     }
+    // Behind a refreshed checksum, every corruption is rejected or
+    // loads a model that multiplies safely — never a panic, never an
+    // attacker-sized allocation.
+    for i in 0..bytes.len() - 8 {
+        for flip in [0x01u8, 0xFF] {
+            let mut mutated = bytes.clone();
+            mutated[i] ^= flip;
+            refresh_checksum(&mut mutated);
+            let live = alloc::reset_peak();
+            if let Ok(model) = ShardedModel::from_bytes(&mutated) {
+                let x = vec![1.0; model.cols()];
+                let mut y = vec![0.0; model.rows()];
+                model.right_multiply_panel(1, &x, &mut y).unwrap();
+                let mut x_out = vec![0.0; model.cols()];
+                model.left_multiply_panel(1, &y, &mut x_out).unwrap();
+            }
+            let grown = alloc::peak_bytes().saturating_sub(live);
+            assert!(
+                grown < (1 << 20),
+                "v6 flip {flip:#04x} at byte {i} allocated {grown} bytes"
+            );
+        }
+    }
+    assert!(ShardedModel::from_bytes(&bytes).is_ok());
 }
 
 #[test]
 fn inflated_dictionary_length_is_rejected_before_allocation() {
-    let bytes = v6_sample(Backend::Compressed);
+    let bytes = v6_sample();
     let table = ShardTable::parse(&bytes).unwrap();
     let values: Vec<f64> = bytes[table.dictionary.clone().unwrap()]
         .chunks_exact(8)
@@ -528,28 +594,25 @@ fn inflated_dictionary_length_is_rejected_before_allocation() {
 
 #[test]
 fn shard_terminals_past_the_shared_dictionary_are_rejected() {
-    for backend in [Backend::Compressed, Backend::Blocked] {
-        let bytes = v6_sample(backend);
-        let table = ShardTable::parse(&bytes).unwrap();
-        let values: Vec<f64> = bytes[table.dictionary.clone().unwrap()]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        // Drop dictionary entries under the unchanged shards: their
-        // terminals now index past `V`, and the structural validators
-        // must refuse every such shard before a kernel sees it.
-        for keep in [0, 1, values.len() - 1] {
-            let forged = forge_dictionary(&bytes, keep as u64, &values[..keep]);
-            assert!(
-                ShardedModel::from_bytes(&forged).is_err(),
-                "{}: {keep} of {} values must be rejected",
-                backend.name(),
-                values.len()
-            );
-            for i in 0..4 {
-                let t = ShardTable::parse(&forged).unwrap();
-                assert!(t.decode_shard(&forged, i).is_err(), "shard {i}");
-            }
+    let bytes = v6_sample();
+    let table = ShardTable::parse(&bytes).unwrap();
+    let values: Vec<f64> = bytes[table.dictionary.clone().unwrap()]
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    // Drop dictionary entries under the unchanged shards: their
+    // terminals now index past `V`, and the structural validators
+    // must refuse every such shard before a kernel sees it.
+    for keep in [0, 1, values.len() - 1] {
+        let forged = forge_dictionary(&bytes, keep as u64, &values[..keep]);
+        assert!(
+            ShardedModel::from_bytes(&forged).is_err(),
+            "{keep} of {} values must be rejected",
+            values.len()
+        );
+        for i in 0..4 {
+            let t = ShardTable::parse(&forged).unwrap();
+            assert!(t.decode_shard(&forged, i).is_err(), "shard {i}");
         }
     }
 }

@@ -110,7 +110,6 @@ fn backends(dense: &DenseMatrix) -> Vec<(String, Box<dyn MatVec>)> {
         let opts = BuildOptions {
             backend,
             shards: 3,
-            blocks: 2,
             ..BuildOptions::default()
         };
         let model = ShardedModel::from_dense(dense, &opts).expect("build");
@@ -125,11 +124,10 @@ fn backends(dense: &DenseMatrix) -> Vec<(String, Box<dyn MatVec>)> {
     // its own permutation — the differential harness pins the reordered
     // kernels AND the per-shard-order container round-trip to the
     // oracle across the whole edge-shape grid.
-    for backend in [Backend::Compressed, Backend::Blocked] {
+    for backend in Backend::ALL {
         let opts = BuildOptions {
             backend,
             shards: 3,
-            blocks: 2,
             reorder: Some(ReorderMode::PerShard(
                 gcm_reorder::ReorderAlgorithm::PathCover,
             )),
@@ -281,16 +279,15 @@ fn row_subset_products_match_the_oracle_slice() {
             for &encoding in encodings {
                 for shards in [1usize, 3] {
                     for planned in [false, true] {
-                        // Only the compressed/blocked backends compile
+                        // Only the compressed backend compiles
                         // plans; a planned pass elsewhere is a no-op.
-                        if planned && !matches!(backend, Backend::Compressed | Backend::Blocked) {
+                        if planned && backend != Backend::Compressed {
                             continue;
                         }
                         let opts = BuildOptions {
                             backend,
                             encoding,
                             shards,
-                            blocks: 2,
                             ..BuildOptions::default()
                         };
                         let built = ShardedModel::from_dense(&dense, &opts).expect("build");
@@ -380,14 +377,13 @@ fn sparse_right_products_match_the_dense_path_exactly() {
             for &encoding in encodings {
                 for shards in [1usize, 3] {
                     for planned in [false, true] {
-                        if planned && !matches!(backend, Backend::Compressed | Backend::Blocked) {
+                        if planned && backend != Backend::Compressed {
                             continue;
                         }
                         let opts = BuildOptions {
                             backend,
                             encoding,
                             shards,
-                            blocks: 2,
                             ..BuildOptions::default()
                         };
                         let built = ShardedModel::from_dense(&dense, &opts).expect("build");
@@ -483,83 +479,74 @@ fn grammar_stage_shards_match_the_oracle_everywhere() {
             .map(|j| (j, 0.75 + f64::from(j % 3)))
             .collect();
         for grammar in [GrammarChoice::MrRePair, GrammarChoice::Auto] {
-            for backend in [Backend::Compressed, Backend::Blocked] {
-                let encodings: &[Encoding] = match backend {
-                    Backend::Compressed => &Encoding::ALL,
-                    _ => &[Encoding::ReAns],
-                };
-                for &encoding in encodings {
-                    for shards in [1usize, 3] {
-                        let opts = BuildOptions {
-                            backend,
-                            encoding,
-                            shards,
-                            blocks: 2,
-                            grammar: Some(grammar),
-                            ..BuildOptions::default()
-                        };
-                        let built = ShardedModel::from_dense(&dense, &opts).expect("build");
-                        let bytes = built.to_bytes();
-                        for mode in ["streaming", "planned", "planned-f32"] {
-                            let tag = format!(
-                                "{shape}/{}-{}-{:?}-s{shards}-{mode}",
-                                backend.name(),
-                                encoding.name(),
-                                grammar,
+            for encoding in Encoding::ALL {
+                for shards in [1usize, 3] {
+                    let opts = BuildOptions {
+                        encoding,
+                        shards,
+                        grammar: Some(grammar),
+                        ..BuildOptions::default()
+                    };
+                    let built = ShardedModel::from_dense(&dense, &opts).expect("build");
+                    let bytes = built.to_bytes();
+                    for mode in ["streaming", "planned", "planned-f32"] {
+                        let tag = format!(
+                            "{shape}/compressed-{}-{:?}-s{shards}-{mode}",
+                            encoding.name(),
+                            grammar,
+                        );
+                        // A fresh load per mode: plans compile once
+                        // per model, so each precision gets its own.
+                        let model = ShardedModel::from_bytes(&bytes).expect("v5 round-trip");
+                        for i in 0..model.num_shards() {
+                            assert!(
+                                model.shard_grammar(i).is_some(),
+                                "{tag}: stage must survive the container"
                             );
-                            // A fresh load per mode: plans compile once
-                            // per model, so each precision gets its own.
-                            let model = ShardedModel::from_bytes(&bytes).expect("v5 round-trip");
-                            for i in 0..model.num_shards() {
-                                assert!(
-                                    model.shard_grammar(i).is_some(),
-                                    "{tag}: stage must survive the container"
-                                );
+                        }
+                        let tol = match mode {
+                            "planned" => {
+                                model.prewarm_with(k, &ServeOptions::planned());
+                                assert!(model.is_planned(), "{tag}");
+                                TOL
                             }
-                            let tol = match mode {
-                                "planned" => {
-                                    model.prewarm_with(k, &ServeOptions::planned());
-                                    assert!(model.is_planned(), "{tag}");
-                                    TOL
-                                }
-                                "planned-f32" => {
-                                    model.prewarm_with(k, &ServeOptions::planned_f32());
-                                    assert!(model.is_planned(), "{tag}");
-                                    1e-3
-                                }
-                                _ => TOL,
-                            };
-                            let mut ym = vec![0.0; rows * k];
-                            model
-                                .right_multiply_panel(k, b_right.as_slice(), &mut ym)
-                                .unwrap();
-                            let mut xm = vec![0.0; cols * k];
-                            model
-                                .left_multiply_panel(k, b_left.as_slice(), &mut xm)
-                                .unwrap();
-                            for (i, (g, w)) in ym.iter().zip(ym_oracle.as_slice()).enumerate() {
-                                assert!((g - w).abs() <= tol, "{tag} right {i}: {g} vs {w}");
+                            "planned-f32" => {
+                                model.prewarm_with(k, &ServeOptions::planned_f32());
+                                assert!(model.is_planned(), "{tag}");
+                                1e-3
                             }
-                            for (i, (g, w)) in xm.iter().zip(xm_oracle.as_slice()).enumerate() {
-                                assert!((g - w).abs() <= tol, "{tag} left {i}: {g} vs {w}");
-                            }
-                            // Sparse input: bit-equal to the same
-                            // model's dense-input product.
-                            let mut x_dense = vec![0.0; cols];
-                            for &(j, v) in &sparse_x {
-                                x_dense[j as usize] = v;
-                            }
-                            let mut y_dense = vec![0.0; rows];
-                            model
-                                .right_multiply_panel(1, &x_dense, &mut y_dense)
-                                .unwrap();
-                            let mut y_sparse = vec![42.0; rows];
-                            model
-                                .right_multiply_sparse(&sparse_x, &mut y_sparse)
-                                .unwrap();
-                            for (i, (s, d)) in y_sparse.iter().zip(&y_dense).enumerate() {
-                                assert!(s == d, "{tag} sparse row {i}: {s} != {d}");
-                            }
+                            _ => TOL,
+                        };
+                        let mut ym = vec![0.0; rows * k];
+                        model
+                            .right_multiply_panel(k, b_right.as_slice(), &mut ym)
+                            .unwrap();
+                        let mut xm = vec![0.0; cols * k];
+                        model
+                            .left_multiply_panel(k, b_left.as_slice(), &mut xm)
+                            .unwrap();
+                        for (i, (g, w)) in ym.iter().zip(ym_oracle.as_slice()).enumerate() {
+                            assert!((g - w).abs() <= tol, "{tag} right {i}: {g} vs {w}");
+                        }
+                        for (i, (g, w)) in xm.iter().zip(xm_oracle.as_slice()).enumerate() {
+                            assert!((g - w).abs() <= tol, "{tag} left {i}: {g} vs {w}");
+                        }
+                        // Sparse input: bit-equal to the same
+                        // model's dense-input product.
+                        let mut x_dense = vec![0.0; cols];
+                        for &(j, v) in &sparse_x {
+                            x_dense[j as usize] = v;
+                        }
+                        let mut y_dense = vec![0.0; rows];
+                        model
+                            .right_multiply_panel(1, &x_dense, &mut y_dense)
+                            .unwrap();
+                        let mut y_sparse = vec![42.0; rows];
+                        model
+                            .right_multiply_sparse(&sparse_x, &mut y_sparse)
+                            .unwrap();
+                        for (i, (s, d)) in y_sparse.iter().zip(&y_dense).enumerate() {
+                            assert!(s == d, "{tag} sparse row {i}: {s} != {d}");
                         }
                     }
                 }

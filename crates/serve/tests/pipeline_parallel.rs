@@ -59,10 +59,9 @@ fn parallel_and_sequential_builds_yield_bit_identical_containers() {
                 let config = BuildConfig {
                     backend,
                     shards: 4,
-                    blocks: 2,
                     reorder,
                     encoding,
-                    grammar: None,
+                    ..BuildConfig::default()
                 };
                 let par = ShardedModel::from_artifacts(pipeline.build(&csrv, &config));
                 let seq = ShardedModel::from_artifacts(pipeline.build_sequential(&csrv, &config));
@@ -125,7 +124,6 @@ fn pipeline_products_match_the_dense_oracle() {
         let opts = BuildOptions {
             backend,
             shards: 4,
-            blocks: 2,
             reorder: Some(ReorderMode::PerShard(ReorderAlgorithm::PathCover)),
             ..BuildOptions::default()
         };

@@ -1,7 +1,7 @@
 //! Loading a container whose plans were persisted at build time casts
 //! them back in: neither the load nor a later plan-enabled prewarm may
 //! run a plan compile ([`gcm_core::plan_compiles`] stays flat), for
-//! both plan backends, one and several shards, and both precisions.
+//! one and several shards, and both precisions.
 //!
 //! This file holds exactly one `#[test]` on purpose. The counter is
 //! process-global, and tests of one binary run concurrently, so any
@@ -11,7 +11,7 @@
 
 use gcm_core::{plan_compiles, Encoding};
 use gcm_matrix::DenseMatrix;
-use gcm_serve::{Backend, BuildOptions, ServeOptions, ShardedModel};
+use gcm_serve::{BuildOptions, ServeOptions, ShardedModel};
 
 #[test]
 fn plan_section_loads_without_recompiling() {
@@ -23,38 +23,34 @@ fn plan_section_loads_without_recompiling() {
             }
         }
     }
-    for backend in [Backend::Compressed, Backend::Blocked] {
-        for shards in [1usize, 3] {
-            for serve in [ServeOptions::planned(), ServeOptions::planned_f32()] {
-                let opts = BuildOptions {
-                    backend,
-                    shards,
-                    blocks: 2,
-                    encoding: Encoding::ReIv,
-                    ..BuildOptions::default()
-                };
-                let model = ShardedModel::from_dense(&dense, &opts).unwrap();
-                model.prewarm_with(2, &serve);
-                let bytes = model.to_bytes_with_plans();
-                let what = format!("{} s={shards} f32={}", backend.name(), serve.plan_f32);
+    for shards in [1usize, 3] {
+        for serve in [ServeOptions::planned(), ServeOptions::planned_f32()] {
+            let opts = BuildOptions {
+                shards,
+                encoding: Encoding::ReIv,
+                ..BuildOptions::default()
+            };
+            let model = ShardedModel::from_dense(&dense, &opts).unwrap();
+            model.prewarm_with(2, &serve);
+            let bytes = model.to_bytes_with_plans();
+            let what = format!("s={shards} f32={}", serve.plan_f32);
 
-                // Loading must cast the plans back in, not compile.
-                let before = plan_compiles();
-                let back = ShardedModel::from_bytes(&bytes).expect("v4 roundtrip");
-                assert_eq!(plan_compiles(), before, "{what}: load must not compile");
-                assert!(back.is_planned(), "{what}");
+            // Loading must cast the plans back in, not compile.
+            let before = plan_compiles();
+            let back = ShardedModel::from_bytes(&bytes).expect("v4 roundtrip");
+            assert_eq!(plan_compiles(), before, "{what}: load must not compile");
+            assert!(back.is_planned(), "{what}");
 
-                // A plan-enabled prewarm on the loaded model is a
-                // validation pass: it must reuse the installed plans,
-                // not rebuild them.
-                let before = plan_compiles();
-                back.prewarm_with(2, &serve);
-                assert_eq!(
-                    plan_compiles(),
-                    before,
-                    "{what}: prewarm after v4 load must not compile"
-                );
-            }
+            // A plan-enabled prewarm on the loaded model is a
+            // validation pass: it must reuse the installed plans,
+            // not rebuild them.
+            let before = plan_compiles();
+            back.prewarm_with(2, &serve);
+            assert_eq!(
+                plan_compiles(),
+                before,
+                "{what}: prewarm after v4 load must not compile"
+            );
         }
     }
 }

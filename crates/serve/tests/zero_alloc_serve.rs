@@ -66,12 +66,9 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
     let y_in_panel = vec![0.5; rows * k];
     let mut x_panel_out = vec![0.0; cols * k];
 
-    // Single-threaded shard backends carry the full guarantee. (Shards
-    // that are themselves pool-parallel allocate per-task control
-    // structures when they fan out internally — documented in
-    // `sharded.rs` — so blocked/parcsrv are exercised for correctness in
-    // the differential harness, not here.)
-    // Both serve modes carry the guarantee: streaming kernels, and the
+    // Every backend carries the full guarantee: each shard is one
+    // matrix, and shards fan out through the allocation-free broadcast.
+    // Both serve modes carry it too: streaming kernels, and the
     // compiled-plan kernels a plan-enabled prewarm switches dispatch to.
     // The single-shard planned case additionally routes through the
     // row-range-parallel right multiply (plan row index + the

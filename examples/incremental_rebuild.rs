@@ -33,9 +33,8 @@ fn main() {
         backend: Backend::Compressed,
         encoding: EncodingChoice::Auto,
         shards: 4,
-        blocks: 2,
-        reorder: None,
         grammar: Some(GrammarChoice::Auto),
+        ..BuildConfig::default()
     };
     let model = ShardedModel::from_artifacts(Pipeline::new().build(&csrv, &config));
     model.prewarm_with(1, &ServeOptions::planned());

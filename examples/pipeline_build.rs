@@ -31,9 +31,8 @@ fn main() {
         backend: Backend::Compressed,
         encoding: EncodingChoice::Auto,
         shards: 4,
-        blocks: 2,
         reorder: Some(ReorderMode::PerShard(ReorderAlgorithm::PathCover)),
-        grammar: None,
+        ..BuildConfig::default()
     };
 
     // Stage execution: every shard independently runs
