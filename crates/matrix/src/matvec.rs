@@ -246,8 +246,8 @@ pub fn check_left_batch(
 
 /// Validates row-major panel slice lengths for a `rows × cols` operator
 /// with batch width `k`: `x_panel` must hold `cols·k` values and
-/// `y_panel` `rows·k`. Shared by every backend exposing raw panel-slice
-/// entry points (`BlockedMatrix`, `ParallelCsrv`, the serve layer).
+/// `y_panel` `rows·k`. Shared by the raw panel-slice entry points of
+/// the compiled kernel plans and the serve layer.
 ///
 /// # Errors
 /// Fails on either length mismatch.

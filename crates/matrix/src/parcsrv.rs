@@ -11,7 +11,7 @@
 use crate::csrv::CsrvMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::MatrixError;
-use crate::matvec::{check_left_batch, check_panels, check_right_batch, MatVec};
+use crate::matvec::{check_left_batch, check_right_batch, MatVec};
 use crate::workspace::Workspace;
 use crate::RowBlocks;
 
@@ -46,22 +46,6 @@ impl ParallelCsrv {
     /// Number of row blocks (= pool tasks per multiplication).
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// Reassembles the underlying whole CSRV matrix by concatenating the
-    /// block symbol streams (the blocks share one value dictionary).
-    /// Serialisation support: the model store persists the whole matrix
-    /// plus the block count, and rebuilds with [`split`](Self::split).
-    pub fn to_csrv(&self) -> CsrvMatrix {
-        let values = self
-            .blocks
-            .first()
-            .map_or_else(|| std::sync::Arc::new(Vec::new()), |b| b.values_arc());
-        let mut symbols = Vec::with_capacity(self.blocks.iter().map(|b| b.symbols().len()).sum());
-        for b in &self.blocks {
-            symbols.extend_from_slice(b.symbols());
-        }
-        CsrvMatrix::from_parts(self.rows, self.cols, values, symbols)
     }
 
     /// Total bytes of the representation (dictionary counted once).
@@ -133,46 +117,6 @@ impl ParallelCsrv {
             }
             ws.put(part);
         }
-    }
-
-    /// Batched right product over explicit row-major `k`-wide panel
-    /// slices (`x_panel` is `cols × k`, `y_panel` is `rows × k`): the
-    /// serve-layer entry point, which hands shards raw sub-panels of a
-    /// larger output without wrapping them in a `DenseMatrix`.
-    ///
-    /// # Errors
-    /// Fails if either panel length is inconsistent with `k`.
-    pub fn right_multiply_panel_into(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        y_panel: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        check_panels(self.rows, self.cols, k, x_panel.len(), y_panel.len())?;
-        if k > 0 {
-            self.right_panel_into(x_panel, y_panel, k);
-        }
-        Ok(())
-    }
-
-    /// Batched left product over explicit row-major panel slices
-    /// (`y_panel` is `rows × k`, `x_panel` is `cols × k`), drawing the
-    /// per-block partial panels from `ws`.
-    ///
-    /// # Errors
-    /// Fails if either panel length is inconsistent with `k`.
-    pub fn left_multiply_panel_into(
-        &self,
-        k: usize,
-        y_panel: &[f64],
-        x_panel: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        check_panels(self.rows, self.cols, k, x_panel.len(), y_panel.len())?;
-        if k > 0 {
-            self.left_panel_into(y_panel, x_panel, k, ws);
-        }
-        Ok(())
     }
 
     fn check_vectors(&self, x_len: usize, y_len: usize) -> Result<(), MatrixError> {
@@ -339,56 +283,5 @@ mod tests {
         assert!(par.right_multiply(&[0.0; 3], &mut y).is_err());
         let mut x = vec![0.0; 7];
         assert!(par.left_multiply(&[0.0; 3], &mut x).is_err());
-        // Panel entry points validate too.
-        let mut yp = vec![0.0; 57 * 2];
-        assert!(par
-            .right_multiply_panel_into(2, &[0.0; 7], &mut yp)
-            .is_err());
-        let mut ws = Workspace::new();
-        let mut xp = vec![0.0; 7 * 2];
-        assert!(par
-            .left_multiply_panel_into(2, &[0.0; 57], &mut xp, &mut ws)
-            .is_err());
-    }
-
-    #[test]
-    fn to_csrv_reassembles_the_original() {
-        let (dense, csrv) = sample();
-        for b in [1usize, 3, 5, 57, 100] {
-            let par = ParallelCsrv::split(&csrv, b);
-            assert_eq!(par.num_blocks(), b.min(57));
-            let back = par.to_csrv();
-            assert_eq!(back.rows(), csrv.rows());
-            assert_eq!(back.cols(), csrv.cols());
-            assert_eq!(back.symbols(), csrv.symbols());
-            assert_eq!(back.values(), csrv.values());
-            assert_eq!(back.to_dense(), dense);
-        }
-    }
-
-    #[test]
-    fn panel_entry_points_match_dense() {
-        let (dense, csrv) = sample();
-        let par = ParallelCsrv::split(&csrv, 3);
-        let k = 3;
-        let b: Vec<f64> = (0..7 * k).map(|i| (i % 11) as f64 * 0.5 - 2.0).collect();
-        let mut y = vec![0.0; 57 * k];
-        par.right_multiply_panel_into(k, &b, &mut y).unwrap();
-        let bm = DenseMatrix::from_vec(7, k, b).unwrap();
-        let want = dense.right_multiply_matrix(&bm).unwrap();
-        for (a, w) in y.iter().zip(want.as_slice()) {
-            assert!((a - w).abs() < 1e-9);
-        }
-
-        let by: Vec<f64> = (0..57 * k).map(|i| ((i + 2) % 5) as f64 - 2.0).collect();
-        let mut x = vec![0.0; 7 * k];
-        let mut ws = Workspace::new();
-        par.left_multiply_panel_into(k, &by, &mut x, &mut ws)
-            .unwrap();
-        let bym = DenseMatrix::from_vec(57, k, by).unwrap();
-        let want = dense.left_multiply_matrix(&bym).unwrap();
-        for (a, w) in x.iter().zip(want.as_slice()) {
-            assert!((a - w).abs() < 1e-9);
-        }
     }
 }

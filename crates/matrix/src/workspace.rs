@@ -74,6 +74,11 @@ impl Workspace {
     /// `max_len` elements, performs **no heap allocation** — including
     /// on its very first iteration.
     ///
+    /// Every parked buffer is **grown** to `max_len`, zero-filled, not
+    /// only reserved: the fill faults its pages in, so the first request
+    /// pays neither an allocation nor a page fault. A fresh buffer gets
+    /// exactly `max_len` elements of capacity.
+    ///
     /// The serve layer calls this when a model is loaded, so a freshly
     /// restarted server is allocation-free from the first request rather
     /// than from the second (the warm-up a cold `Workspace` otherwise
@@ -83,8 +88,9 @@ impl Workspace {
             self.free.push(Vec::new());
         }
         for buf in self.free.iter_mut() {
-            if buf.capacity() < max_len {
-                buf.reserve(max_len - buf.len());
+            if buf.len() < max_len {
+                buf.reserve_exact(max_len - buf.len());
+                buf.resize(max_len, 0.0);
             }
         }
     }
@@ -164,7 +170,7 @@ mod tests {
         let mut ws = Workspace::new();
         ws.warm(3, 256);
         assert_eq!(ws.retained_buffers(), 3);
-        assert!(ws.retained_bytes() >= 3 * 256 * 8);
+        assert_eq!(ws.retained_bytes(), 3 * 256 * 8);
         // Any take/put pattern within the warmed budget reuses the same
         // allocations (pointer-stable), even on the first iteration.
         let a = ws.take(256);

@@ -71,12 +71,19 @@
 //! one file and fault in only the shards it serves.
 //!
 //! Loading is validating end to end: the checksum rejects bit rot and
-//! truncation outright, and every payload then passes the structural
-//! validation of its section format, so a corrupt file can never panic a
-//! kernel. Bare `GCMMAT1` / `GCMMAT2` payloads
-//! ([`gcm_core::serial`]'s single-matrix and row-block bundle formats)
-//! are accepted for compatibility, as compressed models with one shard
-//! per block sharing the bundle's column order.
+//! truncation outright, and every payload and plan blob passes the
+//! structural validation of its section format, so a corrupt file can
+//! never panic a kernel. [`from_bytes`] verifies the checksum alongside
+//! decode — one pool task hashes the container while the others decode
+//! the shards and cast their plans from bounds-checked byte ranges — and
+//! nothing decoded escapes before the checksum passes: a mismatch is
+//! reported ahead of any structural error, exactly as the verify-first
+//! [`from_bytes_sequential`] reports it.
+//!
+//! Bare `GCMMAT1` / `GCMMAT2` payloads ([`gcm_core::serial`]'s
+//! single-matrix and row-block bundle formats) are accepted for
+//! compatibility, as compressed models with one shard per block sharing
+//! the bundle's column order.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -237,6 +244,29 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// Rejects input too short to be a container or without the `GCMSERV1`
+/// magic — the one check that precedes the checksum.
+fn check_magic(data: &[u8]) -> Result<(), ServeError> {
+    if data.len() < MAGIC.len() + 2 + 8 || &data[..8] != MAGIC {
+        return Err(corrupt("bad magic"));
+    }
+    Ok(())
+}
+
+/// Compares the trailing checksum with the FNV-1a of every preceding
+/// byte. The caller has run [`check_magic`].
+fn verify_checksum(data: &[u8]) -> Result<(), ServeError> {
+    let body_len = data.len() - 8;
+    let stored = u64::from_le_bytes(data[body_len..].try_into().expect("8 bytes"));
+    let actual = fnv1a64(&data[..body_len]);
+    if stored != actual {
+        return Err(corrupt(format!(
+            "checksum mismatch (stored {stored:016x}, computed {actual:016x})"
+        )));
+    }
+    Ok(())
 }
 
 /// Writes the optional column-reorder permutation prefix of the csrv
@@ -600,17 +630,19 @@ impl ShardTable {
     /// Fails on bad magic/version/tag, truncation, or checksum mismatch,
     /// and with [`ServeError::RetiredBackend`] on a retired backend tag.
     pub fn parse(data: &[u8]) -> Result<ShardTable, ServeError> {
-        if data.len() < MAGIC.len() + 2 + 8 || &data[..8] != MAGIC {
-            return Err(corrupt("bad magic"));
-        }
+        check_magic(data)?;
+        verify_checksum(data)?;
+        Self::parse_layout(data)
+    }
+
+    /// The layout half of [`parse`](Self::parse): header, dictionary,
+    /// shard and plan ranges, **without** the checksum — so a loader can
+    /// verify the checksum concurrently with decoding. Every range is
+    /// bounded by the bytes present, so the result is safe to decode
+    /// from, but nothing decoded may be trusted until
+    /// [`verify_checksum`] passes. The caller has run [`check_magic`].
+    fn parse_layout(data: &[u8]) -> Result<ShardTable, ServeError> {
         let body_len = data.len() - 8;
-        let stored = u64::from_le_bytes(data[body_len..].try_into().expect("8 bytes"));
-        let actual = fnv1a64(&data[..body_len]);
-        if stored != actual {
-            return Err(corrupt(format!(
-                "checksum mismatch (stored {stored:016x}, computed {actual:016x})"
-            )));
-        }
         let version = data[8];
         if !(VERSION..=VERSION_SHARED_DICT).contains(&version) {
             return Err(corrupt(format!("unsupported container version {version}")));
@@ -860,12 +892,16 @@ fn decode_shard_plan(
     Ok(ModelPlan { kernel })
 }
 
-/// Deserialises a container into a ready-to-serve [`ShardedModel`],
-/// decoding shards **concurrently** on the persistent pool via the
-/// [`ShardTable`] (each worker decodes its shard's byte range
-/// independently — the mmap-style selective access path, driven by the
-/// same stage machinery the build pipeline uses). Single-shard
-/// containers decode inline.
+/// Deserialises a container into a ready-to-serve [`ShardedModel`] in
+/// one overlapped pass on the persistent pool: the header and shard
+/// table are parsed first, then one [`gcm_pipeline::par_map`] runs the
+/// checksum as task 0 (the longest task, so it is claimed first) while
+/// tasks `1..=n` each decode one shard's byte range and cast its
+/// persisted plan blob — the mmap-style selective access path, driven
+/// by the same stage machinery the build pipeline uses. Nothing decoded
+/// is installed or returned unless the checksum passed, and errors keep
+/// the verify-first precedence of [`from_bytes_sequential`]: bad magic,
+/// then a checksum mismatch, then the first structural error.
 ///
 /// Bare `GCMMAT1` / `GCMMAT2` payloads are accepted as compressed
 /// models with one shard per block.
@@ -876,9 +912,10 @@ pub fn from_bytes(data: &[u8]) -> Result<ShardedModel, ServeError> {
     decode(data, true)
 }
 
-/// As [`from_bytes`], decoding every shard sequentially on the calling
-/// thread — the reference path the parallel loader is benchmarked and
-/// differentially tested against.
+/// As [`from_bytes`], but verify-first and on the calling thread: the
+/// checksum is checked before any payload is read, then every shard and
+/// plan decodes sequentially — the reference path the overlapped loader
+/// is benchmarked and differentially tested against.
 ///
 /// # Errors
 /// As [`from_bytes`].
@@ -906,28 +943,52 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
         let models = blocks.into_iter().map(Model::Compressed).collect();
         return Ok(ShardedModel::from_parts(models, cols, order));
     }
-    let table = ShardTable::parse(data)?;
+    let table = if parallel {
+        check_magic(data)?;
+        // The checksum is verified below, alongside decode; a mismatch
+        // still outranks any layout error.
+        ShardTable::parse_layout(data).map_err(|e| verify_checksum(data).err().unwrap_or(e))?
+    } else {
+        ShardTable::parse(data)?
+    };
     let n = table.shard_ranges.len();
     // Version 6: one dictionary, decoded once, shared by every shard.
     let dict = table.decode_dictionary(data);
+    // Shard `i`'s model and column order, plus its persisted plan blob
+    // cast against that model when it carries one.
     let decode_one = |i: usize| {
-        decode_shard(
+        let (model, order) = decode_shard(
             table.backend,
             table.cols,
             &data[table.shard_ranges[i].clone()],
             dict.as_ref(),
-        )
+        )?;
+        // Version 4 plan section: a validated cast, not a
+        // recompilation, so load time stays flat in grammar size.
+        let plan = table.plan_ranges[i]
+            .clone()
+            .map(|range| decode_shard_plan(&table, data, i, range, &model));
+        Ok::<_, ServeError>((model, order, plan))
     };
-    type Decoded = Result<(Model, Option<Vec<u32>>), ServeError>;
-    let decoded: Vec<Decoded> = if parallel {
-        gcm_pipeline::par_map(n, decode_one)
+    let decoded: Vec<_> = if parallel {
+        let mut tasks = gcm_pipeline::par_map(n + 1, |t| match t {
+            0 => verify_checksum(data).map(|()| None),
+            _ => Ok(Some(decode_one(t - 1))),
+        })
+        .into_iter();
+        // Nothing decoded escapes unless the checksum passed.
+        tasks.next().expect("task 0 verifies the checksum")?;
+        tasks
+            .map(|t| t.ok().flatten().expect("shard tasks return their decode"))
+            .collect()
     } else {
         (0..n).map(decode_one).collect()
     };
     let mut parts = Vec::with_capacity(n);
+    let mut plans = Vec::with_capacity(n);
     let mut first_order: Option<Option<Vec<u32>>> = None;
     for (i, result) in decoded.into_iter().enumerate() {
-        let (model, order) = result?;
+        let (model, order, plan) = result?;
         if model.cols() != table.cols {
             return Err(corrupt(format!("shard {i} column count mismatch")));
         }
@@ -958,6 +1019,7 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
             table.grammar_stages[i],
             table.fingerprints[i],
         ));
+        plans.push(plan);
     }
     let model = ShardedModel::from_shards(parts, table.cols);
     if model.rows() != table.rows {
@@ -967,14 +1029,11 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
             model.rows()
         )));
     }
-    // Version 4 plan section: deserialize each persisted plan and
-    // install it — a validated cast, not a recompilation, so load time
-    // stays flat in grammar size and the first prewarm is a cheap
-    // budget-warming pass.
-    for (i, range) in table.plan_ranges.iter().enumerate() {
-        if let Some(range) = range {
-            let plan = decode_shard_plan(&table, data, i, range.clone(), model.shard_model(i))?;
-            model.install_plan(i, plan);
+    // Installed plans make the first prewarm a cheap budget-warming
+    // pass; plan errors rank after every payload and the row total.
+    for (i, plan) in plans.into_iter().enumerate() {
+        if let Some(plan) = plan {
+            model.install_plan(i, plan?);
         }
     }
     Ok(model)

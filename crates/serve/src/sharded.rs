@@ -14,7 +14,12 @@
 //! [`ShardedModel::prewarm`], a steady-state serving loop over either
 //! backend performs **zero heap allocation** — from the *first* request
 //! on, the guarantee `crates/serve/tests/zero_alloc_serve.rs` locks in
-//! with the tracking allocator.
+//! with the tracking allocator. Prewarm earns that without throwaway
+//! dense products: it grows each shard's workspace to exactly the
+//! budget dispatch will draw (a planned shard's one plan scratch
+//! buffer, an unplanned shard's streaming budget), with the pages
+//! resident, and keeps only a throwaway sparse pass for the lazy state
+//! a dense product would not build.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -470,10 +475,11 @@ impl ShardedModel {
         self.shards[i].plan.set(Some(plan)).is_ok()
     }
 
-    /// Warms every shard's workspace and partial buffer for batch widths
-    /// up to `k` and runs dummy passes through both kernels, so the first
-    /// real request after a restart allocates nothing (and the worker
-    /// pool is already spun up). Equivalent to
+    /// Readies the model to serve batch widths up to `k` with no heap
+    /// allocation from the first request on: spins up the pool workers,
+    /// grows every shard's workspace to exactly the budget its dispatch
+    /// will draw, reserves the left-reduction partials, and runs one
+    /// throwaway sparse pass. Equivalent to
     /// [`prewarm_with`](Self::prewarm_with) under default
     /// [`ServeOptions`] (no plan compilation).
     pub fn prewarm(&self, k: usize) {
@@ -486,7 +492,17 @@ impl ShardedModel {
     /// same `par_map` machinery the container loader decodes shards
     /// with — and all later requests dispatch through the planned
     /// kernels. Plan compilation is once-per-model: a second prewarm
-    /// reuses the existing plans.
+    /// reuses the existing plans, including those a container load
+    /// installed.
+    ///
+    /// No throwaway dense product runs: a planned shard warms its plan's
+    /// one scratch buffer (every planned entry point draws only that),
+    /// an unplanned shard its streaming budget, and
+    /// [`Workspace::warm`] grows the buffers to full length, so their
+    /// pages are already resident. The one throwaway pass left is
+    /// sparse, because it builds state a dense product cannot: each
+    /// plan's lazy sparse dependency index, and the unplanned shards'
+    /// dense staging vector.
     pub fn prewarm_with(&self, k: usize, opts: &ServeOptions) {
         let k = k.max(1);
         // Force every pool worker through one job first, so one-time
@@ -507,34 +523,27 @@ impl ShardedModel {
                 // A plan built by an earlier prewarm keeps serving.
                 shard.plan()
             };
-            let mut ws = shard.ws.lock().expect("shard workspace poisoned");
-            let (count, max_len) = shard.model.workspace_budget(k);
-            ws.warm(count, max_len);
-            if let Some(plan) = plan {
-                let (count, max_len) = shard.model.planned_workspace_budget(k, plan);
-                ws.warm(count, max_len);
-            }
-            drop(ws);
+            // Dispatch never takes the streaming budget of a planned
+            // shard, so only the budget it will take is warmed.
+            let (count, max_len) = match plan {
+                Some(plan) => shard.model.planned_workspace_budget(k, plan),
+                None => shard.model.workspace_budget(k),
+            };
+            shard
+                .ws
+                .lock()
+                .expect("shard workspace poisoned")
+                .warm(count, max_len);
             let mut partial = shard.partial.lock().expect("shard partial poisoned");
             if partial.capacity() < self.cols * k {
                 let grow = self.cols * k - partial.len();
                 partial.reserve(grow);
             }
         });
-        for width in [k, 1] {
-            let x = vec![0.0; self.cols * width];
-            let mut y = vec![0.0; self.rows * width];
-            self.right_multiply_panel(width, &x, &mut y)
-                .expect("prewarm dimensions are consistent");
-            let yv = vec![0.0; self.rows * width];
-            let mut xo = vec![0.0; self.cols * width];
-            self.left_multiply_panel(width, &yv, &mut xo)
-                .expect("prewarm dimensions are consistent");
-        }
         // One throwaway sparse pass so the sparse path's scratch (the
         // unplanned backends' dense staging vector in particular, which
-        // the panel budgets above don't cover) lands in the shard
-        // workspaces now rather than on the first live request.
+        // the panel budgets above don't cover) and each plan's lazy
+        // sparse index land now rather than on the first live request.
         let x_nnz: Vec<(u32, f64)> = (0..self.cols.min(1)).map(|j| (j as u32, 0.0)).collect();
         let mut y = vec![0.0; self.rows];
         self.right_multiply_sparse(&x_nnz, &mut y)
@@ -1184,6 +1193,32 @@ mod tests {
         dense.right_multiply(&[1.0; 6], &mut y_ref).unwrap();
         for (a, b) in y.iter().zip(&y_ref) {
             assert!((a - b).abs() < 1e-9);
+        }
+    }
+
+    /// A planned shard warms exactly what planned dispatch draws: one
+    /// plan scratch buffer of `scratch_len(k)` doubles, grown to full
+    /// length — never the streaming budget it would not take.
+    #[test]
+    fn planned_prewarm_warms_exactly_one_plan_scratch_buffer() {
+        let dense = sample(30, 6);
+        for serve in [ServeOptions::planned(), ServeOptions::planned_f32()] {
+            let model = ShardedModel::from_dense(
+                &dense,
+                &BuildOptions {
+                    shards: 2,
+                    ..BuildOptions::default()
+                },
+            )
+            .unwrap();
+            let k = 4;
+            model.prewarm_with(k, &serve);
+            for shard in &model.shards {
+                let scratch = shard.plan().expect("planned").kernel.scratch_len(k);
+                let ws = shard.ws.lock().unwrap();
+                assert_eq!(ws.retained_buffers(), 1);
+                assert_eq!(ws.retained_bytes(), scratch * 8);
+            }
         }
     }
 

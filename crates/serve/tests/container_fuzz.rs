@@ -7,6 +7,11 @@
 //! behind it guarantee that even a forged checksum cannot panic a
 //! kernel (that layer is fuzzed separately in
 //! `crates/core/tests/serial_fuzz.rs`).
+//!
+//! Every case loads through both loaders ([`load_both`]): the
+//! overlapped `from_bytes`, which verifies the checksum while it
+//! decodes, must reach exactly the outcome of the verify-first
+//! `from_bytes_sequential`.
 
 use gcm_bench::{alloc, TrackingAlloc};
 use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding};
@@ -17,6 +22,38 @@ use gcm_serve::{Backend, BuildOptions, ServeError, ServeOptions, ShardTable, Sha
 
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc::new();
+
+/// Loads `bytes` through the overlapped [`container::from_bytes`] and
+/// the verify-first [`container::from_bytes_sequential`], asserting the
+/// same outcome: both `Ok` with bit-identical right and left products,
+/// or both `Err` with the same message. Returns the overlapped result.
+fn load_both(bytes: &[u8]) -> Result<ShardedModel, ServeError> {
+    let overlapped = container::from_bytes(bytes);
+    let sequential = container::from_bytes_sequential(bytes);
+    match (&overlapped, &sequential) {
+        (Ok(a), Ok(b)) => assert_eq!(products(a), products(b), "loaders disagree on products"),
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "loaders disagree"),
+        (a, b) => panic!(
+            "loaders disagree: {:?} vs {:?}",
+            a.as_ref().err(),
+            b.as_ref().err()
+        ),
+    }
+    overlapped
+}
+
+/// The bit patterns of `model`'s right and left products on fixed
+/// non-zero vectors.
+fn products(model: &ShardedModel) -> (Vec<u64>, Vec<u64>) {
+    let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let x: Vec<f64> = (0..model.cols()).map(|j| j as f64 * 0.75 - 2.0).collect();
+    let mut y = vec![0.0; model.rows()];
+    model.right_multiply_panel(1, &x, &mut y).unwrap();
+    let y_in: Vec<f64> = (0..model.rows()).map(|i| (i % 5) as f64 - 1.5).collect();
+    let mut x_out = vec![0.0; model.cols()];
+    model.left_multiply_panel(1, &y_in, &mut x_out).unwrap();
+    (bits(y), bits(x_out))
+}
 
 fn sample_container(backend: Backend) -> Vec<u8> {
     let mut dense = DenseMatrix::zeros(26, 7);
@@ -41,13 +78,13 @@ fn truncation_at_every_boundary_is_rejected() {
         let bytes = sample_container(backend);
         for cut in 0..bytes.len() {
             assert!(
-                ShardedModel::from_bytes(&bytes[..cut]).is_err(),
+                load_both(&bytes[..cut]).is_err(),
                 "{}: truncation at {cut}/{} must be rejected",
                 backend.name(),
                 bytes.len()
             );
         }
-        assert!(ShardedModel::from_bytes(&bytes).is_ok());
+        assert!(load_both(&bytes).is_ok());
     }
 }
 
@@ -60,7 +97,7 @@ fn byte_flips_at_every_offset_are_rejected() {
                 let mut mutated = bytes.clone();
                 mutated[i] ^= flip;
                 assert!(
-                    ShardedModel::from_bytes(&mutated).is_err(),
+                    load_both(&mutated).is_err(),
                     "{}: flip {flip:#04x} at byte {i} must be rejected",
                     backend.name()
                 );
@@ -94,7 +131,7 @@ fn assert_rejected_without_big_allocation(name: &str, bytes: &[u8]) {
     const BUDGET: usize = 1 << 20; // 1 MiB — absurd lengths claim GiBs
     let live = alloc::reset_peak();
     assert!(
-        ShardedModel::from_bytes(bytes).is_err(),
+        load_both(bytes).is_err(),
         "{name}: forged container must be rejected"
     );
     let grown = alloc::peak_bytes().saturating_sub(live);
@@ -166,7 +203,7 @@ fn inflated_lengths_with_valid_checksums_are_rejected_before_allocation() {
     // Control: a genuine container still loads with the allocator
     // installed (the harness itself is sound).
     let good = sample_container(Backend::Csrv);
-    assert!(ShardedModel::from_bytes(&good).is_ok());
+    assert!(load_both(&good).is_ok());
 }
 
 /// The 26 × 7 matrix behind the legacy-path tests below.
@@ -198,7 +235,7 @@ fn retired_backend_tags_are_rejected_by_name() {
         ] {
             assert_rejected_without_big_allocation(name, &forged);
             for err in [
-                ShardedModel::from_bytes(&forged).expect_err(name),
+                load_both(&forged).expect_err(name),
                 ShardTable::parse(&forged).expect_err(name),
             ] {
                 let msg = err.to_string();
@@ -225,7 +262,7 @@ fn bare_multi_block_bundles_load_as_one_shard_per_block() {
     let blocked = BlockedMatrix::compress(&legacy_sample(), Encoding::ReAns, 3);
     let order: Vec<u32> = (0..7).rev().collect();
     let bytes = gcm_core::serial::bundle_to_bytes(blocked.blocks(), Some(&order));
-    let model = container::from_bytes(&bytes).expect("bare GCMMAT2 loads");
+    let model = load_both(&bytes).expect("bare GCMMAT2 loads");
     assert_eq!(model.backend(), Backend::Compressed);
     assert_eq!(model.num_shards(), 3);
     for (i, block) in blocked.blocks().iter().enumerate() {
@@ -281,7 +318,7 @@ fn forged_re_fse_shard_payloads_are_rejected_within_budget() {
             mutated[i] ^= flip;
             let container = forge(26, 7, tag, &[(mutated.len() as u64, &mutated)]);
             let live = alloc::reset_peak();
-            if let Ok(model) = ShardedModel::from_bytes(&container) {
+            if let Ok(model) = load_both(&container) {
                 let x = vec![1.0; model.cols()];
                 let mut y = vec![0.0; model.rows()];
                 model.right_multiply_panel(1, &x, &mut y).unwrap();
@@ -296,7 +333,7 @@ fn forged_re_fse_shard_payloads_are_rejected_within_budget() {
 
     // Control: the genuine payload loads through the forged framing.
     let good = forge(26, 7, tag, &[(payload.len() as u64, &payload)]);
-    assert!(ShardedModel::from_bytes(&good).is_ok());
+    assert!(load_both(&good).is_ok());
 }
 
 /// Rewrites the trailing FNV-64 checksum so a mutated body reaches the
@@ -335,7 +372,7 @@ fn forged_plan_sections_are_rejected_within_budget() {
     // Truncation at every boundary of the v4 container is rejected.
     for cut in 0..bytes.len() {
         assert!(
-            ShardedModel::from_bytes(&bytes[..cut]).is_err(),
+            load_both(&bytes[..cut]).is_err(),
             "v4 truncation at {cut}/{} must be rejected",
             bytes.len()
         );
@@ -366,7 +403,7 @@ fn forged_plan_sections_are_rejected_within_budget() {
             let live = alloc::reset_peak();
             // A flipped multiplier byte still decodes to a valid plan;
             // flipped indices must be caught by the bounds validators.
-            if let Ok(model) = ShardedModel::from_bytes(&mutated) {
+            if let Ok(model) = load_both(&mutated) {
                 let x = vec![1.0; model.cols()];
                 let mut y = vec![0.0; model.rows()];
                 model.right_multiply_panel(1, &x, &mut y).unwrap();
@@ -380,7 +417,7 @@ fn forged_plan_sections_are_rejected_within_budget() {
     }
 
     // Control: the untouched v4 container loads and serves.
-    let back = ShardedModel::from_bytes(&bytes).unwrap();
+    let back = load_both(&bytes).unwrap();
     assert!(back.is_planned());
 }
 
@@ -437,7 +474,7 @@ fn forged_grammar_tags_and_spliced_plan_sections_stay_within_budget() {
 
     for cut in 0..bytes.len() {
         assert!(
-            ShardedModel::from_bytes(&bytes[..cut]).is_err(),
+            load_both(&bytes[..cut]).is_err(),
             "v5 truncation at {cut}/{} must be rejected",
             bytes.len()
         );
@@ -449,7 +486,7 @@ fn forged_grammar_tags_and_spliced_plan_sections_stay_within_budget() {
             mutated[i] ^= flip;
             refresh_checksum(&mut mutated);
             let live = alloc::reset_peak();
-            if let Ok(model) = ShardedModel::from_bytes(&mutated) {
+            if let Ok(model) = load_both(&mutated) {
                 let x = vec![1.0; model.cols()];
                 let mut y = vec![0.0; model.rows()];
                 model.right_multiply_panel(1, &x, &mut y).unwrap();
@@ -464,7 +501,7 @@ fn forged_grammar_tags_and_spliced_plan_sections_stay_within_budget() {
 
     // Control: the untouched spliced container loads, carries its
     // metadata, and serves the perturbed matrix correctly.
-    let back = ShardedModel::from_bytes(&bytes).unwrap();
+    let back = load_both(&bytes).unwrap();
     assert!(back.is_planned());
     let x = vec![1.0; 7];
     let mut y = vec![0.0; 26];
@@ -521,7 +558,7 @@ fn version6_truncation_and_flips_at_every_offset_are_rejected() {
     let bytes = v6_sample();
     for cut in 0..bytes.len() {
         assert!(
-            ShardedModel::from_bytes(&bytes[..cut]).is_err(),
+            load_both(&bytes[..cut]).is_err(),
             "v6 truncation at {cut}/{} must be rejected",
             bytes.len()
         );
@@ -531,7 +568,7 @@ fn version6_truncation_and_flips_at_every_offset_are_rejected() {
             let mut mutated = bytes.clone();
             mutated[i] ^= flip;
             assert!(
-                ShardedModel::from_bytes(&mutated).is_err(),
+                load_both(&mutated).is_err(),
                 "v6 flip {flip:#04x} at byte {i} must be rejected"
             );
         }
@@ -545,7 +582,7 @@ fn version6_truncation_and_flips_at_every_offset_are_rejected() {
             mutated[i] ^= flip;
             refresh_checksum(&mut mutated);
             let live = alloc::reset_peak();
-            if let Ok(model) = ShardedModel::from_bytes(&mutated) {
+            if let Ok(model) = load_both(&mutated) {
                 let x = vec![1.0; model.cols()];
                 let mut y = vec![0.0; model.rows()];
                 model.right_multiply_panel(1, &x, &mut y).unwrap();
@@ -559,7 +596,7 @@ fn version6_truncation_and_flips_at_every_offset_are_rejected() {
             );
         }
     }
-    assert!(ShardedModel::from_bytes(&bytes).is_ok());
+    assert!(load_both(&bytes).is_ok());
 }
 
 #[test]
@@ -606,7 +643,7 @@ fn shard_terminals_past_the_shared_dictionary_are_rejected() {
     for keep in [0, 1, values.len() - 1] {
         let forged = forge_dictionary(&bytes, keep as u64, &values[..keep]);
         assert!(
-            ShardedModel::from_bytes(&forged).is_err(),
+            load_both(&forged).is_err(),
             "{keep} of {} values must be rejected",
             values.len()
         );
@@ -617,15 +654,58 @@ fn shard_terminals_past_the_shared_dictionary_are_rejected() {
     }
 }
 
+/// A corruption only the checksum can catch: one flipped byte inside a
+/// persisted `f32` plan blob's multiplier array leaves every structure
+/// valid. Both loaders must refuse it with a checksum mismatch — the
+/// overlapped loader has already cast the flipped plan by then, and
+/// must not let it escape — and behind a refreshed checksum both must
+/// load it and serve products that differ from the original's.
+#[test]
+fn a_plan_multiplier_flip_is_caught_by_the_checksum_alone() {
+    let opts = BuildOptions {
+        shards: 4,
+        ..BuildOptions::default()
+    };
+    let model = ShardedModel::from_csrv(&legacy_sample(), &opts).unwrap();
+    model.prewarm_with(1, &ServeOptions::planned_f32());
+    let bytes = model.to_bytes_with_plans();
+    let table = ShardTable::parse(&bytes).unwrap();
+    assert_eq!(table.plan_ranges.len(), 4);
+    assert!(table.plan_f32.iter().all(|&f32_plan| f32_plan));
+    let original = products(&load_both(&bytes).unwrap());
+
+    // The blob's first multiplier follows its magic, precision byte and
+    // five header varints; its last byte holds the sign and exponent.
+    let blob = table.plan_ranges[0]
+        .clone()
+        .expect("shard 0 persists a plan");
+    let mut pos = blob.start + gcm_core::plan::PLAN_MAGIC.len() + 1;
+    for _ in 0..5 {
+        varint::read_u64(&bytes, &mut pos).unwrap();
+    }
+    assert!(pos + 4 <= blob.end, "shard 0's plan holds a multiplier");
+    let mut flipped = bytes.clone();
+    flipped[pos + 3] ^= 0x01;
+    for err in [
+        container::from_bytes(&flipped).expect_err("overlapped"),
+        container::from_bytes_sequential(&flipped).expect_err("sequential"),
+    ] {
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    }
+    refresh_checksum(&mut flipped);
+    let forged = load_both(&flipped).expect("a flipped multiplier is structurally valid");
+    assert_ne!(products(&forged), original);
+}
+
 #[test]
 fn appended_and_garbage_input_is_rejected() {
     let bytes = sample_container(Backend::Compressed);
     // Trailing garbage breaks the checksum position.
     let mut extended = bytes.clone();
     extended.extend_from_slice(b"garbage");
-    assert!(ShardedModel::from_bytes(&extended).is_err());
+    assert!(load_both(&extended).is_err());
     // Arbitrary non-container bytes.
-    assert!(ShardedModel::from_bytes(b"").is_err());
-    assert!(ShardedModel::from_bytes(b"GCMSERV1").is_err());
-    assert!(ShardedModel::from_bytes(&[0u8; 64]).is_err());
+    assert!(load_both(b"").is_err());
+    assert!(load_both(b"GCMSERV1").is_err());
+    assert!(load_both(&[0u8; 64]).is_err());
 }

@@ -303,6 +303,68 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
         bytes.len()
     );
 
+    // Cast-on-load, both precisions, sharded and row-parallel (1 shard):
+    // prewarm runs no throwaway dense product, so the budgets it warms
+    // must alone cover the very first request of every kind. Each kind
+    // gets a fresh load, so each is measured as the first request.
+    for serve in [ServeOptions::planned(), ServeOptions::planned_f32()] {
+        for shards in [3usize, 1] {
+            let built = ShardedModel::from_dense(
+                &dense,
+                &BuildOptions {
+                    backend: Backend::Compressed,
+                    encoding: Encoding::ReAns,
+                    shards,
+                    ..BuildOptions::default()
+                },
+            )
+            .unwrap();
+            built.prewarm_with(k, &serve);
+            let bytes = built.to_bytes_with_plans();
+            let name = format!("cast-on-load f32={} s{shards}", serve.plan_f32);
+            let fresh = || {
+                let model = ShardedModel::from_bytes(&bytes).expect("v4 load");
+                model.prewarm_with(k, &serve);
+                assert_eq!(model.is_planned_f32(), serve.plan_f32, "{name}: precision");
+                model
+            };
+            let model = fresh();
+            assert_alloc_free(&format!("{name} first right k=1"), 1, || {
+                model.right_multiply_panel(1, &x, &mut y).unwrap();
+            });
+            let model = fresh();
+            assert_alloc_free(&format!("{name} first right k={k}"), 1, || {
+                model
+                    .right_multiply_panel(k, &x_panel, &mut y_panel)
+                    .unwrap();
+            });
+            let model = fresh();
+            assert_alloc_free(&format!("{name} first left k=1"), 1, || {
+                model.left_multiply_panel(1, &yv, &mut xo).unwrap();
+            });
+            let model = fresh();
+            assert_alloc_free(&format!("{name} first left k={k}"), 1, || {
+                model
+                    .left_multiply_panel(k, &y_in_panel, &mut x_panel_out)
+                    .unwrap();
+            });
+            let model = fresh();
+            let x_nnz = [(1u32, 0.5), (5, 2.0), (11, -1.25)];
+            let mut y_sparse = vec![0.0; rows];
+            assert_alloc_free(&format!("{name} first sparse"), 1, || {
+                model.right_multiply_sparse(&x_nnz, &mut y_sparse).unwrap();
+            });
+            let model = fresh();
+            let sub = (rows / 4)..(rows - rows / 4);
+            let mut y_sub = vec![0.0; sub.len() * k];
+            assert_alloc_free(&format!("{name} first rows"), 1, || {
+                model
+                    .right_multiply_rows(sub.clone(), k, &x_panel, &mut y_sub)
+                    .unwrap();
+            });
+        }
+    }
+
     // Sanity: the results the loop produced are the real products.
     let mut y_ref = vec![0.0; rows];
     dense.right_multiply(&x, &mut y_ref).unwrap();
