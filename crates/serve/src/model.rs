@@ -154,14 +154,6 @@ impl Model {
         }
     }
 
-    /// Workspace budget `(buffers, max_len)` of one **planned**
-    /// multiplication with batch width `k` (a plan draws one combined
-    /// `[x | w | flags]` scratch buffer instead of the streaming
-    /// kernels' separate W panels).
-    pub fn planned_workspace_budget(&self, k: usize, plan: &ModelPlan) -> (usize, usize) {
-        (1, plan.kernel.scratch_len(k.max(1)))
-    }
-
     /// Batched right product over explicit row-major `k`-wide panel
     /// slices (`x_panel` is `cols × k`, `y_panel` is `rows × k`), drawing
     /// scratch from `ws`. The sharded engine drives shards through this

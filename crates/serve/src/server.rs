@@ -24,13 +24,19 @@
 //! * [`Engine`] is the transport-free request processor:
 //!   `handle_frame(body, out)` decodes one protocol frame and encodes
 //!   the complete response into a caller-owned buffer. Tests (including
-//!   the zero-allocation lock-in) drive it without sockets.
+//!   the zero-allocation lock-in) drive it without sockets. All three
+//!   multiply verbs (`multiply`, `multiply_rows`, `multiply_sparse`)
+//!   share one path: look up the model's lanes, validate the request
+//!   against the model, admit it, run it, count the outcome.
 //! * `Lane` (private) is one model × direction batching queue:
 //!   double-buffered so the next batch fills while the current one
 //!   executes, leader/follower combining (the first request in a batch
 //!   becomes the leader, runs the panel kernel, and wakes the rest),
-//!   all request state preallocated at lane creation. A panic inside a
-//!   kernel is contained at the batch boundary: every member of the
+//!   all request state preallocated at lane creation. Single dense
+//!   vectors coalesce there; every other multiply (a k-wide panel, a
+//!   row subset, a sparse vector) runs directly through one
+//!   `submit_direct` that takes its kernel as a closure. A panic inside
+//!   a kernel is contained at the batch boundary: every member of the
 //!   batch answers `INTERNAL`, and the lane keeps serving.
 //! * [`Server`] owns the listener: accept loop, one OS thread per
 //!   connection, each reusing one input and one output frame buffer so
@@ -52,7 +58,7 @@ use std::time::{Duration, Instant};
 use crate::container::ServeError;
 use crate::metrics::{Metrics, ModelMetrics};
 use crate::protocol::{
-    begin_frame, decode_request, finish_frame, read_frame, status, Direction, Request,
+    begin_frame, decode_request, finish_frame, read_frame, sparse_pair, status, Direction, Request,
 };
 use crate::registry::Registry;
 use crate::sharded::ShardedModel;
@@ -150,10 +156,10 @@ struct LaneState {
     last_width: usize,
 }
 
-/// Scratch for requests that already carry a k-wide panel (k ≥ 2):
-/// they skip the coalescer and run the kernel directly. `pairs` stages
-/// decoded sparse non-zeroes (capacity `in_dim`, the validated maximum)
-/// for the same reason.
+/// Scratch for the requests that skip the coalescer and run the kernel
+/// directly (k-wide panels, row subsets, sparse vectors). `pairs`
+/// stages decoded sparse non-zeroes (capacity `in_dim`, the validated
+/// maximum).
 #[derive(Debug)]
 struct DirectBufs {
     panel: Vec<f64>,
@@ -175,6 +181,20 @@ struct Lane {
     /// Wakes followers when their batch's results are ready.
     done_cv: Condvar,
     direct: Mutex<DirectBufs>,
+}
+
+/// The panel product of one direction.
+fn multiply_panel(
+    model: &ShardedModel,
+    direction: Direction,
+    k: usize,
+    x_panel: &[f64],
+    y_panel: &mut [f64],
+) -> Result<(), gcm_matrix::MatrixError> {
+    match direction {
+        Direction::Right => model.right_multiply_panel(k, x_panel, y_panel),
+        Direction::Left => model.left_multiply_panel(k, x_panel, y_panel),
+    }
 }
 
 fn decode_f64s(dst: &mut [f64], payload: &[u8]) {
@@ -205,20 +225,6 @@ impl Lane {
                 y: vec![0.0; max_width * out_dim],
                 pairs: Vec::with_capacity(in_dim),
             }),
-        }
-    }
-
-    fn multiply(
-        &self,
-        model: &ShardedModel,
-        direction: Direction,
-        k: usize,
-        panel: &[f64],
-        y: &mut [f64],
-    ) -> Result<(), gcm_matrix::MatrixError> {
-        match direction {
-            Direction::Right => model.right_multiply_panel(k, panel, y),
-            Direction::Left => model.left_multiply_panel(k, panel, y),
         }
     }
 
@@ -342,7 +348,7 @@ impl Lane {
                         panel[i * kf + s] = xcols[s * self.in_dim + i];
                     }
                 }
-                self.multiply(
+                multiply_panel(
                     model,
                     direction,
                     kf,
@@ -402,89 +408,38 @@ impl Lane {
         st
     }
 
-    /// Runs a row-subset right multiply (`MULTIPLY_ROWS`) directly —
-    /// distinct output slices cannot coalesce, but the request still
-    /// counts against admission like any multiply. Same response
-    /// contract as [`submit`](Self::submit); the caller has already
-    /// validated `rows` against the model.
-    fn submit_rows(
-        &self,
-        model: &ShardedModel,
-        rows: std::ops::Range<usize>,
-        k: usize,
-        payload: &[u8],
-        metrics: &ModelMetrics,
-        out: &mut Vec<u8>,
-    ) -> u8 {
-        let mut bufs = self.direct.lock().expect("direct bufs poisoned");
-        let DirectBufs { panel, y, .. } = &mut *bufs;
-        decode_f64s(&mut panel[..k * self.in_dim], payload);
-        let n = rows.len() * k;
-        let err = contain("row-subset multiply failed", || {
-            model.right_multiply_rows(rows, k, &panel[..self.in_dim * k], &mut y[..n])
-        });
-        metrics.batches.fetch_add(1, Ordering::Relaxed);
-        metrics.vectors.fetch_add(k as u64, Ordering::Relaxed);
-        metrics.batch_width.record(k as u64);
-        respond_direct(out, err, &y[..n])
-    }
-
-    /// Runs a sparse right-multiply directly (right lane only; the
-    /// caller has validated `nnz` and every index against the model's
-    /// column count). Decodes the pairs into the lane's staging buffer
-    /// — allocation-free, its capacity covers any valid `nnz` — and
-    /// answers with the full `rows` output vector.
-    fn submit_sparse(
-        &self,
-        model: &ShardedModel,
-        nnz: usize,
-        payload: &[u8],
-        metrics: &ModelMetrics,
-        out: &mut Vec<u8>,
-    ) -> u8 {
-        let mut bufs = self.direct.lock().expect("direct bufs poisoned");
-        let DirectBufs { y, pairs, .. } = &mut *bufs;
-        pairs.clear();
-        for i in 0..nnz {
-            pairs.push(crate::protocol::sparse_pair(payload, i));
-        }
-        let err = contain("sparse multiply failed", || {
-            model.right_multiply_sparse(pairs, &mut y[..self.out_dim])
-        });
-        metrics.batches.fetch_add(1, Ordering::Relaxed);
-        metrics.vectors.fetch_add(1, Ordering::Relaxed);
-        metrics.batch_width.record(1);
-        respond_direct(out, err, &y[..self.out_dim])
-    }
-
-    /// Runs a request that already carries a k-wide panel (k ≥ 2)
-    /// directly, bypassing the coalescer. Same response contract as
+    /// Runs a request directly, bypassing the coalescer: a request
+    /// that already carries a k-wide panel (k ≥ 2), a row subset
+    /// (distinct output slices cannot coalesce), or a sparse vector.
+    /// `kernel` decodes the payload into the lane's staging buffers and
+    /// writes the first `y_len` values of `y`; `vectors` is the batch
+    /// width the metrics record. Same response contract as
     /// [`submit`](Self::submit).
     fn submit_direct(
         &self,
-        model: &ShardedModel,
-        direction: Direction,
-        k: usize,
-        payload: &[u8],
+        vectors: usize,
+        y_len: usize,
         metrics: &ModelMetrics,
         out: &mut Vec<u8>,
+        failed: &'static str,
+        kernel: impl FnOnce(&mut DirectBufs) -> Result<(), gcm_matrix::MatrixError>,
     ) -> u8 {
         let mut bufs = self.direct.lock().expect("direct bufs poisoned");
-        let DirectBufs { panel, y, .. } = &mut *bufs;
-        decode_f64s(&mut panel[..k * self.in_dim], payload);
-        let err = contain("panel multiply failed", || {
-            self.multiply(
-                model,
-                direction,
-                k,
-                &panel[..self.in_dim * k],
-                &mut y[..self.out_dim * k],
-            )
-        });
+        let err = contain(failed, || kernel(&mut bufs));
         metrics.batches.fetch_add(1, Ordering::Relaxed);
-        metrics.vectors.fetch_add(k as u64, Ordering::Relaxed);
-        metrics.batch_width.record(k as u64);
-        respond_direct(out, err, &y[..self.out_dim * k])
+        metrics.vectors.fetch_add(vectors as u64, Ordering::Relaxed);
+        metrics.batch_width.record(vectors as u64);
+        respond_direct(out, err, &bufs.y[..y_len])
+    }
+}
+
+impl DirectBufs {
+    /// Decodes a panel `payload` into `panel`; returns it beside the
+    /// first `y_len` values of `y`.
+    fn panel(&mut self, payload: &[u8], y_len: usize) -> (&[f64], &mut [f64]) {
+        let x = &mut self.panel[..payload.len() / 8];
+        decode_f64s(x, payload);
+        (x, &mut self.y[..y_len])
     }
 }
 
@@ -541,6 +496,64 @@ impl ModelLanes {
             metrics,
         }
     }
+
+    fn lane(&self, direction: Direction) -> &Lane {
+        match direction {
+            Direction::Right => &self.right,
+            Direction::Left => &self.left,
+        }
+    }
+}
+
+/// Validates a multiply request against its model and the lane it will
+/// run on, before admission: a hand-rolled client must not reach the
+/// kernels with an oversized or mismatched panel, an out-of-range row
+/// slice, or an out-of-range sparse index. Returns that lane, or the
+/// message the request is rejected with.
+fn check_request<'a>(lanes: &'a ModelLanes, req: &Request<'_>) -> Result<&'a Lane, &'static str> {
+    let (lane, k, payload) = match *req {
+        Request::Multiply {
+            direction,
+            k,
+            payload,
+            ..
+        } => (lanes.lane(direction), k, payload),
+        Request::MultiplyRows {
+            ref rows,
+            k,
+            payload,
+            ..
+        } => {
+            if rows.end > lanes.model.rows() {
+                return Err("row range exceeds model rows");
+            }
+            (&lanes.right, k, payload)
+        }
+        Request::MultiplySparse { nnz, payload, .. } => {
+            // Decode guarantees strictly increasing indices, so the last
+            // pair carries the maximum and one probe bounds them all;
+            // nnz ≤ cols then follows for free but is checked first so
+            // an overclaimed count gets the clearer message.
+            let cols = lanes.model.cols();
+            if nnz > cols {
+                return Err("non-zero count exceeds model columns");
+            }
+            if nnz > 0 && sparse_pair(payload, nnz - 1).0 as usize >= cols {
+                return Err("sparse index exceeds model columns");
+            }
+            return Ok(&lanes.right);
+        }
+        Request::Ping | Request::Stats { .. } | Request::Info { .. } => {
+            unreachable!("only multiply verbs are checked")
+        }
+    };
+    if k > lane.max_width {
+        return Err("k exceeds server batch width");
+    }
+    if payload.len() != k * lane.in_dim * 8 {
+        return Err("payload length does not match model dimension");
+    }
+    Ok(lane)
 }
 
 fn respond_status(out: &mut Vec<u8>, s: u8, msg: &str) {
@@ -662,171 +675,93 @@ impl Engine {
                 }
                 Err(e) => self.respond_serve_error(out, &e),
             },
+            Request::Multiply { model, .. }
+            | Request::MultiplyRows { model, .. }
+            | Request::MultiplySparse { model, .. } => self.multiply(model, &req, out),
+        }
+    }
+
+    /// Serves one multiply request of any verb: looks up its lanes,
+    /// validates it ([`check_request`]), admits it past the in-flight
+    /// high-water mark, runs it (coalesced when it carries one dense
+    /// vector, directly otherwise), and counts the outcome.
+    fn multiply(&self, name: &str, req: &Request<'_>, out: &mut Vec<u8>) {
+        let start = Instant::now();
+        let lanes = match self.get_lanes(name) {
+            Ok(lanes) => lanes,
+            Err(e) => {
+                self.respond_serve_error(out, &e);
+                return;
+            }
+        };
+        let m = &lanes.metrics;
+        m.requests.fetch_add(1, Ordering::Relaxed);
+        let lane = match check_request(&lanes, req) {
+            Ok(lane) => lane,
+            Err(msg) => {
+                m.errors.fetch_add(1, Ordering::Relaxed);
+                respond_status(out, status::BAD_REQUEST, msg);
+                return;
+            }
+        };
+        let Some(_guard) = self.try_admit() else {
+            m.overloaded.fetch_add(1, Ordering::Relaxed);
+            respond_status(out, status::OVERLOADED, "in-flight high-water mark reached");
+            return;
+        };
+        let model = &*lanes.model;
+        let st = match *req {
             Request::Multiply {
+                direction,
+                k: 1,
+                payload,
+                ..
+            } => lane.submit(
                 model,
+                direction,
+                payload,
+                m,
+                self.config.batch_deadline_us,
+                out,
+            ),
+            Request::Multiply {
                 direction,
                 k,
                 payload,
-            } => {
-                let start = Instant::now();
-                let lanes = match self.get_lanes(model) {
-                    Ok(lanes) => lanes,
-                    Err(e) => {
-                        self.respond_serve_error(out, &e);
-                        return;
-                    }
-                };
-                let m = &lanes.metrics;
-                m.requests.fetch_add(1, Ordering::Relaxed);
-                let lane = match direction {
-                    Direction::Right => &lanes.right,
-                    Direction::Left => &lanes.left,
-                };
-                if k > lane.max_width {
-                    m.errors.fetch_add(1, Ordering::Relaxed);
-                    respond_status(out, status::BAD_REQUEST, "k exceeds server batch width");
-                    return;
-                }
-                if payload.len() != k * lane.in_dim * 8 {
-                    m.errors.fetch_add(1, Ordering::Relaxed);
-                    respond_status(
-                        out,
-                        status::BAD_REQUEST,
-                        "payload length does not match model dimension",
-                    );
-                    return;
-                }
-                let Some(_guard) = self.try_admit() else {
-                    m.overloaded.fetch_add(1, Ordering::Relaxed);
-                    respond_status(out, status::OVERLOADED, "in-flight high-water mark reached");
-                    return;
-                };
-                let st = if k == 1 {
-                    lane.submit(
-                        &lanes.model,
-                        direction,
-                        payload,
-                        m,
-                        self.config.batch_deadline_us,
-                        out,
-                    )
-                } else {
-                    lane.submit_direct(&lanes.model, direction, k, payload, m, out)
-                };
-                match st {
-                    status::OK => m.ok.fetch_add(1, Ordering::Relaxed),
-                    status::OVERLOADED => m.overloaded.fetch_add(1, Ordering::Relaxed),
-                    _ => m.errors.fetch_add(1, Ordering::Relaxed),
-                };
-                m.latency_us.record(start.elapsed().as_micros() as u64);
-            }
+                ..
+            } => lane.submit_direct(k, lane.out_dim * k, m, out, "panel multiply failed", |b| {
+                let (x, y) = b.panel(payload, lane.out_dim * k);
+                multiply_panel(model, direction, k, x, y)
+            }),
             Request::MultiplyRows {
-                model,
-                rows,
+                ref rows,
                 k,
                 payload,
+                ..
             } => {
-                let start = Instant::now();
-                let lanes = match self.get_lanes(model) {
-                    Ok(lanes) => lanes,
-                    Err(e) => {
-                        self.respond_serve_error(out, &e);
-                        return;
-                    }
-                };
-                let m = &lanes.metrics;
-                m.requests.fetch_add(1, Ordering::Relaxed);
-                let lane = &lanes.right;
-                // Validate everything server-side before any queueing —
-                // a hand-rolled client must not reach the kernels with
-                // an out-of-range slice or a mismatched panel.
-                if rows.end > lanes.model.rows() {
-                    m.errors.fetch_add(1, Ordering::Relaxed);
-                    respond_status(out, status::BAD_REQUEST, "row range exceeds model rows");
-                    return;
-                }
-                if k > lane.max_width {
-                    m.errors.fetch_add(1, Ordering::Relaxed);
-                    respond_status(out, status::BAD_REQUEST, "k exceeds server batch width");
-                    return;
-                }
-                if payload.len() != k * lane.in_dim * 8 {
-                    m.errors.fetch_add(1, Ordering::Relaxed);
-                    respond_status(
-                        out,
-                        status::BAD_REQUEST,
-                        "payload length does not match model dimension",
-                    );
-                    return;
-                }
-                let Some(_guard) = self.try_admit() else {
-                    m.overloaded.fetch_add(1, Ordering::Relaxed);
-                    respond_status(out, status::OVERLOADED, "in-flight high-water mark reached");
-                    return;
-                };
-                let st = lane.submit_rows(&lanes.model, rows, k, payload, m, out);
-                match st {
-                    status::OK => m.ok.fetch_add(1, Ordering::Relaxed),
-                    _ => m.errors.fetch_add(1, Ordering::Relaxed),
-                };
-                m.latency_us.record(start.elapsed().as_micros() as u64);
+                let n = rows.len() * k;
+                lane.submit_direct(k, n, m, out, "row-subset multiply failed", |b| {
+                    let (x, y) = b.panel(payload, n);
+                    model.right_multiply_rows(rows.clone(), k, x, y)
+                })
             }
-            Request::MultiplySparse {
-                model,
-                nnz,
-                payload,
-            } => {
-                let start = Instant::now();
-                let lanes = match self.get_lanes(model) {
-                    Ok(lanes) => lanes,
-                    Err(e) => {
-                        self.respond_serve_error(out, &e);
-                        return;
-                    }
-                };
-                let m = &lanes.metrics;
-                m.requests.fetch_add(1, Ordering::Relaxed);
-                let lane = &lanes.right;
-                // Validate against the model before any queueing: decode
-                // guarantees strictly increasing indices, so the last
-                // pair carries the maximum and one probe bounds them
-                // all; nnz ≤ cols then follows for free but is checked
-                // first so an overclaimed count gets the clearer message.
-                let cols = lanes.model.cols();
-                if nnz > cols {
-                    m.errors.fetch_add(1, Ordering::Relaxed);
-                    respond_status(
-                        out,
-                        status::BAD_REQUEST,
-                        "non-zero count exceeds model columns",
-                    );
-                    return;
-                }
-                if nnz > 0 {
-                    let (max_idx, _) = crate::protocol::sparse_pair(payload, nnz - 1);
-                    if max_idx as usize >= cols {
-                        m.errors.fetch_add(1, Ordering::Relaxed);
-                        respond_status(
-                            out,
-                            status::BAD_REQUEST,
-                            "sparse index exceeds model columns",
-                        );
-                        return;
-                    }
-                }
-                let Some(_guard) = self.try_admit() else {
-                    m.overloaded.fetch_add(1, Ordering::Relaxed);
-                    respond_status(out, status::OVERLOADED, "in-flight high-water mark reached");
-                    return;
-                };
-                let st = lane.submit_sparse(&lanes.model, nnz, payload, m, out);
-                match st {
-                    status::OK => m.ok.fetch_add(1, Ordering::Relaxed),
-                    _ => m.errors.fetch_add(1, Ordering::Relaxed),
-                };
-                m.latency_us.record(start.elapsed().as_micros() as u64);
+            Request::MultiplySparse { nnz, payload, .. } => {
+                lane.submit_direct(1, lane.out_dim, m, out, "sparse multiply failed", |b| {
+                    b.pairs.clear();
+                    b.pairs.extend((0..nnz).map(|i| sparse_pair(payload, i)));
+                    model.right_multiply_sparse(&b.pairs, &mut b.y[..lane.out_dim])
+                })
             }
+            Request::Ping | Request::Stats { .. } | Request::Info { .. } => {
+                unreachable!("only multiply verbs are served here")
+            }
+        };
+        if st == status::OK {
+            m.ok.fetch_add(1, Ordering::Relaxed);
+        } else {
+            m.errors.fetch_add(1, Ordering::Relaxed);
         }
+        m.latency_us.record(start.elapsed().as_micros() as u64);
     }
 }
 
@@ -1189,6 +1124,7 @@ mod tests {
 
     #[test]
     fn admission_control_sheds_past_high_water_mark() {
+        use crate::protocol::{encode_multiply_rows, encode_multiply_sparse};
         // max_inflight is clamped to >= 1, so exhaust it with a request
         // held inside a stalled kernel.
         let config = ServerConfig {
@@ -1207,22 +1143,31 @@ mod tests {
         while engine.inflight.load(Ordering::Acquire) == 0 {
             std::thread::yield_now();
         }
-        let (mut req, mut out) = (Vec::new(), Vec::new());
-        encode_multiply(&mut req, "m", Direction::Right, 1, &x);
-        engine.handle_frame(body_of(&req), &mut out);
-        assert_eq!(
-            body_of(&out)[0],
-            status::OVERLOADED,
-            "second request must be shed"
-        );
-        // The shed request joined no batch: the slow one completes OK
+        // Every multiply verb is shed while the slot is held: a
+        // coalesced right and left vector, a direct k = 2 panel, a row
+        // subset and a sparse vector.
+        let mut frames = vec![Vec::new(); 5];
+        encode_multiply(&mut frames[0], "m", Direction::Right, 1, &x);
+        encode_multiply(&mut frames[1], "m", Direction::Left, 1, &[1.0; 18]);
+        encode_multiply(&mut frames[2], "m", Direction::Right, 2, &[1.0; 12]);
+        encode_multiply_rows(&mut frames[3], "m", 2..9, 1, &x);
+        encode_multiply_sparse(&mut frames[4], "m", &[(1, 2.0)]);
+        let verbs = ["right k=1", "left k=1", "right k=2", "rows", "sparse"];
+        let mut out = Vec::new();
+        for (what, req) in verbs.iter().zip(&frames) {
+            engine.handle_frame(body_of(req), &mut out);
+            assert_eq!(body_of(&out)[0], status::OVERLOADED, "{what} must be shed");
+        }
+        // The shed requests joined no batch: the slow one completes OK
         // once its kernel runs.
         drop(stall);
         let (x, body) = slow.join().unwrap();
         assert_exact(&dense, &x, &body);
         let m = engine.metrics().get("m").unwrap();
-        assert_eq!(m.overloaded.load(Ordering::Relaxed), 1);
+        assert_eq!(m.overloaded.load(Ordering::Relaxed), 5);
+        assert_eq!(m.requests.load(Ordering::Relaxed), 6);
         assert_eq!(m.ok.load(Ordering::Relaxed), 1);
+        assert_eq!(m.errors.load(Ordering::Relaxed), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

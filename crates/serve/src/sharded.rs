@@ -8,22 +8,32 @@
 //! batched left product has each shard fill a persistent partial
 //! `cols × k` panel, then reduces them.
 //!
-//! Dispatch uses [`rayon::broadcast_indexed`], the pool's allocation-free
-//! parallel for-each, and every shard owns a [`Workspace`] (plus a
-//! persistent partial buffer) behind a mutex. After
-//! [`ShardedModel::prewarm`], a steady-state serving loop over either
-//! backend performs **zero heap allocation** — from the *first* request
-//! on, the guarantee `crates/serve/tests/zero_alloc_serve.rs` locks in
-//! with the tracking allocator. Prewarm earns that without throwaway
-//! dense products: it grows each shard's workspace to exactly the
-//! budget dispatch will draw (a planned shard's one plan scratch
-//! buffer, an unplanned shard's streaming budget), with the pages
-//! resident, and keeps only a throwaway sparse pass for the lazy state
-//! a dense product would not build.
+//! Every shard owns a [`Workspace`] and a persistent partial buffer,
+//! each behind a mutex, plus the compiled plan a prewarm or a load may
+//! install; the plan-or-stream choice is made in one place, the
+//! shard's own kernel methods. [`ShardedModel`] only validates a
+//! request and fans the shards out: inline when there is one shard,
+//! otherwise through [`rayon::broadcast_indexed`], the pool's
+//! allocation-free parallel for-each. A kernel holds its shard's `ws`
+//! lock while it runs. The left product also holds `partial`, which it
+//! takes first: the lock order is `partial`, then `ws`, and nothing
+//! takes them the other way round.
+//!
+//! After [`ShardedModel::prewarm`], a steady-state serving loop over
+//! either backend performs **zero heap allocation** — from the *first*
+//! request on, the guarantee `crates/serve/tests/zero_alloc_serve.rs`
+//! locks in with the tracking allocator. Prewarm earns that without
+//! throwaway dense products: it grows each shard's workspace to
+//! exactly the budget its kernels draw (a planned shard's one plan
+//! scratch buffer; an unplanned shard's streaming budget plus the
+//! staging panel of a row-subset request), with the pages resident,
+//! and keeps only a throwaway sparse pass for the lazy state a dense
+//! product would not build.
 
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use gcm_core::{Encoding, KernelPlan};
+use gcm_core::Encoding;
 use gcm_encodings::HeapSize;
 use gcm_matrix::matvec::{check_left_batch, check_panels, check_right_batch};
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, Workspace};
@@ -164,6 +174,98 @@ impl Shard {
     pub(crate) fn plan(&self) -> Option<&ModelPlan> {
         self.plan.get().and_then(Option::as_ref)
     }
+
+    /// Workspace budget `(buffers, max_len)` that every kernel below
+    /// draws at batch widths up to `k`. Every planned entry point draws
+    /// one `[x | w | flags]` plan scratch buffer. An unplanned shard
+    /// needs the streaming budget plus one staging panel of
+    /// `rows × k`, which a row-subset request holds across the full
+    /// shard product.
+    fn budget(&self, k: usize) -> (usize, usize) {
+        let k = k.max(1);
+        match self.plan() {
+            Some(plan) => (1, plan.kernel.scratch_len(k)),
+            None => {
+                let (count, max_len) = self.model.workspace_budget(k);
+                (count + 1, max_len.max(self.model.rows() * k))
+            }
+        }
+    }
+
+    /// Shard-local rows `rows` of the right product `M·X` into `y`
+    /// (`rows.len() × k`, row-major). A planned shard runs the rule pass
+    /// once, then accumulates only the requested rows through the
+    /// plan's CSR row index, split into `chunks` disjoint row ranges
+    /// that accumulate concurrently. An unplanned shard has no row
+    /// index and ignores `chunks`: it writes the full product straight
+    /// into `y` when `rows` covers the shard, and otherwise into a
+    /// workspace staging panel it copies the range out of.
+    fn right_rows(
+        &self,
+        rows: Range<usize>,
+        chunks: usize,
+        k: usize,
+        x_panel: &[f64],
+        y: &mut [f64],
+    ) -> Result<(), MatrixError> {
+        let mut ws = self.ws.lock().expect("shard workspace poisoned");
+        let Some(plan) = self.plan() else {
+            if rows.len() == self.model.rows() {
+                return self.model.right_multiply_panel_into(k, x_panel, y, &mut ws);
+            }
+            let mut full = ws.take(self.model.rows() * k);
+            let result = self
+                .model
+                .right_multiply_panel_into(k, x_panel, &mut full, &mut ws);
+            if result.is_ok() {
+                y.copy_from_slice(&full[rows.start * k..rows.end * k]);
+            }
+            ws.put(full);
+            return result;
+        };
+        let plan = &plan.kernel;
+        let mut buf = ws.take(plan.scratch_len(k));
+        let result = plan.begin_right_panel(k, x_panel, &mut buf);
+        if result.is_ok() {
+            let buf = &buf;
+            let len = rows.len();
+            let chunk = |i: usize| len * i / chunks..len * (i + 1) / chunks;
+            fan_out_rows(chunks, y, k, chunk, |i, y| {
+                let c = chunk(i);
+                plan.accumulate_rows_panel(rows.start + c.start..rows.start + c.end, k, buf, y);
+            });
+        }
+        // The warmed buffer goes back even on an error, or one Err would
+        // shrink the zero-alloc buffer pool.
+        ws.put(buf);
+        result
+    }
+
+    /// Left product `X = Mᵗ·Y` of this shard: `y_panel` holds its
+    /// `rows × k` slice, `x_panel` receives `cols × k`.
+    fn left(&self, k: usize, y_panel: &[f64], x_panel: &mut [f64]) -> Result<(), MatrixError> {
+        let mut ws = self.ws.lock().expect("shard workspace poisoned");
+        match self.plan() {
+            Some(plan) => self
+                .model
+                .left_multiply_panel_planned(plan, k, y_panel, x_panel, &mut ws),
+            None => self
+                .model
+                .left_multiply_panel_into(k, y_panel, x_panel, &mut ws),
+        }
+    }
+
+    /// Sparse-input right product of this shard: the activity walk on
+    /// a planned shard, a scatter into workspace memory otherwise.
+    fn sparse(&self, x_nnz: &[(u32, f64)], y: &mut [f64]) -> Result<(), MatrixError> {
+        let mut ws = self.ws.lock().expect("shard workspace poisoned");
+        match self.plan() {
+            Some(plan) => self
+                .model
+                .right_multiply_sparse_planned(plan, x_nnz, y, &mut ws),
+            None => self.model.right_multiply_sparse_into(x_nnz, y, &mut ws),
+        }
+    }
 }
 
 /// A matrix split row-wise across shards, served from the persistent
@@ -183,70 +285,51 @@ pub struct ShardedModel {
     left_gate: Mutex<()>,
 }
 
-/// Shared raw base pointer for disjoint per-shard output slices.
+/// Shared raw base pointer for disjoint row-range output slices.
 struct SendPtr(*mut f64);
-// SAFETY: only used to derive disjoint row-range slices per shard.
+// SAFETY: only used to derive disjoint row-range slices per task.
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
-/// Planned right product restricted to one shard-local row range: the
-/// rule pass fills the scratch buffer once, then only the descriptors
-/// of the requested rows accumulate (the plan's CSR `row_ptr` makes the
-/// slice O(descriptors-touched)). Allocation-free once the workspace
-/// holds a `scratch_len(k)` buffer — a planned prewarm warms exactly
-/// that.
-fn subset_right(
-    plan: &KernelPlan,
-    rows: std::ops::Range<usize>,
-    k: usize,
-    x_panel: &[f64],
-    y_chunk: &mut [f64],
-    ws: &mut Workspace,
-) -> Result<(), MatrixError> {
-    let mut buf = ws.take(plan.scratch_len(k));
-    let result = plan.begin_right_panel(k, x_panel, &mut buf);
-    if result.is_ok() {
-        plan.accumulate_rows_panel(rows, k, &buf, y_chunk);
+/// Runs `f(i, out_i)` for every `i in 0..n`, where `out_i` is the slice
+/// of `out` holding rows `range(i)` at `width` values per row. A single
+/// task runs inline on the caller, with no pool wake-up; more run
+/// concurrently through [`rayon::broadcast_indexed`], the pool's
+/// allocation-free parallel for-each.
+///
+/// # Panics
+/// Panics unless the ranges ascend without overlapping and fit in
+/// `out` — the check that makes handing each task its own `&mut` slice
+/// sound.
+fn fan_out_rows(
+    n: usize,
+    out: &mut [f64],
+    width: usize,
+    range: impl Fn(usize) -> Range<usize> + Sync,
+    f: impl Fn(usize, &mut [f64]) + Sync,
+) {
+    if n == 1 {
+        let r = range(0);
+        return f(0, &mut out[r.start * width..r.end * width]);
     }
-    ws.put(buf);
-    result
-}
-
-/// Row-range parallel planned right product for a single shard: one
-/// rule pass fills the scratch buffer, then disjoint row chunks of `C`
-/// accumulate concurrently via `broadcast_indexed` (the same primitive
-/// the multi-shard path uses one level up, so sharding and row ranges
-/// compose rather than compete).
-fn row_parallel_right(
-    plan: &KernelPlan,
-    rows: usize,
-    chunks: usize,
-    k: usize,
-    x_panel: &[f64],
-    y_panel: &mut [f64],
-    ws: &mut Workspace,
-) -> Result<(), MatrixError> {
-    let mut buf = ws.take(plan.scratch_len(k));
-    let result = plan.begin_right_panel(k, x_panel, &mut buf);
-    if result.is_ok() {
-        let base = SendPtr(y_panel.as_mut_ptr());
-        let base = &base;
-        let buf_ref = &buf;
-        rayon::broadcast_indexed(chunks, &|i| {
-            let lo = rows * i / chunks;
-            let hi = rows * (i + 1) / chunks;
-            // SAFETY: the `lo..hi` ranges partition `0..rows`
-            // disjointly, so every task writes a non-overlapping
-            // region of y_panel, which outlives the broadcast (it
-            // blocks until completion).
-            let y = unsafe { std::slice::from_raw_parts_mut(base.0.add(lo * k), (hi - lo) * k) };
-            plan.accumulate_rows_panel(lo..hi, k, buf_ref, y);
-        });
+    let mut end = 0;
+    for i in 0..n {
+        let r = range(i);
+        assert!(end <= r.start && r.start <= r.end, "row ranges overlap");
+        end = r.end;
     }
-    // The warmed buffer goes back even on an error, or one Err would
-    // shrink the zero-alloc buffer pool.
-    ws.put(buf);
-    result
+    assert!(end * width <= out.len(), "row ranges exceed the output");
+    let base = SendPtr(out.as_mut_ptr());
+    let base = &base;
+    rayon::broadcast_indexed(n, &|i| {
+        let r = range(i);
+        // SAFETY: the ranges were checked above to be disjoint and
+        // inside `out`, which outlives the broadcast (it blocks until
+        // every task completes).
+        let y =
+            unsafe { std::slice::from_raw_parts_mut(base.0.add(r.start * width), r.len() * width) };
+        f(i, y);
+    });
 }
 
 impl ShardedModel {
@@ -497,7 +580,8 @@ impl ShardedModel {
     ///
     /// No throwaway dense product runs: a planned shard warms its plan's
     /// one scratch buffer (every planned entry point draws only that),
-    /// an unplanned shard its streaming budget, and
+    /// an unplanned shard its streaming budget plus a row-subset staging
+    /// panel, and
     /// [`Workspace::warm`] grows the buffers to full length, so their
     /// pages are already resident. The one throwaway pass left is
     /// sparse, because it builds state a dense product cannot: each
@@ -514,21 +598,14 @@ impl ShardedModel {
         // run concurrently; with one shard this runs inline).
         gcm_pipeline::par_map(self.shards.len(), |i| {
             let shard = &self.shards[i];
-            let plan = if opts.plans {
+            // A plan built by an earlier prewarm or installed by a load
+            // keeps serving either way.
+            if opts.plans {
                 shard
                     .plan
-                    .get_or_init(|| ModelPlan::compile_with(&shard.model, opts.plan_f32))
-                    .as_ref()
-            } else {
-                // A plan built by an earlier prewarm keeps serving.
-                shard.plan()
-            };
-            // Dispatch never takes the streaming budget of a planned
-            // shard, so only the budget it will take is warmed.
-            let (count, max_len) = match plan {
-                Some(plan) => shard.model.planned_workspace_budget(k, plan),
-                None => shard.model.workspace_budget(k),
-            };
+                    .get_or_init(|| ModelPlan::compile_with(&shard.model, opts.plan_f32));
+            }
+            let (count, max_len) = shard.budget(k);
             shard
                 .ws
                 .lock()
@@ -576,6 +653,30 @@ impl ShardedModel {
             .sum()
     }
 
+    /// Runs `f` once per shard with that shard's disjoint rows of `out`
+    /// (`width` values per row; width 0 hands every shard an empty
+    /// slice). One shard runs inline on the caller, so a single-shard
+    /// model never publishes a broadcast; more fan out across the pool
+    /// (see `fan_out_rows`).
+    ///
+    /// # Panics
+    /// Panics if `f` fails: callers validate every request before
+    /// dispatch, so a shard's kernel cannot see inconsistent lengths.
+    fn for_each_shard(
+        &self,
+        out: &mut [f64],
+        width: usize,
+        f: impl Fn(&Shard, &mut [f64]) -> Result<(), MatrixError> + Sync,
+    ) {
+        let rows = |i: usize| {
+            let shard = &self.shards[i];
+            shard.row_offset..shard.row_offset + shard.model.rows()
+        };
+        fan_out_rows(self.shards.len(), out, width, rows, |i, y| {
+            f(&self.shards[i], y).expect("shard dimensions are consistent by construction");
+        });
+    }
+
     /// Batched right product `Y = M·X` over row-major `k`-wide panel
     /// slices: shards run concurrently on the persistent pool, each
     /// writing its disjoint rows of `y_panel`.
@@ -592,53 +693,18 @@ impl ShardedModel {
         if k == 0 || self.rows == 0 {
             return Ok(());
         }
-        if self.shards.len() == 1 {
-            let shard = &self.shards[0];
-            let mut ws = shard.ws.lock().expect("shard workspace poisoned");
-            // A single-shard planned model parallelises *inside* the
-            // shard instead: the plan's CSR row index makes disjoint
-            // row ranges of `C` independent once the rule pass has
-            // filled the scratch buffer (either precision; see
-            // `row_parallel_right`).
-            let threads = rayon::current_num_threads();
-            return match shard.plan() {
-                Some(plan) if threads > 1 && self.rows >= 2 * threads => row_parallel_right(
-                    &plan.kernel,
-                    self.rows,
-                    threads,
-                    k,
-                    x_panel,
-                    y_panel,
-                    &mut ws,
-                ),
-                Some(plan) => shard
-                    .model
-                    .right_multiply_panel_planned(plan, k, x_panel, y_panel, &mut ws),
-                None => shard
-                    .model
-                    .right_multiply_panel_into(k, x_panel, y_panel, &mut ws),
-            };
-        }
-        let base = SendPtr(y_panel.as_mut_ptr());
-        let base = &base;
-        rayon::broadcast_indexed(self.shards.len(), &|i| {
-            let shard = &self.shards[i];
-            let mut ws = shard.ws.lock().expect("shard workspace poisoned");
-            let len = shard.model.rows() * k;
-            // SAFETY: shard row ranges partition `0..rows` disjointly,
-            // so every task writes a non-overlapping region of y_panel,
-            // which outlives the broadcast (it blocks until completion).
-            let y =
-                unsafe { std::slice::from_raw_parts_mut(base.0.add(shard.row_offset * k), len) };
-            match shard.plan() {
-                Some(plan) => shard
-                    .model
-                    .right_multiply_panel_planned(plan, k, x_panel, y, &mut ws),
-                None => shard
-                    .model
-                    .right_multiply_panel_into(k, x_panel, y, &mut ws),
-            }
-            .expect("shard dimensions are consistent by construction");
+        // Shards run concurrently; a lone shard parallelises *inside*
+        // itself instead: a plan's CSR row index makes disjoint row
+        // ranges of `C` independent once the rule pass has filled the
+        // scratch buffer (either precision; see `Shard::right_rows`).
+        let threads = rayon::current_num_threads();
+        let chunks = if self.shards.len() == 1 && self.rows >= 2 * threads {
+            threads
+        } else {
+            1
+        };
+        self.for_each_shard(y_panel, k, |shard, y| {
+            shard.right_rows(0..shard.model.rows(), chunks, k, x_panel, y)
         });
         Ok(())
     }
@@ -676,34 +742,7 @@ impl ShardedModel {
         if self.rows == 0 {
             return Ok(());
         }
-        if self.shards.len() == 1 {
-            let shard = &self.shards[0];
-            let mut ws = shard.ws.lock().expect("shard workspace poisoned");
-            return match shard.plan() {
-                Some(plan) => shard
-                    .model
-                    .right_multiply_sparse_planned(plan, x_nnz, y, &mut ws),
-                None => shard.model.right_multiply_sparse_into(x_nnz, y, &mut ws),
-            };
-        }
-        let base = SendPtr(y.as_mut_ptr());
-        let base = &base;
-        rayon::broadcast_indexed(self.shards.len(), &|i| {
-            let shard = &self.shards[i];
-            let mut ws = shard.ws.lock().expect("shard workspace poisoned");
-            let len = shard.model.rows();
-            // SAFETY: shard row ranges partition `0..rows` disjointly,
-            // so every task writes a non-overlapping region of y, which
-            // outlives the broadcast (it blocks until completion).
-            let y = unsafe { std::slice::from_raw_parts_mut(base.0.add(shard.row_offset), len) };
-            match shard.plan() {
-                Some(plan) => shard
-                    .model
-                    .right_multiply_sparse_planned(plan, x_nnz, y, &mut ws),
-                None => shard.model.right_multiply_sparse_into(x_nnz, y, &mut ws),
-            }
-            .expect("shard dimensions are consistent by construction");
-        });
+        self.for_each_shard(y, 1, |shard, y| shard.sparse(x_nnz, y));
         Ok(())
     }
 
@@ -723,7 +762,7 @@ impl ShardedModel {
     /// is inconsistent with `k`.
     pub fn right_multiply_rows(
         &self,
-        rows: std::ops::Range<usize>,
+        rows: Range<usize>,
         k: usize,
         x_panel: &[f64],
         y_chunk: &mut [f64],
@@ -747,26 +786,8 @@ impl ShardedModel {
             if begin >= end {
                 continue;
             }
-            let local = (begin - lo)..(end - lo);
             let out = &mut y_chunk[(begin - rows.start) * k..(end - rows.start) * k];
-            let mut ws = shard.ws.lock().expect("shard workspace poisoned");
-            match shard.plan() {
-                Some(plan) => subset_right(&plan.kernel, local, k, x_panel, out, &mut ws)?,
-                None => {
-                    // No row index to slice: produce the whole shard
-                    // into workspace memory, copy the range out.
-                    let mut y_full = ws.take(shard.model.rows() * k);
-                    let result =
-                        shard
-                            .model
-                            .right_multiply_panel_into(k, x_panel, &mut y_full, &mut ws);
-                    if result.is_ok() {
-                        out.copy_from_slice(&y_full[local.start * k..local.end * k]);
-                    }
-                    ws.put(y_full);
-                    result?;
-                }
-            }
+            shard.right_rows((begin - lo)..(end - lo), 1, k, x_panel, out)?;
         }
         Ok(())
     }
@@ -788,38 +809,17 @@ impl ShardedModel {
         if k == 0 {
             return Ok(());
         }
-        if self.shards.len() == 1 {
-            let shard = &self.shards[0];
-            let mut ws = shard.ws.lock().expect("shard workspace poisoned");
-            return match shard.plan() {
-                Some(plan) => shard
-                    .model
-                    .left_multiply_panel_planned(plan, k, y_panel, x_panel, &mut ws),
-                None => shard
-                    .model
-                    .left_multiply_panel_into(k, y_panel, x_panel, &mut ws),
-            };
+        if let [shard] = self.shards.as_slice() {
+            return shard.left(k, y_panel, x_panel);
         }
-        // Hold the gate across fill + reduce: see `left_gate`.
+        // Hold the gate across fill + reduce: see `left_gate`. The
+        // shards write no rows of a shared output, only their partials.
         let _gate = self.left_gate.lock().expect("left gate poisoned");
-        rayon::broadcast_indexed(self.shards.len(), &|i| {
-            let shard = &self.shards[i];
-            let mut ws = shard.ws.lock().expect("shard workspace poisoned");
+        self.for_each_shard(&mut [], 0, |shard, _| {
             let mut partial = shard.partial.lock().expect("shard partial poisoned");
             partial.resize(self.cols * k, 0.0);
             let off = shard.row_offset * k;
-            let y_slice = &y_panel[off..off + shard.model.rows() * k];
-            match shard.plan() {
-                Some(plan) => {
-                    shard
-                        .model
-                        .left_multiply_panel_planned(plan, k, y_slice, &mut partial, &mut ws)
-                }
-                None => shard
-                    .model
-                    .left_multiply_panel_into(k, y_slice, &mut partial, &mut ws),
-            }
-            .expect("shard dimensions are consistent by construction");
+            shard.left(k, &y_panel[off..off + shard.model.rows() * k], &mut partial)
         });
         x_panel.fill(0.0);
         for shard in &self.shards {

@@ -345,6 +345,21 @@ fn hand_rolled_malformed_frames_are_rejected_before_enqueueing() {
         .multiply("m", Direction::Right, 1, &x, &mut y)
         .unwrap();
     assert_eq!(y.len(), reference.rows());
+
+    // Only rejections that need the model are counted against it: the
+    // dimension mismatch and the two sparse frames checked against the
+    // model's columns. Frames refused at decode never name a model the
+    // server has looked up, so they count nowhere. The healthy request
+    // above is the fourth counted one.
+    let stats = client.stats("m").unwrap();
+    let line = stats
+        .lines()
+        .find(|l| l.starts_with("model=m requests="))
+        .unwrap_or_else(|| panic!("no model line in:\n{stats}"));
+    assert!(
+        line.starts_with("model=m requests=4 ok=1 overloaded=0 errors=3 "),
+        "{line}"
+    );
     drop(client);
     handle.stop();
     std::fs::remove_dir_all(&dir).unwrap();

@@ -158,16 +158,19 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
                 .unwrap();
         });
 
-        // Row-subset serving: after one warm call, the subset path —
-        // plan CSR row_ptr slicing for planned shards, the workspace
-        // full-product fallback otherwise — is allocation-free too.
-        // The range crosses shard boundaries so the per-shard clamp
-        // and offset arithmetic are on the measured path.
+        // Row-subset serving: the subset path — plan CSR row_ptr
+        // slicing for planned shards, the workspace full-product
+        // fallback and its staging panel otherwise — is allocation-free
+        // from its first request too. The range crosses shard
+        // boundaries so the per-shard clamp and offset arithmetic are
+        // on the measured path.
         let sub = (rows / 4)..(rows - rows / 4);
         let mut y_sub = vec![0.0; sub.len() * k];
-        model
-            .right_multiply_rows(sub.clone(), k, &x_panel, &mut y_sub)
-            .unwrap();
+        assert_alloc_free(&format!("{name} first row subset"), 1, || {
+            model
+                .right_multiply_rows(sub.clone(), k, &x_panel, &mut y_sub)
+                .unwrap();
+        });
         assert_alloc_free(&format!("{name} row-subset steady state"), 16, || {
             model
                 .right_multiply_rows(sub.clone(), k, &x_panel, &mut y_sub)
