@@ -34,16 +34,6 @@
 //! `crates/serve/tests/pipeline_parallel.rs`); only the clock should
 //! move. Pass `--test` (CI's smoke mode) to shrink the matrix and the
 //! sample count so the bench doubles as a fast end-to-end check.
-//!
-//! Set `GCM_BENCH_JSON=<path>` to skip criterion and instead run a
-//! compact wall-clock pass over the same pairs, writing a JSON report
-//! (the in-tree `BENCH_build_load.json` evidence is produced this way):
-//!
-//! ```text
-//! GCM_BENCH_JSON=BENCH_build_load.json cargo bench --bench build_load
-//! ```
-
-use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -82,130 +72,6 @@ fn planned_cold_start(bytes: &[u8]) -> ShardedModel {
     model
 }
 
-/// One wall-clock measurement for the JSON report: warm up, then take
-/// the best of three timed windows (each with an iteration floor and a
-/// time floor) so scheduler noise cannot inflate a reading.
-fn measure(mut f: impl FnMut()) -> f64 {
-    let (min_iters, min_time, windows) = if smoke() {
-        (2, Duration::from_millis(10), 1)
-    } else {
-        (5, Duration::from_millis(200), 3)
-    };
-    f(); // warm-up: faults pages, fills caches
-    let mut best = f64::INFINITY;
-    for _ in 0..windows {
-        let start = Instant::now();
-        let mut iters = 0usize;
-        while iters < min_iters || start.elapsed() < min_time {
-            f();
-            iters += 1;
-        }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    best
-}
-
-struct JsonEntry {
-    group: &'static str,
-    variant: &'static str,
-    shards: usize,
-    secs_per_iter: f64,
-}
-
-fn write_json(path: &str, rows: usize, entries: &[JsonEntry]) {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"dataset\": \"census\",\n  \"rows\": {rows},\n"
-    ));
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke() { "smoke" } else { "full" }
-    ));
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"group\": \"{}\", \"variant\": \"{}\", \"shards\": {}, \
-             \"secs_per_iter\": {:.3e}}}{}\n",
-            e.group,
-            e.variant,
-            e.shards,
-            e.secs_per_iter,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write bench json");
-    eprintln!("build_load bench: wrote {path}");
-}
-
-/// The `GCM_BENCH_JSON` pass: build, load, and planned cold-start
-/// timings per shard count, written as one JSON document.
-fn run_json_report(path: &str, pipeline: &Pipeline, csrv: &CsrvMatrix, rows: usize) {
-    let mut entries = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        let config = BuildConfig {
-            shards,
-            reorder: Some(ReorderMode::PerShard(ReorderAlgorithm::PathCover)),
-            ..BuildConfig::default()
-        };
-        entries.push(JsonEntry {
-            group: "build",
-            variant: "sequential",
-            shards,
-            secs_per_iter: measure(|| _ = pipeline.build_sequential(csrv, &config)),
-        });
-        entries.push(JsonEntry {
-            group: "build",
-            variant: "pipeline",
-            shards,
-            secs_per_iter: measure(|| _ = pipeline.build(csrv, &config)),
-        });
-        let (plain, planned) = containers_at(pipeline, csrv, shards);
-        entries.push(JsonEntry {
-            group: "load",
-            variant: "sequential",
-            shards,
-            secs_per_iter: measure(|| _ = container::from_bytes_sequential(&plain).unwrap()),
-        });
-        entries.push(JsonEntry {
-            group: "load",
-            variant: "sharded-parallel",
-            shards,
-            secs_per_iter: measure(|| _ = container::from_bytes(&plain).unwrap()),
-        });
-        entries.push(JsonEntry {
-            group: "plan-load",
-            variant: "v3-compile-on-load",
-            shards,
-            secs_per_iter: measure(|| _ = planned_cold_start(&plain)),
-        });
-        entries.push(JsonEntry {
-            group: "plan-load",
-            variant: "v4-cast-on-load",
-            shards,
-            secs_per_iter: measure(|| _ = planned_cold_start(&planned)),
-        });
-    }
-    for grammar in [
-        GrammarChoice::RePair,
-        GrammarChoice::MrRePair,
-        GrammarChoice::Auto,
-    ] {
-        let config = BuildConfig {
-            shards: 4,
-            grammar: Some(grammar),
-            ..BuildConfig::default()
-        };
-        entries.push(JsonEntry {
-            group: "grammar-build",
-            variant: grammar.name(),
-            shards: 4,
-            secs_per_iter: measure(|| _ = pipeline.build(csrv, &config)),
-        });
-    }
-    write_json(path, rows, &entries);
-}
-
 fn bench_build_load(c: &mut Criterion) {
     let rows = if smoke() { 400 } else { 4_000 };
     let dense = Dataset::Census.generate(rows, 42);
@@ -214,11 +80,6 @@ fn bench_build_load(c: &mut Criterion) {
     let pipeline = Pipeline::new();
     // Touch the pool once so worker spawning never lands in a sample.
     let _ = pipeline.build(&csrv, &BuildConfig::default());
-
-    if let Ok(path) = std::env::var("GCM_BENCH_JSON") {
-        run_json_report(&path, &pipeline, &csrv, rows);
-        return;
-    }
 
     let mut group = c.benchmark_group("build");
     for shards in [1usize, 2, 4, 8] {

@@ -27,17 +27,8 @@
 //! the clock should move here. Pass `--test` (CI's smoke mode) to
 //! shrink the matrix and sample count so the bench doubles as a fast
 //! end-to-end check.
-//!
-//! Set `GCM_BENCH_JSON=<path>` to skip criterion and instead run a
-//! compact wall-clock pass over the same kernels, writing a JSON report
-//! (the in-tree `BENCH_kernels.json` evidence is produced this way):
-//!
-//! ```text
-//! GCM_BENCH_JSON=BENCH_kernels.json cargo bench --bench kernels
-//! ```
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -75,9 +66,9 @@ const SPARSE_DENSITIES: [(f64, &str); 6] = [
 ];
 
 /// Deterministic sample of sparse input vectors at a given non-zero
-/// count, each timed separately so no column is cherry-picked: eight
-/// evenly-spaced one-hot vectors when `nnz == 1`, otherwise eight
-/// index sets drawn from a fixed-seed LCG.
+/// count, cycled round-robin by the timed loop so no column is
+/// cherry-picked: eight evenly-spaced one-hot vectors when `nnz == 1`,
+/// otherwise eight index sets drawn from a fixed-seed LCG.
 fn sparse_inputs(cols: usize, nnz: usize) -> Vec<Vec<(u32, f64)>> {
     let value = |j: u32| 1.5 + f64::from(j % 5) * 0.25;
     if nnz <= 1 {
@@ -110,351 +101,6 @@ fn sparse_inputs(cols: usize, nnz: usize) -> Vec<Vec<(u32, f64)>> {
         .collect()
 }
 
-/// One wall-clock measurement for the JSON report: warm up, then take
-/// the best of the timed windows (each with an iteration floor and a
-/// time floor) so scheduler noise cannot inflate a reading.
-fn measure_with(min_iters: usize, min_time: Duration, windows: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up: faults pages, fills caches
-    let mut best = f64::INFINITY;
-    for _ in 0..windows {
-        let start = Instant::now();
-        let mut iters = 0usize;
-        while iters < min_iters || start.elapsed() < min_time {
-            f();
-            iters += 1;
-        }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    best
-}
-
-fn measure(f: impl FnMut()) -> f64 {
-    let (min_iters, min_time, windows) = if smoke() {
-        (3, Duration::from_millis(10), 1)
-    } else {
-        (10, Duration::from_millis(250), 3)
-    };
-    measure_with(min_iters, min_time, windows, f)
-}
-
-/// Shortened window of the per-input sparse sweep (each input of a
-/// density is timed separately, so the floors are scaled down to keep
-/// the whole sweep tractable).
-fn measure_short(f: impl FnMut()) -> f64 {
-    let (min_iters, min_time, windows) = if smoke() {
-        (2, Duration::from_millis(2), 1)
-    } else {
-        (5, Duration::from_millis(40), 2)
-    };
-    measure_with(min_iters, min_time, windows, f)
-}
-
-struct JsonEntry {
-    group: String,
-    variant: &'static str,
-    encoding: &'static str,
-    secs_per_iter: f64,
-    elements: usize,
-}
-
-fn write_json(path: &str, rows: usize, cols: usize, nnz: usize, entries: &[JsonEntry]) {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"dataset\": \"census\",\n  \"rows\": {rows},\n  \"cols\": {cols},\n  \"nnz\": {nnz},\n"
-    ));
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke() { "smoke" } else { "full" }
-    ));
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let melems = e.elements as f64 / e.secs_per_iter / 1e6;
-        out.push_str(&format!(
-            "    {{\"group\": \"{}\", \"variant\": \"{}\", \"encoding\": \"{}\", \
-             \"secs_per_iter\": {:.3e}, \"melems_per_s\": {:.1}}}{}\n",
-            e.group,
-            e.variant,
-            e.encoding,
-            e.secs_per_iter,
-            melems,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write bench json");
-    eprintln!("kernels bench: wrote {path}");
-}
-
-/// The `GCM_BENCH_JSON` pass: the same kernels as the criterion groups,
-/// timed with a plain wall clock and written as one JSON document.
-fn run_json_report(path: &str, dense: &gcm_matrix::DenseMatrix, csrv: &CsrvMatrix) {
-    let (rows, cols, nnz) = (dense.rows(), dense.cols(), csrv.nnz());
-    let mut entries = Vec::new();
-
-    for enc in Encoding::ALL {
-        let cm = CompressedMatrix::compress(csrv, enc);
-        let plan = cm.plan();
-        let plan32 = cm.plan_f32();
-        let mut ws = Workspace::new();
-
-        // Raw sequence expansion: the per-encoding decode loop alone.
-        let secs = measure(|| cm.seq_store().for_each(|s| _ = black_box(s)));
-        entries.push(JsonEntry {
-            group: "decode".into(),
-            variant: "seq_store",
-            encoding: enc.name(),
-            secs_per_iter: secs,
-            elements: cm.sequence_len(),
-        });
-
-        for k in [1usize, 8] {
-            let x_panel = input(cols * k);
-            let mut y_panel = vec![0.0; rows * k];
-            let y_input = input(rows * k);
-            let mut x_out = vec![0.0; cols * k];
-            let mut buf = vec![0.0; plan.scratch_len(k)];
-            let mut buf32 = vec![0.0; plan32.scratch_len(k)];
-
-            let secs = measure(|| {
-                let mut w = ws.take(cm.num_rules() * k);
-                cm.right_multiply_panel_with(k, &x_panel, &mut y_panel, &mut w)
-                    .unwrap();
-                ws.put(w);
-            });
-            entries.push(JsonEntry {
-                group: format!("right/k{k}"),
-                variant: "streaming",
-                encoding: enc.name(),
-                secs_per_iter: secs,
-                elements: nnz * k,
-            });
-            let secs = measure(|| {
-                plan.right_multiply_panel(k, &x_panel, &mut y_panel, &mut buf)
-                    .unwrap()
-            });
-            entries.push(JsonEntry {
-                group: format!("right/k{k}"),
-                variant: "planned",
-                encoding: enc.name(),
-                secs_per_iter: secs,
-                elements: nnz * k,
-            });
-            let secs = measure(|| {
-                plan32
-                    .right_multiply_panel(k, &x_panel, &mut y_panel, &mut buf32)
-                    .unwrap()
-            });
-            entries.push(JsonEntry {
-                group: format!("right/k{k}"),
-                variant: "planned_f32",
-                encoding: enc.name(),
-                secs_per_iter: secs,
-                elements: nnz * k,
-            });
-
-            let secs = measure(|| {
-                plan.left_multiply_panel(k, &y_input, &mut x_out, &mut buf)
-                    .unwrap()
-            });
-            entries.push(JsonEntry {
-                group: format!("left/k{k}"),
-                variant: "planned",
-                encoding: enc.name(),
-                secs_per_iter: secs,
-                elements: nnz * k,
-            });
-            let secs = measure(|| {
-                plan32
-                    .left_multiply_panel(k, &y_input, &mut x_out, &mut buf32)
-                    .unwrap()
-            });
-            entries.push(JsonEntry {
-                group: format!("left/k{k}"),
-                variant: "planned_f32",
-                encoding: enc.name(),
-                secs_per_iter: secs,
-                elements: nnz * k,
-            });
-        }
-
-        // Sparse-input density sweep: the activity walk (forced, so it
-        // is measured above the cutover too) against the dense planned
-        // kernel, both precisions. Like every other group, each timed
-        // loop runs one fixed input; the entry reports the mean over
-        // the input sample. `elements` stays the matrix nnz, so
-        // melems/s reads as effective matrix throughput and the
-        // sparse/dense ratio is the speedup at that density.
-        let mut buf = vec![0.0; plan.scratch_len(1)];
-        let mut buf32 = vec![0.0; plan32.scratch_len(1)];
-        let mut y = vec![0.0; rows];
-        for (density, label) in SPARSE_DENSITIES {
-            let count = ((cols as f64 * density) as usize).clamp(1, cols);
-            let inputs = sparse_inputs(cols, count);
-            let dense_inputs: Vec<Vec<f64>> = inputs
-                .iter()
-                .map(|x_nnz| {
-                    let mut x = vec![0.0; cols];
-                    for &(j, v) in x_nnz {
-                        x[j as usize] = v;
-                    }
-                    x
-                })
-                .collect();
-            let mean = |per_input: Vec<f64>| per_input.iter().sum::<f64>() / per_input.len() as f64;
-            let secs = mean(
-                inputs
-                    .iter()
-                    .map(|x_nnz| {
-                        measure_short(|| {
-                            plan.right_multiply_sparse_with(
-                                x_nnz,
-                                &mut y,
-                                &mut buf,
-                                SparseStrategy::Activity,
-                            )
-                            .unwrap()
-                        })
-                    })
-                    .collect(),
-            );
-            entries.push(JsonEntry {
-                group: format!("sparse/{label}"),
-                variant: "activity",
-                encoding: enc.name(),
-                secs_per_iter: secs,
-                elements: nnz,
-            });
-            let secs = mean(
-                dense_inputs
-                    .iter()
-                    .map(|x| measure_short(|| plan.right_multiply(x, &mut y, &mut buf).unwrap()))
-                    .collect(),
-            );
-            entries.push(JsonEntry {
-                group: format!("sparse/{label}"),
-                variant: "dense",
-                encoding: enc.name(),
-                secs_per_iter: secs,
-                elements: nnz,
-            });
-            let secs = mean(
-                inputs
-                    .iter()
-                    .map(|x_nnz| {
-                        measure_short(|| {
-                            plan32
-                                .right_multiply_sparse_with(
-                                    x_nnz,
-                                    &mut y,
-                                    &mut buf32,
-                                    SparseStrategy::Activity,
-                                )
-                                .unwrap()
-                        })
-                    })
-                    .collect(),
-            );
-            entries.push(JsonEntry {
-                group: format!("sparse/{label}"),
-                variant: "activity_f32",
-                encoding: enc.name(),
-                secs_per_iter: secs,
-                elements: nnz,
-            });
-            let secs = mean(
-                dense_inputs
-                    .iter()
-                    .map(|x| {
-                        measure_short(|| plan32.right_multiply(x, &mut y, &mut buf32).unwrap())
-                    })
-                    .collect(),
-            );
-            entries.push(JsonEntry {
-                group: format!("sparse/{label}"),
-                variant: "dense_f32",
-                encoding: enc.name(),
-                secs_per_iter: secs,
-                elements: nnz,
-            });
-        }
-    }
-
-    // Grammar stages: RePair vs MR-RePair on the same stream, streaming
-    // and planned right products per encoding.
-    for enc in Encoding::ALL {
-        let x = input(cols);
-        let mut y = vec![0.0; rows];
-        for (stage, cm) in [
-            ("repair", CompressedMatrix::compress(csrv, enc)),
-            ("mr", mr_compress(csrv, enc)),
-        ] {
-            let plan = cm.plan();
-            let mut buf = vec![0.0; plan.scratch_len(1)];
-            let mut ws = Workspace::new();
-            let secs = measure(|| {
-                let mut w = ws.take(cm.num_rules());
-                cm.right_multiply_panel_with(1, &x, &mut y, &mut w).unwrap();
-                ws.put(w);
-            });
-            entries.push(JsonEntry {
-                group: "grammar/right".into(),
-                variant: if stage == "mr" {
-                    "mr_streaming"
-                } else {
-                    "repair_streaming"
-                },
-                encoding: enc.name(),
-                secs_per_iter: secs,
-                elements: nnz,
-            });
-            let secs = measure(|| plan.right_multiply(&x, &mut y, &mut buf).unwrap());
-            entries.push(JsonEntry {
-                group: "grammar/right".into(),
-                variant: if stage == "mr" {
-                    "mr_planned"
-                } else {
-                    "repair_planned"
-                },
-                encoding: enc.name(),
-                secs_per_iter: secs,
-                elements: nnz,
-            });
-        }
-    }
-
-    // Serve layer: shard parallelism × plan precision.
-    let x = input(cols);
-    let mut y = vec![0.0; rows];
-    for shards in [1usize, 4] {
-        let opts = BuildOptions {
-            shards,
-            encoding: Encoding::ReFse,
-            ..BuildOptions::default()
-        };
-        for (variant, serve_opts) in [
-            ("streaming", None),
-            ("planned", Some(ServeOptions::planned())),
-            ("planned_f32", Some(ServeOptions::planned_f32())),
-        ] {
-            let model = ShardedModel::from_dense(dense, &opts).expect("build");
-            match &serve_opts {
-                Some(o) => model.prewarm_with(1, o),
-                None => model.prewarm(1),
-            }
-            let secs = measure(|| model.right_multiply_panel(1, &x, &mut y).unwrap());
-            entries.push(JsonEntry {
-                group: format!("sharded/right/s{shards}"),
-                variant,
-                encoding: "re_fse",
-                secs_per_iter: secs,
-                elements: nnz,
-            });
-        }
-    }
-
-    write_json(path, rows, cols, nnz, &entries);
-}
-
 fn bench_kernels(c: &mut Criterion) {
     let rows = if smoke() { 400 } else { 13_000 };
     let dense = Dataset::Census.generate(rows, 42);
@@ -462,11 +108,6 @@ fn bench_kernels(c: &mut Criterion) {
     let csrv = CsrvMatrix::from_dense(&dense).expect("csrv");
     let nnz = csrv.nnz();
     eprintln!("kernels bench: {rows} x {cols}, {nnz} nnz");
-
-    if let Ok(path) = std::env::var("GCM_BENCH_JSON") {
-        run_json_report(&path, &dense, &csrv);
-        return;
-    }
 
     for enc in Encoding::ALL {
         let cm = CompressedMatrix::compress(&csrv, enc);
@@ -542,8 +183,12 @@ fn bench_kernels(c: &mut Criterion) {
             group.finish();
         }
 
-        // Sparse-input density sweep (see the JSON pass for the
-        // variant semantics).
+        // Sparse-input density sweep: the activity walk (forced, so it
+        // is measured above the cutover too) against the dense planned
+        // kernel, both precisions. Each timed iteration takes the next
+        // input of the sample round-robin. Throughput stays the matrix
+        // nnz, so elements/s reads as effective matrix throughput and
+        // the dense/activity ratio is the speedup at that density.
         let mut buf = vec![0.0; plan.scratch_len(1)];
         let mut buf32 = vec![0.0; plan32.scratch_len(1)];
         let mut y = vec![0.0; rows];
@@ -671,9 +316,15 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// Full runs time 200 iterations per kernel, a window long enough that
+/// one scheduler hiccup cannot dominate the mean; smoke runs keep 10.
+fn config() -> Criterion {
+    Criterion::default().sample_size(if smoke() { 10 } else { 200 })
+}
+
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(10);
+    config = config();
     targets = bench_kernels
 }
 criterion_main!(benches);

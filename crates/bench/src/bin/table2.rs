@@ -5,13 +5,12 @@
 //! Usage: `cargo run --release -p gcm-bench --bin table2
 //!         [--scale S] [--iters N] [--threads T]`
 
-use gcm_bench::parcsrv::ParallelCsrv;
 use gcm_bench::report::{iters_arg, pct, scale_arg, scaled_rows, threads_arg, time_s};
 use gcm_bench::runner::measure_iterations;
 use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding};
 use gcm_datagen::Dataset;
 use gcm_encodings::HeapSize;
-use gcm_matrix::CsrvMatrix;
+use gcm_matrix::{CsrvMatrix, ParallelCsrv};
 
 #[global_allocator]
 static ALLOC: gcm_bench::TrackingAlloc = gcm_bench::TrackingAlloc::new();

@@ -2,7 +2,6 @@
 //! table/figure of the paper; see `src/bin/`).
 
 pub mod alloc;
-pub mod parcsrv;
 pub mod report;
 pub mod runner;
 

@@ -130,12 +130,14 @@ pub fn plan_compiles() -> usize {
 /// Density bound of the activity-propagation sparse path: at
 /// `nnz(x) / cols` above this, [`KernelPlan::right_multiply_sparse`]
 /// falls back to scattering `x` densely and running the ordinary
-/// planned kernels. Pinned by the `sparse` group of
+/// planned kernels. Chosen from the `sparse` group of
 /// `crates/bench/benches/kernels.rs` (census matrix, both precisions,
-/// every encoding): the activity walk wins 3.2–4.0× (f64) at ≤1%
-/// density, ~2.2× at 3%, and 1.1–1.6× at 5%, then loses (0.7–0.85×)
-/// at 10% — so the cutover sits at the last measured density where
-/// sparse still wins.
+/// every encoding) when it timed each input on its own: the activity
+/// walk then won 3.2–4.0× (f64) at ≤1% density and 1.1–1.6× at 5%,
+/// and lost (0.7–0.85×) at 10%. With round-robin inputs against the
+/// row-grouped dense kernels the group now reads 0.8–0.9× at ≤1% and
+/// about 0.5× at 5% on a 2-vCPU x86-64 host, so the bound is due for
+/// re-pinning; both arms return byte-identical results either way.
 pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.05;
 
 /// Returns early through the compile-time-width body

@@ -7,7 +7,6 @@
 //!              [--grammar repair|mr|auto] [--shards N]
 //!              [--reorder ALGO] [--reorder-scope global|shard]
 //!              [--emit-plans] [--plan-f32] [--base OLD.gcms]
-//! gcm bench-build <in.txt> [--shards N] [--repeat R]
 //! gcm inspect <model.gcms>
 //! gcm decompress <model> <out.txt>
 //! gcm multiply <model.gcms> [--left] [--batch K] [--vector FILE] [--out FILE]
@@ -46,11 +45,8 @@
 //! `<out>.gcms.rebuild` sidecar, never into the container itself.
 //! A grammar model of two or more shards is written as a version-6
 //! container, which stores the shards' one value dictionary once.
-//! `bench-build` sweeps the grammar-stage × encoding grid over one
-//! input and reports rules, bytes, build time, and planned-MVM ns/row
-//! per cell (set `GCM_BENCH_JSON=path.json` to also write the grid as
-//! JSON). `inspect` prints the same per-shard
-//! breakdown from a container (grammar stage included) and reports
+//! `inspect` prints the same per-shard breakdown from a container
+//! (grammar stage included) and reports
 //! the value dictionary and how many shards share it, whether plans
 //! are persisted, and any rebuild-provenance sidecar. `decompress`
 //! writes the dense text matrix of any container or bare `GCMMAT1` /
@@ -120,7 +116,6 @@ fn usage() -> ExitCode {
          [--encoding {}|auto] [--grammar repair|mr|auto] [--shards N]\n               \
          [--reorder pathcover|pathcover+|mwm|lkh] [--reorder-scope global|shard]\n               \
          [--emit-plans [--plan-f32]] [--base OLD.gcms]\n  \
-         gcm bench-build <in.txt> [--shards N] [--repeat R]\n  \
          gcm inspect <model.gcms>\n  \
          gcm decompress <model> <out.txt>\n  \
          gcm multiply <model.gcms> [--left] [--batch K] [--vector FILE] [--out FILE]\n               \
@@ -489,132 +484,6 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
         }
     }
     say!("  save       : {}", secs(save_time));
-    Ok(())
-}
-
-/// One `bench-build` grid cell: a full pipeline build plus a planned
-/// right-multiply timing for a (grammar stage × encoding) pair.
-struct BenchCell {
-    stage: &'static str,
-    encoding: &'static str,
-    rules: usize,
-    bytes: usize,
-    build_ms: f64,
-    mvm_ns_per_row: f64,
-    shard_stages: Vec<&'static str>,
-}
-
-fn cmd_bench_build(args: &Args) -> Result<(), String> {
-    let [input] = &args.positional[..] else {
-        return Err("bench-build needs <in.txt>".into());
-    };
-    let shards = args.bounded_flag("shards", 4, 1)?;
-    let repeat = args.bounded_flag("repeat", 9, 1)?;
-    let dense = read_dense(input)?;
-    let csrv = CsrvMatrix::from_dense(&dense).map_err(|e| e.to_string())?;
-    say!(
-        "bench-build {input}: {} x {} ({} non-zeroes), {shards} shard(s), {repeat} timed iteration(s)",
-        dense.rows(),
-        dense.cols(),
-        dense.nnz(),
-    );
-    say!("  stage      encoding    rules    bytes  build_ms  mvm_ns/row  per-shard stages");
-    let mut cells: Vec<BenchCell> = Vec::new();
-    for grammar in [
-        GrammarChoice::RePair,
-        GrammarChoice::MrRePair,
-        GrammarChoice::Auto,
-    ] {
-        for &encoding in Encoding::ALL.iter() {
-            let config = BuildConfig {
-                encoding: EncodingChoice::Fixed(encoding),
-                grammar: Some(grammar),
-                shards,
-                ..BuildConfig::default()
-            };
-            let t_build = Instant::now();
-            let artifacts = gcm_pipeline::global().build(&csrv, &config);
-            let build_ms = t_build.elapsed().as_secs_f64() * 1e3;
-            let stats = artifacts.stats.clone();
-            let rules: usize = stats.shards.iter().map(|s| s.grammar_rules).sum();
-            let bytes: usize = stats.shards.iter().map(|s| s.encoded_bytes).sum();
-            let model = ShardedModel::from_artifacts(artifacts);
-            model.prewarm_with(1, &ServeOptions::planned());
-            let x = vec![1.0; model.cols()];
-            let mut y = vec![0.0; model.rows()];
-            // One untimed pass warms every shard workspace.
-            model
-                .right_multiply_panel(1, &x, &mut y)
-                .map_err(|e| e.to_string())?;
-            let t_mvm = Instant::now();
-            for _ in 0..repeat {
-                model
-                    .right_multiply_panel(1, &x, &mut y)
-                    .map_err(|e| e.to_string())?;
-            }
-            let mvm_ns_per_row =
-                t_mvm.elapsed().as_nanos() as f64 / (repeat * model.rows().max(1)) as f64;
-            let shard_stages: Vec<&'static str> = (0..model.num_shards())
-                .map(|i| model.shard_grammar(i).map_or("-", |g| g.name()))
-                .collect();
-            say!(
-                "  {:<10} {:<9} {:>8} {:>8} {:>9.2} {:>11.1}  {}",
-                grammar.name(),
-                encoding.name(),
-                rules,
-                bytes,
-                build_ms,
-                mvm_ns_per_row,
-                shard_stages.join(" "),
-            );
-            cells.push(BenchCell {
-                stage: grammar.name(),
-                encoding: encoding.name(),
-                rules,
-                bytes,
-                build_ms,
-                mvm_ns_per_row,
-                shard_stages,
-            });
-        }
-    }
-    if let Ok(path) = std::env::var("GCM_BENCH_JSON") {
-        let path = if path.is_empty() || path == "1" {
-            "BENCH_grammar.json".to_string()
-        } else {
-            path
-        };
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"matrix\": {{\"source\": {input:?}, \"rows\": {}, \"cols\": {}, \"nnz\": {}}},\n",
-            dense.rows(),
-            dense.cols(),
-            dense.nnz(),
-        ));
-        json.push_str(&format!("  \"shards\": {shards},\n"));
-        json.push_str("  \"grid\": [\n");
-        for (i, c) in cells.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"stage\": \"{}\", \"encoding\": \"{}\", \"rules\": {}, \"bytes\": {}, \
-                 \"build_ms\": {:.3}, \"planned_mvm_ns_per_row\": {:.1}, \"shard_stages\": [{}]}}{}\n",
-                c.stage,
-                c.encoding,
-                c.rules,
-                c.bytes,
-                c.build_ms,
-                c.mvm_ns_per_row,
-                c.shard_stages
-                    .iter()
-                    .map(|s| format!("\"{s}\""))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                if i + 1 < cells.len() { "," } else { "" },
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-        say!("  json       : {path}");
-    }
     Ok(())
 }
 
@@ -1282,7 +1151,6 @@ fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "plan-f32",
             "base",
         ],
-        "bench-build" => &["shards", "repeat"],
         "inspect" | "decompress" => &[],
         "multiply" => &[
             "left", "batch", "vector", "out", "plan", "plan-f32", "repeat", "rows", "sparse-x",
@@ -1315,7 +1183,6 @@ fn run() -> Result<(), String> {
     match cmd.as_str() {
         "gen" => cmd_gen(&args),
         "compress" => cmd_compress(&args),
-        "bench-build" => cmd_bench_build(&args),
         "inspect" => cmd_inspect(&args),
         "decompress" => cmd_decompress(&args),
         "multiply" => cmd_multiply(&args),
@@ -1382,11 +1249,13 @@ mod tests {
         assert!(err.contains("--shards must be at least 1"), "{err}");
         // `--blocks` went with the in-shard row-block backends: it is an
         // unknown flag now, not a silently ignored one.
-        for cmd in ["compress", "bench-build"] {
-            let raw = ["--blocks".to_string(), "4".to_string()];
-            let err = Args::parse(&raw, known_flags(cmd).unwrap()).unwrap_err();
-            assert!(err.contains("unknown flag --blocks"), "{cmd}: {err}");
-        }
+        let raw = ["--blocks".to_string(), "4".to_string()];
+        let err = Args::parse(&raw, known_flags("compress").unwrap()).unwrap_err();
+        assert!(err.contains("unknown flag --blocks"), "{err}");
+        // `bench-build` repeated the `compress` shard table, the
+        // `grammar-build` bench group and `multiply --plan --repeat`; it
+        // is an unknown command now ("unknown command bench-build").
+        assert!(known_flags("bench-build").is_none());
         // In-range values still parse.
         assert_eq!(build_config(&parse(&[("shards", "3")])).unwrap().shards, 3);
         // The helper carries the bound in its message.

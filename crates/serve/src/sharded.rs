@@ -178,16 +178,20 @@ impl Shard {
     /// Workspace budget `(buffers, max_len)` that every kernel below
     /// draws at batch widths up to `k`. Every planned entry point draws
     /// one `[x | w | flags]` plan scratch buffer. An unplanned shard
-    /// needs the streaming budget plus one staging panel of
-    /// `rows × k`, which a row-subset request holds across the full
-    /// shard product.
+    /// also serves a row subset through a staging panel of `rows × k`,
+    /// so its buffers grow to that length too; the count stays the
+    /// streaming budget's, at least one. No unplanned kernel holds more
+    /// than two buffers at once: a `compressed` shard's row subset
+    /// holds the staging panel and W, its left product W and the rule
+    /// flags, its sparse product the dense input and W; a `csrv`
+    /// shard's row subset or sparse product holds one.
     fn budget(&self, k: usize) -> (usize, usize) {
         let k = k.max(1);
         match self.plan() {
             Some(plan) => (1, plan.kernel.scratch_len(k)),
             None => {
                 let (count, max_len) = self.model.workspace_budget(k);
-                (count + 1, max_len.max(self.model.rows() * k))
+                (count.max(1), max_len.max(self.model.rows() * k))
             }
         }
     }
@@ -580,8 +584,8 @@ impl ShardedModel {
     ///
     /// No throwaway dense product runs: a planned shard warms its plan's
     /// one scratch buffer (every planned entry point draws only that),
-    /// an unplanned shard its streaming budget plus a row-subset staging
-    /// panel, and
+    /// an unplanned shard the buffers of its streaming budget (at least
+    /// one), each long enough to stage a row subset's full product, and
     /// [`Workspace::warm`] grows the buffers to full length, so their
     /// pages are already resident. The one throwaway pass left is
     /// sparse, because it builds state a dense product cannot: each
@@ -1218,6 +1222,30 @@ mod tests {
                 let ws = shard.ws.lock().unwrap();
                 assert_eq!(ws.retained_buffers(), 1);
                 assert_eq!(ws.retained_bytes(), scratch * 8);
+            }
+        }
+    }
+
+    /// An unplanned shard warms only as many buffers as its kernels hold
+    /// at once: two for a `compressed` shard, one for a `csrv` shard.
+    #[test]
+    fn unplanned_prewarm_warms_at_most_two_buffers() {
+        let dense = sample(30, 6);
+        for (backend, want) in [(Backend::Compressed, 2), (Backend::Csrv, 1)] {
+            let model = ShardedModel::from_dense(
+                &dense,
+                &BuildOptions {
+                    backend,
+                    encoding: Encoding::ReIv,
+                    shards: 3,
+                    ..BuildOptions::default()
+                },
+            )
+            .unwrap();
+            model.prewarm(4);
+            for shard in &model.shards {
+                let ws = shard.ws.lock().unwrap();
+                assert_eq!(ws.retained_buffers(), want, "{}", backend.name());
             }
         }
     }
