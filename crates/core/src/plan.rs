@@ -130,14 +130,18 @@ pub fn plan_compiles() -> usize {
 /// Density bound of the activity-propagation sparse path: at
 /// `nnz(x) / cols` above this, [`KernelPlan::right_multiply_sparse`]
 /// falls back to scattering `x` densely and running the ordinary
-/// planned kernels. Chosen from the `sparse` group of
-/// `crates/bench/benches/kernels.rs` (census matrix, both precisions,
-/// every encoding) when it timed each input on its own: the activity
-/// walk then won 3.2–4.0× (f64) at ≤1% density and 1.1–1.6× at 5%,
-/// and lost (0.7–0.85×) at 10%. With round-robin inputs against the
-/// row-grouped dense kernels the group now reads 0.8–0.9× at ≤1% and
-/// about 0.5× at 5% on a 2-vCPU x86-64 host, so the bound is due for
-/// re-pinning; both arms return byte-identical results either way.
+/// planned kernels. Density is a weak proxy for which arm wins.
+/// `examples/sparse_scoring.rs` times both arms with inputs taken
+/// round-robin (2-vCPU x86-64 host, median of seven passes). One-hot
+/// inputs over every column are 1.5 % of census's 68 columns and 1.9 %
+/// of covtype's 54. On census 13 000 rows the walk takes 1.02–1.25× the
+/// scatter arm's time in f64 and about 1.5× in f32. On covtype 30 000
+/// rows (one `build-covtype` shard) the walk is 2.7–2.9× faster in f64
+/// and 1.8–2.5× in f32, on every encoding. What separates the two is the
+/// input's reach — the share of the grammar whose expansion holds one of
+/// its columns (15.7 % on census, 6.0 % on covtype) — not its density.
+/// Above one-hot both corpora favour the scatter arm (4 features: walk at
+/// 0.28–0.72× of its speed). Both arms return byte-identical results.
 pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.05;
 
 /// Returns early through the compile-time-width body

@@ -92,12 +92,12 @@ pub struct BuiltShard {
     pub col_order: Option<Vec<u32>>,
     /// Algorithm that produced `col_order`, if any.
     pub reorder: Option<ReorderAlgorithm>,
-    /// Grammar stage that compressed this shard (`None` on the legacy
-    /// path and the uncompressed backend — no metadata persisted).
+    /// Grammar stage that compressed this shard (`None` only for the
+    /// uncompressed backend).
     pub grammar: Option<GrammarStage>,
-    /// [`shard_fingerprint`] of the shard's input rows, recorded
-    /// whenever a grammar-stage policy is active so incremental
-    /// rebuilds can detect unchanged shards.
+    /// [`shard_fingerprint`] of the shard's input rows, recorded for
+    /// every compressed shard so incremental rebuilds can detect
+    /// unchanged shards.
     pub fingerprint: Option<u64>,
 }
 
@@ -116,8 +116,7 @@ pub struct ShardStats {
     pub encoded_bytes: usize,
     /// Chosen encoding (None for the uncompressed backend).
     pub encoding: Option<Encoding>,
-    /// Chosen grammar stage (None for the uncompressed backend and the
-    /// legacy no-metadata path).
+    /// Chosen grammar stage (None for the uncompressed backend).
     pub grammar: Option<GrammarStage>,
     /// Reorder algorithm applied to this shard, if any.
     pub reorder: Option<ReorderAlgorithm>,

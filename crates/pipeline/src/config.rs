@@ -53,8 +53,8 @@ impl EncodingChoice {
 /// The grammar construction stage that actually compressed a shard.
 ///
 /// Recorded per shard (a build under [`GrammarChoice::Auto`] may pick
-/// different stages for different shards) and persisted in the v5
-/// container shard table.
+/// different stages for different shards) and persisted in the
+/// container shard table (versions 5 and 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrammarStage {
     /// Classic pair replacement ([`gcm_repair::RePair::compress`]).
@@ -108,11 +108,13 @@ pub struct BuildConfig {
     pub backend: Backend,
     /// Encoding policy for compressed backends.
     pub encoding: EncodingChoice,
-    /// Grammar-stage policy for compressed backends. `None` is the
-    /// legacy path: classic RePair with **no** per-shard grammar
-    /// metadata, so containers keep their pre-grammar-stage version
-    /// byte-identically. `Some(...)` records the chosen stage (and the
-    /// shard input fingerprint) per shard.
+    /// Grammar-stage policy for compressed backends; `None` means
+    /// [`GrammarChoice::RePair`]. Every compressed shard records its
+    /// chosen stage and its input fingerprint either way. The `Option`
+    /// stays only because the repository benchmark's workload table
+    /// (`perfbench/src/workload.rs`) writes `Some(..)` in a struct
+    /// literal; make it a plain `GrammarChoice` together with that
+    /// literal, as with [`blocks`](Self::blocks).
     pub grammar: Option<GrammarChoice>,
     /// Number of row shards (clamped to `1..=rows`).
     pub shards: usize,

@@ -152,13 +152,13 @@ impl Pipeline {
         };
         match (backend, sp.grammar) {
             (Backend::Csrv, _) => Built::default(),
-            (_, None | Some(GrammarChoice::RePair)) => single(timed(|| {
+            (_, GrammarChoice::RePair) => single(timed(|| {
                 Grammar::RePair(self.compress(input, RePair::compress_with_scratch))
             })),
-            (_, Some(GrammarChoice::MrRePair)) => single(timed(|| {
+            (_, GrammarChoice::MrRePair) => single(timed(|| {
                 Grammar::MrRePair(self.compress(input, RePair::compress_mr_with_scratch))
             })),
-            (_, Some(GrammarChoice::Auto)) => self.build_auto(input, sp.encoding, parallel),
+            (_, GrammarChoice::Auto) => self.build_auto(input, sp.encoding, parallel),
         }
     }
 
@@ -333,13 +333,9 @@ fn prepare(plan: &Plan, sp: &ShardPlan) -> Prepared {
         ),
         Backend::Compressed => (None, reordered),
     };
-    // Fingerprint the *input* rows (pre-reorder) whenever a
-    // grammar-stage policy is active — the handle incremental rebuilds
-    // match shards by.
-    let fingerprint = match (sp.grammar, plan.backend) {
-        (Some(_), Backend::Compressed) => Some(shard_fingerprint(&sp.csrv)),
-        _ => None,
-    };
+    // Fingerprint the *input* rows (pre-reorder) of every compressed
+    // shard — the handle incremental rebuilds match shards by.
+    let fingerprint = (plan.backend == Backend::Compressed).then(|| shard_fingerprint(&sp.csrv));
     Prepared {
         artifact,
         reordered,
@@ -367,11 +363,9 @@ fn select(sp: &ShardPlan, prep: Prepared, built: Built) -> (BuiltShard, ShardSta
                 .expect("the compressed backend builds at least one candidate");
             let rules = winner.matrix.num_rules();
             let encoding = Some(winner.matrix.encoding());
-            // The legacy path records no stage metadata.
-            let grammar = sp.grammar.map(|_| winner.stage);
             (
                 ShardArtifact::Compressed(winner.matrix),
-                grammar,
+                Some(winner.stage),
                 rules,
                 encoding,
             )
@@ -602,14 +596,17 @@ mod tests {
     fn grammar_stages_build_correct_artifacts_and_metadata() {
         let csrv = sample(80, 9);
         let pipeline = Pipeline::new();
-        for choice in [
-            GrammarChoice::RePair,
-            GrammarChoice::MrRePair,
-            GrammarChoice::Auto,
+        // `None` is classic RePair, recorded like an explicit choice.
+        for grammar in [
+            None,
+            Some(GrammarChoice::RePair),
+            Some(GrammarChoice::MrRePair),
+            Some(GrammarChoice::Auto),
         ] {
+            let choice = grammar.unwrap_or(GrammarChoice::RePair);
             let config = BuildConfig {
                 shards: 3,
-                grammar: Some(choice),
+                grammar,
                 ..BuildConfig::default()
             };
             let par = pipeline.build(&csrv, &config);
@@ -635,30 +632,6 @@ mod tests {
                     shard.artifact.stored_bytes()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn legacy_builds_record_no_grammar_metadata() {
-        let csrv = sample(40, 8);
-        let pipeline = Pipeline::new();
-        let legacy = pipeline.build_sequential(&csrv, &BuildConfig::default());
-        let pinned = pipeline.build_sequential(
-            &csrv,
-            &BuildConfig {
-                grammar: Some(GrammarChoice::RePair),
-                ..BuildConfig::default()
-            },
-        );
-        for (l, p) in legacy.shards.iter().zip(&pinned.shards) {
-            assert_eq!(l.grammar, None);
-            assert_eq!(l.fingerprint, None);
-            assert_eq!(p.grammar, Some(GrammarStage::RePair));
-            // Same construction either way — only the metadata differs.
-            assert_eq!(l.artifact.stored_bytes(), p.artifact.stored_bytes());
-        }
-        for s in &legacy.stats.shards {
-            assert_eq!(s.grammar, None);
         }
     }
 

@@ -38,8 +38,8 @@ pub struct ShardPlan {
     pub reorder: ShardReorder,
     /// Encoding policy (per shard, so `Auto` can diverge across shards).
     pub encoding: EncodingChoice,
-    /// Grammar-stage policy (`None` = legacy RePair, no metadata).
-    pub grammar: Option<GrammarChoice>,
+    /// Grammar-stage policy ([`BuildConfig::grammar`], resolved).
+    pub grammar: GrammarChoice,
 }
 
 /// A complete build plan: what to do, per shard, with no ordering
@@ -73,6 +73,7 @@ impl Plan {
             Some(ReorderMode::PerShard(algo)) => Some(algo),
             _ => None,
         };
+        let grammar = config.grammar.unwrap_or(GrammarChoice::RePair);
         let parts = RowBlocks::split(csrv, config.shards.max(1));
         let shards = parts
             .into_blocks()
@@ -87,7 +88,7 @@ impl Plan {
                     (None, None) => ShardReorder::None,
                 },
                 encoding: config.encoding,
-                grammar: config.grammar,
+                grammar,
             })
             .collect();
         Plan {

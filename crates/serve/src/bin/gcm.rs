@@ -30,12 +30,12 @@
 //! and encode concurrently on the persistent pool) and reports
 //! per-stage timings plus a per-shard table; with `--emit-plans` it
 //! also compiles the branchless kernel plans at build time and
-//! persists them in a version-4 container, so later loads cast the
-//! plan section instead of recompiling (add `--plan-f32` for
-//! single-precision plans). `--grammar` picks the grammar stage per
-//! shard — classic `repair`, `mr` (MR-RePair), or `auto` (build both,
-//! keep the smaller measured encoding) — and records the stage plus an
-//! input fingerprint per shard in a version-5 container. Under `auto`
+//! persists them in the container's plan section, so later loads cast
+//! it instead of recompiling (add `--plan-f32` for single-precision
+//! plans). `--grammar` picks the grammar stage per shard — classic
+//! `repair` (the default), `mr` (MR-RePair), or `auto` (build both,
+//! keep the smaller measured encoding). Every compressed shard records
+//! its stage plus an input fingerprint, whatever the flag. Under `auto`
 //! the shard table's `shared` column counts the rules built once for
 //! both grammars (the rounds before MR-RePair first extends a rule).
 //! `--base OLD.gcms` turns the build incremental: shards whose input rows
@@ -43,8 +43,9 @@
 //! old container (persisted plans included, never re-decoded) and only
 //! changed shards rebuild; provenance goes to stdout and a
 //! `<out>.gcms.rebuild` sidecar, never into the container itself.
-//! A grammar model of two or more shards is written as a version-6
-//! container, which stores the shards' one value dictionary once.
+//! A compressed model of two or more shards is written as a version-6
+//! container, which stores the shards' one value dictionary once; every
+//! other model as version 5. Versions 1 to 4 still load.
 //! `inspect` prints the same per-shard breakdown from a container
 //! (grammar stage included) and reports
 //! the value dictionary and how many shards share it, whether plans
@@ -459,10 +460,10 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
     // incremental rebuild of the same output path.
     let _ = fs::remove_file(format!("{output}.rebuild"));
     report_build_stats(&stats);
-    if config.grammar.is_some() {
+    if config.backend == Backend::Compressed {
         say!(
             "  grammar    : {} (per shard: {})",
-            config.grammar.map_or("-", |g| g.name()),
+            config.grammar.unwrap_or(GrammarChoice::RePair).name(),
             (0..model.num_shards())
                 .map(|i| model.shard_grammar(i).map_or("-", |g| g.name()))
                 .collect::<Vec<_>>()
@@ -925,7 +926,7 @@ fn selftest_case(
         encoding,
         shards,
         reorder,
-        grammar: None,
+        grammar: GrammarChoice::RePair,
     };
     let built = ShardedModel::from_dense(dense, &opts).map_err(|e| format!("{tag}: {e}"))?;
     let path = dir.join(format!("{tag}.gcms"));

@@ -17,39 +17,39 @@
 //! u64 LE FNV-1a checksum of every preceding byte
 //! ```
 //!
-//! **Version 1** requires every shard to agree on the column reorder
-//! (the permutation is embedded redundantly in each payload, and the
-//! loader treats disagreement as corruption). **Version 2** makes
-//! per-shard permutations first-class — each shard carries its own
-//! order plus a one-byte tag naming the reorder algorithm that produced
-//! it (build provenance for `gcm inspect`). **Version 3** shares the
-//! version-2 layout but marks that at least one shard payload uses a
-//! post-paper encoding (`re_fse`), so readers that predate the encoding
-//! reject the file at the header instead of deep inside a payload.
-//! **Version 4** appends an optional **plan section**: the compiled
-//! [`gcm_core::KernelPlan`] descriptor arrays of every planned shard,
-//! persisted in the fixed little-endian `GCMPLAN1` blob form (one blob
-//! per shard; the shard's kind byte names the plan precision, and the
-//! blob's own precision tag must agree with it), so a
+//! The writer emits exactly two layouts. **Version 5** is the layout of
+//! a single-shard model and of every uncompressed model: per shard a
+//! reorder tag and a grammar stage tag — with the FNV-64 fingerprint of
+//! the shard's build-time input rows, the handle `gcm compress --base`
+//! matches unchanged shards by (see
+//! [`compress_incremental`](crate::incremental)) — then the payload, and
+//! after all payloads the plan section, whose kind bytes are all `0`
+//! unless plans were persisted ([`to_bytes_with_plans`]). **Version 6**
+//! is the version-5 layout with the row shards' shared value dictionary
+//! `V` stored **once**, after the header: its grammar shard payloads are
+//! dictionary-free bundles ([`gcm_core::serial::bundle_to_bytes_shared`])
+//! that a full load decodes against one shared `Arc`. Every compressed
+//! model of two or more shards on one dictionary is written as version 6.
+//! Every compressed shard a build writes records its grammar stage (RePair
+//! or MR-RePair) and fingerprint; stage tag `0` (no fingerprint) marks an
+//! uncompressed shard or one loaded from an older container.
+//!
+//! Versions 1 to 4 are **read-only**: older writers emitted them, and
+//! the reader keeps accepting them with every check. **Version 1** has no
+//! per-shard fields and requires every shard to agree on the column
+//! reorder (the permutation is embedded redundantly in each payload, and
+//! the loader treats disagreement as corruption). **Version 2** adds the
+//! per-shard reorder tag, so shards may carry different permutations.
+//! **Version 3** is the version-2 layout, marking that a shard payload
+//! uses a post-paper encoding (`re_fse`). **Version 4** appends the plan
+//! section: the compiled [`gcm_core::KernelPlan`] descriptor arrays of
+//! every planned shard, persisted in the fixed little-endian `GCMPLAN1`
+//! blob form (one blob per shard; the shard's kind byte names the plan
+//! precision, and the blob's own precision tag must agree with it), so a
 //! loader restores them with a validated cast — no RePair decode, no
 //! recompilation ([`gcm_core::plan_compiles`] stays flat), load time
-//! independent of grammar size. **Version 5** adds per-shard **grammar
-//! provenance**: a stage tag naming the grammar construction (RePair or
-//! MR-RePair) plus the FNV-64 fingerprint of the shard's build-time
-//! input rows — the handle `gcm compress --base` matches unchanged
-//! shards by (see [`compress_incremental`](crate::incremental)).
-//! **Version 6** is the version-5 layout with the row shards' shared
-//! value dictionary `V` stored **once**, after the header: its grammar
-//! shard payloads are dictionary-free bundles
-//! ([`gcm_core::serial::bundle_to_bytes_shared`]) that a full load
-//! decodes against one shared `Arc`. Before it, every shard payload
-//! carried its own copy of `V`. The writer emits the lowest version
-//! that can represent the model: version 6 for every grammar model of
-//! two or more shards on one dictionary, and below that, plain
-//! containers stay byte-identical with pre-v2 writers, the plan section
-//! is opt-in via [`to_bytes_with_plans`], and grammar metadata appears
-//! only under an explicit grammar-stage policy. The reader accepts all
-//! six.
+//! independent of grammar size. Before version 6, every shard payload
+//! carried its own copy of `V`.
 //!
 //! Shard payloads by backend tag:
 //!
@@ -102,21 +102,19 @@ use crate::sharded::{Shard, ShardedModel};
 
 /// Container magic.
 pub const MAGIC: &[u8; 8] = b"GCMSERV1";
-/// Baseline container version: shards agree on the column reorder.
+/// Baseline container version, read-only: shards agree on the column
+/// reorder.
 pub const VERSION: u8 = 1;
-/// Container version with first-class per-shard reorder metadata (one
-/// permutation and one algorithm tag per shard).
+/// Read-only container version with first-class per-shard reorder
+/// metadata (one permutation and one algorithm tag per shard).
 pub const VERSION_PER_SHARD: u8 = 2;
-/// Container version whose shard payloads may use post-paper encodings
-/// (currently `re_fse`). Same layout as version 2; the bump exists so a
-/// pre-`re_fse` reader fails fast with "unsupported container version"
-/// instead of deep inside a payload decode.
+/// Read-only container version marking shard payloads that may use
+/// post-paper encodings (currently `re_fse`). Same layout as version 2.
 pub const VERSION_ENCODINGS: u8 = 3;
-/// Container version with an optional persisted **plan section** after
-/// the shard payloads: per-shard compiled kernel-plan blobs
-/// (`GCMPLAN1`), loaded back by validated cast instead of being
-/// recompiled from the grammar. Emitted only by
-/// [`to_bytes_with_plans`] on models that hold compiled plans.
+/// Read-only container version with an optional persisted **plan
+/// section** after the shard payloads: per-shard compiled kernel-plan
+/// blobs (`GCMPLAN1`), loaded back by validated cast instead of being
+/// recompiled from the grammar.
 pub const VERSION_PLANS: u8 = 4;
 /// Container version with per-shard **grammar provenance**: a stage tag
 /// (which grammar construction compressed the shard — RePair or
@@ -124,17 +122,15 @@ pub const VERSION_PLANS: u8 = 4;
 /// input rows, written between the reorder tag and the payload length.
 /// The fingerprint is what `gcm compress --base` matches unchanged
 /// shards by. Version 5 always carries the v4 plan section (per-shard
-/// kind bytes; `0` = no plan). Emitted only when a build ran with an
-/// explicit grammar-stage policy — legacy builds keep emitting v1–v4
-/// byte-identically.
+/// kind bytes; `0` = no plan). The writer emits it for every container
+/// without a shared dictionary.
 pub const VERSION_GRAMMAR: u8 = 5;
 /// Container version with one **shared value dictionary**: the
 /// version-5 layout plus a `V` section after the header, with every
 /// shard payload a dictionary-free grammar bundle decoded against it.
-/// Emitted for grammar models of two or more shards on one dictionary
-/// — the row shards of one build always share theirs, so it is the
-/// multi-shard layout. Single-shard containers keep their version 1–5
-/// bytes.
+/// The writer emits it for compressed models of two or more shards on
+/// one dictionary — the row shards of one build always share theirs, so
+/// it is the multi-shard layout.
 pub const VERSION_SHARED_DICT: u8 = 6;
 
 /// Stable on-disk tag of a reorder algorithm (version 2 provenance
@@ -162,7 +158,8 @@ fn tag_reorder(t: u8) -> Option<Option<ReorderAlgorithm>> {
 }
 
 /// Stable on-disk tag of a grammar stage (version 5 provenance byte);
-/// `0` = no stage recorded (legacy shard spliced into a v5 container).
+/// `0` = no stage recorded (an uncompressed shard, or one loaded from a
+/// container older than version 5).
 pub(crate) fn grammar_tag(stage: Option<GrammarStage>) -> u8 {
     match stage {
         None => 0,
@@ -365,25 +362,19 @@ fn decode_shard(
     }
 }
 
-/// Serialises a sharded model as a `GCMSERV1` container, at the lowest
-/// version that can represent it: version 6 for a grammar model of two
-/// or more shards on one dictionary; otherwise the baseline when no
-/// shard carries reorder metadata (those bytes are identical to the
-/// pre-v2 writer's), version 2 for per-shard permutations plus
-/// algorithm provenance, and version 3 when any shard uses a post-paper
-/// encoding (`re_fse`). Compiled plans are **not** persisted here (see
-/// [`to_bytes_with_plans`]), so existing outputs stay byte-identical.
+/// Serialises a sharded model as a `GCMSERV1` container: version 6 for
+/// a compressed model of two or more shards on one dictionary, version 5
+/// otherwise. Compiled plans are **not** persisted here (see
+/// [`to_bytes_with_plans`]): every plan kind byte is `0`.
 pub fn to_bytes(model: &ShardedModel) -> Vec<u8> {
     encode(model, false)
 }
 
 /// As [`to_bytes`], additionally persisting every compiled shard plan
-/// in a version-4 plan section, so the next load restores the plans by
+/// in the plan section, so the next load restores the plans by
 /// validated cast — zero RePair decode, zero recompilation — and
-/// `prewarm` becomes a cheap validation-and-warm pass. Falls back to
-/// the plain layout (and its lower version byte) when no shard holds a
-/// compiled plan, so output is readable by older readers whenever it
-/// can be.
+/// `prewarm` becomes a cheap validation-and-warm pass. Identical to
+/// [`to_bytes`] when no shard holds a compiled plan.
 pub fn to_bytes_with_plans(model: &ShardedModel) -> Vec<u8> {
     encode(model, true)
 }
@@ -409,42 +400,17 @@ fn shared_dictionary(model: &ShardedModel) -> Option<&[f64]> {
 }
 
 fn encode(model: &ShardedModel, with_plans: bool) -> Vec<u8> {
-    let shards = model.shard_slice();
-    let with_plans = with_plans && shards.iter().any(|s| s.plan().is_some());
-    let dictionary = shared_dictionary(model);
-    let with_grammar = shards
-        .iter()
-        .any(|s| s.grammar.is_some() || s.fingerprint.is_some());
-    let new_encoding = shards
-        .iter()
-        .any(|s| s.model.encoding() == Some(gcm_core::Encoding::ReFse));
-    let per_shard = shards
-        .iter()
-        .any(|s| s.col_order.is_some() || s.reorder.is_some());
-    let version = if dictionary.is_some() {
-        VERSION_SHARED_DICT
-    } else if with_grammar {
-        VERSION_GRAMMAR
-    } else if with_plans {
-        VERSION_PLANS
-    } else if new_encoding {
-        VERSION_ENCODINGS
-    } else if per_shard {
-        VERSION_PER_SHARD
-    } else {
-        VERSION
-    };
-    let segments: Vec<Segment> = shards
+    let segments: Vec<Segment> = model
+        .shard_slice()
         .iter()
         .map(|s| Segment::live(s, with_plans))
         .collect();
     write_container(
         Header {
-            version,
             backend: model.backend(),
             rows: model.rows(),
             cols: model.cols(),
-            dictionary,
+            dictionary: shared_dictionary(model),
         },
         &segments,
     )
@@ -452,12 +418,10 @@ fn encode(model: &ShardedModel, with_plans: bool) -> Vec<u8> {
 
 /// The container header fields of [`write_container`].
 pub(crate) struct Header<'a> {
-    /// Container version; decides which optional fields are written.
-    pub(crate) version: u8,
     pub(crate) backend: Backend,
     pub(crate) rows: usize,
     pub(crate) cols: usize,
-    /// The shared dictionary: `Some` exactly for [`VERSION_SHARED_DICT`].
+    /// The shared dictionary: `Some` makes the container version 6.
     pub(crate) dictionary: Option<&'a [f64]>,
 }
 
@@ -517,18 +481,17 @@ fn write_blob(out: &mut Vec<u8>, blob: &[u8]) {
     out.extend_from_slice(blob);
 }
 
-/// Writes a `GCMSERV1` container of `segments` at `header.version`: the
-/// one writer behind both [`to_bytes`] and the incremental splice.
+/// Writes a `GCMSERV1` container of `segments` — version 6 when the
+/// header carries a shared dictionary, version 5 otherwise: the one
+/// writer behind both [`to_bytes`] and the incremental splice.
 pub(crate) fn write_container(header: Header<'_>, segments: &[Segment<'_>]) -> Vec<u8> {
-    let version = header.version;
-    assert_eq!(
-        header.dictionary.is_some(),
-        version >= VERSION_SHARED_DICT,
-        "a shared dictionary is written exactly by version 6"
-    );
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
-    out.push(version);
+    out.push(if header.dictionary.is_some() {
+        VERSION_SHARED_DICT
+    } else {
+        VERSION_GRAMMAR
+    });
     out.push(header.backend.tag());
     varint::write_u64(&mut out, header.rows as u64);
     varint::write_u64(&mut out, header.cols as u64);
@@ -537,15 +500,11 @@ pub(crate) fn write_container(header: Header<'_>, segments: &[Segment<'_>]) -> V
         serial::write_values(&mut out, values);
     }
     for seg in segments {
-        if version >= VERSION_PER_SHARD {
-            out.push(reorder_tag(seg.reorder));
-        }
-        if version >= VERSION_GRAMMAR {
-            let tag = grammar_tag(seg.grammar);
-            out.push(tag);
-            if tag != 0 {
-                out.extend_from_slice(&seg.fingerprint.unwrap_or(0).to_le_bytes());
-            }
+        out.push(reorder_tag(seg.reorder));
+        let tag = grammar_tag(seg.grammar);
+        out.push(tag);
+        if tag != 0 {
+            out.extend_from_slice(&seg.fingerprint.unwrap_or(0).to_le_bytes());
         }
         match &seg.body {
             SegmentBody::Live {
@@ -557,25 +516,23 @@ pub(crate) fn write_container(header: Header<'_>, segments: &[Segment<'_>]) -> V
             SegmentBody::Spliced { payload, .. } => write_blob(&mut out, payload),
         }
     }
-    if version >= VERSION_PLANS {
-        for seg in segments {
-            let (kind, blob) = match &seg.body {
-                SegmentBody::Live { plan: None, .. } | SegmentBody::Spliced { plan: None, .. } => {
-                    out.push(0);
-                    continue;
-                }
-                SegmentBody::Live {
-                    plan: Some(plan), ..
-                } => (plan_kind(plan.is_f32()), Cow::Owned(plan.kernel.to_bytes())),
-                SegmentBody::Spliced {
-                    plan: Some((kind, blob)),
-                    ..
-                } => (*kind, Cow::Borrowed(*blob)),
-            };
-            out.push(kind);
-            varint::write_u64(&mut out, 1); // blob count
-            write_blob(&mut out, &blob);
-        }
+    for seg in segments {
+        let (kind, blob) = match &seg.body {
+            SegmentBody::Live { plan: None, .. } | SegmentBody::Spliced { plan: None, .. } => {
+                out.push(0);
+                continue;
+            }
+            SegmentBody::Live {
+                plan: Some(plan), ..
+            } => (plan_kind(plan.is_f32()), Cow::Owned(plan.kernel.to_bytes())),
+            SegmentBody::Spliced {
+                plan: Some((kind, blob)),
+                ..
+            } => (*kind, Cow::Borrowed(*blob)),
+        };
+        out.push(kind);
+        varint::write_u64(&mut out, 1); // blob count
+        write_blob(&mut out, &blob);
     }
     let sum = fnv1a64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
@@ -614,8 +571,8 @@ pub struct ShardTable {
     /// `Some`.
     pub plan_f32: Vec<bool>,
     /// Per-shard grammar-stage provenance (all `None` below
-    /// [`VERSION_GRAMMAR`], and for shards written without a
-    /// grammar-stage policy).
+    /// [`VERSION_GRAMMAR`]; `None` for uncompressed shards and for
+    /// shards carried over from an older container).
     pub grammar_stages: Vec<Option<GrammarStage>>,
     /// Per-shard input fingerprints for incremental rebuilds; recorded
     /// exactly where [`grammar_stages`](Self::grammar_stages) is `Some`.
@@ -1045,9 +1002,9 @@ impl ShardedModel {
         to_bytes(self)
     }
 
-    /// Serialises this model with its compiled plans persisted as the
-    /// version-4 plan section (see [`to_bytes_with_plans`]); identical
-    /// to [`to_bytes`](Self::to_bytes) when no shard carries a plan.
+    /// Serialises this model with its compiled plans persisted in the
+    /// plan section (see [`to_bytes_with_plans`]); identical to
+    /// [`to_bytes`](Self::to_bytes) when no shard carries a plan.
     pub fn to_bytes_with_plans(&self) -> Vec<u8> {
         to_bytes_with_plans(self)
     }
@@ -1112,15 +1069,6 @@ mod tests {
             .collect()
     }
 
-    /// The version a multi-shard container of `backend` is written at
-    /// when the older layouts would pick `legacy`.
-    fn multi_shard_version(backend: Backend, legacy: u8) -> u8 {
-        match backend {
-            Backend::Compressed => VERSION_SHARED_DICT,
-            Backend::Csrv => legacy,
-        }
-    }
-
     fn sample() -> DenseMatrix {
         let mut m = DenseMatrix::zeros(37, 8);
         for r in 0..37 {
@@ -1176,11 +1124,6 @@ mod tests {
             let model = ShardedModel::from_dense(&dense, &opts).unwrap();
             let order = model.col_order().unwrap().to_vec();
             let bytes = model.to_bytes();
-            assert_eq!(
-                bytes[8],
-                multi_shard_version(backend, VERSION_PER_SHARD),
-                "reorder metadata => v2, or v6 for a shared dictionary"
-            );
             let back = ShardedModel::from_bytes(&bytes).unwrap();
             assert_eq!(back.col_order(), Some(&order[..]), "{}", backend.name());
             for i in 0..back.num_shards() {
@@ -1221,7 +1164,6 @@ mod tests {
             };
             let model = ShardedModel::from_dense(&dense, &opts).unwrap();
             let bytes = model.to_bytes();
-            assert_eq!(bytes[8], multi_shard_version(backend, VERSION_PER_SHARD));
             let back = ShardedModel::from_bytes(&bytes).expect("per-shard orders must load");
             for i in 0..2 {
                 assert_eq!(
@@ -1475,12 +1417,6 @@ mod tests {
                 };
                 model.prewarm_with(2, &serve);
                 let bytes = model.to_bytes_with_plans();
-                let version = if shards > 1 {
-                    VERSION_SHARED_DICT
-                } else {
-                    VERSION_PLANS
-                };
-                assert_eq!(bytes[8], version, "s={shards}");
                 let table = ShardTable::parse(&bytes).unwrap();
                 assert!(table.plan_bytes() > 0, "s={shards}");
                 assert_eq!(table.plan_f32, vec![f32_plans; shards]);
@@ -1488,7 +1424,7 @@ mod tests {
                 // That loading casts the plans back in rather than
                 // compiling them is pinned by the single-test
                 // `tests/plan_section_no_recompile.rs`.
-                let back = ShardedModel::from_bytes(&bytes).expect("v4 roundtrip");
+                let back = ShardedModel::from_bytes(&bytes).expect("plan roundtrip");
                 assert!(back.is_planned(), "s={shards}");
                 assert_eq!(back.is_planned_f32(), f32_plans);
                 // Deserialized plans are exact-capacity; compiled
@@ -1517,7 +1453,7 @@ mod tests {
         use crate::sharded::ServeOptions;
         let dense = sample();
         // No prewarm: no plans, so the with-plans writer emits the
-        // byte-identical lower-version container.
+        // byte-identical plan-free container.
         let model = ShardedModel::from_dense(
             &dense,
             &BuildOptions {
@@ -1527,7 +1463,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(model.to_bytes_with_plans(), model.to_bytes());
-        // Unplannable backends stay below v4 even after a planned
+        // Unplannable backends persist no plan even after a planned
         // prewarm (`compile_with` has nothing to build for them).
         let csrv = ShardedModel::from_dense(
             &dense,
@@ -1542,7 +1478,6 @@ mod tests {
         assert!(!csrv.is_planned());
         let bytes = csrv.to_bytes_with_plans();
         assert_eq!(bytes, csrv.to_bytes());
-        assert!(bytes[8] < VERSION_PLANS);
         assert_eq!(ShardTable::parse(&bytes).unwrap().plan_bytes(), 0);
     }
 
@@ -1678,7 +1613,7 @@ mod tests {
                         &dense,
                         &BuildOptions {
                             shards,
-                            grammar: Some(grammar),
+                            grammar,
                             ..BuildOptions::default()
                         },
                     )
@@ -1733,41 +1668,97 @@ mod tests {
     }
 
     #[test]
-    fn legacy_builds_record_no_grammar_metadata() {
-        // `grammar: None` is the compatibility path: no per-shard
-        // metadata. One shard keeps the same pre-grammar version; two
-        // shards share a dictionary and so are written as version 6,
-        // with every stage tag 0.
-        let dense = sample();
-        for shards in [1usize, 2] {
-            let model = ShardedModel::from_dense(
-                &dense,
-                &BuildOptions {
-                    shards,
-                    ..BuildOptions::default()
-                },
-            )
-            .unwrap();
-            let bytes = model.to_bytes();
-            if shards == 1 {
-                assert!(bytes[8] < VERSION_GRAMMAR);
-            } else {
-                assert_eq!(bytes[8], VERSION_SHARED_DICT);
+    fn writer_emits_version5_or_6_with_provenance_for_every_build() {
+        use crate::sharded::ServeOptions;
+        use gcm_pipeline::{BuildConfig, EncodingChoice, GrammarChoice};
+        use gcm_reorder::ReorderAlgorithm::PathCover;
+        let csrv = gcm_matrix::CsrvMatrix::from_dense(&sample()).unwrap();
+        for backend in Backend::ALL {
+            let encodings: &[Encoding] = match backend {
+                Backend::Compressed => &[Encoding::ReAns, Encoding::ReFse],
+                Backend::Csrv => &[Encoding::ReAns],
+            };
+            for shards in [1usize, 3] {
+                for reorder in [
+                    None,
+                    Some(crate::ReorderMode::Global(PathCover)),
+                    Some(crate::ReorderMode::PerShard(PathCover)),
+                ] {
+                    for &encoding in encodings {
+                        for grammar in
+                            [None, Some(GrammarChoice::RePair), Some(GrammarChoice::Auto)]
+                        {
+                            for plans in [false, true] {
+                                let config = BuildConfig {
+                                    backend,
+                                    encoding: EncodingChoice::Fixed(encoding),
+                                    grammar,
+                                    shards,
+                                    reorder,
+                                    ..BuildConfig::default()
+                                };
+                                let tag = format!(
+                                    "{} s={shards} {reorder:?} {} {grammar:?} plans={plans}",
+                                    backend.name(),
+                                    encoding.name()
+                                );
+                                let model = ShardedModel::from_artifacts(
+                                    gcm_pipeline::global().build(&csrv, &config),
+                                );
+                                let bytes = if plans {
+                                    model.prewarm_with(1, &ServeOptions::planned());
+                                    model.to_bytes_with_plans()
+                                } else {
+                                    model.to_bytes()
+                                };
+                                let compressed = backend == Backend::Compressed;
+                                let version = if compressed && shards >= 2 {
+                                    VERSION_SHARED_DICT
+                                } else {
+                                    VERSION_GRAMMAR
+                                };
+                                assert_eq!(bytes[8], version, "{tag}");
+                                let back = ShardedModel::from_bytes(&bytes).expect(&tag);
+                                for i in 0..shards {
+                                    let stage = back.shard_grammar(i);
+                                    assert_eq!(stage.is_some(), compressed, "{tag} shard {i}");
+                                    if grammar != Some(GrammarChoice::Auto) && compressed {
+                                        assert_eq!(stage, Some(GrammarStage::RePair), "{tag}");
+                                    }
+                                    assert_eq!(
+                                        back.shard_fingerprint(i).is_some(),
+                                        compressed,
+                                        "{tag} shard {i}"
+                                    );
+                                }
+                                let table = ShardTable::parse(&bytes).unwrap();
+                                if plans && compressed {
+                                    assert!(table.plan_ranges.iter().all(Option::is_some), "{tag}");
+                                } else {
+                                    // The plan section is one kind byte
+                                    // per shard, each 0, before the
+                                    // checksum.
+                                    let kinds = table.shard_ranges[shards - 1].end;
+                                    assert_eq!(kinds + shards, bytes.len() - 8, "{tag}");
+                                    assert_eq!(
+                                        bytes[kinds..kinds + shards],
+                                        vec![0; shards],
+                                        "{tag}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
             }
-            let table = ShardTable::parse(&bytes).unwrap();
-            assert_eq!(table.grammar_stages, vec![None; shards]);
-            assert_eq!(table.fingerprints, vec![None; shards]);
-            let back = ShardedModel::from_bytes(&bytes).unwrap();
-            assert_eq!(back.shard_grammar(0), None);
-            assert_eq!(back.shard_fingerprint(0), None);
         }
     }
 
     #[test]
     fn version5_accepts_metadata_free_shards() {
-        // A v5 container may carry stage tag 0 for shards spliced from
-        // legacy builds: synthesise one from the shards' self-contained
-        // payloads.
+        // A v5 container may carry stage tag 0 (a shard loaded from an
+        // older container and written again): synthesise one from the
+        // shards' self-contained payloads.
         let dense = sample();
         let model = ShardedModel::from_dense(
             &dense,
@@ -1818,7 +1809,7 @@ mod tests {
             &dense,
             &BuildOptions {
                 shards: 2,
-                grammar: Some(GrammarChoice::MrRePair),
+                grammar: GrammarChoice::MrRePair,
                 ..BuildOptions::default()
             },
         )

@@ -45,11 +45,12 @@ use std::borrow::Cow;
 
 use gcm_core::serial;
 use gcm_matrix::CsrvMatrix;
-use gcm_pipeline::{shard_fingerprint, BuildConfig, Plan, ReorderMode};
+use gcm_pipeline::{
+    shard_fingerprint, BuildConfig, GrammarChoice, GrammarStage, Plan, ReorderMode,
+};
 
 use crate::container::{
     self, plan_kind, write_container, Header, Segment, SegmentBody, ServeError, ShardTable,
-    VERSION_GRAMMAR, VERSION_SHARED_DICT,
 };
 use crate::sharded::{ServeOptions, ShardedModel};
 
@@ -116,9 +117,9 @@ impl RebuildReport {
 ///
 /// Falls back to a full rebuild — with the reason in the report — when
 /// the base or the configuration cannot support splicing: a base
-/// without fingerprints (pre-v5, uncompressed, or built without a
-/// grammar-stage policy), no grammar-stage policy, a changed backend, a
-/// global reorder, or a changed shard count.
+/// without fingerprints (pre-v5 or uncompressed), a changed backend, a
+/// base shard built with another stage than a fixed `--grammar` asks
+/// for, a global reorder, or a changed shard count.
 ///
 /// # Errors
 /// Fails if `base` is not a structurally valid container.
@@ -151,8 +152,7 @@ pub fn compress_incremental(
         planned,
     );
     // The full build's writer stores the row shards' one dictionary once
-    // whenever there are two or more of them (`container::to_bytes`
-    // picks version 6 for exactly these grammar models).
+    // whenever there are two or more of them (a version-6 container).
     let dictionary = (provenance.len() >= 2).then(|| csrv.values());
     let mut rebuilt = rebuilt.iter().flat_map(ShardedModel::shard_slice);
     let segments = provenance
@@ -167,11 +167,6 @@ pub fn compress_incremental(
         })
         .collect::<Result<Vec<_>, _>>()?;
     let header = Header {
-        version: if dictionary.is_some() {
-            VERSION_SHARED_DICT
-        } else {
-            VERSION_GRAMMAR
-        },
         backend: config.backend,
         rows: csrv.rows(),
         cols: csrv.cols(),
@@ -203,11 +198,6 @@ fn plan_policy(table: &ShardTable) -> Option<ServeOptions> {
 
 /// Why this build cannot splice from this base (`None` = it can).
 fn splice_blocker(csrv: &CsrvMatrix, config: &BuildConfig, table: &ShardTable) -> Option<String> {
-    if config.grammar.is_none() {
-        return Some(
-            "no grammar-stage policy (--grammar): fingerprints are only recorded under one".into(),
-        );
-    }
     if matches!(config.reorder, Some(ReorderMode::Global(_))) {
         return Some("global reorder couples every shard to the whole-matrix permutation".into());
     }
@@ -223,6 +213,22 @@ fn splice_blocker(csrv: &CsrvMatrix, config: &BuildConfig, table: &ShardTable) -
             table.backend.name(),
             config.backend.name()
         ));
+    }
+    // A fixed stage must match every base shard's recorded one; `auto`
+    // may have picked either.
+    let stage = match config.grammar.unwrap_or(GrammarChoice::RePair) {
+        GrammarChoice::RePair => Some(GrammarStage::RePair),
+        GrammarChoice::MrRePair => Some(GrammarStage::MrRePair),
+        GrammarChoice::Auto => None,
+    };
+    if let Some(stage) = stage {
+        if let Some(base) = table.grammar_stages.iter().flatten().find(|&&s| s != stage) {
+            return Some(format!(
+                "grammar stage changed ({} in base, {} requested)",
+                base.name(),
+                stage.name()
+            ));
+        }
     }
     if table.cols != csrv.cols() {
         return Some(format!(
@@ -377,8 +383,17 @@ mod tests {
     fn unchanged_input_splices_every_shard_and_matches_full_rebuild() {
         let dense = sample(48, 9, 0);
         let csrv = CsrvMatrix::from_dense(&dense).unwrap();
-        let config = grammar_config(4);
-        for plans in [false, true] {
+        // The default configuration (no grammar policy: classic RePair)
+        // records fingerprints as well, so it splices too.
+        let default = BuildConfig {
+            shards: 4,
+            ..BuildConfig::default()
+        };
+        for (config, plans) in [
+            (grammar_config(4), false),
+            (grammar_config(4), true),
+            (default, false),
+        ] {
             let base = build_full(&csrv, &config, plans);
             let (bytes, report) = compress_incremental(&csrv, &config, &base).unwrap();
             assert_eq!(
@@ -509,22 +524,34 @@ mod tests {
         let dense = sample(32, 8, 1);
         let csrv = CsrvMatrix::from_dense(&dense).unwrap();
         let config = grammar_config(2);
-        // Pre-v5 base: no fingerprints to match against.
-        let legacy = build_full(
+        // An uncompressed base: no fingerprints to match against.
+        let uncompressed = build_full(
             &csrv,
             &BuildConfig {
-                grammar: None,
+                backend: gcm_pipeline::Backend::Csrv,
                 ..config
             },
             false,
         );
-        let (bytes, report) = compress_incremental(&csrv, &config, &legacy).unwrap();
+        let (bytes, report) = compress_incremental(&csrv, &config, &uncompressed).unwrap();
         assert_eq!(report.rebuilt(), 2);
         let reason = report.full_reason.expect("fallback must carry a reason");
-        assert!(reason.contains("version"), "{reason}");
+        assert!(reason.contains("no fingerprints"), "{reason}");
         assert_eq!(bytes, build_full(&csrv, &config, false));
-        // Shard-count change.
+        // A fixed grammar stage other than the base's: the default
+        // (RePair) against an MR-RePair base.
         let base = build_full(&csrv, &config, false);
+        let default = BuildConfig {
+            shards: 2,
+            ..BuildConfig::default()
+        };
+        let (bytes, report) = compress_incremental(&csrv, &default, &base).unwrap();
+        let reason = report
+            .full_reason
+            .expect("a stage change must carry a reason");
+        assert!(reason.contains("grammar stage changed"), "{reason}");
+        assert_eq!(bytes, build_full(&csrv, &default, false));
+        // Shard-count change.
         let (_, report) = compress_incremental(&csrv, &grammar_config(3), &base).unwrap();
         assert!(
             report.full_reason.expect("reason").contains("shard count"),

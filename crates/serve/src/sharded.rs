@@ -57,10 +57,9 @@ pub struct BuildOptions {
     pub backend: Backend,
     /// Grammar encoding (compressed backends).
     pub encoding: Encoding,
-    /// Grammar-stage policy (compressed backends). `None` keeps the
-    /// legacy RePair build with no per-shard grammar metadata, so
-    /// containers stay byte-identical to pre-grammar-stage builds.
-    pub grammar: Option<GrammarChoice>,
+    /// Grammar-stage policy (compressed backends). Every compressed
+    /// shard records its stage and input fingerprint.
+    pub grammar: GrammarChoice,
     /// Number of row shards (clamped to `1..=rows`).
     pub shards: usize,
     /// Optional column reordering (§5) applied before compression —
@@ -75,7 +74,7 @@ impl Default for BuildOptions {
         Self {
             backend: Backend::Compressed,
             encoding: Encoding::ReAns,
-            grammar: None,
+            grammar: GrammarChoice::RePair,
             shards: 1,
             reorder: None,
         }
@@ -88,7 +87,7 @@ impl BuildOptions {
         BuildConfig {
             backend: self.backend,
             encoding: EncodingChoice::Fixed(self.encoding),
-            grammar: self.grammar,
+            grammar: Some(self.grammar),
             shards: self.shards,
             reorder: self.reorder,
             ..BuildConfig::default()
@@ -151,7 +150,8 @@ pub(crate) struct Shard {
     /// known (build-time provenance; `GCMSERV1` v2 persists it).
     pub(crate) reorder: Option<ReorderAlgorithm>,
     /// Grammar stage that compressed this shard, when recorded
-    /// (`GCMSERV1` v5 persists it; `None` on legacy builds).
+    /// (`GCMSERV1` v5 and v6 persist it; `None` for the uncompressed
+    /// backend and shards loaded from older containers).
     pub(crate) grammar: Option<GrammarStage>,
     /// Fingerprint of the shard's build-time input rows
     /// ([`gcm_pipeline::shard_fingerprint`]), when recorded — the
@@ -514,20 +514,20 @@ impl ShardedModel {
     }
 
     /// The reorder algorithm shard `i` was built with, when recorded
-    /// (build provenance, persisted by `GCMSERV1` version 2).
+    /// (build provenance, persisted by `GCMSERV1` versions 2 and up).
     pub fn shard_reorder(&self, i: usize) -> Option<ReorderAlgorithm> {
         self.shards[i].reorder
     }
 
     /// The grammar stage shard `i` was compressed with, when recorded
-    /// (build provenance, persisted by `GCMSERV1` version 5).
+    /// (build provenance, persisted by `GCMSERV1` versions 5 and 6).
     pub fn shard_grammar(&self, i: usize) -> Option<GrammarStage> {
         self.shards[i].grammar
     }
 
     /// The build-time input fingerprint of shard `i`, when recorded
     /// ([`gcm_pipeline::shard_fingerprint`]; persisted by `GCMSERV1`
-    /// version 5 for incremental rebuilds).
+    /// versions 5 and 6 for incremental rebuilds).
     pub fn shard_fingerprint(&self, i: usize) -> Option<u64> {
         self.shards[i].fingerprint
     }

@@ -484,7 +484,7 @@ fn grammar_stage_shards_match_the_oracle_everywhere() {
                     let opts = BuildOptions {
                         encoding,
                         shards,
-                        grammar: Some(grammar),
+                        grammar,
                         ..BuildOptions::default()
                     };
                     let built = ShardedModel::from_dense(&dense, &opts).expect("build");

@@ -1,36 +1,48 @@
-//! Containers written before the shared-dictionary layout keep working.
+//! Containers written before the writer settled on versions 5 and 6
+//! keep working.
 //!
-//! The two fixtures were written by the version-5 writer from
-//! `gcm gen census 400` (seed 42), before `GCMSERV1` version 6 stored
-//! one value dictionary per container:
+//! The fixtures were written by older `gcm` builds from
+//! `gcm gen census 400` (seed 42):
 //!
 //! * `census400_v5.gcms` — `gcm compress --grammar auto --shards 4
-//!   --emit-plans`: version 5, four shards each embedding `V`, f64 plans;
+//!   --emit-plans`: version 5, four shards each embedding `V`, f64 plans
+//!   (written before version 6 stored one value dictionary per
+//!   container);
 //! * `census400_v4.gcms` — `gcm compress --shards 4 --emit-plans
-//!   --plan-f32`: version 4, no grammar metadata, f32 plans.
+//!   --plan-f32`: version 4, no grammar metadata, f32 plans;
+//! * `census400_v3.gcms` — `gcm compress --encoding re_fse --reorder
+//!   pathcover`: version 3, one `re_fse` shard with its reorder tag;
+//! * `census400_v2.gcms` — `gcm compress --backend csrv --shards 4
+//!   --reorder pathcover --reorder-scope shard`: version 2, four csrv
+//!   shards, each with its own permutation.
 //!
-//! Both must load, report their own version, and multiply
-//! bit-identically to the version-6 build of the same input; and a
-//! version-5 base must splice into output `cmp`-identical to a fresh
-//! version-6 build.
+//! Versions 1 to 4 are read-only now. Every fixture must load, report its
+//! own version, and multiply bit-identically to a fresh build with the
+//! same flags; and a version-5 base must splice into output
+//! `cmp`-identical to a fresh version-6 build.
 
 use gcm_datagen::Dataset;
 use gcm_matrix::CsrvMatrix;
-use gcm_serve::container::{self, VERSION_GRAMMAR, VERSION_PLANS, VERSION_SHARED_DICT};
+use gcm_reorder::ReorderAlgorithm;
+use gcm_serve::container::{
+    self, VERSION_ENCODINGS, VERSION_GRAMMAR, VERSION_PER_SHARD, VERSION_PLANS, VERSION_SHARED_DICT,
+};
 use gcm_serve::{
-    compress_incremental, BuildConfig, BuildOptions, GrammarChoice, ServeOptions, ShardTable,
-    ShardedModel,
+    compress_incremental, Backend, BuildConfig, BuildOptions, EncodingChoice, GrammarChoice,
+    ReorderMode, ServeOptions, ShardTable, ShardedModel,
 };
 
 const V5: &[u8] = include_bytes!("fixtures/census400_v5.gcms");
 const V4: &[u8] = include_bytes!("fixtures/census400_v4.gcms");
+const V3: &[u8] = include_bytes!("fixtures/census400_v3.gcms");
+const V2: &[u8] = include_bytes!("fixtures/census400_v2.gcms");
 
 fn census() -> CsrvMatrix {
     CsrvMatrix::from_dense(&Dataset::Census.generate(400, 42)).unwrap()
 }
 
-/// The `gcm compress` configuration of a fixture (`--shards 4`, plus
-/// `--grammar auto` for the version-5 one).
+/// The `gcm compress --shards 4` configuration, plus `--grammar` when
+/// `grammar` is set.
 fn config(grammar: Option<GrammarChoice>) -> BuildConfig {
     BuildConfig {
         shards: 4,
@@ -67,32 +79,80 @@ fn products(model: &ShardedModel) -> Vec<u64> {
 #[test]
 fn legacy_fixtures_load_and_multiply_like_the_version6_build() {
     let csrv = census();
-    for (bytes, version, grammar, serve) in [
+    let pathcover = ReorderAlgorithm::PathCover;
+    let v2_config = BuildConfig {
+        backend: Backend::Csrv,
+        reorder: Some(ReorderMode::PerShard(pathcover)),
+        ..config(None)
+    };
+    let v3_config = BuildConfig {
+        encoding: EncodingChoice::Fixed(gcm_core::Encoding::ReFse),
+        shards: 1,
+        reorder: Some(ReorderMode::Global(pathcover)),
+        ..config(None)
+    };
+    for (bytes, version, config, serve, fresh_version) in [
         (
             V5,
             VERSION_GRAMMAR,
-            Some(GrammarChoice::Auto),
+            config(Some(GrammarChoice::Auto)),
             ServeOptions::planned(),
+            VERSION_SHARED_DICT,
         ),
-        (V4, VERSION_PLANS, None, ServeOptions::planned_f32()),
+        (
+            V4,
+            VERSION_PLANS,
+            config(None),
+            ServeOptions::planned_f32(),
+            VERSION_SHARED_DICT,
+        ),
+        (
+            V3,
+            VERSION_ENCODINGS,
+            v3_config,
+            ServeOptions::default(),
+            VERSION_GRAMMAR,
+        ),
+        (
+            V2,
+            VERSION_PER_SHARD,
+            v2_config,
+            ServeOptions::default(),
+            VERSION_GRAMMAR,
+        ),
     ] {
         let table = ShardTable::parse(bytes).unwrap();
         assert_eq!(table.version, version);
         assert!(table.dictionary.is_none(), "v{version} embeds V per shard");
         let legacy = ShardedModel::from_bytes(bytes).unwrap();
-        assert_eq!(legacy.num_shards(), 4);
-        assert!(legacy.is_planned(), "v{version}: plans cast on load");
+        assert_eq!(legacy.num_shards(), config.shards);
+        assert_eq!(
+            legacy.is_planned(),
+            serve.plans,
+            "v{version}: plans cast on load"
+        );
         assert_eq!(legacy.is_planned_f32(), serve.plan_f32);
+        for i in 0..config.shards {
+            assert_eq!(
+                legacy.shard_reorder(i),
+                config.reorder.map(|r| r.algorithm()),
+                "v{version}"
+            );
+        }
 
-        let v6 = fresh(&csrv, &config(grammar), &serve);
-        assert_eq!(v6[8], VERSION_SHARED_DICT);
-        let current = ShardedModel::from_bytes(&v6).unwrap();
-        assert!(current.is_planned());
+        let rebuilt = fresh(&csrv, &config, &serve);
+        assert_eq!(rebuilt[8], fresh_version, "v{version}");
+        let current = ShardedModel::from_bytes(&rebuilt).unwrap();
+        assert_eq!(current.is_planned(), serve.plans);
         assert_eq!(
             products(&legacy),
             products(&current),
-            "v{version} fixture must multiply bit-identically to the v6 build"
+            "v{version} fixture must multiply bit-identically to a fresh build"
         );
+        if fresh_version != VERSION_SHARED_DICT {
+            assert_eq!(legacy.stored_bytes(), current.stored_bytes(), "v{version}");
+            continue;
+        }
         // The old layout stores, and counts, one dictionary per shard.
         let v_bytes = csrv.values().len() * 8;
         assert_eq!(
@@ -107,7 +167,7 @@ fn legacy_fixtures_load_and_multiply_like_the_version6_build() {
             // payloads.
             let mut len = Vec::new();
             gcm_encodings::varint::write_u64(&mut len, csrv.values().len() as u64);
-            assert_eq!(bytes.len() - v6.len(), 3 * (len.len() + v_bytes) - 4);
+            assert_eq!(bytes.len() - rebuilt.len(), 3 * (len.len() + v_bytes) - 4);
         }
     }
 }

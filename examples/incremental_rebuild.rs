@@ -5,8 +5,9 @@
 //! cargo run --release --example incremental_rebuild
 //! ```
 //!
-//! Builds a base container (version 6: per-shard grammar provenance,
-//! one shared value dictionary) with a measured per-shard grammar
+//! Builds a base container (version 6, as every compressed build of two
+//! or more shards: per-shard grammar provenance, one shared value
+//! dictionary) with a measured per-shard grammar
 //! stage (`GrammarChoice::Auto`) and persisted plans, edits a handful
 //! of rows, rebuilds with `compress_incremental` against the base, and
 //! verifies the three claims the feature stands on:
@@ -21,6 +22,9 @@
 //!
 //! The CLI spelling of the same flow is
 //! `gcm compress new.txt new.gcms --grammar auto --base old.gcms`.
+//! Every compressed build records the stage and the input fingerprints,
+//! so `--base` splices a default build (classic RePair, no `--grammar`)
+//! the same way.
 
 use mm_repair::prelude::*;
 
