@@ -106,11 +106,17 @@ pub fn reset_peak() -> usize {
 #[cfg(test)]
 mod tests {
     // The allocator is only *installed* in the harness binaries, so these
-    // tests exercise the counter arithmetic directly.
+    // tests exercise the counter arithmetic directly. The counters are
+    // process-wide, so the tests that move them hold `COUNTERS` to keep
+    // the test threads from seeing each other's adds.
     use super::*;
+    use std::sync::Mutex;
+
+    static COUNTERS: Mutex<()> = Mutex::new(());
 
     #[test]
     fn counters_move() {
+        let _guard = COUNTERS.lock().unwrap();
         let before = live_bytes();
         add(1000);
         assert_eq!(live_bytes(), before + 1000);
@@ -121,6 +127,7 @@ mod tests {
 
     #[test]
     fn reset_peak_returns_live() {
+        let _guard = COUNTERS.lock().unwrap();
         add(512);
         let live = reset_peak();
         assert_eq!(live, live_bytes());

@@ -9,12 +9,13 @@
 //! 4. block-count sweep: how splitting affects compressed size (§4.1:
 //!    "some files compress better split into blocks").
 //!
-//! Usage: `cargo run --release -p gcm-bench --bin ablation [--scale S]`
+//! Usage: `cargo run --release -p gcm-bench --bin ablation -- [--scale S]`
 
-use gcm_bench::report::{pct, scale_arg, scaled_rows};
-use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding};
+use gcm_bench::report::{harness_args, pct, scaled_rows};
+use gcm_bench::runner::row_block_model;
+use gcm_core::{CompressedMatrix, Encoding};
 use gcm_datagen::Dataset;
-use gcm_matrix::{CsrvMatrix, SEPARATOR};
+use gcm_matrix::{CsrvMatrix, RowBlocks, SEPARATOR};
 use gcm_reorder::{Csm, CsmConfig};
 use gcm_repair::stats::empirical_entropy;
 use gcm_repair::RePair;
@@ -23,7 +24,7 @@ use gcm_repair::RePair;
 static ALLOC: gcm_bench::TrackingAlloc = gcm_bench::TrackingAlloc::new();
 
 fn main() {
-    let scale = scale_arg();
+    let scale = harness_args().scale;
     let datasets = [Dataset::Airline78, Dataset::Covtype, Dataset::Census];
 
     println!("== Ablation 1: local vs global CSM pruning (k = 8, PathCover + re_ans) ==");
@@ -117,8 +118,9 @@ fn main() {
         let csrv = CsrvMatrix::from_dense(&dense).expect("csrv");
         let mut cells = Vec::new();
         for b in [1usize, 4, 8, 16, 32] {
-            let bm = BlockedMatrix::compress(&csrv, Encoding::ReAns, b);
-            cells.push(pct(bm.stored_bytes(), dense_bytes));
+            let blocks = RowBlocks::split(&csrv, b).into_blocks();
+            let model = row_block_model(blocks, Some(Encoding::ReAns));
+            cells.push(pct(model.stored_bytes(), dense_bytes));
         }
         println!(
             "{:<10} {:>10} {:>10} {:>10} {:>10} {:>10}",

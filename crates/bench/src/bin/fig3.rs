@@ -2,14 +2,13 @@
 //! algorithms vs their single-thread versions, for 1/4/8/12/16 threads
 //! (re_ans and re_iv).
 //!
-//! Usage: `cargo run --release -p gcm-bench --bin fig3 [--scale S] [--iters N]`
+//! Usage: `cargo run --release -p gcm-bench --bin fig3 -- [--scale S] [--iters N]`
 
-use gcm_bench::report::{iters_arg, scale_arg, scaled_rows};
-use gcm_bench::runner::measure_iterations;
-use gcm_core::{BlockedMatrix, Encoding};
+use gcm_bench::report::{harness_args, scaled_rows, HarnessArgs};
+use gcm_bench::runner::{measure_sharded, row_block_model};
+use gcm_core::Encoding;
 use gcm_datagen::Dataset;
-use gcm_encodings::HeapSize;
-use gcm_matrix::CsrvMatrix;
+use gcm_matrix::{CsrvMatrix, RowBlocks};
 
 #[global_allocator]
 static ALLOC: gcm_bench::TrackingAlloc = gcm_bench::TrackingAlloc::new();
@@ -17,8 +16,7 @@ static ALLOC: gcm_bench::TrackingAlloc = gcm_bench::TrackingAlloc::new();
 const THREADS: [usize; 5] = [1, 4, 8, 12, 16];
 
 fn main() {
-    let scale = scale_arg();
-    let iters = iters_arg();
+    let HarnessArgs { scale, iters, .. } = harness_args();
     println!("== Figure 3: multithread ratios vs single thread ==");
     println!("scale {scale}, {iters} iterations; series = datasets, x = threads\n");
     for enc in [Encoding::ReAns, Encoding::ReIv] {
@@ -36,8 +34,8 @@ fn main() {
             let mut mem = Vec::new();
             let mut time = Vec::new();
             for &t in &THREADS {
-                let bm = BlockedMatrix::compress(&csrv, enc, t);
-                let run = measure_iterations(&bm, iters, bm.heap_bytes(), bm.working_bytes());
+                let blocks = RowBlocks::split(&csrv, t).into_blocks();
+                let run = measure_sharded(&row_block_model(blocks, Some(enc)), iters);
                 mem.push(run.analytic_peak_bytes as f64);
                 time.push(run.secs_per_iter);
             }

@@ -2,23 +2,25 @@
 //! reordering, `(p_o − p_r)/p_o`, per matrix and encoding (re_iv, re_ans).
 //!
 //! Usage: `cargo run --release -p gcm-bench --bin fig4
-//!         [--scale S] [--iters N] [--threads T]`
+//!         -- [--scale S] [--iters N] [--threads T]`
 
-use gcm_bench::report::{iters_arg, scale_arg, scaled_rows, threads_arg};
-use gcm_bench::runner::measure_iterations;
-use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding};
+use gcm_bench::report::{harness_args, scaled_rows, HarnessArgs};
+use gcm_bench::runner::{measure_sharded, row_block_model};
+use gcm_core::Encoding;
 use gcm_datagen::Dataset;
-use gcm_encodings::HeapSize;
-use gcm_matrix::CsrvMatrix;
+use gcm_matrix::{CsrvMatrix, RowBlocks};
 use gcm_reorder::{reorder_blocks, CsmConfig, ReorderAlgorithm};
+use gcm_serve::ShardedModel;
 
 #[global_allocator]
 static ALLOC: gcm_bench::TrackingAlloc = gcm_bench::TrackingAlloc::new();
 
 fn main() {
-    let scale = scale_arg();
-    let iters = iters_arg();
-    let threads = threads_arg();
+    let HarnessArgs {
+        scale,
+        iters,
+        threads,
+    } = harness_args();
     println!("== Figure 4: relative peak-memory improvement from reordering ==");
     println!("scale {scale}, {iters} iterations, {threads} blocks; (p_o - p_r) / p_o\n");
     println!("{:<10} {:>12} {:>12}", "matrix", "re_iv", "re_ans");
@@ -31,39 +33,23 @@ fn main() {
         let mut cells = Vec::new();
         for enc in [Encoding::ReIv, Encoding::ReAns] {
             // p_o: original blockwise pipeline.
-            let original = BlockedMatrix::compress(&csrv, enc, threads);
-            let p_o = measure_iterations(
-                &original,
-                iters,
-                original.heap_bytes(),
-                original.working_bytes(),
-            )
-            .analytic_peak_bytes;
+            let original =
+                row_block_model(RowBlocks::split(&csrv, threads).into_blocks(), Some(enc));
+            let p_o = measure_sharded(&original, iters).analytic_peak_bytes;
 
             // p_r: best-of-PathCover/MWM blockwise reordering (k = 16).
-            let mut best: Option<BlockedMatrix> = None;
+            let mut best: Option<ShardedModel> = None;
             for algo in [ReorderAlgorithm::PathCover, ReorderAlgorithm::Mwm] {
                 let blocks = reorder_blocks(&csrv, threads, algo, CsmConfig::default(), 16);
-                let compressed: Vec<CompressedMatrix> = blocks
-                    .iter()
-                    .map(|b| CompressedMatrix::compress(b, enc))
-                    .collect();
-                let bm = BlockedMatrix::from_blocks(compressed, csrv.cols());
+                let candidate = row_block_model(blocks, Some(enc));
                 if best
                     .as_ref()
-                    .is_none_or(|b| bm.stored_bytes() < b.stored_bytes())
+                    .is_none_or(|b| candidate.stored_bytes() < b.stored_bytes())
                 {
-                    best = Some(bm);
+                    best = Some(candidate);
                 }
             }
-            let reordered = best.unwrap();
-            let p_r = measure_iterations(
-                &reordered,
-                iters,
-                reordered.heap_bytes(),
-                reordered.working_bytes(),
-            )
-            .analytic_peak_bytes;
+            let p_r = measure_sharded(&best.unwrap(), iters).analytic_peak_bytes;
 
             let improvement = 100.0 * (p_o as f64 - p_r as f64) / p_o as f64;
             cells.push(format!("{improvement:.2}%"));

@@ -1,10 +1,10 @@
 //! **Table 1**: compression ratio (% of the dense 8-byte representation)
 //! of gzip-like, xz-like, csrv, re_32, re_iv, re_ans on the seven matrices.
 //!
-//! Usage: `cargo run --release -p gcm-bench --bin table1 [--scale S]`
+//! Usage: `cargo run --release -p gcm-bench --bin table1 -- [--scale S]`
 
 use gcm_baselines::{gzipish, xzish};
-use gcm_bench::report::{pct, scale_arg, scaled_rows};
+use gcm_bench::report::{harness_args, pct, scaled_rows};
 use gcm_core::{CompressedMatrix, Encoding};
 use gcm_datagen::Dataset;
 use gcm_matrix::{CsrvMatrix, SEPARATOR};
@@ -26,7 +26,7 @@ const PAPER: [(&str, [f64; 6]); 7] = [
 ];
 
 fn main() {
-    let scale = scale_arg();
+    let scale = harness_args().scale;
     println!("== Table 1: compression ratios (measured | paper) ==");
     println!("scale factor {scale} (rows = default_rows x scale)\n");
     println!(

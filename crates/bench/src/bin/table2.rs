@@ -3,14 +3,14 @@
 //! re_iv / re_ans with row-block multithreading.
 //!
 //! Usage: `cargo run --release -p gcm-bench --bin table2
-//!         [--scale S] [--iters N] [--threads T]`
+//!         -- [--scale S] [--iters N] [--threads T]`
 
-use gcm_bench::report::{iters_arg, pct, scale_arg, scaled_rows, threads_arg, time_s};
-use gcm_bench::runner::measure_iterations;
-use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding};
+use gcm_bench::report::{harness_args, pct, scaled_rows, time_s, HarnessArgs};
+use gcm_bench::runner::{measure_iterations, measure_sharded, row_block_model};
+use gcm_core::{CompressedMatrix, Encoding};
 use gcm_datagen::Dataset;
 use gcm_encodings::HeapSize;
-use gcm_matrix::{CsrvMatrix, ParallelCsrv};
+use gcm_matrix::{CsrvMatrix, RowBlocks};
 
 #[global_allocator]
 static ALLOC: gcm_bench::TrackingAlloc = gcm_bench::TrackingAlloc::new();
@@ -28,9 +28,11 @@ const PAPER_MEM: [(&str, [f64; 6]); 7] = [
 ];
 
 fn main() {
-    let scale = scale_arg();
-    let iters = iters_arg();
-    let threads = threads_arg();
+    let HarnessArgs {
+        scale,
+        iters,
+        threads,
+    } = harness_args();
     println!("== Table 2: Eq.(4) peak memory & time/iter ==");
     println!(
         "scale {scale}, {iters} iterations, {threads} threads (paper: 500 iters, 16 threads)\n"
@@ -73,20 +75,16 @@ fn main() {
                 time_s(run.secs_per_iter)
             ));
         }
-        // Multithreaded csrv.
-        {
-            let par = ParallelCsrv::split(&csrv, threads);
-            let run = measure_iterations(&par, iters, par.stored_bytes(), par.working_bytes());
-            cells.push(format!(
-                "{} | {}",
-                pct(run.analytic_peak_bytes, dense_bytes),
-                time_s(run.secs_per_iter)
-            ));
-        }
-        // Multithreaded grammar encodings.
-        for enc in Encoding::ALL {
-            let bm = BlockedMatrix::compress(&csrv, enc, threads);
-            let run = measure_iterations(&bm, iters, bm.heap_bytes(), bm.working_bytes());
+        // Multithreaded csrv, then the grammar encodings: one row block
+        // per thread.
+        for encoding in [
+            None,
+            Some(Encoding::Re32),
+            Some(Encoding::ReIv),
+            Some(Encoding::ReAns),
+        ] {
+            let blocks = RowBlocks::split(&csrv, threads).into_blocks();
+            let run = measure_sharded(&row_block_model(blocks, encoding), iters);
             cells.push(format!(
                 "{} | {}",
                 pct(run.analytic_peak_bytes, dense_bytes),

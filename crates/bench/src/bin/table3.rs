@@ -2,11 +2,11 @@
 //! with LKH / PathCover / MWM over the locally-pruned CSM, for
 //! k ∈ {4, 8, 16}.
 //!
-//! Usage: `cargo run --release -p gcm-bench --bin table3 [--scale S]`
+//! Usage: `cargo run --release -p gcm-bench --bin table3 -- [--scale S]`
 
 use std::time::Instant;
 
-use gcm_bench::report::{pct, scale_arg, scaled_rows};
+use gcm_bench::report::{harness_args, pct, scaled_rows};
 use gcm_core::{CompressedMatrix, Encoding};
 use gcm_datagen::Dataset;
 use gcm_matrix::CsrvMatrix;
@@ -16,7 +16,7 @@ use gcm_reorder::{reorder_columns, CsmConfig, ReorderAlgorithm};
 static ALLOC: gcm_bench::TrackingAlloc = gcm_bench::TrackingAlloc::new();
 
 fn main() {
-    let scale = scale_arg();
+    let scale = harness_args().scale;
     println!("== Table 3: column reordering + re_ans compression ==");
     println!("scale {scale}; locally-pruned CSM; k in {{4, 8, 16}}\n");
     println!(

@@ -7,32 +7,29 @@
 //! measured time/memory, as in the paper) and runs the same workload.
 //!
 //! Usage: `cargo run --release -p gcm-bench --bin table4
-//!         [--scale S] [--iters N] [--threads T]`
+//!         -- [--scale S] [--iters N] [--threads T]`
 
 use std::time::Instant;
 
 use gcm_baselines::ClaMatrix;
-use gcm_bench::report::{iters_arg, pct, scale_arg, scaled_rows, threads_arg, time_s};
-use gcm_bench::runner::measure_iterations;
-use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding};
+use gcm_bench::report::{harness_args, pct, scaled_rows, time_s, HarnessArgs};
+use gcm_bench::runner::{measure_iterations, measure_sharded, row_block_model};
+use gcm_core::Encoding;
 use gcm_datagen::Dataset;
 use gcm_encodings::HeapSize;
 use gcm_matrix::CsrvMatrix;
 use gcm_reorder::{reorder_blocks, CsmConfig, ReorderAlgorithm};
+use gcm_serve::ShardedModel;
 
 #[global_allocator]
 static ALLOC: gcm_bench::TrackingAlloc = gcm_bench::TrackingAlloc::new();
 
 /// Builds the best-of-PathCover/MWM blockwise-reordered matrix (§5.3).
-fn reordered_blocked(csrv: &CsrvMatrix, blocks: usize, enc: Encoding) -> BlockedMatrix {
+fn reordered_blocked(csrv: &CsrvMatrix, blocks: usize, enc: Encoding) -> ShardedModel {
     let k = 16;
     let candidates = [ReorderAlgorithm::PathCover, ReorderAlgorithm::Mwm].map(|algo| {
         let reordered = reorder_blocks(csrv, blocks, algo, CsmConfig::default(), k);
-        let compressed: Vec<CompressedMatrix> = reordered
-            .iter()
-            .map(|b| CompressedMatrix::compress(b, enc))
-            .collect();
-        BlockedMatrix::from_blocks(compressed, csrv.cols())
+        row_block_model(reordered, Some(enc))
     });
     let [a, b] = candidates;
     if a.stored_bytes() <= b.stored_bytes() {
@@ -43,9 +40,11 @@ fn reordered_blocked(csrv: &CsrvMatrix, blocks: usize, enc: Encoding) -> Blocked
 }
 
 fn main() {
-    let scale = scale_arg();
-    let iters = iters_arg();
-    let threads = threads_arg();
+    let HarnessArgs {
+        scale,
+        iters,
+        threads,
+    } = harness_args();
     println!("== Table 4: blockwise-reordered re_iv/re_ans vs CLA ==");
     println!("scale {scale}, {iters} iterations, {threads} blocks/threads\n");
     println!(
@@ -68,11 +67,11 @@ fn main() {
 
         let mut cells = Vec::new();
         for enc in [Encoding::ReIv, Encoding::ReAns] {
-            let bm = reordered_blocked(&csrv, threads, enc);
-            let run = measure_iterations(&bm, iters, bm.heap_bytes(), bm.working_bytes());
+            let model = reordered_blocked(&csrv, threads, enc);
+            let run = measure_sharded(&model, iters);
             cells.push(format!(
                 "{} | {} | {}",
-                pct(bm.stored_bytes(), dense_bytes),
+                pct(model.stored_bytes(), dense_bytes),
                 pct(run.analytic_peak_bytes, dense_bytes),
                 time_s(run.secs_per_iter)
             ));

@@ -2,6 +2,10 @@
 //! table/figure of the paper; see `src/bin/`).
 
 pub mod alloc;
+#[cfg(test)]
+mod blocked;
+#[cfg(test)]
+mod parcsrv;
 pub mod report;
 pub mod runner;
 

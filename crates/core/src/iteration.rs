@@ -301,7 +301,7 @@ pub fn power_iterations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BlockedMatrix, CompressedMatrix, Encoding};
+    use crate::{CompressedMatrix, Encoding};
     use gcm_matrix::{CsrvMatrix, DenseMatrix};
 
     fn sample() -> DenseMatrix {
@@ -344,11 +344,6 @@ mod tests {
             let got = power_iterations(&cm, &[0.5, -0.25, 1.0], 20).unwrap();
             for (a, b) in reference.x.iter().zip(&got.x) {
                 assert!((a - b).abs() < 1e-9, "{}", enc.name());
-            }
-            let bm = BlockedMatrix::compress(&csrv, enc, 2);
-            let got = power_iterations(&bm, &[0.5, -0.25, 1.0], 20).unwrap();
-            for (a, b) in reference.x.iter().zip(&got.x) {
-                assert!((a - b).abs() < 1e-9, "blocked {}", enc.name());
             }
         }
     }

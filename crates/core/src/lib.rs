@@ -18,11 +18,11 @@
 //! the paper keeps it in a packed array precisely because "only a few
 //! compressors provide fast right-to-left access".
 //!
-//! [`BlockedMatrix`] implements §4.1: the matrix is split into row blocks,
-//! each compressed independently, and both multiplications parallelise
-//! across blocks on the **persistent scoped thread pool** (the vendored
-//! `rayon` stand-in) — workers are reused across calls, never spawned per
-//! multiply.
+//! The paper's §4.1 row-block scheme — split the rows into blocks,
+//! multiply them concurrently, sum the left product's partial vectors —
+//! lives one layer up, in `gcm-serve`'s `ShardedModel`: every row shard
+//! is one [`CompressedMatrix`] (or CSRV matrix), multiplied on the
+//! persistent pool of the vendored `rayon` stand-in.
 //!
 //! The streaming kernels ([`mvm`]) are the memory-lean reference path;
 //! [`plan`] compiles a matrix into a [`KernelPlan`] of branchless,
@@ -31,9 +31,9 @@
 //! plan memory for a several-fold smaller per-multiply constant
 //! (differentially pinned bit-exact in `tests/plan_vs_streaming.rs`).
 //!
-//! All backends multiply through the execution layer of
-//! [`gcm_matrix::MatVec`]: the `*_into` methods draw the `w` rule array,
-//! per-block partials, and batch panels from a caller-owned
+//! Every matrix multiplies through the execution layer of
+//! [`gcm_matrix::MatVec`]: the `*_into` methods draw the `w` rule array
+//! and batch panels from a caller-owned
 //! [`gcm_matrix::Workspace`] (zero steady-state allocation), and the
 //! batched `right_multiply_matrix` / `left_multiply_matrix` products
 //! traverse `(C, R)` **once per batch** of `k` vectors
@@ -41,7 +41,6 @@
 //! of once per column — the amortisation that makes compressed serving
 //! loops fast.
 
-pub mod blocked;
 pub mod compressed;
 pub mod encoding;
 pub mod fastdiv;
@@ -50,7 +49,6 @@ pub mod mvm;
 pub mod plan;
 pub mod serial;
 
-pub use blocked::BlockedMatrix;
 pub use compressed::CompressedMatrix;
 pub use encoding::Encoding;
 pub use fastdiv::FastDiv;

@@ -256,8 +256,9 @@ fn read_stores(data: &[u8], pos: &mut usize, encoding: Encoding) -> Option<(Rule
 
 /// Serialises row blocks (sharing one value dictionary) plus optional
 /// column-reorder metadata as a v2 bundle. A single-element slice is the
-/// plain-matrix case; more elements persist a [`crate::BlockedMatrix`]'s
-/// layout.
+/// plain-matrix case; more elements persist the row blocks of one
+/// matrix ([`gcm_matrix::RowBlocks::split`], each block compressed on
+/// its own).
 ///
 /// # Panics
 /// Panics if `blocks` is empty, if the blocks disagree on encoding,
@@ -351,7 +352,7 @@ fn read_values(data: &[u8], pos: &mut usize) -> Option<Vec<f64>> {
 }
 
 /// Deserialises a v2 bundle into its row blocks (sharing one `Arc`'d
-/// dictionary, like [`crate::BlockedMatrix`] builds them) and the
+/// dictionary, as blocks compressed from one split do) and the
 /// column-reorder metadata. Returns `None` on malformed input; every
 /// block passes the full structural validation of
 /// [`CompressedMatrix::from_raw_parts`].
@@ -527,6 +528,15 @@ mod tests {
         CsrvMatrix::from_dense(&dense).unwrap()
     }
 
+    /// `csrv` split into `b` row blocks, each compressed with `enc`.
+    fn compressed_blocks(csrv: &CsrvMatrix, enc: Encoding, b: usize) -> Vec<CompressedMatrix> {
+        gcm_matrix::RowBlocks::split(csrv, b)
+            .blocks()
+            .iter()
+            .map(|block| CompressedMatrix::compress(block, enc))
+            .collect()
+    }
+
     #[test]
     fn roundtrip_all_encodings() {
         let csrv = sample();
@@ -602,22 +612,23 @@ mod tests {
 
     #[test]
     fn bundle_roundtrips_blocked_layout_all_encodings() {
-        use crate::blocked::BlockedMatrix;
         let csrv = sample();
         let order: Vec<u32> = (0..7).rev().collect();
+        let x: Vec<f64> = (0..7).map(|i| i as f64 * 0.5 - 1.0).collect();
         for enc in Encoding::ALL {
-            let bm = BlockedMatrix::compress(&csrv, enc, 4);
-            let bytes = bundle_to_bytes(bm.blocks(), Some(&order));
+            let written = compressed_blocks(&csrv, enc, 4);
+            let bytes = bundle_to_bytes(&written, Some(&order));
             let (blocks, back_order) = bundle_from_bytes(&bytes).expect("bundle");
             assert_eq!(back_order.as_deref(), Some(&order[..]), "{}", enc.name());
-            assert_eq!(blocks.len(), bm.num_blocks());
-            let back = BlockedMatrix::from_blocks(blocks, csrv.cols());
-            let x: Vec<f64> = (0..7).map(|i| i as f64 * 0.5 - 1.0).collect();
-            let mut y_a = vec![0.0; 40];
-            let mut y_b = vec![0.0; 40];
-            bm.right_multiply_seq(&x, &mut y_a).unwrap();
-            back.right_multiply_seq(&x, &mut y_b).unwrap();
-            assert_eq!(y_a, y_b, "{}", enc.name());
+            assert_eq!(blocks.len(), written.len());
+            for (back, orig) in blocks.iter().zip(&written) {
+                assert_eq!(back.rows(), orig.rows(), "{}", enc.name());
+                let mut y_a = vec![0.0; orig.rows()];
+                let mut y_b = vec![0.0; orig.rows()];
+                orig.right_multiply(&x, &mut y_a).unwrap();
+                back.right_multiply(&x, &mut y_b).unwrap();
+                assert_eq!(y_a, y_b, "{}", enc.name());
+            }
         }
     }
 
@@ -634,10 +645,8 @@ mod tests {
 
     #[test]
     fn bundle_blocks_share_one_dictionary_arc() {
-        use crate::blocked::BlockedMatrix;
         let csrv = sample();
-        let bm = BlockedMatrix::compress(&csrv, Encoding::Re32, 3);
-        let bytes = bundle_to_bytes(bm.blocks(), None);
+        let bytes = bundle_to_bytes(&compressed_blocks(&csrv, Encoding::Re32, 3), None);
         let (blocks, _) = bundle_from_bytes(&bytes).unwrap();
         for pair in blocks.windows(2) {
             assert!(std::ptr::eq(
@@ -649,13 +658,12 @@ mod tests {
 
     #[test]
     fn shared_bundles_roundtrip_against_one_dictionary() {
-        use crate::blocked::BlockedMatrix;
         let csrv = sample();
         let order: Vec<u32> = (0..7).rev().collect();
         for enc in Encoding::ALL {
-            let bm = BlockedMatrix::compress(&csrv, enc, 3);
-            let full = bundle_to_bytes(bm.blocks(), Some(&order));
-            let shared = bundle_to_bytes_shared(bm.blocks(), Some(&order));
+            let written = compressed_blocks(&csrv, enc, 3);
+            let full = bundle_to_bytes(&written, Some(&order));
+            let shared = bundle_to_bytes_shared(&written, Some(&order));
             assert_eq!(full.len() - shared.len(), csrv.values().len() * 8);
             // The byte-level transcode matches the dictionary-free writer.
             let (values, stripped) = split_bundle_dictionary(&full).unwrap();
@@ -664,7 +672,7 @@ mod tests {
             let dict = Arc::new(values);
             let (blocks, back_order) = bundle_from_bytes_shared(&shared, &dict).unwrap();
             assert_eq!(back_order.as_deref(), Some(&order[..]));
-            for (b, orig) in blocks.iter().zip(bm.blocks()) {
+            for (b, orig) in blocks.iter().zip(&written) {
                 assert!(Arc::ptr_eq(b.values_arc(), &dict));
                 assert_eq!(b.decompress_symbols(), orig.decompress_symbols());
             }

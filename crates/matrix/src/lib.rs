@@ -11,16 +11,14 @@
 //!   row. `S` is materialised as `u32` symbols (`$` = 0, pair = `1 + ℓ·m + j`,
 //!   §4) — exactly the alphabet later fed to the RePair compressor;
 //! * [`RowBlocks`] — the row-block partitioning used by the multi-threaded
-//!   algorithms (§4.1), with all blocks sharing one value dictionary;
-//! * [`ParallelCsrv`] — row-block parallel CSRV multiplication on the
-//!   persistent thread pool (the paper's `csrv 16 threads` baseline).
+//!   algorithms (§4.1), with all blocks sharing one value dictionary
+//!   (`gcm-serve`'s `ShardedModel` multiplies them, one pool task per
+//!   block).
 //!
 //! The [`MatVec`] trait is the repo-wide execution layer: its `*_into`
 //! methods draw every scratch buffer from a caller-owned [`Workspace`]
 //! (zero steady-state allocation) and its `*_multiply_matrix*` methods
 //! compute batched multi-vector products `Y = M·X` / `X = Mᵗ·B`.
-//! Parallel backends multiply on the persistent scoped pool of the
-//! vendored `rayon` stand-in instead of spawning threads per call.
 
 pub mod block;
 pub mod csr;
@@ -30,7 +28,6 @@ pub mod dict;
 pub mod error;
 pub mod io;
 pub mod matvec;
-pub mod parcsrv;
 pub mod workspace;
 
 pub use block::RowBlocks;
@@ -40,5 +37,4 @@ pub use dense::DenseMatrix;
 pub use dict::ValueDict;
 pub use error::MatrixError;
 pub use matvec::MatVec;
-pub use parcsrv::ParallelCsrv;
 pub use workspace::Workspace;

@@ -71,9 +71,9 @@ pub(crate) fn order_from_csm(csm: &Csm, algo: ReorderAlgorithm, k: usize) -> Vec
 }
 
 /// Reordering configuration for **one** row block: the algorithm plus
-/// the CSM settings it runs with. The per-block driver takes one of
-/// these per block, so a caller (the staged build pipeline) can give
-/// every shard its own algorithm or pruning sparsity.
+/// the CSM settings it runs with. The staged build pipeline applies one
+/// of these per shard, so every shard can have its own algorithm or
+/// pruning sparsity.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockReorderConfig {
     /// Reordering algorithm (§5.2).
@@ -106,8 +106,9 @@ impl BlockReorderConfig {
 
 /// Applies `algo` independently to each of `blocks` row blocks (§5.3):
 /// every block is reordered with its own permutation and returned as a
-/// fresh CSRV matrix, ready for per-block compression. Thin wrapper over
-/// [`reorder_blocks_with`] with one uniform configuration.
+/// fresh CSRV matrix, ready for per-block compression. Equivalent to
+/// [`BlockReorderConfig::apply`] with one uniform configuration over
+/// every [`RowBlocks::split`] block, with the permutations dropped.
 pub fn reorder_blocks(
     matrix: &CsrvMatrix,
     blocks: usize,
@@ -124,36 +125,6 @@ pub fn reorder_blocks(
         .into_blocks()
         .iter()
         .map(|block| config.apply(block).0)
-        .collect()
-}
-
-/// The per-block driver (§5.3) with an explicit configuration per block:
-/// `configs[i]` reorders row block `i`, and the permutation each block
-/// was reordered with is returned alongside it — per-block column orders
-/// are first-class, so callers can persist them as provenance (the
-/// `GCMSERV1` container stores one per shard).
-///
-/// # Panics
-/// Panics if `configs.len()` differs from the number of row blocks the
-/// split produces (`RowBlocks::split(matrix, configs.len())` block
-/// count — equal to `configs.len()` clamped to the row count).
-pub fn reorder_blocks_with(
-    matrix: &CsrvMatrix,
-    configs: &[BlockReorderConfig],
-) -> Vec<(CsrvMatrix, Vec<usize>)> {
-    let parts = RowBlocks::split(matrix, configs.len().max(1));
-    assert_eq!(
-        parts.len(),
-        configs.len(),
-        "one config per block required (got {} configs for {} blocks)",
-        configs.len(),
-        parts.len()
-    );
-    parts
-        .into_blocks()
-        .iter()
-        .zip(configs)
-        .map(|(block, config)| config.apply(block))
         .collect()
 }
 
@@ -249,11 +220,11 @@ mod tests {
             BlockReorderConfig::new(ReorderAlgorithm::PathCoverPlus),
             BlockReorderConfig::new(ReorderAlgorithm::Lkh),
         ];
-        let out = reorder_blocks_with(&csrv, &configs);
-        assert_eq!(out.len(), 4);
         let originals = RowBlocks::split(&csrv, 4);
-        for ((block, order), original) in out.iter().zip(originals.blocks()) {
-            assert_permutation(order, 6);
+        assert_eq!(originals.len(), 4);
+        for (config, original) in configs.iter().zip(originals.blocks()) {
+            let (block, order) = config.apply(original);
+            assert_permutation(&order, 6);
             // Reordering never changes the block's content.
             assert_eq!(block.to_dense(), original.to_dense());
         }

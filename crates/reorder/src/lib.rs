@@ -26,7 +26,5 @@ pub mod rowlocal;
 pub mod tsp;
 
 pub use csm::{Csm, CsmConfig, SimilarityGraph};
-pub use driver::{
-    reorder_blocks, reorder_blocks_with, reorder_columns, BlockReorderConfig, ReorderAlgorithm,
-};
+pub use driver::{reorder_blocks, reorder_columns, BlockReorderConfig, ReorderAlgorithm};
 pub use rowlocal::{canonical_row_order, frequency_row_order};

@@ -1,17 +1,19 @@
-//! Property-based tests of the per-block reordering driver (§5.3):
+//! Property-based tests of per-block reordering (§5.3), the way the
+//! build pipeline runs it: [`BlockReorderConfig::apply`] on every
+//! [`RowBlocks::split`] block.
 //!
-//! * every permutation `reorder_blocks_with` returns is a valid
-//!   permutation of the columns, for every algorithm and any matrix;
+//! * every permutation `apply` returns is a valid permutation of the
+//!   columns, for every algorithm and any matrix;
 //! * reordering never changes a block's content (CSRV pairs keep their
 //!   original column indices), so the reassembled blocks equal the
 //!   original matrix row range for row range;
-//! * the per-block driver with one uniform config agrees with the
-//!   classic `reorder_blocks` wrapper.
+//! * `apply` with one uniform config agrees with the `reorder_blocks`
+//!   wrapper.
 
 use proptest::prelude::*;
 
 use gcm_matrix::{CsrvMatrix, DenseMatrix, RowBlocks};
-use gcm_reorder::{reorder_blocks, reorder_blocks_with, BlockReorderConfig, ReorderAlgorithm};
+use gcm_reorder::{reorder_blocks, BlockReorderConfig, ReorderAlgorithm};
 
 /// Random small dense matrices: value 0 (zero entry) or a handful of
 /// repeated magnitudes, so reordering has correlations to chew on.
@@ -41,6 +43,21 @@ fn algos() -> impl Strategy<Value = ReorderAlgorithm> {
     ]
 }
 
+/// `matrix` split into `blocks` row blocks, each reordered by
+/// `BlockReorderConfig::new(algo)`, with its permutation.
+fn reorder_each_block(
+    matrix: &CsrvMatrix,
+    blocks: usize,
+    algo: ReorderAlgorithm,
+) -> Vec<(CsrvMatrix, Vec<usize>)> {
+    let config = BlockReorderConfig::new(algo);
+    RowBlocks::split(matrix, blocks)
+        .blocks()
+        .iter()
+        .map(|block| config.apply(block))
+        .collect()
+}
+
 fn check_permutation(order: &[usize], cols: usize) -> Result<(), TestCaseError> {
     prop_assert_eq!(order.len(), cols);
     let mut seen = vec![false; cols];
@@ -63,8 +80,7 @@ proptest! {
     ) {
         let csrv = CsrvMatrix::from_dense(&dense).expect("csrv");
         let n_blocks = RowBlocks::split(&csrv, blocks).len();
-        let configs = vec![BlockReorderConfig::new(algo); n_blocks];
-        let reordered = reorder_blocks_with(&csrv, &configs);
+        let reordered = reorder_each_block(&csrv, blocks, algo);
         prop_assert_eq!(reordered.len(), n_blocks);
         for (_, order) in &reordered {
             check_permutation(order, dense.cols())?;
@@ -79,8 +95,7 @@ proptest! {
     ) {
         let csrv = CsrvMatrix::from_dense(&dense).expect("csrv");
         let originals = RowBlocks::split(&csrv, blocks);
-        let configs = vec![BlockReorderConfig::new(algo); originals.len()];
-        let reordered = reorder_blocks_with(&csrv, &configs);
+        let reordered = reorder_each_block(&csrv, blocks, algo);
         let mut rows = 0usize;
         for ((block, _), original) in reordered.iter().zip(originals.blocks()) {
             prop_assert_eq!(block.to_dense(), original.to_dense());
@@ -104,8 +119,7 @@ proptest! {
             gcm_reorder::CsmConfig::exact(),
             8,
         );
-        let configs = vec![BlockReorderConfig::new(algo); via_wrapper.len()];
-        let via_configs = reorder_blocks_with(&csrv, &configs);
+        let via_configs = reorder_each_block(&csrv, blocks, algo);
         prop_assert_eq!(via_wrapper.len(), via_configs.len());
         for (a, (b, _)) in via_wrapper.iter().zip(&via_configs) {
             prop_assert_eq!(a.symbols(), b.symbols());

@@ -891,9 +891,9 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
         ));
     }
     if data.len() >= 8 && &data[..8] == b"GCMMAT2\0" {
-        // A multi-block bundle (a `BlockedMatrix`) loads as one shard
-        // per block; the bundle guarantees at least one block and one
-        // column count for all of them.
+        // A multi-block bundle (the row blocks of one matrix) loads as
+        // one shard per block; the bundle guarantees at least one block
+        // and one column count for all of them.
         let (blocks, order) =
             serial::bundle_from_bytes(data).ok_or_else(|| corrupt("invalid GCMMAT2 payload"))?;
         let cols = blocks[0].cols();

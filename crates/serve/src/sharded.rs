@@ -388,13 +388,19 @@ impl ShardedModel {
         )
     }
 
-    /// Assembles a sharded model from per-shard models that share one
-    /// column order (row offsets are cumulative in order). Used by the
-    /// bare `GCMMAT1`/`GCMMAT2` container compatibility path and tests.
+    /// Assembles a sharded model from per-shard models, in row order
+    /// (each shard's row offset is the sum of the rows before it), all
+    /// tagged with one column order as provenance. This is the §4.1
+    /// row-block scheme over blocks the caller built: for instance
+    /// [`gcm_matrix::RowBlocks::split`] blocks, each compressed or
+    /// column-reordered on its own (§5.3). A per-block reordering needs
+    /// no `col_order`, because CSRV pairs keep their original column
+    /// indices. The bare `GCMMAT1`/`GCMMAT2` container path loads
+    /// through it too.
     ///
     /// # Panics
     /// Panics if a shard disagrees on the column count.
-    pub(crate) fn from_parts(models: Vec<Model>, cols: usize, col_order: Option<Vec<u32>>) -> Self {
+    pub fn from_parts(models: Vec<Model>, cols: usize, col_order: Option<Vec<u32>>) -> Self {
         Self::from_shards(
             models
                 .into_iter()
@@ -935,25 +941,29 @@ mod tests {
         let mut x_ref = vec![0.0; 9];
         dense.right_multiply(&x, &mut y_ref).unwrap();
         dense.left_multiply(&yv, &mut x_ref).unwrap();
-        for backend in Backend::ALL {
-            for shards in [1usize, 2, 3, 7] {
+        let kinds = std::iter::once((Backend::Csrv, Encoding::ReAns))
+            .chain(Encoding::ALL.map(|enc| (Backend::Compressed, enc)));
+        for (backend, encoding) in kinds {
+            for shards in [1usize, 2, 3, 4, 7, 8] {
                 let opts = BuildOptions {
                     backend,
+                    encoding,
                     shards,
                     ..BuildOptions::default()
                 };
                 let model = ShardedModel::from_dense(&dense, &opts).unwrap();
+                let name = format!("{} {} s={shards}", backend.name(), encoding.name());
                 assert_eq!(model.num_shards(), shards);
                 assert_eq!(model.rows(), 83);
                 let mut y = vec![0.0; 83];
                 model.right_multiply_panel(1, &x, &mut y).unwrap();
                 for (a, b) in y.iter().zip(&y_ref) {
-                    assert!((a - b).abs() < 1e-9, "{} s={shards} right", backend.name());
+                    assert!((a - b).abs() < 1e-9, "{name} right");
                 }
                 let mut xo = vec![0.0; 9];
                 model.left_multiply_panel(1, &yv, &mut xo).unwrap();
                 for (a, b) in xo.iter().zip(&x_ref) {
-                    assert!((a - b).abs() < 1e-9, "{} s={shards} left", backend.name());
+                    assert!((a - b).abs() < 1e-9, "{name} left");
                 }
             }
         }
@@ -1268,21 +1278,49 @@ mod tests {
         }
     }
 
+    /// The shards of one build share the value dictionary `V`, and
+    /// `stored_bytes` counts it once: splitting can lose sharing in
+    /// `C`/`R`, never duplicate `V`.
+    #[test]
+    fn stored_bytes_count_a_shared_dictionary_once() {
+        let dense = sample(64, 8);
+        let build = |shards| {
+            let opts = BuildOptions {
+                encoding: Encoding::Re32,
+                shards,
+                ..BuildOptions::default()
+            };
+            ShardedModel::from_dense(&dense, &opts).unwrap()
+        };
+        let (one, many) = (build(1), build(8));
+        assert_eq!(many.num_shards(), 8);
+        let v_bytes = one.shard_model(0).dictionary().unwrap().len() * 8;
+        let per_shard: usize = (0..8)
+            .map(|i| many.shard_model(i).stored_bytes() - v_bytes)
+            .sum();
+        assert_eq!(many.stored_bytes(), per_shard + v_bytes);
+        assert!(one.stored_bytes() >= v_bytes);
+        assert!(many.stored_bytes() < 4 * one.stored_bytes());
+    }
+
     #[test]
     fn dimension_checks() {
         let dense = sample(10, 4);
-        let model = ShardedModel::from_dense(
-            &dense,
-            &BuildOptions {
-                shards: 2,
-                ..BuildOptions::default()
-            },
-        )
-        .unwrap();
-        let mut y = vec![0.0; 10];
-        assert!(model.right_multiply_panel(1, &[0.0; 3], &mut y).is_err());
-        let mut x = vec![0.0; 4];
-        assert!(model.left_multiply_panel(1, &[0.0; 9], &mut x).is_err());
+        for backend in Backend::ALL {
+            let model = ShardedModel::from_dense(
+                &dense,
+                &BuildOptions {
+                    backend,
+                    shards: 2,
+                    ..BuildOptions::default()
+                },
+            )
+            .unwrap();
+            let mut y = vec![0.0; 10];
+            assert!(model.right_multiply_panel(1, &[0.0; 3], &mut y).is_err());
+            let mut x = vec![0.0; 4];
+            assert!(model.left_multiply_panel(1, &[0.0; 9], &mut x).is_err());
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! `from_bytes_sequential`.
 
 use gcm_bench::{alloc, TrackingAlloc};
-use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding};
+use gcm_core::{CompressedMatrix, Encoding};
 use gcm_encodings::varint;
-use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec};
+use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, RowBlocks};
 use gcm_serve::container::{self, fnv1a64};
 use gcm_serve::{Backend, BuildOptions, ServeError, ServeOptions, ShardTable, ShardedModel};
 
@@ -249,6 +249,16 @@ fn legacy_sample() -> CsrvMatrix {
     CsrvMatrix::from_dense(&dense).unwrap()
 }
 
+/// [`legacy_sample`] split into `b` row blocks, each compressed with
+/// `re_ans` — the block list a multi-block `GCMMAT2` bundle persists.
+fn legacy_blocks(b: usize) -> Vec<CompressedMatrix> {
+    RowBlocks::split(&legacy_sample(), b)
+        .blocks()
+        .iter()
+        .map(|block| CompressedMatrix::compress(block, Encoding::ReAns))
+        .collect()
+}
+
 /// Containers of the retired in-shard row-block backends — tag 1
 /// (`parcsrv`) and tag 3 (`blocked`) — are refused at the tag with a
 /// named error that points at the replacement, behind a valid checksum
@@ -256,8 +266,7 @@ fn legacy_sample() -> CsrvMatrix {
 #[test]
 fn retired_backend_tags_are_rejected_by_name() {
     // What a `blocked` shard payload looked like: a multi-block bundle.
-    let blocked = BlockedMatrix::compress(&legacy_sample(), Encoding::ReAns, 2);
-    let payload = gcm_core::serial::bundle_to_bytes(blocked.blocks(), None);
+    let payload = gcm_core::serial::bundle_to_bytes(&legacy_blocks(2), None);
     for (tag, name) in [(1u8, "parcsrv"), (3, "blocked")] {
         for forged in [
             forge(26, 7, tag, &[(payload.len() as u64, &payload)]),
@@ -283,33 +292,47 @@ fn retired_backend_tags_are_rejected_by_name() {
     }
 }
 
-/// A bare multi-block `GCMMAT2` payload (a serialised `BlockedMatrix`
+/// A bare multi-block `GCMMAT2` payload (the row blocks of one matrix
 /// plus its column order) loads as one compressed shard per block, each
 /// carrying the bundle's order, and multiplies bit-identically to the
-/// `BlockedMatrix` streaming kernels.
+/// blocks' own streaming kernels: the right product block by block, the
+/// left product as the sum of the block partials in row order (§4.1).
 #[test]
 fn bare_multi_block_bundles_load_as_one_shard_per_block() {
-    let blocked = BlockedMatrix::compress(&legacy_sample(), Encoding::ReAns, 3);
+    let blocks = legacy_blocks(3);
     let order: Vec<u32> = (0..7).rev().collect();
-    let bytes = gcm_core::serial::bundle_to_bytes(blocked.blocks(), Some(&order));
+    let bytes = gcm_core::serial::bundle_to_bytes(&blocks, Some(&order));
     let model = load_both(&bytes).expect("bare GCMMAT2 loads");
     assert_eq!(model.backend(), Backend::Compressed);
     assert_eq!(model.num_shards(), 3);
-    for (i, block) in blocked.blocks().iter().enumerate() {
+    for (i, block) in blocks.iter().enumerate() {
         assert_eq!(model.shard_rows(i), block.rows());
         assert_eq!(model.shard_col_order(i), Some(&order[..]));
     }
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let x: Vec<f64> = (0..7).map(|j| j as f64 * 0.75 - 2.0).collect();
-    let (mut y_blocked, mut y_model) = (vec![0.0; 26], vec![0.0; 26]);
-    blocked.right_multiply(&x, &mut y_blocked).unwrap();
-    model.right_multiply_panel(1, &x, &mut y_model).unwrap();
-    assert_eq!(bits(&y_blocked), bits(&y_model), "right");
     let y: Vec<f64> = (0..26).map(|i| (i % 5) as f64 - 1.5).collect();
-    let (mut x_blocked, mut x_model) = (vec![0.0; 7], vec![0.0; 7]);
-    blocked.left_multiply(&y, &mut x_blocked).unwrap();
+    let (mut y_blocks, mut x_blocks) = (Vec::new(), vec![0.0; 7]);
+    let mut offset = 0;
+    for block in &blocks {
+        let mut y_part = vec![0.0; block.rows()];
+        block.right_multiply(&x, &mut y_part).unwrap();
+        y_blocks.extend(y_part);
+        let mut x_part = vec![0.0; 7];
+        block
+            .left_multiply(&y[offset..offset + block.rows()], &mut x_part)
+            .unwrap();
+        for (acc, p) in x_blocks.iter_mut().zip(&x_part) {
+            *acc += p;
+        }
+        offset += block.rows();
+    }
+    let mut y_model = vec![0.0; 26];
+    model.right_multiply_panel(1, &x, &mut y_model).unwrap();
+    assert_eq!(bits(&y_blocks), bits(&y_model), "right");
+    let mut x_model = vec![0.0; 7];
     model.left_multiply_panel(1, &y, &mut x_model).unwrap();
-    assert_eq!(bits(&x_blocked), bits(&x_model), "left");
+    assert_eq!(bits(&x_blocks), bits(&x_model), "left");
 }
 
 /// Forged `re_fse` shard payloads behind a **valid checksum**: truncated

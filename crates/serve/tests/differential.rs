@@ -3,8 +3,9 @@
 //! One oracle (dense), one grid of matrix shapes (empty, zero-row, 1×1,
 //! single row, single column, fully dense, sparse, clustered), and
 //! **every** multiplication surface of **every** backend — CSR, CSRV,
-//! parallel CSRV, the three compressed encodings, blocked, and the
-//! sharded serve engine — must agree with the oracle to 1e-9:
+//! every compressed encoding, and the sharded serve engine (plain,
+//! reloaded and per-shard-reordered row shards over both backends) —
+//! must agree with the oracle to 1e-9:
 //!
 //! * `right_multiply` / `left_multiply` (allocating wrappers),
 //! * `right_multiply_into` / `left_multiply_into` (one shared workspace
@@ -19,8 +20,8 @@
 //! drifts from the shared `MatVec` semantics fails here with a name
 //! attached.
 
-use gcm_core::{BlockedMatrix, CompressedMatrix, Encoding};
-use gcm_matrix::{CsrMatrix, CsrvMatrix, DenseMatrix, MatVec, ParallelCsrv, Workspace};
+use gcm_core::{CompressedMatrix, Encoding};
+use gcm_matrix::{CsrMatrix, CsrvMatrix, DenseMatrix, MatVec, Workspace};
 use gcm_serve::{Backend, BuildOptions, ReorderMode, ServeOptions, ShardedModel};
 
 const TOL: f64 = 1e-9;
@@ -91,11 +92,6 @@ fn backends(dense: &DenseMatrix) -> Vec<(String, Box<dyn MatVec>)> {
     let mut out: Vec<(String, Box<dyn MatVec>)> = vec![
         ("csr".into(), Box::new(CsrMatrix::from_dense(dense))),
         ("csrv".into(), Box::new(csrv.clone())),
-        ("parcsrv-3".into(), Box::new(ParallelCsrv::split(&csrv, 3))),
-        (
-            "blocked-re_iv-4".into(),
-            Box::new(BlockedMatrix::compress(&csrv, Encoding::ReIv, 4)),
-        ),
     ];
     for enc in Encoding::ALL {
         out.push((

@@ -77,14 +77,19 @@ fn main() {
         );
     }
 
-    println!("-- 8 row blocks / threads (§4.1) ------------------------------");
+    println!("-- 8 row shards, one pool task each (§4.1) --------------------");
     for enc in Encoding::ALL {
-        let bm = BlockedMatrix::compress(&csrv, enc, 8);
+        let opts = BuildOptions {
+            encoding: enc,
+            shards: 8,
+            ..BuildOptions::default()
+        };
+        let model = ShardedModel::from_csrv(&csrv, &opts).expect("build");
         run(
             &format!("{} x8", enc.name()),
-            &bm,
+            &model,
             iters,
-            bm.stored_bytes(),
+            model.stored_bytes(),
             dense_bytes,
             &mut ws,
         );

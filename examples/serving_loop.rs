@@ -73,11 +73,18 @@ fn main() {
         );
     }
 
-    // --- Pattern 3: row-block parallelism composes with batching. ------
-    // BlockedMatrix multiplies on the persistent pool — no threads are
-    // spawned inside the serving loop.
-    let blocked = BlockedMatrix::compress(&csrv, Encoding::ReAns, 4);
+    // --- Pattern 3: row shards compose with batching. -----------------
+    // A ShardedModel multiplies its shards on the persistent pool — no
+    // threads are spawned inside the serving loop — and each shard owns
+    // its workspace, which `prewarm` sizes before the first request.
+    let opts = BuildOptions {
+        encoding: Encoding::ReAns,
+        shards: 4,
+        ..BuildOptions::default()
+    };
+    let sharded = ShardedModel::from_csrv(&csrv, &opts).expect("build shards");
     let k = 8;
+    sharded.prewarm(k);
     let mut batch = DenseMatrix::zeros(cols, k);
     for i in 0..cols {
         for j in 0..k {
@@ -85,18 +92,14 @@ fn main() {
         }
     }
     let mut out = DenseMatrix::zeros(rows, k);
-    blocked
-        .right_multiply_matrix_into(&batch, &mut out, &mut ws)
-        .expect("warm-up builds the pool");
     let t = Instant::now();
     for _ in 0..25 {
-        blocked
-            .right_multiply_matrix_into(&batch, &mut out, &mut ws)
-            .expect("serve blocked batch");
+        sharded
+            .right_multiply_batch(&batch, &mut out)
+            .expect("serve sharded batch");
     }
     println!(
-        "blocked x batched (4 blocks, k=8): {:.1} µs/request, workspace retains {} bytes",
-        t.elapsed().as_secs_f64() / (25 * k) as f64 * 1e6,
-        ws.retained_bytes()
+        "sharded x batched (4 shards, k=8): {:.1} µs/request",
+        t.elapsed().as_secs_f64() / (25 * k) as f64 * 1e6
     );
 }

@@ -71,13 +71,13 @@ pub mod prelude {
     pub use gcm_baselines::ClaMatrix;
     pub use gcm_core::{
         conjugate_gradient_into, pagerank_into, power_iterations, power_iterations_into,
-        validate_sparse_x, BlockedMatrix, CompressedMatrix, Encoding, FastDiv, IterationStats,
-        KernelPlan, SolveStats, SolverWorkspace, SparseStrategy,
+        validate_sparse_x, CompressedMatrix, Encoding, FastDiv, IterationStats, KernelPlan,
+        SolveStats, SolverWorkspace, SparseStrategy,
     };
     pub use gcm_datagen::Dataset;
     pub use gcm_encodings::HeapSize;
     pub use gcm_matrix::{
-        CsrMatrix, CsrvMatrix, DenseMatrix, MatVec, MatrixError, ParallelCsrv, RowBlocks, Workspace,
+        CsrMatrix, CsrvMatrix, DenseMatrix, MatVec, MatrixError, RowBlocks, Workspace,
     };
     pub use gcm_pipeline::{
         BuildArtifacts, BuildConfig, EncodingChoice, GrammarChoice, GrammarStage, Pipeline,

@@ -1,8 +1,10 @@
 //! Cross-crate integration tests: dataset generation → CSRV → grammar
 //! compression → compressed-domain multiplication, validated against the
-//! dense reference, including the blocked/threaded and reordered pipelines.
+//! dense reference, including the row-sharded (§4.1) and per-shard
+//! reordered (§5.3) pipelines.
 
 use mm_repair::prelude::*;
+use mm_repair::serve::Model;
 
 fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
@@ -54,8 +56,14 @@ fn blocked_parallel_pipeline_matches_dense() {
     let x0 = vec![1.0; dense.cols()];
     let reference = power_iterations(&dense, &x0, 10).unwrap();
     for threads in [1usize, 2, 4, 8] {
-        let bm = BlockedMatrix::compress(&csrv, Encoding::ReAns, threads);
-        let got = power_iterations(&bm, &x0, 10).unwrap();
+        let opts = BuildOptions {
+            encoding: Encoding::ReAns,
+            shards: threads,
+            ..BuildOptions::default()
+        };
+        let model = ShardedModel::from_csrv(&csrv, &opts).unwrap();
+        assert_eq!(model.num_shards(), threads);
+        let got = power_iterations(&model, &x0, 10).unwrap();
         assert_close(&reference.x, &got.x, &format!("{threads} threads"));
     }
 }
@@ -69,12 +77,15 @@ fn reordered_blocked_pipeline_matches_dense() {
 
     for algo in [ReorderAlgorithm::PathCover, ReorderAlgorithm::Mwm] {
         let blocks = reorder_blocks(&csrv, 4, algo, CsmConfig::default(), 8);
-        let compressed: Vec<CompressedMatrix> = blocks
+        let models = blocks
             .iter()
-            .map(|b| CompressedMatrix::compress(b, Encoding::ReIv))
+            .map(|b| Model::Compressed(CompressedMatrix::compress(b, Encoding::ReIv)))
             .collect();
-        let bm = BlockedMatrix::from_blocks(compressed, dense.cols());
-        let got = power_iterations(&bm, &x0, 8).unwrap();
+        // Each shard keeps its own column order implicitly: CSRV pairs
+        // keep their original column indices.
+        let model = ShardedModel::from_parts(models, dense.cols(), None);
+        assert_eq!(model.num_shards(), 4);
+        let got = power_iterations(&model, &x0, 8).unwrap();
         assert_close(&reference.x, &got.x, algo.name());
     }
 }
@@ -149,10 +160,19 @@ fn grammar_beats_cla_on_census_like_data() {
 
 /// End-to-end batched serving loop: `Y = M·X` through the execution layer
 /// (one grammar traversal per batch, scratch from a reused workspace)
-/// equals the dense reference for every dataset × encoding, including the
-/// blocked backend and the parallel CSRV baseline.
+/// equals the dense reference for every dataset × encoding, including
+/// row shards over the grammar and the CSRV backends.
 #[test]
 fn batched_serving_loop_matches_dense() {
+    let sharded = |csrv: &CsrvMatrix, backend, encoding| {
+        let opts = BuildOptions {
+            backend,
+            encoding,
+            shards: 4,
+            ..BuildOptions::default()
+        };
+        ShardedModel::from_csrv(csrv, &opts).unwrap()
+    };
     let k = 6;
     for ds in [Dataset::Census, Dataset::Covtype] {
         let dense = ds.generate(250, 7);
@@ -168,7 +188,10 @@ fn batched_serving_loop_matches_dense() {
         let mut ws = Workspace::new();
         let backends: Vec<(&str, Box<dyn MatVec>)> = vec![
             ("csrv", Box::new(csrv.clone())),
-            ("parcsrv", Box::new(ParallelCsrv::split(&csrv, 4))),
+            (
+                "sharded-csrv-4",
+                Box::new(sharded(&csrv, Backend::Csrv, Encoding::ReIv)),
+            ),
             (
                 "re_32",
                 Box::new(CompressedMatrix::compress(&csrv, Encoding::Re32)),
@@ -182,8 +205,8 @@ fn batched_serving_loop_matches_dense() {
                 Box::new(CompressedMatrix::compress(&csrv, Encoding::ReAns)),
             ),
             (
-                "blocked",
-                Box::new(BlockedMatrix::compress(&csrv, Encoding::ReIv, 4)),
+                "sharded-re_iv-4",
+                Box::new(sharded(&csrv, Backend::Compressed, Encoding::ReIv)),
             ),
         ];
         for (name, m) in &backends {

@@ -92,13 +92,18 @@ proptest! {
     #[test]
     fn blocked_equals_unblocked(m in matrix_strategy(), blocks in 1usize..6) {
         let csrv = CsrvMatrix::from_dense(&m).unwrap();
-        let bm = BlockedMatrix::compress(&csrv, Encoding::ReIv, blocks);
+        let opts = BuildOptions {
+            encoding: Encoding::ReIv,
+            shards: blocks,
+            ..BuildOptions::default()
+        };
+        let sharded = ShardedModel::from_csrv(&csrv, &opts).unwrap();
         let cm = CompressedMatrix::compress(&csrv, Encoding::ReIv);
         let x: Vec<f64> = (0..m.cols()).map(|i| (i as f64) * 0.25).collect();
         let mut y_a = vec![0.0; m.rows()];
         let mut y_b = vec![0.0; m.rows()];
         cm.right_multiply(&x, &mut y_a).unwrap();
-        bm.right_multiply(&x, &mut y_b).unwrap();
+        sharded.right_multiply(&x, &mut y_b).unwrap();
         for (a, b) in y_a.iter().zip(&y_b) {
             prop_assert!((a - b).abs() < 1e-9);
         }
