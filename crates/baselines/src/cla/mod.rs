@@ -16,10 +16,11 @@
 //!    product per tuple and scatters it to the tuple's rows; left
 //!    multiplication aggregates `y` per tuple and scatters to columns.
 //!
-//! Differences from Apache SystemDS's implementation are documented in
-//! DESIGN.md: offset lists are plain `u32` (not segmented `u16`), and the
-//! greedy grouping is deterministic. Neither changes the asymptotics nor
-//! the comparison the paper draws (compression ratio and MVM speed).
+//! Two differences from Apache SystemDS's implementation: offset lists are
+//! plain `u32` (not segmented `u16`), which keeps every row id one load
+//! away, and the greedy grouping is deterministic, so sizes reproduce
+//! run to run. Neither changes the asymptotics nor the comparison the
+//! paper draws (compression ratio and MVM speed).
 
 pub mod encoding;
 pub mod grouping;

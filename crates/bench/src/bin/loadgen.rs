@@ -13,17 +13,90 @@
 //!         --addr HOST:PORT [--model NAME] [--connections C]
 //!         [--rps R] [--duration S] [--left] [--allow-overload]`
 //!
-//! Exits non-zero on any transport error or non-OK response
-//! (`--allow-overload` downgrades `overloaded` sheds to a counted,
-//! accepted outcome — the flag for deliberate overload runs).
+//! A bad command line (an unparsable or zero `--connections`, `--rps` or
+//! `--duration`, an unknown flag, no `--addr`) exits 2 with the usage
+//! line and the flag's name. Exits non-zero on any transport error or
+//! non-OK response (`--allow-overload` downgrades `overloaded` sheds to
+//! a counted, accepted outcome — the flag for deliberate overload runs).
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gcm_bench::report::arg_value;
 use gcm_serve::protocol::{status, Client, Direction};
+
+const USAGE: &str = "usage: loadgen --addr HOST:PORT [--model NAME] [--connections C] \
+                     [--rps R] [--duration S] [--left] [--allow-overload]";
+
+/// The parsed command line.
+#[derive(Debug, Clone, PartialEq)]
+struct LoadgenArgs {
+    addr: String,
+    model: String,
+    /// Persistent connections, one thread each (default 64).
+    connections: usize,
+    /// Total requests per second across connections; `None` = closed
+    /// loop (the default).
+    rps: Option<f64>,
+    /// Seconds to drive load (default 5).
+    duration_s: f64,
+    left: bool,
+    allow_overload: bool,
+}
+
+/// Parses the loadgen flags from `args` (the program name excluded).
+///
+/// # Errors
+/// Names the offending flag for an unknown argument, a missing
+/// `--addr`, a missing or unparsable value, a zero `--connections`, or
+/// an `--rps` or `--duration` that is not finite and positive.
+fn parse_args(args: &[String]) -> Result<LoadgenArgs, String> {
+    let mut addr = None;
+    let mut parsed = LoadgenArgs {
+        addr: String::new(),
+        model: "m".to_string(),
+        connections: 64,
+        rps: None,
+        duration_s: 5.0,
+        left: false,
+        allow_overload: false,
+    };
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--left" => parsed.left = true,
+            "--allow-overload" => parsed.allow_overload = true,
+            "--addr" | "--model" | "--connections" | "--rps" | "--duration" => {
+                let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                let invalid = |what: &str| format!("{flag} must be {what}, got `{value}`");
+                let positive = || {
+                    value
+                        .parse()
+                        .ok()
+                        .filter(|v: &f64| v.is_finite() && *v > 0.0)
+                        .ok_or_else(|| invalid("a finite number above 0"))
+                };
+                match flag.as_str() {
+                    "--addr" => addr = Some(value.clone()),
+                    "--model" => parsed.model = value.clone(),
+                    "--connections" => {
+                        parsed.connections = value
+                            .parse()
+                            .ok()
+                            .filter(|&n: &usize| n > 0)
+                            .ok_or_else(|| invalid("a whole number above 0"))?;
+                    }
+                    "--rps" => parsed.rps = Some(positive()?),
+                    _ => parsed.duration_s = positive()?,
+                }
+            }
+            _ => return Err(format!("unknown argument `{flag}`")),
+        }
+    }
+    parsed.addr = addr.ok_or("--addr is required")?;
+    Ok(parsed)
+}
 
 /// One connection's tallies.
 #[derive(Default)]
@@ -91,26 +164,23 @@ fn scrape_mean_width(stats: &str, model: &str) -> Option<f64> {
 }
 
 fn main() -> ExitCode {
-    let Some(addr) = arg_value("--addr") else {
-        eprintln!(
-            "usage: loadgen --addr HOST:PORT [--model NAME] [--connections C] \
-             [--rps R] [--duration S] [--left] [--allow-overload]"
-        );
-        return ExitCode::FAILURE;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let LoadgenArgs {
+        addr,
+        model,
+        connections,
+        rps,
+        duration_s,
+        left,
+        allow_overload,
+    } = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
     };
-    let model = arg_value("--model").unwrap_or_else(|| "m".to_string());
-    let connections: usize = arg_value("--connections")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
-        .max(1);
-    let rps: f64 = arg_value("--rps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    let duration_s: f64 = arg_value("--duration")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5.0);
-    let left = std::env::args().any(|a| a == "--left");
-    let allow_overload = std::env::args().any(|a| a == "--allow-overload");
     let direction = if left {
         Direction::Left
     } else {
@@ -129,18 +199,14 @@ fn main() -> ExitCode {
         }
     };
     let dim = if left { rows } else { cols };
-    // Total --rps split evenly across connections; 0 = closed loop.
-    let pace = (rps > 0.0).then(|| Duration::from_secs_f64(connections as f64 / rps));
+    // Total --rps split evenly across connections; none = closed loop.
+    let pace = rps.map(|rps| Duration::from_secs_f64(connections as f64 / rps));
 
     println!(
         "loadgen: {addr} model={model} ({rows}x{cols}) direction={} connections={connections} \
          rps={} duration={duration_s}s",
         direction.name(),
-        if rps > 0.0 {
-            format!("{rps}")
-        } else {
-            "closed-loop".to_string()
-        },
+        rps.map_or_else(|| "closed-loop".to_string(), |rps| format!("{rps}")),
     );
 
     let sent_total = Arc::new(AtomicU64::new(0));
@@ -219,4 +285,72 @@ fn main() -> ExitCode {
     }
     println!("loadgen: PASS");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<LoadgenArgs, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flags_parse_with_defaults() {
+        let a = parse(&["--addr", "127.0.0.1:7171"]).unwrap();
+        assert_eq!(
+            a,
+            LoadgenArgs {
+                addr: "127.0.0.1:7171".into(),
+                model: "m".into(),
+                connections: 64,
+                rps: None,
+                duration_s: 5.0,
+                left: false,
+                allow_overload: false,
+            }
+        );
+        let a = parse(&[
+            "--addr",
+            "h:1",
+            "--model",
+            "census",
+            "--connections",
+            "2",
+            "--rps",
+            "500",
+            "--duration",
+            "0.2",
+            "--left",
+            "--allow-overload",
+        ])
+        .unwrap();
+        assert_eq!((a.model.as_str(), a.connections), ("census", 2));
+        assert_eq!((a.rps, a.duration_s), (Some(500.0), 0.2));
+        assert!(a.left && a.allow_overload);
+    }
+
+    #[test]
+    fn bad_values_name_their_flag_instead_of_defaulting() {
+        for (args, flag) in [
+            (
+                &["--addr", "h:1", "--connections", "0"][..],
+                "--connections",
+            ),
+            (&["--addr", "h:1", "--connections", "many"], "--connections"),
+            (&["--addr", "h:1", "--connections", "-3"], "--connections"),
+            (&["--addr", "h:1", "--rps", "0"], "--rps"),
+            (&["--addr", "h:1", "--rps", "fast"], "--rps"),
+            (&["--addr", "h:1", "--rps", "inf"], "--rps"),
+            (&["--addr", "h:1", "--duration", "0"], "--duration"),
+            (&["--addr", "h:1", "--duration", "-1"], "--duration"),
+            (&["--addr", "h:1", "--duration", "NaN"], "--duration"),
+            (&["--addr", "h:1", "--duration"], "--duration"),
+            (&["--model", "m"], "--addr"),
+            (&["--addr", "h:1", "--conections", "2"], "--conections"),
+        ] {
+            let err = parse(args).expect_err(flag);
+            assert!(err.contains(flag), "{args:?}: {err}");
+        }
+    }
 }

@@ -17,15 +17,6 @@ pub fn time_s(secs: f64) -> String {
     }
 }
 
-/// Parses `--flag value` style arguments: returns the value after `flag`.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 /// The flags every table/figure harness takes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HarnessArgs {

@@ -91,20 +91,21 @@ pub fn measure_sharded(model: &ShardedModel, iters: usize) -> MeasuredRun {
 /// `(representation, working space)` bytes of `model`, as documented on
 /// [`measure_sharded`].
 fn row_block_bytes(model: &ShardedModel) -> (usize, usize) {
-    let mut dictionaries: Vec<Arc<Vec<f64>>> = Vec::new();
+    let mut dictionaries: Vec<&Arc<Vec<f64>>> = Vec::new();
     let (mut repr, mut working) = (0, 0);
     for i in 0..model.num_shards() {
-        let (bytes, values, w) = match model.shard_model(i) {
-            Model::Csrv(m) => (m.symbols().len() * 4, m.values_arc(), 0),
+        let shard = model.shard_model(i);
+        let (bytes, w) = match shard {
+            Model::Csrv(m) => (m.symbols().len() * 4, 0),
             Model::Compressed(m) => (
                 m.heap_bytes() - m.values().len() * 8,
-                Arc::clone(m.values_arc()),
                 m.working_bytes_for_batch(1),
             ),
         };
         repr += bytes;
         working += w + model.cols() * 8;
-        if !dictionaries.iter().any(|d| Arc::ptr_eq(d, &values)) {
+        let values = shard.dictionary();
+        if !dictionaries.iter().any(|d| Arc::ptr_eq(d, values)) {
             repr += values.len() * 8;
             dictionaries.push(values);
         }

@@ -83,7 +83,7 @@ impl CompressedMatrix {
         Self {
             rows: csrv.rows(),
             cols: csrv.cols(),
-            values: csrv.values_arc(),
+            values: Arc::clone(csrv.values_arc()),
             first_nt: csrv.terminal_limit(),
             encoding,
             seq,
@@ -161,7 +161,7 @@ impl CompressedMatrix {
         Self {
             rows: csrv.rows(),
             cols: csrv.cols(),
-            values: csrv.values_arc(),
+            values: Arc::clone(csrv.values_arc()),
             first_nt: csrv.terminal_limit(),
             encoding,
             seq,

@@ -376,29 +376,6 @@ pub fn bundle_from_bytes_shared(
     read_bundle(data, Some(values))
 }
 
-/// Splits a bundle with an embedded dictionary into that dictionary and
-/// the equivalent dictionary-free bundle bytes — a byte-level transcode
-/// with no grammar decode. Returns `None` if `data` is not a bundle
-/// with a well-formed header; the stores behind the dictionary are
-/// copied as they are and validated only when the result is decoded.
-pub fn split_bundle_dictionary(data: &[u8]) -> Option<(Vec<f64>, Vec<u8>)> {
-    if data.len() < 9 || !matches!(&data[..8], m if m == MAGIC_V2 || m == MAGIC_V4) {
-        return None;
-    }
-    let mut pos = 9usize;
-    varint::read_u64(data, &mut pos)?; // cols
-    let order_len = varint::read_u64(data, &mut pos)?;
-    let order_bytes = usize::try_from(order_len).ok()?.checked_mul(4)?;
-    pos = pos.checked_add(order_bytes).filter(|&e| e <= data.len())?;
-    let start = pos;
-    let values = read_values(data, &mut pos)?;
-    let mut out = Vec::with_capacity(data.len() - (pos - start) + 1);
-    out.extend_from_slice(&data[..start]);
-    write_values(&mut out, &[]);
-    out.extend_from_slice(&data[pos..]);
-    Some((values, out))
-}
-
 #[allow(clippy::type_complexity)]
 fn read_bundle(
     data: &[u8],
@@ -665,11 +642,7 @@ mod tests {
             let full = bundle_to_bytes(&written, Some(&order));
             let shared = bundle_to_bytes_shared(&written, Some(&order));
             assert_eq!(full.len() - shared.len(), csrv.values().len() * 8);
-            // The byte-level transcode matches the dictionary-free writer.
-            let (values, stripped) = split_bundle_dictionary(&full).unwrap();
-            assert_eq!(values, csrv.values());
-            assert_eq!(stripped, shared, "{}", enc.name());
-            let dict = Arc::new(values);
+            let dict = Arc::new(csrv.values().to_vec());
             let (blocks, back_order) = bundle_from_bytes_shared(&shared, &dict).unwrap();
             assert_eq!(back_order.as_deref(), Some(&order[..]));
             for (b, orig) in blocks.iter().zip(&written) {

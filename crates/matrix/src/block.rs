@@ -27,7 +27,7 @@ impl RowBlocks {
         let rows = matrix.rows();
         let cols = matrix.cols();
         let per_block = rows.div_ceil(b).max(1);
-        let values = matrix.values_arc();
+        let values = std::sync::Arc::clone(matrix.values_arc());
         let symbols = matrix.symbols();
 
         let mut blocks = Vec::new();

@@ -189,9 +189,10 @@ impl CsrvMatrix {
         &self.values
     }
 
-    /// A clone of the shared dictionary handle.
-    pub fn values_arc(&self) -> Arc<Vec<f64>> {
-        Arc::clone(&self.values)
+    /// The shared dictionary handle (row blocks and column reorders of
+    /// one matrix share it; compare with `Arc::ptr_eq`).
+    pub fn values_arc(&self) -> &Arc<Vec<f64>> {
+        &self.values
     }
 
     /// The symbol stream `S` (`|S| = t + n`).

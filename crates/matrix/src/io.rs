@@ -5,6 +5,7 @@
 //! the examples and harnesses self-contained without external parsers.
 
 use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 
 use gcm_encodings::varint;
 
@@ -155,11 +156,24 @@ const CSRV_MAGIC: &[u8; 8] = b"GCMCSRV1";
 /// [`read_csrv_bytes`] validates them fully before handing the symbols
 /// to any multiplication kernel.
 pub fn write_csrv_bytes(m: &CsrvMatrix, out: &mut Vec<u8>) {
+    write_csrv(m, out, true);
+}
+
+/// As [`write_csrv_bytes`], but **dictionary-free**: the `V` section is
+/// written as `|V| = 0`, for a container that stores the matrix's
+/// dictionary once for many sections. Read it back with
+/// [`read_csrv_bytes_shared`] and that same dictionary.
+pub fn write_csrv_bytes_shared(m: &CsrvMatrix, out: &mut Vec<u8>) {
+    write_csrv(m, out, false);
+}
+
+fn write_csrv(m: &CsrvMatrix, out: &mut Vec<u8>, with_values: bool) {
     out.extend_from_slice(CSRV_MAGIC);
     varint::write_u64(out, m.rows() as u64);
     varint::write_u64(out, m.cols() as u64);
-    varint::write_u64(out, m.values().len() as u64);
-    for &v in m.values() {
+    let values = if with_values { m.values() } else { &[] };
+    varint::write_u64(out, values.len() as u64);
+    for &v in values {
         out.extend_from_slice(&v.to_le_bytes());
     }
     varint::write_u64(out, m.symbols().len() as u64);
@@ -176,6 +190,23 @@ pub fn write_csrv_bytes(m: &CsrvMatrix, out: &mut Vec<u8>) {
 /// the separator count must equal the row count. Returns `None` on any
 /// violation.
 pub fn read_csrv_bytes(data: &[u8], pos: &mut usize) -> Option<CsrvMatrix> {
+    read_csrv(data, pos, None)
+}
+
+/// Reads a dictionary-free section ([`write_csrv_bytes_shared`]) against
+/// the dictionary `values` it was written for, advancing `pos`. The
+/// result shares that `Arc`, and its symbols pass the same validation
+/// as [`read_csrv_bytes`] against it. Returns `None` on any violation,
+/// including a section that embeds a dictionary of its own.
+pub fn read_csrv_bytes_shared(
+    data: &[u8],
+    pos: &mut usize,
+    values: &Arc<Vec<f64>>,
+) -> Option<CsrvMatrix> {
+    read_csrv(data, pos, Some(values))
+}
+
+fn read_csrv(data: &[u8], pos: &mut usize, shared: Option<&Arc<Vec<f64>>>) -> Option<CsrvMatrix> {
     if data.len() < *pos + 8 || &data[*pos..*pos + 8] != CSRV_MAGIC {
         return None;
     }
@@ -188,14 +219,22 @@ pub fn read_csrv_bytes(data: &[u8], pos: &mut usize) -> Option<CsrvMatrix> {
         return None;
     }
     let (rows, cols) = (rows as usize, cols as usize);
-    let n_values = varint::read_u64(data, pos)? as usize;
-    let need = n_values.checked_mul(8)?;
+    let n_embedded = varint::read_u64(data, pos)? as usize;
+    let need = n_embedded.checked_mul(8)?;
     let end = pos.checked_add(need).filter(|&e| e <= data.len())?;
-    let values: Vec<f64> = data[*pos..end]
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
+    let values = match shared {
+        None => Arc::new(
+            data[*pos..end]
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+                .collect(),
+        ),
+        // A dictionary-free section declares an empty `V`.
+        Some(_) if n_embedded != 0 => return None,
+        Some(shared) => Arc::clone(shared),
+    };
     *pos = end;
+    let n_values = values.len();
     let n_syms = varint::read_u64(data, pos)? as usize;
     let need = n_syms.checked_mul(4)?;
     pos.checked_add(need).filter(|&e| e <= data.len())?;
@@ -224,12 +263,7 @@ pub fn read_csrv_bytes(data: &[u8], pos: &mut usize) -> Option<CsrvMatrix> {
     if separators != rows {
         return None;
     }
-    Some(CsrvMatrix::from_parts(
-        rows,
-        cols,
-        std::sync::Arc::new(values),
-        symbols,
-    ))
+    Some(CsrvMatrix::from_parts(rows, cols, values, symbols))
 }
 
 #[cfg(test)]
@@ -348,6 +382,30 @@ mod tests {
         assert_eq!(back.symbols(), csrv.symbols());
         assert_eq!(back.values(), csrv.values());
         assert_eq!(back.to_dense(), m);
+    }
+
+    #[test]
+    fn dictionary_free_csrv_bytes_roundtrip_against_the_shared_dictionary() {
+        let m = DenseMatrix::from_rows(&[&[1.5, 0.0, 2.5], &[0.0, 1.5, 0.0]]);
+        let csrv = CsrvMatrix::from_dense(&m).unwrap();
+        let (mut full, mut shared) = (Vec::new(), Vec::new());
+        write_csrv_bytes(&csrv, &mut full);
+        write_csrv_bytes_shared(&csrv, &mut shared);
+        assert_eq!(full.len() - shared.len(), csrv.values().len() * 8);
+        let dict = Arc::clone(csrv.values_arc());
+        let mut pos = 0;
+        let back = read_csrv_bytes_shared(&shared, &mut pos, &dict).expect("roundtrip");
+        assert_eq!(pos, shared.len());
+        assert!(
+            Arc::ptr_eq(back.values_arc(), &dict),
+            "shares the dictionary"
+        );
+        assert_eq!(back.to_dense(), m);
+        // A section embedding its own `V` is not dictionary-free.
+        assert!(read_csrv_bytes_shared(&full, &mut 0, &dict).is_none());
+        // Symbols past a shrunken dictionary are rejected.
+        let short = Arc::new(csrv.values()[..1].to_vec());
+        assert!(read_csrv_bytes_shared(&shared, &mut 0, &short).is_none());
     }
 
     #[test]

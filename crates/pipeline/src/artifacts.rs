@@ -10,31 +10,6 @@ use gcm_reorder::ReorderAlgorithm;
 use crate::backend::Backend;
 use crate::config::GrammarStage;
 
-/// FNV-64 fingerprint of a shard's *input* rows (dimensions, symbol
-/// stream, and values — everything that determines the built shard for
-/// a fixed configuration). Incremental rebuilds compare this against
-/// the fingerprint persisted in the container shard table to decide
-/// which shards actually changed, so build and comparison must share
-/// one definition: this one.
-pub fn shard_fingerprint(csrv: &CsrvMatrix) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut put = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    put(&(csrv.rows() as u64).to_le_bytes());
-    put(&(csrv.cols() as u64).to_le_bytes());
-    for &s in csrv.symbols() {
-        put(&s.to_le_bytes());
-    }
-    for &v in csrv.values() {
-        put(&v.to_bits().to_le_bytes());
-    }
-    h
-}
-
 /// One built shard in its target [`Backend`] representation. The serve
 /// layer converts this into its servable `Model` (adding workspaces and
 /// kernels); the pipeline itself stays below the serving seam.
@@ -95,9 +70,9 @@ pub struct BuiltShard {
     /// Grammar stage that compressed this shard (`None` only for the
     /// uncompressed backend).
     pub grammar: Option<GrammarStage>,
-    /// [`shard_fingerprint`] of the shard's input rows, recorded for
-    /// every compressed shard so incremental rebuilds can detect
-    /// unchanged shards.
+    /// The shard plan's [`fingerprint`](crate::ShardPlan::fingerprint),
+    /// recorded for every compressed shard so incremental rebuilds can
+    /// detect shards whose bytes would not change.
     pub fingerprint: Option<u64>,
 }
 

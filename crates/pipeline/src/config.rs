@@ -54,7 +54,7 @@ impl EncodingChoice {
 ///
 /// Recorded per shard (a build under [`GrammarChoice::Auto`] may pick
 /// different stages for different shards) and persisted in the
-/// container shard table (versions 5 and 6).
+/// container shard table (version 5 and later).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrammarStage {
     /// Classic pair replacement ([`gcm_repair::RePair::compress`]).
@@ -110,7 +110,7 @@ pub struct BuildConfig {
     pub encoding: EncodingChoice,
     /// Grammar-stage policy for compressed backends; `None` means
     /// [`GrammarChoice::RePair`]. Every compressed shard records its
-    /// chosen stage and its input fingerprint either way. The `Option`
+    /// chosen stage and its plan fingerprint either way. The `Option`
     /// stays only because the repository benchmark's workload table
     /// (`perfbench/src/workload.rs`) writes `Some(..)` in a struct
     /// literal; make it a plain `GrammarChoice` together with that

@@ -2,7 +2,7 @@
 //! three phases, each one [`par_map`]:
 //!
 //! 1. **Reorder**: one task per shard computes or applies its column
-//!    order, fingerprints its input rows, and either finishes the
+//!    order, fingerprints its shard plan, and either finishes the
 //!    uncompressed backend's artifact or keeps the grammar input.
 //! 2. **Grammar + encode**: one task per shard builds the shard's
 //!    grammar candidates and encodes each under the shard's
@@ -33,9 +33,7 @@ use gcm_matrix::{CsrvMatrix, SEPARATOR};
 use gcm_reorder::ReorderAlgorithm;
 use gcm_repair::{MrSlp, RePair, RePairScratch, Slp};
 
-use crate::artifacts::{
-    shard_fingerprint, BuildArtifacts, BuildStats, BuiltShard, ShardArtifact, ShardStats,
-};
+use crate::artifacts::{BuildArtifacts, BuildStats, BuiltShard, ShardArtifact, ShardStats};
 use crate::backend::Backend;
 use crate::config::{BuildConfig, EncodingChoice, GrammarChoice, GrammarStage};
 use crate::plan::{Plan, ShardPlan, ShardReorder};
@@ -333,9 +331,9 @@ fn prepare(plan: &Plan, sp: &ShardPlan) -> Prepared {
         ),
         Backend::Compressed => (None, reordered),
     };
-    // Fingerprint the *input* rows (pre-reorder) of every compressed
-    // shard — the handle incremental rebuilds match shards by.
-    let fingerprint = (plan.backend == Backend::Compressed).then(|| shard_fingerprint(&sp.csrv));
+    // Fingerprint the plan of every compressed shard — the handle
+    // incremental rebuilds match shards by.
+    let fingerprint = (plan.backend == Backend::Compressed).then(|| sp.fingerprint());
     Prepared {
         artifact,
         reordered,

@@ -40,9 +40,7 @@ pub mod exec;
 pub mod plan;
 pub mod stage;
 
-pub use artifacts::{
-    shard_fingerprint, BuildArtifacts, BuildStats, BuiltShard, ShardArtifact, ShardStats,
-};
+pub use artifacts::{BuildArtifacts, BuildStats, BuiltShard, ShardArtifact, ShardStats};
 pub use backend::Backend;
 pub use config::{BuildConfig, EncodingChoice, GrammarChoice, GrammarStage, ReorderMode};
 pub use exec::{global, Pipeline};

@@ -42,6 +42,51 @@ pub struct ShardPlan {
     pub grammar: GrammarChoice,
 }
 
+impl ShardPlan {
+    /// FNV-1a 64 fingerprint of everything this shard's built bytes
+    /// depend on: its input rows (dimensions and symbol stream), the
+    /// value dictionary its terminals index, the encoding and grammar
+    /// policies, and the reorder action — a global permutation's entries
+    /// included. Two shard plans with one fingerprint build the same
+    /// shard, so an incremental rebuild splices a base shard exactly when
+    /// its recorded fingerprint matches, and the splice is byte-identical
+    /// to a fresh build. Build and comparison share this one definition.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut put = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        let csrv = &self.csrv;
+        put(&(csrv.rows() as u64).to_le_bytes());
+        put(&(csrv.cols() as u64).to_le_bytes());
+        for &s in csrv.symbols() {
+            put(&s.to_le_bytes());
+        }
+        for &v in csrv.values() {
+            put(&v.to_bits().to_le_bytes());
+        }
+        let (scope, algo, order) = match &self.reorder {
+            ShardReorder::None => ("none", "", &[][..]),
+            ShardReorder::Compute(algo) => ("shard", algo.name(), &[][..]),
+            ShardReorder::Apply(order, algo) => ("global", algo.name(), order.as_slice()),
+        };
+        // `\0`-terminated names, so no two policies run together.
+        let policy = format!(
+            "{}\0{}\0{scope}\0{algo}\0",
+            self.encoding.name(),
+            self.grammar.name()
+        );
+        put(policy.as_bytes());
+        for &c in order {
+            put(&(c as u64).to_le_bytes());
+        }
+        h
+    }
+}
+
 /// A complete build plan: what to do, per shard, with no ordering
 /// constraints between shards — the contract that makes stage execution
 /// embarrassingly parallel.
@@ -168,6 +213,76 @@ mod tests {
                 other => panic!("expected Apply, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn fingerprints_cover_every_plan_decision() {
+        use gcm_core::Encoding;
+        let csrv = sample(12, 6);
+        let fingerprints = |config: &BuildConfig| -> Vec<u64> {
+            let plan = Plan::new(&csrv, config);
+            plan.shards.iter().map(ShardPlan::fingerprint).collect()
+        };
+        let base = BuildConfig {
+            shards: 3,
+            ..BuildConfig::default()
+        };
+        let pathcover = ReorderAlgorithm::PathCover;
+        let variants = [
+            base,
+            BuildConfig {
+                encoding: EncodingChoice::Fixed(Encoding::ReIv),
+                ..base
+            },
+            BuildConfig {
+                encoding: EncodingChoice::Auto,
+                ..base
+            },
+            BuildConfig {
+                grammar: Some(GrammarChoice::MrRePair),
+                ..base
+            },
+            BuildConfig {
+                grammar: Some(GrammarChoice::Auto),
+                ..base
+            },
+            BuildConfig {
+                reorder: Some(ReorderMode::PerShard(pathcover)),
+                ..base
+            },
+            BuildConfig {
+                reorder: Some(ReorderMode::PerShard(ReorderAlgorithm::Mwm)),
+                ..base
+            },
+            BuildConfig {
+                reorder: Some(ReorderMode::Global(pathcover)),
+                ..base
+            },
+        ];
+        let all: Vec<Vec<u64>> = variants.iter().map(fingerprints).collect();
+        for (i, a) in all.iter().enumerate() {
+            for b in &all[i + 1..] {
+                for (x, y) in a.iter().zip(b) {
+                    assert_ne!(x, y, "variant {i} collides");
+                }
+            }
+        }
+        // `None` resolves to RePair, which builds the same bytes.
+        let repair = BuildConfig {
+            grammar: Some(GrammarChoice::RePair),
+            ..base
+        };
+        assert_eq!(fingerprints(&repair), all[0]);
+        // A global permutation's entries count, not just its algorithm.
+        let mut plan = Plan::new(&csrv, &variants[7]);
+        let before = plan.shards[0].fingerprint();
+        let ShardReorder::Apply(order, algo) = &plan.shards[0].reorder else {
+            panic!("global reorder applies a permutation");
+        };
+        let mut swapped = order.as_ref().clone();
+        swapped.swap(0, 1);
+        plan.shards[0].reorder = ShardReorder::Apply(Arc::new(swapped), *algo);
+        assert_ne!(plan.shards[0].fingerprint(), before);
     }
 
     #[test]

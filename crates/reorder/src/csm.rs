@@ -5,7 +5,8 @@
 //! both components non-zero, and let `RPNZ_ij` be the number of
 //! *repetitions* among them (occurrences minus distinct pairs — the
 //! reading consistent with the paper's `RPNZ₁₂ = 2` example; the text's
-//! `RPNZ₁₃` walk-through is internally inconsistent, see DESIGN.md). Then
+//! `RPNZ₁₃` walk-through is inconsistent with that example, so the
+//! example's reading is the one implemented). Then
 //! `CSM[i][j] = RPNZ_ij / n`.
 //!
 //! Computation counts instead of sorting. The paper sorts the combined

@@ -35,17 +35,20 @@
 //! plans). `--grammar` picks the grammar stage per shard — classic
 //! `repair` (the default), `mr` (MR-RePair), or `auto` (build both,
 //! keep the smaller measured encoding). Every compressed shard records
-//! its stage plus an input fingerprint, whatever the flag. Under `auto`
+//! its stage plus a fingerprint of its build plan, whatever the flag.
+//! Under `auto`
 //! the shard table's `shared` column counts the rules built once for
 //! both grammars (the rounds before MR-RePair first extends a rule).
-//! `--base OLD.gcms` turns the build incremental: shards whose input rows
-//! fingerprint-match the base are **spliced** byte-for-byte from the
+//! `--base OLD.gcms` turns the build incremental: shards whose plan —
+//! input rows, value dictionary, encoding, grammar and reorder —
+//! fingerprint-matches the base are **spliced** byte-for-byte from the
 //! old container (persisted plans included, never re-decoded) and only
-//! changed shards rebuild; provenance goes to stdout and a
-//! `<out>.gcms.rebuild` sidecar, never into the container itself.
-//! A compressed model of two or more shards is written as a version-6
-//! container, which stores the shards' one value dictionary once; every
-//! other model as version 5. Versions 1 to 4 still load.
+//! the other shards rebuild, so the output equals a fresh build with the
+//! same flags; provenance goes to stdout and a `<out>.gcms.rebuild`
+//! sidecar, never into the container itself. Every model is written as
+//! a version-7 container, which stores the shards' one value dictionary
+//! once and checksums its body in 128 KiB chunks. Versions 1 to 6 still
+//! load; a base older than version 7 is rebuilt in full.
 //! `inspect` prints the same per-shard breakdown from a container
 //! (grammar stage included) and reports
 //! the value dictionary and how many shards share it, whether plans
@@ -512,16 +515,16 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
         }
     );
     say!("  shards     : {}", model.num_shards());
-    if let Some(dict) = model.shard_model(0).dictionary() {
-        // A v6 load shares one `Arc` across every shard; older
+    {
+        // A v6 or later load shares one `Arc` across every shard; older
         // multi-shard containers embed, and load, one copy per shard.
         let n = model.num_shards();
+        let dict = model.shard_model(0).dictionary();
         let mut copies: Vec<&Arc<Vec<f64>>> = Vec::new();
         for i in 0..n {
-            if let Some(d) = model.shard_model(i).dictionary() {
-                if !copies.iter().any(|c| Arc::ptr_eq(c, d)) {
-                    copies.push(d);
-                }
+            let d = model.shard_model(i).dictionary();
+            if !copies.iter().any(|c| Arc::ptr_eq(c, d)) {
+                copies.push(d);
             }
         }
         let plural = if n == 1 { "" } else { "s" };
@@ -539,6 +542,12 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
     let payload_bytes: Vec<usize> = match ShardTable::parse(&bytes) {
         Ok(table) => {
             say!("  version    : {}", table.version);
+            let chunks = table.checksum_chunks;
+            say!(
+                "  checksum   : {chunks} FNV-1a chunk{} ({} bytes)",
+                if chunks == 1 { "" } else { "s" },
+                8 * chunks,
+            );
             let plan_bytes = table.plan_bytes();
             if plan_bytes > 0 {
                 say!(

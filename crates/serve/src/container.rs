@@ -1,64 +1,77 @@
 //! The versioned on-disk model container (`GCMSERV1`).
 //!
-//! Layout (all integers varint unless noted):
+//! Layout of **version 7**, the one layout the writer emits (all
+//! integers varint unless noted):
 //!
 //! ```text
 //! magic "GCMSERV1" | u8 container version | u8 backend tag
 //! rows | cols | num_shards
-//! [|V| + V as f64 LE                     -- version 6: one dictionary
-//!                                           for every shard]
-//! per shard: [u8 reorder algorithm tag   -- versions 2 and up]
-//!            [u8 grammar stage tag,      -- versions 5 and 6
-//!             u64 LE fingerprint if tag != 0]
-//!            payload_len | payload bytes
-//! [plan section                          -- versions 4 to 6
+//! |V| + V as f64 LE                      -- the one value dictionary
+//! per shard: u8 reorder algorithm tag
+//!            u8 grammar stage tag, u64 LE fingerprint if tag != 0
+//!            payload_len | payload bytes (dictionary-free)
+//! plan section
 //!  per shard: u8 plan kind (0 none, 1 f64, 2 f32)
-//!             if kind != 0: blob_count (always 1) | len | blob]
-//! u64 LE FNV-1a checksum of every preceding byte
+//!             if kind != 0: blob_count (always 1) | len | blob
+//! checksum trailer: one u64 LE FNV-1a per CHECKSUM_CHUNK bytes of
+//!                   everything above, in order (the last chunk may be
+//!                   shorter)
 //! ```
 //!
-//! The writer emits exactly two layouts. **Version 5** is the layout of
-//! a single-shard model and of every uncompressed model: per shard a
-//! reorder tag and a grammar stage tag — with the FNV-64 fingerprint of
-//! the shard's build-time input rows, the handle `gcm compress --base`
-//! matches unchanged shards by (see
-//! [`compress_incremental`](crate::incremental)) — then the payload, and
-//! after all payloads the plan section, whose kind bytes are all `0`
-//! unless plans were persisted ([`to_bytes_with_plans`]). **Version 6**
-//! is the version-5 layout with the row shards' shared value dictionary
-//! `V` stored **once**, after the header: its grammar shard payloads are
-//! dictionary-free bundles ([`gcm_core::serial::bundle_to_bytes_shared`])
-//! that a full load decodes against one shared `Arc`. Every compressed
-//! model of two or more shards on one dictionary is written as version 6.
-//! Every compressed shard a build writes records its grammar stage (RePair
-//! or MR-RePair) and fingerprint; stage tag `0` (no fingerprint) marks an
-//! uncompressed shard or one loaded from an older container.
+//! The paper's matrix is the triple `(C, R, V)`, one value dictionary
+//! under the grammar, and the container stores `V` **once**, after the
+//! header, for every backend and shard count: every shard payload is
+//! dictionary-free and a full load decodes it against one shared `Arc`.
+//! A shard's reorder tag records the algorithm behind its column
+//! permutation; its grammar stage tag (RePair or MR-RePair; `0` for an
+//! uncompressed shard or one loaded from a container older than version
+//! 5) comes with the fingerprint of its build plan
+//! ([`gcm_pipeline::ShardPlan::fingerprint`]) — the input rows, `V`,
+//! the encoding and grammar policies and the reorder action — which is
+//! what `gcm compress --base` matches unchanged shards by (see
+//! [`compress_incremental`](crate::incremental)). The plan section's
+//! kind bytes are all `0` unless plans were persisted
+//! ([`to_bytes_with_plans`]).
 //!
-//! Versions 1 to 4 are **read-only**: older writers emitted them, and
-//! the reader keeps accepting them with every check. **Version 1** has no
-//! per-shard fields and requires every shard to agree on the column
-//! reorder (the permutation is embedded redundantly in each payload, and
-//! the loader treats disagreement as corruption). **Version 2** adds the
-//! per-shard reorder tag, so shards may carry different permutations.
-//! **Version 3** is the version-2 layout, marking that a shard payload
-//! uses a post-paper encoding (`re_fse`). **Version 4** appends the plan
-//! section: the compiled [`gcm_core::KernelPlan`] descriptor arrays of
-//! every planned shard, persisted in the fixed little-endian `GCMPLAN1`
-//! blob form (one blob per shard; the shard's kind byte names the plan
-//! precision, and the blob's own precision tag must agree with it), so a
-//! loader restores them with a validated cast — no RePair decode, no
-//! recompilation ([`gcm_core::plan_compiles`] stays flat), load time
-//! independent of grammar size. Before version 6, every shard payload
-//! carried its own copy of `V`.
+//! The checksum trailer holds one FNV-1a 64 per fixed-size chunk of the
+//! body ([`CHECKSUM_CHUNK`] bytes), so a loader verifies the chunks in
+//! parallel with each other and with the shard decodes, whatever the
+//! sections' sizes (a single plan blob can be most of a container). The
+//! trailer length follows from the file length: `n` sums cover a body
+//! of `len - 8n` bytes, with `n = ceil(len / (CHECKSUM_CHUNK + 8))`.
+//!
+//! Versions 1 to 6 are **read-only**: older writers emitted them, and
+//! the reader keeps accepting them with every check. Each ends in one
+//! FNV-1a 64 of every preceding byte — the one-chunk case of the same
+//! verifier. **Version 1** has no per-shard fields and requires every
+//! shard to agree on the column reorder (the permutation is embedded
+//! redundantly in each payload, and the loader treats disagreement as
+//! corruption). **Version 2** adds the per-shard reorder tag, so shards
+//! may carry different permutations. **Version 3** is the version-2
+//! layout, marking that a shard payload uses a post-paper encoding
+//! (`re_fse`). **Version 4** appends the plan section: the compiled
+//! [`gcm_core::KernelPlan`] descriptor arrays of every planned shard,
+//! persisted in the fixed little-endian `GCMPLAN1` blob form (one blob
+//! per shard; the shard's kind byte names the plan precision, and the
+//! blob's own precision tag must agree with it), so a loader restores
+//! them with a validated cast — no RePair decode, no recompilation
+//! ([`gcm_core::plan_compiles`] stays flat), load time independent of
+//! grammar size. **Version 5** adds the grammar stage tag and a
+//! fingerprint of the shard's input rows and `V` alone. **Version 6**
+//! stores `V` once, for compressed models of two or more shards only.
+//! Up to version 5 every payload embeds its own copy of `V`; the loader
+//! requires the copies to agree.
 //!
 //! Shard payloads by backend tag:
 //!
 //! * `0` `csrv` — a column-order prefix (varint len + u32 LE entries,
 //!   `0` = none) then a `GCMCSRV1` section
-//!   ([`gcm_matrix::io::write_csrv_bytes`]);
+//!   ([`gcm_matrix::io::write_csrv_bytes_shared`]; with its own `V`
+//!   before version 7);
 //! * `2` `compressed` — a single-block `GCMMAT2` bundle
-//!   ([`gcm_core::serial::bundle_to_bytes`]), which also carries the
-//!   column-reorder permutation (dictionary-free in version 6);
+//!   ([`gcm_core::serial::bundle_to_bytes_shared`]; with its own `V`
+//!   before version 6), which also carries the column-reorder
+//!   permutation;
 //! * `1` `parcsrv` and `3` `blocked` — **retired, rejected**: these
 //!   backends cut a shard into row blocks, which row shards replace.
 //!   Loading such a container fails with [`ServeError::RetiredBackend`],
@@ -74,11 +87,11 @@
 //! truncation outright, and every payload and plan blob passes the
 //! structural validation of its section format, so a corrupt file can
 //! never panic a kernel. [`from_bytes`] verifies the checksum alongside
-//! decode — one pool task hashes the container while the others decode
-//! the shards and cast their plans from bounds-checked byte ranges — and
-//! nothing decoded escapes before the checksum passes: a mismatch is
-//! reported ahead of any structural error, exactly as the verify-first
-//! [`from_bytes_sequential`] reports it.
+//! decode — each chunk check is one pool task, next to one task per
+//! shard that decodes its payload and casts its plan from bounds-checked
+//! byte ranges — and nothing decoded escapes before every chunk passes:
+//! a mismatch is reported ahead of any structural error, exactly as the
+//! verify-first [`from_bytes_sequential`] reports it.
 //!
 //! Bare `GCMMAT1` / `GCMMAT2` payloads ([`gcm_core::serial`]'s
 //! single-matrix and row-block bundle formats) are accepted for
@@ -116,22 +129,29 @@ pub const VERSION_ENCODINGS: u8 = 3;
 /// blobs (`GCMPLAN1`), loaded back by validated cast instead of being
 /// recompiled from the grammar.
 pub const VERSION_PLANS: u8 = 4;
-/// Container version with per-shard **grammar provenance**: a stage tag
-/// (which grammar construction compressed the shard — RePair or
-/// MR-RePair) and the u64 FNV fingerprint of the shard's build-time
-/// input rows, written between the reorder tag and the payload length.
-/// The fingerprint is what `gcm compress --base` matches unchanged
-/// shards by. Version 5 always carries the v4 plan section (per-shard
-/// kind bytes; `0` = no plan). The writer emits it for every container
-/// without a shared dictionary.
+/// Read-only container version with per-shard **grammar provenance**:
+/// a stage tag (which grammar construction compressed the shard —
+/// RePair or MR-RePair) and the u64 FNV fingerprint of the shard's
+/// input rows and `V`, written between the reorder tag and the payload
+/// length. Version 5 always carries the v4 plan section (per-shard kind
+/// bytes; `0` = no plan).
 pub const VERSION_GRAMMAR: u8 = 5;
-/// Container version with one **shared value dictionary**: the
-/// version-5 layout plus a `V` section after the header, with every
-/// shard payload a dictionary-free grammar bundle decoded against it.
-/// The writer emits it for compressed models of two or more shards on
-/// one dictionary — the row shards of one build always share theirs, so
-/// it is the multi-shard layout.
+/// Read-only container version with one **shared value dictionary** for
+/// compressed models of two or more shards: the version-5 layout plus a
+/// `V` section after the header, with every shard payload a
+/// dictionary-free grammar bundle decoded against it.
 pub const VERSION_SHARED_DICT: u8 = 6;
+/// The container version the writer emits: the version-6 layout for
+/// every backend and shard count (one `V`, dictionary-free payloads),
+/// fingerprints of the shards' build plans, and a checksum trailer of
+/// one FNV-1a 64 per [`CHECKSUM_CHUNK`] bytes.
+pub const VERSION_CHUNKED: u8 = 7;
+
+/// Bytes of container body each checksum of a version-7 trailer covers.
+/// A power of two small enough that every container splits into more
+/// chunks than the pool has workers, and large enough that a trailer
+/// costs under 0.01 % of the body.
+pub const CHECKSUM_CHUNK: usize = 128 << 10;
 
 /// Stable on-disk tag of a reorder algorithm (version 2 provenance
 /// byte); `0` = no reorder recorded.
@@ -233,7 +253,7 @@ fn corrupt(msg: impl Into<String>) -> ServeError {
     ServeError::Corrupt(msg.into())
 }
 
-/// FNV-1a 64 over `data` — the container's integrity checksum.
+/// FNV-1a 64 over `data` — the hash of every container checksum.
 pub fn fnv1a64(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in data {
@@ -252,18 +272,100 @@ fn check_magic(data: &[u8]) -> Result<(), ServeError> {
     Ok(())
 }
 
-/// Compares the trailing checksum with the FNV-1a of every preceding
-/// byte. The caller has run [`check_magic`].
-fn verify_checksum(data: &[u8]) -> Result<(), ServeError> {
-    let body_len = data.len() - 8;
-    let stored = u64::from_le_bytes(data[body_len..].try_into().expect("8 bytes"));
-    let actual = fnv1a64(&data[..body_len]);
-    if stored != actual {
-        return Err(corrupt(format!(
-            "checksum mismatch (stored {stored:016x}, computed {actual:016x})"
-        )));
+/// How a container's checksum trailer covers its body: the first
+/// `body_len` bytes, cut into `chunk`-byte pieces (the last may be
+/// shorter), one FNV-1a 64 each, stored in order after the body.
+/// Versions 1 to 6 are the one-chunk case: one sum of every preceding
+/// byte. The version byte decides which; it lies in the first chunk, so
+/// a flipped one fails that chunk's check.
+#[derive(Debug, Clone, Copy)]
+struct Trailer {
+    body_len: usize,
+    chunk: usize,
+}
+
+impl Trailer {
+    /// The trailer of `data`. The caller has run [`check_magic`].
+    ///
+    /// # Errors
+    /// Fails when no body length fits the container length: `n` sums
+    /// cover a body of `len - 8n` bytes, and only
+    /// `n = ceil(len / (CHECKSUM_CHUNK + 8))` can make that body exactly
+    /// `n` chunks long — the other lengths are truncated or padded.
+    fn of(data: &[u8]) -> Result<Trailer, ServeError> {
+        if data[8] < VERSION_CHUNKED {
+            let body_len = data.len() - 8;
+            return Ok(Trailer {
+                body_len,
+                chunk: body_len,
+            });
+        }
+        let n = data.len().div_ceil(CHECKSUM_CHUNK + 8);
+        let trailer = Trailer {
+            body_len: data.len() - 8 * n,
+            chunk: CHECKSUM_CHUNK,
+        };
+        if trailer.chunks() != n {
+            return Err(corrupt(format!(
+                "checksum mismatch: {} bytes fit no chunk trailer",
+                data.len()
+            )));
+        }
+        Ok(trailer)
     }
-    Ok(())
+
+    /// Number of checksummed chunks.
+    fn chunks(&self) -> usize {
+        self.body_len.div_ceil(self.chunk)
+    }
+
+    /// Compares chunk `i`'s stored sum with the FNV-1a of its bytes.
+    fn verify(&self, data: &[u8], i: usize) -> Result<(), ServeError> {
+        let start = i * self.chunk;
+        let end = (start + self.chunk).min(self.body_len);
+        let at = self.body_len + 8 * i;
+        let stored = u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
+        let actual = fnv1a64(&data[start..end]);
+        if stored != actual {
+            return Err(corrupt(format!(
+                "checksum mismatch in chunk {i} (stored {stored:016x}, computed {actual:016x})"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Verifies every chunk in order, reporting the first mismatch.
+    fn verify_all(&self, data: &[u8]) -> Result<(), ServeError> {
+        (0..self.chunks()).try_for_each(|i| self.verify(data, i))
+    }
+}
+
+/// Appends the version-7 checksum trailer to the body `out`: one FNV-1a
+/// 64 per [`CHECKSUM_CHUNK`] bytes, hashed on the pool.
+fn seal(out: &mut Vec<u8>) {
+    let sums = gcm_pipeline::par_map(out.len().div_ceil(CHECKSUM_CHUNK), |i| {
+        fnv1a64(&out[i * CHECKSUM_CHUNK..((i + 1) * CHECKSUM_CHUNK).min(out.len())])
+    });
+    for sum in sums {
+        out.extend_from_slice(&sum.to_le_bytes());
+    }
+}
+
+/// Rewrites the checksum trailer of `bytes` to match its body, in place
+/// — for tools and tests that forge a container field and want the
+/// structural validators, not the checksum, to judge it. Input too short
+/// to be a container or without the magic is left as it is.
+pub fn reseal(bytes: &mut [u8]) {
+    if check_magic(bytes).is_err() {
+        return;
+    }
+    let Ok(trailer) = Trailer::of(bytes) else {
+        return;
+    };
+    let (body, sums) = bytes.split_at_mut(trailer.body_len);
+    for (sum, chunk) in sums.chunks_exact_mut(8).zip(body.chunks(trailer.chunk)) {
+        sum.copy_from_slice(&fnv1a64(chunk).to_le_bytes());
+    }
 }
 
 /// Writes the optional column-reorder permutation prefix of the csrv
@@ -310,26 +412,22 @@ fn read_col_order(
     Ok(Some(order))
 }
 
-/// Serialises one shard's model. With `shared_dict` the grammar
-/// backend writes a dictionary-free bundle (version 6), whose `V` the
-/// container stores once.
-fn shard_payload(model: &Model, col_order: Option<&[u32]>, shared_dict: bool) -> Vec<u8> {
+/// Serialises one shard's model as a dictionary-free payload, whose `V`
+/// the container stores once.
+fn shard_payload(model: &Model, col_order: Option<&[u32]>) -> Vec<u8> {
     match model {
         Model::Csrv(m) => {
             let mut out = Vec::new();
             write_col_order(&mut out, col_order);
-            mio::write_csrv_bytes(m, &mut out);
+            mio::write_csrv_bytes_shared(m, &mut out);
             out
         }
-        Model::Compressed(m) if shared_dict => {
-            serial::bundle_to_bytes_shared(std::slice::from_ref(m), col_order)
-        }
-        Model::Compressed(m) => serial::bundle_to_bytes(std::slice::from_ref(m), col_order),
+        Model::Compressed(m) => serial::bundle_to_bytes_shared(std::slice::from_ref(m), col_order),
     }
 }
 
-/// Decodes one shard payload; `dict` is the container's shared
-/// dictionary (version 6), against which grammar payloads are read.
+/// Decodes one shard payload; `dict` is the container's one dictionary
+/// (versions 6 and 7), against which dictionary-free payloads are read.
 fn decode_shard(
     backend: Backend,
     cols: usize,
@@ -340,8 +438,11 @@ fn decode_shard(
         Backend::Csrv => {
             let mut pos = 0usize;
             let order = read_col_order(payload, &mut pos, cols)?;
-            let m = mio::read_csrv_bytes(payload, &mut pos)
-                .ok_or_else(|| corrupt("invalid csrv shard payload"))?;
+            let m = match dict {
+                Some(values) => mio::read_csrv_bytes_shared(payload, &mut pos, values),
+                None => mio::read_csrv_bytes(payload, &mut pos),
+            }
+            .ok_or_else(|| corrupt("invalid csrv shard payload"))?;
             Ok((Model::Csrv(m), order))
         }
         Backend::Compressed => {
@@ -362,9 +463,8 @@ fn decode_shard(
     }
 }
 
-/// Serialises a sharded model as a `GCMSERV1` container: version 6 for
-/// a compressed model of two or more shards on one dictionary, version 5
-/// otherwise. Compiled plans are **not** persisted here (see
+/// Serialises a sharded model as a version-7 `GCMSERV1` container.
+/// Compiled plans are **not** persisted here (see
 /// [`to_bytes_with_plans`]): every plan kind byte is `0`.
 pub fn to_bytes(model: &ShardedModel) -> Vec<u8> {
     encode(model, false)
@@ -379,29 +479,9 @@ pub fn to_bytes_with_plans(model: &ShardedModel) -> Vec<u8> {
     encode(model, true)
 }
 
-/// The value dictionary a version-6 container stores once for `model`:
-/// `Some` when it has two or more grammar shards and all of them hold
-/// the same `V` (one shared `Arc` after a build or a v6 load; equal
-/// copies after a load of an older multi-shard container).
-fn shared_dictionary(model: &ShardedModel) -> Option<&[f64]> {
-    let shards = model.shard_slice();
-    if shards.len() < 2 {
-        return None;
-    }
-    let first = shards[0].model.dictionary()?;
-    shards[1..]
-        .iter()
-        .all(|s| {
-            s.model
-                .dictionary()
-                .is_some_and(|d| Arc::ptr_eq(d, first) || d == first)
-        })
-        .then_some(first.as_slice())
-}
-
 fn encode(model: &ShardedModel, with_plans: bool) -> Vec<u8> {
-    let segments: Vec<Segment> = model
-        .shard_slice()
+    let shards = model.shard_slice();
+    let segments: Vec<Segment> = shards
         .iter()
         .map(|s| Segment::live(s, with_plans))
         .collect();
@@ -410,7 +490,8 @@ fn encode(model: &ShardedModel, with_plans: bool) -> Vec<u8> {
             backend: model.backend(),
             rows: model.rows(),
             cols: model.cols(),
-            dictionary: shared_dictionary(model),
+            // Every shard holds this one `V` (`from_shards` asserts it).
+            dictionary: shards.first().map_or(&[][..], |s| s.model.dictionary()),
         },
         &segments,
     )
@@ -421,8 +502,8 @@ pub(crate) struct Header<'a> {
     pub(crate) backend: Backend,
     pub(crate) rows: usize,
     pub(crate) cols: usize,
-    /// The shared dictionary: `Some` makes the container version 6.
-    pub(crate) dictionary: Option<&'a [f64]>,
+    /// The value dictionary every shard payload indexes.
+    pub(crate) dictionary: &'a [f64],
 }
 
 /// One shard's on-disk pieces, as [`write_container`] writes them.
@@ -444,7 +525,7 @@ pub(crate) enum SegmentBody<'a> {
     },
     /// Bytes taken from a base container without decoding them.
     Spliced {
-        payload: Cow<'a, [u8]>,
+        payload: &'a [u8],
         /// `(kind, blob)` of the plan section; `None` writes kind `0`.
         plan: Option<(u8, &'a [u8])>,
     },
@@ -481,24 +562,17 @@ fn write_blob(out: &mut Vec<u8>, blob: &[u8]) {
     out.extend_from_slice(blob);
 }
 
-/// Writes a `GCMSERV1` container of `segments` — version 6 when the
-/// header carries a shared dictionary, version 5 otherwise: the one
+/// Writes a version-7 `GCMSERV1` container of `segments`: the one
 /// writer behind both [`to_bytes`] and the incremental splice.
 pub(crate) fn write_container(header: Header<'_>, segments: &[Segment<'_>]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
-    out.push(if header.dictionary.is_some() {
-        VERSION_SHARED_DICT
-    } else {
-        VERSION_GRAMMAR
-    });
+    out.push(VERSION_CHUNKED);
     out.push(header.backend.tag());
     varint::write_u64(&mut out, header.rows as u64);
     varint::write_u64(&mut out, header.cols as u64);
     varint::write_u64(&mut out, segments.len() as u64);
-    if let Some(values) = header.dictionary {
-        serial::write_values(&mut out, values);
-    }
+    serial::write_values(&mut out, header.dictionary);
     for seg in segments {
         out.push(reorder_tag(seg.reorder));
         let tag = grammar_tag(seg.grammar);
@@ -509,10 +583,7 @@ pub(crate) fn write_container(header: Header<'_>, segments: &[Segment<'_>]) -> V
         match &seg.body {
             SegmentBody::Live {
                 model, col_order, ..
-            } => write_blob(
-                &mut out,
-                &shard_payload(model, *col_order, header.dictionary.is_some()),
-            ),
+            } => write_blob(&mut out, &shard_payload(model, *col_order)),
             SegmentBody::Spliced { payload, .. } => write_blob(&mut out, payload),
         }
     }
@@ -534,8 +605,7 @@ pub(crate) fn write_container(header: Header<'_>, segments: &[Segment<'_>]) -> V
         varint::write_u64(&mut out, 1); // blob count
         write_blob(&mut out, &blob);
     }
-    let sum = fnv1a64(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
+    seal(&mut out);
     out
 }
 
@@ -544,7 +614,7 @@ pub(crate) fn write_container(header: Header<'_>, segments: &[Segment<'_>]) -> V
 /// path) or to inspect a model without materialising it.
 #[derive(Debug, Clone)]
 pub struct ShardTable {
-    /// Container version ([`VERSION`] through [`VERSION_SHARED_DICT`]).
+    /// Container version ([`VERSION`] through [`VERSION_CHUNKED`]).
     pub version: u8,
     /// Backend of every shard.
     pub backend: Backend,
@@ -552,10 +622,14 @@ pub struct ShardTable {
     pub rows: usize,
     /// Columns.
     pub cols: usize,
-    /// Byte range of the shared value dictionary's doubles (`8·|V|`
-    /// bytes) — `Some` exactly for [`VERSION_SHARED_DICT`], whose grammar
-    /// payloads are decoded against it.
+    /// Byte range of the container's one value dictionary's doubles
+    /// (`8·|V|` bytes) — `Some` from [`VERSION_SHARED_DICT`] on, whose
+    /// shard payloads are decoded against it; `None` for older versions,
+    /// whose payloads embed their own.
     pub dictionary: Option<std::ops::Range<usize>>,
+    /// Number of checksummed chunks in the trailer (1 below
+    /// [`VERSION_CHUNKED`]).
+    pub checksum_chunks: usize,
     /// Byte range of each shard payload within the container.
     pub shard_ranges: Vec<std::ops::Range<usize>>,
     /// Per-shard reorder algorithm provenance (all `None` for version 1,
@@ -574,8 +648,11 @@ pub struct ShardTable {
     /// [`VERSION_GRAMMAR`]; `None` for uncompressed shards and for
     /// shards carried over from an older container).
     pub grammar_stages: Vec<Option<GrammarStage>>,
-    /// Per-shard input fingerprints for incremental rebuilds; recorded
+    /// Per-shard fingerprints for incremental rebuilds; recorded
     /// exactly where [`grammar_stages`](Self::grammar_stages) is `Some`.
+    /// From [`VERSION_CHUNKED`] on they cover the shard's build plan
+    /// ([`gcm_pipeline::ShardPlan::fingerprint`]); versions 5 and 6
+    /// hash only the input rows and `V`.
     pub fingerprints: Vec<Option<u64>>,
 }
 
@@ -588,20 +665,21 @@ impl ShardTable {
     /// and with [`ServeError::RetiredBackend`] on a retired backend tag.
     pub fn parse(data: &[u8]) -> Result<ShardTable, ServeError> {
         check_magic(data)?;
-        verify_checksum(data)?;
-        Self::parse_layout(data)
+        let trailer = Trailer::of(data)?;
+        trailer.verify_all(data)?;
+        Self::parse_layout(data, trailer)
     }
 
     /// The layout half of [`parse`](Self::parse): header, dictionary,
-    /// shard and plan ranges, **without** the checksum — so a loader can
-    /// verify the checksum concurrently with decoding. Every range is
-    /// bounded by the bytes present, so the result is safe to decode
-    /// from, but nothing decoded may be trusted until
-    /// [`verify_checksum`] passes. The caller has run [`check_magic`].
-    fn parse_layout(data: &[u8]) -> Result<ShardTable, ServeError> {
-        let body_len = data.len() - 8;
+    /// shard and plan ranges within the body `trailer` covers,
+    /// **without** the checksum — so a loader can verify the chunks
+    /// concurrently with decoding. Every range is bounded by the bytes
+    /// present, so the result is safe to decode from, but nothing decoded
+    /// may be trusted until every chunk passes.
+    fn parse_layout(data: &[u8], trailer: Trailer) -> Result<ShardTable, ServeError> {
+        let body_len = trailer.body_len;
         let version = data[8];
-        if !(VERSION..=VERSION_SHARED_DICT).contains(&version) {
+        if !(VERSION..=VERSION_CHUNKED).contains(&version) {
             return Err(corrupt(format!("unsupported container version {version}")));
         }
         let tag = data[9];
@@ -636,13 +714,15 @@ impl ShardTable {
         }
         let num_shards = num_shards as usize;
         let dictionary = if version >= VERSION_SHARED_DICT {
-            if backend != Backend::Compressed {
+            // Version 6 stored `V` once only for compressed models of two
+            // or more shards; version 7 does for every model.
+            if version == VERSION_SHARED_DICT && backend != Backend::Compressed {
                 return Err(corrupt(format!(
                     "version {version} shares a dictionary, which a {} backend cannot",
                     backend.name()
                 )));
             }
-            if num_shards < 2 {
+            if version == VERSION_SHARED_DICT && num_shards < 2 {
                 return Err(corrupt(format!(
                     "version {version} container needs at least two shards"
                 )));
@@ -757,6 +837,7 @@ impl ShardTable {
             rows,
             cols,
             dictionary,
+            checksum_chunks: trailer.chunks(),
             shard_ranges,
             reorder_algos,
             plan_ranges,
@@ -794,7 +875,7 @@ impl ShardTable {
         decode_shard(self.backend, self.cols, &data[range], dict.as_ref())
     }
 
-    /// Decodes the shared value dictionary from the container bytes the
+    /// Decodes the container's one value dictionary from the bytes the
     /// table was parsed from (`None` below [`VERSION_SHARED_DICT`]).
     pub(crate) fn decode_dictionary(&self, data: &[u8]) -> Option<Arc<Vec<f64>>> {
         let range = self.dictionary.clone()?;
@@ -851,14 +932,14 @@ fn decode_shard_plan(
 
 /// Deserialises a container into a ready-to-serve [`ShardedModel`] in
 /// one overlapped pass on the persistent pool: the header and shard
-/// table are parsed first, then one [`gcm_pipeline::par_map`] runs the
-/// checksum as task 0 (the longest task, so it is claimed first) while
-/// tasks `1..=n` each decode one shard's byte range and cast its
+/// table are parsed first, then one [`gcm_pipeline::par_map`] runs one
+/// task per shard, which decodes the shard's byte range and casts its
 /// persisted plan blob — the mmap-style selective access path, driven
-/// by the same stage machinery the build pipeline uses. Nothing decoded
-/// is installed or returned unless the checksum passed, and errors keep
-/// the verify-first precedence of [`from_bytes_sequential`]: bad magic,
-/// then a checksum mismatch, then the first structural error.
+/// by the same stage machinery the build pipeline uses — beside one
+/// task per checksum chunk. Nothing decoded is installed or returned
+/// unless every chunk passed, and errors keep the verify-first
+/// precedence of [`from_bytes_sequential`]: bad magic, then the first
+/// chunk mismatch, then the first structural error.
 ///
 /// Bare `GCMMAT1` / `GCMMAT2` payloads are accepted as compressed
 /// models with one shard per block.
@@ -869,8 +950,8 @@ pub fn from_bytes(data: &[u8]) -> Result<ShardedModel, ServeError> {
     decode(data, true)
 }
 
-/// As [`from_bytes`], but verify-first and on the calling thread: the
-/// checksum is checked before any payload is read, then every shard and
+/// As [`from_bytes`], but verify-first and on the calling thread: every
+/// checksum chunk is checked before any payload is read, then every shard and
 /// plan decodes sequentially — the reference path the overlapped loader
 /// is benchmarked and differentially tested against.
 ///
@@ -900,16 +981,20 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
         let models = blocks.into_iter().map(Model::Compressed).collect();
         return Ok(ShardedModel::from_parts(models, cols, order));
     }
+    check_magic(data)?;
+    let trailer = Trailer::of(data)?;
     let table = if parallel {
-        check_magic(data)?;
-        // The checksum is verified below, alongside decode; a mismatch
+        // The chunks are verified below, alongside decode; a mismatch
         // still outranks any layout error.
-        ShardTable::parse_layout(data).map_err(|e| verify_checksum(data).err().unwrap_or(e))?
+        ShardTable::parse_layout(data, trailer)
+            .map_err(|e| trailer.verify_all(data).err().unwrap_or(e))?
     } else {
-        ShardTable::parse(data)?
+        trailer.verify_all(data)?;
+        ShardTable::parse_layout(data, trailer)?
     };
     let n = table.shard_ranges.len();
-    // Version 6: one dictionary, decoded once, shared by every shard.
+    // Versions 6 and 7: one dictionary, decoded once, shared by every
+    // shard.
     let dict = table.decode_dictionary(data);
     // Shard `i`'s model and column order, plus its persisted plan blob
     // cast against that model when it carries one.
@@ -928,14 +1013,23 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
         Ok::<_, ServeError>((model, order, plan))
     };
     let decoded: Vec<_> = if parallel {
-        let mut tasks = gcm_pipeline::par_map(n + 1, |t| match t {
-            0 => verify_checksum(data).map(|()| None),
-            _ => Ok(Some(decode_one(t - 1))),
-        })
-        .into_iter();
-        // Nothing decoded escapes unless the checksum passed.
-        tasks.next().expect("task 0 verifies the checksum")?;
+        // Tasks `0..n` decode the shards (the longer tasks, claimed
+        // first); the rest each verify one checksum chunk.
+        let mut tasks = gcm_pipeline::par_map(n + trailer.chunks(), |t| {
+            if t < n {
+                Ok(Some(decode_one(t)))
+            } else {
+                trailer.verify(data, t - n).map(|()| None)
+            }
+        });
+        // Nothing decoded escapes unless every chunk passed; the first
+        // mismatch in chunk order is the one reported, as the
+        // sequential loader reports it.
+        for check in tasks.drain(n..) {
+            check?;
+        }
         tasks
+            .into_iter()
             .map(|t| t.ok().flatten().expect("shard tasks return their decode"))
             .collect()
     } else {
@@ -944,6 +1038,7 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
     let mut parts = Vec::with_capacity(n);
     let mut plans = Vec::with_capacity(n);
     let mut first_order: Option<Option<Vec<u32>>> = None;
+    let mut first_dict: Option<Arc<Vec<f64>>> = None;
     for (i, result) in decoded.into_iter().enumerate() {
         let (model, order, plan) = result?;
         if model.cols() != table.cols {
@@ -953,6 +1048,18 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
             if order.len() != table.cols {
                 return Err(corrupt("column order length mismatch"));
             }
+        }
+        // Up to version 5 every payload embeds its own `V`; a model has
+        // one, so the copies must agree.
+        let dict = model.dictionary();
+        match &first_dict {
+            None => first_dict = Some(Arc::clone(dict)),
+            Some(first) if !Arc::ptr_eq(dict, first) && dict != first => {
+                return Err(corrupt(format!(
+                    "shard {i} disagrees with shard 0 on the value dictionary"
+                )));
+            }
+            Some(_) => {}
         }
         if table.version == VERSION {
             // Version 1 embeds the one model-wide permutation
@@ -1065,7 +1172,17 @@ mod tests {
         model
             .shard_slice()
             .iter()
-            .map(|s| shard_payload(&s.model, s.col_order.as_deref(), false))
+            .map(|s| match &s.model {
+                Model::Csrv(m) => {
+                    let mut out = Vec::new();
+                    write_col_order(&mut out, s.col_order.as_deref());
+                    mio::write_csrv_bytes(m, &mut out);
+                    out
+                }
+                Model::Compressed(m) => {
+                    serial::bundle_to_bytes(std::slice::from_ref(m), s.col_order.as_deref())
+                }
+            })
             .collect()
     }
 
@@ -1484,11 +1601,7 @@ mod tests {
     #[test]
     fn forged_plan_sections_are_rejected() {
         use crate::sharded::ServeOptions;
-        fn refresh_checksum(bytes: &mut [u8]) {
-            let body = bytes.len() - 8;
-            let sum = fnv1a64(&bytes[..body]);
-            bytes[body..].copy_from_slice(&sum.to_le_bytes());
-        }
+        let refresh_checksum = reseal;
         let dense = sample();
         let opts = BuildOptions {
             shards: 1,
@@ -1598,7 +1711,7 @@ mod tests {
     }
 
     #[test]
-    fn grammar_metadata_roundtrips_in_version5_and_6_containers() {
+    fn grammar_metadata_roundtrips_in_version7_containers() {
         use crate::sharded::ServeOptions;
         use gcm_pipeline::GrammarChoice;
         let dense = sample();
@@ -1625,20 +1738,15 @@ mod tests {
                         model.to_bytes()
                     };
                     let tag = format!("s={shards} {grammar:?} plans={plans}");
-                    let version = if shards > 1 {
-                        VERSION_SHARED_DICT
-                    } else {
-                        VERSION_GRAMMAR
-                    };
-                    assert_eq!(bytes[8], version, "{tag}: grammar metadata => v5 or v6");
+                    assert_eq!(bytes[8], VERSION_CHUNKED, "{tag}");
                     let table = ShardTable::parse(&bytes).unwrap();
                     assert_eq!(table.plan_bytes() > 0, plans, "{tag}");
-                    assert_eq!(table.dictionary.is_some(), shards > 1, "{tag}");
+                    assert!(table.dictionary.is_some(), "{tag}");
                     for i in 0..shards {
                         assert!(table.grammar_stages[i].is_some(), "{tag} shard {i}");
                         assert!(table.fingerprints[i].is_some(), "{tag} shard {i}");
                     }
-                    let back = ShardedModel::from_bytes(&bytes).expect("v5/v6 roundtrip");
+                    let back = ShardedModel::from_bytes(&bytes).expect("v7 roundtrip");
                     for i in 0..shards {
                         assert_eq!(back.shard_grammar(i), model.shard_grammar(i), "{tag}");
                         assert_eq!(
@@ -1668,7 +1776,7 @@ mod tests {
     }
 
     #[test]
-    fn writer_emits_version5_or_6_with_provenance_for_every_build() {
+    fn writer_emits_version7_with_provenance_for_every_build() {
         use crate::sharded::ServeOptions;
         use gcm_pipeline::{BuildConfig, EncodingChoice, GrammarChoice};
         use gcm_reorder::ReorderAlgorithm::PathCover;
@@ -1712,12 +1820,7 @@ mod tests {
                                     model.to_bytes()
                                 };
                                 let compressed = backend == Backend::Compressed;
-                                let version = if compressed && shards >= 2 {
-                                    VERSION_SHARED_DICT
-                                } else {
-                                    VERSION_GRAMMAR
-                                };
-                                assert_eq!(bytes[8], version, "{tag}");
+                                assert_eq!(bytes[8], VERSION_CHUNKED, "{tag}");
                                 let back = ShardedModel::from_bytes(&bytes).expect(&tag);
                                 for i in 0..shards {
                                     let stage = back.shard_grammar(i);
@@ -1732,14 +1835,23 @@ mod tests {
                                     );
                                 }
                                 let table = ShardTable::parse(&bytes).unwrap();
+                                // One `V` after the header, every payload
+                                // dictionary-free.
+                                let dict = table.dictionary.clone().expect("one V");
+                                assert_eq!(dict.len(), 8 * csrv.values().len(), "{tag}");
+                                for i in 0..shards {
+                                    let m = table.decode_shard(&bytes, i).unwrap();
+                                    assert_eq!(m.dictionary().as_slice(), csrv.values(), "{tag}");
+                                }
                                 if plans && compressed {
                                     assert!(table.plan_ranges.iter().all(Option::is_some), "{tag}");
                                 } else {
                                     // The plan section is one kind byte
                                     // per shard, each 0, before the
-                                    // checksum.
+                                    // checksum trailer.
                                     let kinds = table.shard_ranges[shards - 1].end;
-                                    assert_eq!(kinds + shards, bytes.len() - 8, "{tag}");
+                                    let trailer = 8 * table.checksum_chunks;
+                                    assert_eq!(kinds + shards, bytes.len() - trailer, "{tag}");
                                     assert_eq!(
                                         bytes[kinds..kinds + shards],
                                         vec![0; shards],
@@ -1799,11 +1911,7 @@ mod tests {
     #[test]
     fn forged_grammar_metadata_is_rejected() {
         use gcm_pipeline::GrammarChoice;
-        fn refresh_checksum(bytes: &mut [u8]) {
-            let body = bytes.len() - 8;
-            let sum = fnv1a64(&bytes[..body]);
-            bytes[body..].copy_from_slice(&sum.to_le_bytes());
-        }
+        let refresh_checksum = reseal;
         let dense = sample();
         let model = ShardedModel::from_dense(
             &dense,
@@ -1848,5 +1956,141 @@ mod tests {
         refresh_checksum(&mut flipped);
         let back = ShardedModel::from_bytes(&flipped).expect("fp is not structural");
         assert_ne!(back.shard_fingerprint(0), model.shard_fingerprint(0));
+    }
+
+    /// A dense matrix whose csrv container spans several checksum
+    /// chunks.
+    fn large_sample() -> DenseMatrix {
+        let mut m = DenseMatrix::zeros(3000, 40);
+        for r in 0..3000 {
+            for c in 0..40 {
+                if (r + 3 * c) % 4 != 0 {
+                    m.set(r, c, ((r * 7 + c * 13) % 97) as f64 + 0.5);
+                }
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn every_checksum_chunk_guards_its_own_bytes() {
+        let model = ShardedModel::from_dense(
+            &large_sample(),
+            &BuildOptions {
+                backend: Backend::Csrv,
+                shards: 3,
+                ..BuildOptions::default()
+            },
+        )
+        .unwrap();
+        let bytes = model.to_bytes();
+        let table = ShardTable::parse(&bytes).unwrap();
+        let chunks = table.checksum_chunks;
+        assert!(chunks >= 3, "{} bytes in {chunks} chunks", bytes.len());
+        let body = bytes.len() - 8 * chunks;
+        assert_eq!(body.div_ceil(CHECKSUM_CHUNK), chunks);
+        for (i, chunk) in bytes[..body].chunks(CHECKSUM_CHUNK).enumerate() {
+            let at = body + 8 * i;
+            assert_eq!(bytes[at..at + 8], fnv1a64(chunk).to_le_bytes(), "chunk {i}");
+        }
+        // A flip anywhere in chunk `i` (or in its stored sum) is that
+        // chunk's mismatch, whichever loader reads it.
+        for i in 0..chunks {
+            for at in [i * CHECKSUM_CHUNK + 17, body + 8 * i] {
+                let mut bad = bytes.clone();
+                bad[at] ^= 0x40;
+                for err in [
+                    from_bytes(&bad).expect_err("overlapped"),
+                    from_bytes_sequential(&bad).expect_err("sequential"),
+                    ShardTable::parse(&bad).expect_err("table"),
+                ] {
+                    let msg = err.to_string();
+                    assert!(
+                        msg.contains(&format!("checksum mismatch in chunk {i} ")),
+                        "{msg}"
+                    );
+                }
+            }
+        }
+        // Two flips: the first chunk in order is the one reported.
+        let mut bad = bytes.clone();
+        bad[2 * CHECKSUM_CHUNK + 5] ^= 1;
+        bad[CHECKSUM_CHUNK + 5] ^= 1;
+        let msg = from_bytes(&bad).expect_err("two flips").to_string();
+        assert!(msg.contains("chunk 1 "), "{msg}");
+        // Resealing restores the original trailer.
+        let mut resealed = bytes.clone();
+        resealed[body..].fill(0);
+        reseal(&mut resealed);
+        assert_eq!(resealed, bytes);
+        let back = from_bytes(&bytes).unwrap();
+        assert_eq!(back.stored_bytes(), model.stored_bytes());
+    }
+
+    #[test]
+    fn lengths_that_fit_no_chunk_trailer_are_rejected() {
+        let mut bytes = ShardedModel::from_dense(
+            &large_sample(),
+            &BuildOptions {
+                backend: Backend::Csrv,
+                ..BuildOptions::default()
+            },
+        )
+        .unwrap()
+        .to_bytes();
+        let chunks = ShardTable::parse(&bytes).unwrap().checksum_chunks;
+        // One to eight bytes past a whole number of chunk-and-sum
+        // strides fit no trailer: `n` sums would leave `n - 1` chunks.
+        bytes.truncate((chunks - 1) * (CHECKSUM_CHUNK + 8));
+        for extra in 1..=8 {
+            bytes.push(0);
+            let msg = from_bytes(&bytes).expect_err("no trailer fits").to_string();
+            assert!(msg.contains("fit no chunk trailer"), "+{extra}: {msg}");
+            assert_eq!(msg, from_bytes_sequential(&bytes).unwrap_err().to_string());
+        }
+    }
+
+    #[test]
+    fn legacy_shards_that_disagree_on_the_dictionary_are_corrupt() {
+        // Two shards of two different matrices, each embedding its own
+        // `V`, in a version-5 container: corrupt, never a panic.
+        let mut other = sample();
+        other.set(0, 1, 99.0);
+        for backend in Backend::ALL {
+            let opts = BuildOptions {
+                backend,
+                ..BuildOptions::default()
+            };
+            let a = ShardedModel::from_dense(&sample(), &opts).unwrap();
+            let b = ShardedModel::from_dense(&other, &opts).unwrap();
+            let mut v5 = Vec::new();
+            v5.extend_from_slice(MAGIC);
+            v5.push(VERSION_GRAMMAR);
+            v5.push(backend.tag());
+            varint::write_u64(&mut v5, 74);
+            varint::write_u64(&mut v5, 8);
+            varint::write_u64(&mut v5, 2);
+            for payload in embedded_payloads(&a)
+                .into_iter()
+                .chain(embedded_payloads(&b))
+            {
+                v5.extend_from_slice(&[0, 0]); // no reorder, no grammar stage
+                varint::write_u64(&mut v5, payload.len() as u64);
+                v5.extend_from_slice(&payload);
+            }
+            v5.extend_from_slice(&[0, 0]); // plan kinds
+            let sum = fnv1a64(&v5);
+            v5.extend_from_slice(&sum.to_le_bytes());
+            for err in [
+                from_bytes(&v5).expect_err("overlapped"),
+                from_bytes_sequential(&v5).expect_err("sequential"),
+            ] {
+                assert!(
+                    matches!(&err, ServeError::Corrupt(m) if m.contains("value dictionary")),
+                    "{}: {err}",
+                    backend.name()
+                );
+            }
+        }
     }
 }

@@ -1,67 +1,67 @@
 //! Incremental container rebuilds: `gcm compress --base OLD.gcms`.
 //!
-//! A version-5 or -6 container records, per shard, the FNV-64 fingerprint of
-//! the shard's build-time input rows ([`shard_fingerprint`]). An
-//! incremental rebuild replays only the *planning* split on the new
-//! matrix, fingerprints each shard's input slice, and then:
+//! A version-7 container records, per compressed shard, the fingerprint
+//! of the shard's **build plan**
+//! ([`gcm_pipeline::ShardPlan::fingerprint`]): its input rows, the value
+//! dictionary `V` its terminals index, the encoding and grammar
+//! policies, and the reorder action — a global permutation's entries
+//! included. That is everything the shard's bytes depend on, so
+//! an incremental rebuild plans the new build (the shard split, and a
+//! global permutation when one is asked for), fingerprints each shard
+//! plan, and then:
 //!
-//! * **splices** every unchanged shard — the encoded payload bytes and
-//!   any persisted `GCMPLAN1` blobs are copied straight out of the base
-//!   container through its [`ShardTable`] byte ranges, with no grammar
-//!   decode, no re-encode, and no plan recompilation;
-//! * **rebuilds** every changed shard through the ordinary stage
-//!   phases (reorder → grammar → encode, plus plan compilation when the
-//!   base persists plans). The changed shards' plans run as one
-//!   pipeline execution, so several edited shards share the pool.
+//! * **splices** every shard whose fingerprint matches the base — the
+//!   encoded payload bytes and any persisted `GCMPLAN1` blobs are copied
+//!   straight out of the base container through its [`ShardTable`] byte
+//!   ranges, with no grammar decode, no re-encode, and no plan
+//!   recompilation;
+//! * **rebuilds** every other shard through the ordinary stage phases
+//!   (reorder → grammar → encode, plus plan compilation when the base
+//!   persists plans). The rebuilt shards' plans run as one pipeline
+//!   execution, so several of them share the pool.
 //!
-//! Because the per-shard stages are deterministic and independent, the
-//! spliced container is **byte-identical** to a from-scratch rebuild of
-//! the same input under the same configuration — the tests pin this
-//! down, and [`RebuildReport::grammar_builds`] proves that exactly the
-//! changed shards paid for grammar construction.
+//! Because the per-shard stages are deterministic and independent, and
+//! a matching fingerprint means the same plan, the spliced container is
+//! **byte-identical** to a from-scratch build of the same input under
+//! the same configuration by construction — the tests pin this down for
+//! every plan change, and [`RebuildReport::grammar_builds`] proves that
+//! exactly the rebuilt shards paid for grammar construction. A plan
+//! change rebuilds exactly the shards it touches: a new encoding, grammar
+//! policy or reorder scope all of them; a one-row edit under a global
+//! reorder the edited shard, or every shard when the edit moves the
+//! permutation.
 //!
-//! The splice path needs a base that actually carries fingerprints and
-//! a configuration whose shards are independent; anything else falls
-//! back to a full rebuild with the reason recorded in the returned
-//! [`RebuildReport`] (never silently). In particular
-//! [`ReorderMode::Global`] couples every shard to the whole-matrix
-//! permutation, so a single changed row invalidates all shards.
+//! The container stores `V` once, ahead of the dictionary-free shard
+//! payloads, and every shard's terminals index into it. An edit that
+//! only moves existing values around invalidates just the shards whose
+//! rows changed; an edit that changes the dictionary (a new distinct
+//! value, or a removed or reordered one) renumbers the terminals of
+//! *every* shard, and the fingerprint, which covers `V`, invalidates
+//! them all.
 //!
-//! One cross-shard coupling is inherent to the format and handled by
-//! the fingerprint itself: row shards share the whole-matrix **value
-//! dictionary**, which a multi-shard (version 6) container stores once,
-//! ahead of the dictionary-free shard payloads. Every shard's terminal
-//! symbols index into it. An edit that only moves existing values
-//! around invalidates just the shards whose rows changed; an edit that
-//! changes the dictionary (a new distinct value, or a removed/reordered
-//! one) renumbers the terminals of *every* shard, and the fingerprint —
-//! which covers the shard's symbol stream *and* the shared dictionary —
-//! correctly invalidates them all. A matching fingerprint therefore
-//! also vouches for the dictionary, which is what lets a version-5 base
-//! (one copy of `V` per payload) splice into a version-6 output: the
-//! embedded copy is cut out of the payload bytes, with no decode.
+//! The splice path needs a base whose fingerprints cover the plan and
+//! the same backend and shard split; anything else falls back to a full
+//! rebuild with the reason recorded in the returned [`RebuildReport`]
+//! (never silently). Bases older than version 7 always fall back: their
+//! fingerprints hash only the input rows and `V`.
 
-use std::borrow::Cow;
-
-use gcm_core::serial;
 use gcm_matrix::CsrvMatrix;
-use gcm_pipeline::{
-    shard_fingerprint, BuildConfig, GrammarChoice, GrammarStage, Plan, ReorderMode,
-};
+use gcm_pipeline::{BuildConfig, Plan};
 
 use crate::container::{
     self, plan_kind, write_container, Header, Segment, SegmentBody, ServeError, ShardTable,
+    VERSION_CHUNKED,
 };
 use crate::sharded::{ServeOptions, ShardedModel};
 
 /// How one output shard of an incremental rebuild was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardProvenance {
-    /// The input fingerprint matched the base container: payload bytes
+    /// The plan fingerprint matched the base container: payload bytes
     /// and persisted plan blobs were spliced verbatim.
     Spliced,
-    /// The input changed (or the base recorded no fingerprint for this
-    /// shard): the full per-shard stage chain re-ran.
+    /// The shard's input or plan changed (or the base recorded no
+    /// fingerprint for this shard): the full per-shard stage chain re-ran.
     Rebuilt,
 }
 
@@ -109,17 +109,17 @@ impl RebuildReport {
 }
 
 /// Rebuilds `csrv` against the base container bytes, splicing every
-/// shard whose input fingerprint is unchanged and re-running the stage
+/// shard whose plan fingerprint is unchanged and re-running the stage
 /// chain only for the rest. Whether the output carries a plan section
 /// follows the *base* (an incremental rebuild never changes the plan
 /// policy mid-flight). The result is byte-identical to the
 /// corresponding full rebuild.
 ///
 /// Falls back to a full rebuild — with the reason in the report — when
-/// the base or the configuration cannot support splicing: a base
-/// without fingerprints (pre-v5 or uncompressed), a changed backend, a
-/// base shard built with another stage than a fixed `--grammar` asks
-/// for, a global reorder, or a changed shard count.
+/// the base cannot support splicing: a base without fingerprints
+/// (uncompressed, or older than version 5), one older than version 7
+/// (whose fingerprints do not cover the plan), a changed backend, column
+/// count or shard count.
 ///
 /// # Errors
 /// Fails if `base` is not a structurally valid container.
@@ -137,7 +137,7 @@ pub fn compress_incremental(
     let mut provenance = Vec::with_capacity(plan.shards.len());
     let mut changed = Vec::new();
     for (i, sp) in plan.shards.into_iter().enumerate() {
-        if table.fingerprints[i] == Some(shard_fingerprint(&sp.csrv)) {
+        if table.fingerprints[i] == Some(sp.fingerprint()) {
             provenance.push(ShardProvenance::Spliced);
         } else {
             provenance.push(ShardProvenance::Rebuilt);
@@ -151,26 +151,25 @@ pub fn compress_incremental(
         },
         planned,
     );
-    // The full build's writer stores the row shards' one dictionary once
-    // whenever there are two or more of them (a version-6 container).
-    let dictionary = (provenance.len() >= 2).then(|| csrv.values());
     let mut rebuilt = rebuilt.iter().flat_map(ShardedModel::shard_slice);
-    let segments = provenance
+    let segments: Vec<Segment> = provenance
         .iter()
         .enumerate()
         .map(|(i, p)| match p {
-            ShardProvenance::Spliced => splice_segment(&table, base, i, dictionary),
-            ShardProvenance::Rebuilt => Ok(Segment::live(
+            ShardProvenance::Spliced => splice_segment(&table, base, i),
+            ShardProvenance::Rebuilt => Segment::live(
                 rebuilt.next().expect("one rebuilt shard per changed input"),
                 true,
-            )),
+            ),
         })
-        .collect::<Result<Vec<_>, _>>()?;
+        .collect();
     let header = Header {
         backend: config.backend,
         rows: csrv.rows(),
         cols: csrv.cols(),
-        dictionary,
+        // A matching fingerprint vouches for `V`, so the spliced
+        // payloads index this dictionary too.
+        dictionary: csrv.values(),
     };
     let bytes = write_container(header, &segments);
     Ok((
@@ -198,12 +197,15 @@ fn plan_policy(table: &ShardTable) -> Option<ServeOptions> {
 
 /// Why this build cannot splice from this base (`None` = it can).
 fn splice_blocker(csrv: &CsrvMatrix, config: &BuildConfig, table: &ShardTable) -> Option<String> {
-    if matches!(config.reorder, Some(ReorderMode::Global(_))) {
-        return Some("global reorder couples every shard to the whole-matrix permutation".into());
-    }
     if table.fingerprints.iter().all(Option::is_none) {
         return Some(format!(
             "base container (version {}) records no fingerprints",
+            table.version
+        ));
+    }
+    if table.version < VERSION_CHUNKED {
+        return Some(format!(
+            "base container (version {}) fingerprints only the input rows, not the build plan",
             table.version
         ));
     }
@@ -213,22 +215,6 @@ fn splice_blocker(csrv: &CsrvMatrix, config: &BuildConfig, table: &ShardTable) -
             table.backend.name(),
             config.backend.name()
         ));
-    }
-    // A fixed stage must match every base shard's recorded one; `auto`
-    // may have picked either.
-    let stage = match config.grammar.unwrap_or(GrammarChoice::RePair) {
-        GrammarChoice::RePair => Some(GrammarStage::RePair),
-        GrammarChoice::MrRePair => Some(GrammarStage::MrRePair),
-        GrammarChoice::Auto => None,
-    };
-    if let Some(stage) = stage {
-        if let Some(base) = table.grammar_stages.iter().flatten().find(|&&s| s != stage) {
-            return Some(format!(
-                "grammar stage changed ({} in base, {} requested)",
-                base.name(),
-                stage.name()
-            ));
-        }
     }
     if table.cols != csrv.cols() {
         return Some(format!(
@@ -249,36 +235,20 @@ fn splice_blocker(csrv: &CsrvMatrix, config: &BuildConfig, table: &ShardTable) -
 }
 
 /// Takes shard `i`'s on-disk pieces out of the base container without
-/// decoding them. With a shared `dictionary` (a version-6 output) the
-/// payload must be dictionary-free: a version-6 base's already is, and a
-/// version-5 base's embedded copy is cut out — after checking it is the
-/// very dictionary the matching fingerprint vouches for.
-fn splice_segment<'a>(
-    table: &ShardTable,
-    base: &'a [u8],
-    i: usize,
-    dictionary: Option<&[f64]>,
-) -> Result<Segment<'a>, ServeError> {
-    let mut payload = Cow::Borrowed(&base[table.shard_ranges[i].clone()]);
-    if let (Some(dictionary), None) = (dictionary, &table.dictionary) {
-        let (embedded, stripped) = serial::split_bundle_dictionary(&payload)
-            .ok_or_else(|| ServeError::Corrupt(format!("base shard {i}: invalid bundle")))?;
-        if embedded != dictionary {
-            return Err(ServeError::Corrupt(format!(
-                "base shard {i}: dictionary disagrees with its fingerprint"
-            )));
-        }
-        payload = Cow::Owned(stripped);
-    }
+/// decoding them.
+fn splice_segment<'a>(table: &ShardTable, base: &'a [u8], i: usize) -> Segment<'a> {
     let plan = table.plan_ranges[i]
         .clone()
         .map(|r| (plan_kind(table.plan_f32[i]), &base[r]));
-    Ok(Segment {
+    Segment {
         reorder: table.reorder_algos[i],
         grammar: table.grammar_stages[i],
         fingerprint: table.fingerprints[i],
-        body: SegmentBody::Spliced { payload, plan },
-    })
+        body: SegmentBody::Spliced {
+            payload: &base[table.shard_ranges[i].clone()],
+            plan,
+        },
+    }
 }
 
 /// Runs the changed shards' plans through one pipeline execution and
@@ -342,7 +312,7 @@ mod tests {
     use super::*;
     use crate::container;
     use gcm_matrix::DenseMatrix;
-    use gcm_pipeline::{EncodingChoice, GrammarChoice};
+    use gcm_pipeline::{EncodingChoice, GrammarChoice, ReorderMode};
 
     fn sample(rows: usize, cols: usize, salt: u64) -> DenseMatrix {
         let mut m = DenseMatrix::zeros(rows, cols);
@@ -416,8 +386,8 @@ mod tests {
             let base = build_full(&csrv, &config, plans);
             // Perturb one row in shard 2 (rows 24..36 of the 4-way
             // split) with a value the dictionary already holds — a
-            // *new* distinct value would rewrite the shared dictionary
-            // every shard payload embeds, correctly invalidating all
+            // *new* distinct value would rewrite the dictionary every
+            // shard's terminals index, correctly invalidating all
             // fingerprints.
             let mut changed = sample(48, 9, 0);
             changed.set(30, 4, 7.25);
@@ -538,42 +508,114 @@ mod tests {
         let reason = report.full_reason.expect("fallback must carry a reason");
         assert!(reason.contains("no fingerprints"), "{reason}");
         assert_eq!(bytes, build_full(&csrv, &config, false));
-        // A fixed grammar stage other than the base's: the default
-        // (RePair) against an MR-RePair base.
-        let base = build_full(&csrv, &config, false);
-        let default = BuildConfig {
-            shards: 2,
-            ..BuildConfig::default()
-        };
-        let (bytes, report) = compress_incremental(&csrv, &default, &base).unwrap();
-        let reason = report
-            .full_reason
-            .expect("a stage change must carry a reason");
-        assert!(reason.contains("grammar stage changed"), "{reason}");
-        assert_eq!(bytes, build_full(&csrv, &default, false));
         // Shard-count change.
+        let base = build_full(&csrv, &config, false);
         let (_, report) = compress_incremental(&csrv, &grammar_config(3), &base).unwrap();
         assert!(
             report.full_reason.expect("reason").contains("shard count"),
             "changed shard split must be reported"
         );
-        // Global reorder couples shards.
-        let global = BuildConfig {
-            reorder: Some(ReorderMode::Global(
-                gcm_reorder::ReorderAlgorithm::PathCover,
-            )),
+        // Backend change.
+        let csrv_config = BuildConfig {
+            backend: gcm_pipeline::Backend::Csrv,
             ..config
         };
-        let global_base = build_full(&csrv, &global, false);
-        let (_, report) = compress_incremental(&csrv, &global, &global_base).unwrap();
+        let (bytes, report) = compress_incremental(&csrv, &csrv_config, &base).unwrap();
         assert!(
             report
                 .full_reason
                 .expect("reason")
-                .contains("global reorder"),
-            "global reorder must refuse to splice"
+                .contains("backend changed"),
+            "a changed backend must be reported"
         );
+        assert_eq!(bytes, build_full(&csrv, &csrv_config, false));
         // A corrupt base is an error, not a silent full rebuild.
         assert!(compress_incremental(&csrv, &config, b"GCMSERV1junk").is_err());
+    }
+
+    /// Census rows (the `gcm gen census` generator), the matrix of the
+    /// plan-change tests below.
+    fn census(rows: usize) -> CsrvMatrix {
+        CsrvMatrix::from_dense(&gcm_datagen::Dataset::Census.generate(rows, 42)).unwrap()
+    }
+
+    /// Every plan change rebuilds exactly the shards whose bytes it
+    /// changes, and the output is the fresh build's bytes: the
+    /// fingerprint covers the encoding and grammar policies and the
+    /// reorder action, not just the input rows.
+    #[test]
+    fn every_plan_change_rebuilds_into_the_bytes_of_a_fresh_build() {
+        let csrv = census(400);
+        let pathcover = gcm_reorder::ReorderAlgorithm::PathCover;
+        let default = BuildConfig {
+            shards: 4,
+            ..BuildConfig::default()
+        };
+        let per_shard = BuildConfig {
+            reorder: Some(ReorderMode::PerShard(pathcover)),
+            ..default
+        };
+        let global = BuildConfig {
+            reorder: Some(ReorderMode::Global(pathcover)),
+            ..default
+        };
+        let fixed = |enc| BuildConfig {
+            encoding: EncodingChoice::Fixed(enc),
+            ..default
+        };
+        let auto_encoding = BuildConfig {
+            encoding: EncodingChoice::Auto,
+            ..default
+        };
+        let auto_grammar = BuildConfig {
+            grammar: Some(GrammarChoice::Auto),
+            ..default
+        };
+        let mr = BuildConfig {
+            grammar: Some(GrammarChoice::MrRePair),
+            ..default
+        };
+        for (what, from, to) in [
+            ("per-shard reorder -> none", per_shard, default),
+            ("global -> per-shard reorder", global, per_shard),
+            (
+                "re_ans -> re_iv",
+                fixed(gcm_core::Encoding::ReAns),
+                fixed(gcm_core::Encoding::ReIv),
+            ),
+            ("auto encoding -> default", auto_encoding, default),
+            ("auto grammar -> repair", auto_grammar, default),
+            ("repair -> auto grammar", default, auto_grammar),
+            ("auto grammar -> mr-repair", auto_grammar, mr),
+        ] {
+            for plans in [false, true] {
+                let base = build_full(&csrv, &from, plans);
+                let (bytes, report) = compress_incremental(&csrv, &to, &base).unwrap();
+                assert_eq!(report.full_reason, None, "{what}");
+                assert_eq!(report.rebuilt(), 4, "{what}: every shard's plan changed");
+                assert_eq!(bytes, build_full(&csrv, &to, plans), "{what} plans={plans}");
+            }
+        }
+
+        // A one-row edit under a global reorder that reuses interned
+        // values (the last row takes the one before it): the edit keeps
+        // the whole-matrix permutation here, so exactly the final shard
+        // is rebuilt; a permutation that moved would rebuild them all.
+        let mut dense = gcm_datagen::Dataset::Census.generate(400, 42);
+        for c in 0..dense.cols() {
+            dense.set(399, c, dense.get(398, c));
+        }
+        let edited = CsrvMatrix::from_dense(&dense).unwrap();
+        assert_eq!(edited.values(), csrv.values(), "the edit keeps V");
+        let same_order = Plan::new(&csrv, &global).shards[0].fingerprint()
+            == Plan::new(&edited, &global).shards[0].fingerprint();
+        for plans in [false, true] {
+            let base = build_full(&csrv, &global, plans);
+            let (bytes, report) = compress_incremental(&edited, &global, &base).unwrap();
+            assert_eq!(report.full_reason, None);
+            assert_eq!(report.rebuilt(), if same_order { 1 } else { 4 });
+            assert_eq!(report.shards[3], ShardProvenance::Rebuilt);
+            assert_eq!(bytes, build_full(&edited, &global, plans), "plans={plans}");
+        }
     }
 }

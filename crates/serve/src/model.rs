@@ -112,13 +112,12 @@ impl Model {
         }
     }
 
-    /// The grammar backend's value dictionary `V` (an `Arc` the row
-    /// shards of one build share); `None` for the uncompressed backend,
-    /// whose payloads always embed their own.
-    pub fn dictionary(&self) -> Option<&Arc<Vec<f64>>> {
+    /// The value dictionary `V` (an `Arc` the row shards of one build
+    /// share, whatever the backend).
+    pub fn dictionary(&self) -> &Arc<Vec<f64>> {
         match self {
-            Model::Csrv(_) => None,
-            Model::Compressed(m) => Some(m.values_arc()),
+            Model::Csrv(m) => m.values_arc(),
+            Model::Compressed(m) => m.values_arc(),
         }
     }
 

@@ -58,7 +58,7 @@ pub struct BuildOptions {
     /// Grammar encoding (compressed backends).
     pub encoding: Encoding,
     /// Grammar-stage policy (compressed backends). Every compressed
-    /// shard records its stage and input fingerprint.
+    /// shard records its stage and build-plan fingerprint.
     pub grammar: GrammarChoice,
     /// Number of row shards (clamped to `1..=rows`).
     pub shards: usize,
@@ -150,11 +150,11 @@ pub(crate) struct Shard {
     /// known (build-time provenance; `GCMSERV1` v2 persists it).
     pub(crate) reorder: Option<ReorderAlgorithm>,
     /// Grammar stage that compressed this shard, when recorded
-    /// (`GCMSERV1` v5 and v6 persist it; `None` for the uncompressed
+    /// (`GCMSERV1` v5 and later persist it; `None` for the uncompressed
     /// backend and shards loaded from older containers).
     pub(crate) grammar: Option<GrammarStage>,
-    /// Fingerprint of the shard's build-time input rows
-    /// ([`gcm_pipeline::shard_fingerprint`]), when recorded — the
+    /// Fingerprint of the shard's build plan
+    /// ([`gcm_pipeline::ShardPlan::fingerprint`]), when recorded — the
     /// handle incremental rebuilds match unchanged shards by.
     pub(crate) fingerprint: Option<u64>,
     /// Compiled execution plan, set once by a plan-enabled prewarm
@@ -399,7 +399,10 @@ impl ShardedModel {
     /// through it too.
     ///
     /// # Panics
-    /// Panics if a shard disagrees on the column count.
+    /// Panics if a shard disagrees on the column count, or on the value
+    /// dictionary `V`: the shards must be blocks of one matrix, whose
+    /// `V` a container stores once (blocks of one split or reorder share
+    /// it already).
     pub fn from_parts(models: Vec<Model>, cols: usize, col_order: Option<Vec<u32>>) -> Self {
         Self::from_shards(
             models
@@ -411,13 +414,14 @@ impl ShardedModel {
     }
 
     /// Assembles a sharded model from per-shard `(model, column order,
-    /// reorder algorithm, grammar stage, input fingerprint)` tuples —
+    /// reorder algorithm, grammar stage, build-plan fingerprint)` tuples —
     /// the general constructor behind
     /// [`from_artifacts`](Self::from_artifacts) and the container
     /// loader, where every shard carries its own metadata.
     ///
     /// # Panics
-    /// Panics if a shard disagrees on the column count.
+    /// Panics if a shard disagrees on the column count or on the value
+    /// dictionary (one `Arc`, or equal contents).
     #[allow(clippy::type_complexity)]
     pub(crate) fn from_shards(
         parts: Vec<(
@@ -431,8 +435,16 @@ impl ShardedModel {
     ) -> Self {
         let mut shards = Vec::with_capacity(parts.len());
         let mut rows = 0usize;
+        let first = parts.first().map(|p| Arc::clone(p.0.dictionary()));
         for (model, col_order, reorder, grammar, fingerprint) in parts {
             assert_eq!(model.cols(), cols, "shard column mismatch");
+            if let Some(first) = &first {
+                let dict = model.dictionary();
+                assert!(
+                    Arc::ptr_eq(dict, first) || dict == first,
+                    "shards disagree on the value dictionary"
+                );
+            }
             let model_rows = model.rows();
             shards.push(Shard {
                 model,
@@ -526,34 +538,34 @@ impl ShardedModel {
     }
 
     /// The grammar stage shard `i` was compressed with, when recorded
-    /// (build provenance, persisted by `GCMSERV1` versions 5 and 6).
+    /// (build provenance, persisted by `GCMSERV1` version 5 and later).
     pub fn shard_grammar(&self, i: usize) -> Option<GrammarStage> {
         self.shards[i].grammar
     }
 
-    /// The build-time input fingerprint of shard `i`, when recorded
-    /// ([`gcm_pipeline::shard_fingerprint`]; persisted by `GCMSERV1`
-    /// versions 5 and 6 for incremental rebuilds).
+    /// The build-plan fingerprint of shard `i`, when recorded
+    /// ([`gcm_pipeline::ShardPlan::fingerprint`]; persisted by
+    /// `GCMSERV1` for incremental rebuilds).
     pub fn shard_fingerprint(&self, i: usize) -> Option<u64> {
         self.shards[i].fingerprint
     }
 
     /// Total representation size across shards (container framing
-    /// excluded). A value dictionary that several grammar shards share
-    /// (one `Arc`, as in a fresh build or a `GCMSERV1` v6 load) is
+    /// excluded). A value dictionary that several shards share (one
+    /// `Arc`, as in a fresh build or a `GCMSERV1` v6 or later load) is
     /// counted once, as the container stores it once; shards loaded
-    /// from older containers each hold, and count, their own copy.
+    /// from older multi-shard containers each hold, and count, their
+    /// own copy.
     pub fn stored_bytes(&self) -> usize {
         let mut seen: Vec<&Arc<Vec<f64>>> = Vec::new();
         let mut total = 0;
         for shard in &self.shards {
             total += shard.model.stored_bytes();
-            if let Some(dict) = shard.model.dictionary() {
-                if seen.iter().any(|d| Arc::ptr_eq(d, dict)) {
-                    total -= dict.len() * 8;
-                } else {
-                    seen.push(dict);
-                }
+            let dict = shard.model.dictionary();
+            if seen.iter().any(|d| Arc::ptr_eq(d, dict)) {
+                total -= dict.len() * 8;
+            } else {
+                seen.push(dict);
             }
         }
         total
@@ -1294,13 +1306,25 @@ mod tests {
         };
         let (one, many) = (build(1), build(8));
         assert_eq!(many.num_shards(), 8);
-        let v_bytes = one.shard_model(0).dictionary().unwrap().len() * 8;
+        let v_bytes = one.shard_model(0).dictionary().len() * 8;
         let per_shard: usize = (0..8)
             .map(|i| many.shard_model(i).stored_bytes() - v_bytes)
             .sum();
         assert_eq!(many.stored_bytes(), per_shard + v_bytes);
         assert!(one.stored_bytes() >= v_bytes);
         assert!(many.stored_bytes() < 4 * one.stored_bytes());
+    }
+
+    /// A sharded model is one matrix, with one `V`: shards built from
+    /// two matrices are refused, as the container stores `V` once.
+    #[test]
+    #[should_panic(expected = "shards disagree on the value dictionary")]
+    fn shards_of_two_dictionaries_are_refused() {
+        let a = CsrvMatrix::from_dense(&sample(4, 3)).unwrap();
+        let mut other = sample(4, 3);
+        other.set(0, 0, 1234.5);
+        let b = CsrvMatrix::from_dense(&other).unwrap();
+        ShardedModel::from_parts(vec![Model::Csrv(a), Model::Csrv(b)], 3, None);
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //!
 //! For every backend: serialise a sharded model, then (a) truncate at
 //! every byte boundary and (b) flip bits in every byte. Loading must
-//! fail cleanly in all cases — the FNV-64 checksum makes *any*
-//! single-byte corruption detectable, and the structural validators
+//! fail cleanly in all cases — the FNV-64 checksums of the trailer make
+//! *any* single-byte corruption detectable, and the structural validators
 //! behind it guarantee that even a forged checksum cannot panic a
 //! kernel (that layer is fuzzed separately in
 //! `crates/core/tests/serial_fuzz.rs`).
 //!
 //! Every case loads through both loaders ([`load_both`]): the
-//! overlapped `from_bytes`, which verifies the checksum while it
+//! overlapped `from_bytes`, which verifies the checksum chunks while it
 //! decodes, must reach exactly the outcome of the verify-first
 //! `from_bytes_sequential`.
 
@@ -72,12 +72,13 @@ fn sample_container(backend: Backend) -> Vec<u8> {
     ShardedModel::from_dense(&dense, &opts).unwrap().to_bytes()
 }
 
-/// Containers of the read-only versions 2 and 3, written by an older
+/// Containers of the read-only versions 2, 3 and 6, written by an older
 /// `gcm` (see `legacy_containers.rs`): the writer now emits only
-/// versions 5 and 6, so [`sample_container`] no longer covers them.
-const LEGACY_FIXTURES: [(&str, &[u8]); 2] = [
+/// version 7, so [`sample_container`] no longer covers them.
+const LEGACY_FIXTURES: [(&str, &[u8]); 3] = [
     ("v2", include_bytes!("fixtures/census400_v2.gcms")),
     ("v3", include_bytes!("fixtures/census400_v3.gcms")),
+    ("v6", include_bytes!("fixtures/census400_v6.gcms")),
 ];
 
 #[test]
@@ -389,12 +390,10 @@ fn forged_re_fse_shard_payloads_are_rejected_within_budget() {
     assert!(load_both(&good).is_ok());
 }
 
-/// Rewrites the trailing FNV-64 checksum so a mutated body reaches the
+/// Rewrites the checksum trailer so a mutated body reaches the
 /// structural validators instead of dying at the checksum gate.
 fn refresh_checksum(bytes: &mut [u8]) {
-    let body = bytes.len() - 8;
-    let sum = fnv1a64(&bytes[..body]);
-    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    container::reseal(bytes);
 }
 
 /// Version-4 plan sections behind a valid checksum: truncations are
@@ -474,12 +473,11 @@ fn forged_plan_sections_are_rejected_within_budget() {
     assert!(back.is_planned());
 }
 
-/// Version-5 grammar metadata and incrementally **spliced** plan
-/// sections behind a valid checksum: the fuzz target is a container
-/// produced by `compress_incremental` (some shards spliced byte-ranges
-/// from a base, one rebuilt), because that is the writer most likely to
-/// misalign a section (its three shards make it a version-6 container,
-/// with the shared dictionary ahead of them). Truncation at every
+/// Grammar metadata and incrementally **spliced** plan sections behind a
+/// valid checksum: the fuzz target is a container produced by
+/// `compress_incremental` (some shards spliced byte-ranges from a base,
+/// one rebuilt), because that is the writer most likely to misalign a
+/// section (the value dictionary sits ahead of them). Truncation at every
 /// boundary is rejected; every single-byte corruption — dictionary,
 /// grammar tags, fingerprints, payloads, and plan blobs alike — either
 /// fails validation or yields a model that
@@ -566,9 +564,9 @@ fn forged_grammar_tags_and_spliced_plan_sections_stay_within_budget() {
     }
 }
 
-/// A 4-shard grammar model: written as a version-6 container, with one
-/// value dictionary ahead of four dictionary-free shard payloads.
-fn v6_sample() -> Vec<u8> {
+/// A 4-shard grammar model as a version-7 container: one value
+/// dictionary ahead of four dictionary-free shard payloads.
+fn v7_sample() -> Vec<u8> {
     let mut dense = DenseMatrix::zeros(26, 7);
     for r in 0..26 {
         for c in 0..7 {
@@ -582,15 +580,31 @@ fn v6_sample() -> Vec<u8> {
         ..BuildOptions::default()
     };
     let bytes = ShardedModel::from_dense(&dense, &opts).unwrap().to_bytes();
-    assert_eq!(bytes[8], gcm_serve::container::VERSION_SHARED_DICT);
+    assert_eq!(bytes[8], container::VERSION_CHUNKED);
     bytes
 }
 
-/// Rewrites a version-6 container's dictionary section to `len` as the
-/// declared length followed by `values`, with a refreshed checksum.
+/// [`v7_sample`] as the version-6 container an older writer made of it:
+/// the same body under version byte 6, sealed with one FNV-1a of the
+/// whole body.
+fn v6_sample() -> Vec<u8> {
+    let bytes = v7_sample();
+    let chunks = ShardTable::parse(&bytes).unwrap().checksum_chunks;
+    let mut v6 = bytes[..bytes.len() - 8 * chunks].to_vec();
+    v6[8] = container::VERSION_SHARED_DICT;
+    let sum = fnv1a64(&v6);
+    v6.extend_from_slice(&sum.to_le_bytes());
+    assert_eq!(ShardTable::parse(&v6).unwrap().version, 6);
+    v6
+}
+
+/// Rewrites a version-6 or -7 container's dictionary section to `len` as
+/// the declared length followed by `values`, with a refreshed checksum.
 fn forge_dictionary(bytes: &[u8], len: u64, values: &[f64]) -> Vec<u8> {
     let table = ShardTable::parse(bytes).unwrap();
-    let dict = table.dictionary.expect("version 6 stores a dictionary");
+    let dict = table
+        .dictionary
+        .expect("versions 6 and 7 store a dictionary");
     // The length varint follows the three header varints.
     let mut start = 10usize;
     for _ in 0..3 {
@@ -654,7 +668,13 @@ fn version6_truncation_and_flips_at_every_offset_are_rejected() {
 
 #[test]
 fn inflated_dictionary_length_is_rejected_before_allocation() {
-    let bytes = v6_sample();
+    for bytes in [v6_sample(), v7_sample()] {
+        inflated_dictionary_length_is_rejected_in(&bytes);
+    }
+}
+
+fn inflated_dictionary_length_is_rejected_in(bytes: &[u8]) {
+    let bytes = bytes.to_vec();
     let table = ShardTable::parse(&bytes).unwrap();
     let values: Vec<f64> = bytes[table.dictionary.clone().unwrap()]
         .chunks_exact(8)
@@ -684,7 +704,13 @@ fn inflated_dictionary_length_is_rejected_before_allocation() {
 
 #[test]
 fn shard_terminals_past_the_shared_dictionary_are_rejected() {
-    let bytes = v6_sample();
+    for bytes in [v6_sample(), v7_sample()] {
+        shard_terminals_past_the_dictionary_are_rejected_in(&bytes);
+    }
+}
+
+fn shard_terminals_past_the_dictionary_are_rejected_in(bytes: &[u8]) {
+    let bytes = bytes.to_vec();
     let table = ShardTable::parse(&bytes).unwrap();
     let values: Vec<f64> = bytes[table.dictionary.clone().unwrap()]
         .chunks_exact(8)

@@ -456,8 +456,8 @@ fn sparse_right_products_match_the_dense_path_exactly() {
 /// MR-RePair and per-shard auto grammar selection must be invisible to
 /// the products: across the shape grid, both compressed serve backends,
 /// every encoding, shard counts, and streaming + planned + planned-f32
-/// serving — after a save → load round-trip through the version-5
-/// container — right/left panels match the dense oracle to 1e-9 (1e-3
+/// serving — after a save → load round-trip through the container —
+/// right/left panels match the dense oracle to 1e-9 (1e-3
 /// for f32 plans) and sparse-input right products stay bit-equal to the
 /// same model's dense-input path.
 #[test]

@@ -1,9 +1,13 @@
-//! Containers written before the writer settled on versions 5 and 6
-//! keep working.
+//! Containers written before the writer settled on version 7 keep
+//! working.
 //!
 //! The fixtures were written by older `gcm` builds from
 //! `gcm gen census 400` (seed 42):
 //!
+//! * `census400_v6.gcms` — `gcm compress --shards 4 --encoding auto
+//!   --emit-plans --plan-f32`: version 6, one `V` for four shards,
+//!   fingerprints of the input rows alone, f32 plans, one whole-file
+//!   checksum (written before version 7);
 //! * `census400_v5.gcms` — `gcm compress --grammar auto --shards 4
 //!   --emit-plans`: version 5, four shards each embedding `V`, f64 plans
 //!   (written before version 6 stored one value dictionary per
@@ -16,22 +20,25 @@
 //!   --reorder pathcover --reorder-scope shard`: version 2, four csrv
 //!   shards, each with its own permutation.
 //!
-//! Versions 1 to 4 are read-only now. Every fixture must load, report its
+//! Versions 1 to 6 are read-only now. Every fixture must load, report its
 //! own version, and multiply bit-identically to a fresh build with the
-//! same flags; and a version-5 base must splice into output
-//! `cmp`-identical to a fresh version-6 build.
+//! same flags. A version-5 or -6 base cannot splice — its fingerprints do
+//! not cover the build plan — so `--base` falls back to a full rebuild,
+//! named in the report, whose bytes equal a fresh version-7 build.
 
 use gcm_datagen::Dataset;
 use gcm_matrix::CsrvMatrix;
 use gcm_reorder::ReorderAlgorithm;
 use gcm_serve::container::{
-    self, VERSION_ENCODINGS, VERSION_GRAMMAR, VERSION_PER_SHARD, VERSION_PLANS, VERSION_SHARED_DICT,
+    self, VERSION_CHUNKED, VERSION_ENCODINGS, VERSION_GRAMMAR, VERSION_PER_SHARD, VERSION_PLANS,
+    VERSION_SHARED_DICT,
 };
 use gcm_serve::{
     compress_incremental, Backend, BuildConfig, BuildOptions, EncodingChoice, GrammarChoice,
     ReorderMode, ServeOptions, ShardTable, ShardedModel,
 };
 
+const V6: &[u8] = include_bytes!("fixtures/census400_v6.gcms");
 const V5: &[u8] = include_bytes!("fixtures/census400_v5.gcms");
 const V4: &[u8] = include_bytes!("fixtures/census400_v4.gcms");
 const V3: &[u8] = include_bytes!("fixtures/census400_v3.gcms");
@@ -76,8 +83,16 @@ fn products(model: &ShardedModel) -> Vec<u64> {
     out
 }
 
+/// The configuration `census400_v6.gcms` was written with.
+fn v6_config() -> BuildConfig {
+    BuildConfig {
+        encoding: EncodingChoice::Auto,
+        ..config(None)
+    }
+}
+
 #[test]
-fn legacy_fixtures_load_and_multiply_like_the_version6_build() {
+fn legacy_fixtures_load_and_multiply_like_the_version7_build() {
     let csrv = census();
     let pathcover = ReorderAlgorithm::PathCover;
     let v2_config = BuildConfig {
@@ -91,39 +106,31 @@ fn legacy_fixtures_load_and_multiply_like_the_version6_build() {
         reorder: Some(ReorderMode::Global(pathcover)),
         ..config(None)
     };
-    for (bytes, version, config, serve, fresh_version) in [
+    for (bytes, version, config, serve) in [
+        (
+            V6,
+            VERSION_SHARED_DICT,
+            v6_config(),
+            ServeOptions::planned_f32(),
+        ),
         (
             V5,
             VERSION_GRAMMAR,
             config(Some(GrammarChoice::Auto)),
             ServeOptions::planned(),
-            VERSION_SHARED_DICT,
         ),
-        (
-            V4,
-            VERSION_PLANS,
-            config(None),
-            ServeOptions::planned_f32(),
-            VERSION_SHARED_DICT,
-        ),
-        (
-            V3,
-            VERSION_ENCODINGS,
-            v3_config,
-            ServeOptions::default(),
-            VERSION_GRAMMAR,
-        ),
-        (
-            V2,
-            VERSION_PER_SHARD,
-            v2_config,
-            ServeOptions::default(),
-            VERSION_GRAMMAR,
-        ),
+        (V4, VERSION_PLANS, config(None), ServeOptions::planned_f32()),
+        (V3, VERSION_ENCODINGS, v3_config, ServeOptions::default()),
+        (V2, VERSION_PER_SHARD, v2_config, ServeOptions::default()),
     ] {
         let table = ShardTable::parse(bytes).unwrap();
         assert_eq!(table.version, version);
-        assert!(table.dictionary.is_none(), "v{version} embeds V per shard");
+        assert_eq!(table.checksum_chunks, 1, "v{version}: one whole-file sum");
+        assert_eq!(
+            table.dictionary.is_some(),
+            version == VERSION_SHARED_DICT,
+            "v{version} embeds V per shard"
+        );
         let legacy = ShardedModel::from_bytes(bytes).unwrap();
         assert_eq!(legacy.num_shards(), config.shards);
         assert_eq!(
@@ -141,7 +148,7 @@ fn legacy_fixtures_load_and_multiply_like_the_version6_build() {
         }
 
         let rebuilt = fresh(&csrv, &config, &serve);
-        assert_eq!(rebuilt[8], fresh_version, "v{version}");
+        assert_eq!(rebuilt[8], VERSION_CHUNKED, "v{version}");
         let current = ShardedModel::from_bytes(&rebuilt).unwrap();
         assert_eq!(current.is_planned(), serve.plans);
         assert_eq!(
@@ -149,17 +156,35 @@ fn legacy_fixtures_load_and_multiply_like_the_version6_build() {
             products(&current),
             "v{version} fixture must multiply bit-identically to a fresh build"
         );
-        if fresh_version != VERSION_SHARED_DICT {
-            assert_eq!(legacy.stored_bytes(), current.stored_bytes(), "v{version}");
-            continue;
-        }
-        // The old layout stores, and counts, one dictionary per shard.
+        // Up to version 5 the file stores, and the load counts, one
+        // dictionary per shard; version 6 and every fresh build one.
         let v_bytes = csrv.values().len() * 8;
+        let copies = if version == VERSION_SHARED_DICT {
+            1
+        } else {
+            config.shards
+        };
         assert_eq!(
             legacy.stored_bytes() - current.stored_bytes(),
-            3 * v_bytes,
+            (copies - 1) * v_bytes,
             "v{version}"
         );
+        let fresh_table = ShardTable::parse(&rebuilt).unwrap();
+        if version == VERSION_SHARED_DICT {
+            // The version-6 layout, with the version byte, fingerprints
+            // and checksum its only differences: the same dictionary,
+            // payloads and plan blobs, byte for byte.
+            assert_eq!(bytes.len(), rebuilt.len());
+            let ranges = |t: &ShardTable| {
+                let mut r = vec![t.dictionary.clone().unwrap()];
+                r.extend(t.shard_ranges.iter().cloned());
+                r.extend(t.plan_ranges.iter().flatten().cloned());
+                r
+            };
+            for (a, b) in ranges(&table).into_iter().zip(ranges(&fresh_table)) {
+                assert_eq!(bytes[a], rebuilt[b]);
+            }
+        }
         if version == VERSION_GRAMMAR {
             // Same shard table and plan blobs: the container shrinks by
             // three copies of `V` (each `|V|` varint + doubles), less the
@@ -172,28 +197,36 @@ fn legacy_fixtures_load_and_multiply_like_the_version6_build() {
     }
 }
 
+/// Splicing a version-5 or -6 base would trust fingerprints that cover
+/// only the input rows and `V`; both fall back to a full rebuild with a
+/// named reason, and keep their plan policy.
 #[test]
-fn version5_base_splices_into_output_identical_to_a_fresh_version6_build() {
-    let config = config(Some(GrammarChoice::Auto));
+fn version5_and_6_bases_fall_back_to_a_named_full_rebuild() {
     let csrv = census();
-    let (bytes, report) = compress_incremental(&csrv, &config, V5).unwrap();
-    assert_eq!(report.full_reason, None);
-    assert_eq!(report.spliced(), 4, "the fixture's fingerprints match");
-    assert_eq!(report.grammar_builds, 0);
-    assert_eq!(bytes, fresh(&csrv, &config, &ServeOptions::planned()));
-
-    // A one-row edit that reuses interned values: the last row takes the
-    // one before it, so only the final shard is rebuilt.
-    let mut dense = Dataset::Census.generate(400, 42);
-    for c in 0..dense.cols() {
-        dense.set(399, c, dense.get(398, c));
+    for (base, version, config, serve) in [
+        (
+            V5,
+            VERSION_GRAMMAR,
+            config(Some(GrammarChoice::Auto)),
+            ServeOptions::planned(),
+        ),
+        (
+            V6,
+            VERSION_SHARED_DICT,
+            v6_config(),
+            ServeOptions::planned_f32(),
+        ),
+    ] {
+        let (bytes, report) = compress_incremental(&csrv, &config, base).unwrap();
+        assert_eq!(report.rebuilt(), 4);
+        let reason = report.full_reason.expect("a pre-v7 base cannot splice");
+        assert!(
+            reason.contains(&format!("version {version}")) && reason.contains("not the build plan"),
+            "{reason}"
+        );
+        assert_eq!(bytes[8], VERSION_CHUNKED);
+        assert_eq!(bytes, fresh(&csrv, &config, &serve), "v{version}");
     }
-    let edited = CsrvMatrix::from_dense(&dense).unwrap();
-    assert_eq!(edited.values(), csrv.values(), "the edit keeps V");
-    let (bytes, report) = compress_incremental(&edited, &config, V5).unwrap();
-    assert_eq!(report.full_reason, None);
-    assert_eq!((report.spliced(), report.rebuilt()), (3, 1));
-    assert_eq!(bytes, fresh(&edited, &config, &ServeOptions::planned()));
 }
 
 #[test]

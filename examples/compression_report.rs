@@ -59,5 +59,6 @@ fn main() {
         );
     }
     println!("\n(~: gzip-like and xz-like are this repository's DEFLATE/LZMA-family");
-    println!("   baselines; see DESIGN.md for the substitution rationale.)");
+    println!("   baselines, written in-tree because the build takes no external");
+    println!("   compression crates; they stand in for gzip and xz in Table 1.)");
 }

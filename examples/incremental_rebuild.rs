@@ -5,14 +5,14 @@
 //! cargo run --release --example incremental_rebuild
 //! ```
 //!
-//! Builds a base container (version 6, as every compressed build of two
-//! or more shards: per-shard grammar provenance, one shared value
-//! dictionary) with a measured per-shard grammar
+//! Builds a base container (version 7: per-shard grammar provenance and
+//! build-plan fingerprints, one shared value dictionary) with a measured
+//! per-shard grammar
 //! stage (`GrammarChoice::Auto`) and persisted plans, edits a handful
 //! of rows, rebuilds with `compress_incremental` against the base, and
 //! verifies the three claims the feature stands on:
 //!
-//! 1. only the shards whose input fingerprint moved re-ran their
+//! 1. only the shards whose plan fingerprint moved re-ran their
 //!    grammar stage (pinned with `RebuildReport::grammar_builds`);
 //! 2. the spliced container is **byte-identical** to a from-scratch
 //!    build of the edited matrix — incrementality is invisible
@@ -22,7 +22,7 @@
 //!
 //! The CLI spelling of the same flow is
 //! `gcm compress new.txt new.gcms --grammar auto --base old.gcms`.
-//! Every compressed build records the stage and the input fingerprints,
+//! Every compressed build records the stage and the plan fingerprints,
 //! so `--base` splices a default build (classic RePair, no `--grammar`)
 //! the same way.
 
@@ -57,8 +57,8 @@ fn main() {
     // The refresh: fill two empty cells in the last shard's rows with a
     // value the shared dictionary already holds. Reusing an interned
     // value (rather than introducing a new distinct one) matters: a new
-    // value would rewrite the dictionary every shard payload embeds and
-    // correctly invalidate all four fingerprints.
+    // value would rewrite the dictionary every shard's terminals index
+    // and correctly invalidate all four fingerprints.
     let mut edited = Dataset::Census.generate(2000, 7);
     let reused = (0..edited.cols())
         .map(|c| edited.get(0, c))

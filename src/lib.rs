@@ -53,8 +53,10 @@
 //! | [`pipeline`] (`gcm-pipeline`) | staged build/load pipeline on the persistent pool |
 //! | [`serve`] (`gcm-serve`) | sharded model store + serving registry + `gcm` CLI |
 //!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for
-//! the reproduced tables and figures.
+//! `README.md` walks through every crate and the `gcm` command line;
+//! `PAPER.md` holds the source paper's abstract. The `gcm-bench` binaries
+//! (`table1` … `fig4`, `ablation`) regenerate the paper's tables and
+//! figures.
 
 pub use gcm_baselines as baselines;
 pub use gcm_core as core;

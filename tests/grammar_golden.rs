@@ -78,36 +78,37 @@ const GRAMMAR_GOLDEN: [[u64; 7]; 3] = [
 ];
 
 /// `fnv1a64(to_bytes(..))` per corpus, in `GRAMMARS` × `REORDERS` order,
-/// then the [`ONE_SHARD_AUTO`] build (a version-5 container). Recorded for the version-6 layout (one shared value dictionary per
-/// container); the grammars behind it are the ones [`GRAMMAR_GOLDEN`]
-/// pins.
+/// then the [`ONE_SHARD_AUTO`] build. Recorded for the version-7 layout
+/// (one value dictionary per container, build-plan fingerprints, one
+/// checksum per chunk); the grammars behind it are the ones
+/// [`GRAMMAR_GOLDEN`] pins.
 const CONTAINER_GOLDEN: [[u64; 7]; 3] = [
     [
-        0xb1c1db8852227bca,
-        0x8ddd6cf9fba44fe9,
-        0x6652f5eda294678c,
-        0xb8dfa2b9e97d078c,
-        0xb1c1db8852227bca,
-        0x8ddd6cf9fba44fe9,
-        0xd29a313c0d7d5a6d,
+        0x85bcb14e5dfd0964,
+        0xfe5a460c6ab480d0,
+        0xeb9fe7a758b6e08d,
+        0x8ec94ba5c743d4a1,
+        0xd6a6b9ce7ccc8170,
+        0xa0c5fd4b6741bc60,
+        0x414220867bb808e8,
     ],
     [
-        0x939971834def82a7,
-        0x037ea022ff9bd78a,
-        0xc646c557321ef188,
-        0xff23d052b2ce55d9,
-        0xc646c557321ef188,
-        0xff23d052b2ce55d9,
-        0x4dd9f4d333e84255,
+        0x43735b186863965e,
+        0xb10ecc4e3bacc11f,
+        0xe9076ba292d09f60,
+        0x093368edd48e4b40,
+        0x6a5c474edec85eb0,
+        0xa2aafd369ba02d65,
+        0xe1cd5f5f55f16f69,
     ],
     [
-        0xcc7a0adf0acde280,
-        0x0ee3da4a1547cb3d,
-        0x3af56915e613dd97,
-        0xf1c2ab2f071b6608,
-        0x3af56915e613dd97,
-        0x0ee3da4a1547cb3d,
-        0x38ec452633733496,
+        0xd0fccfc1790f11c8,
+        0xf2897139327aab7a,
+        0xde23aa247331861a,
+        0x53c970e18dd57fee,
+        0x2d14591aa5f32f38,
+        0xb33098b16ad67791,
+        0xfbcb553c8300b95d,
     ],
 ];
 
@@ -116,31 +117,31 @@ const CONTAINER_GOLDEN: [[u64; 7]; 3] = [
 /// then the [`ONE_SHARD_AUTO`] build.
 const PLAN_GOLDEN: [[u64; 7]; 3] = [
     [
-        0x214a511982d18aad,
-        0xe63430f076950f3a,
-        0x9f9c7fdae71ad1be,
-        0xaedf44cf914bfffe,
-        0x214a511982d18aad,
-        0xe63430f076950f3a,
-        0xccf8d35c0bc95d79,
+        0x3eb0e6aff1603b34,
+        0x291b2fe22660488e,
+        0xb84cc008f9caf859,
+        0x59626167fde06d07,
+        0x773be4542a59cafd,
+        0x5c2c68a0500eea8d,
+        0x065ed2fdad1f0c55,
     ],
     [
-        0x37ef1077bf5857c7,
-        0xca5d024e89c92851,
-        0x6e90a9e7d0729b35,
-        0x14ab857efd215135,
-        0x6e90a9e7d0729b35,
-        0x14ab857efd215135,
-        0x58537d50c31ecaa1,
+        0xfb5945387f5701f1,
+        0x23eb415be652e59c,
+        0x6e82729c0411921e,
+        0x901b56949d7d53c1,
+        0x24046b566fc9e62d,
+        0xaf7ec9074601d397,
+        0xf37949733849b608,
     ],
     [
-        0x97432ad8543cf988,
-        0xbe70fb500a453dd3,
-        0x7efbadca246fcf0a,
-        0xbf1e5022f6793c77,
-        0x7efbadca246fcf0a,
-        0xbe70fb500a453dd3,
-        0x2bbbec710e9c447f,
+        0x7067066796f663bb,
+        0x604a83c068d405b9,
+        0x43b9c413b9b2a665,
+        0xdf28c1e4c8903003,
+        0xd58e102e4720f517,
+        0x481b04713e752979,
+        0x742f215986fccf5c,
     ],
 ];
 
