@@ -36,7 +36,7 @@ use gcm_core::{CompressedMatrix, Encoding, SparseStrategy};
 use gcm_datagen::Dataset;
 use gcm_matrix::{CsrvMatrix, Workspace, SEPARATOR};
 use gcm_repair::RePair;
-use gcm_serve::{BuildOptions, ServeOptions, ShardedModel};
+use gcm_serve::{BuildConfig, EncodingChoice, ServeOptions, ShardedModel};
 
 /// The same CSRV stream compressed by the MR-RePair stage.
 fn mr_compress(csrv: &CsrvMatrix, enc: Encoding) -> CompressedMatrix {
@@ -292,10 +292,10 @@ fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("sharded/right");
     group.throughput(Throughput::Elements(nnz as u64));
     for shards in [1usize, 4] {
-        let opts = BuildOptions {
+        let opts = BuildConfig {
             shards,
-            encoding: Encoding::ReFse,
-            ..BuildOptions::default()
+            encoding: EncodingChoice::Fixed(Encoding::ReFse),
+            ..BuildConfig::default()
         };
         let streaming = ShardedModel::from_dense(&dense, &opts).expect("build");
         streaming.prewarm(1);

@@ -351,13 +351,15 @@ fn read_values(data: &[u8], pos: &mut usize) -> Option<Vec<f64>> {
     Some(values)
 }
 
+/// A decoded bundle: its row blocks and its column-reorder metadata.
+pub type Bundle = (Vec<CompressedMatrix>, Option<Vec<u32>>);
+
 /// Deserialises a v2 bundle into its row blocks (sharing one `Arc`'d
 /// dictionary, as blocks compressed from one split do) and the
 /// column-reorder metadata. Returns `None` on malformed input; every
 /// block passes the full structural validation of
 /// [`CompressedMatrix::from_raw_parts`].
-#[allow(clippy::type_complexity)]
-pub fn bundle_from_bytes(data: &[u8]) -> Option<(Vec<CompressedMatrix>, Option<Vec<u32>>)> {
+pub fn bundle_from_bytes(data: &[u8]) -> Option<Bundle> {
     read_bundle(data, None)
 }
 
@@ -368,19 +370,11 @@ pub fn bundle_from_bytes(data: &[u8]) -> Option<(Vec<CompressedMatrix>, Option<V
 /// block whose terminals index past `values` is rejected, never served.
 /// Returns `None` on malformed input, including a bundle that embeds a
 /// dictionary of its own.
-#[allow(clippy::type_complexity)]
-pub fn bundle_from_bytes_shared(
-    data: &[u8],
-    values: &Arc<Vec<f64>>,
-) -> Option<(Vec<CompressedMatrix>, Option<Vec<u32>>)> {
+pub fn bundle_from_bytes_shared(data: &[u8], values: &Arc<Vec<f64>>) -> Option<Bundle> {
     read_bundle(data, Some(values))
 }
 
-#[allow(clippy::type_complexity)]
-fn read_bundle(
-    data: &[u8],
-    shared: Option<&Arc<Vec<f64>>>,
-) -> Option<(Vec<CompressedMatrix>, Option<Vec<u32>>)> {
+fn read_bundle(data: &[u8], shared: Option<&Arc<Vec<f64>>>) -> Option<Bundle> {
     if data.len() < 9 {
         return None;
     }

@@ -94,7 +94,8 @@ impl CsrvMatrix {
     /// Builds CSRV from a dense matrix.
     ///
     /// # Errors
-    /// Fails if `|V|·m` overflows the 32-bit symbol space.
+    /// Fails on a NaN entry, naming its cell, or if `|V|·m` overflows
+    /// the 32-bit symbol space.
     pub fn from_dense(m: &DenseMatrix) -> Result<Self, MatrixError> {
         let mut dict = ValueDict::new();
         let mut symbols = Vec::new();
@@ -103,6 +104,9 @@ impl CsrvMatrix {
         for r in 0..m.rows() {
             for (c, &v) in m.row(r).iter().enumerate() {
                 if v != 0.0 {
+                    if v.is_nan() {
+                        return Err(MatrixError::NotANumber { row: r, col: c });
+                    }
                     let l = dict.intern(v);
                     symbols.push(codec.encode(l, c as u32)?);
                     nnz += 1;
@@ -122,7 +126,8 @@ impl CsrvMatrix {
     /// Builds CSRV from CSR.
     ///
     /// # Errors
-    /// Fails if `|V|·m` overflows the 32-bit symbol space.
+    /// Fails on a NaN entry, naming its cell, or if `|V|·m` overflows
+    /// the 32-bit symbol space.
     pub fn from_csr(m: &CsrMatrix) -> Result<Self, MatrixError> {
         let mut dict = ValueDict::new();
         let mut symbols = Vec::with_capacity(m.nnz() + m.rows());
@@ -130,6 +135,12 @@ impl CsrvMatrix {
         for r in 0..m.rows() {
             let (cols, vals) = m.row(r);
             for (&c, &v) in cols.iter().zip(vals) {
+                if v.is_nan() {
+                    return Err(MatrixError::NotANumber {
+                        row: r,
+                        col: c as usize,
+                    });
+                }
                 let l = dict.intern(v);
                 symbols.push(codec.encode(l, c)?);
             }
@@ -525,6 +536,17 @@ mod tests {
     fn codec_overflow_detected() {
         let codec = SymbolCodec::new(1 << 20);
         assert!(codec.encode(1 << 13, 0).is_err());
+    }
+
+    #[test]
+    fn a_nan_entry_is_an_error_naming_its_cell() {
+        let mut dense = fig1();
+        dense.set(4, 3, f64::NAN);
+        let want = MatrixError::NotANumber { row: 4, col: 3 };
+        assert_eq!(CsrvMatrix::from_dense(&dense).unwrap_err(), want);
+        let csr = CsrMatrix::from_dense(&dense);
+        assert_eq!(CsrvMatrix::from_csr(&csr).unwrap_err(), want);
+        assert!(want.to_string().contains("row 4, column 3"), "{want}");
     }
 
     #[test]

@@ -32,6 +32,14 @@ pub enum MatrixError {
         /// Matrix columns.
         cols: usize,
     },
+    /// A NaN entry: NaN equals nothing, not even itself, so the value
+    /// dictionary `V` cannot hold it.
+    NotANumber {
+        /// Row index.
+        row: usize,
+        /// Column index.
+        col: usize,
+    },
     /// Malformed textual input.
     Parse(String),
 }
@@ -49,6 +57,10 @@ impl fmt::Display for MatrixError {
             MatrixError::IndexOutOfBounds { row, col, rows, cols } => {
                 write!(f, "index ({row},{col}) out of bounds for {rows}x{cols} matrix")
             }
+            MatrixError::NotANumber { row, col } => write!(
+                f,
+                "NaN at row {row}, column {col}: the value dictionary needs values with equality"
+            ),
             MatrixError::Parse(msg) => write!(f, "parse error: {msg}"),
         }
     }

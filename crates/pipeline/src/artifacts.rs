@@ -1,79 +1,43 @@
-//! What a pipeline build produces: per-shard artifacts, first-class
-//! per-shard column permutations, and per-stage statistics.
+//! What a pipeline build produces: per-shard [`Model`]s, each with its
+//! [`ShardMeta`] provenance record, and per-stage statistics.
 
 use std::time::Duration;
 
-use gcm_core::{CompressedMatrix, Encoding};
-use gcm_matrix::CsrvMatrix;
+use gcm_core::Encoding;
 use gcm_reorder::ReorderAlgorithm;
 
 use crate::backend::Backend;
 use crate::config::GrammarStage;
+use crate::model::Model;
 
-/// One built shard in its target [`Backend`] representation. The serve
-/// layer converts this into its servable `Model` (adding workspaces and
-/// kernels); the pipeline itself stays below the serving seam.
-#[derive(Debug, Clone)]
-pub enum ShardArtifact {
-    /// Uncompressed CSRV.
-    Csrv(CsrvMatrix),
-    /// Grammar-compressed matrix.
-    Compressed(CompressedMatrix),
-}
-
-impl ShardArtifact {
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        match self {
-            ShardArtifact::Csrv(m) => m.rows(),
-            ShardArtifact::Compressed(m) => m.rows(),
-        }
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        match self {
-            ShardArtifact::Csrv(m) => m.cols(),
-            ShardArtifact::Compressed(m) => m.cols(),
-        }
-    }
-
-    /// The backend this artifact realises.
-    pub fn backend(&self) -> Backend {
-        match self {
-            ShardArtifact::Csrv(_) => Backend::Csrv,
-            ShardArtifact::Compressed(_) => Backend::Compressed,
-        }
-    }
-
-    /// Representation size in bytes (the paper's "size" accounting).
-    pub fn stored_bytes(&self) -> usize {
-        match self {
-            ShardArtifact::Csrv(m) => m.csrv_bytes(),
-            ShardArtifact::Compressed(m) => m.stored_bytes(),
-        }
-    }
-}
-
-/// One shard's artifact plus its reorder provenance: the permutation the
-/// shard was compressed with (first-class per shard — shards of one
-/// model may carry different orders) and the algorithm that produced it.
-#[derive(Debug, Clone)]
-pub struct BuiltShard {
-    /// The built representation.
-    pub artifact: ShardArtifact,
+/// One shard's provenance: everything the container records next to
+/// the shard's matrix. The record travels unchanged from the build
+/// through the container to the serving shard.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardMeta {
     /// Column permutation applied before compression
     /// (`order[p]` = original column at new position `p`), if any.
+    /// Per shard: shards of one model may carry different orders.
     pub col_order: Option<Vec<u32>>,
-    /// Algorithm that produced `col_order`, if any.
+    /// Algorithm that produced `col_order`, if recorded.
     pub reorder: Option<ReorderAlgorithm>,
-    /// Grammar stage that compressed this shard (`None` only for the
-    /// uncompressed backend).
+    /// Grammar stage that compressed this shard (`None` for the
+    /// uncompressed backend and for shards of containers that predate
+    /// the record).
     pub grammar: Option<GrammarStage>,
     /// The shard plan's [`fingerprint`](crate::ShardPlan::fingerprint),
     /// recorded for every compressed shard so incremental rebuilds can
     /// detect shards whose bytes would not change.
     pub fingerprint: Option<u64>,
+}
+
+/// One built shard: its servable [`Model`] and its provenance.
+#[derive(Debug, Clone)]
+pub struct BuiltShard {
+    /// The shard's matrix, in its backend's representation.
+    pub model: Model,
+    /// How the shard was built.
+    pub meta: ShardMeta,
 }
 
 /// Per-shard build statistics (sizes and per-stage times).
@@ -87,7 +51,7 @@ pub struct ShardStats {
     pub nnz: usize,
     /// Grammar rules of the shard (0 for the uncompressed backend).
     pub grammar_rules: usize,
-    /// Representation bytes of the built artifact.
+    /// Representation bytes of the built shard.
     pub encoded_bytes: usize,
     /// Chosen encoding (None for the uncompressed backend).
     pub encoding: Option<Encoding>,
@@ -173,11 +137,11 @@ pub struct BuildArtifacts {
 impl BuildArtifacts {
     /// Total rows across shards.
     pub fn rows(&self) -> usize {
-        self.shards.iter().map(|s| s.artifact.rows()).sum()
+        self.shards.iter().map(|s| s.model.rows()).sum()
     }
 
     /// Total representation bytes across shards.
     pub fn stored_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.artifact.stored_bytes()).sum()
+        self.shards.iter().map(|s| s.model.stored_bytes()).sum()
     }
 }

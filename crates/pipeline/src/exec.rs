@@ -3,7 +3,7 @@
 //!
 //! 1. **Reorder**: one task per shard computes or applies its column
 //!    order, fingerprints its shard plan, and either finishes the
-//!    uncompressed backend's artifact or keeps the grammar input.
+//!    uncompressed backend's model or keeps the grammar input.
 //! 2. **Grammar + encode**: one task per shard builds the shard's
 //!    grammar candidates and encodes each under the shard's
 //!    [`EncodingChoice`]. [`GrammarChoice::Auto`] has two candidates,
@@ -30,12 +30,12 @@ use std::time::{Duration, Instant};
 
 use gcm_core::{CompressedMatrix, Encoding};
 use gcm_matrix::{CsrvMatrix, SEPARATOR};
-use gcm_reorder::ReorderAlgorithm;
 use gcm_repair::{MrSlp, RePair, RePairScratch, Slp};
 
-use crate::artifacts::{BuildArtifacts, BuildStats, BuiltShard, ShardArtifact, ShardStats};
+use crate::artifacts::{BuildArtifacts, BuildStats, BuiltShard, ShardMeta, ShardStats};
 use crate::backend::Backend;
 use crate::config::{BuildConfig, EncodingChoice, GrammarChoice, GrammarStage};
+use crate::model::Model;
 use crate::plan::{Plan, ShardPlan, ShardReorder};
 use crate::stage::{join, par_map};
 
@@ -264,15 +264,14 @@ fn run_phase<T: Send>(parallel: bool, n: usize, f: impl Fn(usize) -> T + Sync) -
 
 /// A shard after phase 1.
 struct Prepared {
-    /// The uncompressed backend's finished artifact.
-    artifact: Option<ShardArtifact>,
+    /// The uncompressed backend's finished model.
+    model: Option<Model>,
     /// The compressed backend's reordered shard. `None` compresses the
     /// plan's shard as it is, without copying it.
     reordered: Option<CsrvMatrix>,
-    col_order: Option<Vec<u32>>,
-    reorder: Option<ReorderAlgorithm>,
+    /// The shard's provenance, less the grammar stage phase 3 picks.
+    meta: ShardMeta,
     reorder_time: Duration,
-    fingerprint: Option<u64>,
 }
 
 impl Prepared {
@@ -302,7 +301,7 @@ struct Candidate {
 }
 
 /// Phase 1 for one shard: reorder its columns, then either finish the
-/// uncompressed backend's artifact or keep the grammar input.
+/// uncompressed backend's model or keep the grammar input.
 fn prepare(plan: &Plan, sp: &ShardPlan) -> Prepared {
     let t0 = Instant::now();
     let (reordered, col_order, reorder) = match &sp.reorder {
@@ -322,11 +321,9 @@ fn prepare(plan: &Plan, sp: &ShardPlan) -> Prepared {
         }
     };
     let reorder_time = t0.elapsed();
-    let (artifact, reordered) = match plan.backend {
+    let (model, reordered) = match plan.backend {
         Backend::Csrv => (
-            Some(ShardArtifact::Csrv(
-                reordered.unwrap_or_else(|| sp.csrv.clone()),
-            )),
+            Some(Model::Csrv(reordered.unwrap_or_else(|| sp.csrv.clone()))),
             None,
         ),
         Backend::Compressed => (None, reordered),
@@ -335,12 +332,15 @@ fn prepare(plan: &Plan, sp: &ShardPlan) -> Prepared {
     // incremental rebuilds match shards by.
     let fingerprint = (plan.backend == Backend::Compressed).then(|| sp.fingerprint());
     Prepared {
-        artifact,
+        model,
         reordered,
-        col_order,
-        reorder,
+        meta: ShardMeta {
+            col_order,
+            reorder,
+            grammar: None,
+            fingerprint,
+        },
         reorder_time,
-        fingerprint,
     }
 }
 
@@ -352,8 +352,8 @@ fn select(sp: &ShardPlan, prep: Prepared, built: Built) -> (BuiltShard, ShardSta
     let grammar_time = built.shared_time + candidates.iter().map(|c| c.grammar_time).sum();
     let encode_time = candidates.iter().map(|c| c.encode_time).sum();
     let grammar_builds = candidates.len();
-    let (artifact, grammar, grammar_rules, encoding) = match prep.artifact {
-        Some(artifact) => (artifact, None, 0, None),
+    let (model, grammar, grammar_rules, encoding) = match prep.model {
+        Some(model) => (model, None, 0, None),
         None => {
             let winner = candidates
                 .into_iter()
@@ -362,7 +362,7 @@ fn select(sp: &ShardPlan, prep: Prepared, built: Built) -> (BuiltShard, ShardSta
             let rules = winner.matrix.num_rules();
             let encoding = Some(winner.matrix.encoding());
             (
-                ShardArtifact::Compressed(winner.matrix),
+                Model::Compressed(winner.matrix),
                 Some(winner.stage),
                 rules,
                 encoding,
@@ -374,26 +374,21 @@ fn select(sp: &ShardPlan, prep: Prepared, built: Built) -> (BuiltShard, ShardSta
         rows: sp.csrv.rows(),
         nnz: sp.csrv.nnz(),
         grammar_rules,
-        encoded_bytes: artifact.stored_bytes(),
+        encoded_bytes: model.stored_bytes(),
         encoding,
         grammar,
-        reorder: prep.reorder,
+        reorder: prep.meta.reorder,
         reorder_time: prep.reorder_time,
         grammar_time,
         encode_time,
         grammar_builds,
         shared_rules: built.shared_rules,
     };
-    (
-        BuiltShard {
-            artifact,
-            col_order: prep.col_order,
-            reorder: prep.reorder,
-            grammar,
-            fingerprint: prep.fingerprint,
-        },
-        stats,
-    )
+    let meta = ShardMeta {
+        grammar,
+        ..prep.meta
+    };
+    (BuiltShard { model, meta }, stats)
 }
 
 /// Encodes a shard's grammar, selecting the encoding per `choice`: under
@@ -418,8 +413,8 @@ fn encode(input: &CsrvMatrix, grammar: &Grammar, choice: EncodingChoice) -> Comp
 static GLOBAL: OnceLock<Pipeline> = OnceLock::new();
 
 /// The process-wide pipeline (lazily built, sized to the global pool).
-/// The serve layer's `BuildOptions` path and the `gcm` CLI build through
-/// it, so scratch arenas amortise across every build in the process.
+/// `ShardedModel::from_csrv` and the `gcm` CLI build through it, so
+/// scratch arenas amortise across every build in the process.
 pub fn global() -> &'static Pipeline {
     GLOBAL.get_or_init(Pipeline::new)
 }
@@ -450,12 +445,9 @@ mod tests {
         dense.right_multiply(&x, &mut y_ref).unwrap();
         let mut row = 0usize;
         for shard in &artifacts.shards {
-            let rows = shard.artifact.rows();
+            let rows = shard.model.rows();
             let mut y = vec![0.0; rows];
-            match &shard.artifact {
-                ShardArtifact::Csrv(m) => m.right_multiply(&x, &mut y).unwrap(),
-                ShardArtifact::Compressed(m) => m.right_multiply(&x, &mut y).unwrap(),
-            }
+            shard.model.right_multiply(&x, &mut y).unwrap();
             for (i, &yi) in y.iter().enumerate() {
                 assert!((yi - y_ref[row + i]).abs() < 1e-9);
             }
@@ -484,11 +476,10 @@ mod tests {
                 let seq = pipeline.build_sequential(&csrv, &config);
                 assert_eq!(par.shards.len(), seq.shards.len());
                 for (a, b) in par.shards.iter().zip(&seq.shards) {
-                    assert_eq!(a.col_order, b.col_order, "{}", backend.name());
-                    assert_eq!(a.reorder, b.reorder);
+                    assert_eq!(a.meta, b.meta, "{}", backend.name());
                     assert_eq!(
-                        a.artifact.stored_bytes(),
-                        b.artifact.stored_bytes(),
+                        a.model.stored_bytes(),
+                        b.model.stored_bytes(),
                         "{} {:?}",
                         backend.name(),
                         reorder
@@ -501,8 +492,8 @@ mod tests {
 
     /// A shard's serialized grammar-compressed matrix.
     fn shard_bytes(shard: &BuiltShard) -> Vec<u8> {
-        match &shard.artifact {
-            ShardArtifact::Compressed(m) => gcm_core::serial::to_bytes(m),
+        match &shard.model {
+            Model::Compressed(m) => gcm_core::serial::to_bytes(m),
             other => panic!("not grammar-compressed: {:?}", other.backend()),
         }
     }
@@ -524,9 +515,7 @@ mod tests {
             assert_eq!(par.shards.len(), shards);
             for ((a, b), stat) in par.shards.iter().zip(&seq.shards).zip(&par.stats.shards) {
                 assert_eq!(shard_bytes(a), shard_bytes(b), "s={shards}");
-                assert_eq!(a.col_order, b.col_order);
-                assert_eq!(a.grammar, b.grammar);
-                assert_eq!(a.fingerprint, b.fingerprint);
+                assert_eq!(a.meta, b.meta);
                 assert_eq!(stat.grammar_builds, 2, "both candidates");
             }
             artifact_products_match_dense(&par, &csrv);
@@ -546,7 +535,7 @@ mod tests {
             },
         );
         for (i, shard) in auto.shards.iter().enumerate() {
-            let chosen = shard.artifact.stored_bytes();
+            let chosen = shard.model.stored_bytes();
             for enc in Encoding::ALL {
                 let fixed = pipeline.build_sequential(
                     &csrv,
@@ -557,7 +546,7 @@ mod tests {
                     },
                 );
                 assert!(
-                    chosen <= fixed.shards[i].artifact.stored_bytes(),
+                    chosen <= fixed.shards[i].model.stored_bytes(),
                     "shard {i}: auto ({chosen}) beaten by {}",
                     enc.name()
                 );
@@ -579,14 +568,14 @@ mod tests {
         );
         assert_eq!(artifacts.shards.len(), 3);
         for shard in &artifacts.shards {
-            let order = shard.col_order.as_ref().expect("order recorded");
+            let order = shard.meta.col_order.as_ref().expect("order recorded");
             assert_eq!(order.len(), 8);
             let mut seen = [false; 8];
             for &c in order {
                 assert!(!seen[c as usize], "duplicate column in permutation");
                 seen[c as usize] = true;
             }
-            assert_eq!(shard.reorder, Some(ReorderAlgorithm::PathCover));
+            assert_eq!(shard.meta.reorder, Some(ReorderAlgorithm::PathCover));
         }
     }
 
@@ -613,22 +602,18 @@ mod tests {
             for ((shard, stat), s_shard) in
                 par.shards.iter().zip(&par.stats.shards).zip(&seq.shards)
             {
-                let stage = shard.grammar.expect("stage recorded");
+                let stage = shard.meta.grammar.expect("stage recorded");
                 assert_eq!(stat.grammar, Some(stage), "{}", choice.name());
                 match choice {
                     GrammarChoice::RePair => assert_eq!(stage, GrammarStage::RePair),
                     GrammarChoice::MrRePair => assert_eq!(stage, GrammarStage::MrRePair),
                     GrammarChoice::Auto => {}
                 }
-                assert!(shard.fingerprint.is_some(), "fingerprint recorded");
+                assert!(shard.meta.fingerprint.is_some(), "fingerprint recorded");
                 // Parallel and sequential agree on everything,
                 // including the measured auto-selection.
-                assert_eq!(s_shard.grammar, shard.grammar);
-                assert_eq!(s_shard.fingerprint, shard.fingerprint);
-                assert_eq!(
-                    s_shard.artifact.stored_bytes(),
-                    shard.artifact.stored_bytes()
-                );
+                assert_eq!(s_shard.meta, shard.meta);
+                assert_eq!(s_shard.model.stored_bytes(), shard.model.stored_bytes());
             }
         }
     }
@@ -658,10 +643,10 @@ mod tests {
             );
             for (a, r) in auto.shards.iter().zip(&repair.shards) {
                 assert!(
-                    a.artifact.stored_bytes() <= r.artifact.stored_bytes(),
+                    a.model.stored_bytes() <= r.model.stored_bytes(),
                     "auto ({}) beaten by repair ({})",
-                    a.artifact.stored_bytes(),
-                    r.artifact.stored_bytes()
+                    a.model.stored_bytes(),
+                    r.model.stored_bytes()
                 );
             }
         }
@@ -680,7 +665,7 @@ mod tests {
         let b = pipeline.build_sequential(&csrv, &config);
         // Deterministic: same input, same fingerprints.
         for (sa, sb) in a.shards.iter().zip(&b.shards) {
-            assert_eq!(sa.fingerprint, sb.fingerprint);
+            assert_eq!(sa.meta.fingerprint, sb.meta.fingerprint);
         }
         // Perturb one value in the third shard's row range; only that
         // shard's fingerprint moves.
@@ -692,9 +677,12 @@ mod tests {
         let c = pipeline.build_sequential(&changed, &config);
         for (i, (sa, sc)) in a.shards.iter().zip(&c.shards).enumerate() {
             if i == 2 {
-                assert_ne!(sa.fingerprint, sc.fingerprint, "changed shard");
+                assert_ne!(sa.meta.fingerprint, sc.meta.fingerprint, "changed shard");
             } else {
-                assert_eq!(sa.fingerprint, sc.fingerprint, "unchanged shard {i}");
+                assert_eq!(
+                    sa.meta.fingerprint, sc.meta.fingerprint,
+                    "unchanged shard {i}"
+                );
             }
         }
     }

@@ -20,10 +20,13 @@
 //!    construction draws its working storage from a per-worker scratch
 //!    arena ([`gcm_repair::RePairScratch`]) so parallel builds don't
 //!    thrash the allocator;
-//! 3. **[`BuildArtifacts`]** — per-shard artifacts (any [`Backend`]
-//!    representation), their first-class per-shard column permutations,
-//!    and per-stage timing/size statistics, ready for the serve layer to
-//!    wrap into a `ShardedModel` or persist as a `GCMSERV1` container.
+//! 3. **[`BuildArtifacts`]** — one [`BuiltShard`] per shard: its
+//!    servable [`Model`] (either [`Backend`]) and its [`ShardMeta`]
+//!    provenance (column permutation, reorder algorithm, grammar stage,
+//!    plan fingerprint), plus per-stage timing/size statistics, ready for
+//!    the serve layer to wrap into a `ShardedModel` or persist as a
+//!    `GCMSERV1` container. The serve layer keeps each `BuiltShard` as it
+//!    is, so one record carries a shard from build to disk to serve.
 //!
 //! The same [`par_map`] stage machinery drives *loading*: the serve
 //! layer's container reader decodes shards concurrently through it, so
@@ -37,12 +40,14 @@ pub mod artifacts;
 pub mod backend;
 pub mod config;
 pub mod exec;
+pub mod model;
 pub mod plan;
 pub mod stage;
 
-pub use artifacts::{BuildArtifacts, BuildStats, BuiltShard, ShardArtifact, ShardStats};
+pub use artifacts::{BuildArtifacts, BuildStats, BuiltShard, ShardMeta, ShardStats};
 pub use backend::Backend;
 pub use config::{BuildConfig, EncodingChoice, GrammarChoice, GrammarStage, ReorderMode};
 pub use exec::{global, Pipeline};
+pub use model::{Model, ModelPlan};
 pub use plan::{Plan, ShardPlan, ShardReorder};
 pub use stage::par_map;

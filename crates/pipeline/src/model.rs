@@ -1,40 +1,35 @@
 //! A uniform wrapper over both servable matrix backends.
 //!
-//! The serve layer persists and multiplies two representations — the
-//! uncompressed CSRV baseline and the grammar-compressed `(C, R, V)`
-//! matrix — behind one enum, so the container format, the sharded
-//! engine, and the differential test harness treat them uniformly. Row
-//! shards are the only row partition: every [`Model`] is one matrix. A
-//! grammar model's compiled plan rides along as a [`ModelPlan`]
-//! wrapping one [`KernelPlan`]; the plan precision is a run-time
-//! property of the [`KernelPlan`], so no kernel entry point here
-//! branches on it.
+//! A build produces, and the serve layer persists and multiplies, two
+//! representations — the uncompressed CSRV baseline and the
+//! grammar-compressed `(C, R, V)` matrix — behind one enum, so the
+//! pipeline, the container format, the sharded engine, and the
+//! differential test harness treat them uniformly. Row shards are the
+//! only row partition: every [`Model`] is one matrix. A grammar model's
+//! compiled plan rides along as a [`ModelPlan`] wrapping one
+//! [`KernelPlan`]; the plan precision is a run-time property of the
+//! [`KernelPlan`], so no kernel entry point here branches on it.
 
 use std::sync::Arc;
 
 use gcm_core::{CompressedMatrix, Encoding, KernelPlan};
-use gcm_encodings::HeapSize;
 use gcm_matrix::matvec::{check_left_batch, check_right_batch};
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, Workspace};
-use gcm_pipeline::ShardArtifact;
 
-/// Which representation a [`Model`] (and its on-disk container) uses.
-/// Defined in `gcm-pipeline` (the build side needs it without the
-/// serving code); re-exported here so `gcm_serve::Backend` keeps
-/// working.
-pub use gcm_pipeline::Backend;
+use crate::backend::Backend;
 
 /// A compiled execution plan for one grammar-compressed [`Model`] — the
-/// serve-layer counterpart of [`gcm_core::plan`]. Uncompressed models
+/// model-level counterpart of [`gcm_core::plan`]. Uncompressed models
 /// have no plan (their kernels are already branchless array walks).
 ///
 /// The precision (`f64` or `f32`) lives in the [`KernelPlan`] itself.
 ///
-/// Plans are a speed-for-memory trade ([`HeapSize`] reports the cost),
-/// built once at prewarm and consumed by the `*_planned` kernels below.
+/// Plans are a speed-for-memory trade (the [`KernelPlan`]'s heap bytes
+/// are the cost), built once at prewarm and consumed by the `*_planned`
+/// kernels below.
 #[derive(Debug, Clone)]
 pub struct ModelPlan {
-    pub(crate) kernel: KernelPlan,
+    kernel: KernelPlan,
 }
 
 impl ModelPlan {
@@ -49,15 +44,22 @@ impl ModelPlan {
         Some(ModelPlan { kernel })
     }
 
+    /// The compiled kernel plan.
+    pub fn kernel(&self) -> &KernelPlan {
+        &self.kernel
+    }
+
     /// Whether this plan evaluates in single precision.
     pub fn is_f32(&self) -> bool {
         self.kernel.is_f32()
     }
 }
 
-impl HeapSize for ModelPlan {
-    fn heap_bytes(&self) -> usize {
-        self.kernel.heap_bytes()
+impl From<KernelPlan> for ModelPlan {
+    /// Wraps an already-compiled (or deserialised) kernel plan; the
+    /// caller vouches that it was compiled from the model it serves.
+    fn from(kernel: KernelPlan) -> Self {
+        ModelPlan { kernel }
     }
 }
 
@@ -299,18 +301,6 @@ impl Model {
             .left_multiply_panel(k, y_panel, x_panel, &mut buf);
         ws.put(buf);
         result
-    }
-}
-
-impl From<ShardArtifact> for Model {
-    /// Wraps a pipeline build artifact as a servable model (the seam
-    /// between `gcm-pipeline`'s build side and this crate's serving
-    /// side).
-    fn from(artifact: ShardArtifact) -> Self {
-        match artifact {
-            ShardArtifact::Csrv(m) => Model::Csrv(m),
-            ShardArtifact::Compressed(m) => Model::Compressed(m),
-        }
     }
 }
 

@@ -96,10 +96,11 @@ use gcm_matrix::io as mio;
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec};
 use gcm_pipeline::{BuildConfig, BuildStats, EncodingChoice};
 use gcm_reorder::ReorderAlgorithm;
+use gcm_serve::container::write_atomic;
 use gcm_serve::protocol::Client;
 use gcm_serve::{
-    compress_incremental, Backend, BuildOptions, Engine, GrammarChoice, Model, ModelStore,
-    Registry, ReorderMode, ServeOptions, Server, ServerConfig, ShardTable, ShardedModel,
+    compress_incremental, Backend, Engine, GrammarChoice, Model, ModelStore, Registry, ReorderMode,
+    ServeOptions, Server, ServerConfig, ShardMeta, ShardTable, ShardedModel,
 };
 
 /// `println!` that tolerates a closed stdout (e.g. piped through
@@ -275,7 +276,7 @@ fn read_dense(path: &str) -> Result<DenseMatrix, String> {
 }
 
 fn build_config(args: &Args) -> Result<BuildConfig, String> {
-    let mut config = BuildOptions::default().to_build_config();
+    let mut config = BuildConfig::default();
     if let Some(b) = args.flag("backend") {
         config.backend = Backend::parse(b).ok_or_else(|| format!("unknown backend {b}"))?;
     }
@@ -355,14 +356,6 @@ fn report_build_stats(stats: &BuildStats) {
     }
 }
 
-/// Container writes go through a same-directory temp file + rename so a
-/// crash mid-write never leaves a truncated `.gcms` behind.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    let tmp = path.with_extension("gcms.tmp");
-    fs::write(&tmp, bytes).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    fs::rename(&tmp, path).map_err(|e| format!("rename to {}: {e}", path.display()))
-}
-
 /// `compress --base`: fingerprint-splice against an existing container.
 /// Provenance (which shards were spliced vs rebuilt, or why the whole
 /// build fell back) is reported on stdout and mirrored to a
@@ -379,7 +372,7 @@ fn compress_with_base(
     let (bytes, report) =
         compress_incremental(csrv, config, &base).map_err(|e| format!("{base_path}: {e}"))?;
     let build_time = t_build.elapsed();
-    write_atomic(Path::new(output), &bytes)?;
+    write_atomic(Path::new(output), &bytes).map_err(|e| e.to_string())?;
     say!(
         "{output}: {} bytes container, {} of {} shard(s) spliced from {base_path}, {} rebuilt ({})",
         bytes.len(),
@@ -468,7 +461,7 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
             "  grammar    : {} (per shard: {})",
             config.grammar.unwrap_or(GrammarChoice::RePair).name(),
             (0..model.num_shards())
-                .map(|i| model.shard_grammar(i).map_or("-", |g| g.name()))
+                .map(|i| model.shard_meta(i).grammar.map_or("-", |g| g.name()))
                 .collect::<Vec<_>>()
                 .join(" "),
         );
@@ -508,7 +501,7 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
         "  reorder    : {}",
         if model.col_order().is_some() {
             "uniform column permutation recorded"
-        } else if (0..model.num_shards()).any(|i| model.shard_col_order(i).is_some()) {
+        } else if (0..model.num_shards()).any(|i| model.shard_meta(i).col_order.is_some()) {
             "per-shard column permutations recorded"
         } else {
             "none"
@@ -581,8 +574,8 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
             shard.grammar_rules(),
             payload,
             shard.encoding().map_or("-", |e| e.name()),
-            model.shard_grammar(i).map_or("-", |g| g.name()),
-            match (model.shard_reorder(i), model.shard_col_order(i)) {
+            model.shard_meta(i).grammar.map_or("-", |g| g.name()),
+            match (model.shard_meta(i).reorder, &model.shard_meta(i).col_order) {
                 (Some(algo), _) => algo.name(),
                 (None, Some(_)) => "recorded",
                 (None, None) => "none",
@@ -930,18 +923,18 @@ fn selftest_case(
         Some(ReorderMode::PerShard(_)) => "-rs",
     };
     let tag = format!("{}-{}-s{shards}{scope}", backend.name(), encoding.name());
-    let opts = BuildOptions {
+    let config = BuildConfig {
         backend,
-        encoding,
+        encoding: EncodingChoice::Fixed(encoding),
         shards,
         reorder,
-        grammar: GrammarChoice::RePair,
+        ..BuildConfig::default()
     };
-    let built = ShardedModel::from_dense(dense, &opts).map_err(|e| format!("{tag}: {e}"))?;
+    let built = ShardedModel::from_dense(dense, &config).map_err(|e| format!("{tag}: {e}"))?;
     let path = dir.join(format!("{tag}.gcms"));
     built.save(&path).map_err(|e| format!("{tag}: save: {e}"))?;
-    let built_orders: Vec<Option<Vec<u32>>> = (0..built.num_shards())
-        .map(|i| built.shard_col_order(i).map(<[u32]>::to_vec))
+    let built_meta: Vec<ShardMeta> = (0..built.num_shards())
+        .map(|i| built.shard_meta(i).clone())
         .collect();
     drop(built);
     // Everything below runs against the on-disk container, not the
@@ -950,11 +943,11 @@ fn selftest_case(
     if model.num_shards() != shards.min(dense.rows().max(1)) {
         return Err(format!("{tag}: shard count not preserved"));
     }
-    for (i, order) in built_orders.iter().enumerate() {
-        if model.shard_col_order(i) != order.as_deref() {
-            return Err(format!("{tag}: shard {i} column order not preserved"));
+    for (i, meta) in built_meta.iter().enumerate() {
+        if model.shard_meta(i) != meta {
+            return Err(format!("{tag}: shard {i} provenance not preserved"));
         }
-        if reorder.is_some() && model.shard_reorder(i).is_none() {
+        if reorder.is_some() && meta.reorder.is_none() {
             return Err(format!("{tag}: shard {i} reorder provenance lost"));
         }
     }

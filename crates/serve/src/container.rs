@@ -100,17 +100,19 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::path::Path;
+use std::fs::{File, OpenOptions};
+use std::io::Write;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gcm_core::serial;
 use gcm_core::KernelPlan;
 use gcm_encodings::varint;
 use gcm_matrix::{io as mio, MatrixError};
-use gcm_pipeline::GrammarStage;
+use gcm_pipeline::{Backend, BuiltShard, GrammarStage, Model, ModelPlan, ShardMeta};
 use gcm_reorder::ReorderAlgorithm;
 
-use crate::model::{Backend, Model, ModelPlan};
 use crate::sharded::{Shard, ShardedModel};
 
 /// Container magic.
@@ -491,7 +493,7 @@ fn encode(model: &ShardedModel, with_plans: bool) -> Vec<u8> {
             rows: model.rows(),
             cols: model.cols(),
             // Every shard holds this one `V` (`from_shards` asserts it).
-            dictionary: shards.first().map_or(&[][..], |s| s.model.dictionary()),
+            dictionary: shards.first().map_or(&[][..], |s| s.model().dictionary()),
         },
         &segments,
     )
@@ -508,9 +510,10 @@ pub(crate) struct Header<'a> {
 
 /// One shard's on-disk pieces, as [`write_container`] writes them.
 pub(crate) struct Segment<'a> {
-    pub(crate) reorder: Option<ReorderAlgorithm>,
-    pub(crate) grammar: Option<GrammarStage>,
-    pub(crate) fingerprint: Option<u64>,
+    /// The shard's provenance record. The reorder tag, grammar tag and
+    /// fingerprint precede the payload; the column order goes into a
+    /// live shard's payload, and a spliced payload already holds it.
+    pub(crate) meta: &'a ShardMeta,
     pub(crate) body: SegmentBody<'a>,
 }
 
@@ -520,7 +523,6 @@ pub(crate) enum SegmentBody<'a> {
     /// payload or plan blob at a time, never all at once).
     Live {
         model: &'a Model,
-        col_order: Option<&'a [u32]>,
         plan: Option<&'a ModelPlan>,
     },
     /// Bytes taken from a base container without decoding them.
@@ -536,12 +538,9 @@ impl<'a> Segment<'a> {
     /// `with_plans` is set.
     pub(crate) fn live(shard: &'a Shard, with_plans: bool) -> Self {
         Segment {
-            reorder: shard.reorder,
-            grammar: shard.grammar,
-            fingerprint: shard.fingerprint,
+            meta: &shard.built.meta,
             body: SegmentBody::Live {
-                model: &shard.model,
-                col_order: shard.col_order.as_deref(),
+                model: shard.model(),
                 plan: shard.plan().filter(|_| with_plans),
             },
         }
@@ -574,16 +573,17 @@ pub(crate) fn write_container(header: Header<'_>, segments: &[Segment<'_>]) -> V
     varint::write_u64(&mut out, segments.len() as u64);
     serial::write_values(&mut out, header.dictionary);
     for seg in segments {
-        out.push(reorder_tag(seg.reorder));
-        let tag = grammar_tag(seg.grammar);
+        out.push(reorder_tag(seg.meta.reorder));
+        let tag = grammar_tag(seg.meta.grammar);
         out.push(tag);
         if tag != 0 {
-            out.extend_from_slice(&seg.fingerprint.unwrap_or(0).to_le_bytes());
+            out.extend_from_slice(&seg.meta.fingerprint.unwrap_or(0).to_le_bytes());
         }
         match &seg.body {
-            SegmentBody::Live {
-                model, col_order, ..
-            } => write_blob(&mut out, &shard_payload(model, *col_order)),
+            SegmentBody::Live { model, .. } => write_blob(
+                &mut out,
+                &shard_payload(model, seg.meta.col_order.as_deref()),
+            ),
             SegmentBody::Spliced { payload, .. } => write_blob(&mut out, payload),
         }
     }
@@ -595,7 +595,10 @@ pub(crate) fn write_container(header: Header<'_>, segments: &[Segment<'_>]) -> V
             }
             SegmentBody::Live {
                 plan: Some(plan), ..
-            } => (plan_kind(plan.is_f32()), Cow::Owned(plan.kernel.to_bytes())),
+            } => (
+                plan_kind(plan.is_f32()),
+                Cow::Owned(plan.kernel().to_bytes()),
+            ),
             SegmentBody::Spliced {
                 plan: Some((kind, blob)),
                 ..
@@ -632,9 +635,6 @@ pub struct ShardTable {
     pub checksum_chunks: usize,
     /// Byte range of each shard payload within the container.
     pub shard_ranges: Vec<std::ops::Range<usize>>,
-    /// Per-shard reorder algorithm provenance (all `None` for version 1,
-    /// which does not record it).
-    pub reorder_algos: Vec<Option<ReorderAlgorithm>>,
     /// Byte range of shard `i`'s persisted plan blob — `None` when the
     /// shard carries no persisted plan (always `None` for versions
     /// below [`VERSION_PLANS`]). A `Some` entry means this container
@@ -644,16 +644,17 @@ pub struct ShardTable {
     /// meaningful only where [`plan_ranges`](Self::plan_ranges) is
     /// `Some`.
     pub plan_f32: Vec<bool>,
-    /// Per-shard grammar-stage provenance (all `None` below
-    /// [`VERSION_GRAMMAR`]; `None` for uncompressed shards and for
-    /// shards carried over from an older container).
-    pub grammar_stages: Vec<Option<GrammarStage>>,
-    /// Per-shard fingerprints for incremental rebuilds; recorded
-    /// exactly where [`grammar_stages`](Self::grammar_stages) is `Some`.
-    /// From [`VERSION_CHUNKED`] on they cover the shard's build plan
-    /// ([`gcm_pipeline::ShardPlan::fingerprint`]); versions 5 and 6
-    /// hash only the input rows and `V`.
-    pub fingerprints: Vec<Option<u64>>,
+    /// Per-shard provenance as the shard table records it. The reorder
+    /// algorithm is `None` throughout version 1, which does not record
+    /// it. The grammar stage is `None` below [`VERSION_GRAMMAR`], for
+    /// uncompressed shards, and for shards carried over from an older
+    /// container; the fingerprint is recorded exactly where the stage
+    /// is. From [`VERSION_CHUNKED`] on the fingerprint covers the
+    /// shard's build plan ([`gcm_pipeline::ShardPlan::fingerprint`]);
+    /// versions 5 and 6 hash only the input rows and `V`. `col_order`
+    /// is always `None` here: the permutation lives inside the shard's
+    /// payload, and decoding the shard fills it in.
+    pub meta: Vec<ShardMeta>,
 }
 
 impl ShardTable {
@@ -742,48 +743,38 @@ impl ShardTable {
             None
         };
         let mut shard_ranges = Vec::with_capacity(num_shards);
-        let mut reorder_algos = Vec::with_capacity(num_shards);
-        let mut grammar_stages = Vec::with_capacity(num_shards);
-        let mut fingerprints = Vec::with_capacity(num_shards);
+        let mut meta = Vec::with_capacity(num_shards);
         for i in 0..num_shards {
+            let mut shard = ShardMeta::default();
             if version >= VERSION_PER_SHARD {
                 let tag = *data
                     .get(pos)
                     .filter(|_| pos < body_len)
                     .ok_or_else(|| corrupt(format!("missing shard {i} reorder tag")))?;
-                reorder_algos.push(
-                    tag_reorder(tag)
-                        .ok_or_else(|| corrupt(format!("unknown shard {i} reorder tag {tag}")))?,
-                );
+                shard.reorder = tag_reorder(tag)
+                    .ok_or_else(|| corrupt(format!("unknown shard {i} reorder tag {tag}")))?;
                 pos += 1;
-            } else {
-                reorder_algos.push(None);
             }
             if version >= VERSION_GRAMMAR {
                 let tag = *data
                     .get(pos)
                     .filter(|_| pos < body_len)
                     .ok_or_else(|| corrupt(format!("missing shard {i} grammar tag")))?;
-                let stage = tag_grammar(tag)
+                shard.grammar = tag_grammar(tag)
                     .ok_or_else(|| corrupt(format!("unknown shard {i} grammar tag {tag}")))?;
                 pos += 1;
-                if stage.is_some() {
+                if shard.grammar.is_some() {
                     let end = pos
                         .checked_add(8)
                         .filter(|&e| e <= body_len)
                         .ok_or_else(|| corrupt(format!("missing shard {i} fingerprint")))?;
-                    let fp =
-                        u64::from_le_bytes(data[pos..end].try_into().expect("8 bytes checked"));
-                    fingerprints.push(Some(fp));
+                    shard.fingerprint = Some(u64::from_le_bytes(
+                        data[pos..end].try_into().expect("8 bytes checked"),
+                    ));
                     pos = end;
-                } else {
-                    fingerprints.push(None);
                 }
-                grammar_stages.push(stage);
-            } else {
-                grammar_stages.push(None);
-                fingerprints.push(None);
             }
+            meta.push(shard);
             let len = varint::read_u64(data, &mut pos)
                 .ok_or_else(|| corrupt(format!("bad shard {i} length")))?;
             // Bounded against the remaining body as u64, so the cast
@@ -839,11 +830,9 @@ impl ShardTable {
             dictionary,
             checksum_chunks: trailer.chunks(),
             shard_ranges,
-            reorder_algos,
             plan_ranges,
             plan_f32,
-            grammar_stages,
-            fingerprints,
+            meta,
         })
     }
 
@@ -853,26 +842,13 @@ impl ShardTable {
     /// # Errors
     /// Fails if the payload is structurally invalid.
     pub fn decode_shard(&self, data: &[u8], i: usize) -> Result<Model, ServeError> {
-        self.decode_shard_with_order(data, i).map(|(m, _)| m)
-    }
-
-    /// As [`decode_shard`](Self::decode_shard), also returning the
-    /// column permutation the shard was compressed with.
-    ///
-    /// # Errors
-    /// Fails if the payload is structurally invalid.
-    pub fn decode_shard_with_order(
-        &self,
-        data: &[u8],
-        i: usize,
-    ) -> Result<(Model, Option<Vec<u32>>), ServeError> {
         let range = self
             .shard_ranges
             .get(i)
             .ok_or_else(|| corrupt(format!("shard {i} out of range")))?
             .clone();
         let dict = self.decode_dictionary(data);
-        decode_shard(self.backend, self.cols, &data[range], dict.as_ref())
+        decode_shard(self.backend, self.cols, &data[range], dict.as_ref()).map(|(m, _)| m)
     }
 
     /// Decodes the container's one value dictionary from the bytes the
@@ -927,7 +903,7 @@ fn decode_shard_plan(
     {
         return Err(corrupt(format!("shard {i} plan mismatches its matrix")));
     }
-    Ok(ModelPlan { kernel })
+    Ok(ModelPlan::from(kernel))
 }
 
 /// Deserialises a container into a ready-to-serve [`ShardedModel`] in
@@ -1035,7 +1011,7 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
     } else {
         (0..n).map(decode_one).collect()
     };
-    let mut parts = Vec::with_capacity(n);
+    let mut shards = Vec::with_capacity(n);
     let mut plans = Vec::with_capacity(n);
     let mut first_order: Option<Option<Vec<u32>>> = None;
     let mut first_dict: Option<Arc<Vec<f64>>> = None;
@@ -1076,16 +1052,16 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
                 }
             }
         }
-        parts.push((
+        shards.push(BuiltShard {
             model,
-            order,
-            table.reorder_algos[i],
-            table.grammar_stages[i],
-            table.fingerprints[i],
-        ));
+            meta: ShardMeta {
+                col_order: order,
+                ..table.meta[i].clone()
+            },
+        });
         plans.push(plan);
     }
-    let model = ShardedModel::from_shards(parts, table.cols);
+    let model = ShardedModel::from_shards(shards, table.cols);
     if model.rows() != table.rows {
         return Err(corrupt(format!(
             "header promises {} rows, shards hold {}",
@@ -1101,6 +1077,41 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
         }
     }
     Ok(model)
+}
+
+/// Writes `bytes` to `path` atomically: into a temp file in the same
+/// directory under a name no other writer uses, synced to disk, then
+/// renamed over `path`, and the directory synced so the rename survives
+/// a crash. A reader sees the old file or the new one, never a torn
+/// one, and concurrent writers of one path each succeed (the last
+/// rename wins). Every container write goes through here.
+///
+/// # Errors
+/// Fails on filesystem errors, naming `path`; the temp file is removed.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ServeError> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let write = || {
+        let mut file = OpenOptions::new().write(true).create_new(true).open(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+    };
+    write().map_err(|e| {
+        let _ = std::fs::remove_file(&tmp);
+        ServeError::Io(std::io::Error::new(
+            e.kind(),
+            format!("{}: {e}", path.display()),
+        ))
+    })
 }
 
 impl ShardedModel {
@@ -1124,13 +1135,13 @@ impl ShardedModel {
         from_bytes(data)
     }
 
-    /// Writes the container to `path` (atomically via a sibling temp
-    /// file, so readers never observe a half-written model).
+    /// Writes the container to `path` through [`write_atomic`], so
+    /// readers never observe a half-written model.
     ///
     /// # Errors
     /// Fails on filesystem errors.
     pub fn save(&self, path: &Path) -> Result<(), ServeError> {
-        Self::write_atomic(path, &self.to_bytes())
+        write_atomic(path, &self.to_bytes())
     }
 
     /// As [`save`](Self::save), persisting compiled plans (`gcm
@@ -1139,14 +1150,7 @@ impl ShardedModel {
     /// # Errors
     /// Fails on filesystem errors.
     pub fn save_with_plans(&self, path: &Path) -> Result<(), ServeError> {
-        Self::write_atomic(path, &self.to_bytes_with_plans())
-    }
-
-    pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ServeError> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        write_atomic(path, &self.to_bytes_with_plans())
     }
 
     /// Reads and validates a container from `path`.
@@ -1162,9 +1166,9 @@ impl ShardedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sharded::BuildOptions;
     use gcm_core::Encoding;
     use gcm_matrix::{DenseMatrix, MatVec};
+    use gcm_pipeline::{BuildConfig, EncodingChoice};
 
     /// Every shard's payload with its own copy of the dictionary — the
     /// layout of versions 1 to 5, for synthesising legacy containers.
@@ -1172,15 +1176,16 @@ mod tests {
         model
             .shard_slice()
             .iter()
-            .map(|s| match &s.model {
-                Model::Csrv(m) => {
-                    let mut out = Vec::new();
-                    write_col_order(&mut out, s.col_order.as_deref());
-                    mio::write_csrv_bytes(m, &mut out);
-                    out
-                }
-                Model::Compressed(m) => {
-                    serial::bundle_to_bytes(std::slice::from_ref(m), s.col_order.as_deref())
+            .map(|s| {
+                let order = s.built.meta.col_order.as_deref();
+                match &s.built.model {
+                    Model::Csrv(m) => {
+                        let mut out = Vec::new();
+                        write_col_order(&mut out, order);
+                        mio::write_csrv_bytes(m, &mut out);
+                        out
+                    }
+                    Model::Compressed(m) => serial::bundle_to_bytes(std::slice::from_ref(m), order),
                 }
             })
             .collect()
@@ -1203,11 +1208,11 @@ mod tests {
         let dense = sample();
         for backend in Backend::ALL {
             for shards in [1usize, 3] {
-                let opts = BuildOptions {
+                let opts = BuildConfig {
                     backend,
                     shards,
-                    encoding: Encoding::ReIv,
-                    ..BuildOptions::default()
+                    encoding: EncodingChoice::Fixed(Encoding::ReIv),
+                    ..BuildConfig::default()
                 };
                 let model = ShardedModel::from_dense(&dense, &opts).unwrap();
                 let bytes = model.to_bytes();
@@ -1230,27 +1235,19 @@ mod tests {
     fn container_preserves_reorder_metadata_for_every_backend() {
         let dense = sample();
         for backend in Backend::ALL {
-            let opts = BuildOptions {
+            let opts = BuildConfig {
                 backend,
                 shards: 2,
                 reorder: Some(crate::ReorderMode::Global(
                     gcm_reorder::ReorderAlgorithm::PathCover,
                 )),
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             };
             let model = ShardedModel::from_dense(&dense, &opts).unwrap();
             let order = model.col_order().unwrap().to_vec();
             let bytes = model.to_bytes();
             let back = ShardedModel::from_bytes(&bytes).unwrap();
             assert_eq!(back.col_order(), Some(&order[..]), "{}", backend.name());
-            for i in 0..back.num_shards() {
-                assert_eq!(
-                    back.shard_reorder(i),
-                    Some(gcm_reorder::ReorderAlgorithm::PathCover),
-                    "{} shard {i} provenance",
-                    backend.name()
-                );
-            }
         }
     }
 
@@ -1271,28 +1268,20 @@ mod tests {
             }
         }
         for backend in Backend::ALL {
-            let opts = BuildOptions {
+            let opts = BuildConfig {
                 backend,
                 shards: 2,
                 reorder: Some(crate::ReorderMode::PerShard(
                     gcm_reorder::ReorderAlgorithm::PathCover,
                 )),
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             };
             let model = ShardedModel::from_dense(&dense, &opts).unwrap();
             let bytes = model.to_bytes();
             let back = ShardedModel::from_bytes(&bytes).expect("per-shard orders must load");
-            for i in 0..2 {
-                assert_eq!(
-                    back.shard_col_order(i),
-                    model.shard_col_order(i),
-                    "{} shard {i}",
-                    backend.name()
-                );
-            }
             // Distinct per-shard permutations survive the round-trip
             // (shard 0 pairs (0,4); shard 1 pairs (1,5)).
-            assert_ne!(back.shard_col_order(0), back.shard_col_order(1));
+            assert_ne!(back.shard_meta(0).col_order, back.shard_meta(1).col_order);
             assert_eq!(back.col_order(), None, "no uniform order to report");
             let x = vec![1.0; 8];
             let mut y_a = vec![0.0; 24];
@@ -1312,12 +1301,12 @@ mod tests {
         let dense = sample();
         let model = ShardedModel::from_dense(
             &dense,
-            &BuildOptions {
+            &BuildConfig {
                 shards: 3,
                 reorder: Some(crate::ReorderMode::Global(
                     gcm_reorder::ReorderAlgorithm::Mwm,
                 )),
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             },
         )
         .unwrap();
@@ -1339,7 +1328,7 @@ mod tests {
         assert_eq!(back.num_shards(), 3);
         assert_eq!(back.col_order(), model.col_order());
         // v1 records no algorithm provenance.
-        assert_eq!(back.shard_reorder(0), None);
+        assert_eq!(back.shard_meta(0).reorder, None);
         let x = vec![1.0; 8];
         let mut y_a = vec![0.0; 37];
         let mut y_b = vec![0.0; 37];
@@ -1364,18 +1353,18 @@ mod tests {
         }
         let per_shard = ShardedModel::from_dense(
             &split,
-            &BuildOptions {
+            &BuildConfig {
                 shards: 2,
                 reorder: Some(crate::ReorderMode::PerShard(
                     gcm_reorder::ReorderAlgorithm::PathCover,
                 )),
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             },
         )
         .unwrap();
         assert_ne!(
-            per_shard.shard_col_order(0),
-            per_shard.shard_col_order(1),
+            per_shard.shard_meta(0).col_order,
+            per_shard.shard_meta(1).col_order,
             "test needs genuinely distinct orders"
         );
         let mut forged_v1 = Vec::new();
@@ -1460,9 +1449,9 @@ mod tests {
     #[test]
     fn shard_table_decodes_single_shards() {
         let dense = sample();
-        let opts = BuildOptions {
+        let opts = BuildConfig {
             shards: 4,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         let model = ShardedModel::from_dense(&dense, &opts).unwrap();
         let bytes = model.to_bytes();
@@ -1500,9 +1489,9 @@ mod tests {
         let dense = sample();
         let model = ShardedModel::from_dense(
             &dense,
-            &BuildOptions {
+            &BuildConfig {
                 shards: 2,
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             },
         )
         .unwrap();
@@ -1521,10 +1510,10 @@ mod tests {
         let x: Vec<f64> = (0..8).map(|i| i as f64 - 3.5).collect();
         for shards in [1usize, 3] {
             for f32_plans in [false, true] {
-                let opts = BuildOptions {
+                let opts = BuildConfig {
                     shards,
-                    encoding: Encoding::ReIv,
-                    ..BuildOptions::default()
+                    encoding: EncodingChoice::Fixed(Encoding::ReIv),
+                    ..BuildConfig::default()
                 };
                 let model = ShardedModel::from_dense(&dense, &opts).unwrap();
                 let serve = if f32_plans {
@@ -1573,9 +1562,9 @@ mod tests {
         // byte-identical plan-free container.
         let model = ShardedModel::from_dense(
             &dense,
-            &BuildOptions {
+            &BuildConfig {
                 shards: 2,
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             },
         )
         .unwrap();
@@ -1584,10 +1573,10 @@ mod tests {
         // prewarm (`compile_with` has nothing to build for them).
         let csrv = ShardedModel::from_dense(
             &dense,
-            &BuildOptions {
+            &BuildConfig {
                 backend: Backend::Csrv,
                 shards: 2,
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             },
         )
         .unwrap();
@@ -1603,9 +1592,9 @@ mod tests {
         use crate::sharded::ServeOptions;
         let refresh_checksum = reseal;
         let dense = sample();
-        let opts = BuildOptions {
+        let opts = BuildConfig {
             shards: 1,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         let model = ShardedModel::from_dense(&dense, &opts).unwrap();
         let model32 = ShardedModel::from_dense(&dense, &opts).unwrap();
@@ -1663,9 +1652,9 @@ mod tests {
         let dense = sample();
         let model = ShardedModel::from_dense(
             &dense,
-            &BuildOptions {
+            &BuildConfig {
                 shards: 3,
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             },
         )
         .unwrap();
@@ -1694,9 +1683,9 @@ mod tests {
         let dense = sample();
         let model = ShardedModel::from_dense(
             &dense,
-            &BuildOptions {
+            &BuildConfig {
                 shards: 2,
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             },
         )
         .unwrap();
@@ -1724,10 +1713,10 @@ mod tests {
                 for plans in [false, true] {
                     let model = ShardedModel::from_dense(
                         &dense,
-                        &BuildOptions {
+                        &BuildConfig {
                             shards,
-                            grammar,
-                            ..BuildOptions::default()
+                            grammar: Some(grammar),
+                            ..BuildConfig::default()
                         },
                     )
                     .unwrap();
@@ -1743,17 +1732,12 @@ mod tests {
                     assert_eq!(table.plan_bytes() > 0, plans, "{tag}");
                     assert!(table.dictionary.is_some(), "{tag}");
                     for i in 0..shards {
-                        assert!(table.grammar_stages[i].is_some(), "{tag} shard {i}");
-                        assert!(table.fingerprints[i].is_some(), "{tag} shard {i}");
+                        assert!(table.meta[i].grammar.is_some(), "{tag} shard {i}");
+                        assert!(table.meta[i].fingerprint.is_some(), "{tag} shard {i}");
                     }
                     let back = ShardedModel::from_bytes(&bytes).expect("v7 roundtrip");
                     for i in 0..shards {
-                        assert_eq!(back.shard_grammar(i), model.shard_grammar(i), "{tag}");
-                        assert_eq!(
-                            back.shard_fingerprint(i),
-                            model.shard_fingerprint(i),
-                            "{tag}"
-                        );
+                        assert_eq!(back.shard_meta(i), model.shard_meta(i), "{tag}");
                     }
                     // Re-serialising the loaded model reproduces the
                     // container byte-for-byte: nothing is lost in the
@@ -1770,6 +1754,49 @@ mod tests {
                     model.right_multiply_panel(1, &x, &mut y_a).unwrap();
                     back.right_multiply_panel(1, &x, &mut y_b).unwrap();
                     assert_eq!(y_a, y_b, "{tag}");
+                }
+            }
+        }
+    }
+
+    /// One `ShardMeta` per shard travels unchanged from the build through
+    /// `to_bytes_with_plans` and `from_bytes`, and through an incremental
+    /// splice against those bytes, for both backends and every reorder
+    /// scope.
+    #[test]
+    fn shard_meta_survives_write_load_and_splice() {
+        use crate::sharded::ServeOptions;
+        use crate::ReorderMode::{Global, PerShard};
+        use gcm_reorder::ReorderAlgorithm::PathCover;
+        let csrv = gcm_matrix::CsrvMatrix::from_dense(&sample()).unwrap();
+        for backend in Backend::ALL {
+            for reorder in [None, Some(Global(PathCover)), Some(PerShard(PathCover))] {
+                let config = BuildConfig {
+                    backend,
+                    shards: 3,
+                    reorder,
+                    ..BuildConfig::default()
+                };
+                let tag = format!("{} {reorder:?}", backend.name());
+                let built = ShardedModel::from_csrv(&csrv, &config).unwrap();
+                built.prewarm_with(1, &ServeOptions::planned());
+                let bytes = to_bytes_with_plans(&built);
+                let loaded = from_bytes(&bytes).expect(&tag);
+                let (spliced, report) =
+                    crate::compress_incremental(&csrv, &config, &bytes).expect(&tag);
+                // A compressed base splices every shard; an uncompressed
+                // one records no fingerprints, so it rebuilds them all.
+                let compressed = backend.is_compressed();
+                assert_eq!(report.spliced(), if compressed { 3 } else { 0 }, "{tag}");
+                let spliced = from_bytes(&spliced).expect(&tag);
+                for i in 0..3 {
+                    let meta = built.shard_meta(i);
+                    assert_eq!(meta.reorder, reorder.map(|r| r.algorithm()), "{tag}");
+                    assert_eq!(meta.col_order.is_some(), reorder.is_some(), "{tag}");
+                    assert_eq!(meta.grammar.is_some(), compressed, "{tag}");
+                    assert_eq!(meta.fingerprint.is_some(), compressed, "{tag}");
+                    assert_eq!(loaded.shard_meta(i), meta, "{tag} shard {i} load");
+                    assert_eq!(spliced.shard_meta(i), meta, "{tag} shard {i} splice");
                 }
             }
         }
@@ -1823,13 +1850,14 @@ mod tests {
                                 assert_eq!(bytes[8], VERSION_CHUNKED, "{tag}");
                                 let back = ShardedModel::from_bytes(&bytes).expect(&tag);
                                 for i in 0..shards {
-                                    let stage = back.shard_grammar(i);
+                                    let meta = back.shard_meta(i);
+                                    let stage = meta.grammar;
                                     assert_eq!(stage.is_some(), compressed, "{tag} shard {i}");
                                     if grammar != Some(GrammarChoice::Auto) && compressed {
                                         assert_eq!(stage, Some(GrammarStage::RePair), "{tag}");
                                     }
                                     assert_eq!(
-                                        back.shard_fingerprint(i).is_some(),
+                                        meta.fingerprint.is_some(),
                                         compressed,
                                         "{tag} shard {i}"
                                     );
@@ -1874,9 +1902,9 @@ mod tests {
         let dense = sample();
         let model = ShardedModel::from_dense(
             &dense,
-            &BuildOptions {
+            &BuildConfig {
                 shards: 2,
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             },
         )
         .unwrap();
@@ -1898,8 +1926,7 @@ mod tests {
         v5.extend_from_slice(&sum.to_le_bytes());
         let back = ShardedModel::from_bytes(&v5).expect("metadata-free v5 must load");
         assert_eq!(back.num_shards(), 2);
-        assert_eq!(back.shard_grammar(0), None);
-        assert_eq!(back.shard_fingerprint(0), None);
+        assert_eq!(back.shard_meta(0), &ShardMeta::default());
         let x = vec![1.0; 8];
         let mut y_a = vec![0.0; 37];
         let mut y_b = vec![0.0; 37];
@@ -1915,10 +1942,10 @@ mod tests {
         let dense = sample();
         let model = ShardedModel::from_dense(
             &dense,
-            &BuildOptions {
+            &BuildConfig {
                 shards: 2,
-                grammar: GrammarChoice::MrRePair,
-                ..BuildOptions::default()
+                grammar: Some(GrammarChoice::MrRePair),
+                ..BuildConfig::default()
             },
         )
         .unwrap();
@@ -1955,7 +1982,10 @@ mod tests {
         assert!(ShardedModel::from_bytes(&flipped).is_err(), "checksum");
         refresh_checksum(&mut flipped);
         let back = ShardedModel::from_bytes(&flipped).expect("fp is not structural");
-        assert_ne!(back.shard_fingerprint(0), model.shard_fingerprint(0));
+        assert_ne!(
+            back.shard_meta(0).fingerprint,
+            model.shard_meta(0).fingerprint
+        );
     }
 
     /// A dense matrix whose csrv container spans several checksum
@@ -1976,10 +2006,10 @@ mod tests {
     fn every_checksum_chunk_guards_its_own_bytes() {
         let model = ShardedModel::from_dense(
             &large_sample(),
-            &BuildOptions {
+            &BuildConfig {
                 backend: Backend::Csrv,
                 shards: 3,
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             },
         )
         .unwrap();
@@ -2031,9 +2061,9 @@ mod tests {
     fn lengths_that_fit_no_chunk_trailer_are_rejected() {
         let mut bytes = ShardedModel::from_dense(
             &large_sample(),
-            &BuildOptions {
+            &BuildConfig {
                 backend: Backend::Csrv,
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             },
         )
         .unwrap()
@@ -2057,9 +2087,9 @@ mod tests {
         let mut other = sample();
         other.set(0, 1, 99.0);
         for backend in Backend::ALL {
-            let opts = BuildOptions {
+            let opts = BuildConfig {
                 backend,
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             };
             let a = ShardedModel::from_dense(&sample(), &opts).unwrap();
             let b = ShardedModel::from_dense(&other, &opts).unwrap();

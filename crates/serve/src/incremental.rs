@@ -137,7 +137,7 @@ pub fn compress_incremental(
     let mut provenance = Vec::with_capacity(plan.shards.len());
     let mut changed = Vec::new();
     for (i, sp) in plan.shards.into_iter().enumerate() {
-        if table.fingerprints[i] == Some(sp.fingerprint()) {
+        if table.meta[i].fingerprint == Some(sp.fingerprint()) {
             provenance.push(ShardProvenance::Spliced);
         } else {
             provenance.push(ShardProvenance::Rebuilt);
@@ -197,7 +197,7 @@ fn plan_policy(table: &ShardTable) -> Option<ServeOptions> {
 
 /// Why this build cannot splice from this base (`None` = it can).
 fn splice_blocker(csrv: &CsrvMatrix, config: &BuildConfig, table: &ShardTable) -> Option<String> {
-    if table.fingerprints.iter().all(Option::is_none) {
+    if table.meta.iter().all(|m| m.fingerprint.is_none()) {
         return Some(format!(
             "base container (version {}) records no fingerprints",
             table.version
@@ -236,14 +236,12 @@ fn splice_blocker(csrv: &CsrvMatrix, config: &BuildConfig, table: &ShardTable) -
 
 /// Takes shard `i`'s on-disk pieces out of the base container without
 /// decoding them.
-fn splice_segment<'a>(table: &ShardTable, base: &'a [u8], i: usize) -> Segment<'a> {
+fn splice_segment<'a>(table: &'a ShardTable, base: &'a [u8], i: usize) -> Segment<'a> {
     let plan = table.plan_ranges[i]
         .clone()
         .map(|r| (plan_kind(table.plan_f32[i]), &base[r]));
     Segment {
-        reorder: table.reorder_algos[i],
-        grammar: table.grammar_stages[i],
-        fingerprint: table.fingerprints[i],
+        meta: &table.meta[i],
         body: SegmentBody::Spliced {
             payload: &base[table.shard_ranges[i].clone()],
             plan,

@@ -6,8 +6,12 @@
 //! grammar-compressed `(C, R, V)` — into a **persistent, sharded,
 //! restart-amortised model**:
 //!
-//! * [`Model`] wraps the two backends behind one enum with uniform
-//!   panel-slice kernels and workspace budgets;
+//! * [`Model`] (defined in `gcm-pipeline`, which builds it) wraps the
+//!   two backends behind one enum with uniform panel-slice kernels and
+//!   workspace budgets; a build hands each shard over as a
+//!   [`BuiltShard`] — its `Model` plus its [`ShardMeta`] provenance —
+//!   and that one record is what the container writes and the serving
+//!   shard keeps;
 //! * [`ShardedModel`] splits a matrix row-wise across N shards (the
 //!   only row partition) and serves single-vector and batched products
 //!   across them on the persistent thread pool, with per-shard
@@ -40,7 +44,6 @@
 pub mod container;
 pub mod incremental;
 pub mod metrics;
-pub mod model;
 pub mod protocol;
 pub mod registry;
 pub mod server;
@@ -48,14 +51,15 @@ pub mod sharded;
 
 pub use container::{ServeError, ShardTable};
 pub use incremental::{compress_incremental, RebuildReport, ShardProvenance};
-pub use model::{Backend, Model, ModelPlan};
 pub use registry::{ModelStore, Registry};
 pub use server::{Engine, Server, ServerConfig, ServerHandle};
-pub use sharded::{BuildOptions, ServeOptions, ShardedModel};
+pub use sharded::{ServeOptions, ShardedModel};
 
 /// Re-exported pipeline vocabulary: building goes through the staged
-/// `gcm-pipeline` (serve is its consumer), and these types appear in
-/// [`BuildOptions`] and the artifact-level API.
+/// `gcm-pipeline` (serve is its consumer), which defines the servable
+/// [`Model`] and its [`ModelPlan`], and these types appear in
+/// [`ShardedModel`]'s build and provenance API.
 pub use gcm_pipeline::{
-    BuildArtifacts, BuildConfig, EncodingChoice, GrammarChoice, GrammarStage, Pipeline, ReorderMode,
+    Backend, BuildArtifacts, BuildConfig, BuiltShard, EncodingChoice, GrammarChoice, GrammarStage,
+    Model, ModelPlan, Pipeline, ReorderMode, ShardMeta,
 };

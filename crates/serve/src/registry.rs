@@ -341,8 +341,8 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sharded::BuildOptions;
     use gcm_matrix::DenseMatrix;
+    use gcm_pipeline::BuildConfig;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("gcm-registry-{tag}-{}", std::process::id()));
@@ -361,9 +361,9 @@ mod tests {
         }
         ShardedModel::from_dense(
             &m,
-            &BuildOptions {
+            &BuildConfig {
                 shards,
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             },
         )
         .unwrap()
@@ -382,6 +382,38 @@ mod tests {
         assert_eq!(back.num_shards(), 2);
         store.remove("alpha").unwrap();
         assert!(!store.contains("alpha"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Concurrent saves of one name each write their own temp file, so
+    /// none truncates another's before its rename: every save succeeds,
+    /// the final file loads, and no temp file is left behind.
+    #[test]
+    fn concurrent_saves_of_one_name_all_succeed() {
+        let dir = tmp_dir("concurrent-save");
+        let store = ModelStore::open(&dir).unwrap();
+        let model = sample_model(2);
+        let failures = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..200 {
+                        if store.save("m", &model).is_err() {
+                            failures.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(failures.into_inner(), 0, "every save must succeed");
+        assert_eq!(store.load("m").unwrap().to_bytes(), model.to_bytes());
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
+            "temp files left"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

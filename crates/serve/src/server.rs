@@ -890,8 +890,8 @@ mod tests {
     use super::*;
     use crate::protocol::{encode_info, encode_multiply, encode_ping, encode_stats, Client};
     use crate::registry::ModelStore;
-    use crate::sharded::BuildOptions;
     use gcm_matrix::DenseMatrix;
+    use gcm_pipeline::BuildConfig;
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -918,9 +918,9 @@ mod tests {
         let dense = sample_dense(18, 6);
         let model = ShardedModel::from_dense(
             &dense,
-            &BuildOptions {
+            &BuildConfig {
                 shards: 2,
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             },
         )
         .unwrap();

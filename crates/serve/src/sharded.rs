@@ -37,67 +37,11 @@ use gcm_core::Encoding;
 use gcm_encodings::HeapSize;
 use gcm_matrix::matvec::{check_left_batch, check_panels, check_right_batch};
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, Workspace};
-use gcm_pipeline::{
-    BuildArtifacts, BuildConfig, EncodingChoice, GrammarChoice, GrammarStage, ReorderMode,
-};
-use gcm_reorder::ReorderAlgorithm;
-
-use crate::model::{Backend, Model, ModelPlan};
-
-/// How to build a [`ShardedModel`] from a matrix. Kept as the simple
-/// front door; building runs through the staged `gcm-pipeline`
-/// machinery (shards reorder/compress/encode concurrently on the
-/// persistent pool), and callers who want stage timings, per-shard
-/// stats, or [`EncodingChoice::Auto`] use [`gcm_pipeline::Pipeline`]
-/// directly and wrap the artifacts with
-/// [`ShardedModel::from_artifacts`].
-#[derive(Debug, Clone, Copy)]
-pub struct BuildOptions {
-    /// Representation of every shard.
-    pub backend: Backend,
-    /// Grammar encoding (compressed backends).
-    pub encoding: Encoding,
-    /// Grammar-stage policy (compressed backends). Every compressed
-    /// shard records its stage and build-plan fingerprint.
-    pub grammar: GrammarChoice,
-    /// Number of row shards (clamped to `1..=rows`).
-    pub shards: usize,
-    /// Optional column reordering (§5) applied before compression —
-    /// [`ReorderMode::Global`] (one whole-matrix permutation) or
-    /// [`ReorderMode::PerShard`] (each shard computes its own, §5.3).
-    /// The permutations are recorded in the container for provenance.
-    pub reorder: Option<ReorderMode>,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        Self {
-            backend: Backend::Compressed,
-            encoding: Encoding::ReAns,
-            grammar: GrammarChoice::RePair,
-            shards: 1,
-            reorder: None,
-        }
-    }
-}
-
-impl BuildOptions {
-    /// The pipeline configuration these options describe.
-    pub fn to_build_config(&self) -> BuildConfig {
-        BuildConfig {
-            backend: self.backend,
-            encoding: EncodingChoice::Fixed(self.encoding),
-            grammar: Some(self.grammar),
-            shards: self.shards,
-            reorder: self.reorder,
-            ..BuildConfig::default()
-        }
-    }
-}
+use gcm_pipeline::{Backend, BuildArtifacts, BuildConfig, BuiltShard, Model, ModelPlan, ShardMeta};
 
 /// Serving-time options: how a loaded model is prewarmed.
 ///
-/// Kept separate from [`BuildOptions`] because they describe the
+/// Kept separate from [`BuildConfig`] because they describe the
 /// *process*, not the artifact — the same container can be served
 /// planned on a latency-critical replica and unplanned on a
 /// memory-constrained one.
@@ -136,27 +80,14 @@ impl ServeOptions {
     }
 }
 
-/// One shard: its model, its reorder provenance (per-shard column
-/// permutations are first-class — shards may disagree), and the serving
-/// state the engine reuses across requests (workspace and
-/// left-reduction partial buffer).
+/// One shard: the [`BuiltShard`] it was built or loaded as (its model
+/// and its provenance record; per-shard column permutations are
+/// first-class — shards may disagree), and the serving state the engine
+/// reuses across requests (workspace and left-reduction partial buffer).
 #[derive(Debug)]
 pub(crate) struct Shard {
-    pub(crate) model: Model,
+    pub(crate) built: BuiltShard,
     pub(crate) row_offset: usize,
-    /// Column permutation this shard was compressed with, if any.
-    pub(crate) col_order: Option<Vec<u32>>,
-    /// Algorithm that produced [`col_order`](Self::col_order), when
-    /// known (build-time provenance; `GCMSERV1` v2 persists it).
-    pub(crate) reorder: Option<ReorderAlgorithm>,
-    /// Grammar stage that compressed this shard, when recorded
-    /// (`GCMSERV1` v5 and later persist it; `None` for the uncompressed
-    /// backend and shards loaded from older containers).
-    pub(crate) grammar: Option<GrammarStage>,
-    /// Fingerprint of the shard's build plan
-    /// ([`gcm_pipeline::ShardPlan::fingerprint`]), when recorded — the
-    /// handle incremental rebuilds match unchanged shards by.
-    pub(crate) fingerprint: Option<u64>,
     /// Compiled execution plan, set once by a plan-enabled prewarm
     /// (`None` inside = backend has nothing to plan). Read-only after
     /// initialisation, so the serving hot path pays one atomic load.
@@ -168,6 +99,11 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
+    /// The shard's matrix.
+    pub(crate) fn model(&self) -> &Model {
+        &self.built.model
+    }
+
     /// The shard's compiled plan, when one has been built (the
     /// container writer persists these as the `GCMSERV1` v4 plan
     /// section).
@@ -188,10 +124,10 @@ impl Shard {
     fn budget(&self, k: usize) -> (usize, usize) {
         let k = k.max(1);
         match self.plan() {
-            Some(plan) => (1, plan.kernel.scratch_len(k)),
+            Some(plan) => (1, plan.kernel().scratch_len(k)),
             None => {
-                let (count, max_len) = self.model.workspace_budget(k);
-                (count.max(1), max_len.max(self.model.rows() * k))
+                let (count, max_len) = self.model().workspace_budget(k);
+                (count.max(1), max_len.max(self.model().rows() * k))
             }
         }
     }
@@ -214,12 +150,14 @@ impl Shard {
     ) -> Result<(), MatrixError> {
         let mut ws = self.ws.lock().expect("shard workspace poisoned");
         let Some(plan) = self.plan() else {
-            if rows.len() == self.model.rows() {
-                return self.model.right_multiply_panel_into(k, x_panel, y, &mut ws);
+            if rows.len() == self.model().rows() {
+                return self
+                    .model()
+                    .right_multiply_panel_into(k, x_panel, y, &mut ws);
             }
-            let mut full = ws.take(self.model.rows() * k);
+            let mut full = ws.take(self.model().rows() * k);
             let result = self
-                .model
+                .model()
                 .right_multiply_panel_into(k, x_panel, &mut full, &mut ws);
             if result.is_ok() {
                 y.copy_from_slice(&full[rows.start * k..rows.end * k]);
@@ -227,7 +165,7 @@ impl Shard {
             ws.put(full);
             return result;
         };
-        let plan = &plan.kernel;
+        let plan = plan.kernel();
         let mut buf = ws.take(plan.scratch_len(k));
         let result = plan.begin_right_panel(k, x_panel, &mut buf);
         if result.is_ok() {
@@ -251,10 +189,10 @@ impl Shard {
         let mut ws = self.ws.lock().expect("shard workspace poisoned");
         match self.plan() {
             Some(plan) => self
-                .model
+                .model()
                 .left_multiply_panel_planned(plan, k, y_panel, x_panel, &mut ws),
             None => self
-                .model
+                .model()
                 .left_multiply_panel_into(k, y_panel, x_panel, &mut ws),
         }
     }
@@ -265,9 +203,9 @@ impl Shard {
         let mut ws = self.ws.lock().expect("shard workspace poisoned");
         match self.plan() {
             Some(plan) => self
-                .model
+                .model()
                 .right_multiply_sparse_planned(plan, x_nnz, y, &mut ws),
-            None => self.model.right_multiply_sparse_into(x_nnz, y, &mut ws),
+            None => self.model().right_multiply_sparse_into(x_nnz, y, &mut ws),
         }
     }
 }
@@ -337,55 +275,40 @@ fn fan_out_rows(
 }
 
 impl ShardedModel {
-    /// Builds from a dense matrix per `opts`.
+    /// Builds from a dense matrix per `config`.
     ///
     /// # Errors
-    /// Fails if the matrix has more distinct values than the CSRV symbol
-    /// alphabet can address.
-    pub fn from_dense(dense: &DenseMatrix, opts: &BuildOptions) -> Result<Self, MatrixError> {
-        Self::from_csrv(&CsrvMatrix::from_dense(dense)?, opts)
+    /// Fails if the matrix holds a NaN, or more distinct values than the
+    /// CSRV symbol alphabet can address.
+    pub fn from_dense(dense: &DenseMatrix, config: &BuildConfig) -> Result<Self, MatrixError> {
+        Self::from_csrv(&CsrvMatrix::from_dense(dense)?, config)
     }
 
-    /// Builds from a CSRV matrix per `opts` through the staged
+    /// Builds from a CSRV matrix per `config` through the staged
     /// `gcm-pipeline`: shards run reorder → RePair → encode concurrently
     /// on the persistent pool (thin wrapper over
     /// [`gcm_pipeline::global`]'s pipeline; outputs are bit-identical to
-    /// a sequential build).
+    /// a sequential build). Callers who want the stage timings and
+    /// per-shard stats build through [`gcm_pipeline::Pipeline`] and wrap
+    /// the artifacts with [`from_artifacts`](Self::from_artifacts).
     ///
     /// # Errors
     /// Currently infallible (the signature leaves room for backends with
     /// fallible construction).
-    pub fn from_csrv(csrv: &CsrvMatrix, opts: &BuildOptions) -> Result<Self, MatrixError> {
+    pub fn from_csrv(csrv: &CsrvMatrix, config: &BuildConfig) -> Result<Self, MatrixError> {
         Ok(Self::from_artifacts(
-            gcm_pipeline::global().build(csrv, &opts.to_build_config()),
+            gcm_pipeline::global().build(csrv, config),
         ))
     }
 
     /// Wraps a pipeline build's [`BuildArtifacts`] as a ready-to-serve
-    /// model, keeping every shard's column permutation and reorder
-    /// provenance.
+    /// model, keeping every shard's [`ShardMeta`].
     ///
     /// # Panics
     /// Panics if a shard disagrees on the column count (pipeline
     /// artifacts are consistent by construction).
     pub fn from_artifacts(artifacts: BuildArtifacts) -> Self {
-        let cols = artifacts.cols;
-        Self::from_shards(
-            artifacts
-                .shards
-                .into_iter()
-                .map(|s| {
-                    (
-                        Model::from(s.artifact),
-                        s.col_order,
-                        s.reorder,
-                        s.grammar,
-                        s.fingerprint,
-                    )
-                })
-                .collect(),
-            cols,
-        )
+        Self::from_shards(artifacts.shards, artifacts.cols)
     }
 
     /// Assembles a sharded model from per-shard models, in row order
@@ -404,55 +327,46 @@ impl ShardedModel {
     /// `V` a container stores once (blocks of one split or reorder share
     /// it already).
     pub fn from_parts(models: Vec<Model>, cols: usize, col_order: Option<Vec<u32>>) -> Self {
+        let meta = ShardMeta {
+            col_order,
+            ..ShardMeta::default()
+        };
         Self::from_shards(
             models
                 .into_iter()
-                .map(|m| (m, col_order.clone(), None, None, None))
+                .map(|model| BuiltShard {
+                    model,
+                    meta: meta.clone(),
+                })
                 .collect(),
             cols,
         )
     }
 
-    /// Assembles a sharded model from per-shard `(model, column order,
-    /// reorder algorithm, grammar stage, build-plan fingerprint)` tuples —
-    /// the general constructor behind
-    /// [`from_artifacts`](Self::from_artifacts) and the container
-    /// loader, where every shard carries its own metadata.
+    /// Assembles a sharded model from built shards, in row order, each
+    /// with its own [`ShardMeta`] — the general constructor behind
+    /// [`from_artifacts`](Self::from_artifacts) and the container loader.
     ///
     /// # Panics
     /// Panics if a shard disagrees on the column count or on the value
     /// dictionary (one `Arc`, or equal contents).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn from_shards(
-        parts: Vec<(
-            Model,
-            Option<Vec<u32>>,
-            Option<ReorderAlgorithm>,
-            Option<GrammarStage>,
-            Option<u64>,
-        )>,
-        cols: usize,
-    ) -> Self {
-        let mut shards = Vec::with_capacity(parts.len());
+    pub(crate) fn from_shards(built: Vec<BuiltShard>, cols: usize) -> Self {
+        let mut shards = Vec::with_capacity(built.len());
         let mut rows = 0usize;
-        let first = parts.first().map(|p| Arc::clone(p.0.dictionary()));
-        for (model, col_order, reorder, grammar, fingerprint) in parts {
-            assert_eq!(model.cols(), cols, "shard column mismatch");
+        let first = built.first().map(|b| Arc::clone(b.model.dictionary()));
+        for built in built {
+            assert_eq!(built.model.cols(), cols, "shard column mismatch");
             if let Some(first) = &first {
-                let dict = model.dictionary();
+                let dict = built.model.dictionary();
                 assert!(
                     Arc::ptr_eq(dict, first) || dict == first,
                     "shards disagree on the value dictionary"
                 );
             }
-            let model_rows = model.rows();
+            let model_rows = built.model.rows();
             shards.push(Shard {
-                model,
+                built,
                 row_offset: rows,
-                col_order,
-                reorder,
-                grammar,
-                fingerprint,
                 plan: OnceLock::new(),
                 ws: Mutex::new(Workspace::new()),
                 partial: Mutex::new(Vec::new()),
@@ -484,13 +398,13 @@ impl ShardedModel {
 
     /// Row count of shard `i`.
     pub fn shard_rows(&self, i: usize) -> usize {
-        self.shards[i].model.rows()
+        self.shards[i].model().rows()
     }
 
     /// The model of shard `i` (read-only; `gcm inspect`'s per-shard
     /// table reads sizes and grammar statistics through it).
     pub fn shard_model(&self, i: usize) -> &Model {
-        &self.shards[i].model
+        self.shards[i].model()
     }
 
     /// The shard models, in row order.
@@ -502,52 +416,35 @@ impl ShardedModel {
     pub fn backend(&self) -> Backend {
         self.shards
             .first()
-            .map_or(Backend::Csrv, |s| s.model.backend())
+            .map_or(Backend::Csrv, |s| s.model().backend())
     }
 
     /// The grammar encoding, for compressed backends.
     pub fn encoding(&self) -> Option<Encoding> {
-        self.shards.first().and_then(|s| s.model.encoding())
+        self.shards.first().and_then(|s| s.model().encoding())
     }
 
     /// The **uniform** column-reorder permutation the model was
     /// compressed with — `Some` only when every shard shares one order
     /// (a global reorder, or a single shard). Per-shard-reordered
-    /// models return `None` here; use
-    /// [`shard_col_order`](Self::shard_col_order) for those.
+    /// models return `None` here; read each shard's
+    /// [`shard_meta`](Self::shard_meta) for those.
     /// (Provenance metadata; CSRV pairs keep their original column
     /// indices, so serving needs no inverse permutation.)
     pub fn col_order(&self) -> Option<&[u32]> {
-        let first = self.shards.first()?.col_order.as_deref()?;
+        let first = self.shards.first()?.built.meta.col_order.as_deref()?;
         self.shards
             .iter()
-            .all(|s| s.col_order.as_deref() == Some(first))
+            .all(|s| s.built.meta.col_order.as_deref() == Some(first))
             .then_some(first)
     }
 
-    /// The column permutation shard `i` was compressed with, if any
-    /// (per-shard orders are first-class: shards may disagree).
-    pub fn shard_col_order(&self, i: usize) -> Option<&[u32]> {
-        self.shards[i].col_order.as_deref()
-    }
-
-    /// The reorder algorithm shard `i` was built with, when recorded
-    /// (build provenance, persisted by `GCMSERV1` versions 2 and up).
-    pub fn shard_reorder(&self, i: usize) -> Option<ReorderAlgorithm> {
-        self.shards[i].reorder
-    }
-
-    /// The grammar stage shard `i` was compressed with, when recorded
-    /// (build provenance, persisted by `GCMSERV1` version 5 and later).
-    pub fn shard_grammar(&self, i: usize) -> Option<GrammarStage> {
-        self.shards[i].grammar
-    }
-
-    /// The build-plan fingerprint of shard `i`, when recorded
-    /// ([`gcm_pipeline::ShardPlan::fingerprint`]; persisted by
-    /// `GCMSERV1` for incremental rebuilds).
-    pub fn shard_fingerprint(&self, i: usize) -> Option<u64> {
-        self.shards[i].fingerprint
+    /// The provenance of shard `i`: its column permutation (per-shard
+    /// orders are first-class: shards may disagree), reorder algorithm,
+    /// grammar stage and build-plan fingerprint, each as recorded by the
+    /// build or the container it was loaded from.
+    pub fn shard_meta(&self, i: usize) -> &ShardMeta {
+        &self.shards[i].built.meta
     }
 
     /// Total representation size across shards (container framing
@@ -560,8 +457,8 @@ impl ShardedModel {
         let mut seen: Vec<&Arc<Vec<f64>>> = Vec::new();
         let mut total = 0;
         for shard in &self.shards {
-            total += shard.model.stored_bytes();
-            let dict = shard.model.dictionary();
+            total += shard.model().stored_bytes();
+            let dict = shard.model().dictionary();
             if seen.iter().any(|d| Arc::ptr_eq(d, dict)) {
                 total -= dict.len() * 8;
             } else {
@@ -625,7 +522,7 @@ impl ShardedModel {
             if opts.plans {
                 shard
                     .plan
-                    .get_or_init(|| ModelPlan::compile_with(&shard.model, opts.plan_f32));
+                    .get_or_init(|| ModelPlan::compile_with(shard.model(), opts.plan_f32));
             }
             let (count, max_len) = shard.budget(k);
             shard
@@ -671,7 +568,7 @@ impl ShardedModel {
         self.shards
             .iter()
             .filter_map(Shard::plan)
-            .map(HeapSize::heap_bytes)
+            .map(|plan| plan.kernel().heap_bytes())
             .sum()
     }
 
@@ -692,7 +589,7 @@ impl ShardedModel {
     ) {
         let rows = |i: usize| {
             let shard = &self.shards[i];
-            shard.row_offset..shard.row_offset + shard.model.rows()
+            shard.row_offset..shard.row_offset + shard.model().rows()
         };
         fan_out_rows(self.shards.len(), out, width, rows, |i, y| {
             f(&self.shards[i], y).expect("shard dimensions are consistent by construction");
@@ -726,7 +623,7 @@ impl ShardedModel {
             1
         };
         self.for_each_shard(y_panel, k, |shard, y| {
-            shard.right_rows(0..shard.model.rows(), chunks, k, x_panel, y)
+            shard.right_rows(0..shard.model().rows(), chunks, k, x_panel, y)
         });
         Ok(())
     }
@@ -802,7 +699,7 @@ impl ShardedModel {
         }
         for shard in &self.shards {
             let lo = shard.row_offset;
-            let hi = lo + shard.model.rows();
+            let hi = lo + shard.model().rows();
             let begin = rows.start.max(lo);
             let end = rows.end.min(hi);
             if begin >= end {
@@ -841,7 +738,11 @@ impl ShardedModel {
             let mut partial = shard.partial.lock().expect("shard partial poisoned");
             partial.resize(self.cols * k, 0.0);
             let off = shard.row_offset * k;
-            shard.left(k, &y_panel[off..off + shard.model.rows() * k], &mut partial)
+            shard.left(
+                k,
+                &y_panel[off..off + shard.model().rows() * k],
+                &mut partial,
+            )
         });
         x_panel.fill(0.0);
         for shard in &self.shards {
@@ -931,6 +832,8 @@ impl MatVec for ShardedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcm_pipeline::{EncodingChoice, ReorderMode};
+    use gcm_reorder::ReorderAlgorithm;
 
     fn sample(rows: usize, cols: usize) -> DenseMatrix {
         let mut m = DenseMatrix::zeros(rows, cols);
@@ -957,11 +860,11 @@ mod tests {
             .chain(Encoding::ALL.map(|enc| (Backend::Compressed, enc)));
         for (backend, encoding) in kinds {
             for shards in [1usize, 2, 3, 4, 7, 8] {
-                let opts = BuildOptions {
+                let opts = BuildConfig {
                     backend,
-                    encoding,
+                    encoding: EncodingChoice::Fixed(encoding),
                     shards,
-                    ..BuildOptions::default()
+                    ..BuildConfig::default()
                 };
                 let model = ShardedModel::from_dense(&dense, &opts).unwrap();
                 let name = format!("{} {} s={shards}", backend.name(), encoding.name());
@@ -984,9 +887,9 @@ mod tests {
     #[test]
     fn sharded_batch_equals_independent_columns() {
         let dense = sample(40, 7);
-        let opts = BuildOptions {
+        let opts = BuildConfig {
             shards: 3,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         let model = ShardedModel::from_dense(&dense, &opts).unwrap();
         model.prewarm(4);
@@ -1029,10 +932,10 @@ mod tests {
     #[test]
     fn reorder_is_recorded_and_preserves_products() {
         let dense = sample(24, 8);
-        let opts = BuildOptions {
+        let opts = BuildConfig {
             shards: 2,
             reorder: Some(ReorderMode::Global(ReorderAlgorithm::PathCover)),
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         let model = ShardedModel::from_dense(&dense, &opts).unwrap();
         let order = model.col_order().expect("order recorded");
@@ -1041,7 +944,10 @@ mod tests {
             assert!(!seen[c as usize]);
             seen[c as usize] = true;
         }
-        assert_eq!(model.shard_reorder(0), Some(ReorderAlgorithm::PathCover));
+        assert_eq!(
+            model.shard_meta(0).reorder,
+            Some(ReorderAlgorithm::PathCover)
+        );
         let x: Vec<f64> = (0..8).map(|i| i as f64 - 3.0).collect();
         let mut y_ref = vec![0.0; 24];
         let mut y = vec![0.0; 24];
@@ -1070,21 +976,22 @@ mod tests {
                 dense.set(r, 3, w);
             }
         }
-        let opts = BuildOptions {
+        let opts = BuildConfig {
             shards: 2,
             reorder: Some(ReorderMode::PerShard(ReorderAlgorithm::PathCover)),
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         let model = ShardedModel::from_dense(&dense, &opts).unwrap();
         assert_eq!(model.num_shards(), 2);
         for i in 0..2 {
-            let order = model.shard_col_order(i).expect("per-shard order");
+            let meta = model.shard_meta(i);
+            let order = meta.col_order.as_ref().expect("per-shard order");
             let mut seen = [false; 8];
             for &c in order {
                 assert!(!seen[c as usize]);
                 seen[c as usize] = true;
             }
-            assert_eq!(model.shard_reorder(i), Some(ReorderAlgorithm::PathCover));
+            assert_eq!(meta.reorder, Some(ReorderAlgorithm::PathCover));
         }
         // Products still match the oracle regardless of the orders.
         let x: Vec<f64> = (0..8).map(|i| i as f64 * 0.5 - 2.0).collect();
@@ -1107,10 +1014,10 @@ mod tests {
         let y_in: Vec<f64> = (0..83 * k).map(|i| ((i * 3) % 5) as f64 - 2.0).collect();
         for backend in Backend::ALL {
             for shards in [1usize, 3] {
-                let opts = BuildOptions {
+                let opts = BuildConfig {
                     backend,
                     shards,
-                    ..BuildOptions::default()
+                    ..BuildConfig::default()
                 };
                 let model = ShardedModel::from_dense(&dense, &opts).unwrap();
                 // Streaming products first…
@@ -1156,10 +1063,10 @@ mod tests {
         let y_in: Vec<f64> = (0..83 * k).map(|i| ((i * 3) % 5) as f64 - 2.0).collect();
         for backend in Backend::ALL {
             for shards in [1usize, 3] {
-                let opts = BuildOptions {
+                let opts = BuildConfig {
                     backend,
                     shards,
-                    ..BuildOptions::default()
+                    ..BuildConfig::default()
                 };
                 let model = ShardedModel::from_dense(&dense, &opts).unwrap();
                 let mut yp_stream = vec![0.0; 83 * k];
@@ -1198,9 +1105,9 @@ mod tests {
         let dense = sample(30, 6);
         let model = ShardedModel::from_dense(
             &dense,
-            &BuildOptions {
+            &BuildConfig {
                 shards: 2,
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             },
         )
         .unwrap();
@@ -1231,16 +1138,16 @@ mod tests {
         for serve in [ServeOptions::planned(), ServeOptions::planned_f32()] {
             let model = ShardedModel::from_dense(
                 &dense,
-                &BuildOptions {
+                &BuildConfig {
                     shards: 2,
-                    ..BuildOptions::default()
+                    ..BuildConfig::default()
                 },
             )
             .unwrap();
             let k = 4;
             model.prewarm_with(k, &serve);
             for shard in &model.shards {
-                let scratch = shard.plan().expect("planned").kernel.scratch_len(k);
+                let scratch = shard.plan().expect("planned").kernel().scratch_len(k);
                 let ws = shard.ws.lock().unwrap();
                 assert_eq!(ws.retained_buffers(), 1);
                 assert_eq!(ws.retained_bytes(), scratch * 8);
@@ -1256,11 +1163,11 @@ mod tests {
         for (backend, want) in [(Backend::Compressed, 2), (Backend::Csrv, 1)] {
             let model = ShardedModel::from_dense(
                 &dense,
-                &BuildOptions {
+                &BuildConfig {
                     backend,
-                    encoding: Encoding::ReIv,
+                    encoding: EncodingChoice::Fixed(Encoding::ReIv),
                     shards: 3,
-                    ..BuildOptions::default()
+                    ..BuildConfig::default()
                 },
             )
             .unwrap();
@@ -1275,9 +1182,9 @@ mod tests {
     #[test]
     fn more_shards_than_rows_clamps() {
         let dense = sample(3, 4);
-        let opts = BuildOptions {
+        let opts = BuildConfig {
             shards: 9,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         let model = ShardedModel::from_dense(&dense, &opts).unwrap();
         assert_eq!(model.num_shards(), 3);
@@ -1297,10 +1204,10 @@ mod tests {
     fn stored_bytes_count_a_shared_dictionary_once() {
         let dense = sample(64, 8);
         let build = |shards| {
-            let opts = BuildOptions {
-                encoding: Encoding::Re32,
+            let opts = BuildConfig {
+                encoding: EncodingChoice::Fixed(Encoding::Re32),
                 shards,
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             };
             ShardedModel::from_dense(&dense, &opts).unwrap()
         };
@@ -1333,10 +1240,10 @@ mod tests {
         for backend in Backend::ALL {
             let model = ShardedModel::from_dense(
                 &dense,
-                &BuildOptions {
+                &BuildConfig {
                     backend,
                     shards: 2,
-                    ..BuildOptions::default()
+                    ..BuildConfig::default()
                 },
             )
             .unwrap();
@@ -1353,10 +1260,10 @@ mod tests {
         for backend in Backend::ALL {
             let model = ShardedModel::from_dense(
                 &dense,
-                &BuildOptions {
+                &BuildConfig {
                     backend,
                     shards: 2,
-                    ..BuildOptions::default()
+                    ..BuildConfig::default()
                 },
             )
             .unwrap();

@@ -18,7 +18,7 @@ use gcm_core::{CompressedMatrix, Encoding};
 use gcm_encodings::varint;
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, RowBlocks};
 use gcm_serve::container::{self, fnv1a64};
-use gcm_serve::{Backend, BuildOptions, ServeError, ServeOptions, ShardTable, ShardedModel};
+use gcm_serve::{Backend, BuildConfig, ServeError, ServeOptions, ShardTable, ShardedModel};
 
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc::new();
@@ -64,10 +64,10 @@ fn sample_container(backend: Backend) -> Vec<u8> {
             }
         }
     }
-    let opts = BuildOptions {
+    let opts = BuildConfig {
         backend,
         shards: 3,
-        ..BuildOptions::default()
+        ..BuildConfig::default()
     };
     ShardedModel::from_dense(&dense, &opts).unwrap().to_bytes()
 }
@@ -308,7 +308,7 @@ fn bare_multi_block_bundles_load_as_one_shard_per_block() {
     assert_eq!(model.num_shards(), 3);
     for (i, block) in blocks.iter().enumerate() {
         assert_eq!(model.shard_rows(i), block.rows());
-        assert_eq!(model.shard_col_order(i), Some(&order[..]));
+        assert_eq!(model.shard_meta(i).col_order.as_deref(), Some(&order[..]));
     }
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let x: Vec<f64> = (0..7).map(|j| j as f64 * 0.75 - 2.0).collect();
@@ -410,10 +410,10 @@ fn forged_plan_sections_are_rejected_within_budget() {
             }
         }
     }
-    let opts = BuildOptions {
+    let opts = BuildConfig {
         backend: Backend::Compressed,
         shards: 3,
-        ..BuildOptions::default()
+        ..BuildConfig::default()
     };
     let model = ShardedModel::from_dense(&dense, &opts).unwrap();
     model.prewarm_with(1, &ServeOptions::planned());
@@ -519,7 +519,7 @@ fn forged_grammar_tags_and_spliced_plan_sections_stay_within_budget() {
     let table = ShardTable::parse(&bytes).unwrap();
     assert!(table.plan_bytes() > 0, "spliced plans must be present");
     assert!(
-        table.grammar_stages.iter().all(Option::is_some),
+        table.meta.iter().all(|m| m.grammar.is_some()),
         "every shard must carry a stage tag"
     );
 
@@ -575,9 +575,9 @@ fn v7_sample() -> Vec<u8> {
             }
         }
     }
-    let opts = BuildOptions {
+    let opts = BuildConfig {
         shards: 4,
-        ..BuildOptions::default()
+        ..BuildConfig::default()
     };
     let bytes = ShardedModel::from_dense(&dense, &opts).unwrap().to_bytes();
     assert_eq!(bytes[8], container::VERSION_CHUNKED);
@@ -741,9 +741,9 @@ fn shard_terminals_past_the_dictionary_are_rejected_in(bytes: &[u8]) {
 /// load it and serve products that differ from the original's.
 #[test]
 fn a_plan_multiplier_flip_is_caught_by_the_checksum_alone() {
-    let opts = BuildOptions {
+    let opts = BuildConfig {
         shards: 4,
-        ..BuildOptions::default()
+        ..BuildConfig::default()
     };
     let model = ShardedModel::from_csrv(&legacy_sample(), &opts).unwrap();
     model.prewarm_with(1, &ServeOptions::planned_f32());

@@ -22,7 +22,7 @@
 
 use gcm_core::{CompressedMatrix, Encoding};
 use gcm_matrix::{CsrMatrix, CsrvMatrix, DenseMatrix, MatVec, Workspace};
-use gcm_serve::{Backend, BuildOptions, ReorderMode, ServeOptions, ShardedModel};
+use gcm_serve::{Backend, BuildConfig, EncodingChoice, ReorderMode, ServeOptions, ShardedModel};
 
 const TOL: f64 = 1e-9;
 
@@ -103,10 +103,10 @@ fn backends(dense: &DenseMatrix) -> Vec<(String, Box<dyn MatVec>)> {
     // backend: the differential harness is what makes the container a
     // safe place to put a model.
     for backend in Backend::ALL {
-        let opts = BuildOptions {
+        let opts = BuildConfig {
             backend,
             shards: 3,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         let model = ShardedModel::from_dense(dense, &opts).expect("build");
         let reloaded = ShardedModel::from_bytes(&model.to_bytes()).expect("container round-trip");
@@ -121,13 +121,13 @@ fn backends(dense: &DenseMatrix) -> Vec<(String, Box<dyn MatVec>)> {
     // kernels AND the per-shard-order container round-trip to the
     // oracle across the whole edge-shape grid.
     for backend in Backend::ALL {
-        let opts = BuildOptions {
+        let opts = BuildConfig {
             backend,
             shards: 3,
             reorder: Some(ReorderMode::PerShard(
                 gcm_reorder::ReorderAlgorithm::PathCover,
             )),
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         let model = ShardedModel::from_dense(dense, &opts).expect("build reordered");
         let reloaded = ShardedModel::from_bytes(&model.to_bytes())
@@ -280,11 +280,11 @@ fn row_subset_products_match_the_oracle_slice() {
                         if planned && backend != Backend::Compressed {
                             continue;
                         }
-                        let opts = BuildOptions {
+                        let opts = BuildConfig {
                             backend,
-                            encoding,
+                            encoding: EncodingChoice::Fixed(encoding),
                             shards,
-                            ..BuildOptions::default()
+                            ..BuildConfig::default()
                         };
                         let built = ShardedModel::from_dense(&dense, &opts).expect("build");
                         let bytes = if planned {
@@ -376,11 +376,11 @@ fn sparse_right_products_match_the_dense_path_exactly() {
                         if planned && backend != Backend::Compressed {
                             continue;
                         }
-                        let opts = BuildOptions {
+                        let opts = BuildConfig {
                             backend,
-                            encoding,
+                            encoding: EncodingChoice::Fixed(encoding),
                             shards,
-                            ..BuildOptions::default()
+                            ..BuildConfig::default()
                         };
                         let built = ShardedModel::from_dense(&dense, &opts).expect("build");
                         let model =
@@ -477,11 +477,11 @@ fn grammar_stage_shards_match_the_oracle_everywhere() {
         for grammar in [GrammarChoice::MrRePair, GrammarChoice::Auto] {
             for encoding in Encoding::ALL {
                 for shards in [1usize, 3] {
-                    let opts = BuildOptions {
-                        encoding,
+                    let opts = BuildConfig {
+                        encoding: EncodingChoice::Fixed(encoding),
                         shards,
-                        grammar,
-                        ..BuildOptions::default()
+                        grammar: Some(grammar),
+                        ..BuildConfig::default()
                     };
                     let built = ShardedModel::from_dense(&dense, &opts).expect("build");
                     let bytes = built.to_bytes();
@@ -496,7 +496,7 @@ fn grammar_stage_shards_match_the_oracle_everywhere() {
                         let model = ShardedModel::from_bytes(&bytes).expect("v5 round-trip");
                         for i in 0..model.num_shards() {
                             assert!(
-                                model.shard_grammar(i).is_some(),
+                                model.shard_meta(i).grammar.is_some(),
                                 "{tag}: stage must survive the container"
                             );
                         }
@@ -595,10 +595,10 @@ fn reordered_compression_survives_the_container() {
         gcm_reorder::ReorderAlgorithm::PathCover,
         gcm_reorder::ReorderAlgorithm::Mwm,
     ] {
-        let opts = BuildOptions {
+        let opts = BuildConfig {
             shards: 2,
             reorder: Some(ReorderMode::Global(algo)),
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         let model = ShardedModel::from_dense(&dense, &opts).unwrap();
         let reloaded = ShardedModel::from_bytes(&model.to_bytes()).unwrap();

@@ -34,8 +34,8 @@ use gcm_serve::container::{
     VERSION_SHARED_DICT,
 };
 use gcm_serve::{
-    compress_incremental, Backend, BuildConfig, BuildOptions, EncodingChoice, GrammarChoice,
-    ReorderMode, ServeOptions, ShardTable, ShardedModel,
+    compress_incremental, Backend, BuildConfig, EncodingChoice, GrammarChoice, ReorderMode,
+    ServeOptions, ShardTable, ShardedModel,
 };
 
 const V6: &[u8] = include_bytes!("fixtures/census400_v6.gcms");
@@ -54,7 +54,7 @@ fn config(grammar: Option<GrammarChoice>) -> BuildConfig {
     BuildConfig {
         shards: 4,
         grammar,
-        ..BuildOptions::default().to_build_config()
+        ..BuildConfig::default()
     }
 }
 
@@ -141,7 +141,7 @@ fn legacy_fixtures_load_and_multiply_like_the_version7_build() {
         assert_eq!(legacy.is_planned_f32(), serve.plan_f32);
         for i in 0..config.shards {
             assert_eq!(
-                legacy.shard_reorder(i),
+                legacy.shard_meta(i).reorder,
                 config.reorder.map(|r| r.algorithm()),
                 "v{version}"
             );

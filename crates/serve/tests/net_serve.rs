@@ -12,7 +12,7 @@ use std::sync::{Arc, Barrier};
 use gcm_matrix::DenseMatrix;
 use gcm_serve::protocol::{status, Client, Direction};
 use gcm_serve::{
-    BuildOptions, Engine, ModelStore, Registry, Server, ServerConfig, ServerHandle, ShardedModel,
+    BuildConfig, Engine, ModelStore, Registry, Server, ServerConfig, ServerHandle, ShardedModel,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -42,9 +42,9 @@ fn serve_sample(tag: &str, config: ServerConfig) -> (ServerHandle, ShardedModel,
     let store = ModelStore::open(&dir).unwrap();
     let model = ShardedModel::from_dense(
         &sample_dense(24, 7),
-        &BuildOptions {
+        &BuildConfig {
             shards: 3,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         },
     )
     .unwrap();

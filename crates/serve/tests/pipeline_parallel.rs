@@ -16,7 +16,7 @@ use gcm_datagen::Dataset;
 use gcm_matrix::{CsrvMatrix, DenseMatrix};
 use gcm_pipeline::{BuildConfig, EncodingChoice, GrammarChoice, Pipeline, ReorderMode};
 use gcm_reorder::ReorderAlgorithm;
-use gcm_serve::{container, Backend, BuildOptions, ShardedModel};
+use gcm_serve::{container, Backend, ShardedModel};
 
 /// A matrix whose two halves correlate different column pairs, so
 /// per-shard reordering has real work to disagree about.
@@ -121,11 +121,11 @@ fn pipeline_products_match_the_dense_oracle() {
     dense.right_multiply(&x, &mut y_ref).unwrap();
     dense.left_multiply(&yv, &mut x_ref).unwrap();
     for backend in Backend::ALL {
-        let opts = BuildOptions {
+        let opts = BuildConfig {
             backend,
             shards: 4,
             reorder: Some(ReorderMode::PerShard(ReorderAlgorithm::PathCover)),
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         let model = ShardedModel::from_dense(&dense, &opts).unwrap();
         // Through the container and the ShardTable-parallel loader too.
@@ -150,10 +150,10 @@ fn parallel_loader_equals_sequential_loader() {
     let dense = sample(48, 8);
     let model = ShardedModel::from_dense(
         &dense,
-        &BuildOptions {
+        &BuildConfig {
             shards: 4,
             reorder: Some(ReorderMode::PerShard(ReorderAlgorithm::PathCover)),
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         },
     )
     .unwrap();
@@ -163,8 +163,7 @@ fn parallel_loader_equals_sequential_loader() {
     assert_eq!(par.to_bytes(), seq.to_bytes(), "loaders must agree");
     assert_eq!(par.num_shards(), 4);
     for i in 0..4 {
-        assert_eq!(par.shard_col_order(i), seq.shard_col_order(i));
-        assert_eq!(par.shard_reorder(i), seq.shard_reorder(i));
+        assert_eq!(par.shard_meta(i), seq.shard_meta(i));
     }
 }
 

@@ -11,7 +11,7 @@
 
 use gcm_core::{plan_compiles, Encoding};
 use gcm_matrix::DenseMatrix;
-use gcm_serve::{BuildOptions, ServeOptions, ShardedModel};
+use gcm_serve::{BuildConfig, EncodingChoice, ServeOptions, ShardedModel};
 
 #[test]
 fn plan_section_loads_without_recompiling() {
@@ -25,10 +25,10 @@ fn plan_section_loads_without_recompiling() {
     }
     for shards in [1usize, 3] {
         for serve in [ServeOptions::planned(), ServeOptions::planned_f32()] {
-            let opts = BuildOptions {
+            let opts = BuildConfig {
                 shards,
-                encoding: Encoding::ReIv,
-                ..BuildOptions::default()
+                encoding: EncodingChoice::Fixed(Encoding::ReIv),
+                ..BuildConfig::default()
             };
             let model = ShardedModel::from_dense(&dense, &opts).unwrap();
             model.prewarm_with(2, &serve);

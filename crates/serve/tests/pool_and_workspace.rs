@@ -4,7 +4,7 @@
 
 use gcm_core::Encoding;
 use gcm_matrix::{DenseMatrix, MatVec};
-use gcm_serve::{Backend, BuildOptions, ShardedModel};
+use gcm_serve::{Backend, BuildConfig, EncodingChoice, ShardedModel};
 
 fn sample(rows: usize, cols: usize) -> DenseMatrix {
     let mut m = DenseMatrix::zeros(rows, cols);
@@ -19,11 +19,11 @@ fn sample(rows: usize, cols: usize) -> DenseMatrix {
 }
 
 fn build(dense: &DenseMatrix, backend: Backend, encoding: Encoding, shards: usize) -> ShardedModel {
-    let opts = BuildOptions {
+    let opts = BuildConfig {
         backend,
-        encoding,
+        encoding: EncodingChoice::Fixed(encoding),
         shards,
-        ..BuildOptions::default()
+        ..BuildConfig::default()
     };
     ShardedModel::from_dense(dense, &opts).expect("build")
 }

@@ -16,7 +16,9 @@ use gcm_bench::{alloc, TrackingAlloc};
 use gcm_core::Encoding;
 use gcm_matrix::DenseMatrix;
 use gcm_serve::protocol::{self, status, Direction};
-use gcm_serve::{Backend, BuildOptions, Engine, ModelStore, Registry, ServerConfig, ShardedModel};
+use gcm_serve::{
+    Backend, BuildConfig, EncodingChoice, Engine, ModelStore, Registry, ServerConfig, ShardedModel,
+};
 
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc::new();
@@ -55,11 +57,11 @@ fn steady_state_request_loop_is_allocation_free() {
     let store = ModelStore::open(&dir).unwrap();
     let model = ShardedModel::from_dense(
         &dense,
-        &BuildOptions {
+        &BuildConfig {
             backend: Backend::Compressed,
-            encoding: Encoding::ReIv,
+            encoding: EncodingChoice::Fixed(Encoding::ReIv),
             shards: 3,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         },
     )
     .unwrap();

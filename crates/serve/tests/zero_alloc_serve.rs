@@ -14,7 +14,7 @@ use gcm_core::{
     conjugate_gradient_into, pagerank_into, power_iterations_into, Encoding, SolverWorkspace,
 };
 use gcm_matrix::DenseMatrix;
-use gcm_serve::{Backend, BuildOptions, ServeOptions, ShardedModel};
+use gcm_serve::{Backend, BuildConfig, EncodingChoice, ServeOptions, ShardedModel};
 
 #[global_allocator]
 static ALLOC: TrackingAlloc = TrackingAlloc::new();
@@ -117,11 +117,11 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
             ServeOptions::planned(),
         ),
     ] {
-        let opts = BuildOptions {
+        let opts = BuildConfig {
             backend,
-            encoding,
+            encoding: EncodingChoice::Fixed(encoding),
             shards,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         let built = ShardedModel::from_dense(&dense, &opts).unwrap();
         assert_eq!(built.num_shards(), shards, "{name}: shard count");
@@ -203,11 +203,11 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
     for shards in [1usize, 3] {
         let built = ShardedModel::from_dense(
             &wide,
-            &BuildOptions {
+            &BuildConfig {
                 backend: Backend::Compressed,
-                encoding: Encoding::ReAns,
+                encoding: EncodingChoice::Fixed(Encoding::ReAns),
                 shards,
-                ..BuildOptions::default()
+                ..BuildConfig::default()
             },
         )
         .unwrap();
@@ -247,11 +247,11 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
     let square = repetitive(60, 60);
     let solver_model = ShardedModel::from_dense(
         &square,
-        &BuildOptions {
+        &BuildConfig {
             backend: Backend::Compressed,
-            encoding: Encoding::ReAns,
+            encoding: EncodingChoice::Fixed(Encoding::ReAns),
             shards: 3,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         },
     )
     .unwrap();
@@ -278,11 +278,11 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
     // loading stays within a small multiple of the container itself.
     let built = ShardedModel::from_dense(
         &dense,
-        &BuildOptions {
+        &BuildConfig {
             backend: Backend::Compressed,
-            encoding: Encoding::ReAns,
+            encoding: EncodingChoice::Fixed(Encoding::ReAns),
             shards: 3,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         },
     )
     .unwrap();
@@ -314,11 +314,11 @@ fn sharded_serving_loop_is_allocation_free_from_the_first_request() {
         for shards in [3usize, 1] {
             let built = ShardedModel::from_dense(
                 &dense,
-                &BuildOptions {
+                &BuildConfig {
                     backend: Backend::Compressed,
-                    encoding: Encoding::ReAns,
+                    encoding: EncodingChoice::Fixed(Encoding::ReAns),
                     shards,
-                    ..BuildOptions::default()
+                    ..BuildConfig::default()
                 },
             )
             .unwrap();

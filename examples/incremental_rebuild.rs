@@ -49,7 +49,7 @@ fn main() {
         dense.cols(),
         base.len(),
         (0..model.num_shards())
-            .map(|i| model.shard_grammar(i).map_or("-", |g| g.name()))
+            .map(|i| model.shard_meta(i).grammar.map_or("-", |g| g.name()))
             .collect::<Vec<_>>()
             .join(" ")
     );

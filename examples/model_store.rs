@@ -23,11 +23,11 @@ fn main() {
     );
 
     // Build: 4 row shards, each grammar-compressed as re_ans.
-    let opts = BuildOptions {
+    let opts = BuildConfig {
         backend: Backend::Compressed,
-        encoding: Encoding::ReAns,
+        encoding: EncodingChoice::Fixed(Encoding::ReAns),
         shards: 4,
-        ..BuildOptions::default()
+        ..BuildConfig::default()
     };
     let model = ShardedModel::from_dense(&dense, &opts).expect("build");
     println!(

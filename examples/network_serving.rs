@@ -23,11 +23,11 @@ fn main() {
     let dense = Dataset::Census.generate(3000, 21);
     let model = ShardedModel::from_dense(
         &dense,
-        &BuildOptions {
+        &BuildConfig {
             backend: Backend::Compressed,
-            encoding: Encoding::ReAns,
+            encoding: EncodingChoice::Fixed(Encoding::ReAns),
             shards: 4,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         },
     )
     .expect("build");

@@ -75,11 +75,14 @@ fn main() {
     // own permutation (GCMSERV1 version 2 and up), and products match dense.
     let loaded = ShardedModel::from_bytes(&bytes).expect("load");
     for i in 0..loaded.num_shards() {
-        assert_eq!(loaded.shard_col_order(i), model.shard_col_order(i));
         assert_eq!(
-            loaded.shard_reorder(i),
-            Some(ReorderAlgorithm::PathCover),
+            loaded.shard_meta(i),
+            model.shard_meta(i),
             "provenance survives the round-trip"
+        );
+        assert_eq!(
+            loaded.shard_meta(i).reorder,
+            Some(ReorderAlgorithm::PathCover)
         );
     }
     loaded.prewarm(4);

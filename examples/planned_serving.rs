@@ -33,10 +33,10 @@ fn main() {
     // smallest (and slowest to stream) encoding.
     let dense = Dataset::Census.generate(8_000, 42);
     let cols = dense.cols();
-    let opts = BuildOptions {
-        encoding: Encoding::ReAns,
+    let opts = BuildConfig {
+        encoding: EncodingChoice::Fixed(Encoding::ReAns),
         shards: 1,
-        ..BuildOptions::default()
+        ..BuildConfig::default()
     };
     let model = ShardedModel::from_dense(&dense, &opts).expect("build");
     println!(

@@ -79,10 +79,10 @@ fn main() {
 
     println!("-- 8 row shards, one pool task each (§4.1) --------------------");
     for enc in Encoding::ALL {
-        let opts = BuildOptions {
-            encoding: enc,
+        let opts = BuildConfig {
+            encoding: EncodingChoice::Fixed(enc),
             shards: 8,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         let model = ShardedModel::from_csrv(&csrv, &opts).expect("build");
         run(

@@ -77,10 +77,10 @@ fn main() {
     // A ShardedModel multiplies its shards on the persistent pool — no
     // threads are spawned inside the serving loop — and each shard owns
     // its workspace, which `prewarm` sizes before the first request.
-    let opts = BuildOptions {
-        encoding: Encoding::ReAns,
+    let opts = BuildConfig {
+        encoding: EncodingChoice::Fixed(Encoding::ReAns),
         shards: 4,
-        ..BuildOptions::default()
+        ..BuildConfig::default()
     };
     let sharded = ShardedModel::from_csrv(&csrv, &opts).expect("build shards");
     let k = 8;

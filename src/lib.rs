@@ -82,8 +82,8 @@ pub mod prelude {
         CsrMatrix, CsrvMatrix, DenseMatrix, MatVec, MatrixError, RowBlocks, Workspace,
     };
     pub use gcm_pipeline::{
-        BuildArtifacts, BuildConfig, EncodingChoice, GrammarChoice, GrammarStage, Pipeline,
-        ReorderMode, ShardArtifact,
+        Backend, BuildArtifacts, BuildConfig, BuiltShard, EncodingChoice, GrammarChoice,
+        GrammarStage, Model, ModelPlan, Pipeline, ReorderMode, ShardMeta,
     };
     pub use gcm_reorder::{
         canonical_row_order, frequency_row_order, reorder_blocks, reorder_columns, Csm, CsmConfig,
@@ -91,8 +91,7 @@ pub mod prelude {
     };
     pub use gcm_repair::{RePair, RePairConfig, RePairScratch, Slp};
     pub use gcm_serve::{
-        compress_incremental, Backend, BuildOptions, Engine, ModelPlan, ModelStore, RebuildReport,
-        Registry, ServeError, ServeOptions, Server, ServerConfig, ServerHandle, ShardProvenance,
-        ShardedModel,
+        compress_incremental, Engine, ModelStore, RebuildReport, Registry, ServeError,
+        ServeOptions, Server, ServerConfig, ServerHandle, ShardProvenance, ShardedModel,
     };
 }

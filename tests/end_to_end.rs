@@ -56,10 +56,10 @@ fn blocked_parallel_pipeline_matches_dense() {
     let x0 = vec![1.0; dense.cols()];
     let reference = power_iterations(&dense, &x0, 10).unwrap();
     for threads in [1usize, 2, 4, 8] {
-        let opts = BuildOptions {
-            encoding: Encoding::ReAns,
+        let opts = BuildConfig {
+            encoding: EncodingChoice::Fixed(Encoding::ReAns),
             shards: threads,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         let model = ShardedModel::from_csrv(&csrv, &opts).unwrap();
         assert_eq!(model.num_shards(), threads);
@@ -165,11 +165,11 @@ fn grammar_beats_cla_on_census_like_data() {
 #[test]
 fn batched_serving_loop_matches_dense() {
     let sharded = |csrv: &CsrvMatrix, backend, encoding| {
-        let opts = BuildOptions {
+        let opts = BuildConfig {
             backend,
-            encoding,
+            encoding: EncodingChoice::Fixed(encoding),
             shards: 4,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         ShardedModel::from_csrv(csrv, &opts).unwrap()
     };

@@ -92,10 +92,10 @@ proptest! {
     #[test]
     fn blocked_equals_unblocked(m in matrix_strategy(), blocks in 1usize..6) {
         let csrv = CsrvMatrix::from_dense(&m).unwrap();
-        let opts = BuildOptions {
-            encoding: Encoding::ReIv,
+        let opts = BuildConfig {
+            encoding: EncodingChoice::Fixed(Encoding::ReIv),
             shards: blocks,
-            ..BuildOptions::default()
+            ..BuildConfig::default()
         };
         let sharded = ShardedModel::from_csrv(&csrv, &opts).unwrap();
         let cm = CompressedMatrix::compress(&csrv, Encoding::ReIv);
