@@ -30,12 +30,17 @@
 //!   single-threaded 4-shard `auto` build of Covtype 120k fell from
 //!   1.40 s to 0.94 s (median of 5).
 //!
+//! * `checksum`: the hash of each container trailer sum — version 7's
+//!   byte-serial FNV-1a against version 8's four-lane word sum — on one
+//!   128 KiB checksum chunk and, chunk by chunk, on a body the size of
+//!   the `build-covtype` container (7 222 613 B, 56 chunks).
+//!
 //! Both pairs produce bit-identical results (locked in by
 //! `crates/serve/tests/pipeline_parallel.rs`); only the clock should
 //! move. Pass `--test` (CI's smoke mode) to shrink the matrix and the
 //! sample count so the bench doubles as a fast end-to-end check.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use gcm_bench::report::{pct, time_s};
 use gcm_datagen::Dataset;
@@ -70,6 +75,13 @@ fn planned_cold_start(bytes: &[u8]) -> ShardedModel {
     let model = container::from_bytes(bytes).expect("valid container");
     model.prewarm_with(1, &ServeOptions::planned());
     model
+}
+
+/// `hash` of every checksum chunk of `body`, as a loader verifies them,
+/// folded into one value.
+fn sum_chunks(body: &[u8], hash: fn(&[u8]) -> u64) -> u64 {
+    body.chunks(container::CHECKSUM_CHUNK)
+        .fold(0, |acc, chunk| acc ^ hash(chunk))
 }
 
 fn bench_build_load(c: &mut Criterion) {
@@ -171,6 +183,27 @@ fn bench_build_load(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::new(grammar.name(), 4), &config, |b, config| {
             b.iter(|| pipeline.build(&csrv, config))
+        });
+    }
+    group.finish();
+
+    // The trailer hash alone, on pseudo-random bytes: its cost does not
+    // depend on the content.
+    let mut group = c.benchmark_group("checksum");
+    let body_len = if smoke() { 1 << 20 } else { 7_222_613 };
+    let body: Vec<u8> = (0..body_len as u64)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8)
+        .collect();
+    for (name, bytes) in [
+        ("chunk", &body[..container::CHECKSUM_CHUNK]),
+        ("body", &body[..]),
+    ] {
+        group.throughput(Throughput::Bytes(bytes.len() as u64));
+        group.bench_with_input(BenchmarkId::new("v7-fnv1a", name), bytes, |b, bytes| {
+            b.iter(|| sum_chunks(bytes, container::fnv1a64))
+        });
+        group.bench_with_input(BenchmarkId::new("v8-lane-sum", name), bytes, |b, bytes| {
+            b.iter(|| sum_chunks(bytes, container::lane_sum64))
         });
     }
     group.finish();

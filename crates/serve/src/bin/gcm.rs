@@ -46,9 +46,10 @@
 //! the other shards rebuild, so the output equals a fresh build with the
 //! same flags; provenance goes to stdout and a `<out>.gcms.rebuild`
 //! sidecar, never into the container itself. Every model is written as
-//! a version-7 container, which stores the shards' one value dictionary
-//! once and checksums its body in 128 KiB chunks. Versions 1 to 6 still
-//! load; a base older than version 7 is rebuilt in full.
+//! a version-8 container, which stores the shards' one value dictionary
+//! once and checksums its body in 128 KiB chunks with a four-lane word
+//! sum. Versions 1 to 7 still load; a version-7 base splices like a
+//! version-8 one, and a base older than version 7 is rebuilt in full.
 //! `inspect` prints the same per-shard breakdown from a container
 //! (grammar stage included) and reports
 //! the value dictionary and how many shards share it, whether plans
@@ -96,7 +97,7 @@ use gcm_matrix::io as mio;
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec};
 use gcm_pipeline::{BuildConfig, BuildStats, EncodingChoice};
 use gcm_reorder::ReorderAlgorithm;
-use gcm_serve::container::write_atomic;
+use gcm_serve::container::{self, write_atomic};
 use gcm_serve::protocol::Client;
 use gcm_serve::{
     compress_incremental, Backend, Engine, GrammarChoice, Model, ModelStore, Registry, ReorderMode,
@@ -537,7 +538,8 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
             say!("  version    : {}", table.version);
             let chunks = table.checksum_chunks;
             say!(
-                "  checksum   : {chunks} FNV-1a chunk{} ({} bytes)",
+                "  checksum   : {chunks} {} chunk{} ({} bytes)",
+                container::checksum_name(table.version),
                 if chunks == 1 { "" } else { "s" },
                 8 * chunks,
             );

@@ -1,6 +1,6 @@
 //! The versioned on-disk model container (`GCMSERV1`).
 //!
-//! Layout of **version 7**, the one layout the writer emits (all
+//! Layout of **version 8**, the one layout the writer emits (all
 //! integers varint unless noted):
 //!
 //! ```text
@@ -13,7 +13,7 @@
 //! plan section
 //!  per shard: u8 plan kind (0 none, 1 f64, 2 f32)
 //!             if kind != 0: blob_count (always 1) | len | blob
-//! checksum trailer: one u64 LE FNV-1a per CHECKSUM_CHUNK bytes of
+//! checksum trailer: one u64 LE lane_sum64 per CHECKSUM_CHUNK bytes of
 //!                   everything above, in order (the last chunk may be
 //!                   shorter)
 //! ```
@@ -33,20 +33,27 @@
 //! kind bytes are all `0` unless plans were persisted
 //! ([`to_bytes_with_plans`]).
 //!
-//! The checksum trailer holds one FNV-1a 64 per fixed-size chunk of the
+//! The checksum trailer holds one 64-bit sum per fixed-size chunk of the
 //! body ([`CHECKSUM_CHUNK`] bytes), so a loader verifies the chunks in
 //! parallel with each other and with the shard decodes, whatever the
 //! sections' sizes (a single plan blob can be most of a container). The
 //! trailer length follows from the file length: `n` sums cover a body
 //! of `len - 8n` bytes, with `n = ceil(len / (CHECKSUM_CHUNK + 8))`.
+//! Each sum is a [`lane_sum64`]: four interleaved 64-bit lanes absorb
+//! the chunk's little-endian words, and a byte-wise FNV-1a folds the
+//! tail, the lane states and the length. The lanes are independent
+//! multiply chains, so the sum runs at several bytes per cycle where
+//! byte-serial FNV-1a waits on one multiply per byte.
 //!
-//! Versions 1 to 6 are **read-only**: older writers emitted them, and
-//! the reader keeps accepting them with every check. Each ends in one
-//! FNV-1a 64 of every preceding byte — the one-chunk case of the same
-//! verifier. **Version 1** has no per-shard fields and requires every
-//! shard to agree on the column reorder (the permutation is embedded
-//! redundantly in each payload, and the loader treats disagreement as
-//! corruption). **Version 2** adds the per-shard reorder tag, so shards
+//! Versions 1 to 7 are **read-only**: older writers emitted them, and
+//! the reader keeps accepting them with every check. **Version 7** is
+//! the version-8 layout with an FNV-1a 64 ([`fnv1a64`]) per chunk;
+//! versions 1 to 6 end in one FNV-1a 64 of every preceding byte — the
+//! one-chunk case of the same verifier. The version byte picks the hash
+//! ([`checksum_name`]). **Version 1** has no per-shard fields and
+//! requires every shard to agree on the column reorder (the permutation
+//! is embedded redundantly in each payload, and the loader treats
+//! disagreement as corruption). **Version 2** adds the per-shard reorder tag, so shards
 //! may carry different permutations. **Version 3** is the version-2
 //! layout, marking that a shard payload uses a post-paper encoding
 //! (`re_fse`). **Version 4** appends the plan section: the compiled
@@ -58,9 +65,10 @@
 //! ([`gcm_core::plan_compiles`] stays flat), load time independent of
 //! grammar size. **Version 5** adds the grammar stage tag and a
 //! fingerprint of the shard's input rows and `V` alone. **Version 6**
-//! stores `V` once, for compressed models of two or more shards only.
-//! Up to version 5 every payload embeds its own copy of `V`; the loader
-//! requires the copies to agree.
+//! stores `V` once, for compressed models of two or more shards only;
+//! version 7 for every model, and its fingerprints cover the shard's
+//! build plan. Up to version 5 every payload embeds its own copy of `V`;
+//! the loader requires the copies to agree.
 //!
 //! Shard payloads by backend tag:
 //!
@@ -87,11 +95,11 @@
 //! truncation outright, and every payload and plan blob passes the
 //! structural validation of its section format, so a corrupt file can
 //! never panic a kernel. [`from_bytes`] verifies the checksum alongside
-//! decode — each chunk check is one pool task, next to one task per
-//! shard that decodes its payload and casts its plan from bounds-checked
-//! byte ranges — and nothing decoded escapes before every chunk passes:
-//! a mismatch is reported ahead of any structural error, exactly as the
-//! verify-first [`from_bytes_sequential`] reports it.
+//! decode — one pool task per shard payload decode, one per plan blob
+//! cast and one per checksum chunk, each from a bounds-checked byte
+//! range, longest first — and nothing decoded escapes before every
+//! chunk passes: a mismatch is reported ahead of any structural error,
+//! exactly as the verify-first [`from_bytes_sequential`] reports it.
 //!
 //! Bare `GCMMAT1` / `GCMMAT2` payloads ([`gcm_core::serial`]'s
 //! single-matrix and row-block bundle formats) are accepted for
@@ -143,13 +151,17 @@ pub const VERSION_GRAMMAR: u8 = 5;
 /// `V` section after the header, with every shard payload a
 /// dictionary-free grammar bundle decoded against it.
 pub const VERSION_SHARED_DICT: u8 = 6;
-/// The container version the writer emits: the version-6 layout for
-/// every backend and shard count (one `V`, dictionary-free payloads),
+/// Read-only container version with the version-6 layout for every
+/// backend and shard count (one `V`, dictionary-free payloads),
 /// fingerprints of the shards' build plans, and a checksum trailer of
 /// one FNV-1a 64 per [`CHECKSUM_CHUNK`] bytes.
 pub const VERSION_CHUNKED: u8 = 7;
+/// The container version the writer emits: the version-7 layout with
+/// one [`lane_sum64`] per [`CHECKSUM_CHUNK`] bytes in the trailer.
+pub const VERSION_LANE_SUM: u8 = 8;
 
-/// Bytes of container body each checksum of a version-7 trailer covers.
+/// Bytes of container body each checksum of a version-7 or -8 trailer
+/// covers.
 /// A power of two small enough that every container splits into more
 /// chunks than the pool has workers, and large enough that a trailer
 /// costs under 0.01 % of the body.
@@ -255,14 +267,87 @@ fn corrupt(msg: impl Into<String>) -> ServeError {
     ServeError::Corrupt(msg.into())
 }
 
-/// FNV-1a 64 over `data` — the hash of every container checksum.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// FNV-1a 64 over `data` — the checksum of containers up to version 7.
 pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(FNV_OFFSET, data)
+}
+
+/// Continues an FNV-1a 64 in state `h` over `data`.
+fn fnv1a_extend(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Starting states of the four [`lane_sum64`] lanes: the FNV-1a offset
+/// basis and three xxHash64 primes, so that equal words in different
+/// lanes leave different states.
+const LANE_SEEDS: [u64; 4] = [
+    FNV_OFFSET,
+    0x9e37_79b9_7f4a_7c15,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+];
+
+/// One lane of [`lane_sum64`] absorbing word `w`: a bijection of `h`
+/// for every `w`, and of `w` for every `h`.
+fn lane_step(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(FNV_PRIME);
+    h ^ (h >> 29)
+}
+
+/// The word-parallel chunk sum of version-8 trailers. Four interleaved
+/// 64-bit lanes each absorb every fourth little-endian word (lane `k`
+/// takes word `4i + k`) as `h = (h ^ w)·P; h ^= h >> 29`, with `P` the
+/// FNV-1a prime; then a byte-wise FNV-1a folds the tail of under 32
+/// bytes, the four lane states and the length of `data`.
+///
+/// Byte-wise FNV-1a waits on one multiply per byte; the four lanes are
+/// independent chains of one multiply per word, so the sum runs about
+/// an order of magnitude faster. Each lane step is a bijection of its
+/// state and of its word, so a change to any one word always changes
+/// its lane's final state.
+pub fn lane_sum64(data: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut blocks = data.chunks_exact(32);
+    for block in &mut blocks {
+        for (k, h) in lanes.iter_mut().enumerate() {
+            let w = u64::from_le_bytes(block[8 * k..8 * k + 8].try_into().expect("8 bytes"));
+            *h = lane_step(*h, w);
+        }
+    }
+    let mut h = fnv1a_extend(FNV_OFFSET, blocks.remainder());
+    for lane in lanes {
+        h = fnv1a_extend(h, &lane.to_le_bytes());
+    }
+    fnv1a_extend(h, &(data.len() as u64).to_le_bytes())
+}
+
+/// The hash of each sum in a container's checksum trailer, by container
+/// version — `gcm inspect` prints it: `"whole-file FNV-1a"` for
+/// versions 1 to 6 (one sum), `"FNV-1a"` for version 7 and
+/// `"4-lane word-sum"` for version 8 (one sum per [`CHECKSUM_CHUNK`]).
+pub fn checksum_name(version: u8) -> &'static str {
+    match version {
+        ..VERSION_CHUNKED => "whole-file FNV-1a",
+        VERSION_CHUNKED => "FNV-1a",
+        _ => "4-lane word-sum",
+    }
+}
+
+/// The hash behind each trailer sum of a container whose version byte
+/// is `version`.
+fn chunk_hash(version: u8) -> fn(&[u8]) -> u64 {
+    if version < VERSION_LANE_SUM {
+        fnv1a64
+    } else {
+        lane_sum64
+    }
 }
 
 /// Rejects input too short to be a container or without the `GCMSERV1`
@@ -276,14 +361,16 @@ fn check_magic(data: &[u8]) -> Result<(), ServeError> {
 
 /// How a container's checksum trailer covers its body: the first
 /// `body_len` bytes, cut into `chunk`-byte pieces (the last may be
-/// shorter), one FNV-1a 64 each, stored in order after the body.
-/// Versions 1 to 6 are the one-chunk case: one sum of every preceding
-/// byte. The version byte decides which; it lies in the first chunk, so
-/// a flipped one fails that chunk's check.
+/// shorter), one `hash` sum each, stored in order after the body.
+/// Versions 1 to 6 are the one-chunk case: one FNV-1a 64 of every
+/// preceding byte. Version 7 sums each [`CHECKSUM_CHUNK`] with FNV-1a
+/// 64, version 8 with [`lane_sum64`]. The version byte decides which; it
+/// lies in the first chunk, so a rewritten one fails that chunk's check.
 #[derive(Debug, Clone, Copy)]
 struct Trailer {
     body_len: usize,
     chunk: usize,
+    hash: fn(&[u8]) -> u64,
 }
 
 impl Trailer {
@@ -295,17 +382,20 @@ impl Trailer {
     /// `n = ceil(len / (CHECKSUM_CHUNK + 8))` can make that body exactly
     /// `n` chunks long — the other lengths are truncated or padded.
     fn of(data: &[u8]) -> Result<Trailer, ServeError> {
+        let hash = chunk_hash(data[8]);
         if data[8] < VERSION_CHUNKED {
             let body_len = data.len() - 8;
             return Ok(Trailer {
                 body_len,
                 chunk: body_len,
+                hash,
             });
         }
         let n = data.len().div_ceil(CHECKSUM_CHUNK + 8);
         let trailer = Trailer {
             body_len: data.len() - 8 * n,
             chunk: CHECKSUM_CHUNK,
+            hash,
         };
         if trailer.chunks() != n {
             return Err(corrupt(format!(
@@ -321,13 +411,13 @@ impl Trailer {
         self.body_len.div_ceil(self.chunk)
     }
 
-    /// Compares chunk `i`'s stored sum with the FNV-1a of its bytes.
+    /// Compares chunk `i`'s stored sum with the sum of its bytes.
     fn verify(&self, data: &[u8], i: usize) -> Result<(), ServeError> {
         let start = i * self.chunk;
         let end = (start + self.chunk).min(self.body_len);
         let at = self.body_len + 8 * i;
         let stored = u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
-        let actual = fnv1a64(&data[start..end]);
+        let actual = (self.hash)(&data[start..end]);
         if stored != actual {
             return Err(corrupt(format!(
                 "checksum mismatch in chunk {i} (stored {stored:016x}, computed {actual:016x})"
@@ -342,21 +432,22 @@ impl Trailer {
     }
 }
 
-/// Appends the version-7 checksum trailer to the body `out`: one FNV-1a
-/// 64 per [`CHECKSUM_CHUNK`] bytes, hashed on the pool.
+/// Appends the version-8 checksum trailer to the body `out`: one
+/// [`lane_sum64`] per [`CHECKSUM_CHUNK`] bytes, hashed on the pool.
 fn seal(out: &mut Vec<u8>) {
     let sums = gcm_pipeline::par_map(out.len().div_ceil(CHECKSUM_CHUNK), |i| {
-        fnv1a64(&out[i * CHECKSUM_CHUNK..((i + 1) * CHECKSUM_CHUNK).min(out.len())])
+        lane_sum64(&out[i * CHECKSUM_CHUNK..((i + 1) * CHECKSUM_CHUNK).min(out.len())])
     });
     for sum in sums {
         out.extend_from_slice(&sum.to_le_bytes());
     }
 }
 
-/// Rewrites the checksum trailer of `bytes` to match its body, in place
-/// — for tools and tests that forge a container field and want the
-/// structural validators, not the checksum, to judge it. Input too short
-/// to be a container or without the magic is left as it is.
+/// Rewrites the checksum trailer of `bytes` to match its body, in place,
+/// with the hash its version byte names — for tools and tests that
+/// forge a container field and want the structural validators, not the
+/// checksum, to judge it. Input too short to be a container or without
+/// the magic is left as it is.
 pub fn reseal(bytes: &mut [u8]) {
     if check_magic(bytes).is_err() {
         return;
@@ -366,7 +457,7 @@ pub fn reseal(bytes: &mut [u8]) {
     };
     let (body, sums) = bytes.split_at_mut(trailer.body_len);
     for (sum, chunk) in sums.chunks_exact_mut(8).zip(body.chunks(trailer.chunk)) {
-        sum.copy_from_slice(&fnv1a64(chunk).to_le_bytes());
+        sum.copy_from_slice(&(trailer.hash)(chunk).to_le_bytes());
     }
 }
 
@@ -429,7 +520,7 @@ fn shard_payload(model: &Model, col_order: Option<&[u32]>) -> Vec<u8> {
 }
 
 /// Decodes one shard payload; `dict` is the container's one dictionary
-/// (versions 6 and 7), against which dictionary-free payloads are read.
+/// (versions 6 to 8), against which dictionary-free payloads are read.
 fn decode_shard(
     backend: Backend,
     cols: usize,
@@ -465,7 +556,7 @@ fn decode_shard(
     }
 }
 
-/// Serialises a sharded model as a version-7 `GCMSERV1` container.
+/// Serialises a sharded model as a version-8 `GCMSERV1` container.
 /// Compiled plans are **not** persisted here (see
 /// [`to_bytes_with_plans`]): every plan kind byte is `0`.
 pub fn to_bytes(model: &ShardedModel) -> Vec<u8> {
@@ -561,12 +652,12 @@ fn write_blob(out: &mut Vec<u8>, blob: &[u8]) {
     out.extend_from_slice(blob);
 }
 
-/// Writes a version-7 `GCMSERV1` container of `segments`: the one
+/// Writes a version-8 `GCMSERV1` container of `segments`: the one
 /// writer behind both [`to_bytes`] and the incremental splice.
 pub(crate) fn write_container(header: Header<'_>, segments: &[Segment<'_>]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
-    out.push(VERSION_CHUNKED);
+    out.push(VERSION_LANE_SUM);
     out.push(header.backend.tag());
     varint::write_u64(&mut out, header.rows as u64);
     varint::write_u64(&mut out, header.cols as u64);
@@ -617,7 +708,7 @@ pub(crate) fn write_container(header: Header<'_>, segments: &[Segment<'_>]) -> V
 /// path) or to inspect a model without materialising it.
 #[derive(Debug, Clone)]
 pub struct ShardTable {
-    /// Container version ([`VERSION`] through [`VERSION_CHUNKED`]).
+    /// Container version ([`VERSION`] through [`VERSION_LANE_SUM`]).
     pub version: u8,
     /// Backend of every shard.
     pub backend: Backend,
@@ -680,7 +771,7 @@ impl ShardTable {
     fn parse_layout(data: &[u8], trailer: Trailer) -> Result<ShardTable, ServeError> {
         let body_len = trailer.body_len;
         let version = data[8];
-        if !(VERSION..=VERSION_CHUNKED).contains(&version) {
+        if !(VERSION..=VERSION_LANE_SUM).contains(&version) {
             return Err(corrupt(format!("unsupported container version {version}")));
         }
         let tag = data[9];
@@ -716,7 +807,7 @@ impl ShardTable {
         let num_shards = num_shards as usize;
         let dictionary = if version >= VERSION_SHARED_DICT {
             // Version 6 stored `V` once only for compressed models of two
-            // or more shards; version 7 does for every model.
+            // or more shards; versions 7 and 8 do for every model.
             if version == VERSION_SHARED_DICT && backend != Backend::Compressed {
                 return Err(corrupt(format!(
                     "version {version} shares a dictionary, which a {} backend cannot",
@@ -875,25 +966,23 @@ impl ShardTable {
     }
 }
 
-/// Deserialises shard `i`'s persisted plan blob (at `range`) and checks
-/// it against the decoded shard `model`: matching rows/cols/rule counts
-/// — a mismatched plan would compute the wrong product — at the
-/// precision the shard's kind byte names. Pure cast-and-validate: no
-/// grammar decode, no compilation.
-fn decode_shard_plan(
+/// Checks shard `i`'s persisted plan blob, already cast to `kernel`
+/// (`None` when the blob failed to deserialise), against the decoded
+/// shard `model`: matching rows/cols/rule counts — a mismatched plan
+/// would compute the wrong product — at the precision the shard's kind
+/// byte names. Pure validation: no grammar decode, no compilation.
+fn check_shard_plan(
     table: &ShardTable,
-    data: &[u8],
     i: usize,
-    range: std::ops::Range<usize>,
     model: &Model,
+    kernel: Option<KernelPlan>,
 ) -> Result<ModelPlan, ServeError> {
     let Model::Compressed(m) = model else {
         return Err(corrupt(format!(
             "shard {i} persists a plan for an unplannable backend"
         )));
     };
-    let kernel = KernelPlan::from_bytes(&data[range])
-        .ok_or_else(|| corrupt(format!("invalid shard {i} plan blob")))?;
+    let kernel = kernel.ok_or_else(|| corrupt(format!("invalid shard {i} plan blob")))?;
     if kernel.is_f32() != table.plan_f32[i] {
         return Err(corrupt(format!(
             "shard {i} plan blob precision disagrees with its plan kind"
@@ -909,13 +998,15 @@ fn decode_shard_plan(
 /// Deserialises a container into a ready-to-serve [`ShardedModel`] in
 /// one overlapped pass on the persistent pool: the header and shard
 /// table are parsed first, then one [`gcm_pipeline::par_map`] runs one
-/// task per shard, which decodes the shard's byte range and casts its
-/// persisted plan blob — the mmap-style selective access path, driven
-/// by the same stage machinery the build pipeline uses — beside one
-/// task per checksum chunk. Nothing decoded is installed or returned
-/// unless every chunk passed, and errors keep the verify-first
-/// precedence of [`from_bytes_sequential`]: bad magic, then the first
-/// chunk mismatch, then the first structural error.
+/// task per shard decode, one per persisted plan blob cast and one per
+/// checksum chunk, longest first — the mmap-style selective access
+/// path, driven by the same stage machinery the build pipeline uses.
+/// Each cast plan is checked against its decoded shard once the tasks
+/// are done. Nothing decoded is installed or returned unless every
+/// chunk passed, and errors keep the verify-first precedence of
+/// [`from_bytes_sequential`]: bad magic, then the first chunk mismatch,
+/// then the first structural error in shard order, a shard's payload
+/// errors ahead of every plan error.
 ///
 /// Bare `GCMMAT1` / `GCMMAT2` payloads are accepted as compressed
 /// models with one shard per block.
@@ -935,6 +1026,24 @@ pub fn from_bytes(data: &[u8]) -> Result<ShardedModel, ServeError> {
 /// As [`from_bytes`].
 pub fn from_bytes_sequential(data: &[u8]) -> Result<ShardedModel, ServeError> {
     decode(data, false)
+}
+
+/// One pool task of the overlapped loader.
+#[derive(Debug, Clone, Copy)]
+enum LoadTask {
+    /// Decode shard `i`'s payload.
+    Shard(usize),
+    /// Cast shard `i`'s persisted plan blob.
+    Plan(usize),
+    /// Verify checksum chunk `c`.
+    Chunk(usize),
+}
+
+/// What a [`LoadTask`] produced, with its shard index.
+enum Loaded {
+    Shard(usize, Result<(Model, Option<Vec<u32>>), ServeError>),
+    Plan(usize, Option<KernelPlan>),
+    Chunk(Result<(), ServeError>),
 }
 
 fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
@@ -969,54 +1078,78 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
         ShardTable::parse_layout(data, trailer)?
     };
     let n = table.shard_ranges.len();
-    // Versions 6 and 7: one dictionary, decoded once, shared by every
+    // Versions 6 to 8: one dictionary, decoded once, shared by every
     // shard.
     let dict = table.decode_dictionary(data);
-    // Shard `i`'s model and column order, plus its persisted plan blob
-    // cast against that model when it carries one.
     let decode_one = |i: usize| {
-        let (model, order) = decode_shard(
+        decode_shard(
             table.backend,
             table.cols,
             &data[table.shard_ranges[i].clone()],
             dict.as_ref(),
-        )?;
-        // Version 4 plan section: a validated cast, not a
-        // recompilation, so load time stays flat in grammar size.
-        let plan = table.plan_ranges[i]
-            .clone()
-            .map(|range| decode_shard_plan(&table, data, i, range, &model));
-        Ok::<_, ServeError>((model, order, plan))
+        )
     };
-    let decoded: Vec<_> = if parallel {
-        // Tasks `0..n` decode the shards (the longer tasks, claimed
-        // first); the rest each verify one checksum chunk.
-        let mut tasks = gcm_pipeline::par_map(n + trailer.chunks(), |t| {
-            if t < n {
-                Ok(Some(decode_one(t)))
-            } else {
-                trailer.verify(data, t - n).map(|()| None)
-            }
+    // Version 4 plan section: a validated cast, not a recompilation, so
+    // load time stays flat in grammar size.
+    let cast_one = |i: usize| {
+        table.plan_ranges[i]
+            .clone()
+            .map(|r| KernelPlan::from_bytes(&data[r]))
+    };
+    let (decoded, kernels): (Vec<_>, Vec<_>) = if parallel {
+        // Longest first, so no long task starts last: the shard decodes
+        // by payload length, then the plan casts by blob length, then
+        // the checksum chunks.
+        let longest_first = |mut lens: Vec<(usize, usize)>| {
+            lens.sort_by_key(|&(_, len)| std::cmp::Reverse(len));
+            lens.into_iter().map(|(i, _)| i)
+        };
+        let shards = longest_first((0..n).map(|i| (i, table.shard_ranges[i].len())).collect());
+        let plans = longest_first(
+            (0..n)
+                .filter_map(|i| Some((i, table.plan_ranges[i].as_ref()?.len())))
+                .collect(),
+        );
+        let tasks: Vec<LoadTask> = shards
+            .map(LoadTask::Shard)
+            .chain(plans.map(LoadTask::Plan))
+            .chain((0..trailer.chunks()).map(LoadTask::Chunk))
+            .collect();
+        let loaded = gcm_pipeline::par_map(tasks.len(), |t| match tasks[t] {
+            LoadTask::Shard(i) => Loaded::Shard(i, decode_one(i)),
+            LoadTask::Plan(i) => Loaded::Plan(i, cast_one(i).expect("plan tasks have a blob")),
+            LoadTask::Chunk(c) => Loaded::Chunk(trailer.verify(data, c)),
         });
-        // Nothing decoded escapes unless every chunk passed; the first
-        // mismatch in chunk order is the one reported, as the
-        // sequential loader reports it.
-        for check in tasks.drain(n..) {
-            check?;
+        let mut decoded: Vec<_> = (0..n).map(|_| None).collect();
+        let mut kernels: Vec<_> = (0..n).map(|_| None).collect();
+        // Nothing decoded escapes unless every chunk passed; the chunk
+        // tasks come last and in order, so the first mismatch in chunk
+        // order is the one reported, as the sequential loader reports it.
+        for done in loaded {
+            match done {
+                Loaded::Shard(i, shard) => decoded[i] = Some(shard),
+                Loaded::Plan(i, kernel) => kernels[i] = Some(kernel),
+                Loaded::Chunk(check) => check?,
+            }
         }
-        tasks
-            .into_iter()
-            .map(|t| t.ok().flatten().expect("shard tasks return their decode"))
-            .collect()
+        (
+            decoded
+                .into_iter()
+                .map(|d| d.expect("one task per shard"))
+                .collect(),
+            kernels,
+        )
     } else {
-        (0..n).map(decode_one).collect()
+        (
+            (0..n).map(decode_one).collect(),
+            (0..n).map(cast_one).collect(),
+        )
     };
     let mut shards = Vec::with_capacity(n);
-    let mut plans = Vec::with_capacity(n);
     let mut first_order: Option<Option<Vec<u32>>> = None;
     let mut first_dict: Option<Arc<Vec<f64>>> = None;
     for (i, result) in decoded.into_iter().enumerate() {
-        let (model, order, plan) = result?;
+        let (model, order) = result?;
         if model.cols() != table.cols {
             return Err(corrupt(format!("shard {i} column count mismatch")));
         }
@@ -1059,7 +1192,6 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
                 ..table.meta[i].clone()
             },
         });
-        plans.push(plan);
     }
     let model = ShardedModel::from_shards(shards, table.cols);
     if model.rows() != table.rows {
@@ -1071,9 +1203,10 @@ fn decode(data: &[u8], parallel: bool) -> Result<ShardedModel, ServeError> {
     }
     // Installed plans make the first prewarm a cheap budget-warming
     // pass; plan errors rank after every payload and the row total.
-    for (i, plan) in plans.into_iter().enumerate() {
-        if let Some(plan) = plan {
-            model.install_plan(i, plan?);
+    for (i, kernel) in kernels.into_iter().enumerate() {
+        if let Some(kernel) = kernel {
+            let plan = check_shard_plan(&table, i, model.shard_model(i), kernel)?;
+            model.install_plan(i, plan);
         }
     }
     Ok(model)
@@ -1727,7 +1860,7 @@ mod tests {
                         model.to_bytes()
                     };
                     let tag = format!("s={shards} {grammar:?} plans={plans}");
-                    assert_eq!(bytes[8], VERSION_CHUNKED, "{tag}");
+                    assert_eq!(bytes[8], VERSION_LANE_SUM, "{tag}");
                     let table = ShardTable::parse(&bytes).unwrap();
                     assert_eq!(table.plan_bytes() > 0, plans, "{tag}");
                     assert!(table.dictionary.is_some(), "{tag}");
@@ -1847,7 +1980,7 @@ mod tests {
                                     model.to_bytes()
                                 };
                                 let compressed = backend == Backend::Compressed;
-                                assert_eq!(bytes[8], VERSION_CHUNKED, "{tag}");
+                                assert_eq!(bytes[8], VERSION_LANE_SUM, "{tag}");
                                 let back = ShardedModel::from_bytes(&bytes).expect(&tag);
                                 for i in 0..shards {
                                     let meta = back.shard_meta(i);
@@ -2021,7 +2154,11 @@ mod tests {
         assert_eq!(body.div_ceil(CHECKSUM_CHUNK), chunks);
         for (i, chunk) in bytes[..body].chunks(CHECKSUM_CHUNK).enumerate() {
             let at = body + 8 * i;
-            assert_eq!(bytes[at..at + 8], fnv1a64(chunk).to_le_bytes(), "chunk {i}");
+            assert_eq!(
+                bytes[at..at + 8],
+                lane_sum64(chunk).to_le_bytes(),
+                "chunk {i}"
+            );
         }
         // A flip anywhere in chunk `i` (or in its stored sum) is that
         // chunk's mismatch, whichever loader reads it.
@@ -2055,6 +2192,224 @@ mod tests {
         assert_eq!(resealed, bytes);
         let back = from_bytes(&bytes).unwrap();
         assert_eq!(back.stored_bytes(), model.stored_bytes());
+    }
+
+    /// Recorded sums of a fixed input at lengths around the 32-byte
+    /// block: they pin the version-8 trailer format.
+    #[test]
+    fn lane_sum_matches_its_recorded_values() {
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        let sums: Vec<u64> = [0, 1, 31, 32, 33, 64, 100]
+            .iter()
+            .map(|&n| lane_sum64(&data[..n]))
+            .collect();
+        assert_eq!(sums, LANE_SUM_GOLDEN, "{sums:#018x?}");
+    }
+
+    /// Recorded when version 8 was introduced, and cross-checked then
+    /// against an independent implementation of the definition.
+    const LANE_SUM_GOLDEN: [u64; 7] = [
+        0x416d_1c90_fffb_7692,
+        0x641b_f726_ad40_5cd8,
+        0x87af_d314_840b_f689,
+        0xfab3_02b5_74f2_64c8,
+        0xbbaf_c39d_ee86_2646,
+        0x5761_06ad_5f4b_2488,
+        0xc53d_8329_5d32_b5a8,
+    ];
+
+    /// The stored sum of checksum chunk `i` of a chunked container.
+    fn stored_sum(bytes: &[u8], chunks: usize, i: usize) -> u64 {
+        let at = bytes.len() - 8 * (chunks - i);
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    /// The inverse of [`lane_step`] in its state.
+    fn lane_unstep(h: u64, w: u64) -> u64 {
+        // Undo `h ^= h >> 29`: each pass restores 29 more high bits.
+        let mut x = h;
+        for _ in 0..3 {
+            x = h ^ (x >> 29);
+        }
+        // Undo the multiply by the odd prime with its inverse mod 2^64
+        // (Newton's iteration doubles the correct low bits each round).
+        let mut inv = FNV_PRIME;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(FNV_PRIME.wrapping_mul(inv)));
+        }
+        x.wrapping_mul(inv) ^ w
+    }
+
+    /// Every single-bit flip in the body of a multi-chunk version-8
+    /// container fails its chunk's sum. A flip inside a whole 32-byte
+    /// block changes one word of one lane; [`lane_step`] is injective in
+    /// its word, so the lane's state right after that word changes, and
+    /// every later step is a bijection of the state (it has an inverse,
+    /// [`lane_unstep`], checked here on every state the chunk passes
+    /// through), so the lane ends in a different state. The test checks
+    /// that state for every flip; rehashing a 128 KiB chunk per flip
+    /// would cost minutes. Flips in a chunk's tail of under 32 bytes,
+    /// and every bit of the first and last word of each lane in each
+    /// chunk, run through the whole sum, and a spread of flips through
+    /// both loaders.
+    #[test]
+    fn checksum_rejects_every_single_bit_flip() {
+        let bytes = ShardedModel::from_dense(
+            &large_sample(),
+            &BuildConfig {
+                backend: Backend::Csrv,
+                shards: 3,
+                ..BuildConfig::default()
+            },
+        )
+        .unwrap()
+        .to_bytes();
+        let chunks = ShardTable::parse(&bytes).unwrap().checksum_chunks;
+        assert!(chunks >= 2, "{chunks} chunks");
+        let body = bytes.len() - 8 * chunks;
+        let flipped_sum = |chunk: &[u8], at: usize, bit: u32| {
+            let mut bad = chunk.to_vec();
+            bad[at] ^= 1 << bit;
+            lane_sum64(&bad)
+        };
+        for (c, chunk) in bytes[..body].chunks(CHECKSUM_CHUNK).enumerate() {
+            let stored = stored_sum(&bytes, chunks, c);
+            assert_eq!(lane_sum64(chunk), stored, "chunk {c}");
+            let blocks = chunk.len() / 32;
+            let mut lanes = LANE_SEEDS;
+            for (b, block) in chunk.chunks_exact(32).enumerate() {
+                for (k, h) in lanes.iter_mut().enumerate() {
+                    let w = u64::from_le_bytes(block[8 * k..8 * k + 8].try_into().unwrap());
+                    let next = lane_step(*h, w);
+                    assert_eq!(lane_unstep(next, w), *h, "chunk {c} block {b} lane {k}");
+                    for bit in 0..64 {
+                        let flipped = lane_step(*h, w ^ (1 << bit));
+                        assert_ne!(flipped, next, "chunk {c} block {b} lane {k} bit {bit}");
+                        assert_eq!(lane_unstep(flipped, w ^ (1 << bit)), *h);
+                    }
+                    *h = next;
+                }
+            }
+            // Every lane's first and last word through the whole sum.
+            for block in (0..blocks).filter(|&b| b == 0 || b + 1 == blocks) {
+                for at in 32 * block..32 * block + 32 {
+                    for bit in 0..8 {
+                        assert_ne!(flipped_sum(chunk, at, bit), stored, "chunk {c} byte {at}");
+                    }
+                }
+            }
+            for at in 32 * blocks..chunk.len() {
+                for bit in 0..8 {
+                    assert_ne!(flipped_sum(chunk, at, bit), stored, "chunk {c} tail {at}");
+                }
+            }
+        }
+        for at in (MAGIC.len()..body).step_by(8191) {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[at] ^= 1 << bit;
+                let chunk = at / CHECKSUM_CHUNK;
+                let msg = ShardTable::parse(&bad).expect_err("flip").to_string();
+                assert!(
+                    msg.contains(&format!("mismatch in chunk {chunk} ")),
+                    "{msg}"
+                );
+            }
+        }
+    }
+
+    /// Swapping two distinct 8-byte words of one chunk fails its sum,
+    /// whether both words feed one lane or two.
+    #[test]
+    fn checksum_rejects_swapped_words() {
+        let bytes = ShardedModel::from_dense(
+            &large_sample(),
+            &BuildConfig {
+                backend: Backend::Csrv,
+                shards: 3,
+                ..BuildConfig::default()
+            },
+        )
+        .unwrap()
+        .to_bytes();
+        let chunks = ShardTable::parse(&bytes).unwrap().checksum_chunks;
+        assert!(chunks >= 2, "{chunks} chunks");
+        let word = |i: usize| &bytes[8 * i..8 * i + 8];
+        let mut swaps = 0;
+        // Word `i` feeds lane `i % 4` of chunk `8 * i / CHECKSUM_CHUNK`.
+        let per_chunk = CHECKSUM_CHUNK / 8;
+        for (a, b) in [
+            (5, 9),
+            (6, 6 + 4 * 1000),
+            (per_chunk + 3, per_chunk + 7),
+            (4, 5),
+            (17, 42),
+            (per_chunk + 1, per_chunk + 1002),
+        ] {
+            if word(a) == word(b) {
+                continue;
+            }
+            let same_lane = a % 4 == b % 4;
+            let mut bad = bytes.clone();
+            let (wa, wb) = (word(a).to_vec(), word(b).to_vec());
+            bad[8 * a..8 * a + 8].copy_from_slice(&wb);
+            bad[8 * b..8 * b + 8].copy_from_slice(&wa);
+            let chunk = 8 * a / CHECKSUM_CHUNK;
+            for err in [
+                from_bytes(&bad).expect_err("overlapped"),
+                from_bytes_sequential(&bad).expect_err("sequential"),
+            ] {
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(&format!("mismatch in chunk {chunk} ")),
+                    "words {a}, {b} (same lane: {same_lane}): {msg}"
+                );
+            }
+            swaps += 1;
+        }
+        assert_eq!(swaps, 6, "every pair holds two distinct words");
+    }
+
+    /// The version byte picks the trailer's hash, so rewriting it fails
+    /// the first chunk either way; resealed, a version-7 container of the
+    /// same body loads the same model.
+    #[test]
+    fn rewriting_the_version_byte_fails_the_checksum() {
+        let model = ShardedModel::from_dense(
+            &large_sample(),
+            &BuildConfig {
+                backend: Backend::Csrv,
+                shards: 3,
+                ..BuildConfig::default()
+            },
+        )
+        .unwrap();
+        let v8 = model.to_bytes();
+        assert_eq!(v8[8], VERSION_LANE_SUM);
+        let mut v7 = v8.clone();
+        v7[8] = VERSION_CHUNKED;
+        for err in [
+            from_bytes(&v7).expect_err("overlapped"),
+            from_bytes_sequential(&v7).expect_err("sequential"),
+        ] {
+            assert!(err.to_string().contains("mismatch in chunk 0 "), "{err}");
+        }
+        reseal(&mut v7);
+        let chunks = ShardTable::parse(&v7).unwrap().checksum_chunks;
+        for (i, chunk) in v7[..v7.len() - 8 * chunks]
+            .chunks(CHECKSUM_CHUNK)
+            .enumerate()
+        {
+            assert_eq!(stored_sum(&v7, chunks, i), fnv1a64(chunk), "v7 chunk {i}");
+        }
+        let back = from_bytes(&v7).expect("resealed v7");
+        assert_eq!(ShardTable::parse(&v7).unwrap().version, VERSION_CHUNKED);
+        assert_eq!(back.stored_bytes(), model.stored_bytes());
+        let mut forged = v7.clone();
+        forged[8] = VERSION_LANE_SUM;
+        let err = from_bytes(&forged).expect_err("v7 sums under a v8 byte");
+        assert!(err.to_string().contains("mismatch in chunk 0 "), "{err}");
+        assert_eq!(back.to_bytes(), v8, "a v7 load writes the v8 bytes");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Incremental container rebuilds: `gcm compress --base OLD.gcms`.
 //!
-//! A version-7 container records, per compressed shard, the fingerprint
+//! A version-7 or -8 container records, per compressed shard, the fingerprint
 //! of the shard's **build plan**
 //! ([`gcm_pipeline::ShardPlan::fingerprint`]): its input rows, the value
 //! dictionary `V` its terminals index, the encoding and grammar
@@ -42,8 +42,9 @@
 //! The splice path needs a base whose fingerprints cover the plan and
 //! the same backend and shard split; anything else falls back to a full
 //! rebuild with the reason recorded in the returned [`RebuildReport`]
-//! (never silently). Bases older than version 7 always fall back: their
-//! fingerprints hash only the input rows and `V`.
+//! (never silently). Version-7 and -8 bases splice alike (the two differ
+//! only in their checksum hash). Bases older than version 7 always fall
+//! back: their fingerprints hash only the input rows and `V`.
 
 use gcm_matrix::CsrvMatrix;
 use gcm_pipeline::{BuildConfig, Plan};

@@ -19,7 +19,7 @@
 //!   either backend, from the first
 //!   post-[`prewarm`](ShardedModel::prewarm) request on;
 //! * the `GCMSERV1` [`container`] persists all of it (shard structure,
-//!   reorder permutations, FNV-64 integrity checksum) with fully
+//!   reorder permutations, chunked 64-bit integrity checksums) with fully
 //!   validating, panic-free loading, plus mmap-style selective shard
 //!   decoding via [`ShardTable`];
 //! * compiled execution plans ([`gcm_core::plan`]) are first-class at

@@ -2,7 +2,7 @@
 //!
 //! For every backend: serialise a sharded model, then (a) truncate at
 //! every byte boundary and (b) flip bits in every byte. Loading must
-//! fail cleanly in all cases — the FNV-64 checksums of the trailer make
+//! fail cleanly in all cases — the 64-bit checksums of the trailer make
 //! *any* single-byte corruption detectable, and the structural validators
 //! behind it guarantee that even a forged checksum cannot panic a
 //! kernel (that layer is fuzzed separately in
@@ -72,13 +72,14 @@ fn sample_container(backend: Backend) -> Vec<u8> {
     ShardedModel::from_dense(&dense, &opts).unwrap().to_bytes()
 }
 
-/// Containers of the read-only versions 2, 3 and 6, written by an older
-/// `gcm` (see `legacy_containers.rs`): the writer now emits only
-/// version 7, so [`sample_container`] no longer covers them.
-const LEGACY_FIXTURES: [(&str, &[u8]); 3] = [
+/// Containers of the read-only versions 2, 3, 6 and 7, written by an
+/// older `gcm` (see `legacy_containers.rs`): the writer now emits only
+/// version 8, so [`sample_container`] no longer covers them.
+const LEGACY_FIXTURES: [(&str, &[u8]); 4] = [
     ("v2", include_bytes!("fixtures/census400_v2.gcms")),
     ("v3", include_bytes!("fixtures/census400_v3.gcms")),
     ("v6", include_bytes!("fixtures/census400_v6.gcms")),
+    ("v7", include_bytes!("fixtures/census400_v7.gcms")),
 ];
 
 #[test]
@@ -564,9 +565,9 @@ fn forged_grammar_tags_and_spliced_plan_sections_stay_within_budget() {
     }
 }
 
-/// A 4-shard grammar model as a version-7 container: one value
+/// A 4-shard grammar model as a version-8 container: one value
 /// dictionary ahead of four dictionary-free shard payloads.
-fn v7_sample() -> Vec<u8> {
+fn v8_sample() -> Vec<u8> {
     let mut dense = DenseMatrix::zeros(26, 7);
     for r in 0..26 {
         for c in 0..7 {
@@ -580,15 +581,25 @@ fn v7_sample() -> Vec<u8> {
         ..BuildConfig::default()
     };
     let bytes = ShardedModel::from_dense(&dense, &opts).unwrap().to_bytes();
-    assert_eq!(bytes[8], container::VERSION_CHUNKED);
+    assert_eq!(bytes[8], container::VERSION_LANE_SUM);
     bytes
 }
 
-/// [`v7_sample`] as the version-6 container an older writer made of it:
+/// [`v8_sample`] as the version-7 container an older writer made of it:
+/// the same body under version byte 7, with one FNV-1a per chunk.
+fn v7_sample() -> Vec<u8> {
+    let mut v7 = v8_sample();
+    v7[8] = container::VERSION_CHUNKED;
+    container::reseal(&mut v7);
+    assert_eq!(ShardTable::parse(&v7).unwrap().version, 7);
+    v7
+}
+
+/// [`v8_sample`] as the version-6 container an older writer made of it:
 /// the same body under version byte 6, sealed with one FNV-1a of the
 /// whole body.
 fn v6_sample() -> Vec<u8> {
-    let bytes = v7_sample();
+    let bytes = v8_sample();
     let chunks = ShardTable::parse(&bytes).unwrap().checksum_chunks;
     let mut v6 = bytes[..bytes.len() - 8 * chunks].to_vec();
     v6[8] = container::VERSION_SHARED_DICT;
@@ -598,13 +609,13 @@ fn v6_sample() -> Vec<u8> {
     v6
 }
 
-/// Rewrites a version-6 or -7 container's dictionary section to `len` as
+/// Rewrites a version-6, -7 or -8 container's dictionary section to `len` as
 /// the declared length followed by `values`, with a refreshed checksum.
 fn forge_dictionary(bytes: &[u8], len: u64, values: &[f64]) -> Vec<u8> {
     let table = ShardTable::parse(bytes).unwrap();
     let dict = table
         .dictionary
-        .expect("versions 6 and 7 store a dictionary");
+        .expect("versions 6 to 8 store a dictionary");
     // The length varint follows the three header varints.
     let mut start = 10usize;
     for _ in 0..3 {
@@ -668,7 +679,7 @@ fn version6_truncation_and_flips_at_every_offset_are_rejected() {
 
 #[test]
 fn inflated_dictionary_length_is_rejected_before_allocation() {
-    for bytes in [v6_sample(), v7_sample()] {
+    for bytes in [v6_sample(), v7_sample(), v8_sample()] {
         inflated_dictionary_length_is_rejected_in(&bytes);
     }
 }
@@ -704,7 +715,7 @@ fn inflated_dictionary_length_is_rejected_in(bytes: &[u8]) {
 
 #[test]
 fn shard_terminals_past_the_shared_dictionary_are_rejected() {
-    for bytes in [v6_sample(), v7_sample()] {
+    for bytes in [v6_sample(), v7_sample(), v8_sample()] {
         shard_terminals_past_the_dictionary_are_rejected_in(&bytes);
     }
 }

@@ -1,9 +1,14 @@
-//! Containers written before the writer settled on version 7 keep
+//! Containers written before the writer settled on version 8 keep
 //! working.
 //!
 //! The fixtures were written by older `gcm` builds from
 //! `gcm gen census 400` (seed 42):
 //!
+//! * `census400_v7.gcms` — `gcm compress --grammar auto --shards 4
+//!   --reorder pathcover --reorder-scope shard`: version 7, one `V`,
+//!   per-shard permutations, build-plan fingerprints, no plans, one
+//!   FNV-1a per checksum chunk (written before version 8 summed each
+//!   chunk with the four-lane word sum);
 //! * `census400_v6.gcms` — `gcm compress --shards 4 --encoding auto
 //!   --emit-plans --plan-f32`: version 6, one `V` for four shards,
 //!   fingerprints of the input rows alone, f32 plans, one whole-file
@@ -20,24 +25,27 @@
 //!   --reorder pathcover --reorder-scope shard`: version 2, four csrv
 //!   shards, each with its own permutation.
 //!
-//! Versions 1 to 6 are read-only now. Every fixture must load, report its
+//! Versions 1 to 7 are read-only now. Every fixture must load, report its
 //! own version, and multiply bit-identically to a fresh build with the
-//! same flags. A version-5 or -6 base cannot splice — its fingerprints do
+//! same flags. A version-7 base splices: its fingerprints cover the build
+//! plan, and the spliced container equals a fresh version-8 build byte
+//! for byte. A version-5 or -6 base cannot splice — its fingerprints do
 //! not cover the build plan — so `--base` falls back to a full rebuild,
-//! named in the report, whose bytes equal a fresh version-7 build.
+//! named in the report, whose bytes equal a fresh version-8 build.
 
 use gcm_datagen::Dataset;
 use gcm_matrix::CsrvMatrix;
 use gcm_reorder::ReorderAlgorithm;
 use gcm_serve::container::{
-    self, VERSION_CHUNKED, VERSION_ENCODINGS, VERSION_GRAMMAR, VERSION_PER_SHARD, VERSION_PLANS,
-    VERSION_SHARED_DICT,
+    self, VERSION_CHUNKED, VERSION_ENCODINGS, VERSION_GRAMMAR, VERSION_LANE_SUM, VERSION_PER_SHARD,
+    VERSION_PLANS, VERSION_SHARED_DICT,
 };
 use gcm_serve::{
     compress_incremental, Backend, BuildConfig, EncodingChoice, GrammarChoice, ReorderMode,
     ServeOptions, ShardTable, ShardedModel,
 };
 
+const V7: &[u8] = include_bytes!("fixtures/census400_v7.gcms");
 const V6: &[u8] = include_bytes!("fixtures/census400_v6.gcms");
 const V5: &[u8] = include_bytes!("fixtures/census400_v5.gcms");
 const V4: &[u8] = include_bytes!("fixtures/census400_v4.gcms");
@@ -83,6 +91,14 @@ fn products(model: &ShardedModel) -> Vec<u64> {
     out
 }
 
+/// The configuration `census400_v7.gcms` was written with.
+fn v7_config() -> BuildConfig {
+    BuildConfig {
+        reorder: Some(ReorderMode::PerShard(ReorderAlgorithm::PathCover)),
+        ..config(Some(GrammarChoice::Auto))
+    }
+}
+
 /// The configuration `census400_v6.gcms` was written with.
 fn v6_config() -> BuildConfig {
     BuildConfig {
@@ -107,6 +123,7 @@ fn legacy_fixtures_load_and_multiply_like_the_version7_build() {
         ..config(None)
     };
     for (bytes, version, config, serve) in [
+        (V7, VERSION_CHUNKED, v7_config(), ServeOptions::default()),
         (
             V6,
             VERSION_SHARED_DICT,
@@ -125,10 +142,13 @@ fn legacy_fixtures_load_and_multiply_like_the_version7_build() {
     ] {
         let table = ShardTable::parse(bytes).unwrap();
         assert_eq!(table.version, version);
-        assert_eq!(table.checksum_chunks, 1, "v{version}: one whole-file sum");
+        assert_eq!(
+            table.checksum_chunks, 1,
+            "v{version}: one sum (a whole-file sum below version 7)"
+        );
         assert_eq!(
             table.dictionary.is_some(),
-            version == VERSION_SHARED_DICT,
+            version >= VERSION_SHARED_DICT,
             "v{version} embeds V per shard"
         );
         let legacy = ShardedModel::from_bytes(bytes).unwrap();
@@ -148,7 +168,7 @@ fn legacy_fixtures_load_and_multiply_like_the_version7_build() {
         }
 
         let rebuilt = fresh(&csrv, &config, &serve);
-        assert_eq!(rebuilt[8], VERSION_CHUNKED, "v{version}");
+        assert_eq!(rebuilt[8], VERSION_LANE_SUM, "v{version}");
         let current = ShardedModel::from_bytes(&rebuilt).unwrap();
         assert_eq!(current.is_planned(), serve.plans);
         assert_eq!(
@@ -157,9 +177,10 @@ fn legacy_fixtures_load_and_multiply_like_the_version7_build() {
             "v{version} fixture must multiply bit-identically to a fresh build"
         );
         // Up to version 5 the file stores, and the load counts, one
-        // dictionary per shard; version 6 and every fresh build one.
+        // dictionary per shard; versions 6 and 7 and every fresh build
+        // one.
         let v_bytes = csrv.values().len() * 8;
-        let copies = if version == VERSION_SHARED_DICT {
+        let copies = if version >= VERSION_SHARED_DICT {
             1
         } else {
             config.shards
@@ -170,6 +191,15 @@ fn legacy_fixtures_load_and_multiply_like_the_version7_build() {
             "v{version}"
         );
         let fresh_table = ShardTable::parse(&rebuilt).unwrap();
+        if version == VERSION_CHUNKED {
+            // The version-7 layout, with the version byte and the
+            // trailer sums its only differences.
+            let body = bytes.len() - 8 * table.checksum_chunks;
+            assert_eq!(bytes.len(), rebuilt.len());
+            assert_eq!(bytes[..8], rebuilt[..8]);
+            assert_eq!(bytes[9..body], rebuilt[9..body]);
+            assert_ne!(bytes[body..], rebuilt[body..]);
+        }
         if version == VERSION_SHARED_DICT {
             // The version-6 layout, with the version byte, fingerprints
             // and checksum its only differences: the same dictionary,
@@ -224,9 +254,36 @@ fn version5_and_6_bases_fall_back_to_a_named_full_rebuild() {
             reason.contains(&format!("version {version}")) && reason.contains("not the build plan"),
             "{reason}"
         );
-        assert_eq!(bytes[8], VERSION_CHUNKED);
+        assert_eq!(bytes[8], VERSION_LANE_SUM);
         assert_eq!(bytes, fresh(&csrv, &config, &serve), "v{version}");
     }
+}
+
+/// A version-7 base fingerprints the build plan, as version 8 does, so
+/// `--base` splices against it: unchanged input splices every shard, a
+/// one-row edit that reuses interned values rebuilds only the last
+/// shard, and both write the bytes of a fresh version-8 build.
+#[test]
+fn version7_base_splices_into_a_fresh_version8_build() {
+    let config = v7_config();
+    let serve = ServeOptions::default();
+    let csrv = census();
+    let (bytes, report) = compress_incremental(&csrv, &config, V7).unwrap();
+    assert_eq!(report.full_reason, None);
+    assert_eq!(report.spliced(), 4);
+    assert_eq!(bytes[8], VERSION_LANE_SUM);
+    assert_eq!(bytes, fresh(&csrv, &config, &serve));
+
+    let mut dense = Dataset::Census.generate(400, 42);
+    for c in 0..dense.cols() {
+        dense.set(399, c, dense.get(398, c));
+    }
+    let edited = CsrvMatrix::from_dense(&dense).unwrap();
+    assert_eq!(edited.values(), csrv.values(), "the edit reuses V");
+    let (bytes, report) = compress_incremental(&edited, &config, V7).unwrap();
+    assert_eq!(report.full_reason, None);
+    assert_eq!((report.spliced(), report.rebuilt()), (3, 1));
+    assert_eq!(bytes, fresh(&edited, &config, &serve));
 }
 
 #[test]

@@ -78,37 +78,39 @@ const GRAMMAR_GOLDEN: [[u64; 7]; 3] = [
 ];
 
 /// `fnv1a64(to_bytes(..))` per corpus, in `GRAMMARS` × `REORDERS` order,
-/// then the [`ONE_SHARD_AUTO`] build. Recorded for the version-7 layout
+/// then the [`ONE_SHARD_AUTO`] build. Recorded for the version-8 layout
 /// (one value dictionary per container, build-plan fingerprints, one
-/// checksum per chunk); the grammars behind it are the ones
-/// [`GRAMMAR_GOLDEN`] pins.
+/// four-lane word sum per checksum chunk); the grammars behind it are
+/// the ones [`GRAMMAR_GOLDEN`] pins. Apart from the version byte and the
+/// trailer sums, these containers are the version-7 bytes recorded
+/// before them.
 const CONTAINER_GOLDEN: [[u64; 7]; 3] = [
     [
-        0x85bcb14e5dfd0964,
-        0xfe5a460c6ab480d0,
-        0xeb9fe7a758b6e08d,
-        0x8ec94ba5c743d4a1,
-        0xd6a6b9ce7ccc8170,
-        0xa0c5fd4b6741bc60,
-        0x414220867bb808e8,
+        0x597297dd6fc62d22,
+        0x8fba7123bc55b815,
+        0x37e1ac1933742830,
+        0xaf07a1628bebdb8a,
+        0x956aa2d5b1d4ea88,
+        0x7a922d19b6f11610,
+        0x3f103116c57d8af5,
     ],
     [
-        0x43735b186863965e,
-        0xb10ecc4e3bacc11f,
-        0xe9076ba292d09f60,
-        0x093368edd48e4b40,
-        0x6a5c474edec85eb0,
-        0xa2aafd369ba02d65,
-        0xe1cd5f5f55f16f69,
+        0x08b4fd98c660d1ed,
+        0x3adbdd8a249e4f14,
+        0x4340f380a6eadf5f,
+        0x5356dde6ad93eb6a,
+        0xf28af83a8d342469,
+        0x50fc416c9939043c,
+        0xa2ea4e6e957f4a7f,
     ],
     [
-        0xd0fccfc1790f11c8,
-        0xf2897139327aab7a,
-        0xde23aa247331861a,
-        0x53c970e18dd57fee,
-        0x2d14591aa5f32f38,
-        0xb33098b16ad67791,
-        0xfbcb553c8300b95d,
+        0xc01fcb4b0e496c2a,
+        0x74f4aaa7de7ffbc9,
+        0xae3b6176f5901da2,
+        0x16e6105597a966f3,
+        0xae3ba07b742a636f,
+        0xf230fa0357dddc5f,
+        0xa2233c1e6c1fbaae,
     ],
 ];
 
@@ -117,31 +119,31 @@ const CONTAINER_GOLDEN: [[u64; 7]; 3] = [
 /// then the [`ONE_SHARD_AUTO`] build.
 const PLAN_GOLDEN: [[u64; 7]; 3] = [
     [
-        0x3eb0e6aff1603b34,
-        0x291b2fe22660488e,
-        0xb84cc008f9caf859,
-        0x59626167fde06d07,
-        0x773be4542a59cafd,
-        0x5c2c68a0500eea8d,
-        0x065ed2fdad1f0c55,
+        0x550de36506006ff1,
+        0x052edb8fcb1fe865,
+        0xb5f8f37894b24438,
+        0xa7ea0480dae27d6d,
+        0xb87510cf77979f65,
+        0x429c2ec6f432259b,
+        0x39531d8cdc2aa591,
     ],
     [
-        0xfb5945387f5701f1,
-        0x23eb415be652e59c,
-        0x6e82729c0411921e,
-        0x901b56949d7d53c1,
-        0x24046b566fc9e62d,
-        0xaf7ec9074601d397,
-        0xf37949733849b608,
+        0x5fb8f42cbc5d9761,
+        0x6ab7bc2632a1779c,
+        0x4dc605e1cc9e564d,
+        0xfbcdc5d4789aed3f,
+        0x956387f7cd9864e2,
+        0x1de8e0c3efc208a3,
+        0x36c53893a8e53c54,
     ],
     [
-        0x7067066796f663bb,
-        0x604a83c068d405b9,
-        0x43b9c413b9b2a665,
-        0xdf28c1e4c8903003,
-        0xd58e102e4720f517,
-        0x481b04713e752979,
-        0x742f215986fccf5c,
+        0x1cbfab116c298652,
+        0x8ec8bc3d9614ca75,
+        0xa77808b0664e7bb7,
+        0x8e08bc292783ce3e,
+        0x521545ac9220197f,
+        0xb2f6a0b5e0d13616,
+        0x26e5d922c37a4b22,
     ],
 ];
 
