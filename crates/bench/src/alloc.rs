@@ -11,11 +11,19 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static OPS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's share of `OPS`. `const`-initialised and without a
+    /// destructor, so touching it from inside the allocator never
+    /// allocates or registers anything.
+    static THREAD_OPS: Cell<usize> = const { Cell::new(0) };
+}
 
 /// System allocator wrapper that tracks live and peak heap bytes.
 pub struct TrackingAlloc;
@@ -46,6 +54,13 @@ fn add(size: usize) {
     }
 }
 
+/// Counts one allocation operation, process-wide and for this thread.
+#[inline]
+fn count_op() {
+    OPS.fetch_add(1, Ordering::Relaxed);
+    THREAD_OPS.with(|ops| ops.set(ops.get() + 1));
+}
+
 #[inline]
 fn sub(size: usize) {
     CURRENT.fetch_sub(size, Ordering::Relaxed);
@@ -57,7 +72,7 @@ unsafe impl GlobalAlloc for TrackingAlloc {
         let p = System.alloc(layout);
         if !p.is_null() {
             add(layout.size());
-            OPS.fetch_add(1, Ordering::Relaxed);
+            count_op();
         }
         p
     }
@@ -72,7 +87,7 @@ unsafe impl GlobalAlloc for TrackingAlloc {
         if !p.is_null() {
             sub(layout.size());
             add(new_size);
-            OPS.fetch_add(1, Ordering::Relaxed);
+            count_op();
         }
         p
     }
@@ -94,6 +109,15 @@ pub fn peak_bytes() -> usize {
 /// balanced alloc/free churn.
 pub fn alloc_ops() -> usize {
     OPS.load(Ordering::Relaxed)
+}
+
+/// Number of allocation operations (alloc + realloc) made by the calling
+/// thread since it started. Unlike [`alloc_ops`], other threads of the
+/// process — a test harness's main thread, pool workers — cannot move
+/// it, so a zero-allocation check on kernels that run on the calling
+/// thread is not disturbed by what the rest of the process does.
+pub fn thread_alloc_ops() -> usize {
+    THREAD_OPS.with(Cell::get)
 }
 
 /// Resets the peak to the current live size and returns the live size.
@@ -123,6 +147,21 @@ mod tests {
         assert!(peak_bytes() >= before + 1000);
         sub(1000);
         assert_eq!(live_bytes(), before);
+    }
+
+    #[test]
+    fn thread_ops_count_only_this_thread() {
+        let before = thread_alloc_ops();
+        count_op();
+        assert_eq!(thread_alloc_ops(), before + 1);
+        let other = std::thread::spawn(|| {
+            count_op();
+            thread_alloc_ops()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(other, 1);
+        assert_eq!(thread_alloc_ops(), before + 1);
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! **zero heap allocation** — for every compressed encoding and for the
 //! uncompressed formats.
 //!
-//! The tracking allocator is installed process-wide and all checks live
-//! in a single `#[test]` so no concurrent test can perturb the
-//! allocation-op counter.
+//! The tracking allocator is installed process-wide, and every check
+//! counts only the test thread's own allocation operations
+//! ([`alloc::thread_alloc_ops`]): the kernels under test run on the
+//! calling thread (`gcm-core` and `gcm-matrix` never use the pool), so
+//! an allocation by any other thread of the test process — the harness's
+//! main thread waiting for the result, say — is not theirs.
 
 use gcm_bench::alloc;
 use gcm_bench::TrackingAlloc;
@@ -37,11 +40,11 @@ fn repetitive(rows: usize, cols: usize) -> DenseMatrix {
 fn assert_steady_state_alloc_free(name: &str, mut f: impl FnMut()) {
     f();
     f();
-    let before = alloc::alloc_ops();
+    let before = alloc::thread_alloc_ops();
     for _ in 0..16 {
         f();
     }
-    let after = alloc::alloc_ops();
+    let after = alloc::thread_alloc_ops();
     assert_eq!(
         after - before,
         0,

@@ -48,48 +48,14 @@ impl CompressedMatrix {
         debug_assert_eq!(slp.first_nonterminal(), csrv.terminal_limit());
         debug_assert!(slp.rules_avoid_terminal(SEPARATOR));
         let flat_rules: Vec<u32> = slp.rules().iter().flat_map(|&(a, b)| [a, b]).collect();
-        let max_symbol = slp.max_symbol().max(1) as u64;
-        let (seq, rules) = match encoding {
-            Encoding::Re32 => (
-                SeqStore::Raw(slp.sequence().to_vec()),
-                RuleStore::Raw(flat_rules),
-            ),
-            Encoding::ReIv => {
-                let width = IntVector::width_for(max_symbol);
-                let seq: Vec<u64> = slp.sequence().iter().map(|&s| s as u64).collect();
-                let rules: Vec<u64> = flat_rules.iter().map(|&s| s as u64).collect();
-                (
-                    SeqStore::Packed(IntVector::from_slice_with_width(&seq, width)),
-                    RuleStore::Packed(IntVector::from_slice_with_width(&rules, width)),
-                )
-            }
-            Encoding::ReAns => {
-                let width = IntVector::width_for(max_symbol);
-                let rules: Vec<u64> = flat_rules.iter().map(|&s| s as u64).collect();
-                (
-                    SeqStore::Ans(RansSequence::encode(slp.sequence())),
-                    RuleStore::Packed(IntVector::from_slice_with_width(&rules, width)),
-                )
-            }
-            Encoding::ReFse => {
-                let width = IntVector::width_for(max_symbol);
-                let rules: Vec<u64> = flat_rules.iter().map(|&s| s as u64).collect();
-                (
-                    SeqStore::Fse(FseSequence::encode(slp.sequence())),
-                    RuleStore::Packed(IntVector::from_slice_with_width(&rules, width)),
-                )
-            }
-        };
-        Self {
-            rows: csrv.rows(),
-            cols: csrv.cols(),
-            values: Arc::clone(csrv.values_arc()),
-            first_nt: csrv.terminal_limit(),
+        Self::encode_grammar(
+            csrv,
+            slp.sequence(),
+            flat_rules,
+            slp.max_symbol(),
             encoding,
-            seq,
-            rules,
-            ext: None,
-        }
+            None,
+        )
     }
 
     /// Encodes an MR-RePair grammar: each rule's first two right-hand
@@ -114,49 +80,58 @@ impl CompressedMatrix {
                 tail_ptr.push(tail_syms.len() as u32);
             }
         }
-        let max_symbol = mr.max_symbol().max(1) as u64;
-        let width = IntVector::width_for(max_symbol);
-        let ext = if wide_ids.is_empty() {
-            None
-        } else {
+        let tails = (!wide_ids.is_empty()).then_some((wide_ids, tail_ptr, tail_syms));
+        Self::encode_grammar(
+            csrv,
+            mr.sequence(),
+            flat_rules,
+            mr.max_symbol(),
+            encoding,
+            tails,
+        )
+    }
+
+    /// Stores a grammar over `csrv`'s alphabet in `encoding`: its final
+    /// string `seq`, every rule's first two right-hand symbols
+    /// (`flat_rules`), and the `(wide rule ids, tail pointers, tail
+    /// symbols)` of the rules with arity > 2, if any. Bit-packed fields
+    /// use the width of `max_symbol`, the largest symbol in the grammar.
+    fn encode_grammar(
+        csrv: &CsrvMatrix,
+        seq: &[u32],
+        flat_rules: Vec<u32>,
+        max_symbol: u32,
+        encoding: Encoding,
+        tails: Option<(Vec<u32>, Vec<u32>, Vec<u32>)>,
+    ) -> Self {
+        let width = IntVector::width_for(max_symbol.max(1) as u64);
+        let packed = |syms: &[u32]| {
+            let wide: Vec<u64> = syms.iter().map(|&s| s as u64).collect();
+            IntVector::from_slice_with_width(&wide, width)
+        };
+        let ext = tails.map(|(wide_ids, tail_ptr, tail_syms)| {
             let syms = match encoding {
                 Encoding::Re32 => ExtSyms::Raw(tail_syms),
-                _ => {
-                    let wide: Vec<u64> = tail_syms.iter().map(|&s| s as u64).collect();
-                    ExtSyms::Packed(IntVector::from_slice_with_width(&wide, width))
-                }
+                _ => ExtSyms::Packed(packed(&tail_syms)),
             };
             let ext = RuleExt::from_parts(wide_ids, tail_ptr, syms)
                 .expect("MrSlp tails form a valid CSR by construction");
-            Some(Box::new(ext))
-        };
+            Box::new(ext)
+        });
         let (seq, rules) = match encoding {
-            Encoding::Re32 => (
-                SeqStore::Raw(mr.sequence().to_vec()),
-                RuleStore::Raw(flat_rules),
+            Encoding::Re32 => (SeqStore::Raw(seq.to_vec()), RuleStore::Raw(flat_rules)),
+            Encoding::ReIv => (
+                SeqStore::Packed(packed(seq)),
+                RuleStore::Packed(packed(&flat_rules)),
             ),
-            Encoding::ReIv => {
-                let seq: Vec<u64> = mr.sequence().iter().map(|&s| s as u64).collect();
-                let rules: Vec<u64> = flat_rules.iter().map(|&s| s as u64).collect();
-                (
-                    SeqStore::Packed(IntVector::from_slice_with_width(&seq, width)),
-                    RuleStore::Packed(IntVector::from_slice_with_width(&rules, width)),
-                )
-            }
-            Encoding::ReAns => {
-                let rules: Vec<u64> = flat_rules.iter().map(|&s| s as u64).collect();
-                (
-                    SeqStore::Ans(RansSequence::encode(mr.sequence())),
-                    RuleStore::Packed(IntVector::from_slice_with_width(&rules, width)),
-                )
-            }
-            Encoding::ReFse => {
-                let rules: Vec<u64> = flat_rules.iter().map(|&s| s as u64).collect();
-                (
-                    SeqStore::Fse(FseSequence::encode(mr.sequence())),
-                    RuleStore::Packed(IntVector::from_slice_with_width(&rules, width)),
-                )
-            }
+            Encoding::ReAns => (
+                SeqStore::Ans(RansSequence::encode(seq)),
+                RuleStore::Packed(packed(&flat_rules)),
+            ),
+            Encoding::ReFse => (
+                SeqStore::Fse(FseSequence::encode(seq)),
+                RuleStore::Packed(packed(&flat_rules)),
+            ),
         };
         Self {
             rows: csrv.rows(),

@@ -30,7 +30,9 @@
 //!
 //! The same [`par_map`] stage machinery drives *loading*: the serve
 //! layer's container reader decodes shards concurrently through it, so
-//! both ends of the persist seam scale with the pool.
+//! both ends of the persist seam scale with the pool. Its disjoint-output
+//! primitive, [`fan_out_rows`], is also how the serve layer hands each
+//! shard its slice of a product's output.
 //!
 //! Parallel and sequential execution produce **bit-identical** artifacts
 //! (every stage is deterministic and shards are independent), which the
@@ -50,4 +52,4 @@ pub use config::{BuildConfig, EncodingChoice, GrammarChoice, GrammarStage, Reord
 pub use exec::{global, Pipeline};
 pub use model::{Model, ModelPlan};
 pub use plan::{Plan, ShardPlan, ShardReorder};
-pub use stage::par_map;
+pub use stage::{fan_out_rows, par_map};

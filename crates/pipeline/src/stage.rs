@@ -1,26 +1,72 @@
-//! The stage executor: a pool-parallel map built on the persistent
+//! The stage executor: pool-parallel helpers built on the persistent
 //! thread pool's allocation-free [`rayon::broadcast_indexed`].
 //!
-//! Both ends of the persist seam run through this one primitive: the
-//! build pipeline maps shard plans to artifacts, and the container
-//! loader maps shard byte ranges to decoded models. Neither spawns a
-//! thread — workers are the pool's, claimed per index — which is what
-//! lets the serve layer assert "no per-build thread spawns" with
-//! [`rayon::threads_ever_spawned`].
+//! Both ends of the persist seam run through [`par_map`]: the build
+//! pipeline maps shard plans to artifacts, and the container loader
+//! maps shard byte ranges to decoded models. The serving engine's
+//! row-shard products run through [`fan_out_rows`], which `par_map` is
+//! built on. Neither spawns a thread — workers are the pool's, claimed
+//! per index — which is what lets the serve layer assert "no per-build
+//! thread spawns" with [`rayon::threads_ever_spawned`].
 
+use std::ops::Range;
 use std::sync::Mutex;
 
-/// Shared raw base pointer for disjoint per-index result slots.
+/// Shared raw base pointer for disjoint per-task output slices.
 struct SendPtr<T>(*mut T);
-// SAFETY: only used to derive disjoint per-index writes; see `par_map`.
+// SAFETY: only used to derive disjoint per-task slices; see
+// `fan_out_rows`, whose callers require `T: Send`.
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
 
+/// Runs `f(i, out_i)` for every `i in 0..n`, where `out_i` is the slice
+/// of `out` holding rows `range(i)` at `width` values per row. A single
+/// task runs inline on the caller, with no pool wake-up; more run
+/// concurrently through [`rayon::broadcast_indexed`], the pool's
+/// allocation-free parallel for-each.
+///
+/// # Panics
+/// Panics unless the ranges ascend without overlapping and fit in
+/// `out` — the check that makes handing each task its own `&mut` slice
+/// sound. If any `f(i, ..)` panics, one payload is re-raised here after
+/// the remaining tasks complete (the pool survives).
+pub fn fan_out_rows<T: Send>(
+    n: usize,
+    out: &mut [T],
+    width: usize,
+    range: impl Fn(usize) -> Range<usize> + Sync,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
+    if n == 1 {
+        let r = range(0);
+        return f(0, &mut out[r.start * width..r.end * width]);
+    }
+    let mut end = 0;
+    for i in 0..n {
+        let r = range(i);
+        assert!(end <= r.start && r.start <= r.end, "row ranges overlap");
+        end = r.end;
+    }
+    assert!(end * width <= out.len(), "row ranges exceed the output");
+    let base = SendPtr(out.as_mut_ptr());
+    let base = &base;
+    rayon::broadcast_indexed(n, &|i| {
+        let r = range(i);
+        // SAFETY: the ranges were checked above to be disjoint and
+        // inside `out`, which outlives the broadcast (it blocks until
+        // every task completes).
+        let y =
+            unsafe { std::slice::from_raw_parts_mut(base.0.add(r.start * width), r.len() * width) };
+        f(i, y);
+    });
+}
+
 /// Runs `f(i)` for every `i in 0..n` on the persistent pool and returns
-/// the results in index order. The calling thread participates, so the
-/// map makes progress even when every worker is busy; with `n <= 1` —
-/// or on a single-worker pool, where dispatch could only add contention
-/// — it runs inline without touching the pool.
+/// the results in index order: a [`fan_out_rows`] over one result slot
+/// per index. The calling thread participates, so the map makes
+/// progress even when every worker is busy; with `n <= 1` — or on a
+/// single-worker pool, where dispatch could only add contention — it
+/// runs inline without touching the pool.
 ///
 /// # Panics
 /// If any `f(i)` panics, one payload is re-raised here after the
@@ -38,16 +84,7 @@ where
     }
     let mut out: Vec<Option<T>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    let base = SendPtr(out.as_mut_ptr());
-    let base = &base;
-    rayon::broadcast_indexed(n, &|i| {
-        let value = f(i);
-        // SAFETY: every index writes only its own slot, the slots are
-        // disjoint, and `out` outlives the broadcast (which blocks until
-        // every index completed). The slot holds `None`, so the
-        // overwrite drops nothing that aliases other tasks' state.
-        unsafe { *base.0.add(i) = Some(value) };
-    });
+    fan_out_rows(n, &mut out, 1, |i| i..i + 1, |i, slot| slot[0] = Some(f(i)));
     out.into_iter()
         .map(|slot| slot.expect("broadcast filled every slot"))
         .collect()

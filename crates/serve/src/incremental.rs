@@ -50,7 +50,7 @@ use gcm_matrix::CsrvMatrix;
 use gcm_pipeline::{BuildConfig, Plan};
 
 use crate::container::{
-    self, plan_kind, write_container, Header, Segment, SegmentBody, ServeError, ShardTable,
+    plan_kind, write_container, Header, Segment, SegmentBody, ServeError, ShardTable,
     VERSION_CHUNKED,
 };
 use crate::sharded::{ServeOptions, ShardedModel};
@@ -131,14 +131,14 @@ pub fn compress_incremental(
 ) -> Result<(Vec<u8>, RebuildReport), ServeError> {
     let table = ShardTable::parse(base)?;
     let planned = plan_policy(&table);
-    if let Some(reason) = splice_blocker(csrv, config, &table) {
-        return Ok(full_rebuild(csrv, config, planned, Some(reason)));
-    }
+    // A base that cannot be spliced from rebuilds every shard, through
+    // the same path as a changed one.
+    let full_reason = splice_blocker(csrv, config, &table);
     let plan = Plan::new(csrv, config);
     let mut provenance = Vec::with_capacity(plan.shards.len());
     let mut changed = Vec::new();
     for (i, sp) in plan.shards.into_iter().enumerate() {
-        if table.meta[i].fingerprint == Some(sp.fingerprint()) {
+        if full_reason.is_none() && table.meta[i].fingerprint == Some(sp.fingerprint()) {
             provenance.push(ShardProvenance::Spliced);
         } else {
             provenance.push(ShardProvenance::Rebuilt);
@@ -168,8 +168,8 @@ pub fn compress_incremental(
         backend: config.backend,
         rows: csrv.rows(),
         cols: csrv.cols(),
-        // A matching fingerprint vouches for `V`, so the spliced
-        // payloads index this dictionary too.
+        // Rebuilt shards index this dictionary, and a matching
+        // fingerprint vouches for `V`, so the spliced payloads do too.
         dictionary: csrv.values(),
     };
     let bytes = write_container(header, &segments);
@@ -177,7 +177,7 @@ pub fn compress_incremental(
         bytes,
         RebuildReport {
             shards: provenance,
-            full_reason: None,
+            full_reason,
             grammar_builds,
         },
     ))
@@ -271,39 +271,6 @@ fn rebuild(plan: Plan, planned: Option<ServeOptions>) -> (Option<ShardedModel>, 
         model.prewarm_with(1, &opts);
     }
     (Some(model), grammar_builds)
-}
-
-/// The non-splicing path: build everything, with the base's plan
-/// policy, and report why.
-fn full_rebuild(
-    csrv: &CsrvMatrix,
-    config: &BuildConfig,
-    planned: Option<ServeOptions>,
-    reason: Option<String>,
-) -> (Vec<u8>, RebuildReport) {
-    let artifacts = gcm_pipeline::global().build(csrv, config);
-    let n = artifacts.shards.len();
-    let grammar_builds = artifacts
-        .stats
-        .shards
-        .iter()
-        .map(|s| s.grammar_builds)
-        .sum();
-    let model = ShardedModel::from_artifacts(artifacts);
-    let bytes = if let Some(opts) = planned {
-        model.prewarm_with(1, &opts);
-        container::to_bytes_with_plans(&model)
-    } else {
-        container::to_bytes(&model)
-    };
-    (
-        bytes,
-        RebuildReport {
-            shards: vec![ShardProvenance::Rebuilt; n],
-            full_reason: reason,
-            grammar_builds,
-        },
-    )
 }
 
 #[cfg(test)]

@@ -124,9 +124,9 @@ impl ModelStore {
 /// cached `Arc` — the amortise-compression-across-restarts path the
 /// serve layer exists for. Both steps run through the staged pipeline
 /// machinery: the container loader decodes shards concurrently via the
-/// `ShardTable` on the persistent pool, and prewarm touches every pool
-/// worker and warms shard workspaces the same way, so a cold `get` of a
-/// many-shard model costs one pool-parallel pass, not a serial walk.
+/// `ShardTable` on the persistent pool, and prewarm warms shard
+/// workspaces the same way, so a cold `get` of a many-shard model costs
+/// one pool-parallel pass, not a serial walk.
 #[derive(Debug)]
 pub struct Registry {
     store: ModelStore,

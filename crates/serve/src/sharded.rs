@@ -12,7 +12,8 @@
 //! each behind a mutex, plus the compiled plan a prewarm or a load may
 //! install; the plan-or-stream choice is made in one place, the
 //! shard's own kernel methods. [`ShardedModel`] only validates a
-//! request and fans the shards out: inline when there is one shard,
+//! request and fans the shards out through
+//! [`gcm_pipeline::fan_out_rows`]: inline when there is one shard,
 //! otherwise through [`rayon::broadcast_indexed`], the pool's
 //! allocation-free parallel for-each. A kernel holds its shard's `ws`
 //! lock while it runs. The left product also holds `partial`, which it
@@ -37,7 +38,9 @@ use gcm_core::Encoding;
 use gcm_encodings::HeapSize;
 use gcm_matrix::matvec::{check_left_batch, check_panels, check_right_batch};
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, Workspace};
-use gcm_pipeline::{Backend, BuildArtifacts, BuildConfig, BuiltShard, Model, ModelPlan, ShardMeta};
+use gcm_pipeline::{
+    fan_out_rows, Backend, BuildArtifacts, BuildConfig, BuiltShard, Model, ModelPlan, ShardMeta,
+};
 
 /// Serving-time options: how a loaded model is prewarmed.
 ///
@@ -225,53 +228,6 @@ pub struct ShardedModel {
     /// requests through one shared registry `Arc` would mix each
     /// other's partials.
     left_gate: Mutex<()>,
-}
-
-/// Shared raw base pointer for disjoint row-range output slices.
-struct SendPtr(*mut f64);
-// SAFETY: only used to derive disjoint row-range slices per task.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-/// Runs `f(i, out_i)` for every `i in 0..n`, where `out_i` is the slice
-/// of `out` holding rows `range(i)` at `width` values per row. A single
-/// task runs inline on the caller, with no pool wake-up; more run
-/// concurrently through [`rayon::broadcast_indexed`], the pool's
-/// allocation-free parallel for-each.
-///
-/// # Panics
-/// Panics unless the ranges ascend without overlapping and fit in
-/// `out` — the check that makes handing each task its own `&mut` slice
-/// sound.
-fn fan_out_rows(
-    n: usize,
-    out: &mut [f64],
-    width: usize,
-    range: impl Fn(usize) -> Range<usize> + Sync,
-    f: impl Fn(usize, &mut [f64]) + Sync,
-) {
-    if n == 1 {
-        let r = range(0);
-        return f(0, &mut out[r.start * width..r.end * width]);
-    }
-    let mut end = 0;
-    for i in 0..n {
-        let r = range(i);
-        assert!(end <= r.start && r.start <= r.end, "row ranges overlap");
-        end = r.end;
-    }
-    assert!(end * width <= out.len(), "row ranges exceed the output");
-    let base = SendPtr(out.as_mut_ptr());
-    let base = &base;
-    rayon::broadcast_indexed(n, &|i| {
-        let r = range(i);
-        // SAFETY: the ranges were checked above to be disjoint and
-        // inside `out`, which outlives the broadcast (it blocks until
-        // every task completes).
-        let y =
-            unsafe { std::slice::from_raw_parts_mut(base.0.add(r.start * width), r.len() * width) };
-        f(i, y);
-    });
 }
 
 impl ShardedModel {
@@ -478,7 +434,7 @@ impl ShardedModel {
     }
 
     /// Readies the model to serve batch widths up to `k` with no heap
-    /// allocation from the first request on: spins up the pool workers,
+    /// allocation from the first request on: builds the global pool,
     /// grows every shard's workspace to exactly the budget its dispatch
     /// will draw, reserves the left-reduction partials, and runs one
     /// throwaway sparse pass. Equivalent to
@@ -508,10 +464,13 @@ impl ShardedModel {
     /// dense staging vector.
     pub fn prewarm_with(&self, k: usize, opts: &ServeOptions) {
         let k = k.max(1);
-        // Force every pool worker through one job first, so one-time
-        // lazy per-thread runtime allocations land here rather than in
-        // whichever later request first wakes a cold worker.
-        rayon::prewarm_workers();
+        // Build the global pool here if nothing has yet: the pool is
+        // warm once built (its constructor waits until every worker has
+        // started, so their start-up allocations land here). `par_map`
+        // below never touches the pool for one shard, so without this
+        // call a one-shard model would build the pool inside its first
+        // request.
+        rayon::current_num_threads();
         // Build plans and warm shard workspaces through the same pool
         // stage machinery the pipeline builds and loads with (shards
         // run concurrently; with one shard this runs inline).
@@ -576,7 +535,7 @@ impl ShardedModel {
     /// (`width` values per row; width 0 hands every shard an empty
     /// slice). One shard runs inline on the caller, so a single-shard
     /// model never publishes a broadcast; more fan out across the pool
-    /// (see `fan_out_rows`).
+    /// (see [`fan_out_rows`]).
     ///
     /// # Panics
     /// Panics if `f` fails: callers validate every request before
