@@ -41,7 +41,7 @@ use gcm_serve::{BuildConfig, EncodingChoice, ServeOptions, ShardedModel};
 /// The same CSRV stream compressed by the MR-RePair stage.
 fn mr_compress(csrv: &CsrvMatrix, enc: Encoding) -> CompressedMatrix {
     let mr = RePair::new().compress_mr(csrv.symbols(), csrv.terminal_limit(), Some(SEPARATOR));
-    CompressedMatrix::from_mr_slp(csrv, &mr, enc)
+    CompressedMatrix::from_slp(csrv, &mr, enc)
 }
 
 /// CI smoke mode: `cargo bench --bench kernels -- --test`.

@@ -1,12 +1,13 @@
 //! The grammar-compressed matrix `(C, R, V)`.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use gcm_encodings::fse::FseSequence;
 use gcm_encodings::rans::RansSequence;
 use gcm_encodings::{HeapSize, IntVector};
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, Workspace, SEPARATOR};
-use gcm_repair::{MrSlp, RePair, RePairConfig, Slp};
+use gcm_repair::{RePair, Slp};
 
 use crate::encoding::{Encoding, ExtSyms, RuleExt, RuleStore, SeqStore};
 use crate::mvm;
@@ -32,105 +33,68 @@ pub struct CompressedMatrix {
 impl CompressedMatrix {
     /// Compresses a CSRV matrix with RePair and encodes it as `encoding`.
     pub fn compress(csrv: &CsrvMatrix, encoding: Encoding) -> Self {
-        Self::compress_with(csrv, encoding, RePairConfig::default())
-    }
-
-    /// Compresses with an explicit RePair configuration.
-    pub fn compress_with(csrv: &CsrvMatrix, encoding: Encoding, config: RePairConfig) -> Self {
-        let first_nt = csrv.terminal_limit();
-        let slp = RePair::with_config(config).compress(csrv.symbols(), first_nt, Some(SEPARATOR));
+        let slp = RePair::new().compress(csrv.symbols(), csrv.terminal_limit(), Some(SEPARATOR));
         Self::from_slp(csrv, &slp, encoding)
     }
 
-    /// Encodes an already-computed SLP (lets callers build all three
+    /// Encodes an already-computed grammar (lets callers build all three
     /// encodings from a single RePair run, as the Table 1 harness does).
+    /// Each rule's first two right-hand symbols land in the binary
+    /// [`RuleStore`] — for a grammar of pairs, that is `rule_syms`
+    /// itself — and the tails of rules with arity > 2 go into a
+    /// [`RuleExt`] whose physical layout (raw u32 vs bit-packed) mirrors
+    /// the chosen encoding. Bit-packed fields use the width of the
+    /// grammar's largest symbol.
     pub fn from_slp(csrv: &CsrvMatrix, slp: &Slp, encoding: Encoding) -> Self {
         debug_assert_eq!(slp.first_nonterminal(), csrv.terminal_limit());
         debug_assert!(slp.rules_avoid_terminal(SEPARATOR));
-        let flat_rules: Vec<u32> = slp.rules().iter().flat_map(|&(a, b)| [a, b]).collect();
-        Self::encode_grammar(
-            csrv,
-            slp.sequence(),
-            flat_rules,
-            slp.max_symbol(),
-            encoding,
-            None,
-        )
-    }
-
-    /// Encodes an MR-RePair grammar: each rule's first two right-hand
-    /// symbols land in the binary [`RuleStore`], and the tails of rules
-    /// with arity > 2 go into a [`RuleExt`] whose physical layout (raw
-    /// u32 vs bit-packed) mirrors the chosen encoding.
-    pub fn from_mr_slp(csrv: &CsrvMatrix, mr: &MrSlp, encoding: Encoding) -> Self {
-        debug_assert_eq!(mr.first_nonterminal(), csrv.terminal_limit());
-        debug_assert!(mr.rules_avoid_terminal(SEPARATOR));
-        let q = mr.num_rules();
-        let mut flat_rules: Vec<u32> = Vec::with_capacity(q * 2);
-        let mut wide_ids: Vec<u32> = Vec::new();
-        let mut tail_ptr: Vec<u32> = vec![0];
-        let mut tail_syms: Vec<u32> = Vec::new();
-        for k in 0..q {
-            let rhs = mr.rule(k);
-            flat_rules.push(rhs[0]);
-            flat_rules.push(rhs[1]);
-            if rhs.len() > 2 {
-                wide_ids.push(k as u32);
-                tail_syms.extend_from_slice(&rhs[2..]);
-                tail_ptr.push(tail_syms.len() as u32);
-            }
-        }
-        let tails = (!wide_ids.is_empty()).then_some((wide_ids, tail_ptr, tail_syms));
-        Self::encode_grammar(
-            csrv,
-            mr.sequence(),
-            flat_rules,
-            mr.max_symbol(),
-            encoding,
-            tails,
-        )
-    }
-
-    /// Stores a grammar over `csrv`'s alphabet in `encoding`: its final
-    /// string `seq`, every rule's first two right-hand symbols
-    /// (`flat_rules`), and the `(wide rule ids, tail pointers, tail
-    /// symbols)` of the rules with arity > 2, if any. Bit-packed fields
-    /// use the width of `max_symbol`, the largest symbol in the grammar.
-    fn encode_grammar(
-        csrv: &CsrvMatrix,
-        seq: &[u32],
-        flat_rules: Vec<u32>,
-        max_symbol: u32,
-        encoding: Encoding,
-        tails: Option<(Vec<u32>, Vec<u32>, Vec<u32>)>,
-    ) -> Self {
-        let width = IntVector::width_for(max_symbol.max(1) as u64);
+        let width = IntVector::width_for(slp.max_symbol().max(1) as u64);
         let packed = |syms: &[u32]| {
             let wide: Vec<u64> = syms.iter().map(|&s| s as u64).collect();
             IntVector::from_slice_with_width(&wide, width)
         };
-        let ext = tails.map(|(wide_ids, tail_ptr, tail_syms)| {
+        let q = slp.num_rules();
+        let (pairs, ext) = if slp.rule_syms().len() == 2 * q {
+            (Cow::Borrowed(slp.rule_syms()), None)
+        } else {
+            let mut pairs: Vec<u32> = Vec::with_capacity(2 * q);
+            let mut wide_ids: Vec<u32> = Vec::new();
+            let mut tail_ptr: Vec<u32> = vec![0];
+            let mut tail_syms: Vec<u32> = Vec::new();
+            for k in 0..q {
+                let rhs = slp.rule(k);
+                pairs.extend_from_slice(&rhs[..2]);
+                if rhs.len() > 2 {
+                    wide_ids.push(k as u32);
+                    tail_syms.extend_from_slice(&rhs[2..]);
+                    tail_ptr.push(tail_syms.len() as u32);
+                }
+            }
             let syms = match encoding {
                 Encoding::Re32 => ExtSyms::Raw(tail_syms),
                 _ => ExtSyms::Packed(packed(&tail_syms)),
             };
             let ext = RuleExt::from_parts(wide_ids, tail_ptr, syms)
-                .expect("MrSlp tails form a valid CSR by construction");
-            Box::new(ext)
-        });
+                .expect("an Slp's rule tails form a valid CSR by construction");
+            (Cow::Owned(pairs), Some(Box::new(ext)))
+        };
+        let seq = slp.sequence();
         let (seq, rules) = match encoding {
-            Encoding::Re32 => (SeqStore::Raw(seq.to_vec()), RuleStore::Raw(flat_rules)),
+            Encoding::Re32 => (
+                SeqStore::Raw(seq.to_vec()),
+                RuleStore::Raw(pairs.into_owned()),
+            ),
             Encoding::ReIv => (
                 SeqStore::Packed(packed(seq)),
-                RuleStore::Packed(packed(&flat_rules)),
+                RuleStore::Packed(packed(&pairs)),
             ),
             Encoding::ReAns => (
                 SeqStore::Ans(RansSequence::encode(seq)),
-                RuleStore::Packed(packed(&flat_rules)),
+                RuleStore::Packed(packed(&pairs)),
             ),
             Encoding::ReFse => (
                 SeqStore::Fse(FseSequence::encode(seq)),
-                RuleStore::Packed(packed(&flat_rules)),
+                RuleStore::Packed(packed(&pairs)),
             ),
         };
         Self {
@@ -148,28 +112,13 @@ impl CompressedMatrix {
     /// Reassembles a matrix from raw storage parts (deserialisation),
     /// validating every structural invariant: rule right-hand sides only
     /// reference earlier symbols, sequence symbols are in range, and the
-    /// separator count equals the row count. Returns `None` on any
-    /// violation, so corrupt input can never panic the kernels.
+    /// separator count equals the row count. MR-RePair rule tails
+    /// (`ext`) obey the same ordering invariant as the pair (each
+    /// references a strictly earlier symbol than the owning rule), so
+    /// one extra check per tail symbol covers them. Returns `None` on
+    /// any violation, so corrupt input can never panic the kernels.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
-        rows: usize,
-        cols: usize,
-        values: Arc<Vec<f64>>,
-        first_nt: u32,
-        encoding: Encoding,
-        seq: SeqStore,
-        rules: RuleStore,
-    ) -> Option<Self> {
-        Self::from_raw_parts_ext(rows, cols, values, first_nt, encoding, seq, rules, None)
-    }
-
-    /// [`from_raw_parts`](Self::from_raw_parts) with MR-RePair rule
-    /// tails. Tail symbols obey the same ordering invariant as the pair
-    /// (each references a strictly earlier symbol than the owning rule),
-    /// so one extra check per tail symbol keeps the
-    /// corrupt-input-never-panics guarantee.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_raw_parts_ext(
         rows: usize,
         cols: usize,
         values: Arc<Vec<f64>>,
@@ -573,30 +522,18 @@ impl CompressedMatrix {
 
     /// Decompresses back to the CSRV symbol stream (testing / export).
     pub fn decompress_symbols(&self) -> Vec<u32> {
-        let flat: Vec<u32> = match &self.rules {
-            RuleStore::Raw(v) => v.clone(),
-            RuleStore::Packed(iv) => iv.iter().map(|s| s as u32).collect(),
-        };
-        if let Some(ext) = self.rule_ext() {
-            // Reassemble each full right-hand side: the stored pair plus
-            // the tail, then expand through the variable-arity SLP.
-            let q = self.num_rules();
-            let mut rule_ptr: Vec<u32> = Vec::with_capacity(q + 1);
-            let mut rule_syms: Vec<u32> = Vec::with_capacity(flat.len() + ext.total_tail_syms());
-            rule_ptr.push(0);
-            let mut tails = RuleExt::cursor(Some(ext));
-            for k in 0..q {
-                rule_syms.push(flat[2 * k]);
-                rule_syms.push(flat[2 * k + 1]);
-                tails.with_tail(k, |s| rule_syms.push(s));
-                rule_ptr.push(rule_syms.len() as u32);
-            }
-            let mr = MrSlp::new(self.first_nt, rule_ptr, rule_syms, self.seq.to_vec());
-            return mr.expand();
-        }
-        let pairs: Vec<(u32, u32)> = flat.chunks_exact(2).map(|c| (c[0], c[1])).collect();
-        let slp = Slp::new(self.first_nt, pairs, self.seq.to_vec());
-        slp.expand()
+        // Reassemble each full right-hand side: the stored pair plus its
+        // tail, if the rule is wide.
+        let mut rule_ptr: Vec<u32> = Vec::with_capacity(self.num_rules() + 1);
+        let mut rule_syms: Vec<u32> = Vec::with_capacity(self.num_rules() + self.lowered_rules());
+        rule_ptr.push(0);
+        let mut tails = RuleExt::cursor(self.rule_ext());
+        self.rules.for_each_rule(|k, a, b| {
+            rule_syms.extend([a, b]);
+            tails.with_tail(k, |s| rule_syms.push(s));
+            rule_ptr.push(rule_syms.len() as u32);
+        });
+        Slp::new(self.first_nt, rule_ptr, rule_syms, self.seq.to_vec()).expand()
     }
 
     /// Reconstructs the CSRV matrix (testing / export).
@@ -837,7 +774,7 @@ mod tests {
 
     fn mr_compress(csrv: &CsrvMatrix, enc: Encoding) -> CompressedMatrix {
         let mr = RePair::new().compress_mr(csrv.symbols(), csrv.terminal_limit(), Some(SEPARATOR));
-        CompressedMatrix::from_mr_slp(csrv, &mr, enc)
+        CompressedMatrix::from_slp(csrv, &mr, enc)
     }
 
     #[test]
@@ -919,7 +856,7 @@ mod tests {
     }
 
     #[test]
-    fn from_raw_parts_ext_rejects_invalid_tails() {
+    fn from_raw_parts_rejects_invalid_tails() {
         use crate::encoding::ExtSyms;
         let csrv = CsrvMatrix::from_dense(&repetitive(16, 6)).unwrap();
         let cm = mr_compress(&csrv, Encoding::Re32);
@@ -938,7 +875,7 @@ mod tests {
                     .collect(),
                 ExtSyms::Raw(syms),
             )?;
-            CompressedMatrix::from_raw_parts_ext(
+            CompressedMatrix::from_raw_parts(
                 cm.rows(),
                 cm.cols(),
                 Arc::new(cm.values().to_vec()),
@@ -986,6 +923,7 @@ mod tests {
             Encoding::Re32,
             SeqStore::Raw(seq),
             RuleStore::Raw(rules),
+            None,
         )
         .expect("structurally valid by construction");
         assert_eq!(cm.nnz(), usize::MAX);

@@ -2318,7 +2318,7 @@ mod tests {
             csrv.terminal_limit(),
             Some(SEPARATOR),
         );
-        CompressedMatrix::from_mr_slp(csrv, &mr, enc)
+        CompressedMatrix::from_slp(csrv, &mr, enc)
     }
 
     #[test]

@@ -139,7 +139,7 @@ pub fn from_bytes(data: &[u8]) -> Option<CompressedMatrix> {
     } else {
         None
     };
-    CompressedMatrix::from_raw_parts_ext(
+    CompressedMatrix::from_raw_parts(
         rows,
         cols,
         Arc::new(values),
@@ -434,7 +434,7 @@ fn read_bundle(data: &[u8], shared: Option<&Arc<Vec<f64>>>) -> Option<Bundle> {
         } else {
             None
         };
-        blocks.push(CompressedMatrix::from_raw_parts_ext(
+        blocks.push(CompressedMatrix::from_raw_parts(
             rows,
             cols,
             Arc::clone(&values),
@@ -672,7 +672,7 @@ mod tests {
             csrv.terminal_limit(),
             Some(SEPARATOR),
         );
-        CompressedMatrix::from_mr_slp(&csrv, &mr, enc)
+        CompressedMatrix::from_slp(&csrv, &mr, enc)
     }
 
     #[test]

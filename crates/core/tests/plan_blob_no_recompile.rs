@@ -41,7 +41,7 @@ fn plan_blobs_load_without_recompiling() {
         csrv.terminal_limit(),
         Some(SEPARATOR),
     );
-    matrices.push(CompressedMatrix::from_mr_slp(&csrv, &mr, Encoding::ReFse));
+    matrices.push(CompressedMatrix::from_slp(&csrv, &mr, Encoding::ReFse));
     for cm in &matrices {
         let plan = cm.plan();
         for blob in [plan.to_bytes(), plan.to_f32().to_bytes()] {

@@ -216,7 +216,7 @@ fn grammars(dense: &DenseMatrix) -> [(&'static str, CompressedMatrix); 2] {
         ("repair", CompressedMatrix::compress(&csrv, Encoding::Re32)),
         (
             "mr-repair",
-            CompressedMatrix::from_mr_slp(&csrv, &mr, Encoding::Re32),
+            CompressedMatrix::from_slp(&csrv, &mr, Encoding::Re32),
         ),
     ]
 }

@@ -13,7 +13,6 @@
 
 use std::sync::Arc;
 
-use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::dict::ValueDict;
 use crate::error::MatrixError;
@@ -120,38 +119,6 @@ impl CsrvMatrix {
             values: Arc::new(dict.into_values()),
             symbols,
             nnz,
-        })
-    }
-
-    /// Builds CSRV from CSR.
-    ///
-    /// # Errors
-    /// Fails on a NaN entry, naming its cell, or if `|V|·m` overflows
-    /// the 32-bit symbol space.
-    pub fn from_csr(m: &CsrMatrix) -> Result<Self, MatrixError> {
-        let mut dict = ValueDict::new();
-        let mut symbols = Vec::with_capacity(m.nnz() + m.rows());
-        let codec = SymbolCodec::new(m.cols().max(1));
-        for r in 0..m.rows() {
-            let (cols, vals) = m.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                if v.is_nan() {
-                    return Err(MatrixError::NotANumber {
-                        row: r,
-                        col: c as usize,
-                    });
-                }
-                let l = dict.intern(v);
-                symbols.push(codec.encode(l, c)?);
-            }
-            symbols.push(SEPARATOR);
-        }
-        Ok(Self {
-            rows: m.rows(),
-            cols: m.cols(),
-            values: Arc::new(dict.into_values()),
-            symbols,
-            nnz: m.nnz(),
         })
     }
 
@@ -544,8 +511,6 @@ mod tests {
         dense.set(4, 3, f64::NAN);
         let want = MatrixError::NotANumber { row: 4, col: 3 };
         assert_eq!(CsrvMatrix::from_dense(&dense).unwrap_err(), want);
-        let csr = CsrMatrix::from_dense(&dense);
-        assert_eq!(CsrvMatrix::from_csr(&csr).unwrap_err(), want);
         assert!(want.to_string().contains("row 4, column 3"), "{want}");
     }
 
@@ -578,15 +543,6 @@ mod tests {
         let m = fig1();
         let csrv = CsrvMatrix::from_dense(&m).unwrap();
         assert_eq!(csrv.to_dense(), m);
-    }
-
-    #[test]
-    fn csr_and_dense_paths_agree() {
-        let m = fig1();
-        let via_csr = CsrvMatrix::from_csr(&CsrMatrix::from_dense(&m)).unwrap();
-        let direct = CsrvMatrix::from_dense(&m).unwrap();
-        assert_eq!(via_csr.symbols(), direct.symbols());
-        assert_eq!(via_csr.values(), direct.values());
     }
 
     #[test]

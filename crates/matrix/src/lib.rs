@@ -4,7 +4,6 @@
 //!
 //! * [`DenseMatrix`] — the uncompressed row-major baseline (8-byte doubles),
 //!   whose size `rows × cols × 8` is the 100% reference in every table;
-//! * [`CsrMatrix`] — classical compressed sparse row;
 //! * [`CsrvMatrix`] — the paper's **Compressed Sparse Row/Value** format
 //!   `(S, V)`: `V` holds the distinct non-zero values, `S` is the row-major
 //!   stream of `⟨value-id, column⟩` pairs with a `$` separator closing each
@@ -21,7 +20,6 @@
 //! compute batched multi-vector products `Y = M·X` / `X = Mᵗ·B`.
 
 pub mod block;
-pub mod csr;
 pub mod csrv;
 pub mod dense;
 pub mod dict;
@@ -31,7 +29,6 @@ pub mod matvec;
 pub mod workspace;
 
 pub use block::RowBlocks;
-pub use csr::CsrMatrix;
 pub use csrv::{CsrvMatrix, SymbolCodec, SEPARATOR};
 pub use dense::DenseMatrix;
 pub use dict::ValueDict;

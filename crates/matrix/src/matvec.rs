@@ -24,7 +24,6 @@
 //! `X[j, ·]`. Compressed backends override the batched methods to traverse
 //! their representation **once per batch** instead of once per column.
 
-use crate::csr::CsrMatrix;
 use crate::csrv::CsrvMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::MatrixError;
@@ -303,34 +302,6 @@ impl MatVec for DenseMatrix {
     }
 }
 
-impl MatVec for CsrMatrix {
-    fn rows(&self) -> usize {
-        CsrMatrix::rows(self)
-    }
-
-    fn cols(&self) -> usize {
-        CsrMatrix::cols(self)
-    }
-
-    fn right_multiply_into(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        _ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        CsrMatrix::right_multiply(self, x, y)
-    }
-
-    fn left_multiply_into(
-        &self,
-        y: &[f64],
-        x: &mut [f64],
-        _ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        CsrMatrix::left_multiply(self, y, x)
-    }
-}
-
 impl MatVec for CsrvMatrix {
     fn rows(&self) -> usize {
         CsrvMatrix::rows(self)
@@ -415,10 +386,8 @@ mod tests {
     #[test]
     fn trait_objects_work_for_all_formats() {
         let d = sample();
-        let csr = CsrMatrix::from_dense(&d);
         let csrv = CsrvMatrix::from_dense(&d).unwrap();
         check_impl(&d, &d);
-        check_impl(&csr, &d);
         check_impl(&csrv, &d);
     }
 

@@ -51,13 +51,16 @@ impl EncodingChoice {
 }
 
 /// The grammar construction stage that actually compressed a shard.
+/// Both stages return a [`gcm_repair::Slp`]; they differ only in how
+/// wide a rule may grow.
 ///
 /// Recorded per shard (a build under [`GrammarChoice::Auto`] may pick
 /// different stages for different shards) and persisted in the
 /// container shard table (version 5 and later).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrammarStage {
-    /// Classic pair replacement ([`gcm_repair::RePair::compress`]).
+    /// Classic pair replacement ([`gcm_repair::RePair::compress`]):
+    /// every rule is a pair.
     RePair,
     /// MR-RePair: each replaced pair greedily consumes its maximal
     /// repeat into one variable-arity rule

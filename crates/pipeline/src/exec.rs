@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use gcm_core::{CompressedMatrix, Encoding};
 use gcm_matrix::{CsrvMatrix, SEPARATOR};
-use gcm_repair::{MrSlp, RePair, RePairScratch, Slp};
+use gcm_repair::{RePair, RePairScratch, Slp};
 
 use crate::artifacts::{BuildArtifacts, BuildStats, BuiltShard, ShardMeta, ShardStats};
 use crate::backend::Backend;
@@ -144,18 +144,20 @@ impl Pipeline {
         input: &CsrvMatrix,
         parallel: bool,
     ) -> Built {
-        let single = |(grammar, grammar_time)| Built {
-            candidates: vec![candidate(input, grammar, grammar_time, sp.encoding)],
+        let single = |stage, (slp, grammar_time)| Built {
+            candidates: vec![candidate(input, stage, slp, grammar_time, sp.encoding)],
             ..Built::default()
         };
         match (backend, sp.grammar) {
             (Backend::Csrv, _) => Built::default(),
-            (_, GrammarChoice::RePair) => single(timed(|| {
-                Grammar::RePair(self.compress(input, RePair::compress_with_scratch))
-            })),
-            (_, GrammarChoice::MrRePair) => single(timed(|| {
-                Grammar::MrRePair(self.compress(input, RePair::compress_mr_with_scratch))
-            })),
+            (_, GrammarChoice::RePair) => single(
+                GrammarStage::RePair,
+                timed(|| self.compress(input, RePair::compress_with_scratch)),
+            ),
+            (_, GrammarChoice::MrRePair) => single(
+                GrammarStage::MrRePair,
+                timed(|| self.compress(input, RePair::compress_mr_with_scratch)),
+            ),
             (_, GrammarChoice::Auto) => self.build_auto(input, sp.encoding, parallel),
         }
     }
@@ -171,13 +173,13 @@ impl Pipeline {
         let shared_rules = auto.shared_rules;
         let ((slp, repair_time), (mr, mr_time)) = both(
             parallel,
-            || timed(|| auto.repair.finish()),
-            || timed(|| self.with_scratch(|scratch| auto.mr.finish(scratch))),
+            || timed(|| auto.repair.finish(None)),
+            || timed(|| self.with_scratch(|scratch| auto.mr.finish(Some(scratch)))),
         );
         let (repair, mr) = both(
             parallel,
-            || candidate(input, Grammar::RePair(slp), repair_time, encoding),
-            || candidate(input, Grammar::MrRePair(mr), mr_time, encoding),
+            || candidate(input, GrammarStage::RePair, slp, repair_time, encoding),
+            || candidate(input, GrammarStage::MrRePair, mr, mr_time, encoding),
         );
         Built {
             candidates: vec![repair, mr],
@@ -204,25 +206,16 @@ impl Pipeline {
     }
 }
 
-/// A shard's grammar, from either stage.
-enum Grammar {
-    RePair(Slp),
-    MrRePair(MrSlp),
-}
-
-/// Encodes a candidate's grammar (built in `grammar_time`), timing the
-/// encoding.
+/// Encodes a candidate's grammar `slp` (built by `stage` in
+/// `grammar_time`), timing the encoding.
 fn candidate(
     input: &CsrvMatrix,
-    grammar: Grammar,
+    stage: GrammarStage,
+    slp: Slp,
     grammar_time: Duration,
     encoding: EncodingChoice,
 ) -> Candidate {
-    let (matrix, encode_time) = timed(|| encode(input, &grammar, encoding));
-    let stage = match grammar {
-        Grammar::RePair(_) => GrammarStage::RePair,
-        Grammar::MrRePair(_) => GrammarStage::MrRePair,
-    };
+    let (matrix, encode_time) = timed(|| encode(input, &slp, encoding));
     Candidate {
         stage,
         matrix,
@@ -395,11 +388,8 @@ fn select(sp: &ShardPlan, prep: Prepared, built: Built) -> (BuiltShard, ShardSta
 /// [`EncodingChoice::Auto`] every encoding is built from the one grammar
 /// and the one with the smallest **measured** stored size wins (ties
 /// break in [`Encoding::ALL`] order).
-fn encode(input: &CsrvMatrix, grammar: &Grammar, choice: EncodingChoice) -> CompressedMatrix {
-    let build = |enc: Encoding| match grammar {
-        Grammar::RePair(slp) => CompressedMatrix::from_slp(input, slp, enc),
-        Grammar::MrRePair(mr) => CompressedMatrix::from_mr_slp(input, mr, enc),
-    };
+fn encode(input: &CsrvMatrix, slp: &Slp, choice: EncodingChoice) -> CompressedMatrix {
+    let build = |enc: Encoding| CompressedMatrix::from_slp(input, slp, enc);
     match choice {
         EncodingChoice::Fixed(enc) => build(enc),
         EncodingChoice::Auto => Encoding::ALL

@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gcm_encodings::fxhash::FxHashMap;
 
-use crate::slp::{MrSlp, Slp};
+use crate::slp::Slp;
 
 /// Process-wide count of grammar constructions (RePair or MR-RePair; the
 /// shared construction of both counts two).
@@ -728,7 +728,7 @@ enum Side {
 }
 
 /// One construction in progress: the working state and the rules built
-/// so far, in MR-RePair's layout (a RePair rule is a two-symbol right
+/// so far, in [`Slp`]'s layout (a RePair rule is a two-symbol right
 /// side).
 #[derive(Debug, Clone)]
 struct Run {
@@ -861,26 +861,11 @@ impl Run {
         }
     }
 
-    /// The RePair grammar; buffers go back to `scratch` (see
-    /// [`State::finish`]).
+    /// The grammar; buffers go back to `scratch` if given, else are
+    /// freed (see [`State::finish`]).
     fn into_slp(self, scratch: Option<&mut RePairScratch>) -> Slp {
-        debug_assert_eq!(
-            self.rule_syms.len(),
-            2 * self.num_rules(),
-            "pair rules only"
-        );
-        let rules = self
-            .rule_syms
-            .chunks_exact(2)
-            .map(|p| (p[0], p[1]))
-            .collect();
-        Slp::new(self.first_nt, rules, self.st.finish(scratch))
-    }
-
-    /// The MR-RePair grammar; buffers go back to `scratch`.
-    fn into_mr(self, scratch: &mut RePairScratch) -> MrSlp {
-        let seq = self.st.finish(Some(scratch));
-        MrSlp::new(self.first_nt, self.rule_ptr, self.rule_syms, seq)
+        let seq = self.st.finish(scratch);
+        Slp::new(self.first_nt, self.rule_ptr, self.rule_syms, seq)
     }
 }
 
@@ -893,40 +878,29 @@ pub struct AutoGrammars {
     /// Rules built once for both grammars: every rule before the fork,
     /// or all of them when MR-RePair never extended a rule.
     pub shared_rules: usize,
-    /// RePair's remaining rounds.
-    pub repair: RePairContinuation,
-    /// MR-RePair's remaining rounds.
-    pub mr: MrRePairContinuation,
+    /// RePair's remaining rounds, on a clone of the shared state.
+    pub repair: GrammarContinuation,
+    /// MR-RePair's remaining rounds, on the shared state's original
+    /// buffers (taken from the scratch the construction started with).
+    pub mr: GrammarContinuation,
 }
 
-/// RePair's rounds after the fork, on a clone of the shared state.
+/// One grammar's rounds after the fork of the shared construction.
 #[derive(Debug)]
-pub struct RePairContinuation(Box<Run>);
-
-impl RePairContinuation {
-    /// Runs the remaining rounds; the result equals
-    /// [`RePair::compress_with_scratch`] of the same input. The clone's
-    /// buffers are freed, never kept in a scratch arena.
-    pub fn finish(self) -> Slp {
-        let mut run = self.0;
-        run.rounds(Mode::Pair);
-        run.into_slp(None)
-    }
+pub struct GrammarContinuation {
+    run: Box<Run>,
+    mode: Mode,
 }
 
-/// MR-RePair's rounds after the fork, on the shared state's original
-/// buffers (taken from the scratch the construction started with).
-#[derive(Debug)]
-pub struct MrRePairContinuation(Box<Run>);
-
-impl MrRePairContinuation {
-    /// Runs the remaining rounds, returning the working buffers to
-    /// `scratch`; the result equals [`RePair::compress_mr_with_scratch`]
-    /// of the same input.
-    pub fn finish(self, scratch: &mut RePairScratch) -> MrSlp {
-        let mut run = self.0;
-        run.rounds(Mode::Mr);
-        run.into_mr(scratch)
+impl GrammarContinuation {
+    /// Runs the remaining rounds; the result equals the standalone
+    /// compression ([`RePair::compress_with_scratch`] or
+    /// [`RePair::compress_mr_with_scratch`]) of the same input. The
+    /// working buffers go back to `scratch` if given, else are freed.
+    pub fn finish(self, scratch: Option<&mut RePairScratch>) -> Slp {
+        let mut run = self.run;
+        run.rounds(self.mode);
+        run.into_slp(scratch)
     }
 }
 
@@ -942,6 +916,7 @@ impl RePair {
     }
 
     /// Compresses `input`, never forming rules that contain `protected`.
+    /// Every rule of the result is a pair.
     ///
     /// `first_nt` must be strictly greater than every input symbol; fresh
     /// nonterminals are numbered `first_nt, first_nt + 1, …`.
@@ -983,7 +958,7 @@ impl RePair {
     ///
     /// # Panics
     /// As [`compress`](Self::compress).
-    pub fn compress_mr(&self, input: &[u32], first_nt: u32, protected: Option<u32>) -> MrSlp {
+    pub fn compress_mr(&self, input: &[u32], first_nt: u32, protected: Option<u32>) -> Slp {
         self.compress_mr_with_scratch(input, first_nt, protected, &mut RePairScratch::default())
     }
 
@@ -1006,11 +981,11 @@ impl RePair {
         first_nt: u32,
         protected: Option<u32>,
         scratch: &mut RePairScratch,
-    ) -> MrSlp {
+    ) -> Slp {
         let mut run = Run::new(&self.config, input, first_nt, protected, scratch);
         GRAMMAR_BUILDS.fetch_add(1, Ordering::Relaxed);
         run.rounds(Mode::Mr);
-        run.into_mr(scratch)
+        run.into_slp(Some(scratch))
     }
 
     /// Both grammars of `input` — RePair's and MR-RePair's — from one
@@ -1046,8 +1021,14 @@ impl RePair {
         }
         AutoGrammars {
             shared_rules,
-            repair: RePairContinuation(Box::new(repair)),
-            mr: MrRePairContinuation(Box::new(run)),
+            repair: GrammarContinuation {
+                run: Box::new(repair),
+                mode: Mode::Pair,
+            },
+            mr: GrammarContinuation {
+                run: Box::new(run),
+                mode: Mode::Mr,
+            },
         }
     }
 }
@@ -1094,7 +1075,7 @@ mod tests {
         // "abab" -> N0=ab, C = N0 N0
         let slp = roundtrip(&[1, 2, 1, 2], 10, None);
         assert_eq!(slp.num_rules(), 1);
-        assert_eq!(slp.rules()[0], (1, 2));
+        assert_eq!(slp.rule(0), &[1, 2]);
         assert_eq!(slp.sequence(), &[10, 10]);
     }
 
@@ -1141,7 +1122,8 @@ mod tests {
         assert!(slp.num_rules() >= 2);
         // Every nonterminal expansion is separator-free.
         for k in 0..slp.num_rules() {
-            let exp = slp.expand_symbol(10 + k as u32);
+            let mut exp = Vec::new();
+            slp.expand_symbol_into(10 + k as u32, &mut exp);
             assert!(!exp.contains(&0), "rule {k} expands across a separator");
         }
         // Sequence keeps exactly the 50 separators.
@@ -1263,7 +1245,7 @@ mod tests {
         roundtrip(&input, 10, Some(0));
     }
 
-    fn mr_roundtrip(input: &[u32], first_nt: u32, protected: Option<u32>) -> MrSlp {
+    fn mr_roundtrip(input: &[u32], first_nt: u32, protected: Option<u32>) -> Slp {
         let mr = RePair::new().compress_mr(input, first_nt, protected);
         assert_eq!(mr.expand(), input, "MR expansion must equal input");
         assert!(mr.check_invariants().is_ok());
@@ -1410,8 +1392,7 @@ mod tests {
         let slp_scratch =
             RePair::new().compress_with_scratch(&inputs[0], 100, Some(0), &mut scratch);
         let slp_fresh = RePair::new().compress(&inputs[0], 100, Some(0));
-        assert_eq!(slp_scratch.rules(), slp_fresh.rules());
-        assert_eq!(slp_scratch.sequence(), slp_fresh.sequence());
+        assert_eq!(slp_scratch, slp_fresh);
     }
 
     #[test]
@@ -1470,12 +1451,17 @@ mod tests {
         input: &[u32],
         protected: Option<u32>,
         scratch: &mut RePairScratch,
-    ) -> (Slp, MrSlp, usize, bool) {
+    ) -> (Slp, Slp, usize, bool) {
         let auto =
             RePair::with_config(config).compress_auto_with_scratch(input, 100, protected, scratch);
-        let slp = auto.repair.finish();
+        let slp = auto.repair.finish(None);
         let forked = slp.num_rules() > auto.shared_rules;
-        (slp, auto.mr.finish(scratch), auto.shared_rules, forked)
+        (
+            slp,
+            auto.mr.finish(Some(scratch)),
+            auto.shared_rules,
+            forked,
+        )
     }
 
     /// Asserts that the shared construction's grammars equal fresh
@@ -1492,13 +1478,12 @@ mod tests {
         let fresh = RePair::with_config(config);
         prop_assert_eq!(&slp, &fresh.compress(input, 100, protected));
         prop_assert_eq!(&mr, &fresh.compress_mr(input, 100, protected));
-        for (k, &(a, b)) in slp.rules()[..shared].iter().enumerate() {
-            prop_assert!(mr.rule(k) == [a, b], "shared rule {} differs", k);
+        for k in 0..shared {
+            prop_assert!(mr.rule(k) == slp.rule(k), "shared rule {} differs", k);
         }
         if forked {
-            let (a, b) = slp.rules()[shared];
             prop_assert!(mr.rule(shared).len() > 2, "the fork rule is extended");
-            prop_assert!(mr.rule(shared).windows(2).any(|w| w == [a, b]));
+            prop_assert!(mr.rule(shared).windows(2).any(|w| w == slp.rule(shared)));
         } else {
             prop_assert_eq!(mr.num_rules(), shared);
             prop_assert_eq!(mr.rule_syms().len(), 2 * shared);
@@ -1622,8 +1607,7 @@ mod tests {
             let with_scratch =
                 RePair::new().compress_with_scratch(input, 100, Some(0), &mut scratch);
             let fresh = RePair::new().compress(input, 100, Some(0));
-            assert_eq!(with_scratch.rules(), fresh.rules());
-            assert_eq!(with_scratch.sequence(), fresh.sequence());
+            assert_eq!(with_scratch, fresh);
             assert_eq!(with_scratch.expand(), *input);
         }
         let plateau = scratch.retained_bytes();

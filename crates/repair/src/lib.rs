@@ -3,8 +3,10 @@
 //! RePair (Larsson & Moffat, 2000) repeatedly replaces the most frequent
 //! pair of adjacent symbols `AB` with a fresh nonterminal `N`, appending the
 //! rule `N → AB`, until no pair occurs twice. The result is a straight-line
-//! program ([`Slp`]): a set of binary rules plus a final string `C` whose
-//! expansion reproduces the input exactly.
+//! program ([`Slp`]): a set of rules plus a final string `C` whose
+//! expansion reproduces the input exactly. Every RePair rule is a pair;
+//! MR-RePair ([`RePair::compress_mr`], Furuya et al., 2019) returns the
+//! same type with rules that may hold more than two symbols.
 //!
 //! Two properties matter for the paper:
 //!
@@ -22,7 +24,6 @@ pub mod slp;
 pub mod stats;
 
 pub use compressor::{
-    grammar_builds, AutoGrammars, MrRePairContinuation, RePair, RePairConfig, RePairContinuation,
-    RePairScratch,
+    grammar_builds, AutoGrammars, GrammarContinuation, RePair, RePairConfig, RePairScratch,
 };
-pub use slp::{MrSlp, Slp};
+pub use slp::Slp;

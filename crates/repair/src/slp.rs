@@ -2,215 +2,28 @@
 
 use gcm_encodings::HeapSize;
 
-/// A straight-line program over a `u32` terminal alphabet.
+/// A straight-line program over a `u32` terminal alphabet — the grammar
+/// both RePair (every rule a pair) and MR-RePair (Furuya et al., 2019:
+/// rules may be wider) produce.
 ///
 /// * Terminals are the symbols `< first_nt`.
-/// * Rule `k` defines nonterminal `first_nt + k` and rewrites to the two
-///   symbols `rules[k]`; each may be a terminal or an *earlier* nonterminal
-///   (so a single forward pass can evaluate all rules, Thm 3.4).
+/// * Rule `k` defines nonterminal `first_nt + k` and rewrites to the
+///   symbol run `rule_syms[rule_ptr[k]..rule_ptr[k+1]]` (length ≥ 2);
+///   each symbol is a terminal or an *earlier* nonterminal, so a single
+///   forward pass evaluates all rules (Thm 3.4).
 /// * `sequence` is the final string `C`. With RePair it may freely mix
 ///   terminals and nonterminals (§4: "RePair's final string is usually
 ///   longer and may even include terminals").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Slp {
     first_nt: u32,
-    rules: Vec<(u32, u32)>,
-    sequence: Vec<u32>,
-}
-
-impl Slp {
-    /// Assembles an SLP from parts.
-    ///
-    /// # Panics
-    /// Panics if any rule references a symbol at or above its own id
-    /// (which would break the forward-evaluation order), or if ids overflow.
-    pub fn new(first_nt: u32, rules: Vec<(u32, u32)>, sequence: Vec<u32>) -> Self {
-        let limit = first_nt as u64 + rules.len() as u64;
-        assert!(limit <= u32::MAX as u64, "nonterminal ids overflow u32");
-        for (k, &(a, b)) in rules.iter().enumerate() {
-            let own = first_nt + k as u32;
-            assert!(a < own && b < own, "rule {k} references a later symbol");
-        }
-        for &s in &sequence {
-            assert!(
-                (s as u64) < limit,
-                "sequence references undefined symbol {s}"
-            );
-        }
-        Self {
-            first_nt,
-            rules,
-            sequence,
-        }
-    }
-
-    /// First nonterminal id (= exclusive upper bound of the terminals).
-    #[inline]
-    pub fn first_nonterminal(&self) -> u32 {
-        self.first_nt
-    }
-
-    /// The rule set `R`.
-    #[inline]
-    pub fn rules(&self) -> &[(u32, u32)] {
-        &self.rules
-    }
-
-    /// The final string `C`.
-    #[inline]
-    pub fn sequence(&self) -> &[u32] {
-        &self.sequence
-    }
-
-    /// Number of rules `|R|`.
-    #[inline]
-    pub fn num_rules(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Whether `s` is a terminal under this grammar.
-    #[inline]
-    pub fn is_terminal(&self, s: u32) -> bool {
-        s < self.first_nt
-    }
-
-    /// Largest symbol id in use (`N_max` in the paper's `re_iv` encoding).
-    pub fn max_symbol(&self) -> u32 {
-        let from_rules = self.first_nt + self.rules.len() as u32;
-        if self.rules.is_empty() {
-            self.sequence.iter().copied().max().unwrap_or(0)
-        } else {
-            from_rules - 1
-        }
-    }
-
-    /// The paper's grammar size measure: total length of rule right-hand
-    /// sides plus the final string.
-    pub fn grammar_size(&self) -> usize {
-        2 * self.rules.len() + self.sequence.len()
-    }
-
-    /// Appends the expansion of `symbol` (terminal string) to `out`.
-    ///
-    /// Iterative with an explicit stack, so deep grammars cannot overflow
-    /// the call stack.
-    pub fn expand_symbol_into(&self, symbol: u32, out: &mut Vec<u32>) {
-        let mut stack = vec![symbol];
-        while let Some(s) = stack.pop() {
-            if s < self.first_nt {
-                out.push(s);
-            } else {
-                let (a, b) = self.rules[(s - self.first_nt) as usize];
-                stack.push(b);
-                stack.push(a);
-            }
-        }
-    }
-
-    /// Expansion of a single symbol as a fresh vector.
-    pub fn expand_symbol(&self, symbol: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.expand_symbol_into(symbol, &mut out);
-        out
-    }
-
-    /// Full expansion of the final string — the original input sequence.
-    pub fn expand(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.expanded_len());
-        for &s in &self.sequence {
-            self.expand_symbol_into(s, &mut out);
-        }
-        out
-    }
-
-    /// Length of every nonterminal's expansion, computed in one forward
-    /// pass (the same dynamic-programming order as Thm 3.4).
-    pub fn expansion_lengths(&self) -> Vec<u64> {
-        let mut lens = Vec::with_capacity(self.rules.len());
-        for &(a, b) in &self.rules {
-            let la = if a < self.first_nt {
-                1
-            } else {
-                lens[(a - self.first_nt) as usize]
-            };
-            let lb = if b < self.first_nt {
-                1
-            } else {
-                lens[(b - self.first_nt) as usize]
-            };
-            lens.push(la + lb);
-        }
-        lens
-    }
-
-    /// Length of the full expansion without materialising it.
-    pub fn expanded_len(&self) -> usize {
-        let lens = self.expansion_lengths();
-        self.sequence
-            .iter()
-            .map(|&s| {
-                if s < self.first_nt {
-                    1u64
-                } else {
-                    lens[(s - self.first_nt) as usize]
-                }
-            })
-            .sum::<u64>() as usize
-    }
-
-    /// Checks structural invariants, returning a human-readable violation
-    /// if any (used by tests and debug assertions).
-    pub fn check_invariants(&self) -> Result<(), String> {
-        let limit = self.first_nt as u64 + self.rules.len() as u64;
-        for (k, &(a, b)) in self.rules.iter().enumerate() {
-            let own = self.first_nt as u64 + k as u64;
-            if a as u64 >= own || b as u64 >= own {
-                return Err(format!("rule {k} references symbol >= its own id"));
-            }
-        }
-        for &s in &self.sequence {
-            if s as u64 >= limit {
-                return Err(format!("sequence symbol {s} out of range"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks that no rule (transitively) contains `forbidden` — used to
-    /// verify the `$`-protection invariant of §3.
-    pub fn rules_avoid_terminal(&self, forbidden: u32) -> bool {
-        self.rules
-            .iter()
-            .all(|&(a, b)| a != forbidden && b != forbidden)
-    }
-}
-
-impl HeapSize for Slp {
-    fn heap_bytes(&self) -> usize {
-        self.rules.heap_bytes() + self.sequence.heap_bytes()
-    }
-}
-
-/// A straight-line program with **variable-arity** rules — the output of
-/// MR-RePair (Furuya et al., 2019), which replaces maximal repeats
-/// instead of single pairs.
-///
-/// * Terminals are the symbols `< first_nt`.
-/// * Rule `k` defines nonterminal `first_nt + k` and rewrites to the
-///   symbol run `rule_syms[rule_ptr[k]..rule_ptr[k+1]]` (length ≥ 2);
-///   each symbol is a terminal or an *earlier* nonterminal, so one
-///   forward pass evaluates all rules exactly as for [`Slp`].
-/// * `sequence` is the final string `C`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MrSlp {
-    first_nt: u32,
     rule_ptr: Vec<u32>,
     rule_syms: Vec<u32>,
     sequence: Vec<u32>,
 }
 
-impl MrSlp {
-    /// Assembles a variable-arity SLP from CSR parts.
+impl Slp {
+    /// Assembles an SLP from CSR parts.
     ///
     /// # Panics
     /// Panics if `rule_ptr` is not a monotone CSR index starting at 0 and
@@ -386,7 +199,7 @@ impl MrSlp {
     }
 }
 
-impl HeapSize for MrSlp {
+impl HeapSize for Slp {
     fn heap_bytes(&self) -> usize {
         self.rule_ptr.heap_bytes() + self.rule_syms.heap_bytes() + self.sequence.heap_bytes()
     }
@@ -396,6 +209,13 @@ impl HeapSize for MrSlp {
 mod tests {
     use super::*;
 
+    /// An SLP whose every rule is the pair `rules[k]`, as RePair builds.
+    fn binary(first_nt: u32, rules: &[(u32, u32)], sequence: Vec<u32>) -> Slp {
+        let rule_ptr = (0..=rules.len() as u32).map(|k| 2 * k).collect();
+        let rule_syms = rules.iter().flat_map(|&(a, b)| [a, b]).collect();
+        Slp::new(first_nt, rule_ptr, rule_syms, sequence)
+    }
+
     /// The grammar of Figure 2 of the paper (0 = `$`; terminals are mapped
     /// to small ids for readability).
     ///
@@ -404,7 +224,7 @@ mod tests {
     fn fig2() -> Slp {
         let first_nt = 11;
         // N1..N9 -> ids 11..19
-        let rules = vec![
+        let rules = [
             (1, 2),   // N1 -> <3,3> <5,4>
             (3, 4),   // N2 -> <1,1> <4,2>
             (5, 11),  // N3 -> <3,1> N1
@@ -416,7 +236,7 @@ mod tests {
             (17, 10), // N9 -> N7 <4,5>
         ];
         let sequence = vec![15, 0, 16, 0, 17, 0, 18, 0, 13, 0, 19, 0];
-        Slp::new(first_nt, rules, sequence)
+        binary(first_nt, &rules, sequence)
     }
 
     #[test]
@@ -456,28 +276,30 @@ mod tests {
 
     #[test]
     fn expand_single_terminal() {
-        let slp = Slp::new(5, vec![], vec![3, 1, 0]);
+        let slp = binary(5, &[], vec![3, 1, 0]);
         assert_eq!(slp.expand(), vec![3, 1, 0]);
-        assert_eq!(slp.expand_symbol(4), vec![4]);
+        let mut out = Vec::new();
+        slp.expand_symbol_into(4, &mut out);
+        assert_eq!(out, vec![4]);
     }
 
     #[test]
     #[should_panic(expected = "references a later symbol")]
     fn forward_reference_rejected() {
         // Rule 0 (id 10) references id 11 (rule 1): invalid.
-        Slp::new(10, vec![(11, 0), (1, 2)], vec![10]);
+        binary(10, &[(11, 0), (1, 2)], vec![10]);
     }
 
     #[test]
     #[should_panic(expected = "undefined symbol")]
     fn sequence_out_of_range_rejected() {
-        Slp::new(4, vec![(0, 1)], vec![9]);
+        binary(4, &[(0, 1)], vec![9]);
     }
 
     #[test]
     fn mr_slp_expands_variable_arity_rules() {
         // N0 = 1 2 3 4, N1 = N0 5 N0 : expansion nests wide rules.
-        let mr = MrSlp::new(
+        let mr = Slp::new(
             10,
             vec![0, 4, 7],
             vec![1, 2, 3, 4, 10, 5, 10],
@@ -504,13 +326,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "fewer than 2 symbols")]
     fn mr_slp_rejects_unary_rules() {
-        MrSlp::new(4, vec![0, 1], vec![1], vec![4]);
+        Slp::new(4, vec![0, 1], vec![1], vec![4]);
     }
 
     #[test]
     #[should_panic(expected = "references a later symbol")]
     fn mr_slp_rejects_forward_references() {
-        MrSlp::new(4, vec![0, 2, 4], vec![1, 5, 1, 2], vec![4]);
+        Slp::new(4, vec![0, 2, 4], vec![1, 5, 1, 2], vec![4]);
     }
 
     #[test]
@@ -523,7 +345,7 @@ mod tests {
             rules.push((first_nt + k - 1, 1));
         }
         let seq = vec![first_nt + 19_999];
-        let slp = Slp::new(first_nt, rules, seq);
+        let slp = binary(first_nt, &rules, seq);
         let expansion = slp.expand();
         assert_eq!(expansion.len(), 20_001);
         assert_eq!(expansion[0], 0);

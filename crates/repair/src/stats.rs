@@ -81,7 +81,8 @@ pub struct GrammarStats {
     pub rules: usize,
     /// Length of the final string `|C|`.
     pub sequence_len: usize,
-    /// `2|R| + |C|`, the paper's grammar size.
+    /// Total rule right-hand-side length plus `|C|` (`2|R| + |C|` for
+    /// RePair), the paper's grammar size.
     pub grammar_size: usize,
     /// Length of the expanded (original) sequence.
     pub expanded_len: usize,

@@ -12,8 +12,8 @@
 //!   the GCMMAT1 container adds only bounded framing);
 //! * the MR-RePair stage (`compress_mr`) obeys the same contract: the
 //!   variable-arity grammar expands back to the input exactly under
-//!   every configuration, every rule has arity ≥ 2 and references only
-//!   earlier symbols, and the `re_32` byte accounting of an MR-built
+//!   every configuration, every rule has arity ≥ 2 (exactly 2 under
+//!   `compress`) and references only earlier symbols, and the `re_32` byte accounting of an MR-built
 //!   [`gcm_core::CompressedMatrix`] — binary pairs + `RuleExt` tails —
 //!   is exact down to the varint tail-length bytes.
 
@@ -45,13 +45,37 @@ fn configs() -> impl Strategy<Value = RePairConfig> {
     })
 }
 
-fn check_structure(slp: &Slp, protected: Option<u32>) -> Result<(), TestCaseError> {
-    prop_assert!(slp.check_invariants().is_ok());
+/// The compressor that built a grammar, which fixes its rule arity.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// `compress`: every rule is a pair.
+    RePair,
+    /// `compress_mr`: every rule has at least two symbols.
+    MrRePair,
+}
+
+fn check_structure(slp: &Slp, stage: Stage, protected: Option<u32>) -> Result<(), TestCaseError> {
+    prop_assert!(
+        slp.check_invariants().is_ok(),
+        "{:?}",
+        slp.check_invariants()
+    );
     let first_nt = slp.first_nonterminal();
-    for (k, &(a, b)) in slp.rules().iter().enumerate() {
+    for k in 0..slp.num_rules() {
+        let rhs = slp.rule(k);
+        match stage {
+            Stage::RePair => prop_assert!(rhs.len() == 2, "RePair rule {} is not a pair", k),
+            Stage::MrRePair => prop_assert!(rhs.len() >= 2, "rule {} has arity < 2", k),
+        }
         let own = first_nt as u64 + k as u64;
-        prop_assert!((a as u64) < own, "rule {k} lhs out of bounds");
-        prop_assert!((b as u64) < own, "rule {k} rhs out of bounds");
+        for &s in rhs {
+            prop_assert!(
+                (s as u64) < own,
+                "rule {} references symbol {} >= its own id",
+                k,
+                s
+            );
+        }
     }
     if let Some(sep) = protected {
         prop_assert!(slp.rules_avoid_terminal(sep));
@@ -69,7 +93,7 @@ proptest! {
     ) {
         let slp = RePair::with_config(config).compress(&symbols, 100, Some(0));
         prop_assert_eq!(slp.expand(), symbols.clone());
-        check_structure(&slp, Some(0))?;
+        check_structure(&slp, Stage::RePair, Some(0))?;
         if let Some(cap) = config.max_rules {
             prop_assert!(slp.num_rules() <= cap, "rule cap violated");
         }
@@ -83,7 +107,7 @@ proptest! {
     ) {
         let slp = RePair::new().compress(&symbols, 50, None);
         prop_assert_eq!(slp.expand(), symbols);
-        check_structure(&slp, None)?;
+        check_structure(&slp, Stage::RePair, None)?;
     }
 
     #[test]
@@ -157,14 +181,10 @@ proptest! {
     ) {
         let mr = RePair::with_config(config).compress_mr(&symbols, 100, Some(0));
         prop_assert_eq!(mr.expand(), symbols.clone());
-        prop_assert!(mr.check_invariants().is_ok(), "{:?}", mr.check_invariants());
-        prop_assert!(mr.rules_avoid_terminal(0));
+        check_structure(&mr, Stage::MrRePair, Some(0))?;
         prop_assert_eq!(mr.expanded_len(), symbols.len());
         if let Some(cap) = config.max_rules {
             prop_assert!(mr.num_rules() <= cap, "rule cap violated");
-        }
-        for k in 0..mr.num_rules() {
-            prop_assert!(mr.rule(k).len() >= 2, "rule {k} has arity < 2");
         }
     }
 
@@ -174,13 +194,14 @@ proptest! {
     ) {
         let mr = RePair::new().compress_mr(&symbols, 50, None);
         prop_assert_eq!(mr.expand(), symbols);
-        prop_assert!(mr.check_invariants().is_ok());
+        check_structure(&mr, Stage::MrRePair, None)?;
     }
 
     /// MR byte accounting down to the last varint: a `re_32` matrix
     /// built from an MR grammar stores the binary pairs and sequence as
     /// raw u32, values as f64, and the tails in a `RuleExt` whose size
-    /// is recomputed here **independently** from the `MrSlp` arities.
+    /// is recomputed here **independently** from the grammar's rule
+    /// arities.
     #[test]
     fn mr_stored_bytes_match_actual_serialised_size(
         (rows, cols) in (1usize..12, 1usize..8),
@@ -213,7 +234,7 @@ proptest! {
             .map(|&k| varint_len((mr.rule(k).len() - 2) as u64))
             .sum();
         for enc in Encoding::ALL {
-            let cm = CompressedMatrix::from_mr_slp(&csrv, &mr, enc);
+            let cm = CompressedMatrix::from_slp(&csrv, &mr, enc);
             prop_assert_eq!(cm.num_rules(), q);
             // Plan lowering turns each arity-p rule into p-1 chained
             // binary rules: q + total tail symbols, exactly.

@@ -423,14 +423,22 @@ pub fn encode_info(out: &mut Vec<u8>, model: &str) {
 /// frame boundary.
 ///
 /// # Errors
-/// Fails on I/O errors, mid-frame EOF, or a length prefix past
-/// [`MAX_FRAME`].
+/// Fails on I/O errors, mid-frame EOF (a torn length prefix included),
+/// or a length prefix past [`MAX_FRAME`].
 pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Result<Option<usize>> {
+    use std::io::ErrorKind;
     let mut len_bytes = [0u8; 4];
-    match r.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let mut filled = 0;
+    while filled < len_bytes.len() {
+        match r.read(&mut len_bytes[filled..]) {
+            // Only EOF before the prefix's first byte is a frame boundary;
+            // EOF inside the prefix is mid-frame.
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len > MAX_FRAME {
@@ -842,9 +850,11 @@ mod tests {
         // Clean EOF at a boundary.
         let empty: &[u8] = &[];
         assert!(matches!(read_frame(&mut { empty }, &mut buf), Ok(None)));
-        // Mid-frame EOF is an error.
+        // Mid-frame EOF is an error, inside the length prefix too.
         let short: &[u8] = &[5, 0, 0, 0, 1, 2];
         assert!(read_frame(&mut { short }, &mut buf).is_err());
+        let torn: &[u8] = &[5, 0];
+        assert!(read_frame(&mut { torn }, &mut buf).is_err());
         // Oversized length prefix is rejected before any read.
         let huge = (MAX_FRAME as u32 + 1).to_le_bytes();
         assert!(read_frame(&mut &huge[..], &mut buf).is_err());

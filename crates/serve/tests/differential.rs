@@ -21,7 +21,7 @@
 //! attached.
 
 use gcm_core::{CompressedMatrix, Encoding};
-use gcm_matrix::{CsrMatrix, CsrvMatrix, DenseMatrix, MatVec, Workspace};
+use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, Workspace};
 use gcm_serve::{Backend, BuildConfig, EncodingChoice, ReorderMode, ServeOptions, ShardedModel};
 
 const TOL: f64 = 1e-9;
@@ -89,10 +89,7 @@ fn matrix_grid() -> Vec<(&'static str, DenseMatrix)> {
 /// Every in-memory backend as a named `MatVec` trait object.
 fn backends(dense: &DenseMatrix) -> Vec<(String, Box<dyn MatVec>)> {
     let csrv = CsrvMatrix::from_dense(dense).expect("csrv");
-    let mut out: Vec<(String, Box<dyn MatVec>)> = vec![
-        ("csr".into(), Box::new(CsrMatrix::from_dense(dense))),
-        ("csrv".into(), Box::new(csrv.clone())),
-    ];
+    let mut out: Vec<(String, Box<dyn MatVec>)> = vec![("csrv".into(), Box::new(csrv.clone()))];
     for enc in Encoding::ALL {
         out.push((
             format!("compressed-{}", enc.name()),

@@ -43,8 +43,8 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`matrix`] (`gcm-matrix`) | dense / CSR / CSRV formats, row blocks |
-//! | [`repair`] (`gcm-repair`) | the RePair grammar compressor |
+//! | [`matrix`] (`gcm-matrix`) | dense / CSRV formats, row blocks |
+//! | [`repair`] (`gcm-repair`) | the RePair and MR-RePair grammar compressors |
 //! | [`core`] (`gcm-core`) | `(C,R,V)` matrices, MVM kernels, threading |
 //! | [`encodings`] (`gcm-encodings`) | bit-packing, Huffman, rANS, range coder |
 //! | [`reorder`] (`gcm-reorder`) | CSM + LKH/PathCover/PathCover+/MWM |
@@ -78,9 +78,7 @@ pub mod prelude {
     };
     pub use gcm_datagen::Dataset;
     pub use gcm_encodings::HeapSize;
-    pub use gcm_matrix::{
-        CsrMatrix, CsrvMatrix, DenseMatrix, MatVec, MatrixError, RowBlocks, Workspace,
-    };
+    pub use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, RowBlocks, Workspace};
     pub use gcm_pipeline::{
         Backend, BuildArtifacts, BuildConfig, BuiltShard, EncodingChoice, GrammarChoice,
         GrammarStage, Model, ModelPlan, Pipeline, ReorderMode, ShardMeta,
