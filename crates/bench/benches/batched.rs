@@ -4,31 +4,28 @@
 //! The batched kernels traverse `(C, R)` once per batch with a `k`-wide
 //! `w` panel; the column loop traverses once per column. The gap widens
 //! with `k` and with decode cost (re_ans pays rANS decoding once per
-//! batch instead of once per column).
+//! batch instead of once per column). At k = 1 both rows run the
+//! width-1 kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use gcm_core::{CompressedMatrix, Encoding};
 use gcm_datagen::Dataset;
+use gcm_matrix::matvec::panel_by_columns;
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, Workspace};
 
-/// Column-at-a-time reference: what `right_multiply_matrix` did before the
-/// batched kernels (gather column, multiply, scatter), with workspace
-/// reuse so the comparison isolates the traversal count.
+/// Column-at-a-time reference: the width-1 kernel once per column
+/// (gather column, multiply, scatter) through [`panel_by_columns`], with
+/// workspace reuse so the comparison isolates the traversal count.
 fn column_loop(m: &dyn MatVec, b: &DenseMatrix, out: &mut DenseMatrix, ws: &mut Workspace) {
-    let mut x = ws.take(m.cols());
-    let mut y = ws.take(m.rows());
-    for j in 0..b.cols() {
-        for (i, xi) in x.iter_mut().enumerate() {
-            *xi = b.get(i, j);
-        }
-        m.right_multiply_into(&x, &mut y, ws).unwrap();
-        for (i, &yi) in y.iter().enumerate() {
-            out.set(i, j, yi);
-        }
-    }
-    ws.put(x);
-    ws.put(y);
+    panel_by_columns(
+        b.cols(),
+        b.as_slice(),
+        out.as_mut_slice(),
+        ws,
+        |x, y, ws| m.right_multiply_into(x, y, ws),
+    )
+    .unwrap();
 }
 
 fn bench_batched(c: &mut Criterion) {

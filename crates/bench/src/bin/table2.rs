@@ -68,7 +68,7 @@ fn main() {
         // Single-thread re_iv / re_ans.
         for enc in [Encoding::ReIv, Encoding::ReAns] {
             let cm = CompressedMatrix::compress(&csrv, enc);
-            let run = measure_iterations(&cm, iters, cm.heap_bytes(), cm.working_bytes());
+            let run = measure_iterations(&cm, iters, cm.heap_bytes(), cm.working_bytes(1));
             cells.push(format!(
                 "{} | {}",
                 pct(run.analytic_peak_bytes, dense_bytes),

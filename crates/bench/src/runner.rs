@@ -80,9 +80,9 @@ pub fn row_block_model(blocks: Vec<CsrvMatrix>, encoding: Option<Encoding>) -> S
 /// * representation: every shard's `(C, R)` heap bytes (CSRV: its
 ///   symbol stream), plus each value dictionary `V` once per distinct
 ///   `Arc`, since the shards of one split share it in memory;
-/// * working space: every grammar shard's single-vector `W` array and
-///   rule flags, plus one `cols`-long partial vector per shard for the
-///   left product's reduction.
+/// * working space: every grammar shard's single-vector `W` array
+///   (`|R|` doubles), plus one `cols`-long partial vector per shard for
+///   the left product's reduction.
 pub fn measure_sharded(model: &ShardedModel, iters: usize) -> MeasuredRun {
     let (repr_bytes, working_bytes) = row_block_bytes(model);
     measure_iterations(model, iters, repr_bytes, working_bytes)
@@ -97,10 +97,7 @@ fn row_block_bytes(model: &ShardedModel) -> (usize, usize) {
         let shard = model.shard_model(i);
         let (bytes, w) = match shard {
             Model::Csrv(m) => (m.symbols().len() * 4, 0),
-            Model::Compressed(m) => (
-                m.heap_bytes() - m.values().len() * 8,
-                m.working_bytes_for_batch(1),
-            ),
+            Model::Compressed(m) => (m.heap_bytes() - m.values().len() * 8, m.working_bytes(1)),
         };
         repr += bytes;
         working += w + model.cols() * 8;
@@ -157,7 +154,7 @@ mod tests {
             .map(|b| CompressedMatrix::compress(b, Encoding::Re32))
             .collect();
         let repr: usize = blocks.iter().map(|b| b.heap_bytes() - v_bytes).sum();
-        let w: usize = blocks.iter().map(|b| b.num_rules() * 16).sum();
+        let w: usize = blocks.iter().map(|b| b.num_rules() * 8).sum();
         assert_eq!(row_block_bytes(&grammar), (repr + v_bytes, w + 4 * 7 * 8));
         // `stored_bytes` shares the dictionary the same way.
         let stored: usize = blocks.iter().map(|b| b.stored_bytes() - v_bytes).sum();

@@ -6,7 +6,8 @@ use std::sync::Arc;
 use gcm_encodings::fse::FseSequence;
 use gcm_encodings::rans::RansSequence;
 use gcm_encodings::{HeapSize, IntVector};
-use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, Workspace, SEPARATOR};
+use gcm_matrix::matvec::check_panels;
+use gcm_matrix::{CsrvMatrix, MatVec, MatrixError, Workspace, SEPARATOR};
 use gcm_repair::{RePair, Slp};
 
 use crate::encoding::{Encoding, ExtSyms, RuleExt, RuleStore, SeqStore};
@@ -312,18 +313,16 @@ impl CompressedMatrix {
             + self.ext.as_deref().map_or(0, RuleExt::stored_bytes)
     }
 
-    /// Auxiliary working space of one multiplication: the `W` array of
-    /// `|R|` doubles (Thms 3.4 / 3.10).
-    pub fn working_bytes(&self) -> usize {
-        self.num_rules() * 8
-    }
-
-    /// Auxiliary working space of one **batched** multiplication with
-    /// width `k`: the `k`-wide `W` panel of `|R|·k` doubles, plus the
-    /// left pass's `|R|` nonzero-flag doubles (the batched kernels'
-    /// O(1)-skip index; still `O(|R|)` words overall).
-    pub fn working_bytes_for_batch(&self, k: usize) -> usize {
-        self.num_rules() * 8 * (k.max(1) + 1)
+    /// Auxiliary working space of one multiplication of width `k`: the
+    /// `W` panel of `|R|·k` doubles (Thms 3.4 / 3.10), plus, from
+    /// `k = 2` on, the batched left pass's `|R|` nonzero-flag doubles
+    /// (its O(1)-skip index; still `O(|R|)` words overall). Width 1 runs
+    /// the single-vector kernels, which draw no flags, so
+    /// `working_bytes(1)` is the paper's `|R|` words.
+    pub fn working_bytes(&self, k: usize) -> usize {
+        let k = k.max(1);
+        let flags = usize::from(k > 1);
+        self.num_rules() * 8 * (k + flags)
     }
 
     /// Compiles this matrix into a [`KernelPlan`]: rules and final
@@ -346,65 +345,12 @@ impl CompressedMatrix {
         self.plan().to_f32()
     }
 
-    /// Right multiplication with caller-provided scratch (`w` must have
-    /// length `|R|`). Used by the row-block parallel paths, which hand
-    /// each concurrent block its own `w` from one [`Workspace`].
-    ///
-    /// # Errors
-    /// Fails on dimension mismatches (including `w`).
-    pub fn right_multiply_with(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        w: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        self.check_vectors(x.len(), y.len())?;
-        self.check_scratch(w.len(), 1)?;
-        mvm::right_multiply(
-            &self.seq,
-            &self.rules,
-            self.rule_ext(),
-            &self.values,
-            self.first_nt,
-            self.cols as u32,
-            x,
-            y,
-            w,
-        );
-        Ok(())
-    }
-
-    /// Left multiplication with caller-provided scratch (`w` must have
-    /// length `|R|`).
-    ///
-    /// # Errors
-    /// Fails on dimension mismatches (including `w`).
-    pub fn left_multiply_with(
-        &self,
-        y: &[f64],
-        x: &mut [f64],
-        w: &mut [f64],
-    ) -> Result<(), MatrixError> {
-        self.check_vectors(x.len(), y.len())?;
-        self.check_scratch(w.len(), 1)?;
-        mvm::left_multiply(
-            &self.seq,
-            &self.rules,
-            self.rule_ext(),
-            &self.values,
-            self.first_nt,
-            self.cols as u32,
-            y,
-            x,
-            w,
-        );
-        Ok(())
-    }
-
-    /// Batched right multiplication `Y = M·X` over row-major panels with
+    /// Right product `Y = M·X` over row-major panels with
     /// caller-provided scratch: `x_panel` is `cols × k`, `y_panel` is
-    /// `rows × k`, `w_panel` is `|R| · k`. One `(C, R)` traversal serves
-    /// all `k` right-hand sides (Thm 3.4 amortised).
+    /// `rows × k`, `w_panel` is `|R| · k`. Width 1 runs the
+    /// single-vector kernel [`mvm::right_multiply`] (Thm 3.4); wider
+    /// panels run [`mvm::right_multiply_batch`], where one `(C, R)`
+    /// traversal serves all `k` right-hand sides.
     ///
     /// # Errors
     /// Fails if any panel length is inconsistent with `k`.
@@ -415,28 +361,29 @@ impl CompressedMatrix {
         y_panel: &mut [f64],
         w_panel: &mut [f64],
     ) -> Result<(), MatrixError> {
-        self.check_panels(x_panel.len(), y_panel.len(), k)?;
+        check_panels(self.rows, self.cols, k, x_panel.len(), y_panel.len())?;
         self.check_scratch(w_panel.len(), k)?;
-        mvm::right_multiply_batch(
-            &self.seq,
-            &self.rules,
-            self.rule_ext(),
-            &self.values,
-            self.first_nt,
-            self.cols as u32,
-            k,
-            x_panel,
-            y_panel,
-            w_panel,
-        );
+        let (seq, rules, ext, values) = (&self.seq, &self.rules, self.rule_ext(), &self.values);
+        let (first_nt, cols) = (self.first_nt, self.cols as u32);
+        if k == 1 {
+            mvm::right_multiply(
+                seq, rules, ext, values, first_nt, cols, x_panel, y_panel, w_panel,
+            );
+        } else {
+            mvm::right_multiply_batch(
+                seq, rules, ext, values, first_nt, cols, k, x_panel, y_panel, w_panel,
+            );
+        }
         Ok(())
     }
 
-    /// Batched left multiplication `X = Mᵗ·Y` over row-major panels with
+    /// Left product `X = Mᵗ·Y` over row-major panels with
     /// caller-provided scratch (`y_panel` is `rows × k`, `x_panel` is
-    /// `cols × k`, `w_panel` is `|R| · k`, `w_flags` is `|R|` — the
-    /// backward pass's per-rule nonzero-flag skip index; Thm 3.10
-    /// amortised).
+    /// `cols × k`, `w_panel` is `|R| · k`). Width 1 runs the
+    /// single-vector kernel [`mvm::left_multiply`] (Thm 3.10) and never
+    /// reads `w_flags`, which may then be empty; wider panels run
+    /// [`mvm::left_multiply_batch`], whose backward pass needs `w_flags`
+    /// of length `|R|` as its per-rule nonzero-flag skip index.
     ///
     /// # Errors
     /// Fails if any panel length is inconsistent with `k`.
@@ -448,8 +395,16 @@ impl CompressedMatrix {
         w_panel: &mut [f64],
         w_flags: &mut [f64],
     ) -> Result<(), MatrixError> {
-        self.check_panels(x_panel.len(), y_panel.len(), k)?;
+        check_panels(self.rows, self.cols, k, x_panel.len(), y_panel.len())?;
         self.check_scratch(w_panel.len(), k)?;
+        let (seq, rules, ext, values) = (&self.seq, &self.rules, self.rule_ext(), &self.values);
+        let (first_nt, cols) = (self.first_nt, self.cols as u32);
+        if k == 1 {
+            mvm::left_multiply(
+                seq, rules, ext, values, first_nt, cols, y_panel, x_panel, w_panel,
+            );
+            return Ok(());
+        }
         if w_flags.len() != self.num_rules() {
             return Err(MatrixError::DimensionMismatch {
                 expected: self.num_rules(),
@@ -458,54 +413,8 @@ impl CompressedMatrix {
             });
         }
         mvm::left_multiply_batch(
-            &self.seq,
-            &self.rules,
-            self.rule_ext(),
-            &self.values,
-            self.first_nt,
-            self.cols as u32,
-            k,
-            y_panel,
-            x_panel,
-            w_panel,
-            w_flags,
+            seq, rules, ext, values, first_nt, cols, k, y_panel, x_panel, w_panel, w_flags,
         );
-        Ok(())
-    }
-
-    fn check_vectors(&self, x_len: usize, y_len: usize) -> Result<(), MatrixError> {
-        if x_len != self.cols {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.cols,
-                actual: x_len,
-                what: "x length",
-            });
-        }
-        if y_len != self.rows {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.rows,
-                actual: y_len,
-                what: "y length",
-            });
-        }
-        Ok(())
-    }
-
-    fn check_panels(&self, x_len: usize, y_len: usize, k: usize) -> Result<(), MatrixError> {
-        if x_len != self.cols * k {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.cols * k,
-                actual: x_len,
-                what: "x panel length",
-            });
-        }
-        if y_len != self.rows * k {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.rows * k,
-                actual: y_len,
-                what: "y panel length",
-            });
-        }
         Ok(())
     }
 
@@ -565,57 +474,36 @@ impl MatVec for CompressedMatrix {
         self.cols
     }
 
-    fn right_multiply_into(
+    fn right_multiply_panel_into(
         &self,
-        x: &[f64],
-        y: &mut [f64],
+        k: usize,
+        x_panel: &[f64],
+        y_panel: &mut [f64],
         ws: &mut Workspace,
     ) -> Result<(), MatrixError> {
-        let mut w = ws.take(self.num_rules());
-        let result = self.right_multiply_with(x, y, &mut w);
-        ws.put(w);
-        result
-    }
-
-    fn left_multiply_into(
-        &self,
-        y: &[f64],
-        x: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        let mut w = ws.take(self.num_rules());
-        let result = self.left_multiply_with(y, x, &mut w);
-        ws.put(w);
-        result
-    }
-
-    fn right_multiply_matrix_into(
-        &self,
-        b: &DenseMatrix,
-        out: &mut DenseMatrix,
-        ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        gcm_matrix::matvec::check_right_batch(self.rows, self.cols, b, out)?;
-        let k = b.cols();
         let mut w = ws.take(self.num_rules() * k);
-        let result = self.right_multiply_panel_with(k, b.as_slice(), out.as_mut_slice(), &mut w);
+        let result = self.right_multiply_panel_with(k, x_panel, y_panel, &mut w);
         ws.put(w);
         result
     }
 
-    fn left_multiply_matrix_into(
+    fn left_multiply_panel_into(
         &self,
-        b: &DenseMatrix,
-        out: &mut DenseMatrix,
+        k: usize,
+        y_panel: &[f64],
+        x_panel: &mut [f64],
         ws: &mut Workspace,
     ) -> Result<(), MatrixError> {
-        gcm_matrix::matvec::check_left_batch(self.rows, self.cols, b, out)?;
-        let k = b.cols();
         let mut w = ws.take(self.num_rules() * k);
-        let mut flags = ws.take(self.num_rules());
-        let result =
-            self.left_multiply_panel_with(k, b.as_slice(), out.as_mut_slice(), &mut w, &mut flags);
-        ws.put(flags);
+        // Only the k-wide kernel reads rule flags (see `working_bytes`).
+        let result = if k == 1 {
+            self.left_multiply_panel_with(k, y_panel, x_panel, &mut w, &mut [])
+        } else {
+            let mut flags = ws.take(self.num_rules());
+            let result = self.left_multiply_panel_with(k, y_panel, x_panel, &mut w, &mut flags);
+            ws.put(flags);
+            result
+        };
         ws.put(w);
         result
     }
@@ -737,9 +625,10 @@ mod tests {
     fn working_bytes_is_rule_count_words() {
         let csrv = CsrvMatrix::from_dense(&repetitive(128, 6)).unwrap();
         let cm = CompressedMatrix::compress(&csrv, Encoding::Re32);
-        assert_eq!(cm.working_bytes(), cm.num_rules() * 8);
+        // Width 1 runs the single-vector kernels: W alone.
+        assert_eq!(cm.working_bytes(1), cm.num_rules() * 8);
         // Batched: the k-wide W panel plus the |R| nonzero flags.
-        assert_eq!(cm.working_bytes_for_batch(4), cm.num_rules() * 8 * 5);
+        assert_eq!(cm.working_bytes(4), cm.num_rules() * 8 * 5);
     }
 
     #[test]

@@ -31,15 +31,17 @@
 //! plan memory for a several-fold smaller per-multiply constant
 //! (differentially pinned bit-exact in `tests/plan_vs_streaming.rs`).
 //!
-//! Every matrix multiplies through the execution layer of
-//! [`gcm_matrix::MatVec`]: the `*_into` methods draw the `w` rule array
-//! and batch panels from a caller-owned
-//! [`gcm_matrix::Workspace`] (zero steady-state allocation), and the
-//! batched `right_multiply_matrix` / `left_multiply_matrix` products
-//! traverse `(C, R)` **once per batch** of `k` vectors
-//! ([`mvm::right_multiply_batch`] / [`mvm::left_multiply_batch`]) instead
-//! of once per column — the amortisation that makes compressed serving
-//! loops fast.
+//! Every matrix multiplies through one panel entry per direction,
+//! [`gcm_matrix::MatVec`]'s `right_multiply_panel_into` /
+//! `left_multiply_panel_into`, which draw the `w` rule array and batch
+//! panels from a caller-owned [`gcm_matrix::Workspace`] (zero
+//! steady-state allocation). [`CompressedMatrix`] picks its kernel by
+//! width there: `k = 1` runs the single-vector kernels of Thms 3.4 and
+//! 3.10 ([`mvm::right_multiply`] / [`mvm::left_multiply`]), and wider
+//! panels traverse `(C, R)` **once per batch** of `k` vectors
+//! ([`mvm::right_multiply_batch`] / [`mvm::left_multiply_batch`])
+//! instead of once per column — the amortisation that makes compressed
+//! serving loops fast.
 
 pub mod compressed;
 pub mod encoding;

@@ -2348,7 +2348,8 @@ mod tests {
             // bit-identical to the streaming kernel.
             let mut w = vec![0.0; cm.num_rules()];
             let mut y_s = vec![0.0; 64];
-            cm.right_multiply_with(&x, &mut y_s, &mut w).unwrap();
+            cm.right_multiply_panel_with(1, &x, &mut y_s, &mut w)
+                .unwrap();
             let mut buf = vec![0.0; plan.scratch_len(1)];
             let mut y_p = vec![0.0; 64];
             plan.right_multiply(&x, &mut y_p, &mut buf).unwrap();

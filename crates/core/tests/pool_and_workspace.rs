@@ -61,6 +61,8 @@ fn workspace_reuse_across_shapes_resizes_cleanly() {
     // Explicit scratch of the wrong length errors instead of panicking.
     let mut w_bad = vec![0.0; 1];
     if big.num_rules() != 1 {
-        assert!(big.right_multiply_with(&xb, &mut yb, &mut w_bad).is_err());
+        assert!(big
+            .right_multiply_panel_with(1, &xb, &mut yb, &mut w_bad)
+            .is_err());
     }
 }

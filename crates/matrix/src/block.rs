@@ -113,6 +113,7 @@ impl RowBlocks {
 mod tests {
     use super::*;
     use crate::dense::DenseMatrix;
+    use crate::MatVec;
 
     fn sample(rows: usize) -> DenseMatrix {
         let mut m = DenseMatrix::zeros(rows, 4);

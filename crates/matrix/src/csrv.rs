@@ -203,111 +203,24 @@ impl CsrvMatrix {
         }
     }
 
-    /// Right multiplication `y = M·x` by a single scan of `S` (§2).
+    /// Right product `Y = M·X` over row-major panels in one scan of `S`
+    /// (§2): `x_panel` is `cols × k` (row `j` holds the `k` values of
+    /// input coordinate `j`), `y_panel` is `rows × k`, and the caller
+    /// has checked both lengths. One traversal of the symbol stream
+    /// serves the whole batch, which is what makes batching profitable.
     ///
-    /// # Errors
-    /// Fails on dimension mismatch.
-    pub fn right_multiply(&self, x: &[f64], y: &mut [f64]) -> Result<(), MatrixError> {
-        if x.len() != self.cols {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.cols,
-                actual: x.len(),
-                what: "x length",
-            });
-        }
-        if y.len() != self.rows {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.rows,
-                actual: y.len(),
-                what: "y length",
-            });
-        }
-        let m = self.cols as u32;
-        let values = &self.values[..];
-        let mut r = 0usize;
-        let mut acc = 0.0f64;
-        for &s in &self.symbols {
-            if s == SEPARATOR {
-                y[r] = acc;
-                acc = 0.0;
-                r += 1;
-            } else {
-                let p = s - 1;
-                let (l, j) = (p / m, p % m);
-                acc += values[l as usize] * x[j as usize];
-            }
-        }
-        Ok(())
-    }
-
-    /// Left multiplication `xᵗ = yᵗ·M` by a single scan of `S` (§2).
-    ///
-    /// # Errors
-    /// Fails on dimension mismatch.
-    pub fn left_multiply(&self, y: &[f64], x: &mut [f64]) -> Result<(), MatrixError> {
-        if y.len() != self.rows {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.rows,
-                actual: y.len(),
-                what: "y length",
-            });
-        }
-        if x.len() != self.cols {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.cols,
-                actual: x.len(),
-                what: "x length",
-            });
-        }
-        x.fill(0.0);
-        let m = self.cols as u32;
-        let values = &self.values[..];
-        let mut r = 0usize;
-        for &s in &self.symbols {
-            if s == SEPARATOR {
-                r += 1;
-            } else {
-                let p = s - 1;
-                let (l, j) = (p / m, p % m);
-                x[j as usize] += y[r] * values[l as usize];
-            }
-        }
-        Ok(())
-    }
-
-    /// Batched right multiplication `Y = M·X` for `k` right-hand sides in
-    /// one scan of `S`.
-    ///
-    /// `x_panel` is the row-major `cols × k` panel (row `j` holds the `k`
-    /// values of input coordinate `j`); `y_panel` is the row-major
-    /// `rows × k` output panel. One traversal of the symbol stream serves
-    /// the whole batch, which is what makes batching profitable.
-    ///
-    /// # Errors
-    /// Fails if the panel lengths do not match `cols·k` / `rows·k`.
-    pub fn right_multiply_panel(
+    /// `K` fixes the width at compile time: the `K = 1` instance is the
+    /// single-vector scan; `K = 0` reads the width from `k`.
+    pub(crate) fn right_panel<const K: usize>(
         &self,
+        k: usize,
         x_panel: &[f64],
         y_panel: &mut [f64],
-        k: usize,
-    ) -> Result<(), MatrixError> {
-        if x_panel.len() != self.cols * k {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.cols * k,
-                actual: x_panel.len(),
-                what: "x panel length",
-            });
-        }
-        if y_panel.len() != self.rows * k {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.rows * k,
-                actual: y_panel.len(),
-                what: "y panel length",
-            });
-        }
+    ) {
+        let k = if K == 0 { k } else { K };
         y_panel.fill(0.0);
         if k == 0 {
-            return Ok(());
+            return;
         }
         let m = self.cols as u32;
         let values = &self.values[..];
@@ -326,40 +239,22 @@ impl CsrvMatrix {
                 }
             }
         }
-        Ok(())
     }
 
-    /// Batched left multiplication `X = Mᵗ·Y` for `k` left-hand sides in
-    /// one scan of `S` (panels as in
-    /// [`right_multiply_panel`](Self::right_multiply_panel), with
+    /// Left product `X = Mᵗ·Y` over row-major panels in one scan of `S`
+    /// (panels and `K` as in [`right_panel`](Self::right_panel), with
     /// `y_panel` the `rows × k` input and `x_panel` the `cols × k`
     /// output).
-    ///
-    /// # Errors
-    /// Fails if the panel lengths do not match `rows·k` / `cols·k`.
-    pub fn left_multiply_panel(
+    pub(crate) fn left_panel<const K: usize>(
         &self,
+        k: usize,
         y_panel: &[f64],
         x_panel: &mut [f64],
-        k: usize,
-    ) -> Result<(), MatrixError> {
-        if y_panel.len() != self.rows * k {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.rows * k,
-                actual: y_panel.len(),
-                what: "y panel length",
-            });
-        }
-        if x_panel.len() != self.cols * k {
-            return Err(MatrixError::DimensionMismatch {
-                expected: self.cols * k,
-                actual: x_panel.len(),
-                what: "x panel length",
-            });
-        }
+    ) {
+        let k = if K == 0 { k } else { K };
         x_panel.fill(0.0);
         if k == 0 {
-            return Ok(());
+            return;
         }
         let m = self.cols as u32;
         let values = &self.values[..];
@@ -378,7 +273,6 @@ impl CsrvMatrix {
                 }
             }
         }
-        Ok(())
     }
 
     /// Reorders the pairs of every row so columns appear in the order given
@@ -474,6 +368,7 @@ impl<'a> Iterator for RowSlices<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MatVec;
 
     /// The matrix of Figure 1.
     fn fig1() -> DenseMatrix {

@@ -14,10 +14,11 @@
 //!   (`gcm-serve`'s `ShardedModel` multiplies them, one pool task per
 //!   block).
 //!
-//! The [`MatVec`] trait is the repo-wide execution layer: its `*_into`
-//! methods draw every scratch buffer from a caller-owned [`Workspace`]
-//! (zero steady-state allocation) and its `*_multiply_matrix*` methods
-//! compute batched multi-vector products `Y = M·X` / `X = Mᵗ·B`.
+//! The [`MatVec`] trait is the repo-wide multiply interface: one
+//! `k`-wide panel product per direction, drawing every scratch buffer
+//! from a caller-owned [`Workspace`] (zero steady-state allocation),
+//! with the vector products (`k = 1`) and the dense-matrix products
+//! `Y = M·X` / `X = Mᵗ·B` provided on top of it.
 
 pub mod block;
 pub mod csrv;

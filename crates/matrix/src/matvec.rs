@@ -4,25 +4,38 @@
 //! representations (csrv, re_32, re_iv, re_ans, CLA, dense); this trait is
 //! what lets the harness treat them uniformly.
 //!
-//! The trait is split into two layers:
+//! Each direction has **one entry point**: the `k`-wide panel product
+//! [`MatVec::right_multiply_panel_into`] /
+//! [`MatVec::left_multiply_panel_into`], which draws every scratch
+//! buffer from a caller-owned [`Workspace`], so a steady-state serving
+//! loop performs no heap allocation. A kernel backend (CSRV, the grammar
+//! encodings, the serve layer's models) implements that pair and picks
+//! its width-1 kernel inside it, in that one place. Everything else is
+//! provided on top of it:
 //!
-//! * the **execution layer** — [`MatVec::right_multiply_into`] /
-//!   [`MatVec::left_multiply_into`] and the batched
-//!   [`MatVec::right_multiply_matrix_into`] /
-//!   [`MatVec::left_multiply_matrix_into`] — takes every scratch buffer
-//!   from a caller-owned [`Workspace`], so a steady-state serving loop
-//!   performs no heap allocation;
-//! * the **convenience layer** — [`MatVec::right_multiply`],
-//!   [`MatVec::left_multiply`], [`MatVec::right_multiply_matrix`],
-//!   [`MatVec::left_multiply_matrix`] — thin wrappers that conjure a
-//!   throwaway workspace (and, for the matrix products, the output) per
-//!   call.
+//! * the vector products [`MatVec::right_multiply_into`] /
+//!   [`MatVec::left_multiply_into`] are the panel at `k = 1` (a width-1
+//!   row-major panel has the memory layout of a vector);
+//! * the dense-matrix products [`MatVec::right_multiply_matrix_into`] /
+//!   [`MatVec::left_multiply_matrix_into`] check shapes and run the
+//!   panel over [`DenseMatrix::as_slice`];
+//! * [`MatVec::right_multiply`], [`MatVec::left_multiply`],
+//!   [`MatVec::right_multiply_matrix`] and
+//!   [`MatVec::left_multiply_matrix`] wrap those with a throwaway
+//!   workspace (and, for the matrix products, the output) per call.
 //!
-//! Batched products use **row-major panels**: the `k` right-hand sides of
-//! `Y = M·X` are the *columns* of a `cols × k` [`DenseMatrix`], so the `k`
-//! values a kernel needs for input coordinate `j` are the contiguous row
-//! `X[j, ·]`. Compressed backends override the batched methods to traverse
-//! their representation **once per batch** instead of once per column.
+//! Panels are **row-major**: the `k` right-hand sides of `Y = M·X` are
+//! the *columns* of a `cols × k` panel, so the `k` values a kernel needs
+//! for input coordinate `j` are the contiguous row `X[j, ·]`. The
+//! compressed backends traverse their representation **once per
+//! batch** instead of once per column.
+//!
+//! A backend with only single-vector kernels — the dense oracle, CLA, a
+//! timing shim that forwards to another model — implements the vector
+//! pair instead; the panel pair's defaults then lift it column by column
+//! through [`panel_by_columns`], which hands a width-1 panel straight
+//! through. An implementation must define one of the two pairs: the
+//! panel defaults and the vector defaults call each other.
 
 use crate::csrv::CsrvMatrix;
 use crate::dense::DenseMatrix;
@@ -37,53 +50,95 @@ pub trait MatVec {
     /// Number of columns.
     fn cols(&self) -> usize;
 
-    /// Right multiplication `y = M·x`, drawing scratch from `ws`.
+    /// Right product `Y = M·X` over row-major `k`-wide panels
+    /// (`x_panel` is `cols × k`, `y_panel` is `rows × k`), drawing
+    /// scratch from `ws`. Kernel backends define it; the default runs
+    /// [`right_multiply_into`](Self::right_multiply_into) once per column
+    /// (see the module docs).
     ///
     /// # Errors
-    /// Implementations fail on dimension mismatches.
+    /// Fails if either panel length is inconsistent with `k`.
+    fn right_multiply_panel_into(
+        &self,
+        k: usize,
+        x_panel: &[f64],
+        y_panel: &mut [f64],
+        ws: &mut Workspace,
+    ) -> Result<(), MatrixError> {
+        check_panels(self.rows(), self.cols(), k, x_panel.len(), y_panel.len())?;
+        panel_by_columns(k, x_panel, y_panel, ws, |x, y, ws| {
+            self.right_multiply_into(x, y, ws)
+        })
+    }
+
+    /// Left product `X = Mᵗ·Y` over row-major `k`-wide panels
+    /// (`y_panel` is `rows × k`, `x_panel` is `cols × k`; column `j` of
+    /// `X` is `Y[·,j]ᵗ·M`), drawing scratch from `ws`. Kernel backends
+    /// define it; the default runs
+    /// [`left_multiply_into`](Self::left_multiply_into) once per column.
+    ///
+    /// # Errors
+    /// Fails if either panel length is inconsistent with `k`.
+    fn left_multiply_panel_into(
+        &self,
+        k: usize,
+        y_panel: &[f64],
+        x_panel: &mut [f64],
+        ws: &mut Workspace,
+    ) -> Result<(), MatrixError> {
+        check_panels(self.rows(), self.cols(), k, x_panel.len(), y_panel.len())?;
+        panel_by_columns(k, y_panel, x_panel, ws, |y, x, ws| {
+            self.left_multiply_into(y, x, ws)
+        })
+    }
+
+    /// Right multiplication `y = M·x`: the panel product at `k = 1`
+    /// unless a single-vector backend defines it.
+    ///
+    /// # Errors
+    /// Fails on dimension mismatches.
     fn right_multiply_into(
         &self,
         x: &[f64],
         y: &mut [f64],
         ws: &mut Workspace,
-    ) -> Result<(), MatrixError>;
+    ) -> Result<(), MatrixError> {
+        self.right_multiply_panel_into(1, x, y, ws)
+    }
 
-    /// Left multiplication `xᵗ = yᵗ·M`, drawing scratch from `ws`.
+    /// Left multiplication `xᵗ = yᵗ·M`: the panel product at `k = 1`
+    /// unless a single-vector backend defines it.
     ///
     /// # Errors
-    /// Implementations fail on dimension mismatches.
+    /// Fails on dimension mismatches.
     fn left_multiply_into(
         &self,
         y: &[f64],
         x: &mut [f64],
         ws: &mut Workspace,
-    ) -> Result<(), MatrixError>;
+    ) -> Result<(), MatrixError> {
+        self.left_multiply_panel_into(1, y, x, ws)
+    }
 
     /// Right multiplication `y = M·x` (allocating wrapper).
     ///
     /// # Errors
-    /// Implementations fail on dimension mismatches.
+    /// Fails on dimension mismatches.
     fn right_multiply(&self, x: &[f64], y: &mut [f64]) -> Result<(), MatrixError> {
-        let mut ws = Workspace::new();
-        self.right_multiply_into(x, y, &mut ws)
+        self.right_multiply_into(x, y, &mut Workspace::new())
     }
 
     /// Left multiplication `xᵗ = yᵗ·M` (allocating wrapper).
     ///
     /// # Errors
-    /// Implementations fail on dimension mismatches.
+    /// Fails on dimension mismatches.
     fn left_multiply(&self, y: &[f64], x: &mut [f64]) -> Result<(), MatrixError> {
-        let mut ws = Workspace::new();
-        self.left_multiply_into(y, x, &mut ws)
+        self.left_multiply_into(y, x, &mut Workspace::new())
     }
 
     /// Batched right product `Y = M·B` into a preallocated `out`
-    /// (`rows × k` for a `cols × k` input `B`), drawing scratch from `ws`.
-    ///
-    /// The default walks `B`'s columns one at a time through
-    /// [`right_multiply_into`](Self::right_multiply_into); compressed
-    /// backends override it with kernels that traverse the representation
-    /// once for the whole batch.
+    /// (`rows × k` for a `cols × k` input `B`): the panel product over
+    /// the matrices' row-major storage.
     ///
     /// # Errors
     /// Fails if `B` has a different row count than `M` has columns, or if
@@ -95,21 +150,10 @@ pub trait MatVec {
         ws: &mut Workspace,
     ) -> Result<(), MatrixError> {
         check_right_batch(self.rows(), self.cols(), b, out)?;
-        let k = b.cols();
-        let mut x = ws.take(self.cols());
-        let mut y = ws.take(self.rows());
-        for j in 0..k {
-            for (i, xi) in x.iter_mut().enumerate() {
-                *xi = b.get(i, j);
-            }
-            self.right_multiply_into(&x, &mut y, ws)?;
-            for (i, &yi) in y.iter().enumerate() {
-                out.set(i, j, yi);
-            }
+        if b.cols() == 0 {
+            return Ok(());
         }
-        ws.put(x);
-        ws.put(y);
-        Ok(())
+        self.right_multiply_panel_into(b.cols(), b.as_slice(), out.as_mut_slice(), ws)
     }
 
     /// Matrix-matrix product `Y = M·B` (the MVM-chain pattern of ML
@@ -120,14 +164,14 @@ pub trait MatVec {
     /// Fails if `B` has a different row count than `M` has columns.
     fn right_multiply_matrix(&self, b: &DenseMatrix) -> Result<DenseMatrix, MatrixError> {
         let mut out = DenseMatrix::zeros(self.rows(), b.cols());
-        let mut ws = Workspace::new();
-        self.right_multiply_matrix_into(b, &mut out, &mut ws)?;
+        self.right_multiply_matrix_into(b, &mut out, &mut Workspace::new())?;
         Ok(out)
     }
 
     /// Batched left product `X = Mᵗ·B` into a preallocated `out`
     /// (`cols × k` for a `rows × k` input `B`; column `j` of `out` is
-    /// `B[·,j]ᵗ·M`), drawing scratch from `ws`.
+    /// `B[·,j]ᵗ·M`): the panel product over the matrices' row-major
+    /// storage.
     ///
     /// # Errors
     /// Fails if `B` has a different row count than `M` has rows, or if
@@ -139,21 +183,10 @@ pub trait MatVec {
         ws: &mut Workspace,
     ) -> Result<(), MatrixError> {
         check_left_batch(self.rows(), self.cols(), b, out)?;
-        let k = b.cols();
-        let mut y = ws.take(self.rows());
-        let mut x = ws.take(self.cols());
-        for j in 0..k {
-            for (i, yi) in y.iter_mut().enumerate() {
-                *yi = b.get(i, j);
-            }
-            self.left_multiply_into(&y, &mut x, ws)?;
-            for (i, &xi) in x.iter().enumerate() {
-                out.set(i, j, xi);
-            }
+        if b.cols() == 0 {
+            return Ok(());
         }
-        ws.put(y);
-        ws.put(x);
-        Ok(())
+        self.left_multiply_panel_into(b.cols(), b.as_slice(), out.as_mut_slice(), ws)
     }
 
     /// Batched left product `X = Mᵗ·B`; allocating wrapper over
@@ -163,20 +196,54 @@ pub trait MatVec {
     /// Fails if `B` has a different row count than `M` has rows.
     fn left_multiply_matrix(&self, b: &DenseMatrix) -> Result<DenseMatrix, MatrixError> {
         let mut out = DenseMatrix::zeros(self.cols(), b.cols());
-        let mut ws = Workspace::new();
-        self.left_multiply_matrix_into(b, &mut out, &mut ws)?;
+        self.left_multiply_matrix_into(b, &mut out, &mut Workspace::new())?;
         Ok(out)
     }
 }
 
-/// Validates shapes for `Y = M·B`: `B` is `cols × k`, `out` is `rows × k`.
-///
-/// Exposed for backend crates implementing the batched [`MatVec`]
-/// overrides.
+/// Lifts a single-vector kernel to row-major `k`-wide panels: column
+/// `j` of `output` is `kernel` applied to column `j` of `input`. A
+/// width-1 panel is a vector, so `k = 1` hands both panels straight to
+/// `kernel`; wider panels stage each column through two buffers drawn
+/// from `ws`. The caller checks the panel lengths.
 ///
 /// # Errors
-/// Fails on any shape mismatch.
-pub fn check_right_batch(
+/// Returns the first error `kernel` reports.
+pub fn panel_by_columns(
+    k: usize,
+    input: &[f64],
+    output: &mut [f64],
+    ws: &mut Workspace,
+    mut kernel: impl FnMut(&[f64], &mut [f64], &mut Workspace) -> Result<(), MatrixError>,
+) -> Result<(), MatrixError> {
+    if k == 1 {
+        return kernel(input, output, ws);
+    }
+    if k == 0 {
+        return Ok(());
+    }
+    let mut col_in = ws.take(input.len() / k);
+    let mut col_out = ws.take(output.len() / k);
+    let mut result = Ok(());
+    for j in 0..k {
+        for (i, v) in col_in.iter_mut().enumerate() {
+            *v = input[i * k + j];
+        }
+        result = kernel(&col_in, &mut col_out, ws);
+        if result.is_err() {
+            break;
+        }
+        for (i, &v) in col_out.iter().enumerate() {
+            output[i * k + j] = v;
+        }
+    }
+    ws.put(col_out);
+    ws.put(col_in);
+    result
+}
+
+/// Validates shapes for `Y = M·B`: `B` is `cols × k`, `out` is `rows × k`.
+fn check_right_batch(
     rows: usize,
     cols: usize,
     b: &DenseMatrix,
@@ -207,13 +274,7 @@ pub fn check_right_batch(
 }
 
 /// Validates shapes for `X = Mᵗ·B`: `B` is `rows × k`, `out` is `cols × k`.
-///
-/// Exposed for backend crates implementing the batched [`MatVec`]
-/// overrides.
-///
-/// # Errors
-/// Fails on any shape mismatch.
-pub fn check_left_batch(
+fn check_left_batch(
     rows: usize,
     cols: usize,
     b: &DenseMatrix,
@@ -245,8 +306,9 @@ pub fn check_left_batch(
 
 /// Validates row-major panel slice lengths for a `rows × cols` operator
 /// with batch width `k`: `x_panel` must hold `cols·k` values and
-/// `y_panel` `rows·k`. Shared by the raw panel-slice entry points of
-/// the compiled kernel plans and the serve layer.
+/// `y_panel` `rows·k`, whichever of the two is the input. Shared by
+/// every panel entry point: the [`MatVec`] backends, the compiled
+/// kernel plans and the serve layer.
 ///
 /// # Errors
 /// Fails on either length mismatch.
@@ -311,42 +373,34 @@ impl MatVec for CsrvMatrix {
         CsrvMatrix::cols(self)
     }
 
-    fn right_multiply_into(
+    fn right_multiply_panel_into(
         &self,
-        x: &[f64],
-        y: &mut [f64],
+        k: usize,
+        x_panel: &[f64],
+        y_panel: &mut [f64],
         _ws: &mut Workspace,
     ) -> Result<(), MatrixError> {
-        CsrvMatrix::right_multiply(self, x, y)
+        check_panels(self.rows(), self.cols(), k, x_panel.len(), y_panel.len())?;
+        match k {
+            1 => self.right_panel::<1>(1, x_panel, y_panel),
+            _ => self.right_panel::<0>(k, x_panel, y_panel),
+        }
+        Ok(())
     }
 
-    fn left_multiply_into(
+    fn left_multiply_panel_into(
         &self,
-        y: &[f64],
-        x: &mut [f64],
+        k: usize,
+        y_panel: &[f64],
+        x_panel: &mut [f64],
         _ws: &mut Workspace,
     ) -> Result<(), MatrixError> {
-        CsrvMatrix::left_multiply(self, y, x)
-    }
-
-    fn right_multiply_matrix_into(
-        &self,
-        b: &DenseMatrix,
-        out: &mut DenseMatrix,
-        _ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        check_right_batch(self.rows(), self.cols(), b, out)?;
-        self.right_multiply_panel(b.as_slice(), out.as_mut_slice(), b.cols())
-    }
-
-    fn left_multiply_matrix_into(
-        &self,
-        b: &DenseMatrix,
-        out: &mut DenseMatrix,
-        _ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        check_left_batch(self.rows(), self.cols(), b, out)?;
-        self.left_multiply_panel(b.as_slice(), out.as_mut_slice(), b.cols())
+        check_panels(self.rows(), self.cols(), k, x_panel.len(), y_panel.len())?;
+        match k {
+            1 => self.left_panel::<1>(1, y_panel, x_panel),
+            _ => self.left_panel::<0>(k, y_panel, x_panel),
+        }
+        Ok(())
     }
 }
 

@@ -13,8 +13,7 @@
 use std::sync::Arc;
 
 use gcm_core::{CompressedMatrix, Encoding, KernelPlan};
-use gcm_matrix::matvec::{check_left_batch, check_right_batch};
-use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, Workspace};
+use gcm_matrix::{CsrvMatrix, MatVec, MatrixError, Workspace};
 
 use crate::backend::Backend;
 
@@ -149,60 +148,9 @@ impl Model {
     pub fn workspace_budget(&self, k: usize) -> (usize, usize) {
         match self {
             Model::Csrv(_) => (0, 0),
-            // The batched left kernel draws the W panel plus the
-            // per-rule nonzero-flag buffer.
-            Model::Compressed(m) => (2, m.num_rules() * k.max(1)),
-        }
-    }
-
-    /// Batched right product over explicit row-major `k`-wide panel
-    /// slices (`x_panel` is `cols × k`, `y_panel` is `rows × k`), drawing
-    /// scratch from `ws`. The sharded engine drives shards through this
-    /// entry point so each writes its raw sub-panel of one output buffer.
-    ///
-    /// # Errors
-    /// Fails if either panel length is inconsistent with `k`.
-    pub fn right_multiply_panel_into(
-        &self,
-        k: usize,
-        x_panel: &[f64],
-        y_panel: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        match self {
-            Model::Csrv(m) => m.right_multiply_panel(x_panel, y_panel, k),
-            Model::Compressed(m) => {
-                let mut w = ws.take(m.num_rules() * k);
-                let result = m.right_multiply_panel_with(k, x_panel, y_panel, &mut w);
-                ws.put(w);
-                result
-            }
-        }
-    }
-
-    /// Batched left product over explicit row-major panel slices
-    /// (`y_panel` is `rows × k`, `x_panel` is `cols × k`), drawing
-    /// scratch from `ws`.
-    ///
-    /// # Errors
-    /// Fails if either panel length is inconsistent with `k`.
-    pub fn left_multiply_panel_into(
-        &self,
-        k: usize,
-        y_panel: &[f64],
-        x_panel: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        match self {
-            Model::Csrv(m) => m.left_multiply_panel(y_panel, x_panel, k),
-            Model::Compressed(m) => {
-                let mut w = ws.take(m.num_rules() * k);
-                let mut flags = ws.take(m.num_rules());
-                let result = m.left_multiply_panel_with(k, y_panel, x_panel, &mut w, &mut flags);
-                ws.put(flags);
-                ws.put(w);
-                result
-            }
+            // The W panel, plus the per-rule nonzero-flag buffer of
+            // the k-wide left kernel (see `working_bytes`).
+            Model::Compressed(m) => (1 + usize::from(k > 1), m.num_rules() * k.max(1)),
         }
     }
 
@@ -304,6 +252,10 @@ impl Model {
     }
 }
 
+/// The streaming (unplanned) kernels: each backend's own panel pair,
+/// which runs its width-1 kernel at `k = 1`. The sharded engine drives
+/// shards through it so each writes its raw sub-panel of one output
+/// buffer.
 impl MatVec for Model {
     fn rows(&self) -> usize {
         Model::rows(self)
@@ -313,56 +265,37 @@ impl MatVec for Model {
         Model::cols(self)
     }
 
-    fn right_multiply_into(
+    fn right_multiply_panel_into(
         &self,
-        x: &[f64],
-        y: &mut [f64],
+        k: usize,
+        x_panel: &[f64],
+        y_panel: &mut [f64],
         ws: &mut Workspace,
     ) -> Result<(), MatrixError> {
-        // A width-1 row-major panel has the exact memory layout of a
-        // vector, so the panel entry point is the single-vector kernel.
-        self.right_multiply_panel_into(1, x, y, ws)
-    }
-
-    fn left_multiply_into(
-        &self,
-        y: &[f64],
-        x: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        self.left_multiply_panel_into(1, y, x, ws)
-    }
-
-    fn right_multiply_matrix_into(
-        &self,
-        b: &DenseMatrix,
-        out: &mut DenseMatrix,
-        ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        check_right_batch(self.rows(), self.cols(), b, out)?;
-        if b.cols() == 0 {
-            return Ok(());
+        match self {
+            Model::Csrv(m) => m.right_multiply_panel_into(k, x_panel, y_panel, ws),
+            Model::Compressed(m) => m.right_multiply_panel_into(k, x_panel, y_panel, ws),
         }
-        self.right_multiply_panel_into(b.cols(), b.as_slice(), out.as_mut_slice(), ws)
     }
 
-    fn left_multiply_matrix_into(
+    fn left_multiply_panel_into(
         &self,
-        b: &DenseMatrix,
-        out: &mut DenseMatrix,
+        k: usize,
+        y_panel: &[f64],
+        x_panel: &mut [f64],
         ws: &mut Workspace,
     ) -> Result<(), MatrixError> {
-        check_left_batch(self.rows(), self.cols(), b, out)?;
-        if b.cols() == 0 {
-            return Ok(());
+        match self {
+            Model::Csrv(m) => m.left_multiply_panel_into(k, y_panel, x_panel, ws),
+            Model::Compressed(m) => m.left_multiply_panel_into(k, y_panel, x_panel, ws),
         }
-        self.left_multiply_panel_into(b.cols(), b.as_slice(), out.as_mut_slice(), ws)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcm_matrix::DenseMatrix;
 
     fn sample() -> DenseMatrix {
         let mut m = DenseMatrix::zeros(31, 6);

@@ -64,7 +64,7 @@ pub fn frequency_row_order(matrix: &CsrvMatrix) -> CsrvMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcm_matrix::DenseMatrix;
+    use gcm_matrix::{DenseMatrix, MatVec};
 
     fn sample() -> CsrvMatrix {
         let mut m = DenseMatrix::zeros(30, 6);

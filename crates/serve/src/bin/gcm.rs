@@ -94,7 +94,7 @@ use std::time::Instant;
 use gcm_core::Encoding;
 use gcm_datagen::Dataset;
 use gcm_matrix::io as mio;
-use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec};
+use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, Workspace};
 use gcm_pipeline::{BuildConfig, BuildStats, EncodingChoice};
 use gcm_reorder::ReorderAlgorithm;
 use gcm_serve::container::{self, write_atomic};
@@ -956,11 +956,11 @@ fn selftest_case(
     model.prewarm(k);
     let mut y = DenseMatrix::zeros(dense.rows(), k);
     model
-        .right_multiply_batch(b_right, &mut y)
+        .right_multiply_matrix_into(b_right, &mut y, &mut Workspace::new())
         .map_err(|e| format!("{tag}: right: {e}"))?;
     let mut x = DenseMatrix::zeros(dense.cols(), k);
     model
-        .left_multiply_batch(b_left, &mut x)
+        .left_multiply_matrix_into(b_left, &mut x, &mut Workspace::new())
         .map_err(|e| format!("{tag}: left: {e}"))?;
     for (got, want, what) in [(&y, y_oracle, "right"), (&x, x_oracle, "left")] {
         for i in 0..want.rows() {

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use gcm_core::Encoding;
 use gcm_encodings::HeapSize;
-use gcm_matrix::matvec::{check_left_batch, check_panels, check_right_batch};
+use gcm_matrix::matvec::check_panels;
 use gcm_matrix::{CsrvMatrix, DenseMatrix, MatVec, MatrixError, Workspace};
 use gcm_pipeline::{
     fan_out_rows, Backend, BuildArtifacts, BuildConfig, BuiltShard, Model, ModelPlan, ShardMeta,
@@ -118,19 +118,20 @@ impl Shard {
     /// draws at batch widths up to `k`. Every planned entry point draws
     /// one `[x | w | flags]` plan scratch buffer. An unplanned shard
     /// also serves a row subset through a staging panel of `rows × k`,
-    /// so its buffers grow to that length too; the count stays the
-    /// streaming budget's, at least one. No unplanned kernel holds more
-    /// than two buffers at once: a `compressed` shard's row subset
-    /// holds the staging panel and W, its left product W and the rule
-    /// flags, its sparse product the dense input and W; a `csrv`
-    /// shard's row subset or sparse product holds one.
+    /// so its buffers grow to that length too, and it holds that panel
+    /// beside the width-1 right product's buffers. No unplanned kernel
+    /// holds more than two buffers at once: a `compressed` shard's row
+    /// subset holds the staging panel and W, its k-wide left product W
+    /// and the rule flags, its sparse product the dense input and W; a
+    /// `csrv` shard's row subset or sparse product holds one.
     fn budget(&self, k: usize) -> (usize, usize) {
         let k = k.max(1);
         match self.plan() {
             Some(plan) => (1, plan.kernel().scratch_len(k)),
             None => {
                 let (count, max_len) = self.model().workspace_budget(k);
-                (count.max(1), max_len.max(self.model().rows() * k))
+                let (staged, _) = self.model().workspace_budget(1);
+                (count.max(staged + 1), max_len.max(self.model().rows() * k))
             }
         }
     }
@@ -712,34 +713,9 @@ impl ShardedModel {
         }
         Ok(())
     }
-
-    /// Batched right product into a preallocated dense panel.
-    ///
-    /// # Errors
-    /// Fails on shape mismatches.
-    pub fn right_multiply_batch(
-        &self,
-        b: &DenseMatrix,
-        out: &mut DenseMatrix,
-    ) -> Result<(), MatrixError> {
-        check_right_batch(self.rows, self.cols, b, out)?;
-        self.right_multiply_panel(b.cols(), b.as_slice(), out.as_mut_slice())
-    }
-
-    /// Batched left product into a preallocated dense panel.
-    ///
-    /// # Errors
-    /// Fails on shape mismatches.
-    pub fn left_multiply_batch(
-        &self,
-        b: &DenseMatrix,
-        out: &mut DenseMatrix,
-    ) -> Result<(), MatrixError> {
-        check_left_batch(self.rows, self.cols, b, out)?;
-        self.left_multiply_panel(b.cols(), b.as_slice(), out.as_mut_slice())
-    }
 }
 
+/// The workspace argument is unused: shards own their serving state.
 impl MatVec for ShardedModel {
     fn rows(&self) -> usize {
         self.rows
@@ -749,42 +725,24 @@ impl MatVec for ShardedModel {
         self.cols
     }
 
-    /// The workspace argument is unused: shards own their serving state.
-    fn right_multiply_into(
+    fn right_multiply_panel_into(
         &self,
-        x: &[f64],
-        y: &mut [f64],
+        k: usize,
+        x_panel: &[f64],
+        y_panel: &mut [f64],
         _ws: &mut Workspace,
     ) -> Result<(), MatrixError> {
-        self.right_multiply_panel(1, x, y)
+        self.right_multiply_panel(k, x_panel, y_panel)
     }
 
-    /// The workspace argument is unused: shards own their serving state.
-    fn left_multiply_into(
+    fn left_multiply_panel_into(
         &self,
-        y: &[f64],
-        x: &mut [f64],
+        k: usize,
+        y_panel: &[f64],
+        x_panel: &mut [f64],
         _ws: &mut Workspace,
     ) -> Result<(), MatrixError> {
-        self.left_multiply_panel(1, y, x)
-    }
-
-    fn right_multiply_matrix_into(
-        &self,
-        b: &DenseMatrix,
-        out: &mut DenseMatrix,
-        _ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        self.right_multiply_batch(b, out)
-    }
-
-    fn left_multiply_matrix_into(
-        &self,
-        b: &DenseMatrix,
-        out: &mut DenseMatrix,
-        _ws: &mut Workspace,
-    ) -> Result<(), MatrixError> {
-        self.left_multiply_batch(b, out)
+        self.left_multiply_panel(k, y_panel, x_panel)
     }
 }
 
@@ -860,7 +818,9 @@ mod tests {
             }
         }
         let mut out = DenseMatrix::zeros(40, k);
-        model.right_multiply_batch(&b, &mut out).unwrap();
+        model
+            .right_multiply_matrix_into(&b, &mut out, &mut Workspace::new())
+            .unwrap();
         for j in 0..k {
             let x: Vec<f64> = (0..7).map(|i| b.get(i, j)).collect();
             let mut y = vec![0.0; 40];
@@ -877,7 +837,9 @@ mod tests {
             }
         }
         let mut outl = DenseMatrix::zeros(7, k);
-        model.left_multiply_batch(&by, &mut outl).unwrap();
+        model
+            .left_multiply_matrix_into(&by, &mut outl, &mut Workspace::new())
+            .unwrap();
         for j in 0..k {
             let y: Vec<f64> = (0..40).map(|i| by.get(i, j)).collect();
             let mut xo = vec![0.0; 7];

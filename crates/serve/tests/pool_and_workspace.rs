@@ -3,7 +3,7 @@
 //! any shard count equal the dense column-at-a-time reference.
 
 use gcm_core::Encoding;
-use gcm_matrix::{DenseMatrix, MatVec};
+use gcm_matrix::{DenseMatrix, MatVec, Workspace};
 use gcm_serve::{Backend, BuildConfig, EncodingChoice, ShardedModel};
 
 fn sample(rows: usize, cols: usize) -> DenseMatrix {
@@ -51,8 +51,12 @@ fn repeated_multiplications_spawn_no_threads() {
             assert_eq!(model.num_shards(), 4);
             model.right_multiply(&x, y).unwrap();
             model.left_multiply(&yv, xo).unwrap();
-            model.right_multiply_batch(&b, out).unwrap();
-            model.left_multiply_batch(&by, outl).unwrap();
+            model
+                .right_multiply_matrix_into(&b, out, &mut Workspace::new())
+                .unwrap();
+            model
+                .left_multiply_matrix_into(&by, outl, &mut Workspace::new())
+                .unwrap();
         }
     };
 

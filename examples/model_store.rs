@@ -68,7 +68,9 @@ fn main() {
         }
     }
     let mut y = DenseMatrix::zeros(served.rows(), k);
-    served.right_multiply_batch(&b, &mut y).expect("serve");
+    served
+        .right_multiply_matrix_into(&b, &mut y, &mut Workspace::new())
+        .expect("serve");
     let oracle = dense.right_multiply_matrix(&b).expect("oracle");
     let mut worst = 0.0f64;
     for i in 0..served.rows() {

@@ -95,7 +95,7 @@ fn main() {
     let t = Instant::now();
     for _ in 0..25 {
         sharded
-            .right_multiply_batch(&batch, &mut out)
+            .right_multiply_matrix_into(&batch, &mut out, &mut ws)
             .expect("serve sharded batch");
     }
     println!(
